@@ -29,6 +29,7 @@ from repro.analyze.rules.protocol import (
     _collective_name,
     _collectives_in,
     _mentions_rank,
+    implements_transport,
 )
 
 #: Modules whose internals may legitimately read clocks (timers live
@@ -196,7 +197,7 @@ REP009 resolves both through the project call graph:
    flagged with the chain to the collective, unless the opposite branch
    reaches the same collective (the root/leaf bcast idiom).
 
-``repro/runtime/`` is exempt (it implements the transport).  Suppress
+The transport and communicator modules are exempt as in REP002.  Suppress
 elsewhere with ``# repro: noqa(REP009) <why this pairs/every rank
 reaches it>``.
 """
@@ -211,7 +212,7 @@ reaches it>``.
         dynamic_recv = False
 
         for fn in graph.functions.values():
-            if fn.module.in_dirs("runtime"):
+            if implements_transport(fn.module):
                 continue
             for call in ast.walk(fn.node):
                 if not (
@@ -360,7 +361,7 @@ reaches it>``.
             return names
 
         for module in graph.modules:
-            if module.in_dirs("runtime"):
+            if implements_transport(module):
                 continue
             for branch_if, class_name in self._rank_ifs(module):
                 for body, other in (

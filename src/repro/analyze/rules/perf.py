@@ -12,7 +12,7 @@ sneak back in:
   message path serializes the bytes the transport exists to not copy.
 
 The rule flags both in the hot directories (``md/``, ``kmc/``) and in
-the process-backend transport itself.  Deliberate survivors — a scatter
+the two transport implementations themselves.  Deliberate survivors — a scatter
 whose duplicate-index accumulation order is load-bearing for
 bit-identity, a pickle on an error path — belong in the committed
 baseline with a written justification.
@@ -32,7 +32,7 @@ from repro.analyze.core import (
 )
 
 _HOT_DIRS = ("md", "kmc")
-_HOT_FILES = ("runtime/procbackend.py",)
+_HOT_FILES = ("runtime/transport.py", "runtime/procbackend.py")
 
 _SLOW_CALLS = {
     "numpy.add.at": (
@@ -55,7 +55,7 @@ class SlowDataMovementRule(Rule):
     summary = "np.add.at / pickle.dumps on a hot path"
     explanation = """\
 ``np.add.at`` inside ``md/`` or ``kmc/`` and ``pickle.dumps`` anywhere
-on the process-backend message path are the two data-movement patterns
+on the transports' message path are the two data-movement patterns
 this reproduction measured and replaced: unbuffered ufunc scatters lose
 an order of magnitude to ``np.bincount`` accumulation, and pickling
 array payloads defeats the zero-copy shared-memory transport.

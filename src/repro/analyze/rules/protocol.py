@@ -31,6 +31,22 @@ _COLLECTIVES = {
     "fence",
 }
 
+#: The modules that *implement* the transport and the communicator: their
+#: internals legitimately branch on rank and use reserved tags, so the
+#: protocol rules (REP002, REP009) skip them.  Everything else under
+#: ``runtime/`` — the middleware layers, the sanitizer, the scheduler —
+#: is a caller of the communicator like any engine and is scanned.
+_TRANSPORT_FILES = (
+    "runtime/transport.py",
+    "runtime/simmpi.py",
+    "runtime/procbackend.py",
+)
+
+
+def implements_transport(module: ModuleContext) -> bool:
+    return module.rel_path.endswith(_TRANSPORT_FILES)
+
+
 #: ``.put`` is only a one-sided window op when the receiver looks like a
 #: window; bare ``q.put`` (queues) must not trip the rule.
 _WINDOW_HINTS = ("win", "window")
@@ -140,8 +156,10 @@ rank to participate.  Two shapes are statically rejectable:
    opposite branch calls the *same* collective (the root/leaf bcast
    idiom).
 
-``repro/runtime/`` is exempt: it *implements* the transport, so its
-internals legitimately branch on rank.  Suppress elsewhere with
+The transport and communicator modules (``runtime/transport.py``,
+``runtime/simmpi.py``, ``runtime/procbackend.py``) are exempt: they
+*implement* the protocol, so their internals legitimately branch on
+rank.  Suppress elsewhere with
 ``# repro: noqa(REP002) <why every rank reaches this call>``.
 """
 
@@ -152,7 +170,7 @@ internals legitimately branch on rank.  Suppress elsewhere with
         self._dynamic_recv = False
 
     def check_module(self, module: ModuleContext) -> Iterable[Finding]:
-        if module.in_dirs("runtime"):
+        if implements_transport(module):
             return
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):

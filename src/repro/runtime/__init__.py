@@ -1,25 +1,43 @@
 """In-process message-passing runtime (the reproduction's "MPI").
 
-The paper runs on MPI over 40,960 Sunway nodes.  This package provides an
-in-process runtime with MPI semantics so the *same parallel algorithms*
-(domain-decomposed MD ghost exchange, sector-synchronous KMC, on-demand
-communication with probe or one-sided windows) execute for real on one
-machine:
+The paper runs on MPI over 40,960 Sunway nodes.  This package provides a
+single-machine runtime with MPI semantics so the *same parallel
+algorithms* (domain-decomposed MD ghost exchange, sector-synchronous KMC,
+on-demand communication with probe or one-sided windows) execute for
+real.  It is one communication stack in three layers:
 
-* :class:`~repro.runtime.simmpi.World` — spawns one thread per rank and
-  runs an SPMD ``main(comm)`` function on each.
-* :class:`~repro.runtime.simmpi.RankComm` — two-sided ``send`` / ``recv``
-  / ``probe`` / ``iprobe``, plus ``barrier`` / ``allreduce`` /
-  ``allgather`` / ``bcast`` collectives.
-* :class:`~repro.runtime.window.Window` — one-sided ``put`` + ``fence``,
-  the MPI-3 RMA pattern §2.2.1 proposes for eliminating zero-size probe
-  messages.
-* :class:`~repro.runtime.stats.TrafficStats` — counts every byte and
-  message (the measurements behind Figures 12-13).
-* :class:`~repro.runtime.netmodel.NetworkModel` — an alpha-beta network
-  cost model that converts measured traffic into modeled communication
-  time, replacing wall-clock timing that a threaded in-process runtime
-  cannot meaningfully provide.
+1. **Transport** (:mod:`~repro.runtime.transport`) — post an envelope to
+   a rank's :class:`~repro.runtime.transport.Mailbox`, match, abort.  Two
+   implementations: in-process mailboxes, and forked processes over
+   queues + shared memory (:mod:`~repro.runtime.procbackend`,
+   :mod:`~repro.runtime.shm`).
+2. **Communicator** (:mod:`~repro.runtime.simmpi`,
+   :mod:`~repro.runtime.window`) — the one
+   :class:`~repro.runtime.simmpi.RankComm` (``send`` / ``recv`` /
+   ``probe`` / ``iprobe``, ``barrier`` / ``allreduce`` / ``allgather`` /
+   ``bcast``) and the one :class:`~repro.runtime.window.Window`
+   (``put`` + ``fence``, the MPI-3 RMA pattern §2.2.1 proposes for
+   eliminating zero-size probe messages); collectives and fences are
+   written once over point-to-point envelopes.
+   :class:`~repro.runtime.simmpi.World` runs an SPMD ``main(comm)`` on
+   every rank — as threads, as forked processes, or as R logical ranks
+   on P worker slots (:mod:`~repro.runtime.scheduler`).
+3. **Middleware** (:mod:`~repro.runtime.layers`) — fault injection
+   (:mod:`~repro.runtime.faults`), journal/replay rank migration, the
+   vector-clock sanitizer (:mod:`~repro.runtime.sanitize`), traffic
+   accounting, scheduler yields and observe phases as an ordered chain
+   over seven primitives, composed identically on every backend.
+
+:class:`~repro.runtime.stats.TrafficStats` counts every byte and message
+(the measurements behind Figures 12-13), and
+:class:`~repro.runtime.netmodel.NetworkModel` — an alpha-beta network
+cost model — converts that traffic into modeled communication time,
+replacing wall-clock timing that an in-process runtime cannot
+meaningfully provide.
+
+Importing the package stays light: ``multiprocessing``, shared memory,
+the scheduler and the sanitizer are imported by the first run that needs
+them.
 """
 
 from repro.runtime.faults import FaultInjector, FaultPlan, InjectedFault

@@ -45,7 +45,7 @@ are survived by recovery, everything else only perturbs timing.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,6 +56,8 @@ SITE_KMC_CYCLE = "kmc.cycle"
 SITE_KMC_EVENT = "kmc.event"
 
 _KINDS = ("crash", "delay", "dup", "stall", "shake")
+#: The sender-side pause of each operation stream: (spec kind, counter).
+_PAUSES = {"send": ("delay", "delays"), "put": ("stall", "stalls")}
 
 
 class InjectedFault(RuntimeError):
@@ -237,19 +239,14 @@ class FaultPlan:
 
 
 @dataclass
-class SendAction:
-    """What the injector asks :meth:`RankComm.send` to do."""
+class FaultAction:
+    """What the injector asks the fault layer to do to one send or put.
 
-    delay_s: float = 0.0
-    duplicate: bool = False
-    msg_id: tuple | None = None
+    ``pause_s`` is the sender-side delay (send) or stall (put);
+    ``msg_id`` is set exactly when the delivery is to be duplicated.
+    """
 
-
-@dataclass
-class PutAction:
-    """What the injector asks :meth:`Window.put` to do."""
-
-    stall_s: float = 0.0
+    pause_s: float = 0.0
     duplicate: bool = False
     msg_id: tuple | None = None
 
@@ -277,14 +274,17 @@ class FaultInjector:
     nth-operation faults are one-shot too.
 
     Thread-safe: ranks are threads and consult the injector concurrently.
+    On the process backend every child works on a forked copy and the
+    parent merges it back at join (:meth:`export_state` /
+    :meth:`absorb_state`), so this object always holds the whole state.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self._lock = threading.Lock()
         self._fired: set[int] = set()
-        self._sends: dict[int, int] = {}
-        self._puts: dict[int, int] = {}
+        #: Per-rank count of sends and puts so far (nth-operation specs).
+        self._ordinals: dict[str, dict[int, int]] = {"send": {}, "put": {}}
         self._shake_rng: dict[int, np.random.Generator] = {}
         self._next_msg_id = 0
         #: Namespace for allocated message ids.  The thread backend keeps
@@ -296,10 +296,6 @@ class FaultInjector:
         self.counters = _Counters()
 
     # ------------------------------------------------------------------
-    def _alloc_msg_id(self) -> tuple:
-        self._next_msg_id += 1
-        return ("fault-dup", self.msg_id_tag, self._next_msg_id)
-
     def _rank_shake_rng(self, rank: int) -> np.random.Generator:
         rng = self._shake_rng.get(rank)
         if rng is None:
@@ -334,75 +330,63 @@ class FaultInjector:
                 f"planned crash: rank {rank} at {site}[{index}]"
             )
 
-    def on_send(self, rank: int, dest: int, tag: int) -> SendAction | None:
+    def on_send(self, rank: int, dest: int, tag: int) -> FaultAction | None:
         """Consulted by every ``send``; returns the action to apply (or None)."""
-        action: SendAction | None = None
+        return self._consult(rank, "send")
+
+    def on_put(self, rank: int, target: int) -> FaultAction | None:
+        """Consulted by every one-sided ``put``; like :meth:`on_send`."""
+        return self._consult(rank, "put")
+
+    def _consult(self, rank: int, op: str) -> FaultAction | None:
+        """Count ``rank``'s next ``op`` and collect what the plan does to it.
+
+        Sends can be delayed, puts stalled (the same sender-side pause
+        under the name each transport uses), either duplicated by an
+        nth-operation spec; ``shake`` perturbs sends only.
+        """
+        pause_kind, pause_counter = _PAUSES[op]
+        ordinals = self._ordinals[op]
+        action: FaultAction | None = None
         with self._lock:
-            n = self._sends.get(rank, 0) + 1
-            self._sends[rank] = n
+            n = ordinals[rank] = ordinals.get(rank, 0) + 1
             for i, spec in enumerate(self.plan.specs):
-                if spec.kind == "delay" and spec.rank == rank and spec.nth == n:
-                    if i in self._fired:
-                        continue
+                if spec.kind == "shake":
+                    if op == "send":
+                        rng = self._rank_shake_rng(rank)
+                        if spec.p_dup and rng.random() < spec.p_dup:
+                            action = self._duplicated(action)
+                        if spec.p_delay and rng.random() < spec.p_delay:
+                            action = self._paused(action, spec, pause_counter)
+                elif spec.rank != rank or spec.nth != n or i in self._fired:
+                    continue
+                elif spec.kind == pause_kind:
                     self._fired.add(i)
-                    action = action or SendAction()
-                    action.delay_s = max(action.delay_s, spec.seconds)
-                    self.counters.delays += 1
-                elif (spec.kind == "dup" and spec.op == "send"
-                      and spec.rank == rank and spec.nth == n):
-                    if i in self._fired:
-                        continue
+                    action = self._paused(action, spec, pause_counter)
+                elif spec.kind == "dup" and spec.op == op:
                     self._fired.add(i)
-                    action = action or SendAction()
-                    action.duplicate = True
-                    action.msg_id = self._alloc_msg_id()
-                    self.counters.duplicates += 1
-                elif spec.kind == "shake":
-                    rng = self._rank_shake_rng(rank)
-                    if spec.p_dup and rng.random() < spec.p_dup:
-                        action = action or SendAction()
-                        if not action.duplicate:
-                            action.duplicate = True
-                            action.msg_id = self._alloc_msg_id()
-                            self.counters.duplicates += 1
-                    if spec.p_delay and rng.random() < spec.p_delay:
-                        action = action or SendAction()
-                        action.delay_s = max(action.delay_s, spec.seconds)
-                        self.counters.delays += 1
+                    action = self._duplicated(action)
         if action is not None:
             obs.add("runtime.faults.injected")
-            if action.delay_s:
-                obs.add("runtime.faults.delays")
+            if action.pause_s:
+                obs.add(f"runtime.faults.{pause_counter}")
             if action.duplicate:
                 obs.add("runtime.faults.duplicates")
         return action
 
-    def on_put(self, rank: int, target: int) -> PutAction | None:
-        """Consulted by every one-sided ``put``; like :meth:`on_send`."""
-        action: PutAction | None = None
-        with self._lock:
-            n = self._puts.get(rank, 0) + 1
-            self._puts[rank] = n
-            for i, spec in enumerate(self.plan.specs):
-                if spec.rank != rank or spec.nth != n or i in self._fired:
-                    continue
-                if spec.kind == "stall":
-                    self._fired.add(i)
-                    action = action or PutAction()
-                    action.stall_s = max(action.stall_s, spec.seconds)
-                    self.counters.stalls += 1
-                elif spec.kind == "dup" and spec.op == "put":
-                    self._fired.add(i)
-                    action = action or PutAction()
-                    action.duplicate = True
-                    action.msg_id = self._alloc_msg_id()
-                    self.counters.duplicates += 1
-        if action is not None:
-            obs.add("runtime.faults.injected")
-            if action.stall_s:
-                obs.add("runtime.faults.stalls")
-            if action.duplicate:
-                obs.add("runtime.faults.duplicates")
+    def _paused(self, action, spec: FaultSpec, counter: str) -> FaultAction:
+        action = action or FaultAction()
+        action.pause_s = max(action.pause_s, spec.seconds)
+        setattr(self.counters, counter, getattr(self.counters, counter) + 1)
+        return action
+
+    def _duplicated(self, action) -> FaultAction:
+        action = action or FaultAction()
+        if not action.duplicate:
+            action.duplicate = True
+            self._next_msg_id += 1
+            action.msg_id = ("fault-dup", self.msg_id_tag, self._next_msg_id)
+            self.counters.duplicates += 1
         return action
 
     def record_dropped_duplicate(self) -> None:
@@ -413,27 +397,30 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Cross-process state transfer (the simmpi process backend)
     # ------------------------------------------------------------------
-    def export_state(self) -> dict:
-        """Fired specs, operation ordinals, and counters — picklable.
+    def export_state(self, ranks=None) -> dict:
+        """Fired specs, operation ordinals, shake streams, counters — picklable.
 
         A forked child's injector copy mutates independently of the
         parent's; the child ships this dict back at exit so the parent
-        injector stays the single source of truth (crash one-shot-ness
-        must survive a recovery supervisor re-running the world).
+        injector stays the single owner of the state: crash
+        one-shot-ness, nth-operation ordinals and the per-rank shake
+        streams all survive a recovery supervisor re-forking the world.
+        ``ranks`` names the ranks the exporting child hosted: only their
+        shake streams are shipped, because its forked copies of the
+        other ranks' streams are stale.
         """
         with self._lock:
-            c = self.counters
             return {
                 "fired": sorted(self._fired),
-                "sends": dict(self._sends),
-                "puts": dict(self._puts),
-                "counters": {
-                    "crashes": c.crashes,
-                    "delays": c.delays,
-                    "duplicates": c.duplicates,
-                    "stalls": c.stalls,
-                    "dropped": c.dropped,
+                "ordinals": {
+                    op: dict(counts) for op, counts in self._ordinals.items()
                 },
+                "shake": {
+                    rank: rng.bit_generator.state
+                    for rank, rng in self._shake_rng.items()
+                    if ranks is None or rank in ranks
+                },
+                "counters": asdict(self.counters),
             }
 
     def absorb_state(self, state: dict, base: dict | None = None) -> None:
@@ -442,17 +429,18 @@ class FaultInjector:
         ``base`` is the child's export at fork time (i.e. this
         injector's state when the world started): counters are absorbed
         as deltas against it so inherited history is not double-counted.
-        Send/put ordinals are per-rank and each rank runs in exactly one
-        child, so the child's absolute value replaces the parent's.
+        Send/put ordinals and shake streams are per-rank and each rank
+        runs in exactly one child, so the child's absolute value
+        replaces the parent's.
         """
+        for rank, rng_state in state["shake"].items():
+            self._rank_shake_rng(rank).bit_generator.state = rng_state
         with self._lock:
             self._fired.update(int(i) for i in state["fired"])
-            for rank, n in state["sends"].items():
-                if n > self._sends.get(rank, 0):
-                    self._sends[rank] = n
-            for rank, n in state["puts"].items():
-                if n > self._puts.get(rank, 0):
-                    self._puts[rank] = n
+            for op, counts in state["ordinals"].items():
+                mine = self._ordinals[op]
+                for rank, n in counts.items():
+                    mine[rank] = max(n, mine.get(rank, 0))
             base_counters = (base or {}).get("counters", {})
             c = self.counters
             for key, value in state["counters"].items():
@@ -463,14 +451,11 @@ class FaultInjector:
     def snapshot(self) -> dict:
         """Counters of everything injected so far (for reports/results)."""
         with self._lock:
-            c = self.counters
+            counts = asdict(self.counters)
+            counts["duplicates_dropped"] = counts.pop("dropped")
             return {
-                "injected": c.injected,
-                "crashes": c.crashes,
-                "delays": c.delays,
-                "duplicates": c.duplicates,
-                "stalls": c.stalls,
-                "duplicates_dropped": c.dropped,
+                "injected": self.counters.injected,
+                **counts,
                 "plan": self.plan.describe(),
             }
 

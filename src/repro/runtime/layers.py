@@ -1,0 +1,279 @@
+"""Layer 3 of the communication stack: ordered middleware.
+
+Everything a rank communicates goes through seven primitives —
+``send / recv / probe / iprobe / exchange / put / fence`` — implemented
+once over the transport by :class:`~repro.runtime.simmpi.Endpoint`.
+Each cross-cutting capability is a :class:`Layer` that intercepts the
+primitives it cares about and delegates inward; :func:`compose` stacks
+the active ones in one fixed order, identical on every backend.
+
+Primitive signatures (what a layer sees)::
+
+    send(dest, tag, payload, nbytes, msg_id=None)
+    recv(source, tag) -> (source, tag, payload, nbytes)
+    probe(source, tag) -> Status
+    iprobe(source, tag) -> Status | None
+    exchange(kind, value, meter) -> [value of rank 0, ..., of rank n-1]
+    put(win_tag, target, payload, nbytes, msg_id=None)
+    fence(win_tag, counts) -> [(origin, payload, nbytes), ...]
+
+``payload`` is already frozen and ``nbytes`` already costed by
+:class:`~repro.runtime.simmpi.RankComm`; ``kind`` names the collective
+(``("barrier",)``, ``("allreduce", "sum")``, ...) and ``meter`` is its
+accounted size, ``None`` for unmetered control-plane exchanges.  The
+point-to-point traffic an ``exchange`` or ``fence`` generates *inside*
+the endpoint travels under reserved tags straight through the transport:
+no layer ever sees it.
+"""
+
+from __future__ import annotations
+
+import time
+
+from repro import observe as obs
+from repro.runtime.transport import freeze
+
+PRIMITIVES = ("send", "recv", "probe", "iprobe", "exchange", "put", "fence")
+
+
+class Layer:
+    """Base of a middleware layer: define the primitives it intercepts.
+
+    Every primitive a subclass does not define is bound straight to the
+    inner layer's at construction, so a layer costs a call only where it
+    has something to do.
+    """
+
+    name = "layer"
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        for prim in PRIMITIVES:
+            if not hasattr(type(self), prim):
+                setattr(self, prim, getattr(inner, prim))
+
+
+class BlockingLayer(Layer):
+    """Run every blocking primitive inside ``around(op)``.
+
+    Two instances exist: *yield* (the rank gives its worker slot back to
+    the scheduler for the duration of the wait) and *observe* (the wait
+    is charged to a ``runtime.*`` phase).
+    """
+
+    def __init__(self, inner, name: str, around) -> None:
+        super().__init__(inner)
+        self.name = name
+        self._around = around
+
+    def recv(self, source, tag):
+        with self._around("recv"):
+            return self.inner.recv(source, tag)
+
+    def probe(self, source, tag):
+        with self._around("probe"):
+            return self.inner.probe(source, tag)
+
+    def exchange(self, kind, value, meter):
+        with self._around("collective"):
+            return self.inner.exchange(kind, value, meter)
+
+    def fence(self, win_tag, counts):
+        with self._around("collective"):
+            return self.inner.fence(win_tag, counts)
+
+
+class TrafficLayer(Layer):
+    """Meter what goes over the wire into :class:`TrafficStats`.
+
+    A collective is charged once (by rank 0) to every rank.  A fence is
+    charged as the two zero-byte synchronizations of §2.2.1 — one making
+    the epoch's puts visible, one closing it; its put-count exchange is
+    control plane and unmetered.
+    """
+
+    name = "traffic"
+
+    def __init__(self, inner, stats, rank: int) -> None:
+        super().__init__(inner)
+        self._stats = stats
+        self._rank = rank
+
+    def send(self, dest, tag, payload, nbytes, msg_id=None):
+        self._stats.record_send(self._rank, dest, nbytes)
+        self.inner.send(dest, tag, payload, nbytes, msg_id)
+
+    def recv(self, source, tag):
+        envelope = self.inner.recv(source, tag)
+        self._stats.record_recv(self._rank, envelope[3])
+        return envelope
+
+    def exchange(self, kind, value, meter):
+        if meter is not None and self._rank == 0:
+            self._stats.record_collective(meter)
+        return self.inner.exchange(kind, value, meter)
+
+    def put(self, win_tag, target, payload, nbytes, msg_id=None):
+        self._stats.record_send(self._rank, target, nbytes)
+        self.inner.put(win_tag, target, payload, nbytes, msg_id)
+
+    def fence(self, win_tag, counts):
+        if self._rank == 0:
+            self._stats.record_collective(0)
+            self._stats.record_collective(0)
+        drained = self.inner.fence(win_tag, counts)
+        for _origin, _payload, nbytes in drained:
+            self._stats.record_recv(self._rank, nbytes)
+        return drained
+
+
+class FaultLayer(Layer):
+    """Apply the fault plan's delays, stalls and duplicates.
+
+    A pause is sender-side, so FIFO order per (source, tag) survives it
+    (an MPI send is allowed to block).  A duplicate is a second delivery
+    under the same message id: the traffic layer below meters it as the
+    wire-level retransmission it models, and the destination mailbox
+    drops it, so the receiver still sees exactly-once delivery.
+    """
+
+    name = "faults"
+
+    def __init__(self, inner, injector, rank: int) -> None:
+        super().__init__(inner)
+        self._injector = injector
+        self._rank = rank
+
+    def _deliver(self, action, deliver, *args) -> None:
+        if action is None:
+            deliver(*args)
+            return
+        if action.pause_s > 0:
+            time.sleep(action.pause_s)
+        deliver(*args, action.msg_id)
+        if action.duplicate:
+            deliver(*args, action.msg_id)
+
+    def send(self, dest, tag, payload, nbytes, msg_id=None):
+        action = self._injector.on_send(self._rank, dest, tag)
+        self._deliver(action, self.inner.send, dest, tag, payload, nbytes)
+
+    def put(self, win_tag, target, payload, nbytes, msg_id=None):
+        action = self._injector.on_put(self._rank, target)
+        self._deliver(action, self.inner.put, win_tag, target, payload, nbytes)
+
+
+class MigrationError(RuntimeError):
+    """A replayed rank diverged from its journal (should never happen)."""
+
+
+class JournalLayer(Layer):
+    """Journal every primitive's outcome; replay it after a migration.
+
+    Live, each call goes inward and its outcome is appended to the
+    journal.  A replacement incarnation of a crashed rank is given the
+    same journal and starts in *replay*: calls whose entry exists return
+    the recorded outcome at once — receives, collective results and
+    fence drains are served from the log, sends and puts are suppressed
+    (the world already saw them) — until the cursor reaches the journal
+    end and the rank seamlessly goes live.  Nothing below this layer
+    runs during replay, so the traffic ledger and the injector's
+    ordinals of a migrated run equal the fault-free ones.
+
+    Suppression is sound because injected crashes fire only at engine
+    ``fault_point``s, which sit at quiescent cycle boundaries: no
+    collective is in flight and every window epoch is fenced.
+    """
+
+    name = "journal"
+
+    def __init__(self, inner, journal: list, rank: int) -> None:
+        super().__init__(inner)
+        self._journal = journal
+        self._cursor = 0
+        self._rank = rank
+
+    def _through(self, kind: str, call, *args):
+        journal = self._journal
+        if self._cursor < len(journal):
+            entry = journal[self._cursor]
+            if entry[0] != kind:
+                raise MigrationError(
+                    f"rank {self._rank} replay diverged: journal has "
+                    f"{entry[0]!r} where the program performed {kind!r}"
+                )
+            self._cursor += 1
+            return freeze(entry[1])
+        out = call(*args)
+        journal.append((kind, freeze(out)))
+        self._cursor = len(journal)
+        return out
+
+    def send(self, dest, tag, payload, nbytes, msg_id=None):
+        self._through("send", self.inner.send, dest, tag, payload, nbytes, msg_id)
+
+    def recv(self, source, tag):
+        return self._through("recv", self.inner.recv, source, tag)
+
+    def probe(self, source, tag):
+        return self._through("probe", self.inner.probe, source, tag)
+
+    def iprobe(self, source, tag):
+        return self._through("iprobe", self.inner.iprobe, source, tag)
+
+    def exchange(self, kind, value, meter):
+        return self._through("exchange", self.inner.exchange, kind, value, meter)
+
+    def put(self, win_tag, target, payload, nbytes, msg_id=None):
+        self._through(
+            "put", self.inner.put, win_tag, target, payload, nbytes, msg_id
+        )
+
+    def fence(self, win_tag, counts):
+        return self._through("fence", self.inner.fence, win_tag, counts)
+
+
+_PHASES = {
+    "recv": "runtime.recv",
+    "probe": "runtime.probe",
+    "collective": "runtime.collective",
+}
+
+
+def compose(
+    endpoint, *, rank, size, stats, mailbox, faults=None, scheduler=None,
+    journal=None, sanitize=False,
+):
+    """Stack the active layers over ``endpoint``; return the outermost.
+
+    The order, innermost first, and why it is that order:
+
+    1. **yield** (overdecomposed only) — hugs the wait itself, so the
+       worker slot is held for everything except blocking.
+    2. **observe** (when observation is on as the rank starts) — outside
+       the yield, so time queued for a slot counts as blocked time.
+    3. **traffic** — below the fault layer, so a duplicated delivery is
+       metered as the second wire message it models.
+    4. **faults** (world has a plan) — below the journal, so a replayed
+       send does not advance the injector's nth-send ordinals again.
+    5. **journal** (overdecomposed with a plan) — above everything with
+       a side effect, so replay suppresses all of it.
+    6. **sanitize** — outermost: it stamps payloads with vector clocks
+       before anything else sees them and rebuilds its ledger from the
+       journal's replayed outcomes after a migration.
+    """
+    chain = endpoint
+    if scheduler is not None:
+        chain = BlockingLayer(chain, "yield", lambda op: scheduler.waiting(rank))
+    if obs.enabled():
+        chain = BlockingLayer(chain, "observe", lambda op: obs.phase(_PHASES[op]))
+    chain = TrafficLayer(chain, stats, rank)
+    if faults is not None:
+        chain = FaultLayer(chain, faults, rank)
+    if journal is not None:
+        chain = JournalLayer(chain, journal, rank)
+    if sanitize:
+        from repro.runtime.sanitize import SanitizeLayer
+
+        chain = SanitizeLayer(chain, rank, size, mailbox)
+    return chain

@@ -1,45 +1,40 @@
 """True multi-process execution backend for the simmpi runtime.
 
-The default backend of :class:`~repro.runtime.simmpi.World` runs every
-rank as a Python *thread*: correct, fast to spawn, but serialized by the
-GIL wherever the force and rate kernels run Python-level code — a
-strong-scaling experiment on the thread backend measures scheduling, not
-speedup.  This module provides ``backend="process"``: each rank becomes
-a forked OS process, so MD force work and KMC rate kernels genuinely run
-in parallel on multi-core hosts, while the whole ``RankComm`` /
-``Window`` API — two-sided messaging with MPI matching semantics,
-collectives, one-sided windows, fault injection, watchdog deadlines,
-traffic accounting, and observe phases — behaves identically.
+The thread backend runs every rank as a Python *thread*: correct, fast to
+spawn, but serialized by the GIL wherever the force and rate kernels run
+Python-level code — a strong-scaling experiment on the thread backend
+measures scheduling, not speedup.  This module provides
+``backend="process"``: each rank (or contiguous rank *group*) becomes a
+forked OS process, so MD force work and KMC rate kernels genuinely run
+in parallel on multi-core hosts.  Ranks get the very same
+:class:`~repro.runtime.simmpi.RankComm` over the very same middleware;
+only the transport underneath differs.
 
 Transport
 ---------
-* **Two-sided**: every rank owns one ``multiprocessing.Queue`` inbox.  A
-  daemon *pump thread* inside each child drains the inbox into the same
-  :class:`~repro.runtime.simmpi._Mailbox` the thread backend uses, so
-  wildcard matching, per-(source, tag) FIFO, watchdog deadlines, and
-  abort wakeups are literally the same code.
-* **Collectives**: a sequence-tagged gather queue into rank 0 plus
-  per-rank broadcast queues; every rank executes collectives in the same
-  program order (an MPI requirement), so the sequence numbers agree and
-  concurrent epochs cannot interleave.  Barriers use a shared
-  ``multiprocessing.Barrier``.
-* **One-sided**: puts travel through the target's inbox tagged with a
-  window id; the fence exchanges per-target put *counts* first, then
-  drains exactly that many entries per origin — robust against queue
-  feeder-thread latency, FIFO per origin, deduplicated by message id
-  for fault-injected duplicate puts.
+:class:`ForkedTransport` is the second of the two transport
+implementations (see :mod:`repro.runtime.transport`).  Every child owns
+one ``multiprocessing.Queue`` inbox and one daemon *pump thread* that
+drains it into the :class:`~repro.runtime.transport.Mailbox` of the
+addressed hosted rank, so matching, per-(source, tag) FIFO, watchdog
+deadlines and abort wakeups are literally the same code as in-process.
+A post to a rank hosted in the same child skips the queue altogether;
+one posted to several ranks of another child (a collective result)
+crosses the process boundary once.  Bulk arrays ride the shared-memory
+pool (:mod:`repro.runtime.shm`) and the queue carries headers only.
+Collectives and window puts need nothing of their own: they are
+reserved-tag envelopes through the same inboxes.
 
 Aggregation at join
 -------------------
 Each child records into its own :class:`TrafficStats`, observe
 :class:`~repro.observe.registry.Registry`, and (forked copy of the)
 :class:`~repro.runtime.faults.FaultInjector`; at exit it ships those
-registries through a result pipe and the parent merges them, so
-``world.stats``, the active observe registry, and the shared injector
-end up equivalent to a thread-backend run.  Fired crash specs are merged
-back too: a recovery supervisor re-running the world forks the injector
-*with* the fired set, so planned crashes stay one-shot across recovery
-attempts exactly as on the thread backend.
+through a result pipe and the parent merges them, so ``world.stats``,
+the active observe registry, and the shared injector end up equivalent
+to a thread-backend run — fired crash specs, operation ordinals and
+shake streams included, so a recovery supervisor re-forking the world
+continues exactly where a thread-backend rerun would.
 
 Determinism
 -----------
@@ -52,32 +47,23 @@ tests for all three parallel-KMC schemes and the distributed damage MD.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import queue as _stdlib_queue
 import threading
 import time
-from collections import deque
 from multiprocessing import connection as _mpconn
 
 from repro import observe as obs
 from repro.runtime import shm as _shm
-from repro.runtime.simmpi import (
-    RankComm,
-    WatchdogTimeout,
-    WorldAborted,
-    _freeze,
-    _Mailbox,
-)
-from repro.runtime.stats import TrafficStats, payload_nbytes
+from repro.runtime.scheduler import RankThreads
+from repro.runtime.simmpi import conclude
+from repro.runtime.stats import TrafficStats
+from repro.runtime.transport import LocalTransport
 
-#: Envelope kinds carried by the per-rank inbox queues.
+#: Envelope kinds carried by the inbox queues.
 _MSG = "msg"
-_WIN = "win"
 _ABORT = "abort"
 _QUIESCE = "quiesce"
-#: Envelope kind of the collective queues.
-_EXCHANGE = "x"
 
 
 def fork_available() -> bool:
@@ -102,447 +88,122 @@ def _rank_groups(nranks: int, workers: int) -> list[list[int]]:
     return groups
 
 
+def _names(gi: int, ranks: list[int]) -> dict[str, str]:
+    """What one child is called: as a process, in observe, in errors."""
+    if len(ranks) == 1:
+        r = ranks[0]
+        return {"process": f"simmpi-rank-{r}", "observe": f"rank{r}/",
+                "error": f"rank {r}"}
+    return {"process": f"simmpi-group-{gi}", "observe": f"group{gi}/",
+            "error": f"rank group {ranks[0]}-{ranks[-1]}"}
+
+
 class _Endpoints:
     """All shared transport state, created in the parent before forking."""
 
-    def __init__(self, ctx, nranks: int, pool=None) -> None:
-        self.nranks = nranks
-        self.inboxes = [ctx.Queue() for _ in range(nranks)]
-        self.gather_q = ctx.Queue()
-        self.bcast_qs = [ctx.Queue() for _ in range(nranks)]
-        self.barrier = ctx.Barrier(nranks)
+    def __init__(self, ctx, groups: list[list[int]], pool=None) -> None:
+        self.groups = groups
+        #: One inbox per child, shared by the ranks it hosts.
+        self.inboxes = [ctx.Queue() for _ in groups]
+        self.group_of = {
+            rank: gi for gi, ranks in enumerate(groups) for rank in ranks
+        }
         #: Optional zero-copy array transport (see repro.runtime.shm):
         #: queues then carry slot headers instead of pickled array bytes.
         self.pool = pool
 
-
-def _abort_all(endpoints: _Endpoints) -> None:
-    """Wake every blocking primitive of every rank (parent-side abort)."""
-    try:
-        endpoints.barrier.abort()
-    except (ValueError, OSError):  # pragma: no cover - already torn down
-        pass
-    for q in endpoints.inboxes:
-        q.put((_ABORT,))
-    for q in endpoints.bcast_qs:
-        q.put((_ABORT,))
-    for _ in range(endpoints.nranks):
-        endpoints.gather_q.put((_ABORT,))
+    def abort_all(self) -> None:
+        """Wake every blocked rank of every child."""
+        for q in self.inboxes:
+            q.put((_ABORT,))
 
 
-def _get_checked(q, deadline: float | None, op: str):
-    """Blocking queue get honoring the watchdog deadline and abort sentinels."""
-    while True:
-        if deadline is None:
-            item = q.get()
-        else:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                obs.add("runtime.watchdog.expired")
-                raise WatchdogTimeout(
-                    f"watchdog: {op} did not complete before the deadline"
-                )
-            try:
-                item = q.get(timeout=remaining)
-            except _stdlib_queue.Empty:
-                continue
-        if item[0] == _ABORT:
-            raise WorldAborted(f"world aborted while waiting in {op}")
-        return item
+class ForkedTransport(LocalTransport):
+    """One child's end of the process transport (its hosted rank group)."""
 
-
-class _ProcessCollectives:
-    """Sequence-tagged gather/broadcast collectives over shared queues.
-
-    Every rank calls the collectives in identical program order (MPI
-    semantics the engines already rely on), so a per-rank local sequence
-    counter agrees across ranks and rank 0 can sort early arrivals of a
-    *later* exchange into a holding buffer instead of corrupting the
-    current one.
-    """
-
-    def __init__(self, endpoints: _Endpoints, rank: int) -> None:
-        self.nranks = endpoints.nranks
-        self.rank = rank
-        self.barrier = endpoints.barrier
-        self.gather_q = endpoints.gather_q
-        self.bcast_qs = endpoints.bcast_qs
-        self.pool = endpoints.pool
-        self._seq = 0
-        self._early: dict[int, dict[int, object]] = {}
-
-    def wait(self, timeout: float | None = None) -> None:
-        """Barrier wait; same watchdog/abort mapping as the thread backend."""
-        start = time.monotonic() if timeout is not None else 0.0
-        try:
-            self.barrier.wait(timeout=timeout)
-        except threading.BrokenBarrierError as exc:
-            if timeout is not None and time.monotonic() - start >= timeout:
-                obs.add("runtime.watchdog.expired")
-                raise WatchdogTimeout(
-                    f"watchdog: collective did not complete within {timeout}s"
-                ) from exc
-            raise WorldAborted("world aborted during a collective") from exc
-
-    def exchange(self, rank: int, value, timeout: float | None = None) -> list:
-        """All ranks deposit a value; everyone gets the rank-ordered list."""
-        seq = self._seq
-        self._seq += 1
-        pool = self.pool
-        deadline = None if timeout is None else time.monotonic() + timeout
-        contribution = value if pool is None else pool.encode(value)
-        self.gather_q.put((_EXCHANGE, seq, rank, contribution))
-        if rank == 0:
-            slots = self._early.setdefault(seq, {})
-            while len(slots) < self.nranks:
-                _kind, s, r, v = _get_checked(
-                    self.gather_q, deadline, "collective"
-                )
-                # Decode at arrival (even early arrivals of later
-                # exchanges) so contribution slots recycle immediately.
-                self._early.setdefault(s, {})[r] = (
-                    v if pool is None else pool.decode(v)
-                )
-            self._early.pop(seq)
-            full = [slots[r] for r in range(self.nranks)]
-            if pool is not None:
-                # One encode pinned for all receivers; every rank's
-                # decode drops one reference, the last frees the slots.
-                full = pool.encode(full, nrefs=self.nranks)
-            for q in self.bcast_qs:
-                q.put((_EXCHANGE, seq, full))
-        _kind, s, full = _get_checked(
-            self.bcast_qs[rank], deadline, "collective"
-        )
-        if pool is not None:
-            full = pool.decode(full)
-        if s != seq:  # pragma: no cover - protocol invariant
-            raise RuntimeError(
-                f"collective sequence mismatch: expected {seq}, got {s}"
-            )
-        return list(full)
-
-
-class _WindowHub:
-    """Per-process store of delivered one-sided puts, keyed by window."""
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        #: window id -> origin rank -> FIFO of (payload, nbytes).
-        self._buffers: dict[int, dict[int, deque]] = {}
-        self._seen_ids: set = set()
-
-    def deliver(self, win_id, origin, payload, nbytes, msg_id, injector) -> None:
-        with self._cond:
-            if msg_id is not None:
-                if msg_id in self._seen_ids:
-                    obs.add("runtime.faults.duplicates_dropped")
-                    if injector is not None:
-                        injector.record_dropped_duplicate()
-                    return
-                self._seen_ids.add(msg_id)
-            per_origin = self._buffers.setdefault(win_id, {})
-            per_origin.setdefault(origin, deque()).append((payload, nbytes))
-            self._cond.notify_all()
-
-    def take(self, win_id, origin, count, abort, deadline) -> list:
-        """Blocking take of exactly ``count`` puts from ``origin``."""
-        out: list = []
-        with self._cond:
-            while True:
-                buf = self._buffers.setdefault(win_id, {}).setdefault(
-                    origin, deque()
-                )
-                while buf and len(out) < count:
-                    out.append(buf.popleft())
-                if len(out) >= count:
-                    return out
-                if abort.is_set():
-                    raise WorldAborted("world aborted while waiting in fence")
-                if deadline is None:
-                    self._cond.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._cond.wait(timeout=remaining):
-                    if deadline - time.monotonic() <= 0:
-                        obs.add("runtime.watchdog.expired")
-                        raise WatchdogTimeout(
-                            "watchdog: fence did not receive all puts "
-                            "before the deadline"
-                        )
-
-    def wake_all(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
-
-
-class _RemoteMailbox:
-    """Deposit proxy routing to another rank's inbox queue."""
-
-    __slots__ = ("_inbox", "_pool")
-
-    def __init__(self, inbox, pool=None) -> None:
-        self._inbox = inbox
-        self._pool = pool
-
-    def deposit(self, src, tag, payload, nbytes, msg_id=None) -> bool:
-        # The payload was frozen (copied) by the caller, so the pickle
-        # performed later by the queue's feeder thread cannot observe
-        # sender-side mutations.  Duplicate dedup happens at delivery.
-        # With a pool, bulk arrays move to shared memory here and the
-        # queue pickles only the slot headers; a fault-injected duplicate
-        # deposit encodes again (own slots), and the receiver's
-        # decode-then-dedup order guarantees its slots are released too.
-        if self._pool is not None:
-            payload = self._pool.encode(payload)
-        self._inbox.put((_MSG, src, tag, payload, nbytes, msg_id))
-        return True
-
-
-class _MailboxRouter:
-    """``world.mailboxes`` stand-in: local real mailbox, remote proxies."""
-
-    def __init__(self, view: "_ProcessWorldView") -> None:
-        self._view = view
-        pool = view.endpoints.pool
-        self._remotes = [
-            _RemoteMailbox(inbox, pool) for inbox in view.endpoints.inboxes
-        ]
-
-    def __getitem__(self, dest: int):
-        view = self._view
-        if dest == view.rank:
-            return view.local_mailbox
-        if view.hosted is not None:
-            peer = view.hosted.get(dest)
-            if peer is not None:
-                # Rank-group mode: the destination lives in this same
-                # child, so deposit straight into its mailbox — no queue,
-                # no pickle, no feeder-thread latency.
-                return peer.local_mailbox
-        return self._remotes[dest]
-
-
-class _ProcessWorldView:
-    """The ``World``-shaped object a forked rank hands to its RankComm.
-
-    Exposes exactly the attributes :class:`RankComm` touches —
-    ``nranks``, ``stats``, ``mailboxes``, ``collectives``, ``abort``,
-    ``faults``, ``watchdog`` — backed by the process transport, plus the
-    pump thread that moves inbound envelopes into the local mailbox and
-    window hub.
-
-    In rank-group mode several views live in one child and share a
-    ``hosted`` registry (rank -> view) plus one :class:`TrafficStats`;
-    traffic between co-hosted ranks is routed in-process through the
-    peer's mailbox/hub, and only cross-group traffic touches the queues.
-    """
-
-    def __init__(
-        self,
-        rank,
-        nranks,
-        endpoints,
-        network,
-        faults,
-        watchdog,
-        stats=None,
-        hosted=None,
-    ) -> None:
-        self.rank = rank
-        self.nranks = nranks
-        self.endpoints = endpoints
-        self.stats = stats if stats is not None else TrafficStats(nranks, network)
-        self.faults = faults
-        self.watchdog = watchdog
-        self.scheduler = None
-        self.hosted = hosted
-        if hosted is not None:
-            hosted[rank] = self
-        self.abort = threading.Event()
-        self.local_mailbox = _Mailbox()
-        self.hub = _WindowHub()
-        self.mailboxes = _MailboxRouter(self)
-        self.collectives = _ProcessCollectives(endpoints, rank)
-        self._win_counter = 0
+    def __init__(self, endpoints: _Endpoints, gi: int, on_duplicate=None) -> None:
+        super().__init__(endpoints.groups[gi], on_duplicate)
+        self._endpoints = endpoints
+        self._inbox = endpoints.inboxes[gi]
+        self._pool = endpoints.pool
         self._pump = threading.Thread(
-            target=self._pump_loop,
-            name=f"simmpi-pump-{rank}",
-            daemon=True,
+            target=self._pump_loop, name=f"simmpi-pump-{gi}", daemon=True
         )
         self._pump.start()
 
-    def alloc_win_id(self) -> int:
-        """Next window id; identical across ranks (collective creation)."""
-        win_id = self._win_counter
-        self._win_counter += 1
-        return win_id
-
-    def deliver_put(self, win_id, target, payload, nbytes, msg_id) -> None:
-        """Route one one-sided put (already frozen) toward its target."""
-        if target == self.rank:
-            self.hub.deliver(
-                win_id, self.rank, payload, nbytes, msg_id, self.faults
-            )
+    def post(self, dests, src, tag, payload, nbytes, msg_id=None) -> None:
+        remote: dict[int, list[int]] = {}
+        for dest in dests:
+            mailbox = self._mailboxes.get(dest)
+            if mailbox is not None:
+                # Same child: straight into the peer's mailbox — no
+                # queue, no pickle, no feeder-thread latency.
+                mailbox.deposit(src, tag, payload, nbytes, msg_id)
+            else:
+                remote.setdefault(self._endpoints.group_of[dest], []).append(dest)
+        if not remote:
             return
-        if self.hosted is not None:
-            peer = self.hosted.get(target)
-            if peer is not None:
-                peer.hub.deliver(
-                    win_id, self.rank, payload, nbytes, msg_id, peer.faults
-                )
-                return
-        pool = self.endpoints.pool
-        if pool is not None:
-            # Each deliver_put call (duplicates included) encodes its
-            # own slots; the target decodes before its dedup check, so
-            # dropped duplicates still release theirs.
-            payload = pool.encode(payload)
-        self.endpoints.inboxes[target].put(
-            (_WIN, win_id, self.rank, payload, nbytes, msg_id)
-        )
+        # The payload is frozen, so the pickle performed later by the
+        # queue's feeder thread cannot observe sender-side mutations.
+        # With a pool, bulk arrays move to shared memory here — encoded
+        # once, pinned for every receiving child — and the queue pickles
+        # only the slot headers.  A fault-injected duplicate post encodes
+        # again (own slots); the pump's decode-then-dedup order
+        # guarantees those are released too.
+        if self._pool is not None:
+            payload = self._pool.encode(payload, nrefs=len(remote))
+        for gi, members in remote.items():
+            self._endpoints.inboxes[gi].put(
+                (_MSG, members, src, tag, payload, nbytes, msg_id)
+            )
+
+    def abort(self) -> None:
+        super().abort()
+        self._endpoints.abort_all()
+
+    def seen_ids(self) -> set:
+        """Duplicate-message ids delivered in this child (residual sweep)."""
+        return set().union(*(mb.seen_ids for mb in self._mailboxes.values()))
 
     def _pump_loop(self) -> None:
-        inbox = self.endpoints.inboxes[self.rank]
         while True:
             try:
-                item = inbox.get()
+                item = self._inbox.get()
             except (EOFError, OSError):  # pragma: no cover - teardown race
                 return
-            kind = item[0]
-            if kind == _QUIESCE:
+            if item[0] == _QUIESCE:
                 return
-            if kind == _ABORT:
-                self.abort.set()
-                self.local_mailbox.wake_all()
-                self.hub.wake_all()
+            if item[0] == _ABORT:
+                super().abort()
                 return
-            self._handle_envelope(item)
+            self._deliver(item)
 
-    def _handle_envelope(self, item) -> None:
-        kind = item[0]
-        pool = self.endpoints.pool
-        if kind == _MSG:
-            _kind, src, tag, payload, nbytes, msg_id = item
-            if pool is not None:
-                # Decode *before* the mailbox's duplicate check: a
-                # dropped duplicate must still release its slots.
-                payload = pool.decode(payload)
-            delivered = self.local_mailbox.deposit(
-                src, tag, payload, nbytes, msg_id
-            )
-            if not delivered and self.faults is not None:
-                self.faults.record_dropped_duplicate()
-        elif kind == _WIN:
-            _kind, win_id, origin, payload, nbytes, msg_id = item
-            if pool is not None:
-                payload = pool.decode(payload)
-            self.hub.deliver(
-                win_id, origin, payload, nbytes, msg_id, self.faults
-            )
+    def _deliver(self, item) -> None:
+        _kind, dests, src, tag, payload, nbytes, msg_id = item
+        if self._pool is not None:
+            # Decode *before* the mailbox's duplicate check: a dropped
+            # duplicate must still release its slots.
+            payload = self._pool.decode(payload)
+        super().post(dests, src, tag, payload, nbytes, msg_id)
 
     def quiesce(self) -> None:
-        """Stop the pump and fold already-arrived envelopes into the mailbox.
+        """Stop the pump and fold already-arrived envelopes into the mailboxes.
 
-        Called once ``main`` has returned, before the exit report is
-        built, so the reported pending count is exact: every inbound
-        envelope is either deposited here (and counted by the local
+        Called once the hosted ranks have returned, before the exit
+        report is built, so the reported pending count is exact: every
+        inbound envelope is either deposited here (and counted by a
         mailbox) or still in the queue for the parent's residual sweep —
         never lost in the pump's hand-off window.
         """
-        inbox = self.endpoints.inboxes[self.rank]
-        inbox.put((_QUIESCE,))
+        self._inbox.put((_QUIESCE,))
         self._pump.join(timeout=10.0)
         while True:
             try:
-                item = inbox.get_nowait()
+                item = self._inbox.get_nowait()
             except _stdlib_queue.Empty:
                 return
-            if item[0] in (_MSG, _WIN):
-                self._handle_envelope(item)
-
-
-class _ProcessWindow:
-    """One-sided window over the process transport (Window-compatible)."""
-
-    def __init__(self, comm: "_ProcessRankComm", win_id: int) -> None:
-        self.comm = comm
-        self.win_id = win_id
-        #: Logical puts issued this epoch, by target rank.
-        self._epoch_counts = [0] * comm.size
-
-    def put(self, target: int, payload) -> None:
-        """Deposit ``payload`` in ``target``'s window; target not involved."""
-        if not 0 <= target < self.comm.size:
-            raise ValueError(f"target rank {target} out of range")
-        view = self.comm.world
-        inj = view.faults
-        action = inj.on_put(self.comm.rank, target) if inj is not None else None
-        nbytes = payload_nbytes(payload)
-        view.stats.record_send(self.comm.rank, target, nbytes)
-        frozen = _freeze(payload)
-        self._epoch_counts[target] += 1
-        if action is None:
-            view.deliver_put(self.win_id, target, frozen, nbytes, None)
-            return
-        if action.stall_s > 0:
-            time.sleep(action.stall_s)
-        msg_id = action.msg_id if action.duplicate else None
-        view.deliver_put(self.win_id, target, frozen, nbytes, msg_id)
-        if action.duplicate:
-            # Metered as real wire traffic; dropped by the target's
-            # message-id dedup before it reaches the window buffer.
-            view.stats.record_send(self.comm.rank, target, nbytes)
-            view.deliver_put(self.win_id, target, frozen, nbytes, msg_id)
-
-    def fence(self) -> list[tuple[int, object]]:
-        """Synchronize the epoch; return ``(origin, payload)`` puts received.
-
-        The opening synchronization doubles as the completion contract:
-        ranks exchange how many puts each issued per target, then every
-        rank blocks until exactly that many entries arrived from each
-        origin — queue-latency-proof, FIFO per origin.  Entries are
-        returned in origin-rank order (origins address disjoint site
-        sets in every exchange scheme, so ordering across origins is
-        immaterial; rank order makes it deterministic anyway).
-        """
-        comm = self.comm
-        view = comm.world
-        counts = comm.allgather(list(self._epoch_counts))
-        self._epoch_counts = [0] * comm.size
-        deadline = comm._deadline()
-        mine: list[tuple[int, object]] = []
-        for origin in range(comm.size):
-            expected = counts[origin][comm.rank]
-            if not expected:
-                continue
-            for payload, nbytes in view.hub.take(
-                self.win_id, origin, expected, view.abort, deadline
-            ):
-                view.stats.record_recv(comm.rank, nbytes)
-                mine.append((origin, payload))
-        comm.barrier()
-        return mine
-
-
-class _ProcessRankComm(RankComm):
-    """RankComm whose world is a :class:`_ProcessWorldView`.
-
-    Every two-sided, collective, and fault-point method is inherited
-    unchanged — the view's mailbox router, collectives, stats, and
-    injector plug into the exact thread-backend code paths.  Only
-    one-sided window creation differs: the thread backend shares an
-    in-memory ``WindowShared``, which cannot cross a process boundary.
-    """
-
-    def win_create(self):
-        """Collectively create a one-sided window over the transport."""
-        view = self.world
-        win_id = view.alloc_win_id()
-        ids = view.collectives.exchange(self.rank, win_id)
-        if any(i != win_id for i in ids):  # pragma: no cover - invariant
-            raise RuntimeError("window creation out of sync across ranks")
-        return _ProcessWindow(self, win_id)
+            if item[0] == _MSG:
+                self._deliver(item)
 
 
 def _ensure_picklable(exc: BaseException) -> BaseException:
@@ -557,17 +218,19 @@ def _ensure_picklable(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _group_entry(
-    main, gi, ranks, nranks, endpoints, conn, network, faults, watchdog, obs_trace
+def _child_entry(
+    main, gi, endpoints, conn, nranks, network, faults, watchdog, sanitize,
+    obs_trace,
 ) -> None:
     """Entry point of one forked child hosting a contiguous rank group.
 
-    The default configuration forks one child per rank (``ranks`` is a
+    The default configuration forks one child per rank (the group is a
     singleton); with ``workers=P < nranks`` each child hosts ``~R/P``
     ranks as threads sharing one traffic ledger, observe registry, and
     injector copy — the overdecomposition analogue of several subdomains
     pinned to one physical node.
     """
+    ranks = endpoints.groups[gi]
     if faults is not None:
         # Namespace this child's duplicate message ids: the per-process
         # injector copies allocate ids independently.  Groups are
@@ -579,61 +242,31 @@ def _group_entry(
 
         child_registry = obs.enable(Registry(trace=obs_trace))
     stats = TrafficStats(nranks, network)
-    hosted: dict[int, _ProcessWorldView] = {}
-    # All views exist (and are registered in ``hosted``) before any rank
-    # runs, so in-process routing is complete from the first send.
-    views = [
-        _ProcessWorldView(
-            r, nranks, endpoints, network, faults, watchdog,
-            stats=stats, hosted=hosted,
-        )
-        for r in ranks
-    ]
-    statuses: dict[int, str] = {}
-    results: dict[int, object] = {}
-    errors: dict[int, BaseException] = {}
+    transport = ForkedTransport(
+        endpoints, gi,
+        None if faults is None else faults.record_dropped_duplicate,
+    )
 
-    def rank_main(view: _ProcessWorldView) -> None:
-        comm = _ProcessRankComm(view, view.rank)
-        try:
-            results[view.rank] = main(comm)
-            statuses[view.rank] = "ok"
-        except WorldAborted:
-            statuses[view.rank] = "aborted"
-        except BaseException as exc:  # must cross processes (see baseline)
-            statuses[view.rank] = "err"
-            errors[view.rank] = _ensure_picklable(exc)
-            # Abort the whole world from inside the child, exactly as
-            # the parent would: co-hosted ranks see it via their pumps.
-            _abort_all(endpoints)
-
-    threads = [
-        threading.Thread(
-            target=rank_main, args=(view,), name=f"simmpi-rank-{view.rank}"
-        )
-        for view in views
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    for view in views:
-        view.quiesce()
+    # A rank error aborts the whole world from inside the child, exactly
+    # as the parent would: every child's pump sees the sentinel.
+    threads = RankThreads(
+        main, transport, nranks, stats, faults, watchdog, sanitize
+    )
+    threads.start(ranks)
+    threads.wait(None)
+    transport.quiesce()
     report = {
-        "group": gi,
-        "ranks": list(ranks),
-        "statuses": statuses,
-        "results": results,
-        "errors": errors,
+        "results": threads.results,
+        "errors": [
+            (rank, _ensure_picklable(exc)) for rank, exc in threads.errors
+        ],
         "stats": stats.export_state(),
         "obs": (
             child_registry.export_state() if child_registry is not None else None
         ),
-        "faults": faults.export_state() if faults is not None else None,
-        "pending": sum(v.local_mailbox.pending() for v in views),
-        "seen_ids": set().union(
-            *((v.local_mailbox._seen_ids or set()) for v in views)
-        ),
+        "faults": faults.export_state(ranks) if faults is not None else None,
+        "pending": transport.pending(),
+        "seen_ids": transport.seen_ids(),
     }
     try:
         conn.send(report)
@@ -642,31 +275,30 @@ def _group_entry(
         # report so the parent is never left blocking on the pipe.
         obs.add("runtime.procbackend.unpicklable_results")
         report["results"] = {}
-        report["statuses"] = {r: "err" for r in ranks}
-        report["errors"] = {
-            ranks[0]: RuntimeError(
-                f"rank group {ranks[0]}-{ranks[-1]} produced an "
-                f"unpicklable result: {exc}"
+        report["errors"] = [
+            (
+                ranks[0],
+                RuntimeError(
+                    f"{_names(gi, ranks)['error']} produced an unpicklable "
+                    f"result: {exc}"
+                ),
             )
-        }
+        ]
         conn.send(report)
     finally:
         conn.close()
 
 
 def run_process_world(
-    world, main, timeout: float = 300.0, grace: float = 5.0,
-    workers: int | None = None,
+    world, main, timeout: float, grace: float, workers: int | None,
+    sanitize: bool,
 ) -> list:
     """Execute ``main(comm)`` with forked processes hosting the ranks.
 
-    Drop-in replacement for the thread path of
-    :meth:`~repro.runtime.simmpi.World.run`: same result list, same
-    error-precedence contract (KeyboardInterrupt first, then typed
-    InjectedFault/WatchdogTimeout, then ``RuntimeError('rank N
-    failed')``), same TimeoutError shape on a hung world — and the
-    world's stats/faults plus the active observe registry absorb every
-    child's measurements before control returns.
+    The process half of :meth:`~repro.runtime.simmpi.World.run`: same
+    result list, same join epilogue (:func:`~repro.runtime.simmpi.
+    conclude`) — and the world's stats/faults plus the active observe
+    registry absorb every child's measurements before control returns.
 
     ``workers=None`` (default) forks one child per rank.  ``workers=P``
     forks ``min(P, nranks)`` children, each hosting a contiguous group
@@ -678,21 +310,13 @@ def run_process_world(
             "the process backend requires the 'fork' start method "
             "(unavailable on this platform); use backend='thread'"
         )
-    if os.environ.get("REPRO_FORCE_THREAD_BACKEND"):
-        # Escape hatch for environments where forking is disallowed
-        # (sandboxes, some CI runners): behave like the thread backend.
-        return world.run(main, timeout=timeout, grace=grace, backend="thread")
     nranks = world.nranks
-    groups = (
-        _rank_groups(nranks, workers)
-        if workers is not None
-        else [[r] for r in range(nranks)]
-    )
+    groups = _rank_groups(nranks, workers if workers is not None else nranks)
     ctx = multiprocessing.get_context("fork")
     pool = _shm.create_pool(ctx, nranks)
-    endpoints = _Endpoints(ctx, nranks, pool)
+    endpoints = _Endpoints(ctx, groups, pool)
     try:
-        return _run_forked(world, main, timeout, grace, groups, ctx, endpoints)
+        return _run_forked(world, main, timeout, grace, ctx, endpoints, sanitize)
     finally:
         # Unconditional teardown: no run — clean, aborted, or timed out —
         # may leak /dev/shm space past the world's lifetime.
@@ -705,13 +329,12 @@ def run_process_world(
 
 
 def _run_forked(
-    world, main, timeout: float, grace: float, groups, ctx,
-    endpoints: _Endpoints,
+    world, main, timeout: float, grace: float, ctx, endpoints: _Endpoints,
+    sanitize: bool,
 ) -> list:
     """Fork/collect/merge core of :func:`run_process_world`."""
-    from repro.runtime.faults import InjectedFault
-
     nranks = world.nranks
+    groups = endpoints.groups
     registry = obs.active()
     obs_trace = registry._trace if registry is not None else None
     faults_base = (
@@ -720,26 +343,13 @@ def _run_forked(
     procs, conns = [], []
     for gi, ranks in enumerate(groups):
         parent_conn, child_conn = ctx.Pipe(duplex=False)
-        name = (
-            f"simmpi-rank-{ranks[0]}"
-            if len(ranks) == 1
-            else f"simmpi-group-{gi}"
-        )
         proc = ctx.Process(
-            target=_group_entry,
+            target=_child_entry,
             args=(
-                main,
-                gi,
-                ranks,
-                nranks,
-                endpoints,
-                child_conn,
-                world.stats.network,
-                world.faults,
-                world.watchdog,
-                obs_trace,
+                main, gi, endpoints, child_conn, nranks, world.stats.network,
+                world.faults, world.watchdog, sanitize, obs_trace,
             ),
-            name=name,
+            name=_names(gi, ranks)["process"],
             daemon=True,
         )
         procs.append(proc)
@@ -752,13 +362,11 @@ def _run_forked(
     errors: list[tuple[int, BaseException]] = []
     aborted = False
 
-    def note_error(rank: int, exc: BaseException) -> None:
+    def abort() -> None:
         nonlocal aborted
-        errors.append((rank, exc))
         if not aborted:
             aborted = True
-            world.abort.set()
-            _abort_all(endpoints)
+            endpoints.abort_all()
 
     def collect(deadline: float) -> None:
         """Drain reports/exits until all children reported or time ran out."""
@@ -779,33 +387,28 @@ def _run_forked(
                     if rep is not None:
                         reports[g] = rep
                         pending.discard(g)
-                        for r in rep["ranks"]:
-                            if rep["statuses"].get(r) == "err":
-                                note_error(r, rep["errors"][r])
+                        if rep["errors"]:
+                            errors.extend(rep["errors"])
+                            abort()
                         continue
                 if not procs[g].is_alive() and not conns[g].poll():
                     pending.discard(g)
-                    ranks = groups[g]
-                    label = (
-                        f"rank {ranks[0]}"
-                        if len(ranks) == 1
-                        else f"rank group {ranks[0]}-{ranks[-1]}"
+                    who = _names(g, groups[g])["error"]
+                    errors.append(
+                        (
+                            groups[g][0],
+                            RuntimeError(
+                                f"{who} process exited with code "
+                                f"{procs[g].exitcode} without reporting"
+                            ),
+                        )
                     )
-                    note_error(
-                        ranks[0],
-                        RuntimeError(
-                            f"{label} process exited with code "
-                            f"{procs[g].exitcode} without reporting"
-                        ),
-                    )
+                    abort()
 
     collect(time.monotonic() + timeout)
     timed_out = len(reports) < len(groups)
     if timed_out:
-        if not aborted:
-            aborted = True
-            world.abort.set()
-            _abort_all(endpoints)
+        abort()
         collect(time.monotonic() + grace)
     for proc in procs:
         proc.join(timeout=0.1 if not timed_out else grace)
@@ -817,33 +420,29 @@ def _run_forked(
 
     # Merge every child's measurements into the parent-side registries.
     pending_msgs = 0
-    results_by_rank: dict[int, object] = {}
+    results: dict[int, object] = {}
+    seen_ids: set = set()
     for gi, ranks in enumerate(groups):
         rep = reports.get(gi)
         if rep is None:
             continue
-        results_by_rank.update(rep.get("results") or {})
-        if rep.get("stats") is not None:
-            world.stats.absorb_state(rep["stats"])
-        if rep.get("faults") is not None and world.faults is not None:
+        results.update(rep["results"])
+        world.stats.absorb_state(rep["stats"])
+        if rep["faults"] is not None:
             world.faults.absorb_state(rep["faults"], base=faults_base)
-        if rep.get("obs") is not None and registry is not None:
-            label = (
-                f"rank{ranks[0]}/" if len(ranks) == 1 else f"group{gi}/"
-            )
+        if rep["obs"] is not None and registry is not None:
+            label = _names(gi, ranks)["observe"]
             registry.absorb_state(rep["obs"], label=label)
-        pending_msgs += rep.get("pending", 0)
+        pending_msgs += rep["pending"]
+        seen_ids |= rep["seen_ids"]
 
-    # Residual sweep: an envelope can still sit in a rank's inbox queue
-    # when that rank quiesces (queue feeder threads flush asynchronously,
+    # Residual sweep: an envelope can still sit in a child's inbox queue
+    # when that child quiesces (queue feeder threads flush asynchronously,
     # so a send that "happened before" the receiver's exit may reach the
     # pipe after it).  All children have exited by now, which flushes
     # their feeders, so whatever remains here is the exact set of
-    # undelivered envelopes — count the messages, minus duplicates whose
-    # original a child already recorded as seen.
-    seen_ids: set = set()
-    for rep in reports.values():
-        seen_ids |= rep.get("seen_ids") or set()
+    # undelivered envelopes — count the user messages, dropping
+    # fault-injected duplicates exactly as a mailbox would.
     pool = endpoints.pool
     for q in endpoints.inboxes:
         while True:
@@ -853,58 +452,29 @@ def _run_forked(
                 break
             except (EOFError, OSError, pickle.UnpicklingError):
                 break  # a terminated child left a truncated write
-            if pool is not None and item[0] in (_MSG, _WIN):
-                # Abort-while-slot-held: the receiver is gone, so the
-                # parent drops this envelope's slot references (both
-                # envelope kinds keep the payload at index 3).
-                pool.release_refs(item[3])
             if item[0] != _MSG:
                 continue
-            msg_id = item[5]
-            if msg_id is not None and msg_id in seen_ids:
-                # Fault-injected duplicate of an already-delivered
-                # message: dropped here exactly as the mailbox would.
-                if world.faults is not None:
-                    world.faults.record_dropped_duplicate()
-                continue
-            pending_msgs += 1
-    if pool is not None:
-        # Collective envelopes can be stranded too (a world aborted
-        # between a gather deposit and rank 0's collection, or between
-        # the broadcast and a receiver's get).
-        for cq, payload_at in [(endpoints.gather_q, 3)] + [
-            (bq, 2) for bq in endpoints.bcast_qs
-        ]:
-            while True:
-                try:
-                    item = cq.get_nowait()
-                except _stdlib_queue.Empty:
-                    break
-                except (EOFError, OSError, pickle.UnpicklingError):
-                    break
-                if item[0] == _EXCHANGE:
-                    pool.release_refs(item[payload_at])
-    world._child_pending = pending_msgs
+            _kind, dests, _src, tag, payload, _nbytes, msg_id = item
+            if pool is not None:
+                # Abort-while-slot-held: the receivers are gone, so the
+                # parent drops this envelope's slot references.
+                pool.release_refs(payload)
+            if msg_id is not None:
+                if msg_id in seen_ids:
+                    if world.faults is not None:
+                        world.faults.record_dropped_duplicate()
+                    continue
+                seen_ids.add(msg_id)
+            if tag >= 0:
+                pending_msgs += len(dests)
+    world._pending = pending_msgs
 
+    stragglers = None
     if timed_out:
-        missing = sorted(set(range(len(groups))) - set(reports))
-        if missing:
-            detail = (
-                f"; {len(missing)} rank process(es) still alive after a "
-                f"{grace:g}s abort grace period (terminated): "
-                + ", ".join(procs[g].name for g in missing)
-            )
-        else:
-            detail = "; all ranks exited after the abort"
-        raise TimeoutError(
-            f"world of {nranks} ranks timed out after {timeout:g}s" + detail
-        )
-    if errors:
-        rank, exc = errors[0]
-        for _rank, e in errors:
-            if isinstance(e, KeyboardInterrupt):
-                raise e
-        if isinstance(exc, (InjectedFault, WatchdogTimeout)):
-            raise exc
-        raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
-    return [results_by_rank.get(r) for r in range(nranks)]
+        stragglers = [
+            procs[g].name for g in range(len(groups)) if g not in reports
+        ]
+    conclude(
+        nranks, timeout, grace, stragglers, "process(es)", "terminated", errors
+    )
+    return [results.get(rank) for rank in range(nranks)]

@@ -3,8 +3,9 @@
 The static rules (REP002/REP009) reject the statically decidable
 protocol bugs; this module catches the rest *at runtime*, TSan-style.
 With ``REPRO_SANITIZE=1`` (or ``World(sanitize=True)``, or ``--sanitize``
-on the CLI) every rank's communicator is wrapped in a
-:class:`SanitizedComm` that
+on the CLI) every rank's communicator gets a :class:`SanitizeLayer` as
+the outermost layer of its middleware chain
+(:func:`repro.runtime.layers.compose`), which
 
 * stamps each point-to-point payload with the sender's vector clock and
   merges clocks on receive — the happens-before order of the run;
@@ -22,17 +23,18 @@ on the CLI) every rank's communicator is wrapped in a
   all ranks to execute the same collective sequence;
 * surfaces **leaked shm slots** from the process backend's pool.
 
-At teardown every rank allgathers its ledger and all ranks compute the
+At teardown every rank exchanges its ledger and all ranks compute the
 same verdict; :class:`repro.runtime.simmpi.World.run` unwraps it,
 publishes ``runtime.sanitize.*`` observe counters, and raises
 :class:`SanitizerError` when violations exist.
 
-The instrumentation deliberately rides *on top of* the normal transport
-(every user collective becomes one slot exchange carrying the clock, so
-divergent collective *kinds* still line up instead of deadlocking) and
-all state crosses process boundaries as plain tuples/dicts — it works
-identically on the thread, process, and overdecomposed backends,
-including journal-replay rank migration.
+The instrumentation rides *on top of* the normal stack: every user
+collective is one ``exchange`` primitive, so it carries the clock as
+part of its value and divergent collective *kinds* still pair up and are
+reported instead of deadlocking; all state crosses process boundaries as
+plain tuples/dicts — it works identically on the thread, process, and
+overdecomposed backends, including journal-replay rank migration (the
+layer sits above the journal and rebuilds its ledger from the replay).
 """
 
 from __future__ import annotations
@@ -42,8 +44,11 @@ import sys
 from typing import Any, Callable
 
 from repro import observe as obs
-from repro.runtime.simmpi import ANY_SOURCE, ANY_TAG, reduce_values
-from repro.runtime.stats import SANITIZE_ENVELOPE as _ENVELOPE
+from repro.runtime.layers import Layer
+from repro.runtime.transport import ANY_SOURCE, ANY_TAG, Mailbox
+
+#: Marker prefix of a clock-stamped payload envelope.
+_ENVELOPE = "__repro_sanitize__"
 #: Marker prefix for a wrapped per-rank (result, report) pair.
 _RESULT = "__repro_sanitize_result__"
 
@@ -100,11 +105,15 @@ def sanitize_enabled(override: bool | None = None) -> bool:
     return env in ("1", "true", "yes", "on")
 
 
+_RUNTIME_DIR = os.path.dirname(__file__)
+
+
 def _call_site() -> str:
-    """``file:line`` of the first frame outside this module."""
+    """``file:line`` of the first frame outside the runtime package."""
     frame = sys._getframe(1)
-    here = __file__
-    while frame is not None and frame.f_code.co_filename == here:
+    while frame is not None and (
+        os.path.dirname(frame.f_code.co_filename) == _RUNTIME_DIR
+    ):
         frame = frame.f_back
     if frame is None:  # pragma: no cover - defensive
         return "<unknown>"
@@ -118,106 +127,52 @@ def _concurrent(a: tuple, b: tuple) -> bool:
     )
 
 
+def _marked(obj, marker: str) -> bool:
+    """Whether ``obj`` is a ``(marker, x, y)`` triple.
+
+    Checks the head's type first: a user payload may itself be a 3-tuple
+    starting with an array, which must not be compared against a string.
+    """
+    return (
+        isinstance(obj, tuple)
+        and len(obj) == 3
+        and isinstance(obj[0], str)
+        and obj[0] == marker
+    )
+
+
 def _unwrap(payload) -> tuple[tuple | None, Any]:
     """(sender clock, user payload) of a possibly-enveloped payload."""
-    if (
-        isinstance(payload, tuple)
-        and len(payload) == 3
-        and isinstance(payload[0], str)
-        and payload[0] == _ENVELOPE
-    ):
+    if _marked(payload, _ENVELOPE):
         return tuple(payload[1]), payload[2]
     return None, payload
 
 
-class _Ledger:
-    """One rank's record of communication, exported as plain data."""
+class SanitizeLayer(Layer):
+    """Outermost middleware layer: builds the happens-before ledger.
 
-    def __init__(self) -> None:
-        # (dest, tag) -> [count, first call site]
-        self.sends: dict[tuple[int, int], list] = {}
-        # (source, tag) -> count
-        self.recvs: dict[tuple[int, int], int] = {}
-        self.events: list[tuple] = []
-        self.races: list[dict] = []
-
-    def record_send(self, dest: int, tag: int, site: str) -> None:
-        slot = self.sends.setdefault((dest, tag), [0, site])
-        slot[0] += 1
-
-    def record_recv(self, source: int, tag: int) -> None:
-        self.recvs[(source, tag)] = self.recvs.get((source, tag), 0) + 1
-
-    def export(self, rank: int) -> dict:
-        return {
-            "rank": rank,
-            "sends": [
-                [dest, tag, count, site]
-                for (dest, tag), (count, site) in sorted(self.sends.items())
-            ],
-            "recvs": [
-                [source, tag, count]
-                for (source, tag), count in sorted(self.recvs.items())
-            ],
-            "events": [list(e) for e in self.events],
-            "races": list(self.races),
-        }
-
-
-class SanitizedWindow:
-    """Window proxy: clock-stamps puts, records fence epochs."""
-
-    def __init__(self, comm: "SanitizedComm", inner) -> None:
-        self._comm = comm
-        self._inner = inner
-
-    def put(self, target: int, payload) -> None:
-        comm = self._comm
-        comm._vc[comm.rank] += 1
-        self._inner.put(target, (_ENVELOPE, tuple(comm._vc), payload))
-
-    def fence(self) -> list:
-        comm = self._comm
-        comm._ledger.events.append(("fence",))
-        drained = self._inner.fence()
-        out = []
-        for origin, payload in drained:
-            vc, user = _unwrap(payload)
-            if vc is not None:
-                comm._merge(vc)
-            out.append((origin, user))
-        comm._vc[comm.rank] += 1
-        return out
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-class SanitizedComm:
-    """Communicator proxy building the happens-before ledger.
-
-    Every user-facing operation of :class:`~repro.runtime.simmpi.RankComm`
-    is intercepted; everything else (``stats``, ``world``,
-    ``fault_point`` arguments, ...) forwards to the wrapped comm, so
-    engines run unmodified.
+    Sends, puts and collective contributions leave stamped with this
+    rank's vector clock; receives, fence drains and collective results
+    are unstamped and their clocks merged.  ``probe``/``iprobe`` pass
+    through untouched.
     """
 
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self._vc = [0] * inner.size
-        self._ledger = _Ledger()
+    name = "sanitize"
 
-    # -- plumbing ------------------------------------------------------
-    @property
-    def rank(self) -> int:
-        return self._inner.rank
+    def __init__(self, inner, rank: int, size: int, mailbox: Mailbox) -> None:
+        super().__init__(inner)
+        self.rank = rank
+        self._vc = [0] * size
+        self._mailbox = mailbox
+        # This rank's ledger, exported as plain data by seal().
+        self._sends: dict[tuple[int, int], list] = {}  # (dest, tag) -> [n, site]
+        self._recvs: dict[tuple[int, int], int] = {}  # (source, tag) -> n
+        self._events: list[tuple] = []
+        self._races: list[dict] = []
 
-    @property
-    def size(self) -> int:
-        return self._inner.size
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
+    def _tick_and_stamp(self, payload) -> tuple:
+        self._vc[self.rank] += 1
+        return (_ENVELOPE, tuple(self._vc), payload)
 
     def _merge(self, other: tuple) -> None:
         vc = self._vc
@@ -225,31 +180,31 @@ class SanitizedComm:
             if x > vc[i]:
                 vc[i] = x
 
-    # -- two-sided -----------------------------------------------------
-    def send(self, dest: int, tag: int, payload=None) -> None:
-        self._vc[self.rank] += 1
-        self._inner.send(dest, tag, (_ENVELOPE, tuple(self._vc), payload))
-        # Recorded only after the send validated and deposited — a
-        # rejected dest/tag never reaches any mailbox and must not be
-        # reported as unmatched.
-        self._ledger.record_send(dest, tag, _call_site())
+    def _absorb(self, payload):
+        """User payload of a stamped one, its clock merged into ours."""
+        other, user = _unwrap(payload)
+        if other is not None:
+            self._merge(other)
+        return user
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        src, t, payload = self._inner.recv(source, tag)
+    # -- two-sided -----------------------------------------------------
+    def send(self, dest, tag, payload, nbytes, msg_id=None):
+        self.inner.send(dest, tag, self._tick_and_stamp(payload), nbytes, msg_id)
+        slot = self._sends.get((dest, tag))
+        if slot is None:
+            slot = self._sends[(dest, tag)] = [0, _call_site()]
+        slot[0] += 1
+
+    def recv(self, source, tag):
+        src, t, payload, nbytes = self.inner.recv(source, tag)
         vc, user = _unwrap(payload)
-        if vc is not None and (source == ANY_SOURCE or tag == ANY_TAG):
-            self._scan_for_race(source, tag, src, t, vc)
         if vc is not None:
+            if source == ANY_SOURCE or tag == ANY_TAG:
+                self._scan_for_race(source, tag, src, t, vc)
             self._merge(vc)
         self._vc[self.rank] += 1
-        self._ledger.record_recv(src, t)
-        return src, t, user
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        return self._inner.probe(source, tag)
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        return self._inner.iprobe(source, tag)
+        self._recvs[(src, t)] = self._recvs.get((src, t), 0) + 1
+        return src, t, user, nbytes
 
     def _scan_for_race(
         self, source: int, tag: int, matched_src: int, matched_tag: int,
@@ -263,13 +218,7 @@ class SanitizedComm:
         FIFO per (source, tag) means same-channel messages are never
         concurrent, so pinned-source schemes stay clean by construction.
         """
-        try:
-            mailbox = self._inner.world.mailboxes[self.rank]
-            with mailbox._cond:
-                queued = list(mailbox._queue)
-        except (AttributeError, TypeError, IndexError):
-            return  # replay comms serve from the journal; nothing queued
-        for src, t, payload, _nbytes in queued:
+        for src, t, payload, _nbytes in self._mailbox.queued():
             if source not in (ANY_SOURCE, src):
                 continue
             if tag not in (ANY_TAG, t):
@@ -277,7 +226,7 @@ class SanitizedComm:
             vc, _user = _unwrap(payload)
             if vc is None or not _concurrent(matched_vc, vc):
                 continue
-            self._ledger.races.append(
+            self._races.append(
                 {
                     "kind": "recv_race",
                     "rank": self.rank,
@@ -290,48 +239,52 @@ class SanitizedComm:
             )
 
     # -- collectives ---------------------------------------------------
-    # Every user collective maps to exactly ONE underlying slot exchange
-    # carrying (clock, value).  That uniformity is load-bearing: when
-    # ranks diverge (one calls barrier while another calls allgather)
-    # the underlying exchanges still pair up, the world completes, and
-    # the divergence is *reported* at teardown instead of deadlocking.
-    def _exchange(self, value) -> list:
-        outs = self._inner.allgather((_ENVELOPE, tuple(self._vc), value))
-        users = []
-        for item in outs:
-            vc, user = _unwrap(item)
-            if vc is not None:
-                self._merge(vc)
-            users.append(user)
+    def exchange(self, kind, value, meter):
+        self._events.append(kind)
+        outs = self.inner.exchange(
+            kind, (_ENVELOPE, tuple(self._vc), value), meter
+        )
+        users = [self._absorb(item) for item in outs]
         self._vc[self.rank] += 1
         return users
 
-    def barrier(self) -> None:
-        self._ledger.events.append(("barrier",))
-        self._exchange(None)
-
-    def allgather(self, value) -> list:
-        self._ledger.events.append(("allgather",))
-        return self._exchange(value)
-
-    def allreduce(self, value, op: str = "sum"):
-        self._ledger.events.append(("allreduce", op))
-        return reduce_values(self._exchange(value), op)
-
-    def bcast(self, value=None, root: int = 0):
-        if not 0 <= root < self.size:
-            raise ValueError(f"root rank {root} out of range")
-        self._ledger.events.append(("bcast", root))
-        values = self._exchange(value if self.rank == root else None)
-        return values[root]
-
     # -- one-sided -----------------------------------------------------
-    def win_create(self) -> SanitizedWindow:
-        self._ledger.events.append(("win_create",))
-        return SanitizedWindow(self, self._inner.win_create())
+    def put(self, win_tag, target, payload, nbytes, msg_id=None):
+        self.inner.put(
+            win_tag, target, self._tick_and_stamp(payload), nbytes, msg_id
+        )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SanitizedComm({self._inner!r})"
+    def fence(self, win_tag, counts):
+        self._events.append(("fence",))
+        drained = [
+            (origin, self._absorb(payload), nbytes)
+            for origin, payload, nbytes in self.inner.fence(win_tag, counts)
+        ]
+        self._vc[self.rank] += 1
+        return drained
+
+    # -- teardown ------------------------------------------------------
+    def seal(self, result) -> tuple:
+        """Exchange the ledgers; return ``(marker, result, report)``.
+
+        The exchange goes inward from here — unstamped, unmetered — so
+        it perturbs neither the clocks nor the traffic ledger.
+        """
+        export = {
+            "rank": self.rank,
+            "sends": [
+                [dest, tag, count, site]
+                for (dest, tag), (count, site) in sorted(self._sends.items())
+            ],
+            "recvs": [
+                [source, tag, count]
+                for (source, tag), count in sorted(self._recvs.items())
+            ],
+            "events": [list(e) for e in self._events],
+            "races": self._races,
+        }
+        exports = self.inner.exchange(("sanitize",), export, None)
+        return (_RESULT, result, _validate(exports))
 
 
 def _validate(exports: list[dict]) -> dict:
@@ -400,20 +353,15 @@ def _validate(exports: list[dict]) -> dict:
 def wrap_main(main: Callable) -> Callable:
     """The sanitized SPMD entry point :class:`World.run` dispatches.
 
-    Wraps the user's ``main`` so each rank communicates through a
-    :class:`SanitizedComm`, then allgathers the per-rank ledgers and
-    returns ``(marker, result, report)``; the world unwraps it in
-    :func:`finish_world`.  Works on every backend — on rank migration
-    the replacement rank re-enters here and rebuilds its ledger from the
-    journal replay.
+    Runs the user's ``main`` — whose communicator carries the sanitizer
+    layer — then seals the rank's result with the world-wide verdict;
+    :func:`finish_world` unwraps it.  Works on every backend; on rank
+    migration the replacement rank re-enters here and rebuilds its
+    ledger from the journal replay.
     """
 
-    def sanitized_main(inner_comm):
-        comm = SanitizedComm(inner_comm)
-        result = main(comm)
-        exports = inner_comm.allgather(comm._ledger.export(comm.rank))
-        report = _validate(exports)
-        return (_RESULT, result, report)
+    def sanitized_main(comm):
+        return comm.sanitizer.seal(main(comm))
 
     return sanitized_main
 
@@ -423,12 +371,7 @@ def finish_world(world, results: list) -> list:
     unwrapped: list = []
     report: dict | None = None
     for item in results:
-        if (
-            isinstance(item, tuple)
-            and len(item) == 3
-            and isinstance(item[0], str)
-            and item[0] == _RESULT
-        ):
+        if _marked(item, _RESULT):
             unwrapped.append(item[1])
             report = item[2]
         else:  # pragma: no cover - defensive (rank skipped teardown)
@@ -436,7 +379,7 @@ def finish_world(world, results: list) -> list:
     if report is None:  # pragma: no cover - defensive
         return unwrapped
 
-    leaked = getattr(world, "shm_leaked_slots", 0)
+    leaked = world.shm_leaked_slots
     if leaked:
         report["violations"].append({"kind": "shm_leak", "count": leaked})
 

@@ -1,22 +1,27 @@
-"""Elastic rank scheduler: R logical ranks multiplexed on P OS workers.
+"""Rank threads and the elastic scheduler: R logical ranks on P workers.
+
+:class:`RankThreads` is the one rank-thread host of the runtime: the
+thread and overdecomposed backends run every rank of the world through
+it, and each forked child of the process backend runs its hosted rank
+group through it.  The thread backend is simply the overdecomposed one
+with no scheduler.
 
 The paper's headline figures live in the thousands-of-ranks regime, far
 beyond any host's core count.  ``backend="overdecomposed"`` decouples the
 *logical* decomposition from the *physical* parallelism the way the
-production codes on Sunway do: :class:`~repro.runtime.simmpi.World`
-still spawns one rank program per logical rank, but only ``workers=P``
-of them may execute at any instant.  Scheduling is cooperative and
-happens exactly at the communication waits:
+production codes on Sunway do: one rank program per logical rank, but
+only ``workers=P`` of them may execute at any instant
+(:class:`RankScheduler`).  Scheduling is cooperative and happens exactly
+at the communication waits:
 
-* a rank that blocks in ``recv``/``probe``/``barrier``/``allgather``/
-  fence *yields* its worker slot back to the scheduler before parking on
-  the mailbox condition or collective barrier;
+* a rank that blocks in ``recv``/``probe``/a collective/a fence *yields*
+  its worker slot back to the scheduler before parking on its mailbox
+  (the ``yield`` layer of :mod:`repro.runtime.layers`);
 * an idle worker slot is *stolen* by the longest-waiting runnable rank
   (FIFO run queue — a released slot is handed directly to the queue
   head, never bounced through a free pool, so admission is O(1) and
   starvation-free);
-* when the wait completes (a matching deposit, the last barrier party,
-  a window fence quota), the rank re-enters the run queue and resumes
+* when the wait completes, the rank re-enters the run queue and resumes
   once a slot frees up.
 
 Because every blocking primitive yields, R > P cannot deadlock: a rank
@@ -29,18 +34,13 @@ make the thread and process backends interchangeable.
 
 Rank migration
 --------------
-With a fault plan on the world, each rank's communication history is
-journaled (:class:`ReplayRankComm`).  When a planned crash fires, the
-scheduler does not restart the world: it *migrates* the rank — a
-replacement thread replays the journal (receives, collective results and
-fence drains return their recorded values; sends, puts and barriers are
-suppressed, their effects already being visible to the peers) and goes
-live exactly where the crash struck.  Peers blocked at the next
-collective simply wait a little longer; the trajectory, the final state,
-and the traffic ledger come out bit-identical to a fault-free run.
-The journal suppression is sound because injected crashes fire only at
-engine ``fault_point``s, which sit at quiescent cycle boundaries: no
-collective is in flight and every window epoch is fenced.
+With a fault plan on an overdecomposed world, each rank's communication
+is journaled (:class:`~repro.runtime.layers.JournalLayer`).  When a
+planned crash fires, the world is not restarted: the rank *migrates* — a
+replacement thread replays the journal and goes live exactly where the
+crash struck.  Peers blocked at the next collective simply wait a little
+longer; the trajectory, the final state, and the traffic ledger come out
+bit-identical to a fault-free run.
 """
 
 from __future__ import annotations
@@ -50,21 +50,12 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from repro import observe as obs
-from repro.runtime.simmpi import (
-    RankComm,
-    Status,
-    WatchdogTimeout,
-    WorldAborted,
-    _freeze,
-)
 from repro.runtime.faults import InjectedFault
-
-
-class MigrationError(RuntimeError):
-    """A replayed rank diverged from its journal (should never happen)."""
+from repro.runtime.simmpi import RankComm
+from repro.runtime.transport import LocalTransport, WorldAborted
 
 
 class RankScheduler:
@@ -140,136 +131,12 @@ class RankScheduler:
         for _rank, gate in queued:
             gate.set()
 
-
-# ----------------------------------------------------------------------
-# Journaling communicator (the migration substrate)
-# ----------------------------------------------------------------------
-class _ReplayWindow:
-    """Window wrapper journaling puts and fences for replay."""
-
-    def __init__(self, comm: "ReplayRankComm", window) -> None:
-        self.comm = comm
-        self._window = window
-
-    def put(self, target: int, payload) -> None:
-        if self.comm._replaying():
-            self.comm._next("win_put")
-            return
-        self._window.put(target, payload)
-        self.comm._record(("win_put",))
-
-    def fence(self) -> list[tuple[int, Any]]:
-        if self.comm._replaying():
-            return _freeze(self.comm._next("win_fence")[1])
-        mine = self._window.fence()
-        self.comm._record(("win_fence", _freeze(mine)))
-        return mine
+    def publish(self) -> None:
+        """Add this run's totals to the observe registry."""
+        obs.add("runtime.scheduler.yields", self.yields)
+        obs.add("runtime.scheduler.steals", self.steals)
 
 
-class ReplayRankComm(RankComm):
-    """A RankComm that journals every communication for crash replay.
-
-    In *live* mode every operation is delegated to a raw
-    :class:`RankComm` over the same world and its outcome appended to
-    the journal.  After a migration the replacement incarnation runs in
-    *replay* mode: operations whose journal entry exists return the
-    recorded outcome instantly — receives and collective results are
-    served from the log, sends/puts/barriers are suppressed (the world
-    already saw them) — until the cursor reaches the journal end and the
-    rank seamlessly goes live.  Traffic stats are recorded only live, so
-    the ledger of a migrated run equals the fault-free one.
-    """
-
-    def __init__(self, world, rank: int, journal: list | None = None) -> None:
-        super().__init__(world, rank)
-        self._raw = RankComm(world, rank)
-        self._journal: list[tuple] = journal if journal is not None else []
-        self._cursor = 0
-
-    def reincarnate(self) -> "ReplayRankComm":
-        """A fresh incarnation replaying this comm's journal from the top."""
-        return ReplayRankComm(self.world, self.rank, journal=self._journal)
-
-    # -- journal plumbing ---------------------------------------------
-    def _replaying(self) -> bool:
-        return self._cursor < len(self._journal)
-
-    def _record(self, entry: tuple) -> None:
-        self._journal.append(entry)
-        self._cursor = len(self._journal)
-
-    def _next(self, kind: str) -> tuple:
-        entry = self._journal[self._cursor]
-        if entry[0] != kind:
-            raise MigrationError(
-                f"rank {self.rank} replay diverged: journal has "
-                f"{entry[0]!r} where the program performed {kind!r}"
-            )
-        self._cursor += 1
-        return entry
-
-    # -- two-sided ----------------------------------------------------
-    def send(self, dest: int, tag: int, payload=None) -> None:
-        if self._replaying():
-            self._next("send")
-            return
-        self._raw.send(dest, tag, payload)
-        self._record(("send",))
-
-    def recv(self, source: int = -1, tag: int = -1):
-        if self._replaying():
-            return _freeze(self._next("recv")[1])
-        out = self._raw.recv(source, tag)
-        self._record(("recv", _freeze(out)))
-        return out
-
-    def probe(self, source: int = -1, tag: int = -1) -> Status:
-        if self._replaying():
-            return self._next("probe")[1]
-        out = self._raw.probe(source, tag)
-        self._record(("probe", out))
-        return out
-
-    def iprobe(self, source: int = -1, tag: int = -1) -> Status | None:
-        if self._replaying():
-            return self._next("iprobe")[1]
-        out = self._raw.iprobe(source, tag)
-        self._record(("iprobe", out))
-        return out
-
-    # -- collectives --------------------------------------------------
-    def barrier(self) -> None:
-        if self._replaying():
-            self._next("barrier")
-            return
-        self._raw.barrier()
-        self._record(("barrier",))
-
-    def allgather(self, value) -> list:
-        if self._replaying():
-            return _freeze(self._next("allgather")[1])
-        out = self._raw.allgather(value)
-        self._record(("allgather", _freeze(out)))
-        return out
-
-    # allreduce/bcast reduce over self.allgather (inherited), so they
-    # journal through the allgather entries.
-
-    # -- one-sided ----------------------------------------------------
-    def win_create(self):
-        if self._replaying():
-            from repro.runtime.window import Window
-
-            shared = self._next("win_create")[1]
-            return _ReplayWindow(self, Window(self._raw, shared))
-        window = self._raw.win_create()
-        self._record(("win_create", window.shared))
-        return _ReplayWindow(self, window)
-
-
-# ----------------------------------------------------------------------
-# The overdecomposed World.run path
-# ----------------------------------------------------------------------
 def default_workers() -> int:
     """P when none was given: every core the OS grants us."""
     try:
@@ -278,134 +145,116 @@ def default_workers() -> int:
         return os.cpu_count() or 1
 
 
-def run_overdecomposed_world(
-    world,
-    main,
-    timeout: float = 300.0,
-    grace: float = 5.0,
-    workers: int | None = None,
-) -> list:
-    """Execute R logical ranks on P worker slots with rank migration.
+class RankThreads:
+    """The rank threads hosted in this process, for one run.
 
-    Drop-in replacement for the thread path of ``World.run``: same
-    result list, same error precedence (KeyboardInterrupt, then typed
-    InjectedFault/WatchdogTimeout, then ``RuntimeError('rank N
-    failed')``), same TimeoutError shape.  With a fault plan on the
-    world (and ``migration`` not explicitly disabled), a planned crash
-    is survived *in place*: the crashed rank's journal is replayed on a
-    replacement thread instead of aborting the world.
+    Each rank runs ``main(comm)`` with its own
+    :class:`~repro.runtime.simmpi.RankComm` on its own daemon thread,
+    holding a scheduler slot while it computes when there is a
+    scheduler.  A rank that raises aborts the world and its error is
+    kept for the join epilogue; ranks unblocked by that abort exit
+    quietly.  On a scheduler with a fault plan a planned crash is
+    instead survived *in place*: the crashed rank's journal is handed to
+    a replacement thread, which replays it rather than tearing the world
+    down.
     """
-    nranks = world.nranks
-    chosen = workers if workers is not None else world.workers
-    if chosen is None:
-        chosen = default_workers()
-    nworkers = max(1, min(int(chosen), nranks))
-    scheduler = RankScheduler(nworkers)
-    world.scheduler = scheduler
-    migration = world.migration
-    journaling = (
-        world.faults is not None if migration is None else bool(migration)
-    )
 
-    results: list[Any] = [None] * nranks
-    threads: list[threading.Thread] = []
-    state_lock = threading.Lock()
-    fin_cond = threading.Condition()
-    finished = 0
+    def __init__(
+        self, main: Callable, transport: LocalTransport, size: int, stats,
+        faults=None, watchdog: float | None = None, sanitize: bool = False,
+        scheduler: RankScheduler | None = None,
+    ) -> None:
+        self._main = main
+        self._transport = transport
+        self._scheduler = scheduler
+        #: What every rank's communicator is built from, besides its
+        #: rank and journal.
+        self._comm_options = dict(
+            size=size, transport=transport, stats=stats, faults=faults,
+            watchdog=watchdog, scheduler=scheduler, sanitize=sanitize,
+        )
+        # Overdecomposed worlds with a fault plan migrate crashed ranks.
+        self._journaling = scheduler is not None and faults is not None
+        self._lock = threading.Lock()
+        self._threads: list[threading.Thread] = []
+        self.results: dict[int, Any] = {}
+        self.errors: list[tuple[int, BaseException]] = []
+        self.migrations = 0
 
-    def launch(rank: int, comm, incarnation: int = 0) -> None:
+    def start(self, ranks: Iterable[int]) -> None:
+        for rank in ranks:
+            self._spawn(rank, [] if self._journaling else None, 0)
+
+    def _spawn(self, rank: int, journal: list | None, incarnation: int) -> None:
         suffix = f".{incarnation}" if incarnation else ""
-        t = threading.Thread(
-            target=wrapper,
-            args=(rank, comm, incarnation),
+        thread = threading.Thread(
+            target=self._run_rank,
+            args=(rank, journal, incarnation),
             name=f"simmpi-rank-{rank}{suffix}",
             daemon=True,
         )
-        with state_lock:
-            threads.append(t)
-        t.start()
+        with self._lock:
+            self._threads.append(thread)
+        thread.start()
 
-    def wrapper(rank: int, comm, incarnation: int) -> None:
-        nonlocal finished
-        scheduler.acquire(rank)
-        migrated = False
+    def _run_rank(self, rank: int, journal: list | None, incarnation: int) -> None:
+        scheduler = self._scheduler
+        if scheduler is not None:
+            scheduler.acquire(rank)
         try:
-            results[rank] = main(comm)
+            comm = RankComm(rank, journal=journal, **self._comm_options)
+            self.results[rank] = self._main(comm)
         except WorldAborted:
             pass
         except InjectedFault as exc:
-            if (
-                journaling
-                and isinstance(comm, ReplayRankComm)
-                and not world.abort.is_set()
-            ):
-                # Migrate: replay this rank's journal on a fresh thread
-                # instead of tearing the world down.  Planned crashes
-                # are one-shot, so the replay cannot re-fire this spec.
-                with state_lock:
-                    world.migrations += 1
+            if journal is None or self._transport.aborted.is_set():
+                self._fail(rank, exc)
+            else:
+                # Migrate: planned crashes are one-shot, so the replay
+                # cannot re-fire this spec.  The replacement is spawned
+                # before this thread ends, so wait() never sees a gap.
+                with self._lock:
+                    self.migrations += 1
                 obs.add("runtime.migrations")
-                migrated = True
-                launch(rank, comm.reincarnate(), incarnation + 1)
-            else:
-                with world._error_lock:
-                    world._errors.append((rank, exc))
-                world.abort_world()
+                self._spawn(rank, journal, incarnation + 1)
         except BaseException as exc:  # must cross threads (see baseline)
-            with world._error_lock:
-                world._errors.append((rank, exc))
-            world.abort_world()
+            self._fail(rank, exc)
         finally:
-            scheduler.release(rank)
-            if not migrated:
-                with fin_cond:
-                    finished += 1
-                    fin_cond.notify_all()
+            if scheduler is not None:
+                scheduler.release(rank)
 
-    for rank in range(nranks):
-        comm: RankComm = (
-            ReplayRankComm(world, rank) if journaling else RankComm(world, rank)
-        )
-        launch(rank, comm)
+    def _fail(self, rank: int, exc: BaseException) -> None:
+        with self._lock:
+            self.errors.append((rank, exc))
+        self.abort()
 
-    def wait_until(deadline: float) -> None:
-        nonlocal finished
-        with fin_cond:
-            while finished < nranks:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return
-                fin_cond.wait(remaining)
+    def abort(self) -> None:
+        """Abort the world.  The scheduler gate opens first, so ranks
+        queued for a worker slot run free to observe the abort flag."""
+        if self._scheduler is not None:
+            self._scheduler.release_all()
+        self._transport.abort()
 
-    wait_until(time.monotonic() + timeout)
-    try:
-        if finished < nranks:
-            world.abort_world()
-            wait_until(time.monotonic() + grace)
-            with state_lock:
-                alive = [t.name for t in threads if t.is_alive()]
-            if alive:
-                detail = (
-                    f"; {len(alive)} rank thread(s) still alive after a "
-                    f"{grace:g}s abort grace period (leaked): "
-                    + ", ".join(alive)
+    def wait(self, timeout: float | None) -> bool:
+        """Join every rank thread (replacements included); ``False`` if
+        ``timeout`` seconds pass first."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        joined = 0
+        while True:
+            with self._lock:
+                threads = self._threads[joined:]
+            if not threads:
+                return True
+            for thread in threads:
+                thread.join(
+                    None if deadline is None
+                    else max(0.0, deadline - time.monotonic())
                 )
-            else:
-                detail = "; all ranks exited after the abort"
-            raise TimeoutError(
-                f"world of {nranks} ranks timed out after {timeout:g}s"
-                + detail
-            )
-    finally:
-        obs.add("runtime.scheduler.yields", scheduler.yields)
-        obs.add("runtime.scheduler.steals", scheduler.steals)
-        world.scheduler = None
-    if world._errors:
-        rank, exc = world._errors[0]
-        for _rank, e in world._errors:
-            if isinstance(e, KeyboardInterrupt):
-                raise e
-        if isinstance(exc, (InjectedFault, WatchdogTimeout)):
-            raise exc
-        raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
-    return results
+                if thread.is_alive():
+                    return False
+            joined += len(threads)
+
+    def alive(self) -> list[str]:
+        """Names of the rank threads still running."""
+        with self._lock:
+            return [t.name for t in self._threads if t.is_alive()]

@@ -23,7 +23,7 @@ Mechanics
   inline — the queue pickles it as before, so the pool can never
   deadlock a world, only speed it up.
 * ``decode`` copies the bytes back out into a fresh C-contiguous array
-  (the same layout ``_freeze``'s defensive ``copy()`` produces on the
+  (the same layout ``freeze``'s defensive ``copy()`` produces on the
   thread backend — bit-identity is preserved) and releases the slot
   immediately; reclamation is deterministic, not GC-driven.
 * Slots are refcounted: a broadcast encoded once with ``nrefs=nranks``
@@ -47,6 +47,7 @@ Tuning knobs (environment):
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -70,41 +71,39 @@ def pool_enabled() -> bool:
     return env not in _DISABLED
 
 
+@dataclass(slots=True)
 class SlotRef:
     """Header of an array parked in a pool slot."""
 
-    __slots__ = ("slot", "offset", "shape", "dtype", "nbytes")
-
-    def __init__(self, slot, offset, shape, dtype, nbytes) -> None:
-        self.slot = slot
-        self.offset = offset
-        self.shape = shape
-        self.dtype = dtype
-        self.nbytes = nbytes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SlotRef(slot={self.slot}, shape={self.shape}, "
-            f"dtype={self.dtype}, nbytes={self.nbytes})"
-        )
+    slot: int
+    offset: int
+    shape: tuple
+    dtype: np.dtype
+    nbytes: int
 
 
+@dataclass(slots=True)
 class SegRef:
     """Header of an array in a one-shot shared-memory segment."""
 
-    __slots__ = ("name", "shape", "dtype", "nbytes")
+    name: str
+    shape: tuple
+    dtype: np.dtype
+    nbytes: int
 
-    def __init__(self, name, shape, dtype, nbytes) -> None:
-        self.name = name
-        self.shape = shape
-        self.dtype = dtype
-        self.nbytes = nbytes
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SegRef(name={self.name!r}, shape={self.shape}, "
-            f"dtype={self.dtype}, nbytes={self.nbytes})"
-        )
+def _map_leaves(obj, leaf_types, fn):
+    """Rebuild a payload of tuples/lists/dicts with ``fn`` applied to
+    every ``leaf_types`` instance; everything else passes through."""
+    if isinstance(obj, leaf_types):
+        return fn(obj)
+    if isinstance(obj, tuple):
+        return tuple(_map_leaves(x, leaf_types, fn) for x in obj)
+    if isinstance(obj, list):
+        return [_map_leaves(x, leaf_types, fn) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _map_leaves(v, leaf_types, fn) for k, v in obj.items()}
+    return obj
 
 
 class ShmPool:
@@ -207,7 +206,7 @@ class ShmPool:
         src = np.ndarray(
             ref.shape, ref.dtype, buffer=self._shm.buf, offset=ref.offset
         )
-        out = src.copy()  # C-order, matching _freeze's defensive copy
+        out = src.copy()  # C-order, matching freeze's defensive copy
         del src
         return out
 
@@ -256,22 +255,16 @@ class ShmPool:
         """Payload with eligible arrays replaced by shm references.
 
         Containers are rebuilt (the originals are already defensive
-        ``_freeze`` copies); anything ineligible — small arrays, object
+        ``freeze`` copies); anything ineligible — small arrays, object
         dtypes, non-array values — passes through untouched and rides
         the queue's pickle as before.
         """
-        if isinstance(obj, np.ndarray):
-            if not self._eligible(obj):
-                return obj
-            ref = self._encode_array(obj, nrefs)
-            return obj if ref is None else ref
-        if isinstance(obj, tuple):
-            return tuple(self.encode(x, nrefs) for x in obj)
-        if isinstance(obj, list):
-            return [self.encode(x, nrefs) for x in obj]
-        if isinstance(obj, dict):
-            return {k: self.encode(v, nrefs) for k, v in obj.items()}
-        return obj
+
+        def park(arr: np.ndarray):
+            ref = self._encode_array(arr, nrefs) if self._eligible(arr) else None
+            return arr if ref is None else ref
+
+        return _map_leaves(obj, np.ndarray, park)
 
     def decode(self, obj):
         """Payload with shm references materialized as fresh arrays.
@@ -279,28 +272,23 @@ class ShmPool:
         Every reference is released/unlinked as soon as it is copied
         out — reclamation is deterministic and local to the consumer.
         """
-        if isinstance(obj, SlotRef):
-            out = self._read(obj)
-            self.release(obj.slot)
+        return _map_leaves(obj, (SlotRef, SegRef), self._decode_ref)
+
+    def _decode_ref(self, ref) -> np.ndarray:
+        if isinstance(ref, SlotRef):
+            out = self._read(ref)
+            self.release(ref.slot)
             return out
-        if isinstance(obj, SegRef):
-            seg = shared_memory.SharedMemory(name=obj.name)
-            src = np.ndarray(obj.shape, obj.dtype, buffer=seg.buf)
-            out = src.copy()
-            del src
-            seg.close()
-            try:
-                seg.unlink()
-            except FileNotFoundError:  # pragma: no cover - double unlink
-                pass
-            return out
-        if isinstance(obj, tuple):
-            return tuple(self.decode(x) for x in obj)
-        if isinstance(obj, list):
-            return [self.decode(x) for x in obj]
-        if isinstance(obj, dict):
-            return {k: self.decode(v) for k, v in obj.items()}
-        return obj
+        seg = shared_memory.SharedMemory(name=ref.name)
+        src = np.ndarray(ref.shape, ref.dtype, buffer=seg.buf)
+        out = src.copy()
+        del src
+        seg.close()
+        try:
+            seg.unlink()
+        except FileNotFoundError:  # pragma: no cover - double unlink
+            pass
+        return out
 
     def release_refs(self, obj) -> None:
         """Release references in a payload without copying the data.
@@ -309,26 +297,21 @@ class ShmPool:
         envelope (a receiver aborted while slots were held), so the ring
         is whole again before the pool reports leak-free teardown.
         """
-        if isinstance(obj, SlotRef):
-            self.release(obj.slot)
+        _map_leaves(obj, (SlotRef, SegRef), self._release_ref)
+
+    def _release_ref(self, ref) -> None:
+        if isinstance(ref, SlotRef):
+            self.release(ref.slot)
             return
-        if isinstance(obj, SegRef):
-            try:
-                seg = shared_memory.SharedMemory(name=obj.name)
-            except FileNotFoundError:
-                return
-            seg.close()
-            try:
-                seg.unlink()
-            except FileNotFoundError:  # pragma: no cover - race with consumer
-                pass
+        try:
+            seg = shared_memory.SharedMemory(name=ref.name)
+        except FileNotFoundError:
             return
-        if isinstance(obj, (tuple, list)):
-            for x in obj:
-                self.release_refs(x)
-        elif isinstance(obj, dict):
-            for v in obj.values():
-                self.release_refs(v)
+        seg.close()
+        try:
+            seg.unlink()
+        except FileNotFoundError:  # pragma: no cover - race with consumer
+            pass
 
     # ------------------------------------------------------------------
     # Teardown

@@ -1,8 +1,10 @@
-"""The in-process SPMD runtime: ranks, two-sided messaging, collectives.
+"""Layer 2 of the communication stack: the communicator and the world.
 
-:class:`World` spawns one Python thread per rank, each executing the same
-``main(comm)`` function — the SPMD model of an MPI program.  Messages are
-moved through per-rank mailboxes with MPI's matching semantics:
+:class:`World` runs the same ``main(comm)`` function on every rank — the
+SPMD model of an MPI program — on one of three backends (rank threads,
+forked rank processes, or R logical ranks scheduled on P worker slots).
+Every backend hands ``main`` the same :class:`RankComm`, with MPI's
+semantics:
 
 * ``send`` is eager and buffered (payloads are defensively copied, so a
   sender may immediately reuse its buffers — MPI's eager protocol for
@@ -14,9 +16,16 @@ moved through per-rank mailboxes with MPI's matching semantics:
   envelope *without* consuming it — the primitive §2.2.1 uses to learn
   message sizes "determined at runtime" before posting the receive.
 * ``iprobe`` is the non-blocking variant.
+* ``barrier`` / ``allgather`` / ``allreduce`` / ``bcast`` and window
+  creation all lower to one :meth:`Endpoint.exchange`, written once over
+  point-to-point envelopes; a window ``fence`` is written once on top of
+  it.
 
-Collectives (``barrier``, ``allreduce``, ``allgather``, ``bcast``) are
-implemented over shared slots guarded by a reusable barrier.
+The stack has three layers: the transport below
+(:mod:`repro.runtime.transport`, two implementations), this module's
+:class:`Endpoint` / :class:`RankComm` / :class:`~repro.runtime.window.
+Window` in the middle, and the ordered middleware of
+:mod:`repro.runtime.layers` between the two halves of this one.
 
 All traffic is recorded in :class:`~repro.runtime.stats.TrafficStats`.
 """
@@ -24,36 +33,40 @@ All traffic is recorded in :class:`~repro.runtime.stats.TrafficStats`.
 from __future__ import annotations
 
 import os
-import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from repro import observe as obs
 from repro.runtime.faults import FaultInjector, FaultPlan, InjectedFault
+from repro.runtime.layers import Layer, compose
 from repro.runtime.netmodel import NetworkModel
 from repro.runtime.stats import TrafficStats, payload_nbytes
+from repro.runtime.transport import (
+    ANY_SOURCE,
+    ANY_TAG,
+    TAG_GATHER,
+    TAG_RESULT,
+    TAG_WINDOW_BASE,
+    LocalTransport,
+    WatchdogTimeout,
+    WorldAborted,
+    freeze,
+)
 
-#: Wildcard source for :meth:`RankComm.recv` / :meth:`RankComm.probe`.
-ANY_SOURCE: int = -1
-#: Wildcard tag.
-ANY_TAG: int = -1
-
-
-class WorldAborted(RuntimeError):
-    """Raised in surviving ranks when another rank failed."""
-
-
-class WatchdogTimeout(TimeoutError):
-    """A blocking recv/probe/collective exceeded the world's watchdog.
-
-    Only raised when the world was created with a ``watchdog`` deadline;
-    the default (``None``) leaves the blocking primitives deadline-free,
-    so hot paths pay nothing for the feature.
-    """
+__all__ = [
+    "ANY_SOURCE",
+    "ANY_TAG",
+    "BACKENDS",
+    "RankComm",
+    "Status",
+    "WatchdogTimeout",
+    "World",
+    "WorldAborted",
+    "resolve_backend",
+    "resolve_workers",
+]
 
 
 @dataclass(frozen=True)
@@ -65,162 +78,8 @@ class Status:
     nbytes: int
 
 
-def _freeze(obj):
-    """Defensive copy of a payload (MPI buffered-send semantics)."""
-    if isinstance(obj, np.ndarray):
-        return obj.copy()
-    if isinstance(obj, tuple):
-        return tuple(_freeze(x) for x in obj)
-    if isinstance(obj, list):
-        return [_freeze(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _freeze(v) for k, v in obj.items()}
-    return obj
-
-
-class _Mailbox:
-    """FIFO message store of one rank with condition-variable waiting."""
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._queue: list[tuple[int, int, Any, int]] = []
-        self._seen_ids: set | None = None
-
-    def deposit(
-        self, src: int, tag: int, payload, nbytes: int, msg_id=None
-    ) -> bool:
-        """Enqueue a message; returns ``False`` for a dropped duplicate.
-
-        ``msg_id`` is only passed by fault-injected sends: the transport
-        then behaves as an at-least-once network while delivery stays
-        exactly-once — a redelivered id is dropped here, never seen by
-        ``recv``.  The unfaulted path passes ``None`` and skips the
-        dedup bookkeeping entirely.
-        """
-        with self._cond:
-            if msg_id is not None:
-                if self._seen_ids is None:
-                    self._seen_ids = set()
-                if msg_id in self._seen_ids:
-                    obs.add("runtime.faults.duplicates_dropped")
-                    return False
-                self._seen_ids.add(msg_id)
-            self._queue.append((src, tag, payload, nbytes))
-            self._cond.notify_all()
-        return True
-
-    def _match_index(self, source: int, tag: int) -> int | None:
-        for idx, (src, t, _payload, _n) in enumerate(self._queue):
-            if (source in (ANY_SOURCE, src)) and (tag in (ANY_TAG, t)):
-                return idx
-        return None
-
-    def take(
-        self, source: int, tag: int, abort: threading.Event,
-        deadline: float | None = None,
-    ):
-        """Blocking consume of the first matching message.
-
-        Waits on the mailbox condition without a polling timeout: a
-        matching :meth:`deposit` or a world abort (:meth:`wake_all`)
-        delivers the wakeup directly, so a blocked receive adds no
-        scheduling-interval floor to the latency.  With a ``deadline``
-        (``time.monotonic()`` instant, from the world's watchdog) the
-        wait raises :class:`WatchdogTimeout` once it passes.
-        """
-        with self._cond:
-            while True:
-                idx = self._match_index(source, tag)
-                if idx is not None:
-                    return self._queue.pop(idx)
-                if abort.is_set():
-                    raise WorldAborted("world aborted while waiting in recv")
-                self._wait(deadline, "recv")
-
-    def peek(self, source: int, tag: int, abort: threading.Event,
-             deadline: float | None = None):
-        """Blocking probe of the first matching message (not consumed)."""
-        with self._cond:
-            while True:
-                idx = self._match_index(source, tag)
-                if idx is not None:
-                    return self._queue[idx]
-                if abort.is_set():
-                    raise WorldAborted("world aborted while waiting in probe")
-                self._wait(deadline, "probe")
-
-    def _wait(self, deadline: float | None, op: str) -> None:
-        """One condition wait, bounded by the watchdog deadline if any."""
-        if deadline is None:
-            self._cond.wait()
-            return
-        remaining = deadline - time.monotonic()
-        if remaining <= 0 or not self._cond.wait(timeout=remaining):
-            if deadline - time.monotonic() <= 0:
-                obs.add("runtime.watchdog.expired")
-                raise WatchdogTimeout(
-                    f"watchdog: no matching message arrived in {op} "
-                    "before the deadline"
-                )
-
-    def wake_all(self) -> None:
-        """Wake every blocked waiter (abort path; they re-check the flag)."""
-        with self._cond:
-            self._cond.notify_all()
-
-    def try_peek(self, source: int, tag: int):
-        """Non-blocking probe; returns the message tuple or ``None``."""
-        with self._cond:
-            idx = self._match_index(source, tag)
-            return None if idx is None else self._queue[idx]
-
-    def pending(self) -> int:
-        with self._cond:
-            return len(self._queue)
-
-
-class _Collectives:
-    """Slot-exchange machinery shared by all ranks of a world."""
-
-    def __init__(self, nranks: int) -> None:
-        self.nranks = nranks
-        self.barrier = threading.Barrier(nranks)
-        self.slots: list[Any] = [None] * nranks
-
-    def wait(self, timeout: float | None = None) -> None:
-        """Barrier wait; ``timeout`` (watchdog) turns a hang into an error.
-
-        A rank whose own wait ran out raises :class:`WatchdogTimeout`;
-        ranks woken by the resulting broken barrier (or by a world
-        abort) raise :class:`WorldAborted` as before.
-        """
-        start = time.monotonic() if timeout is not None else 0.0
-        try:
-            self.barrier.wait(timeout=timeout)
-        except threading.BrokenBarrierError as exc:
-            if timeout is not None and time.monotonic() - start >= timeout:
-                obs.add("runtime.watchdog.expired")
-                raise WatchdogTimeout(
-                    f"watchdog: collective did not complete within {timeout}s"
-                ) from exc
-            raise WorldAborted("world aborted during a collective") from exc
-
-    def exchange(self, rank: int, value, timeout: float | None = None) -> list:
-        """All ranks deposit a value; everyone gets the full list back."""
-        self.slots[rank] = value
-        self.wait(timeout)
-        out = list(self.slots)
-        self.wait(timeout)
-        return out
-
-
 def reduce_values(values: list, op: str):
-    """Rank-ordered reduction shared by allreduce implementations.
-
-    Kept as a module-level function so the sanitizer's wrapped
-    ``allreduce`` reduces in the exact same order — bit-identity between
-    sanitized and plain runs depends on it.
-    """
+    """Rank-ordered reduction of an allgathered list."""
     if op == "sum":
         out = values[0]
         for v in values[1:]:
@@ -239,41 +98,141 @@ def reduce_values(values: list, op: str):
     raise ValueError(f"unknown reduction op {op!r}")
 
 
-#: Reusable no-op context for worlds without a scheduler: the thread and
-#: process backends pay one attribute check per blocking call, nothing
-#: more.
-_NO_YIELD = nullcontext()
+class Endpoint:
+    """One rank's unlayered attachment to the transport.
+
+    Implements the seven primitives of :mod:`repro.runtime.layers`
+    directly over ``post`` and the rank's mailbox.  The envelopes an
+    ``exchange`` or a ``fence`` moves internally use reserved tags and
+    bypass the middleware, so they are never frozen per receiver,
+    metered, journaled, fault-injected or visible to user receives.
+    """
+
+    def __init__(
+        self, transport: LocalTransport, rank: int, size: int,
+        watchdog: float | None,
+    ) -> None:
+        self.rank = rank
+        self.size = size
+        self._post = transport.post
+        self._match = transport.mailbox(rank).match
+        self._watchdog = watchdog
+
+    def _deadline(self) -> float | None:
+        wd = self._watchdog
+        return None if wd is None else time.monotonic() + wd
+
+    def send(self, dest, tag, payload, nbytes, msg_id=None) -> None:
+        self._post((dest,), self.rank, tag, payload, nbytes, msg_id)
+
+    def recv(self, source, tag):
+        return self._match(source, tag, deadline=self._deadline())
+
+    def probe(self, source, tag) -> Status:
+        src, t, _payload, nbytes = self._match(
+            source, tag, consume=False, deadline=self._deadline(), op="probe"
+        )
+        return Status(src, t, nbytes)
+
+    def iprobe(self, source, tag) -> Status | None:
+        hit = self._match(source, tag, consume=False, block=False)
+        return None if hit is None else Status(hit[0], hit[1], hit[3])
+
+    def exchange(self, kind, value, meter) -> list:
+        """Every rank contributes ``value``; all get the list by rank.
+
+        Gather to rank 0, then fan one shared list out to everybody.
+        No sequence numbers are needed: a rank can only contribute to
+        the next exchange after receiving this one's result, which rank
+        0 posts after it has gathered everything — so rank 0 never holds
+        two contributions from one source, and results reach each rank
+        in FIFO order.
+        """
+        deadline = self._deadline()
+        if self.rank:
+            self._post((0,), self.rank, TAG_GATHER, value, 0)
+            result = self._match(0, TAG_RESULT, deadline=deadline, op="collective")
+            return list(result[2])
+        values = [value] * self.size
+        for _ in range(self.size - 1):
+            src, _tag, contribution, _n = self._match(
+                ANY_SOURCE, TAG_GATHER, deadline=deadline, op="collective"
+            )
+            values[src] = contribution
+        self._post(range(1, self.size), 0, TAG_RESULT, values, 0)
+        return list(values)
+
+    def put(self, win_tag, target, payload, nbytes, msg_id=None) -> None:
+        self._post((target,), self.rank, win_tag, payload, nbytes, msg_id)
+
+    def fence(self, win_tag, counts) -> list:
+        """Complete a window epoch; ``counts[t]`` puts went to rank ``t``.
+
+        The opening exchange doubles as the completion contract: every
+        rank learns how many puts each origin addressed to it and takes
+        exactly that many from its mailbox — proof against transport
+        latency, FIFO per origin, returned in origin-rank order.  The
+        closing exchange keeps a fast rank from starting the next epoch
+        while a slow one still drains this one (the paper's "global
+        synchronization ... to guarantee the completion").
+        """
+        table = self.exchange(None, counts, None)
+        deadline = self._deadline()
+        drained = []
+        for origin, row in enumerate(table):
+            for _ in range(row[self.rank]):
+                _src, _tag, payload, nbytes = self._match(
+                    origin, win_tag, deadline=deadline, op="fence"
+                )
+                drained.append((origin, payload, nbytes))
+        self.exchange(None, None, None)
+        return drained
 
 
 class RankComm:
-    """The communicator handle passed to each rank's ``main`` function."""
+    """The communicator handle passed to each rank's ``main`` function.
 
-    def __init__(self, world: "World", rank: int) -> None:
-        self.world = world
+    The one communicator class of the runtime: the public MPI-style API
+    validates, freezes and costs its arguments, then speaks the seven
+    primitives to the middleware chain composed over this rank's
+    :class:`Endpoint`.
+    """
+
+    def __init__(
+        self,
+        rank: int,
+        size: int,
+        transport: LocalTransport,
+        stats: TrafficStats,
+        faults: FaultInjector | None = None,
+        watchdog: float | None = None,
+        scheduler=None,
+        journal: list | None = None,
+        sanitize: bool = False,
+    ) -> None:
         self.rank = rank
-
-    def _yielding(self):
-        """Scheduler yield context around a blocking wait (or a no-op).
-
-        On the overdecomposed backend a rank gives its worker slot back
-        to the scheduler for the duration of any blocking communication
-        wait; elsewhere ``world.scheduler`` is ``None`` and this costs a
-        single attribute check.
-        """
-        scheduler = self.world.scheduler
-        if scheduler is None:
-            return _NO_YIELD
-        return scheduler.waiting(self.rank)
-
-    @property
-    def size(self) -> int:
-        """Number of ranks in the world."""
-        return self.world.nranks
+        self.size = size
+        #: The world-wide traffic accounting object.
+        self.stats = stats
+        self._faults = faults
+        self._chain = chain = compose(
+            Endpoint(transport, rank, size, watchdog),
+            rank=rank, size=size, stats=stats,
+            mailbox=transport.mailbox(rank), faults=faults,
+            scheduler=scheduler, journal=journal, sanitize=sanitize,
+        )
+        #: The sanitizer layer (always outermost), if this run has one.
+        self.sanitizer = chain if sanitize else None
+        self._windows = 0
 
     @property
-    def stats(self) -> TrafficStats:
-        """The world-wide traffic accounting object."""
-        return self.world.stats
+    def layers(self) -> tuple[str, ...]:
+        """Names of the active middleware layers, outermost first."""
+        names, layer = [], self._chain
+        while isinstance(layer, Layer):
+            names.append(layer.name)
+            layer = layer.inner
+        return tuple(names)
 
     # ------------------------------------------------------------------
     # Two-sided messaging
@@ -282,38 +241,14 @@ class RankComm:
         """Eager buffered send; returns immediately.
 
         When the world carries a fault plan the injector may impose a
-        sender-side delay (FIFO order per (source, tag) is preserved —
-        an MPI send is allowed to block) or deliver the message twice;
-        duplicates are deduplicated at the destination mailbox, so the
-        receiver still sees exactly-once delivery.
+        sender-side delay or deliver the message twice (see
+        :class:`~repro.runtime.layers.FaultLayer`).
         """
         if not 0 <= dest < self.size:
             raise ValueError(f"destination rank {dest} out of range")
         if tag < 0:
             raise ValueError(f"tag must be non-negative, got {tag}")
-        inj = self.world.faults
-        action = inj.on_send(self.rank, dest, tag) if inj is not None else None
-        nbytes = payload_nbytes(payload)
-        self.world.stats.record_send(self.rank, dest, nbytes)
-        frozen = _freeze(payload)
-        mailbox = self.world.mailboxes[dest]
-        if action is None:
-            mailbox.deposit(self.rank, tag, frozen, nbytes)
-            return
-        if action.delay_s > 0:
-            time.sleep(action.delay_s)
-        msg_id = action.msg_id if action.duplicate else None
-        mailbox.deposit(self.rank, tag, frozen, nbytes, msg_id)
-        if action.duplicate:
-            # The wire-level retransmission: metered as real traffic,
-            # dropped by the mailbox's id dedup before delivery.
-            self.world.stats.record_send(self.rank, dest, nbytes)
-            if not mailbox.deposit(self.rank, tag, frozen, nbytes, msg_id):
-                inj.record_dropped_duplicate()
-
-    def _deadline(self) -> float | None:
-        wd = self.world.watchdog
-        return None if wd is None else time.monotonic() + wd
+        self._chain.send(dest, tag, freeze(payload), payload_nbytes(payload))
 
     def fault_point(self, site: str, index: int) -> None:
         """Consult the world's fault plan at a named execution point.
@@ -324,82 +259,73 @@ class RankComm:
         :class:`~repro.runtime.faults.InjectedFault` here.  No-op when
         the world carries no plan.
         """
-        inj = self.world.faults
-        if inj is not None:
-            inj.crash_point(self.rank, site, index)
+        if self._faults is not None:
+            self._faults.crash_point(self.rank, site, index)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive; returns ``(source, tag, payload)``."""
-        with obs.phase("runtime.recv"), self._yielding():
-            src, t, payload, nbytes = self.world.mailboxes[self.rank].take(
-                source, tag, self.world.abort, self._deadline()
-            )
-        self.world.stats.record_recv(self.rank, nbytes)
-        return src, t, payload
+        return self._chain.recv(source, tag)[:3]
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
         """Blocking probe: envelope of the next matching message."""
-        with obs.phase("runtime.probe"), self._yielding():
-            src, t, _payload, nbytes = self.world.mailboxes[self.rank].peek(
-                source, tag, self.world.abort, self._deadline()
-            )
-        return Status(source=src, tag=t, nbytes=nbytes)
+        return self._chain.probe(source, tag)
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
         """Non-blocking probe; ``None`` if no matching message is queued."""
-        hit = self.world.mailboxes[self.rank].try_peek(source, tag)
-        if hit is None:
-            return None
-        src, t, _payload, nbytes = hit
-        return Status(source=src, tag=t, nbytes=nbytes)
+        return self._chain.iprobe(source, tag)
 
     # ------------------------------------------------------------------
     # Collectives
     # ------------------------------------------------------------------
     def barrier(self) -> None:
         """Synchronize all ranks."""
-        if self.rank == 0:
-            self.world.stats.record_collective(0)
-        with obs.phase("runtime.collective"), self._yielding():
-            self.world.collectives.wait(self.world.watchdog)
+        self._chain.exchange(("barrier",), None, 0)
 
     def allgather(self, value) -> list:
         """Every rank contributes ``value``; all get the list by rank."""
-        if self.rank == 0:
-            self.world.stats.record_collective(payload_nbytes(value))
-        with obs.phase("runtime.collective"), self._yielding():
-            return self.world.collectives.exchange(
-                self.rank, _freeze(value), self.world.watchdog
-            )
+        return self._chain.exchange(
+            ("allgather",), freeze(value), payload_nbytes(value)
+        )
 
     def allreduce(self, value, op: str = "sum"):
         """Reduce ``value`` across ranks with ``op`` in {sum, min, max}.
 
-        Works on scalars and NumPy arrays (elementwise).
+        Works on scalars and NumPy arrays (elementwise); the reduction
+        runs in rank order on every rank, so all backends agree bitwise.
         """
-        return reduce_values(self.allgather(value), op)
+        values = self._chain.exchange(
+            ("allreduce", op), freeze(value), payload_nbytes(value)
+        )
+        return reduce_values(values, op)
 
     def bcast(self, value=None, root: int = 0):
         """Broadcast ``value`` from ``root`` to all ranks."""
         if not 0 <= root < self.size:
             raise ValueError(f"root rank {root} out of range")
-        values = self.allgather(value if self.rank == root else None)
+        value = value if self.rank == root else None
+        values = self._chain.exchange(
+            ("bcast", root), freeze(value), payload_nbytes(value)
+        )
         return values[root]
 
     # ------------------------------------------------------------------
     # One-sided communication
     # ------------------------------------------------------------------
     def win_create(self):
-        """Collectively create a one-sided :class:`Window`."""
-        from repro.runtime.window import Window, WindowShared
+        """Collectively create a one-sided :class:`Window`.
 
-        # Control-plane exchange: bypasses stats metering and payload
-        # freezing (the shared handle must be identical on all ranks).
-        with self._yielding():
-            values = self.world.collectives.exchange(
-                self.rank, WindowShared(self.size) if self.rank == 0 else None
-            )
-        return Window(self, values[0])
+        Windows are numbered in creation order, which is program order
+        on every rank; the (unmetered) exchange checks that the ranks
+        agree and synchronizes the creation.
+        """
+        from repro.runtime.window import Window
+
+        win_id = self._windows
+        self._windows += 1
+        ids = self._chain.exchange(("win_create",), win_id, None)
+        if any(i != win_id for i in ids):
+            raise RuntimeError("window creation out of sync across ranks")
+        return Window(self, self._chain, TAG_WINDOW_BASE - win_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RankComm(rank={self.rank}, size={self.size})"
@@ -449,8 +375,53 @@ def resolve_workers(workers: int | str | None) -> int | None:
     return count
 
 
+def conclude(
+    nranks: int, timeout: float, grace: float,
+    stragglers: list[str] | None, what: str, fate: str,
+    errors: list[tuple[int, BaseException]],
+) -> None:
+    """The one join epilogue of every backend.
+
+    ``stragglers`` is ``None`` for a run that finished in time, else the
+    names of the rank hosts (``what``: threads or processes) that
+    outlived the abort grace period and their ``fate``.  A world that
+    finished re-raises its first error with the documented precedence: a
+    :class:`KeyboardInterrupt` from any rank propagates as itself — an
+    interrupt is the user's request to stop, not a rank failure — then
+    the typed failures the recovery supervisor dispatches on, then
+    ``RuntimeError('rank N failed')``.
+    """
+    if stragglers is not None:
+        detail = "; all ranks exited after the abort"
+        if stragglers:
+            detail = (
+                f"; {len(stragglers)} rank {what} still alive after a "
+                f"{grace:g}s abort grace period ({fate}): "
+                + ", ".join(stragglers)
+            )
+        raise TimeoutError(
+            f"world of {nranks} ranks timed out after {timeout:g}s" + detail
+        )
+    if not errors:
+        return
+    for _rank, exc in errors:
+        if isinstance(exc, KeyboardInterrupt):
+            raise exc
+    rank, exc = errors[0]
+    if isinstance(exc, (InjectedFault, WatchdogTimeout)):
+        # Their messages already carry the rank and location.
+        raise exc
+    raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
+
+
 class World:
     """A fixed-size group of SPMD ranks executed on threads or processes.
+
+    A ``World`` holds configuration and what accumulates over its runs
+    (``stats``, the shared fault injector, ``migrations``); everything a
+    single run needs — transport, abort flag, error list, scheduler — is
+    created inside :meth:`run`, so a world can be run again after a
+    failure.
 
     Parameters
     ----------
@@ -464,20 +435,23 @@ class World:
         Optional :class:`~repro.runtime.faults.FaultPlan` (or an already
         shared :class:`~repro.runtime.faults.FaultInjector`) that sends,
         one-sided puts, and engine fault points consult.  ``None`` (the
-        default) keeps every hot path exactly as before.
+        default) keeps every hot path exactly as before.  On the
+        overdecomposed backend a world with a plan journals its ranks'
+        communication, so a planned crash is survived by *migrating* the
+        rank (journal replay on a replacement thread) instead of
+        aborting the world.
     watchdog:
         Optional deadline in seconds for each blocking recv/probe/
-        collective; when exceeded the waiting rank raises
+        collective/fence; when exceeded the waiting rank raises
         :class:`WatchdogTimeout` and the world aborts.  ``None`` (the
         default) disables the deadline entirely — blocked waits stay
         timer-free.
     backend:
-        Execution backend: ``"thread"`` (ranks as threads, the
-        historical behavior), ``"process"`` (one forked OS process per
-        rank — or per rank *group* with ``workers`` — via
-        :mod:`repro.runtime.procbackend`, for real multi-core
-        parallelism), or ``"overdecomposed"`` (R logical ranks
-        cooperatively scheduled on P worker slots via
+        Execution backend: ``"thread"`` (ranks as threads),
+        ``"process"`` (one forked OS process per rank — or per rank
+        *group* with ``workers`` — via :mod:`repro.runtime.procbackend`,
+        for real multi-core parallelism), or ``"overdecomposed"`` (R
+        logical ranks cooperatively scheduled on P worker slots via
         :mod:`repro.runtime.scheduler`, for decompositions far beyond
         the host's core count).  ``None`` (the default) defers to the
         ``REPRO_BACKEND`` environment variable, falling back to
@@ -491,12 +465,10 @@ class World:
         (default: one child per rank).  ``None`` defers to the
         ``REPRO_WORKERS`` environment variable, falling back to the
         backend default.  Results are bit-identical for every P.
-    migration:
-        Overdecomposed-backend fault policy.  ``None`` (auto) journals
-        rank communication whenever the world carries a fault plan, so
-        a planned crash is survived by *migrating* the rank (journal
-        replay on a replacement thread) instead of aborting the world;
-        ``True``/``False`` force journaling on/off.
+    sanitize:
+        ``True``/``False`` force the communication sanitizer
+        (:mod:`repro.runtime.sanitize`) on/off for this world; ``None``
+        defers to ``REPRO_SANITIZE``.
     """
 
     def __init__(
@@ -507,7 +479,6 @@ class World:
         watchdog: float | None = None,
         backend: str | None = None,
         workers: int | None = None,
-        migration: bool | None = None,
         sanitize: bool | None = None,
     ) -> None:
         if nranks < 1:
@@ -517,25 +488,18 @@ class World:
         self.nranks = nranks
         self.backend = resolve_backend(backend)
         self.workers = resolve_workers(workers)
-        self.migration = migration
         self.stats = TrafficStats(nranks, network or NetworkModel())
-        self.mailboxes = [_Mailbox() for _ in range(nranks)]
-        self.collectives = _Collectives(nranks)
-        self.abort = threading.Event()
         self.faults = (
             FaultInjector(faults) if isinstance(faults, FaultPlan) else faults
         )
         self.watchdog = watchdog
-        #: ``True``/``False`` force the communication sanitizer on/off
-        #: for this world; ``None`` defers to ``REPRO_SANITIZE``.
         self.sanitize = sanitize
-        #: The active RankScheduler on the overdecomposed backend.
-        self.scheduler = None
         #: Ranks migrated (journal-replayed) after an injected crash.
         self.migrations = 0
-        self._errors: list[tuple[int, BaseException]] = []
-        self._error_lock = threading.Lock()
-        self._child_pending = 0
+        #: Shm slots the last process-backend run left pinned (the
+        #: sanitizer reports them).
+        self.shm_leaked_slots = 0
+        self._pending = 0
 
     def run(
         self,
@@ -548,112 +512,67 @@ class World:
         """Execute ``main(comm)`` on every rank; return per-rank results.
 
         If any rank raises, the world is aborted (blocked ranks unblock
-        with :class:`WorldAborted`) and the first error is re-raised.
-        A :class:`KeyboardInterrupt` raised inside a rank still aborts
-        the world but propagates to the caller as itself — an interrupt
-        is the user's request to stop, not a rank failure.  On timeout,
-        ranks get ``grace`` seconds to exit after the abort; any that
-        are still alive are named in the :class:`TimeoutError`.
+        with :class:`WorldAborted`) and the first error is re-raised
+        with the precedence of :func:`conclude`.  On timeout, ranks get
+        ``grace`` seconds to exit after the abort; any that are still
+        alive are named in the :class:`TimeoutError` (threads are
+        leaked, processes terminated).
 
         ``backend`` and ``workers`` override the world's configuration
-        for this run; backends are ``"thread"``, ``"process"``, and
-        ``"overdecomposed"``.
+        for this run.
         """
-        resolved = resolve_backend(backend) if backend else self.backend
-        run_workers = (
-            resolve_workers(workers) if workers is not None else self.workers
-        )
-        from repro.runtime.sanitize import (
-            finish_world,
-            sanitize_enabled,
-            wrap_main,
-        )
+        from repro.runtime.sanitize import finish_world, sanitize_enabled
 
+        backend = resolve_backend(backend) if backend else self.backend
+        workers = self.workers if workers is None else resolve_workers(workers)
         sanitizing = sanitize_enabled(self.sanitize)
-        run_main = wrap_main(main) if sanitizing else main
-        if resolved == "process":
-            from repro.runtime.procbackend import run_process_world
-
-            results = run_process_world(
-                self, run_main, timeout=timeout, grace=grace,
-                workers=run_workers,
-            )
-            return finish_world(self, results) if sanitizing else results
-        if resolved == "overdecomposed":
-            from repro.runtime.scheduler import run_overdecomposed_world
-
-            results = run_overdecomposed_world(
-                self, run_main, timeout=timeout, grace=grace,
-                workers=run_workers,
-            )
-            return finish_world(self, results) if sanitizing else results
-        results: list[Any] = [None] * self.nranks
-        threads = []
-
-        def wrapper(rank: int) -> None:
-            comm = RankComm(self, rank)
-            try:
-                results[rank] = run_main(comm)
-            except WorldAborted:
-                pass
-            except BaseException as exc:  # must cross threads (see baseline)
-                with self._error_lock:
-                    self._errors.append((rank, exc))
-                self.abort_world()
-
-        for rank in range(self.nranks):
-            t = threading.Thread(
-                target=wrapper, args=(rank,), name=f"simmpi-rank-{rank}", daemon=True
-            )
-            threads.append(t)
-            t.start()
-        for t in threads:
-            t.join(timeout=timeout)
-        if any(t.is_alive() for t in threads):
-            self.abort_world()
-            for t in threads:
-                t.join(timeout=grace)
-            alive = [t.name for t in threads if t.is_alive()]
-            if alive:
-                detail = (
-                    f"; {len(alive)} rank thread(s) still alive after a "
-                    f"{grace:g}s abort grace period (leaked): "
-                    + ", ".join(alive)
-                )
-            else:
-                detail = "; all ranks exited after the abort"
-            raise TimeoutError(
-                f"world of {self.nranks} ranks timed out after {timeout:g}s"
-                + detail
-            )
-        if self._errors:
-            rank, exc = self._errors[0]
-            for _rank, e in self._errors:
-                if isinstance(e, KeyboardInterrupt):
-                    raise e
-            if isinstance(exc, (InjectedFault, WatchdogTimeout)):
-                # Typed failures the recovery supervisor dispatches on;
-                # their messages already carry the rank and location.
-                raise exc
-            raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
+        results = self._launch(main, timeout, grace, backend, workers, sanitizing)
         return finish_world(self, results) if sanitizing else results
 
-    def abort_world(self) -> None:
-        """Abort all ranks: unblock collectives and every waiting mailbox.
+    def _launch(
+        self, main, timeout=300.0, grace=5.0, backend="thread", workers=None,
+        sanitizing=False,
+    ) -> list:
+        """Run the ranks and join them; sanitized results stay sealed."""
+        if sanitizing:
+            from repro.runtime.sanitize import wrap_main
 
-        The abort flag is raised *before* the mailbox conditions are
-        notified, and waiters re-check the flag while holding their
-        condition lock — so no blocked rank can miss the wakeup.  On the
-        overdecomposed backend the scheduler gate is opened first, so
-        ranks queued for a worker slot run free to observe the flag.
-        """
-        self.abort.set()
-        if self.scheduler is not None:
-            self.scheduler.release_all()
-        self.collectives.barrier.abort()
-        for mb in self.mailboxes:
-            mb.wake_all()
+            main = wrap_main(main)
+        self.shm_leaked_slots = 0
+        if backend == "process":
+            from repro.runtime.procbackend import run_process_world
+
+            return run_process_world(self, main, timeout, grace, workers, sanitizing)
+        from repro.runtime.scheduler import RankScheduler, RankThreads, default_workers
+
+        faults = self.faults
+        transport = LocalTransport(
+            range(self.nranks),
+            None if faults is None else faults.record_dropped_duplicate,
+        )
+        scheduler = None
+        if backend == "overdecomposed":
+            slots = workers if workers is not None else default_workers()
+            scheduler = RankScheduler(min(slots, self.nranks))
+        ranks = RankThreads(
+            main, transport, self.nranks, self.stats, faults, self.watchdog,
+            sanitizing, scheduler,
+        )
+        ranks.start(range(self.nranks))
+        stragglers = None
+        if not ranks.wait(timeout):
+            ranks.abort()
+            stragglers = [] if ranks.wait(grace) else ranks.alive()
+        self._pending = transport.pending()
+        self.migrations += ranks.migrations
+        if scheduler is not None:
+            scheduler.publish()
+        conclude(
+            self.nranks, timeout, grace, stragglers, "thread(s)", "leaked",
+            ranks.errors,
+        )
+        return [ranks.results.get(rank) for rank in range(self.nranks)]
 
     def pending_messages(self) -> int:
-        """Messages deposited but never received (should be 0 after run)."""
-        return sum(mb.pending() for mb in self.mailboxes) + self._child_pending
+        """Messages sent but never received in the last run (should be 0)."""
+        return self._pending

@@ -15,17 +15,12 @@ from __future__ import annotations
 
 import pickle
 import threading
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from repro import observe as obs
 from repro.runtime.netmodel import NetworkModel
-
-#: Marker prefix of the sanitizer's clock-stamped payload envelopes
-#: (see :mod:`repro.runtime.sanitize`).  Defined here so accounting can
-#: strip the instrumentation without importing the sanitizer.
-SANITIZE_ENVELOPE = "__repro_sanitize__"
 
 
 def payload_nbytes(obj) -> int:
@@ -46,18 +41,11 @@ def payload_nbytes(obj) -> int:
     message, so a payload repeating the same object pays for one
     ``pickle.dumps``.
 
-    Sanitizer envelopes are costed at their *user* payload: the vector
-    clock riding along is instrumentation, and sanitized runs must
-    account the same protocol traffic as plain runs (the Figure 12/13
-    volumes and the traffic-profile assertions depend on it).
+    The communicator costs the *user* payload before any middleware
+    touches it, so the sanitizer's clock envelopes never reach this
+    function and sanitized runs account the same protocol traffic as
+    plain runs.
     """
-    if (
-        type(obj) is tuple
-        and len(obj) == 3
-        and isinstance(obj[0], str)
-        and obj[0] == SANITIZE_ENVELOPE
-    ):
-        obj = obj[2]
     return _payload_nbytes(obj, None)
 
 
@@ -169,31 +157,24 @@ class TrafficStats:
     # ------------------------------------------------------------------
     @property
     def total_sent_bytes(self) -> int:
-        with self._lock:
-            return sum(c.sent_bytes for c in self.ranks)
+        return self.snapshot()["total_sent_bytes"]
 
     @property
     def total_messages(self) -> int:
-        with self._lock:
-            return sum(c.sent_messages for c in self.ranks)
+        return self.snapshot()["total_messages"]
 
     @property
     def total_collectives(self) -> int:
-        with self._lock:
-            return sum(c.collectives for c in self.ranks)
+        return self.snapshot()["total_collectives"]
 
     @property
     def max_comm_time(self) -> float:
         """Modeled communication time on the critical (slowest) rank."""
-        with self._lock:
-            return max((c.comm_time for c in self.ranks), default=0.0)
+        return self.snapshot()["max_comm_time"]
 
     @property
     def mean_comm_time(self) -> float:
-        with self._lock:
-            if not self.ranks:
-                return 0.0
-            return sum(c.comm_time for c in self.ranks) / len(self.ranks)
+        return self.snapshot()["mean_comm_time"]
 
     def snapshot(self) -> dict:
         """A plain-dict summary for logging and experiment tables."""
@@ -239,17 +220,7 @@ class TrafficStats:
     def export_state(self) -> list[tuple]:
         """Per-rank counters as a picklable list of tuples."""
         with self._lock:
-            return [
-                (
-                    c.sent_messages,
-                    c.sent_bytes,
-                    c.recv_messages,
-                    c.recv_bytes,
-                    c.collectives,
-                    c.comm_time,
-                )
-                for c in self.ranks
-            ]
+            return [astuple(c) for c in self.ranks]
 
     def absorb_state(self, state: list[tuple]) -> None:
         """Sum another process's :meth:`export_state` into this one.
@@ -266,9 +237,5 @@ class TrafficStats:
             )
         with self._lock:
             for c, row in zip(self.ranks, state, strict=True):
-                c.sent_messages += row[0]
-                c.sent_bytes += row[1]
-                c.recv_messages += row[2]
-                c.recv_bytes += row[3]
-                c.collectives += row[4]
-                c.comm_time += row[5]
+                for f, value in zip(fields(c), row, strict=True):
+                    setattr(c, f.name, getattr(c, f.name) + value)

@@ -1,0 +1,228 @@
+"""Layer 1 of the communication stack: the transport.
+
+A transport moves *envelopes* — ``(source, tag, payload, nbytes)`` —
+into per-rank :class:`Mailbox` objects and knows how to abort the world:
+``post``, ``mailbox``, ``abort``, ``pending`` and the ``aborted`` flag
+are the whole interface, and it has exactly two implementations:
+
+* :class:`LocalTransport` (here) — every rank lives in this process, so
+  a post is a deposit into the destination's mailbox;
+* :class:`~repro.runtime.procbackend.ForkedTransport` — ranks live in
+  forked children; a post to a co-hosted rank is still a direct deposit,
+  anything else crosses a ``multiprocessing.Queue`` (bulk arrays through
+  the shared-memory pool) and a pump thread deposits it on arrival.
+
+Everything above — matching semantics, collectives, window fences,
+fault injection, accounting — is written once against this surface
+(:mod:`repro.runtime.simmpi`, :mod:`repro.runtime.layers`).
+
+Reserved tags
+-------------
+User tags are non-negative and ``ANY_TAG`` is ``-1``.  Tags below that
+belong to the runtime: collective contributions and results and
+one-sided window puts travel through the *same* mailboxes under them.
+A wildcard ``recv``/``probe``/``iprobe`` never matches a reserved tag
+and :meth:`Mailbox.pending` does not count them, so user code cannot
+observe the control plane.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+from typing import Any, Callable, Iterable
+
+import numpy as np
+
+from repro import observe as obs
+
+#: Wildcard source for ``recv`` / ``probe`` / ``iprobe``.
+ANY_SOURCE: int = -1
+#: Wildcard tag (matches user tags only, never the reserved space).
+ANY_TAG: int = -1
+#: Collective contribution, every rank -> rank 0.
+TAG_GATHER: int = -2
+#: Collective result, rank 0 -> every rank.
+TAG_RESULT: int = -3
+#: Puts into window ``w`` travel under ``TAG_WINDOW_BASE - w``.
+TAG_WINDOW_BASE: int = -4
+
+
+def freeze(obj):
+    """Defensive copy of a payload (MPI buffered-send semantics)."""
+    if isinstance(obj, np.ndarray):
+        return obj.copy()
+    if isinstance(obj, tuple):
+        return tuple(freeze(x) for x in obj)
+    if isinstance(obj, list):
+        return [freeze(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: freeze(v) for k, v in obj.items()}
+    return obj
+
+
+class WorldAborted(RuntimeError):
+    """Raised in surviving ranks when another rank failed."""
+
+
+class WatchdogTimeout(TimeoutError):
+    """A blocking recv/probe/collective/fence exceeded the world's watchdog.
+
+    Only raised when the world was created with a ``watchdog`` deadline;
+    the default (``None``) leaves the blocking primitives deadline-free,
+    so hot paths pay nothing for the feature.
+    """
+
+
+class Mailbox:
+    """FIFO envelope store of one rank with condition-variable waiting.
+
+    Matching follows MPI: the first queued envelope whose source and tag
+    fit wins, which gives FIFO order per (source, tag) pair.
+    """
+
+    def __init__(
+        self,
+        aborted: threading.Event,
+        on_duplicate: Callable[[], None] | None = None,
+    ) -> None:
+        self._cond = threading.Condition()
+        self._queue: list[tuple[int, int, Any, int]] = []
+        self._aborted = aborted
+        self._on_duplicate = on_duplicate
+        #: Ids of fault-injected duplicates already delivered here.
+        self.seen_ids: set = set()
+
+    def deposit(self, src: int, tag: int, payload, nbytes: int, msg_id=None) -> None:
+        """Enqueue an envelope, dropping a redelivered ``msg_id``.
+
+        ``msg_id`` is only set by fault-injected duplicates: the
+        transport then behaves as an at-least-once network while
+        delivery stays exactly-once — the second copy is dropped (and
+        counted) here, never seen by a receive.
+        """
+        with self._cond:
+            if msg_id is not None:
+                if msg_id in self.seen_ids:
+                    obs.add("runtime.faults.duplicates_dropped")
+                    if self._on_duplicate is not None:
+                        self._on_duplicate()
+                    return
+                self.seen_ids.add(msg_id)
+            self._queue.append((src, tag, payload, nbytes))
+            self._cond.notify_all()
+
+    def _find(self, source: int, tag: int) -> int | None:
+        if tag == ANY_TAG:
+            for idx, (src, t, _payload, _n) in enumerate(self._queue):
+                if t >= 0 and source in (ANY_SOURCE, src):
+                    return idx
+        else:
+            for idx, (src, t, _payload, _n) in enumerate(self._queue):
+                if t == tag and source in (ANY_SOURCE, src):
+                    return idx
+        return None
+
+    def match(
+        self,
+        source: int,
+        tag: int,
+        consume: bool = True,
+        block: bool = True,
+        deadline: float | None = None,
+        op: str = "recv",
+    ):
+        """The first matching envelope, removed from the queue if ``consume``.
+
+        Non-blocking calls return ``None`` on a miss.  Blocking calls
+        wait on the mailbox condition without a polling timeout: a
+        matching :meth:`deposit` or a world abort (:meth:`wake`)
+        delivers the wakeup directly, so a blocked receive adds no
+        scheduling-interval floor to the latency.  A queued match is
+        returned even after an abort; only an empty-handed waiter raises
+        :class:`WorldAborted`.  With a ``deadline`` (``time.monotonic()``
+        instant, from the world's watchdog) the wait raises
+        :class:`WatchdogTimeout` once it passes.
+        """
+        with self._cond:
+            while True:
+                idx = self._find(source, tag)
+                if idx is not None:
+                    return self._queue.pop(idx) if consume else self._queue[idx]
+                if not block:
+                    return None
+                if self._aborted.is_set():
+                    raise WorldAborted(f"world aborted while waiting in {op}")
+                if deadline is None:
+                    self._cond.wait()
+                    continue
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not self._cond.wait(timeout=remaining):
+                    if deadline - time.monotonic() <= 0:
+                        obs.add("runtime.watchdog.expired")
+                        raise WatchdogTimeout(
+                            f"watchdog: {op} did not complete before the deadline"
+                        )
+
+    def wake(self) -> None:
+        """Wake every blocked waiter (abort path; they re-check the flag)."""
+        with self._cond:
+            self._cond.notify_all()
+
+    def queued(self) -> list[tuple[int, int, Any, int]]:
+        """Snapshot of the queued user envelopes (sanitizer race scan)."""
+        with self._cond:
+            return [env for env in self._queue if env[1] >= 0]
+
+    def pending(self) -> int:
+        """User messages deposited but not received."""
+        return len(self.queued())
+
+
+class LocalTransport:
+    """The in-process transport, and the interface of both.
+
+    Hosts the mailboxes of ``ranks`` — all of the world for the thread
+    and overdecomposed backends.  :class:`~repro.runtime.procbackend.
+    ForkedTransport` extends it with the leg to ranks in other processes.
+    """
+
+    def __init__(
+        self, ranks: Iterable[int], on_duplicate: Callable[[], None] | None = None
+    ) -> None:
+        #: Set once the world is aborting; blocked waiters re-check it.
+        self.aborted = threading.Event()
+        self._mailboxes = {
+            rank: Mailbox(self.aborted, on_duplicate) for rank in ranks
+        }
+
+    def post(
+        self, dests: Iterable[int], src: int, tag: int, payload, nbytes: int,
+        msg_id=None,
+    ) -> None:
+        """Deliver one envelope to every rank in ``dests``.
+
+        The payload is shared, not copied per receiver: callers post
+        values that are already frozen (or immutable control data).
+        """
+        for dest in dests:
+            self._mailboxes[dest].deposit(src, tag, payload, nbytes, msg_id)
+
+    def mailbox(self, rank: int) -> Mailbox:
+        """The mailbox of a rank hosted in this process."""
+        return self._mailboxes[rank]
+
+    def abort(self) -> None:
+        """Abort the world: every blocked waiter wakes with WorldAborted.
+
+        The flag is raised *before* the mailbox conditions are notified,
+        and waiters re-check it while holding their condition lock — so
+        no blocked rank can miss the wakeup.
+        """
+        self.aborted.set()
+        for mailbox in self._mailboxes.values():
+            mailbox.wake()
+
+    def pending(self) -> int:
+        """User messages delivered to this process but never received."""
+        return sum(mb.pending() for mb in self._mailboxes.values())

@@ -10,40 +10,32 @@ to guarantee the completion of the communications."
 The :class:`Window` here follows that protocol exactly: ``put`` deposits a
 payload at a target rank with no action required from the target, and
 ``fence`` (the global synchronization) completes all outstanding puts and
-hands each rank whatever was put into its window during the epoch.
+hands each rank whatever was put into its window during the epoch.  It
+is the one window class of every backend: a put is an envelope under the
+window's reserved tag in the target's ordinary mailbox, and the fence is
+:meth:`repro.runtime.simmpi.Endpoint.fence`.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from typing import Any
 
-from repro import observe as obs
 from repro.runtime.stats import payload_nbytes
-
-
-class WindowShared:
-    """State shared by all ranks of one window: per-rank pending-put lists."""
-
-    def __init__(self, nranks: int) -> None:
-        self.nranks = nranks
-        self.lock = threading.Lock()
-        self.pending: list[list[tuple[int, Any]]] = [[] for _ in range(nranks)]
-        #: Message ids already applied — dedup for fault-injected
-        #: duplicate puts (DMA retransmissions must stay idempotent).
-        self.seen_ids: set = set()
+from repro.runtime.transport import freeze
 
 
 class Window:
     """One rank's handle on a collectively-created RMA window."""
 
-    def __init__(self, comm, shared: WindowShared) -> None:
-        if shared.nranks != comm.size:
-            raise ValueError("window shared state does not match world size")
+    def __init__(self, comm, chain, tag: int) -> None:
         self.comm = comm
-        self.shared = shared
-        self._epoch_opens = 0
+        self._chain = chain
+        self._tag = tag
+        #: Logical puts issued this epoch, by target rank.  Counted here,
+        #: above the middleware, so a fault-injected retransmission is
+        #: not counted twice and a journal replay counts like the
+        #: original run.
+        self._epoch_counts = [0] * comm.size
 
     def put(self, target: int, payload) -> None:
         """Deposit ``payload`` in ``target``'s window; target not involved.
@@ -54,53 +46,24 @@ class Window:
         are deduplicated by message id before they reach the window, so
         the target drains each logical put exactly once.
         """
-        if not 0 <= target < self.shared.nranks:
+        if not 0 <= target < self.comm.size:
             raise ValueError(f"target rank {target} out of range")
-        from repro.runtime.simmpi import _freeze
-
-        inj = self.comm.world.faults
-        action = (
-            inj.on_put(self.comm.rank, target) if inj is not None else None
+        self._epoch_counts[target] += 1
+        self._chain.put(
+            self._tag, target, freeze(payload), payload_nbytes(payload)
         )
-        nbytes = payload_nbytes(payload)
-        self.comm.stats.record_send(self.comm.rank, target, nbytes)
-        frozen = _freeze(payload)
-        if action is None:
-            with self.shared.lock:
-                self.shared.pending[target].append((self.comm.rank, frozen))
-            return
-        if action.stall_s > 0:
-            time.sleep(action.stall_s)
-        msg_id = action.msg_id if action.duplicate else None
-        self._append(target, (self.comm.rank, frozen), msg_id)
-        if action.duplicate:
-            self.comm.stats.record_send(self.comm.rank, target, nbytes)
-            if not self._append(target, (self.comm.rank, frozen), msg_id):
-                inj.record_dropped_duplicate()
-
-    def _append(self, target: int, entry, msg_id) -> bool:
-        with self.shared.lock:
-            if msg_id is not None:
-                if msg_id in self.shared.seen_ids:
-                    obs.add("runtime.faults.duplicates_dropped")
-                    return False
-                self.shared.seen_ids.add(msg_id)
-            self.shared.pending[target].append(entry)
-        return True
 
     def fence(self) -> list[tuple[int, Any]]:
         """Synchronize the epoch; return ``(origin, payload)`` puts received.
 
-        Implements the paper's "global synchronization ... to guarantee the
-        completion of the communications": a barrier before draining makes
-        all puts of the epoch visible, a barrier after prevents a fast rank
-        from starting the next epoch early.
+        Entries come back in origin-rank order, FIFO per origin (origins
+        address disjoint site sets in every exchange scheme, so ordering
+        across origins is immaterial; rank order makes it deterministic
+        anyway).
         """
-        self.comm.barrier()
-        with self.shared.lock:
-            mine = self.shared.pending[self.comm.rank]
-            self.shared.pending[self.comm.rank] = []
-        for _src, payload in mine:
-            self.comm.stats.record_recv(self.comm.rank, payload_nbytes(payload))
-        self.comm.barrier()
-        return mine
+        counts = self._epoch_counts
+        self._epoch_counts = [0] * self.comm.size
+        return [
+            (origin, payload)
+            for origin, payload, _nbytes in self._chain.fence(self._tag, counts)
+        ]

@@ -361,21 +361,21 @@ class TestREP009CrossFunctionProtocol:
         assert scan(tmp_path, codes={"REP009"}) == []
 
     def test_runtime_is_exempt(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "src/repro/runtime/hub.py": """\
-                TAG_CTL = 9
+        source = """\
+        TAG_CTL = 9
 
-                def ship(comm, dest, tag, payload):
-                    comm.send(dest, tag, payload)
+        def ship(comm, dest, tag, payload):
+            comm.send(dest, tag, payload)
 
-                def run(comm):
-                    ship(comm, 1, TAG_CTL, b"x")
-                """,
-            },
-        )
-        assert scan(tmp_path, codes={"REP009"}) == []
+        def run(comm):
+            ship(comm, 1, TAG_CTL, b"x")
+        """
+        write_tree(tmp_path / "a", {"src/repro/runtime/transport.py": source})
+        assert scan(tmp_path / "a", codes={"REP009"}) == []
+        # Middleware under runtime/ is a caller, not the transport.
+        write_tree(tmp_path / "b", {"src/repro/runtime/layers.py": source})
+        found = scan(tmp_path / "b", codes={"REP009"})
+        assert [f.rule for f in found] == ["REP009"]
 
 
 class TestSelfScanStaysClean:

@@ -11,13 +11,11 @@ import pytest
 
 from repro.kmc.akmc import ParallelAKMC
 from repro.runtime.sanitize import (
-    SanitizedComm,
     SanitizerError,
     _concurrent,
     _unwrap,
     finish_world,
     sanitize_enabled,
-    wrap_main,
 )
 from repro.runtime.simmpi import ANY_SOURCE, World
 
@@ -158,7 +156,7 @@ class TestThreadBackend:
         # Run the wrapped main to get a clean ledger pair, then validate
         # with a leak recorded on the world object.
         world = World(2, sanitize=True)
-        results = World(2).run(wrap_main(lambda comm: comm.rank))
+        results = world._launch(lambda comm: comm.rank, sanitizing=True)
         world.shm_leaked_slots = 3
         with pytest.raises(SanitizerError) as err:
             finish_world(world, results)
@@ -170,7 +168,7 @@ class TestThreadBackend:
         monkeypatch.setenv("REPRO_SANITIZE", "1")
 
         def main(comm):
-            assert isinstance(comm, SanitizedComm)
+            assert "sanitize" in comm.layers
             return comm.rank
 
         assert World(2).run(main) == [0, 1]
@@ -179,7 +177,7 @@ class TestThreadBackend:
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
 
         def main(comm):
-            assert not isinstance(comm, SanitizedComm)
+            assert "sanitize" not in comm.layers
             return comm.rank
 
         assert World(2).run(main) == [0, 1]

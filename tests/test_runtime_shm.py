@@ -232,6 +232,9 @@ def _bulk_main(comm):
 class TestWorldIntegration:
     def test_bulk_traffic_travels_via_shm(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
+        # One child per rank, so every message crosses a process
+        # boundary: the slot count below assumes no rank-group routing.
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         registry = obs.enable(Registry())
         try:
             results = World(3, backend="process").run(_bulk_main, timeout=60.0)
