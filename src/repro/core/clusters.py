@@ -12,11 +12,58 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.lattice.bcc import BCCLattice
 from repro.lattice.box import Box
+
+
+def _pair_distances(lattice: BCCLattice, vacancy_ranks: np.ndarray) -> np.ndarray:
+    """Minimum-image distance matrix of a vacancy set (O(V^2): fine at
+    vacancy concentrations of 1e-6..1e-4, small counts by construction)."""
+    box = Box.for_lattice(lattice)
+    pos = lattice.position_of(vacancy_ranks)
+    delta = box.minimum_image(pos[None, :, :] - pos[:, None, :])
+    return np.linalg.norm(delta, axis=-1)
+
+
+def _components(
+    lattice: BCCLattice,
+    vacancy_ranks: np.ndarray,
+    dist: np.ndarray,
+    bond_distance: float | None,
+) -> list[set[int]]:
+    """Connected components of the ``dist <= bond_distance`` graph."""
+    if len(vacancy_ranks) == 0:
+        return []
+    if bond_distance is None:
+        bond_distance = 1.05 * lattice.a
+    ii, jj = np.nonzero(np.triu(dist <= bond_distance, k=1))
+    # Union-find on arrays: hook the larger root of every edge under the
+    # smaller, halve the paths, repeat until nothing moves.  parent[x] <= x
+    # throughout, so each component ends up rooted at its first member.
+    parent = np.arange(len(vacancy_ranks))
+    while True:
+        pi, pj = parent[ii], parent[jj]
+        hooked = parent.copy()
+        np.minimum.at(hooked, pi, pj)
+        np.minimum.at(hooked, pj, pi)
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, parent):
+            break
+        parent = hooked
+    order = np.argsort(parent, kind="stable")
+    starts = np.flatnonzero(np.diff(parent[order])) + 1
+    comps = [set(c.tolist()) for c in np.split(vacancy_ranks[order], starts)]
+    return sorted(comps, key=len, reverse=True)
+
+
+def _mean_nn(dist: np.ndarray) -> float:
+    """Mean over rows of the smallest off-diagonal entry (overwrites the diagonal)."""
+    if len(dist) < 2:
+        return math.nan
+    np.fill_diagonal(dist, np.inf)
+    return float(np.mean(np.min(dist, axis=1)))
 
 
 def vacancy_clusters(
@@ -32,23 +79,8 @@ def vacancy_clusters(
     Returns a list of site-rank sets, largest first.
     """
     vacancy_ranks = np.asarray(vacancy_ranks, dtype=np.int64)
-    if bond_distance is None:
-        bond_distance = 1.05 * lattice.a
-    if len(vacancy_ranks) == 0:
-        return []
-    box = Box.for_lattice(lattice)
-    pos = lattice.position_of(vacancy_ranks)
-    graph = nx.Graph()
-    graph.add_nodes_from(int(r) for r in vacancy_ranks)
-    # Pairwise adjacency; vacancy counts are small by construction
-    # (concentrations of 1e-6..1e-4), so O(V^2) is fine.
-    delta = box.minimum_image(pos[None, :, :] - pos[:, None, :])
-    dist = np.linalg.norm(delta, axis=-1)
-    ii, jj = np.nonzero(np.triu(dist <= bond_distance, k=1))
-    for a, b in zip(ii, jj, strict=True):
-        graph.add_edge(int(vacancy_ranks[a]), int(vacancy_ranks[b]))
-    comps = [set(c) for c in nx.connected_components(graph)]
-    return sorted(comps, key=len, reverse=True)
+    dist = _pair_distances(lattice, vacancy_ranks)
+    return _components(lattice, vacancy_ranks, dist, bond_distance)
 
 
 def cluster_sizes(clusters: list[set[int]]) -> np.ndarray:
@@ -63,14 +95,7 @@ def mean_nn_distance(lattice: BCCLattice, vacancy_ranks: np.ndarray) -> float:
     distance as they aggregate.
     """
     vacancy_ranks = np.asarray(vacancy_ranks, dtype=np.int64)
-    if len(vacancy_ranks) < 2:
-        return math.nan
-    box = Box.for_lattice(lattice)
-    pos = lattice.position_of(vacancy_ranks)
-    delta = box.minimum_image(pos[None, :, :] - pos[:, None, :])
-    dist = np.linalg.norm(delta, axis=-1)
-    np.fill_diagonal(dist, np.inf)
-    return float(np.mean(np.min(dist, axis=1)))
+    return _mean_nn(_pair_distances(lattice, vacancy_ranks))
 
 
 @dataclass(frozen=True)
@@ -100,7 +125,8 @@ def clustering_report(
 ) -> ClusteringReport:
     """Compute the full clustering summary of a vacancy set."""
     vacancy_ranks = np.asarray(vacancy_ranks, dtype=np.int64)
-    clusters = vacancy_clusters(lattice, vacancy_ranks, bond_distance)
+    dist = _pair_distances(lattice, vacancy_ranks)
+    clusters = _components(lattice, vacancy_ranks, dist, bond_distance)
     sizes = cluster_sizes(clusters)
     n = len(vacancy_ranks)
     clustered = int(np.sum(sizes[sizes >= 2])) if len(sizes) else 0
@@ -110,7 +136,7 @@ def clustering_report(
         max_cluster=int(sizes[0]) if len(sizes) else 0,
         mean_cluster=float(np.mean(sizes)) if len(sizes) else 0.0,
         clustered_fraction=clustered / n if n else 0.0,
-        mean_nn_distance=mean_nn_distance(lattice, vacancy_ranks),
+        mean_nn_distance=_mean_nn(dist),
     )
 
 
@@ -129,8 +155,6 @@ def clustering_report_from_store(
     from repro.io.store import TrajectoryReader
 
     reader = store if isinstance(store, TrajectoryReader) else TrajectoryReader(store)
-    if frame < 0:
-        frame += len(reader)
     return clustering_report(
         reader.lattice, reader.vacancy_ranks(frame), bond_distance
     )

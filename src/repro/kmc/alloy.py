@@ -25,7 +25,7 @@ import numpy as np
 
 from repro import observe as obs
 from repro.constants import KB_EV
-from repro.kmc.events import build_static_matrix
+from repro.kmc.events import build_static_matrix, local_rows
 from repro.kmc.selection import select_event
 from repro.lattice.bcc import BCCLattice
 from repro.potential.alloy import AlloyTables, make_fe_cu_alloy
@@ -120,29 +120,27 @@ class AlloyKMCModel:
             lattice, self.params.energy_cutoff, self.sites, strict=False
         )
         # First shell (exchange partners), mapped into the local rows.
-        first = lattice.first_shell_ranks(self.sites)
-        local = np.searchsorted(self.sites, first)
-        local = np.clip(local, 0, len(self.sites) - 1)
-        self.first_valid = self.sites[local] == first
-        local[~self.first_valid] = 0
-        self.first_matrix = local.astype(np.int64)
+        self.first_matrix, self.first_valid = local_rows(
+            lattice, self.sites, lattice.first_shell_ranks(self.sites)
+        )
         # Per-slot pair/density values for every ordered species pair;
         # species 0 (vacancy) rows/columns are zero so masked gathers are
         # free of branches.
         m = self.e_matrix.shape[1]
         self.phi_slots = np.zeros((3, 3, len(self.sites), m))
         self.f_slots = np.zeros((3, 3, len(self.sites), m))
-        safe = np.where(self.e_valid, dist, 1.0)
+        basis = self.sites % 2
+        safe = np.where(dist > 0, dist, 1.0)
         for a in (S_FE, S_CU):
             for b in (S_FE, S_CU):
                 tables = self.alloy.tables_for(
                     SPECIES_SYMBOLS[a], SPECIES_SYMBOLS[b]
                 )
                 self.phi_slots[a, b] = np.where(
-                    self.e_valid, tables.pair(safe), 0.0
+                    self.e_valid, tables.pair(safe)[basis], 0.0
                 )
                 self.f_slots[a, b] = np.where(
-                    self.e_valid, tables.density(safe), 0.0
+                    self.e_valid, tables.density(safe)[basis], 0.0
                 )
         self._embedding = {
             S_FE: self.alloy.embedding_tables["Fe"],

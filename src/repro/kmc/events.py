@@ -88,6 +88,24 @@ class RateParameters:
         return self.nu * math.exp(-self.e_m0 / self.kt)
 
 
+def local_rows(
+    lattice: BCCLattice, sites: np.ndarray, ranks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the sorted ``sites`` holding global ``ranks`` (0 where absent),
+    and which exist.
+
+    When ``sites`` is the whole lattice in rank order a rank *is* its row,
+    so the search is skipped and ``ranks`` itself is returned.
+    """
+    n = len(sites)
+    if n == lattice.nsites and np.array_equal(sites, np.arange(n)):
+        return ranks, np.ones(ranks.shape, dtype=bool)
+    local = np.clip(np.searchsorted(sites, ranks), 0, n - 1)
+    found = sites[local] == ranks
+    local[~found] = 0
+    return local, found
+
+
 def build_static_matrix(
     lattice: BCCLattice,
     cutoff: float,
@@ -97,8 +115,9 @@ def build_static_matrix(
     """Static neighbor matrix over a site subset, with per-slot distances.
 
     Returns ``(matrix, valid, dist)``: row indices into ``sites`` of each
-    site's neighbors within ``cutoff``, the valid-slot mask, and the
-    (static) lattice distances per slot.  With ``strict`` the function
+    site's neighbors within ``cutoff``, the valid-slot mask, and the static
+    lattice distances per slot, one row per basis (site ``s`` reads
+    ``dist[s % 2]``; unused slots hold 0).  With ``strict`` the function
     raises if a neighbor is missing from ``sites`` (too-thin ghost shell);
     otherwise such slots are marked invalid.
     """
@@ -108,12 +127,13 @@ def build_static_matrix(
     n = len(sites)
     matrix_global = np.zeros((n, m), dtype=np.int64)
     valid = np.zeros((n, m), dtype=bool)
-    dist = np.zeros((n, m))
+    dist = np.zeros((2, m))
     for basis in (0, 1):
         rows = offsets.for_basis(basis)
         d_a = (
             offsets.corner_distances if basis == 0 else offsets.center_distances
         ) * lattice.a
+        dist[basis, : len(rows)] = d_a
         sel = np.flatnonzero(b == basis)
         if len(sel) == 0:
             continue
@@ -124,10 +144,7 @@ def build_static_matrix(
         ranks = lattice.rank_of(np.broadcast_to(nb, gi.shape), gi, gj, gk)
         matrix_global[sel[:, None], np.arange(len(rows))[None, :]] = ranks
         valid[sel, : len(rows)] = True
-        dist[sel, : len(rows)] = d_a[None, :]
-    local = np.searchsorted(sites, matrix_global)
-    local = np.clip(local, 0, n - 1)
-    found = sites[local] == matrix_global
+    local, found = local_rows(lattice, sites, matrix_global)
     missing = valid & ~found
     if np.any(missing):
         if strict:
@@ -135,7 +152,6 @@ def build_static_matrix(
                 "neighbor outside the provided site set; widen the ghost shell"
             )
         valid = valid & found
-    local[~valid] = 0
     return local, valid, dist
 
 
@@ -185,7 +201,6 @@ class KMCModel:
         if sites is None:
             sites = np.arange(lattice.nsites, dtype=np.int64)
         self.sites = np.asarray(sites, dtype=np.int64)
-        n = len(self.sites)
         # Energy shell: per-slot static EAM constants.  Built non-strictly:
         # rows deep in the ghost shell miss some neighbors, but energies
         # are only ever evaluated within one hop of owned sites, where the
@@ -193,16 +208,15 @@ class KMCModel:
         self.e_matrix, self.e_valid, e_dist = build_static_matrix(
             lattice, params.energy_cutoff, self.sites, strict=False
         )
-        safe = np.where(self.e_valid, e_dist, potential.cutoff)
-        self.phi_slots = np.where(self.e_valid, potential.phi(safe), 0.0)
-        self.f_slots = np.where(self.e_valid, potential.fdens(safe), 0.0)
+        # The splines see the two per-basis distance rows, not one per site.
+        basis = self.sites % 2
+        safe = np.where(e_dist > 0, e_dist, potential.cutoff)
+        self.phi_slots = np.where(self.e_valid, potential.phi(safe)[basis], 0.0)
+        self.f_slots = np.where(self.e_valid, potential.fdens(safe)[basis], 0.0)
         # First shell: the 8 exchange partners of every site.
-        first = lattice.first_shell_ranks(self.sites)
-        local = np.searchsorted(self.sites, first)
-        local = np.clip(local, 0, n - 1)
-        self.first_valid = self.sites[local] == first
-        local[~self.first_valid] = 0
-        self.first_matrix = local
+        self.first_matrix, self.first_valid = local_rows(
+            lattice, self.sites, lattice.first_shell_ranks(self.sites)
+        )
         self._influence: tuple[np.ndarray, np.ndarray] | None = None
 
     def influence_rows(self, rows) -> np.ndarray:

@@ -638,6 +638,25 @@ class TestCoupledStore:
         assert clustering_report_from_store(reader, -1) == direct
         assert clustering_report_from_store(store, -1) == direct
 
+    def test_clustering_report_from_store_frame_bounds(self, fault_free):
+        # Regression: -(n+1) used to be shifted to -1 and silently
+        # analyse the last frame.
+        from repro.core.clusters import (
+            clustering_report,
+            clustering_report_from_store,
+        )
+
+        result, store = fault_free
+        reader = TrajectoryReader(store)
+        n = len(reader)
+        assert n >= 2
+        first = clustering_report(reader.lattice, result.vacancies_after_md)
+        assert clustering_report_from_store(reader, -n) == first
+        assert clustering_report_from_store(reader, 0) == first
+        for bad in (-(n + 1), n):
+            with pytest.raises(IndexError):
+                clustering_report_from_store(reader, bad)
+
 
 class TestFig17FromStore:
     def test_store_fed_reports_match_in_memory(self, tmp_path):

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from repro.constants import KB_EV
-from repro.kmc.events import ATOM, VACANCY, RateParameters
+from repro.kmc.akmc import ghost_width_cells
+from repro.kmc.events import ATOM, VACANCY, KMCModel, RateParameters
+from repro.lattice.bcc import BCCLattice
+from repro.lattice.domain import DomainDecomposition
 
 
 class TestRateParameters:
@@ -172,3 +175,87 @@ class TestInfluence:
         occ[outside] = VACANCY
         _t, rates_after = kmc_model8.vacancy_events(100, occ)
         assert np.array_equal(rates_before, rates_after)
+
+
+def _reference_tables(lattice, potential, params, sites):
+    """Per-slot oracle: one spline evaluation per (site, slot).
+
+    Neighbors come from the scalar ``neighbor_ranks_within`` and every
+    rank is looked up in ``sites`` by binary search — no per-basis
+    sharing and no whole-lattice shortcut.
+    """
+    offsets = lattice.offsets_within(params.energy_cutoff)
+    n, m = len(sites), offsets.max_count
+
+    def localize(ranks):
+        local = np.clip(np.searchsorted(sites, ranks), 0, n - 1)
+        found = sites[local] == ranks
+        local[~found] = 0
+        return local, found
+
+    e_global = np.zeros((n, m), dtype=np.int64)
+    dist = np.zeros((n, m))
+    for row, site in enumerate(sites):
+        nbrs = lattice.neighbor_ranks_within(int(site), params.energy_cutoff)
+        e_global[row, : len(nbrs)] = nbrs
+        d = offsets.corner_distances if site % 2 == 0 else offsets.center_distances
+        dist[row, : len(nbrs)] = d * lattice.a
+    e_matrix, e_valid = localize(e_global)
+    e_valid &= dist > 0
+    e_matrix[~e_valid] = 0
+    safe = np.where(e_valid, dist, potential.cutoff)
+    first_matrix, first_valid = localize(lattice.first_shell_ranks(sites))
+    return {
+        "e_matrix": e_matrix,
+        "e_valid": e_valid,
+        "phi_slots": np.where(e_valid, potential.phi(safe), 0.0),
+        "f_slots": np.where(e_valid, potential.fdens(safe), 0.0),
+        "first_matrix": first_matrix,
+        "first_valid": first_valid,
+    }
+
+
+class TestStaticTables:
+    """The per-basis tables are bit-identical to per-slot evaluation."""
+
+    @pytest.fixture(scope="class")
+    def lattice10(self):
+        return BCCLattice(10, 10, 10)
+
+    def _site_sets(self, lattice, params):
+        sub = DomainDecomposition(lattice, (2, 1, 1)).subdomain(1)
+        width = ghost_width_cells(lattice, params)
+        rank_local = np.union1d(
+            sub.owned_site_ranks(lattice),
+            sub.all_ghost_site_ranks(lattice, width),
+        )
+        rng = np.random.default_rng(5)
+        arbitrary = np.sort(
+            rng.choice(lattice.nsites, lattice.nsites // 3, replace=False)
+        )
+        return {
+            "full": np.arange(lattice.nsites, dtype=np.int64),
+            "rank_local": rank_local,
+            "arbitrary": arbitrary,
+        }
+
+    @pytest.mark.parametrize("which", ["full", "rank_local", "arbitrary"])
+    def test_tables_equal_per_slot_oracle(
+        self, lattice10, potential, rate_params, which
+    ):
+        sites = self._site_sets(lattice10, rate_params)[which]
+        model = KMCModel(
+            lattice10, potential, rate_params,
+            sites=None if which == "full" else sites,
+        )
+        ref = _reference_tables(lattice10, potential, rate_params, sites)
+        if which == "full":
+            assert ref["e_valid"].all() and ref["first_valid"].all()
+        else:
+            # Non-strict construction: stencils cut by the subset edge.
+            assert 0 < len(sites) < lattice10.nsites
+            assert not ref["e_valid"].all() and not ref["first_valid"].all()
+        for name, want in ref.items():
+            got = getattr(model, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
