@@ -1,11 +1,15 @@
-"""Kernel microbenchmarks: the hot paths the event catalog and the
-bincount scatter accelerate, with explicit old-vs-new comparisons.
+"""Kernel microbenchmarks: the hot paths the event catalog, the
+bincount scatter and the compiled kernels accelerate.
 
 Unlike the figure benchmarks these measure this implementation's own
-kernel throughput — serial and sublattice KMC events/sec and EAM
-pairs/sec — and publish the numbers as observe gauges, so running under
+kernel throughput — serial KMC events/sec and EAM pairs/sec — and
+publish the numbers as observe gauges, so running under
 ``REPRO_BENCH_PHASES=<dir>`` drops machine-readable JSON (phases,
 counters, and the throughput gauges) next to the wall-clock stats.
+The catalog's own speed is carried by the ledger
+(``kmc.serial_step_p50_us``, ``kmc.catalog_refresh_us_per_row``,
+``kmc_events_per_s``); the flat rebuild it replaced lives on only as
+the test oracle, so there is no old-vs-new KMC timing here.
 """
 
 from __future__ import annotations
@@ -48,35 +52,6 @@ def _events_per_second(engine, nevents: int, warmup: int = 3) -> float:
     return nevents / (time.perf_counter() - t0)
 
 
-def test_serial_catalog_speedup(potential_bench, kmc_1k_system):
-    """Catalog vs flat-rebuild serial AKMC at 1,000 vacancies.
-
-    Acceptance gate of the incremental catalog: >= 5x events/sec over
-    the pre-catalog rebuild-per-event path on the same trajectory.
-    """
-    from repro.kmc.akmc import SerialAKMC
-
-    lattice, params, _model, occ0 = kmc_1k_system
-    fast = _events_per_second(
-        SerialAKMC(lattice, potential_bench, params, occ0, seed=2), 300
-    )
-    slow = _events_per_second(
-        SerialAKMC(
-            lattice, potential_bench, params, occ0, seed=2, use_catalog=False
-        ),
-        30,
-    )
-    speedup = fast / slow
-    obs.set_gauge("bench.kmc.serial.catalog_events_per_s", fast)
-    obs.set_gauge("bench.kmc.serial.flat_events_per_s", slow)
-    obs.set_gauge("bench.kmc.serial.catalog_speedup", speedup)
-    print(
-        f"\nserial KMC @1000 vacancies: catalog {fast:,.0f} ev/s, "
-        f"flat rebuild {slow:,.0f} ev/s, speedup {speedup:.1f}x"
-    )
-    assert speedup >= 5.0
-
-
 def test_serial_catalog_event_throughput(benchmark, potential_bench, kmc_1k_system):
     """Steady-state catalog events/sec (pytest-benchmark statistics)."""
     from repro.kmc.akmc import SerialAKMC
@@ -89,43 +64,6 @@ def test_serial_catalog_event_throughput(benchmark, potential_bench, kmc_1k_syst
     rate = 1.0 / benchmark.stats["mean"]
     obs.set_gauge("bench.kmc.serial.events_per_s", rate)
     print(f"\ncatalog event throughput: {rate:,.0f} events/s")
-
-
-def test_sublattice_catalog_speedup(potential_bench):
-    """Catalog vs flat-rebuild sector-synchronous AKMC (8 ranks)."""
-    from repro.kmc.akmc import ParallelAKMC, place_random_vacancies
-    from repro.kmc.events import KMCModel, RateParameters
-
-    lattice = BCCLattice(8, 8, 8)
-    params = RateParameters()
-    model = KMCModel(lattice, potential_bench, params)
-    occ0 = place_random_vacancies(model, 60, np.random.default_rng(9))
-
-    rates = {}
-    for use_catalog in (True, False):
-        engine = ParallelAKMC(
-            lattice,
-            potential_bench,
-            params,
-            nranks=8,
-            scheme="ondemand",
-            seed=5,
-            use_catalog=use_catalog,
-        )
-        t0 = time.perf_counter()
-        result = engine.run(occ0, max_cycles=8)
-        rates[use_catalog] = result.events / (time.perf_counter() - t0)
-        assert result.events > 0
-    speedup = rates[True] / rates[False]
-    obs.set_gauge("bench.kmc.sublattice.catalog_events_per_s", rates[True])
-    obs.set_gauge("bench.kmc.sublattice.flat_events_per_s", rates[False])
-    obs.set_gauge("bench.kmc.sublattice.catalog_speedup", speedup)
-    print(
-        f"\nsublattice KMC (8 ranks): catalog {rates[True]:,.0f} ev/s, "
-        f"flat rebuild {rates[False]:,.0f} ev/s, speedup {speedup:.1f}x"
-    )
-    # Runtime threading makes the ratio noisy; gate only on sanity.
-    assert speedup > 0.5
 
 
 def test_batched_rate_kernel(benchmark, potential_bench, kmc_1k_system):
@@ -243,11 +181,10 @@ def test_numba_eam_matches_and_speeds_up(
 def test_numba_serial_kmc_beats_numpy_catalog(
     potential_bench, kmc_1k_system, monkeypatch
 ):
-    """The compiled rate kernel must extend the catalog's ~14x win.
+    """The compiled rate kernel must not lose to the NumPy one.
 
     Acceptance: catalog + numba events/sec exceeds catalog + numpy
-    events/sec on the 1,000-vacancy workload — i.e. the serial KMC
-    bench's speedup over the flat rebuild grows past its NumPy figure.
+    events/sec on the 1,000-vacancy workload.
     """
     from repro.kmc.akmc import SerialAKMC
 

@@ -4,7 +4,7 @@ The paper's production run takes 8.6 hours on 6.24 million cores; no such
 run survives without checkpointing.  This example interrupts an MD
 cascade halfway, restores it into a fresh engine, and verifies the
 resumed trajectory is bit-identical to an uninterrupted one.  It also
-records the KMC stage into a trajectory file.
+streams the KMC stage into a chunked trajectory store.
 
     python examples/checkpoint_restart.py [workdir]
 
@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.io.checkpoint import load_checkpoint, save_checkpoint
-from repro.io.kmc_trajectory import KMCTrajectory
+from repro.io.store import TrajectoryReader, finalize_store
+from repro.io.xyz import write_vacancy_xyz
 from repro.kmc.akmc import SerialAKMC
 from repro.kmc.events import ATOM, VACANCY, RateParameters
 from repro.lattice.bcc import BCCLattice
@@ -70,19 +71,19 @@ def main(workdir: Path) -> None:
     engine = SerialAKMC(
         reference.lattice, potential, RateParameters(), occ, seed=3
     )
-    traj = KMCTrajectory(reference.lattice)
-    traj.record(engine.time, engine.occ)
-    for _ in range(4):
-        engine.run(max_events=engine.events + 50)
-        traj.record(engine.time, engine.occ)
-    traj_path = workdir / "kmc_trajectory.npz"
-    traj.save(traj_path)
-    traj.export_vacancy_xyz(workdir / "final_vacancies.xyz")
-    reloaded = KMCTrajectory.load(traj_path)
+    traj_path = workdir / "kmc_trajectory"
+    engine.run(max_events=200, trajectory=traj_path, trajectory_every=50)
+    finalize_store(traj_path)
+    reloaded = TrajectoryReader(traj_path)
+    write_vacancy_xyz(
+        workdir / "final_vacancies.xyz",
+        reloaded.lattice,
+        reloaded.vacancy_ranks(-1),
+    )
     print(
         f"recorded {len(reloaded)} KMC frames to {traj_path} "
-        f"(t = 0 .. {reloaded.times[-1]:.3g} ps); final vacancy cloud "
-        f"exported as XYZ"
+        f"(t = {reloaded.time_of(0):.3g} .. {reloaded.time_of(-1):.3g} ps); "
+        f"final vacancy cloud exported as XYZ"
     )
 
 

@@ -3,10 +3,11 @@
 The paper's timescale formula (§3) is taken from Castin, Pascuet &
 Malerba [2] — a study of "the first stages of Cu precipitation in
 alpha-Fe using a hybrid atomistic kinetic Monte Carlo approach".  This
-example runs that physics on this reproduction's alloy AKMC: a dilute
-random Fe-Cu solid solution with a few vacancies whose migration
-(preferentially exchanging with Cu — the lower barrier) carries the
-copper into growing precipitate clusters.
+example runs that physics on this reproduction's AKMC engine — the same
+``SerialAKMC`` the iron runs use, handed the Fe-Cu table set instead of
+the iron potential: a dilute random Fe-Cu solid solution with a few
+vacancies whose migration (preferentially exchanging with Cu — the lower
+barrier) carries the copper into growing precipitate clusters.
 
     python examples/cu_precipitation.py
 """
@@ -15,17 +16,22 @@ import numpy as np
 
 from repro.core.clusters import clustering_report
 from repro.core.timescale import kmc_real_time
-from repro.kmc.alloy import AlloyKMCModel, AlloySerialAKMC, S_CU
+from repro.kmc.akmc import SerialAKMC
+from repro.kmc.alloy import S_CU, AlloyKMCModel, AlloyRateParameters
 from repro.lattice.bcc import BCCLattice
+from repro.potential.alloy import make_fe_cu_alloy
 
 
 def main() -> None:
     lattice = BCCLattice(8, 8, 8)
-    model = AlloyKMCModel(lattice, table_points=1000)
-    rng = np.random.default_rng(7)
+    alloy, params = make_fe_cu_alloy(n=1000), AlloyRateParameters()
     cu_count, vac_count = 30, 3
-    occ0 = model.random_solution(cu_count, vac_count, rng)
-    engine = AlloySerialAKMC(model, occ0, seed=11)
+    occ0 = AlloyKMCModel(lattice, alloy, params).random_solution(
+        cu_count, vac_count, np.random.default_rng(7)
+    )
+    # The potential's type picks the model: the alloy tables make this
+    # the same engine class, checkpoints and trajectory store included.
+    engine = SerialAKMC(lattice, alloy, params, occ0, seed=11)
 
     print(
         f"{lattice.nsites} sites: Fe matrix + {cu_count} Cu "
@@ -36,7 +42,7 @@ def main() -> None:
     for budget in (0, 500, 1000, 2000, 3500):
         if budget:
             engine.run(max_events=budget)
-        rep = clustering_report(lattice, model.sites[engine.cu_rows])
+        rep = clustering_report(lattice, np.flatnonzero(engine.occ == S_CU))
         print(
             f"{engine.events:>7} {engine.time:>12.4g} {rep.n_clusters:>12} "
             f"{rep.max_cluster:>8} {rep.mean_nn_distance:>12.2f}"

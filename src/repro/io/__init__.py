@@ -3,7 +3,6 @@
 from repro.io.xyz import write_xyz, read_xyz, write_vacancy_xyz
 from repro.io.dump import dump_state, load_state
 from repro.io.checkpoint import save_checkpoint, load_checkpoint, CheckpointError
-from repro.io.kmc_trajectory import KMCTrajectory
 from repro.io.atomic import atomic_write, atomic_write_bytes
 from repro.io.store import (
     StoreError,
@@ -16,7 +15,6 @@ from repro.io.store import (
 
 __all__ = [
     "CheckpointError",
-    "KMCTrajectory",
     "StoreError",
     "TrajectoryReader",
     "TrajectoryWriter",

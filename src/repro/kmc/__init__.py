@@ -24,21 +24,28 @@ the neighbors through one of three interchangeable communication schemes:
 
 All three produce bitwise-identical trajectories (asserted by tests);
 they differ only in measured communication volume and modeled time.
+
+There is one serial engine (:class:`~repro.kmc.akmc.SerialAKMC`, exact
+BKL) and one parallel engine (:class:`~repro.kmc.akmc.ParallelAKMC`),
+both species-blind: the rate model carries the species —
+:class:`~repro.kmc.events.KMCModel` for pure iron,
+:class:`~repro.kmc.alloy.AlloyKMCModel` for Fe-Cu, chosen by
+:func:`~repro.kmc.akmc.model_for` from the type of the potential — and
+every event is selected through the incremental
+:class:`~repro.kmc.catalog.EventCatalog`.
 """
 
 from repro.kmc.rng import sector_rng, cycle_seed
 from repro.kmc.catalog import EventCatalog
-from repro.kmc.events import KMCModel, RateParameters
+from repro.kmc.events import BaseKMCModel, KMCModel, RateParameters
 from repro.kmc.sublattice import SectorSchedule
 from repro.kmc.comm import TraditionalExchange, ExchangeScheme
 from repro.kmc.ondemand import OnDemandExchange
 from repro.kmc.onesided import OneSidedExchange
-from repro.kmc.akmc import SerialAKMC, ParallelAKMC, KMCResult
+from repro.kmc.akmc import SerialAKMC, ParallelAKMC, KMCResult, model_for
 from repro.kmc.alloy import (
     AlloyKMCModel,
-    AlloySerialAKMC,
     AlloyRateParameters,
-    make_parallel_alloy_akmc,
     S_VACANCY,
     S_FE,
     S_CU,
@@ -47,7 +54,7 @@ from repro.kmc.alloy import (
 __all__ = [
     "AlloyKMCModel",
     "AlloyRateParameters",
-    "AlloySerialAKMC",
+    "BaseKMCModel",
     "EventCatalog",
     "ExchangeScheme",
     "KMCModel",
@@ -63,6 +70,6 @@ __all__ = [
     "SerialAKMC",
     "TraditionalExchange",
     "cycle_seed",
-    "make_parallel_alloy_akmc",
+    "model_for",
     "sector_rng",
 ]

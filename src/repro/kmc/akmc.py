@@ -10,6 +10,11 @@ in-process runtime: per-cycle global time step from a max-rate allreduce
 by residence-time sampling inside each sector, and ghost reconciliation
 after every sector through a pluggable
 :class:`~repro.kmc.comm.ExchangeScheme` — the knob Figures 12-13 turn.
+
+Both engines are species-blind: the rate model carries the species
+(:func:`model_for` picks it from the potential's type, the only place
+either engine asks), and events flow through one path, the incremental
+:class:`~repro.kmc.catalog.EventCatalog`.
 """
 
 from __future__ import annotations
@@ -20,16 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import observe as obs
+from repro.kmc.alloy import AlloyKMCModel, AlloyRateParameters
 from repro.kmc.catalog import EventCatalog
 from repro.kmc.comm import ExchangeScheme, TraditionalExchange
-from repro.kmc.events import VACANCY, KMCModel, RateParameters
+from repro.kmc.events import VACANCY, BaseKMCModel, KMCModel, RateParameters
 from repro.kmc.ondemand import OnDemandExchange
 from repro.kmc.onesided import OneSidedExchange
 from repro.kmc.rng import sector_rng
-from repro.kmc.selection import select_event
 from repro.kmc.sublattice import SectorSchedule
 from repro.lattice.bcc import BCCLattice
 from repro.lattice.domain import DomainDecomposition, choose_grid
+from repro.potential.alloy import AlloyTables
 from repro.potential.eam import EAMPotential
 from repro.runtime.simmpi import World
 
@@ -49,6 +55,48 @@ def ghost_width_cells(lattice: BCCLattice, params: RateParameters) -> int:
     """
     first_shell = math.sqrt(3.0) / 2.0 * lattice.a
     return max(1, math.ceil((first_shell + params.energy_cutoff) / lattice.a))
+
+
+def sector_decomposition(
+    lattice: BCCLattice,
+    params,
+    grid: tuple[int, int, int] | None = None,
+    nranks: int | None = None,
+) -> tuple[DomainDecomposition, int]:
+    """``(decomposition, ghost width)`` of a parallel AKMC run, checked.
+
+    Raises ``ValueError`` when ``nranks`` has no process grid over the
+    lattice or a subdomain cannot host the ghost shell and eight
+    conflict-free sectors — at construction (and at scenario
+    validation), not inside some rank of a running world.
+    """
+    if grid is None:
+        if nranks is None:
+            raise ValueError("provide either grid or nranks")
+        grid = choose_grid(nranks, (lattice.nx, lattice.ny, lattice.nz))
+    decomp = DomainDecomposition(lattice, grid)
+    width = ghost_width_cells(lattice, params)
+    # Sectors are half a subdomain: each must span the ghost width and
+    # more than twice the one-cell event reach.
+    decomp.require_cells(
+        2 * max(width, 2), f"8 conflict-free KMC sectors at ghost width {width}"
+    )
+    return decomp, width
+
+
+def model_for(
+    potential: EAMPotential | AlloyTables, params
+) -> tuple[type[BaseKMCModel], RateParameters | AlloyRateParameters]:
+    """``(model class, rate parameters)`` for a potential.
+
+    The one place an engine asks "which species?": an
+    :class:`~repro.potential.alloy.AlloyTables` selects the Fe-Cu model,
+    anything else the single-species one; ``params=None`` means that
+    model's defaults.
+    """
+    if isinstance(potential, AlloyTables):
+        return AlloyKMCModel, params or AlloyRateParameters()
+    return KMCModel, params or RateParameters()
 
 
 @dataclass
@@ -85,18 +133,17 @@ class SerialAKMC:
     Parameters
     ----------
     lattice, potential, params:
-        The physical system.
+        The physical system.  ``potential`` is an
+        :class:`~repro.potential.eam.EAMPotential` (pure iron) or an
+        :class:`~repro.potential.alloy.AlloyTables` (Fe-Cu, with
+        :class:`~repro.kmc.alloy.AlloyRateParameters`); see
+        :func:`model_for`.
     occupancy:
         Initial site array (``None`` = perfect lattice; add vacancies via
         :func:`place_random_vacancies` or from an MD cascade result).
+        Every code must be one the model has tables for.
     seed:
         RNG seed for event selection.
-    use_catalog:
-        With the default ``True``, events live in an incremental
-        :class:`~repro.kmc.catalog.EventCatalog` (O(log N) selection,
-        O(influence) updates per hop).  ``False`` keeps the historical
-        flat-list rebuild — the reference baseline the equivalence tests
-        and kernel benchmarks compare against.
     faults:
         Optional :class:`~repro.runtime.faults.FaultInjector` consulted
         at the top of every event (site ``"kmc.event"``); a planned
@@ -108,28 +155,22 @@ class SerialAKMC:
     def __init__(
         self,
         lattice: BCCLattice,
-        potential: EAMPotential,
-        params: RateParameters | None = None,
+        potential: EAMPotential | AlloyTables,
+        params: RateParameters | AlloyRateParameters | None = None,
         occupancy: np.ndarray | None = None,
         seed: int = 2018,
-        use_catalog: bool = True,
         faults=None,
     ) -> None:
-        self.params = params or RateParameters()
-        self.model = KMCModel(lattice, potential, self.params)
+        model_cls, self.params = model_for(potential, params)
+        self.model = model_cls(lattice, potential, self.params)
         if occupancy is None:
             occupancy = self.model.perfect_occupancy()
-        occupancy = np.asarray(occupancy, dtype=np.int8)
-        if len(occupancy) != self.model.nrows:
-            raise ValueError("occupancy length does not match the lattice")
-        self.occ = occupancy.copy()
+        self.occ = model_cls.checked_occupancy(lattice, occupancy).copy()
         self.rng = np.random.default_rng(seed)
         self.time = 0.0
         self.events = 0
-        self.use_catalog = use_catalog
         self.faults = faults
-        self._rate_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.catalog = EventCatalog(self.model.nrows) if use_catalog else None
+        self.catalog = EventCatalog(self.model.nrows)
         #: Rows to re-derive before the next selection; ``None`` means the
         #: catalog has not been populated yet (full build pending).
         self._dirty: np.ndarray | None = None
@@ -147,8 +188,6 @@ class SerialAKMC:
         """
         if self.faults is not None:
             self.faults.crash_point(0, "kmc.event", self.events)
-        if not self.use_catalog:
-            return self._step_flat()
         with obs.phase("kmc.catalog_update"):
             catalog = self.catalog
             if self._dirty is None:
@@ -171,36 +210,6 @@ class SerialAKMC:
             vrow, trow = catalog.sample_event(self.rng.random())
             self.model.execute_swap(self.occ, vrow, trow)
             self._dirty = self.model.influence_rows([vrow, trow])
-        obs.add("kmc.events")
-        self.time += dt
-        self.events += 1
-        return dt
-
-    def _step_flat(self) -> float | None:
-        """The pre-catalog step: per-event flat list rebuild + cumsum."""
-        with obs.phase("kmc.rate_update"):
-            vrows = self.vacancy_rows
-            all_v: list[int] = []
-            all_t: list[int] = []
-            all_r: list[float] = []
-            for v in vrows:
-                iv = int(v)
-                if iv not in self._rate_cache:
-                    self._rate_cache[iv] = self.model.vacancy_events(iv, self.occ)
-                targets, rates = self._rate_cache[iv]
-                all_v.extend([iv] * len(targets))
-                all_t.extend(int(t) for t in targets)
-                all_r.extend(float(r) for r in rates)
-        if not all_r:
-            return None
-        with obs.phase("kmc.event_selection"):
-            rates = np.asarray(all_r)
-            total = float(rates.sum())
-            dt = -math.log(self.rng.random()) / total
-            pick = select_event(rates, self.rng.random())
-            self.model.execute_swap(self.occ, all_v[pick], all_t[pick])
-            for row in self.model.influence_rows([all_v[pick], all_t[pick]]):
-                self._rate_cache.pop(int(row), None)
         obs.add("kmc.events")
         self.time += dt
         self.events += 1
@@ -319,9 +328,9 @@ class SerialAKMC:
         """Resume from a checkpoint (path or loaded object), in place.
 
         Restores the occupancy, clock, event counter, and the exact RNG
-        state, and discards every derived structure (rate cache, event
-        catalog) so they rebuild from the restored occupancy — the
-        continuation is bit-identical to a run that never stopped.
+        state, and discards the event catalog so it rebuilds from the
+        restored occupancy — the continuation is bit-identical to a run
+        that never stopped.
         """
         from repro.io.checkpoint import (
             KMCCheckpoint,
@@ -334,61 +343,18 @@ class SerialAKMC:
             if isinstance(checkpoint, KMCCheckpoint)
             else load_kmc_checkpoint(checkpoint)
         )
-        if len(ckpt.occupancy) != self.model.nrows:
-            raise ValueError(
-                f"checkpoint covers {len(ckpt.occupancy)} sites, "
-                f"engine has {self.model.nrows}"
-            )
-        self.occ = ckpt.occupancy.astype(np.int8).copy()
+        self.occ = self.model.checked_occupancy(
+            self.model.lattice, ckpt.occupancy
+        ).copy()
         self.time = float(ckpt.time)
         self.events = int(ckpt.events)
         if ckpt.rng_state is not None:
             restore_rng_state(self.rng, ckpt.rng_state)
-        self._rate_cache.clear()
-        if self.catalog is not None:
-            self.catalog = EventCatalog(self.model.nrows)
+        self.catalog = EventCatalog(self.model.nrows)
         self._dirty = None
 
 
-def _sector_events_flat(model, occ, rows_s, rng, dt) -> tuple[list[int], int]:
-    """Pre-catalog sector pass: flat event list rebuilt after every hop."""
-    dirty: list[int] = []
-    events = 0
-    t_sector = 0.0
-    cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    while True:
-        with obs.phase("kmc.rate_update"):
-            vrows = rows_s[occ[rows_s] == VACANCY]
-            ev_v: list[int] = []
-            ev_t: list[int] = []
-            ev_r: list[float] = []
-            for v in vrows:
-                iv = int(v)
-                if iv not in cache:
-                    cache[iv] = model.vacancy_events(iv, occ)
-                targets, rates = cache[iv]
-                ev_v.extend([iv] * len(targets))
-                ev_t.extend(int(x) for x in targets)
-                ev_r.extend(float(r) for r in rates)
-        if not ev_r:
-            break
-        with obs.phase("kmc.event_selection"):
-            rates = np.asarray(ev_r)
-            total = float(rates.sum())
-            t_sector += -math.log(rng.random()) / total
-            if t_sector > dt:
-                break
-            pick = select_event(rates, rng.random())
-            model.execute_swap(occ, ev_v[pick], ev_t[pick])
-            for row in model.influence_rows([ev_v[pick], ev_t[pick]]):
-                cache.pop(int(row), None)
-            dirty.extend((ev_v[pick], ev_t[pick]))
-            obs.add("kmc.events")
-            events += 1
-    return dirty, events
-
-
-def _sector_events_catalog(
+def _sector_events(
     model,
     occ,
     rows_s,
@@ -398,7 +364,7 @@ def _sector_events_catalog(
     rng,
     dt,
 ) -> tuple[list[int], int, np.ndarray]:
-    """Catalog sector pass: incremental invalidation, O(log N) selection.
+    """One sector pass: incremental invalidation, O(log N) selection.
 
     ``snapshot`` is the occupancy as of the end of this sector's previous
     visit; diffing against it captures every change made since — own
@@ -451,21 +417,19 @@ class ParallelAKMC:
     Parameters
     ----------
     lattice, potential, params:
-        The physical system.
+        The physical system; species follow ``potential`` exactly as in
+        :class:`SerialAKMC` (an alloy occupancy carries codes 0/1/2 and
+        every communication scheme ships them unchanged).
     grid / nranks:
-        Process decomposition (see :class:`~repro.md.engine.ParallelMD`).
+        Process grid, or a world size for :func:`choose_grid` to
+        factorize.  A decomposition whose subdomains cannot host the
+        ghost shell and eight conflict-free sectors is rejected here,
+        before any world exists.
     scheme:
         One of ``"traditional"``, ``"ondemand"``, ``"onesided"``.
     seed:
         Base seed; event streams derive from (seed, rank, cycle, sector),
         so all three schemes reproduce identical trajectories.
-    use_catalog:
-        With the default ``True``, each sector keeps a persistent
-        :class:`~repro.kmc.catalog.EventCatalog` across cycles; between
-        visits only rows inside the influence radius of occupancy
-        changes (own events elsewhere, ghost refreshes from any
-        communication scheme) re-enter the catalog.  ``False`` keeps the
-        historical per-event flat rebuild for baseline comparisons.
     faults:
         Optional fault plan/injector handed to the :class:`World`; every
         cycle starts with a ``fault_point("kmc.cycle", cycle)`` so a
@@ -482,7 +446,8 @@ class ParallelAKMC:
         Physical worker count for the overdecomposed / rank-group
         backends; ``None`` defers to ``REPRO_WORKERS`` / cpu count.
     rate_bound:
-        How the per-vacancy rate bound behind the cycle dt is enforced.
+        How the per-vacancy rate bound behind the cycle dt is enforced
+        (:meth:`~repro.kmc.events.BaseKMCModel.rate_bound`).
         The EAM correction can drive a barrier below the ``e_m0``
         reference (only the ``de_min`` floor limits it), so raw event
         rates can exceed the nominal ``8 * nu * exp(-e_m0/kT)`` that dt
@@ -493,6 +458,12 @@ class ParallelAKMC:
         from the true supremum ``8 * nu * exp(-de_min/kT)`` instead
         (physically exact, but the dt shrinks by orders of magnitude,
         so cycles advance the clock far more slowly).
+
+    Each sector keeps a persistent
+    :class:`~repro.kmc.catalog.EventCatalog` across cycles; between
+    visits only rows inside the influence radius of occupancy changes
+    (own events elsewhere, ghost refreshes from any communication
+    scheme) re-enter it.
     """
 
     #: Accepted ``rate_bound`` enforcement modes.
@@ -501,14 +472,13 @@ class ParallelAKMC:
     def __init__(
         self,
         lattice: BCCLattice,
-        potential: EAMPotential,
-        params: RateParameters | None = None,
+        potential: EAMPotential | AlloyTables,
+        params: RateParameters | AlloyRateParameters | None = None,
         grid: tuple[int, int, int] | None = None,
         nranks: int | None = None,
         scheme: str = "ondemand",
         seed: int = 2018,
         network=None,
-        use_catalog: bool = True,
         faults=None,
         watchdog: float | None = None,
         backend: str | None = None,
@@ -525,66 +495,26 @@ class ParallelAKMC:
         self.rate_bound = rate_bound
         self.lattice = lattice
         self.potential = potential
-        self.params = params or RateParameters()
-        if grid is None:
-            if nranks is None:
-                raise ValueError("provide either grid or nranks")
-            grid = choose_grid(nranks, (lattice.nx, lattice.ny, lattice.nz))
-        self.decomp = DomainDecomposition(lattice, grid)
+        self.model_cls, self.params = model_for(potential, params)
+        #: Per-vacancy rate bound the cycle dt derives from, and the
+        #: per-event cap (``None`` in strict mode) that enforces it.
+        self.dt_rate_bound, self.rate_cap = self.model_cls.rate_bound(
+            self.params, rate_bound
+        )
+        self.decomp, self.width = sector_decomposition(
+            lattice, self.params, grid, nranks
+        )
         self.scheme_name = scheme
         self.seed = seed
         self.network = network
-        self.use_catalog = use_catalog
         self.faults = faults
         self.watchdog = watchdog
         self.backend = backend
         self.workers = workers
-        self.width = ghost_width_cells(lattice, self.params)
 
     @property
     def nranks(self) -> int:
         return self.decomp.nprocs
-
-    # ------------------------------------------------------------------
-    # Model hooks (overridden by multi-species engines)
-    # ------------------------------------------------------------------
-    def _make_model(self, sites: np.ndarray):
-        """Build the rank-local rate model over a site subset."""
-        return KMCModel(
-            self.lattice,
-            self.potential,
-            self.params,
-            sites=sites,
-            rate_cap=self._rate_cap(),
-        )
-
-    def _rate_bound_per_vacancy(self) -> float:
-        """Upper bound on one vacancy's total rate, for the cycle dt.
-
-        In ``"clamp"`` mode this is the historical reference-rate bound,
-        made an actual bound by the per-event cap (:meth:`_rate_cap`).
-        In ``"strict"`` mode it is the true supremum: ``de_min`` is the
-        only floor below a corrected barrier, so no event can exceed
-        ``nu * exp(-de_min/kT)`` and a vacancy's 8 candidate hops cannot
-        exceed eight times that.
-        """
-        if self.rate_bound == "strict":
-            return 8.0 * self.params.nu * math.exp(
-                -self.params.de_min / self.params.kt
-            )
-        return 8.0 * self.params.reference_rate
-
-    def _rate_cap(self) -> float | None:
-        """Per-event rate ceiling enforcing :meth:`_rate_bound_per_vacancy`.
-
-        A vacancy has at most 8 candidate hops, so capping each event at
-        bound/8 guarantees the per-vacancy total never exceeds the bound
-        the cycle dt was derived from.  ``None`` in strict mode — the dt
-        bound is already a true supremum there.
-        """
-        if self.rate_bound == "strict":
-            return None
-        return self._rate_bound_per_vacancy() / 8.0
 
     def run(
         self,
@@ -625,9 +555,7 @@ class ParallelAKMC:
             number, so a resumed run appends at the same fences as an
             uninterrupted one.
         """
-        occupancy = np.asarray(occupancy, dtype=np.int8)
-        if len(occupancy) != self.lattice.nsites:
-            raise ValueError("occupancy must cover the full lattice")
+        occupancy = self.model_cls.checked_occupancy(self.lattice, occupancy)
         if checkpoint_every is not None and checkpoint_path is None:
             raise ValueError("checkpoint_every requires checkpoint_path")
         if trajectory_every is not None and trajectory is None:
@@ -642,13 +570,11 @@ class ParallelAKMC:
         lattice = self.lattice
         width = self.width
         seed = self.seed
-        rate_bound = self._rate_bound_per_vacancy()
+        rate_bound = self.dt_rate_bound
         scheme_cls = SCHEMES[self.scheme_name]
         start_cycle = 0 if resume is None else int(resume.cycle)
         start_time = 0.0 if resume is None else float(resume.time)
         events_base = 0 if resume is None else int(resume.events)
-
-        use_catalog = self.use_catalog
 
         def rank_main(comm):
             sub = self.decomp.subdomain(comm.rank)
@@ -656,19 +582,24 @@ class ParallelAKMC:
             ghosts = sub.all_ghost_site_ranks(lattice, width)
             sites = np.union1d(owned, ghosts)
             central_rows = np.searchsorted(sites, owned)
-            model = self._make_model(sites)
+            model = self.model_cls(
+                lattice,
+                self.potential,
+                self.params,
+                sites=sites,
+                rate_cap=self.rate_cap,
+            )
             occ = occupancy[sites].copy()
             schedule = SectorSchedule(self.decomp, comm.rank, sites, width)
             scheme = scheme_cls(comm, schedule, occ)
-            if use_catalog:
-                # One persistent catalog per sector: sector row sets
-                # repeat every cycle, so incremental invalidation can
-                # carry rates across cycles.  The snapshot records the
-                # occupancy each catalog was last consistent with.
-                catalogs = [
-                    EventCatalog(model.nrows) for _ in range(schedule.nsectors)
-                ]
-                snapshots: list[np.ndarray | None] = [None] * schedule.nsectors
+            # One persistent catalog per sector: sector row sets repeat
+            # every cycle, so incremental invalidation can carry rates
+            # across cycles.  The snapshot records the occupancy each
+            # catalog was last consistent with.
+            catalogs = [
+                EventCatalog(model.nrows) for _ in range(schedule.nsectors)
+            ]
+            snapshots: list[np.ndarray | None] = [None] * schedule.nsectors
             t = start_time
             cycle = start_cycle
             events = 0
@@ -722,21 +653,16 @@ class ParallelAKMC:
                         scheme.before_sector(s)
                         rng = sector_rng(seed, comm.rank, cycle, s)
                         rows_s = schedule.sector_rows[s]
-                        if use_catalog:
-                            dirty, n_ev, snapshots[s] = _sector_events_catalog(
-                                model,
-                                occ,
-                                rows_s,
-                                schedule.sector_member[s],
-                                catalogs[s],
-                                snapshots[s],
-                                rng,
-                                dt,
-                            )
-                        else:
-                            dirty, n_ev = _sector_events_flat(
-                                model, occ, rows_s, rng, dt
-                            )
+                        dirty, n_ev, snapshots[s] = _sector_events(
+                            model,
+                            occ,
+                            rows_s,
+                            schedule.sector_member[s],
+                            catalogs[s],
+                            snapshots[s],
+                            rng,
+                            dt,
+                        )
                         events += n_ev
                         scheme.after_sector(s, np.asarray(dirty, dtype=np.int64))
                     t += dt

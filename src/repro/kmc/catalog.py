@@ -1,13 +1,13 @@
 """Incremental BKL event catalog: a sum tree over per-row total rates.
 
-The serial and sector-synchronous AKMC drivers used to rebuild a flat
-``(vacancy, target, rate)`` list — Python ``extend`` loops plus a full
-``cumsum`` — on *every* event, making one hop cost O(all vacancies).
-:class:`EventCatalog` replaces that rebuild with the classic BKL data
-structure the large-scale KMC codes rely on: a binary sum tree (a
-segment tree; the array layout is the same as a Fenwick tree's implicit
-heap) keyed by site row, holding each row's total event rate in a leaf
-and subtree sums in the internal nodes.  It supports
+Rebuilding a flat ``(vacancy, target, rate)`` list — Python ``extend``
+loops plus a full ``cumsum`` — on *every* event makes one hop cost
+O(all vacancies); that rebuild survives only as the test oracle
+(``tests/kmc_oracle.py``).  :class:`EventCatalog` is the classic BKL
+data structure the large-scale KMC codes rely on instead: a binary sum
+tree (a segment tree; the array layout is the same as a Fenwick tree's
+implicit heap) keyed by site row, holding each row's total event rate
+in a leaf and subtree sums in the internal nodes.  It supports
 
 * O(log N) event sampling by exact prefix-sum descent,
 * O(log N) rate updates when a row's events are set or cleared,
@@ -206,10 +206,10 @@ class EventCatalog:
         """Re-derive the event tables of ``rows`` from current occupancy.
 
         Rows holding a vacancy re-enter the catalog with freshly
-        evaluated rates (batched through ``model.vacancy_events_batch``
-        when the model provides it); all other rows leave it.  This is
-        the invalidation entry point: drivers pass exactly the rows
-        inside the influence radius of an occupancy change.
+        evaluated rates (one ``model.vacancy_events_batch`` call); all
+        other rows leave it.  This is the invalidation entry point:
+        drivers pass exactly the rows inside the influence radius of an
+        occupancy change.
 
         Returns ``(n_refreshed, n_cleared)``.
         """
@@ -226,14 +226,8 @@ class EventCatalog:
                 cleared += 1
         if len(vac) == 0:
             return 0, cleared
-        batch = getattr(model, "vacancy_events_batch", None)
-        if batch is not None:
-            counts, targets_flat, rates_flat = batch(vac, occ)
-            self.set_rows(vac, counts, targets_flat, rates_flat)
-        else:
-            for row in vac:
-                t, r = model.vacancy_events(int(row), occ)
-                self.set_row(int(row), t, r)
+        counts, targets_flat, rates_flat = model.vacancy_events_batch(vac, occ)
+        self.set_rows(vac, counts, targets_flat, rates_flat)
         return len(vac), cleared
 
     # ------------------------------------------------------------------

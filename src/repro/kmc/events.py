@@ -155,69 +155,113 @@ def build_static_matrix(
     return local, valid, dist
 
 
-class KMCModel:
-    """Static on-lattice energetics of one site set (rank-local or global).
+class BaseKMCModel:
+    """Species-blind half of an on-lattice rate model over one site set.
+
+    Owns everything the AKMC engines and the event catalog touch — the
+    site set, the static energy and first-shell stencils, the influence
+    map, swap execution, the rate cap and the cycle-dt rate bound — so
+    the engines never ask which species a run carries.  A concrete model
+    adds its interpolation tables, ``species`` codes and
+    :meth:`vacancy_events`: :class:`KMCModel` for pure iron,
+    :class:`~repro.kmc.alloy.AlloyKMCModel` for Fe-Cu.
 
     Parameters
     ----------
     lattice:
         Global BCC lattice.
-    potential:
-        EAM potential supplying phi / f / F.
     params:
-        Rate parameters.
+        Rate parameters (``nu``, ``kt``, ``de_min``, ``energy_cutoff``,
+        ``reference_rate``).
     sites:
         Sorted global site ranks covered (``None`` = full lattice).
     rate_cap:
         Optional per-event rate ceiling.  The EAM correction can push a
-        barrier below the ``e_m0`` reference (only the ``de_min`` floor
-        limits it), so event rates can exceed the nominal
-        ``nu * exp(-e_m0/kT)`` reference rate.  Engines whose cycle dt
-        is derived from that reference (the sector-synchronous parallel
-        engines) pass a cap here so the dt invariant actually holds;
-        every clamped event is counted on the
+        barrier below the reference (only the ``de_min`` floor limits
+        it), so event rates can exceed the reference rate.  Engines
+        whose cycle dt is derived from that reference (the
+        sector-synchronous parallel engine) pass a cap here so the dt
+        invariant actually holds; every clamped event is counted on the
         ``kmc.rate_bound.clamped`` observe counter.  ``None`` (the
-        default, used by the exact serial engines) leaves rates
+        default, used by the exact serial engine) leaves rates
         untouched.
 
     The model itself is stateless with respect to occupancy: engines own
     the occupancy array and pass it in.
     """
 
+    #: Occupied-site codes this model has tables for, matrix species
+    #: first; together with :data:`VACANCY` they are the only values an
+    #: occupancy array may hold.
+    species: tuple[int, ...] = ()
+
     def __init__(
         self,
         lattice: BCCLattice,
-        potential: EAMPotential,
-        params: RateParameters,
+        params,
         sites: np.ndarray | None = None,
         rate_cap: float | None = None,
     ) -> None:
         if rate_cap is not None and rate_cap <= 0:
             raise ValueError(f"rate_cap must be positive, got {rate_cap}")
         self.lattice = lattice
-        self.potential = potential
         self.params = params
         self.rate_cap = rate_cap
         if sites is None:
             sites = np.arange(lattice.nsites, dtype=np.int64)
         self.sites = np.asarray(sites, dtype=np.int64)
-        # Energy shell: per-slot static EAM constants.  Built non-strictly:
-        # rows deep in the ghost shell miss some neighbors, but energies
-        # are only ever evaluated within one hop of owned sites, where the
-        # ghost width guarantees a complete stencil.
-        self.e_matrix, self.e_valid, e_dist = build_static_matrix(
+        # Energy shell, built non-strictly: rows deep in the ghost shell
+        # miss some neighbors, but energies are only ever evaluated
+        # within one hop of owned sites, where the ghost width guarantees
+        # a complete stencil.  ``e_dist`` holds the two per-basis
+        # distance rows the subclass evaluates its tables on.
+        self.e_matrix, self.e_valid, self.e_dist = build_static_matrix(
             lattice, params.energy_cutoff, self.sites, strict=False
         )
-        # The splines see the two per-basis distance rows, not one per site.
-        basis = self.sites % 2
-        safe = np.where(e_dist > 0, e_dist, potential.cutoff)
-        self.phi_slots = np.where(self.e_valid, potential.phi(safe)[basis], 0.0)
-        self.f_slots = np.where(self.e_valid, potential.fdens(safe)[basis], 0.0)
         # First shell: the 8 exchange partners of every site.
         self.first_matrix, self.first_valid = local_rows(
             lattice, self.sites, lattice.first_shell_ranks(self.sites)
         )
         self._influence: tuple[np.ndarray, np.ndarray] | None = None
+
+    @staticmethod
+    def rate_bound(params, mode: str) -> tuple[float, float | None]:
+        """``(per-vacancy rate bound, per-event cap)`` behind the cycle dt.
+
+        ``"clamp"`` keeps the reference-rate bound and makes it a true
+        bound by capping every event at bound/8 (a vacancy has at most 8
+        candidate hops).  ``"strict"`` needs no cap: ``de_min`` is the
+        only floor under a corrected barrier, so no event can exceed
+        ``nu * exp(-de_min/kT)`` whatever its species.
+        """
+        if mode == "strict":
+            return 8.0 * params.nu * math.exp(-params.de_min / params.kt), None
+        bound = 8.0 * params.reference_rate
+        return bound, bound / 8.0
+
+    @classmethod
+    def checked_occupancy(cls, lattice: BCCLattice, occupancy) -> np.ndarray:
+        """``occupancy`` as an int8 full-lattice array of this model's codes.
+
+        Raises ``ValueError`` on a wrong length or on a site code the
+        model has no tables for (an unknown code would otherwise be read
+        as a multiple of the matrix species or freeze the lattice).
+        """
+        occ = np.asarray(occupancy, dtype=np.int8)
+        if len(occ) != lattice.nsites:
+            raise ValueError(
+                f"occupancy covers {len(occ)} sites, the lattice has "
+                f"{lattice.nsites}"
+            )
+        codes = (VACANCY, *cls.species)
+        bad = np.flatnonzero(~np.isin(occ, codes))
+        if len(bad):
+            raise ValueError(
+                f"occupancy code {int(occ[bad[0]])} at site rank "
+                f"{int(bad[0])} is not a species of {cls.__name__} "
+                f"(accepted codes: {codes})"
+            )
+        return occ
 
     def influence_rows(self, rows) -> np.ndarray:
         """Rows whose event rates can depend on occupancy at ``rows``.
@@ -247,8 +291,93 @@ class KMCModel:
         return len(self.sites)
 
     def perfect_occupancy(self) -> np.ndarray:
-        """All-atom occupancy array."""
-        return np.full(self.nrows, ATOM, dtype=np.int8)
+        """Defect-free occupancy: every site holds the matrix species."""
+        return np.full(self.nrows, self.species[0], dtype=np.int8)
+
+    # ------------------------------------------------------------------
+    # Events
+    # ------------------------------------------------------------------
+    def vacancy_events(
+        self, vrow: int, occ: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(target rows, rates) of all possible hops of the vacancy at ``vrow``."""
+        raise NotImplementedError
+
+    def vacancy_events_batch(
+        self, vrows, occ: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`vacancy_events` over many vacancy rows at once.
+
+        Returns ``(counts, targets, rates)``: ``counts[k]`` events of
+        ``vrows[k]`` stored consecutively in the flat ``targets`` /
+        ``rates`` arrays, in the per-vacancy order :meth:`vacancy_events`
+        produces.
+        """
+        vrows = np.atleast_1d(np.asarray(vrows, dtype=np.int64))
+        per_row = [self.vacancy_events(int(v), occ) for v in vrows]
+        counts = np.array([len(t) for t, _r in per_row], dtype=np.int64)
+        if not counts.sum():
+            return counts, np.empty(0, dtype=np.int64), np.empty(0)
+        targets, rates = zip(*per_row, strict=True)
+        return counts, np.concatenate(targets), np.concatenate(rates)
+
+    def _apply_rate_cap(self, rates: np.ndarray) -> np.ndarray:
+        """Clamp rates to ``rate_cap`` and count every clamped event.
+
+        Applied after the exp, outside the kernels, so the numba and
+        NumPy rate paths stay bit-identical under the cap.
+        """
+        cap = self.rate_cap
+        if cap is None or len(rates) == 0:
+            return rates
+        over = int(np.count_nonzero(rates > cap))
+        if over:
+            obs.add("kmc.rate_bound.clamped", over)
+            rates = np.minimum(rates, cap)
+        return rates
+
+    def total_rate(self, vacancy_rows, occ: np.ndarray) -> float:
+        """Sum of all event rates of the given vacancies."""
+        total = 0.0
+        for v in vacancy_rows:
+            _t, rates = self.vacancy_events(int(v), occ)
+            total += float(np.sum(rates))
+        return total
+
+    def execute_swap(self, occ: np.ndarray, vrow: int, trow: int) -> None:
+        """Move the atom at ``trow`` into the vacancy at ``vrow``, in place."""
+        if occ[vrow] != VACANCY or occ[trow] == VACANCY:
+            raise ValueError(
+                f"invalid swap: occ[{vrow}]={occ[vrow]}, occ[{trow}]={occ[trow]}"
+            )
+        occ[vrow] = occ[trow]
+        occ[trow] = VACANCY
+
+
+class KMCModel(BaseKMCModel):
+    """Single-species (pure iron) energetics over one EAM potential.
+
+    Parameters are those of :class:`BaseKMCModel` plus ``potential``,
+    the :class:`~repro.potential.eam.EAMPotential` supplying phi / f / F.
+    """
+
+    species = (ATOM,)
+
+    def __init__(
+        self,
+        lattice: BCCLattice,
+        potential: EAMPotential,
+        params: RateParameters,
+        sites: np.ndarray | None = None,
+        rate_cap: float | None = None,
+    ) -> None:
+        super().__init__(lattice, params, sites, rate_cap)
+        self.potential = potential
+        # The splines see the two per-basis distance rows, not one per site.
+        basis = self.sites % 2
+        safe = np.where(self.e_dist > 0, self.e_dist, potential.cutoff)
+        self.phi_slots = np.where(self.e_valid, potential.phi(safe)[basis], 0.0)
+        self.f_slots = np.where(self.e_valid, potential.fdens(safe)[basis], 0.0)
 
     # ------------------------------------------------------------------
     # Energetics
@@ -302,21 +431,6 @@ class KMCModel:
         )
         rates = self.params.nu * np.exp(-de / self.params.kt)
         return targets, self._apply_rate_cap(rates)
-
-    def _apply_rate_cap(self, rates: np.ndarray) -> np.ndarray:
-        """Clamp rates to ``rate_cap`` and count every clamped event.
-
-        Applied after the exp, outside the kernels, so the numba and
-        NumPy rate paths stay bit-identical under the cap.
-        """
-        cap = self.rate_cap
-        if cap is None or len(rates) == 0:
-            return rates
-        over = int(np.count_nonzero(rates > cap))
-        if over:
-            obs.add("kmc.rate_bound.clamped", over)
-            rates = np.minimum(rates, cap)
-        return rates
 
     def vacancy_events_batch(
         self, vrows, occ: np.ndarray
@@ -391,20 +505,3 @@ class KMCModel:
         )
         rates = self.params.nu * np.exp(-de / self.params.kt)
         return counts, targets, self._apply_rate_cap(rates)
-
-    def total_rate(self, vacancy_rows, occ: np.ndarray) -> float:
-        """Sum of all event rates of the given vacancies."""
-        total = 0.0
-        for v in vacancy_rows:
-            _t, rates = self.vacancy_events(int(v), occ)
-            total += float(np.sum(rates))
-        return total
-
-    def execute_swap(self, occ: np.ndarray, vrow: int, trow: int) -> None:
-        """Apply a vacancy(v) <-> atom(t) exchange in place."""
-        if occ[vrow] != VACANCY or occ[trow] != ATOM:
-            raise ValueError(
-                f"invalid swap: occ[{vrow}]={occ[vrow]}, occ[{trow}]={occ[trow]}"
-            )
-        occ[vrow] = ATOM
-        occ[trow] = VACANCY

@@ -332,6 +332,27 @@ class DomainDecomposition:
 
         return max(1, int(math.ceil(cutoff / self.lattice.a)))
 
+    def require_cells(self, need: int, purpose: str) -> None:
+        """Fail unless every subdomain spans ``need`` cells along each axis.
+
+        The parallel engines call this when they are constructed, so an
+        infeasible lattice/rank combination is a ``ValueError`` naming
+        the geometry instead of a failure inside some rank of a running
+        world.
+        """
+        smallest = tuple(
+            min(hi - lo for lo, hi in bounds)
+            for bounds in (self._bounds_x, self._bounds_y, self._bounds_z)
+        )
+        if min(smallest) < need:
+            lat = self.lattice
+            raise ValueError(
+                f"a {lat.nx}x{lat.ny}x{lat.nz}-cell lattice over process "
+                f"grid {self.grid} ({self.nprocs} ranks) leaves subdomains "
+                f"as small as {smallest} cells; {purpose} needs >= {need} "
+                "cells per axis: use more cells or fewer ranks"
+            )
+
 
 def _owner_index(bounds: list[tuple[int, int]], c: int) -> int:
     for idx, (lo, hi) in enumerate(bounds):

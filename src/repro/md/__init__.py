@@ -14,6 +14,10 @@ memory/compute comparison is reproducible:
   LAMMPS-style baseline.
 * :class:`~repro.md.neighbors.linked_cell.LinkedCellList` — the IMD-style
   baseline.
+
+Two drivers: the serial :class:`~repro.md.engine.MDEngine` and the
+domain-decomposed :class:`~repro.md.parallel_damage.ParallelDamageMD`,
+which covers perfect lattices (no PKA) and cascades alike.
 """
 
 from repro.md.state import AtomState, VACANCY_ID
@@ -30,7 +34,7 @@ from repro.md.thermostat import (
     instantaneous_temperature,
 )
 from repro.md.cascade import CascadeConfig, run_cascade, insert_pka
-from repro.md.engine import MDEngine, MDConfig, ParallelMD
+from repro.md.engine import MDEngine, MDConfig
 from repro.md.parallel_damage import ParallelDamageMD, ParallelDamageResult
 
 __all__ = [
@@ -43,7 +47,6 @@ __all__ = [
     "PairTable",
     "ParallelDamageMD",
     "ParallelDamageResult",
-    "ParallelMD",
     "VACANCY_ID",
     "VelocityVerlet",
     "VerletNeighborList",

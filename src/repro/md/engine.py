@@ -1,16 +1,10 @@
-"""MD simulation drivers: serial engine and domain-decomposed parallel MD.
+"""The serial MD driver.
 
 :class:`MDEngine` is the single-process driver used for physics runs
 (cascades, coupling with KMC): full run-away atom support through the
-lattice neighbor list.
-
-:class:`ParallelMD` executes the paper's parallel MD structure for real on
-the in-process runtime: domain decomposition, static-pattern ghost
-exchange of positions, a second exchange of electron densities between the
-EAM passes, and per-rank force computation over owned centrals.  It is
-used by the scaling experiments (where its measured per-atom compute cost
-and per-step communication volume calibrate the performance model) and by
-the serial/parallel equivalence tests.
+lattice neighbor list.  Its domain-decomposed counterpart — the paper's
+parallel structure, with or without damage — is
+:class:`~repro.md.parallel_damage.ParallelDamageMD`.
 """
 
 from __future__ import annotations
@@ -20,24 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import observe as obs
-from repro.constants import FM2A
 from repro.lattice.bcc import BCCLattice
 from repro.lattice.box import Box
-from repro.lattice.domain import DomainDecomposition, choose_grid
-from repro.md.forces import compute_energy_forces, star_density, star_forces
-from repro.md.ghost import GhostExchanger
+from repro.md.forces import compute_energy_forces
 from repro.md.integrator import VelocityVerlet
 from repro.md.neighbors.lattice_list import LatticeNeighborList
 from repro.md.state import AtomState
 from repro.md.thermostat import berendsen_rescale, maxwell_boltzmann_velocities
 from repro.potential.eam import EAMPotential
 from repro.potential.fe import make_fe_potential
-from repro.runtime.simmpi import World
-
-#: Tag bases separating the two ghost-exchange phases of each step.
-TAG_POSITIONS = 0
-TAG_DENSITY = 100
-TAG_INIT = 200
 
 
 @dataclass(frozen=True)
@@ -184,176 +169,3 @@ class MDEngine:
     def potential_energy(self) -> float:
         """Recompute the current potential energy (also refreshes forces)."""
         return compute_energy_forces(self.potential, self.state, self.nblist)
-
-
-@dataclass
-class ParallelMDResult:
-    """Global outcome of a parallel MD run."""
-
-    energy_trace: list[float]
-    positions: np.ndarray
-    velocities: np.ndarray
-    comm_stats: dict
-    nranks: int
-
-
-class ParallelMD:
-    """Domain-decomposed MD over the in-process runtime.
-
-    Runs on perfect lattices (no run-away tracking — cascade physics is
-    exercised by the serial engine; this driver exists to execute and
-    measure the *parallel structure*: decomposition, two-phase ghost
-    exchange, star-pattern EAM kernel).
-
-    Parameters
-    ----------
-    lattice:
-        Global lattice.
-    grid:
-        Process grid; ``None`` lets :func:`choose_grid` pick one for
-        ``nranks``.
-    nranks:
-        World size when ``grid`` is None.
-    """
-
-    def __init__(
-        self,
-        lattice: BCCLattice,
-        potential: EAMPotential | None = None,
-        config: MDConfig | None = None,
-        grid: tuple[int, int, int] | None = None,
-        nranks: int | None = None,
-        network=None,
-        backend: str | None = None,
-    ) -> None:
-        self.lattice = lattice
-        self.config = config or MDConfig()
-        self.potential = potential or make_fe_potential(
-            layout=self.config.table_layout
-        )
-        if grid is None:
-            if nranks is None:
-                raise ValueError("provide either grid or nranks")
-            grid = choose_grid(nranks, (lattice.nx, lattice.ny, lattice.nz))
-        self.decomp = DomainDecomposition(lattice, grid)
-        self.box = Box.for_lattice(lattice)
-        self.network = network
-        self.backend = backend
-
-    @property
-    def nranks(self) -> int:
-        return self.decomp.nprocs
-
-    # ------------------------------------------------------------------
-    def _initial_velocities(self) -> np.ndarray:
-        """Deterministic global velocity field (same as a serial engine).
-
-        Every rank derives the full field from the shared seed and slices
-        its sites, so a parallel run is bit-comparable with a serial run
-        from the same seed.
-        """
-        state = AtomState.perfect(self.lattice)
-        rng = np.random.default_rng(self.config.seed)
-        maxwell_boltzmann_velocities(state, self.config.temperature, rng)
-        return state.v
-
-    def run(self, nsteps: int, dt: float | None = None) -> ParallelMDResult:
-        """Execute ``nsteps`` of parallel MD; gather the global state."""
-        if nsteps < 1:
-            raise ValueError(f"nsteps must be >= 1, got {nsteps}")
-        dt = dt if dt is not None else self.config.dt
-        v_global = self._initial_velocities()
-        width = self.decomp.ghost_width_cells(self.potential.cutoff)
-        lattice = self.lattice
-        pot = self.potential
-        box = self.box
-
-        def rank_main(comm):
-            sub = self.decomp.subdomain(comm.rank)
-            owned = sub.owned_site_ranks(lattice)
-            ghosts = sub.all_ghost_site_ranks(lattice, width)
-            sites = np.union1d(owned, ghosts)
-            central_rows = np.searchsorted(sites, owned)
-            state = AtomState.for_sites(lattice, sites)
-            state.v[:] = v_global[sites]
-            nblist = LatticeNeighborList(
-                lattice, pot.cutoff, sites=sites, centrals=central_rows
-            )
-            ex = GhostExchanger(self.decomp, comm.rank, sites, width)
-            occ = state.occupied
-            own_mask = np.zeros(len(sites), dtype=bool)
-            own_mask[central_rows] = True
-            fm = FM2A / state.mass
-
-            forces = np.zeros((len(sites), 3))
-            energy_trace: list[float] = []
-
-            def eam_step() -> float:
-                with obs.phase("md.ghost_exchange"):
-                    ex.exchange(comm, TAG_POSITIONS, [state.x])
-                with obs.phase("md.force"):
-                    rho_c, pair_e = star_density(
-                        pot,
-                        state.x,
-                        occ,
-                        central_rows,
-                        nblist.matrix,
-                        nblist.valid,
-                        box,
-                    )
-                    state.rho[central_rows] = rho_c
-                with obs.phase("md.ghost_exchange"):
-                    ex.exchange(comm, TAG_DENSITY, [state.rho])
-                with obs.phase("md.force"):
-                    f_c = star_forces(
-                        pot,
-                        state.x,
-                        occ,
-                        state.rho,
-                        central_rows,
-                        nblist.matrix,
-                        nblist.valid,
-                        box,
-                    )
-                    forces[central_rows] = f_c
-                    embed_e = float(np.sum(pot.embed(state.rho[central_rows])))
-                return pair_e + embed_e
-
-            local_e = eam_step()
-            for _ in range(nsteps):
-                with obs.phase("md.step"):
-                    with obs.phase("md.integrate"):
-                        state.v[central_rows] += (
-                            0.5 * dt * fm * forces[central_rows]
-                        )
-                        state.x[central_rows] += dt * state.v[central_rows]
-                        state.x[central_rows] = box.wrap(state.x[central_rows])
-                    local_e = eam_step()
-                    with obs.phase("md.integrate"):
-                        state.v[central_rows] += (
-                            0.5 * dt * fm * forces[central_rows]
-                        )
-                    energy_trace.append(comm.allreduce(local_e))
-            return {
-                "owned": owned,
-                "x": state.x[central_rows].copy(),
-                "v": state.v[central_rows].copy(),
-                "energy_trace": energy_trace,
-            }
-
-        world = World(self.nranks, network=self.network, backend=self.backend)
-        results = world.run(rank_main)
-        # Stitch the global arrays back together in site-rank order.
-        nsites = lattice.nsites
-        x = np.zeros((nsites, 3))
-        v = np.zeros((nsites, 3))
-        for res in results:
-            x[res["owned"]] = res["x"]
-            v[res["owned"]] = res["v"]
-        return ParallelMDResult(
-            energy_trace=results[0]["energy_trace"],
-            positions=x,
-            velocities=v,
-            comm_stats=world.stats.snapshot(),
-            nranks=self.nranks,
-        )

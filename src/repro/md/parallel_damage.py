@@ -1,8 +1,10 @@
 """Parallel MD with run-away atoms: the full §2.1.1 exchange protocol.
 
-:class:`~repro.md.engine.ParallelMD` executes the paper's parallel
-structure on perfect lattices; this module adds the damage machinery so
-cascades run distributed:
+The paper's parallel structure — domain decomposition, static-pattern
+ghost exchange of positions, a second exchange of electron densities
+between the EAM passes, per-rank forces over owned centrals — plus the
+damage machinery so cascades run distributed (a perfect lattice is the
+run with no PKA: zero vacancies, zero run-aways):
 
 * vacancies propagate through the static ghost exchange ("the lattice
   points (either an atom or a vacancy) in the ghost region is packed
@@ -83,8 +85,16 @@ def _pack_runaways(atoms: list[RunawayAtom], sites: np.ndarray):
 class ParallelDamageMD:
     """Domain-decomposed MD with vacancies and run-away atoms.
 
-    Parameters mirror :class:`~repro.md.engine.ParallelMD`, plus the
-    damage knobs of the serial engine.
+    Parameters
+    ----------
+    lattice, potential, config:
+        As for the serial :class:`~repro.md.engine.MDEngine`.
+    grid / nranks:
+        Process grid, or a world size for :func:`choose_grid` to
+        factorize.  A decomposition whose subdomains are thinner than
+        the ghost shell is rejected here, before any world exists.
+    network, backend, workers:
+        Handed to the :class:`~repro.runtime.simmpi.World`.
     """
 
     def __init__(
@@ -108,6 +118,14 @@ class ParallelDamageMD:
                 raise ValueError("provide either grid or nranks")
             grid = choose_grid(nranks, (lattice.nx, lattice.ny, lattice.nz))
         self.decomp = DomainDecomposition(lattice, grid)
+        # One extra ghost cell beyond the MD cutoff: a run-away atom sits
+        # up to half a first-shell from its host, so its interaction
+        # sphere (and its ghost-copy relevance) reaches that much past
+        # the lattice stencil.
+        self.width = self.decomp.ghost_width_cells(self.potential.cutoff) + 1
+        self.decomp.require_cells(
+            self.width, f"the MD ghost shell of width {self.width}"
+        )
         self.box = Box.for_lattice(lattice)
         self.network = network
         self.backend = backend
@@ -147,11 +165,7 @@ class ParallelDamageMD:
         pot = self.potential
         box = self.box
         decomp = self.decomp
-        # One extra ghost cell beyond the MD cutoff: a run-away atom sits
-        # up to half a first-shell from its host, so its interaction
-        # sphere (and its ghost-copy relevance) reaches that much past
-        # the lattice stencil.
-        width = decomp.ghost_width_cells(pot.cutoff) + 1
+        width = self.width
 
         def rank_main(comm):
             sub = decomp.subdomain(comm.rank)

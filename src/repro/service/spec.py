@@ -205,6 +205,22 @@ class ScenarioSpec:
             raise SpecError("checkpoint_every must be >= 1")
         if self.watchdog is not None and self.watchdog <= 0:
             raise SpecError("watchdog must be positive")
+        if self.kmc_nranks is not None:
+            from repro.kmc.akmc import sector_decomposition
+            from repro.kmc.events import RateParameters
+            from repro.lattice.bcc import BCCLattice
+
+            try:
+                sector_decomposition(
+                    BCCLattice(self.cells, self.cells, self.cells),
+                    RateParameters(temperature=self.temperature),
+                    nranks=self.kmc_nranks,
+                )
+            except ValueError as exc:
+                raise SpecError(
+                    f"cells={self.cells} cannot host kmc_nranks="
+                    f"{self.kmc_nranks} (--cells / --kmc-ranks): {exc}"
+                ) from exc
         if self.faults is not None:
             if not isinstance(self.faults, str):
                 raise SpecError(

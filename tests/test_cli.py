@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import FIGURES, build_parser, main
+from tests.conftest import crash_outcome
 
 
 class TestParser:
@@ -185,7 +186,9 @@ class TestFaultFlags:
         assert rc == 0
         assert "fault plan: crash rank 1 at kmc.cycle[3]" in out
         assert "faults injected: 1 (1 crashes" in out
-        assert "recoveries: 1" in out
+        recoveries, migrations = crash_outcome()
+        assert f"recoveries: {recoveries}" in out
+        assert ("migrations: 1" in out) == bool(migrations)
         assert (tmp_path / "kmc_checkpoint.npz").exists()
 
     def test_bad_fault_plan_exits_2(self, capsys):
@@ -245,6 +248,22 @@ class TestValidationExitCodes:
         err = capsys.readouterr().err
         assert exc_info.value.code == 2
         assert "temperature" in err
+
+    @pytest.mark.parametrize("command", ["coupled", "submit"])
+    def test_infeasible_decomposition_exits_2(self, command, capsys, tmp_path):
+        # Rejected when the spec is built: before the MD stage runs (or
+        # the job is queued), not from inside rank 7 of the KMC world.
+        argv = [command, "--cells", "6", "--kmc-ranks", "8"]
+        if command == "submit":
+            argv += ["--root", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc_info.value.code == 2
+        assert "--cells" in err and "--kmc-ranks" in err
+        assert "6x6x6" in err and "8 ranks" in err
+        assert "coupled MD-KMC over" not in out
+        assert not list(tmp_path.iterdir())
 
     def test_submit_bad_spec_exits_2(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc_info:

@@ -12,8 +12,10 @@ import pytest
 
 from repro.core.coupling import CoupledConfig, CoupledSimulation
 from repro.kmc.akmc import ParallelAKMC, SerialAKMC
+from repro.lattice.bcc import BCCLattice
 from repro.md.cascade import CascadeConfig
 from repro.runtime.faults import FaultPlan
+from tests.conftest import crash_outcome
 
 SCHEMES = ("traditional", "ondemand", "onesided")
 
@@ -130,7 +132,7 @@ class TestCoupledRecovery:
                 checkpoint_dir=str(tmp_path),
             )
         ).run()
-        assert result.recoveries == 1
+        assert (result.recoveries, result.migrations) == crash_outcome()
         assert result.fault_report["crashes"] == 1
         np.testing.assert_array_equal(
             result.vacancies_after_kmc, fault_free.vacancies_after_kmc
@@ -148,7 +150,7 @@ class TestCoupledRecovery:
                 checkpoint_dir=str(tmp_path),
             )
         ).run()
-        assert result.recoveries == 1
+        assert (result.recoveries, result.migrations) == crash_outcome()
         np.testing.assert_array_equal(
             result.vacancies_after_kmc, fault_free.vacancies_after_kmc
         )
@@ -172,18 +174,54 @@ class TestCoupledRecovery:
 
     def test_supervisor_gives_up_past_max_recoveries(self, tmp_path):
         # Two planned crashes but zero allowed recoveries: the first
-        # fault must surface instead of looping.
+        # fault must surface instead of looping.  About the restart
+        # supervisor itself, so on a backend that restarts (the
+        # overdecomposed one migrates and never reaches it).
         from repro.runtime.faults import InjectedFault
 
         with pytest.raises(InjectedFault):
             CoupledSimulation(
                 _coupled_config(
+                    kmc_backend="thread",
                     faults="crash:rank=1,cycle=2",
                     checkpoint_every=2,
                     checkpoint_dir=str(tmp_path),
                     max_recoveries=0,
                 )
             ).run()
+
+    def test_infeasible_decomposition_is_not_recovered(
+        self, potential, tmp_path, monkeypatch, forbid_world
+    ):
+        # A configuration error, not a fault: 5 cells cannot be sectored
+        # over 8 ranks.  It must fail where the engine is constructed —
+        # no World, and no supervisor retry "recovering" it.
+        from repro.kmc import akmc
+
+        forbid_world(akmc)
+        with pytest.raises(ValueError, match=r"4x4x4.*8 ranks.*sectors"):
+            ParallelAKMC(BCCLattice(4, 4, 4), potential, nranks=8)
+        sim = CoupledSimulation(
+            _coupled_config(
+                cells=5,
+                kmc_nranks=8,
+                checkpoint_every=2,
+                checkpoint_dir=str(tmp_path),
+            ),
+            potential=potential,
+        )
+        attempts = []
+        run_attempt = sim._run_kmc_attempt
+        monkeypatch.setattr(
+            sim,
+            "_run_kmc_attempt",
+            lambda *args: attempts.append(args) or run_attempt(*args),
+        )
+        occ = np.ones(sim.lattice.nsites, dtype=np.int8)
+        occ[3] = 0
+        with pytest.raises(ValueError, match=r"5x5x5.*8 ranks"):
+            sim._run_kmc_supervised(occ)
+        assert len(attempts) == 1
 
     def test_md_checkpoint_written_when_dir_given(self, tmp_path):
         CoupledSimulation(

@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kmc import akmc
 from repro.kmc.akmc import ParallelAKMC, SerialAKMC, place_random_vacancies
+from repro.kmc.alloy import AlloyKMCModel, AlloyRateParameters
 from repro.kmc.catalog import EventCatalog
 from repro.kmc.events import ATOM, VACANCY
+from repro.potential.alloy import make_fe_cu_alloy
+from tests.kmc_oracle import oracle_sector_events, oracle_step
 
 
 def _fill(catalog, table):
@@ -208,29 +212,33 @@ class TestBatchedRates:
         assert np.all(occ[targets] == ATOM)
 
 
+def _assert_catalog_matches_oracle(*system, steps=150):
+    """Fixed seed, catalog engine vs the cache-free flat oracle: identical
+    event sequences (occupancy after every step) and times."""
+    cat = SerialAKMC(*system, seed=7)
+    flat = SerialAKMC(*system, seed=7)
+    for step in range(steps):
+        dt_c, dt_f = cat.step(), oracle_step(flat)
+        assert np.array_equal(cat.occ, flat.occ), f"diverged at step {step}"
+        assert dt_c == pytest.approx(dt_f, rel=1e-12)
+    assert cat.time == pytest.approx(flat.time, rel=1e-12)
+    assert cat.events == flat.events == steps
+
+
 class TestDriverEquivalence:
     def test_serial_catalog_matches_flat_rebuild(
         self, lattice8, potential, rate_params, kmc_initial_occ
     ):
-        """Fixed seed, with and without the catalog: identical event
-        sequences (occupancy after every step) and times."""
-        cat = SerialAKMC(
-            lattice8, potential, rate_params, kmc_initial_occ, seed=7
+        _assert_catalog_matches_oracle(
+            lattice8, potential, rate_params, kmc_initial_occ
         )
-        flat = SerialAKMC(
-            lattice8,
-            potential,
-            rate_params,
-            kmc_initial_occ,
-            seed=7,
-            use_catalog=False,
+
+    def test_alloy_serial_catalog_matches_flat_rebuild(self, lattice8):
+        alloy, params = make_fe_cu_alloy(n=500), AlloyRateParameters()
+        occ = AlloyKMCModel(lattice8, alloy, params).random_solution(
+            30, 5, np.random.default_rng(7)
         )
-        assert cat.use_catalog and not flat.use_catalog
-        for step in range(150):
-            dt_c, dt_f = cat.step(), flat.step()
-            assert np.array_equal(cat.occ, flat.occ), f"diverged at step {step}"
-            assert dt_c == pytest.approx(dt_f, rel=1e-12)
-        assert cat.time == pytest.approx(flat.time, rel=1e-12)
+        _assert_catalog_matches_oracle(lattice8, alloy, params, occ)
 
     def test_serial_incremental_matches_full_rebuild_bitwise(
         self, lattice8, potential, rate_params, kmc_initial_occ
@@ -259,24 +267,28 @@ class TestDriverEquivalence:
 
     @pytest.mark.parametrize("scheme", ["traditional", "ondemand", "onesided"])
     def test_parallel_catalog_matches_flat_rebuild(
-        self, lattice8, potential, rate_params, kmc_initial_occ, scheme
+        self, monkeypatch, lattice8, potential, rate_params, kmc_initial_occ, scheme
     ):
         """The sector-synchronous driver with persistent per-sector
-        catalogs reproduces the pre-catalog trajectory for every
-        communication scheme."""
-        runs = {}
-        for use_catalog in (True, False):
-            engine = ParallelAKMC(
+        catalogs reproduces the flat-rebuild trajectory for every
+        communication scheme.  The oracle sector pass is substituted
+        in-process, hence the pinned thread backend."""
+
+        def run():
+            return ParallelAKMC(
                 lattice8,
                 potential,
                 rate_params,
                 nranks=8,
                 scheme=scheme,
                 seed=5,
-                use_catalog=use_catalog,
-            )
-            runs[use_catalog] = engine.run(kmc_initial_occ, max_cycles=10)
-        assert np.array_equal(runs[True].occupancy, runs[False].occupancy)
-        assert runs[True].events == runs[False].events
-        assert runs[True].time == runs[False].time
-        assert runs[True].events > 0
+                backend="thread",
+            ).run(kmc_initial_occ, max_cycles=10)
+
+        cat = run()
+        monkeypatch.setattr(akmc, "_sector_events", oracle_sector_events)
+        flat = run()
+        assert np.array_equal(cat.occupancy, flat.occupancy)
+        assert cat.events == flat.events
+        assert cat.time == flat.time
+        assert cat.events > 0

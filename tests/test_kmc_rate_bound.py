@@ -21,8 +21,8 @@ import pytest
 
 from repro import observe as obs
 from repro.kmc.akmc import ParallelAKMC, place_random_vacancies
-from repro.kmc.alloy import make_parallel_alloy_akmc
 from repro.kmc.events import VACANCY, KMCModel
+from repro.potential.alloy import make_fe_cu_alloy
 
 
 def _two_vacancy_occ(model):
@@ -127,12 +127,10 @@ class TestEngineModes:
     ):
         engine = ParallelAKMC(lattice8, potential, rate_params, nranks=8)
         assert engine.rate_bound == "clamp"
-        assert engine._rate_bound_per_vacancy() == pytest.approx(
+        assert engine.dt_rate_bound == pytest.approx(
             8.0 * rate_params.reference_rate
         )
-        assert engine._rate_cap() == pytest.approx(
-            rate_params.reference_rate
-        )
+        assert engine.rate_cap == pytest.approx(rate_params.reference_rate)
 
     def test_strict_mode_uses_true_supremum(
         self, lattice8, potential, rate_params
@@ -143,8 +141,8 @@ class TestEngineModes:
         expected = 8.0 * rate_params.nu * math.exp(
             -rate_params.de_min / rate_params.kt
         )
-        assert engine._rate_bound_per_vacancy() == pytest.approx(expected)
-        assert engine._rate_cap() is None
+        assert engine.dt_rate_bound == pytest.approx(expected)
+        assert engine.rate_cap is None
         # The true supremum dwarfs the reference bound — the reason
         # strict mode is opt-in, not the default.
         assert expected > 8.0 * rate_params.reference_rate
@@ -165,10 +163,17 @@ class TestEngineModes:
         assert registry.counters.get("kmc.rate_bound.clamped", 0) > 0
 
     def test_alloy_strict_mode(self, lattice8):
-        engine = make_parallel_alloy_akmc(
-            lattice8, nranks=8, rate_bound="strict",
+        engine = ParallelAKMC(
+            lattice8, make_fe_cu_alloy(n=500), nranks=8, rate_bound="strict",
         )
         params = engine.params
         expected = 8.0 * params.nu * math.exp(-params.de_min / params.kt)
-        assert engine._rate_bound_per_vacancy() == pytest.approx(expected)
-        assert engine._rate_cap() is None
+        assert engine.dt_rate_bound == pytest.approx(expected)
+        assert engine.rate_cap is None
+
+    def test_alloy_clamp_mode_follows_the_fastest_species(self, lattice8):
+        engine = ParallelAKMC(lattice8, make_fe_cu_alloy(n=500), nranks=8)
+        params = engine.params
+        fastest = params.nu * math.exp(-params.e_m0_cu / params.kt)
+        assert params.reference_rate == fastest
+        assert (engine.dt_rate_bound, engine.rate_cap) == (8.0 * fastest, fastest)

@@ -1,13 +1,14 @@
-"""The shared BKL event selector: zero-rate bug regression + properties.
+"""The flat BKL event selector: zero-rate bug regression + properties.
 
-The legacy flat selectors (serial AKMC, sector-synchronous flat path,
-alloy engine) used ``searchsorted(cumsum, u * sum) `` with a blind
+Flat selectors used ``searchsorted(cumsum, u * sum) `` with a blind
 ``min(pick, n - 1)`` clamp.  NumPy's pairwise ``sum`` and sequential
 ``cumsum`` can disagree in the last ulp, so ``u * total`` can overshoot
 ``cumsum[-1]`` — and the clamp then returns the last index even when its
 rate is exactly zero, executing a physically forbidden transition.
-:func:`repro.kmc.selection.select_event` fixes this with the catalog's
-rightmost-positive fallback; these tests pin the bug and the fix.
+:func:`tests.kmc_oracle.select_event` — the selector of the flat-rebuild
+oracle the engines' catalog is tested against — fixes this with the
+catalog's rightmost-positive fallback; these tests pin the bug and the
+fix, and that oracle and catalog agree.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kmc.catalog import EventCatalog
-from repro.kmc.selection import select_event
+from tests.kmc_oracle import select_event
 
 
 def legacy_select(rates: np.ndarray, u: float) -> int:
@@ -104,9 +105,9 @@ def test_select_event_properties(rates, u):
 
     The selected index is in range, its rate is strictly positive, and
     its cumulative interval brackets the target up to summation
-    round-off — for *any* mix of zero and positive rates.  The serial,
-    sector, and alloy engines all call this exact function, so the
-    property covers all three flat paths at once.
+    round-off — for *any* mix of zero and positive rates.  The serial
+    and sector oracles both call this exact function, so the property
+    covers every flat path at once.
     """
     rates = np.asarray(rates, dtype=float)
     idx = select_event(rates, u)
@@ -176,13 +177,3 @@ def test_flat_and_catalog_selectors_agree_event_for_event():
         u = rng.random()
         row, _ = catalog.sample(u)
         assert row == select_event(rates, u)
-
-
-def test_serial_and_alloy_engines_share_the_selector():
-    """Both legacy engines now route through the shared helper."""
-    import inspect
-
-    from repro.kmc import akmc, alloy
-
-    assert "select_event" in inspect.getsource(akmc.SerialAKMC._step_flat)
-    assert "select_event" in inspect.getsource(alloy.AlloySerialAKMC.step)

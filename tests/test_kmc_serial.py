@@ -82,28 +82,6 @@ class TestBKL:
             finals.append(e.run(max_events=50).occupancy)
         assert np.array_equal(finals[0], finals[1])
 
-    def test_rate_cache_matches_uncached(
-        self, lattice8, potential, rate_params, kmc_initial_occ
-    ):
-        # Run the same flat-rebuild trajectory with the cache cleared
-        # every step; the trajectories must be identical (the cache is a
-        # pure optimization).  Catalog/flat equivalence has its own
-        # tests in test_kmc_catalog.py.
-        cached = SerialAKMC(
-            lattice8, potential, rate_params, kmc_initial_occ, seed=4,
-            use_catalog=False,
-        )
-        uncached = SerialAKMC(
-            lattice8, potential, rate_params, kmc_initial_occ, seed=4,
-            use_catalog=False,
-        )
-        for _ in range(25):
-            cached.step()
-            uncached._rate_cache.clear()
-            uncached.step()
-        assert np.array_equal(cached.occ, uncached.occ)
-        assert cached.time == pytest.approx(uncached.time, rel=1e-12)
-
     def test_occupancy_length_validated(self, lattice8, potential, rate_params):
         with pytest.raises(ValueError, match="occupancy"):
             SerialAKMC(

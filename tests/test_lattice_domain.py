@@ -98,6 +98,18 @@ class TestPartition:
         assert decomp.ghost_width_cells(5.6) == 2
         assert decomp.ghost_width_cells(2.8) == 1
 
+    def test_require_cells(self):
+        # 9 cells over 2 processes split 5 + 4: the smallest counts.
+        decomp = DomainDecomposition(BCCLattice(9, 8, 6), (2, 1, 2))
+        decomp.require_cells(3, "a test")
+        with pytest.raises(ValueError) as exc_info:
+            decomp.require_cells(4, "a test")
+        msg = str(exc_info.value)
+        assert "9x8x6-cell lattice" in msg
+        assert "(2, 1, 2) (4 ranks)" in msg
+        assert "(4, 8, 3)" in msg
+        assert "a test needs >= 4" in msg
+
 
 class TestGhostRegions:
     def test_ghost_cells_outside_subdomain(self):

@@ -129,6 +129,18 @@ class TestMechanics:
         with pytest.raises(ValueError, match="nsteps"):
             pmd.run(nsteps=0)
 
+    def test_thin_subdomains_rejected_at_construction(
+        self, potential, forbid_world
+    ):
+        # 5 cells over a (1, 2, 2) grid: 2-cell subdomains cannot hold
+        # the 3-cell ghost shell.  Used to surface as "rank N failed"
+        # out of a running world.
+        from repro.md import parallel_damage
+
+        forbid_world(parallel_damage)
+        with pytest.raises(ValueError, match=r"5x5x5.*4 ranks.*ghost shell"):
+            ParallelDamageMD(BCCLattice(5, 5, 5), potential, nranks=4)
+
     def test_no_damage_without_pka(self, potential):
         lattice = BCCLattice(8, 8, 8)
         pmd = ParallelDamageMD(

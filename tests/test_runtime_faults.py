@@ -18,6 +18,7 @@ from repro.runtime.faults import (
     InjectedFault,
 )
 from repro.runtime.simmpi import WatchdogTimeout, World
+from tests.conftest import crash_outcome
 
 
 class TestFaultPlanParsing:
@@ -80,16 +81,21 @@ class TestCrashInjection:
         assert inj.snapshot()["crashes"] == 1
 
     def test_crash_raises_through_world_run(self):
+        # Pinned to the two backends that abort on a crash; the
+        # overdecomposed one migrates the rank instead (next test).
         def main(comm):
             for cycle in range(10):
                 comm.fault_point("kmc.cycle", cycle)
                 comm.barrier()
             return comm.rank
 
-        world = World(3, faults=FaultPlan.parse("crash:rank=2,cycle=4"))
-        with pytest.raises(InjectedFault):
-            world.run(main)
-        assert world.faults.snapshot()["crashes"] == 1
+        for backend in ("thread", "process"):
+            world = World(
+                3, faults=FaultPlan.parse("crash:rank=2,cycle=4"), backend=backend
+            )
+            with pytest.raises(InjectedFault):
+                world.run(main)
+            assert world.faults.snapshot()["crashes"] == 1
 
     def test_rerun_after_crash_completes(self):
         # The injector persists across World instances; the second
@@ -102,9 +108,16 @@ class TestCrashInjection:
 
         plan = FaultPlan.parse("crash:rank=0,cycle=2")
         inj = FaultInjector(plan)
-        with pytest.raises(InjectedFault):
-            World(2, faults=inj).run(main)
+        first = World(2, faults=inj)
+        _restarts, migrations = crash_outcome()
+        if migrations:
+            assert first.run(main) == [0, 1]
+        else:
+            with pytest.raises(InjectedFault):
+                first.run(main)
+        assert first.migrations == migrations
         assert World(2, faults=inj).run(main) == [0, 1]
+        assert inj.snapshot()["crashes"] == 1
 
 
 class TestMessagingFaults:

@@ -99,7 +99,9 @@ class TestTransportParity:
             assert t[key] == p[key]
         assert worlds["process"].pending_messages() == 0
 
-    def test_ranks_run_in_distinct_processes(self):
+    def test_ranks_run_in_distinct_processes(self, monkeypatch):
+        # One child per rank: with REPRO_WORKERS set, ranks share children.
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         pids = World(3, backend="process").run(
             lambda comm: os.getpid(), timeout=60.0
         )
@@ -271,7 +273,10 @@ class TestFailureParity:
 # Observe aggregation
 # ----------------------------------------------------------------------
 class TestObserveAggregation:
-    def test_child_phases_and_counters_merge(self):
+    def test_child_phases_and_counters_merge(self, monkeypatch):
+        # One child per rank (the thread names below encode rank == child).
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+
         def main(comm):
             with obs.phase("kmc.work"):
                 obs.add("test.events", comm.rank + 1)

@@ -18,7 +18,7 @@ from repro.service.spec import (
 class TestRoundTrip:
     def test_to_from_dict_exact(self):
         spec = ScenarioSpec(
-            cells=6, md_steps=40, pka_energy=150.0, kmc_nranks=4,
+            cells=8, md_steps=40, pka_energy=150.0, kmc_nranks=4,
             trajectory_every=2, seed=7, faults="crash:rank=1,cycle=3",
             checkpoint_every=2, backend="process", workers=2,
         )
@@ -114,10 +114,18 @@ class TestValidation:
         ({"checkpoint_every": 0}, "checkpoint_every"),
         ({"watchdog": 0.0}, "watchdog"),
         ({"faults": "explode:rank=0,cycle=1"}, "bad faults plan"),
+        # Infeasible decompositions: subdomains too small to sector,
+        # and a rank count with no process grid over the cells.
+        ({"cells": 5, "kmc_nranks": 8}, r"cells=5 .*kmc_nranks=8 .*\(2, 2, 2\)"),
+        ({"cells": 6, "kmc_nranks": 7}, "cells=6 .*kmc_nranks=7 .*process grid"),
     ])
     def test_bad_values_rejected(self, kwargs, match):
         with pytest.raises(SpecError, match=match):
             ScenarioSpec(**kwargs)
+
+    def test_feasible_decomposition_accepted(self):
+        assert ScenarioSpec(cells=8, kmc_nranks=8).kmc_nranks == 8
+        assert ScenarioSpec(cells=5, kmc_nranks=1).kmc_nranks == 1
 
     def test_canonical_json_rejects_nan(self):
         with pytest.raises(ValueError):
