@@ -9,7 +9,9 @@ gap for the *statically decidable* slice of the call graph:
   (``repro.kmc.comm.TraditionalExchange.before_sector``);
 * ``from x import y [as z]`` re-exports are chased transitively, so a
   call through a package ``__init__`` facade resolves to the defining
-  module;
+  module — and so is the literal ``_EXPORTS = {name: module}`` table of
+  a facade that resolves its names on first access (PEP 562
+  ``__getattr__``, as ``repro.core`` and ``repro.service`` do);
 * calls are resolved when the target is a plain name (local function or
   import), a dotted module attribute (``mod.func``), or a ``self``
   method of the enclosing class — attribute calls on arbitrary objects
@@ -31,6 +33,9 @@ from repro.analyze.core import ImportMap, ModuleContext
 
 #: Cap on import-alias chasing, so a (malformed) alias cycle terminates.
 _ALIAS_DEPTH = 16
+
+#: Module-level name of a lazy facade's ``{public name: module}`` table.
+_EXPORT_TABLE = "_EXPORTS"
 
 
 def module_dotted_name(rel_path: str) -> str:
@@ -120,14 +125,18 @@ class ProjectGraph:
             for sub in node.body:
                 self._index_stmt(module, modname, sub, class_name=node.name)
         elif isinstance(node, ast.Assign) and class_name is None:
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
             if isinstance(node.value, ast.Constant) and isinstance(
                 node.value.value, int
             ):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        self.constants[f"{modname}.{target.id}"] = (
-                            node.value.value
-                        )
+                for name in names:
+                    self.constants[f"{modname}.{name}"] = node.value.value
+            elif _EXPORT_TABLE in names and isinstance(node.value, ast.Dict):
+                table = node.value
+                for key, target in zip(table.keys, table.values, strict=True):
+                    name, where = (getattr(n, "value", None) for n in (key, target))
+                    if isinstance(name, str) and isinstance(where, str):
+                        self.aliases[f"{modname}.{name}"] = f"{where}.{name}"
         elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
             for alias in node.names:
                 if alias.name == "*":

@@ -28,6 +28,14 @@ import numpy as np
 from repro import observe as obs
 from repro.core.clusters import ClusteringReport, clustering_report
 from repro.core.timescale import kmc_real_time
+from repro.io.checkpoint import load_kmc_checkpoint, save_checkpoint
+from repro.io.store import (
+    TrajectoryReader,
+    TrajectoryWriter,
+    finalize_store,
+    is_store,
+    rewind_store,
+)
 from repro.kmc.akmc import ParallelAKMC, SerialAKMC
 from repro.kmc.events import ATOM, VACANCY, RateParameters
 from repro.lattice.bcc import BCCLattice
@@ -430,8 +438,6 @@ class CoupledSimulation:
                 # Restore the last good checkpoint; if the fault struck
                 # before the first one landed, replay from the start.
                 if ckpt_path.exists():
-                    from repro.io.checkpoint import load_kmc_checkpoint
-
                     resume = load_kmc_checkpoint(ckpt_path)
                 else:
                     resume = None
@@ -441,8 +447,6 @@ class CoupledSimulation:
                     # dropped and re-recorded bit-identically by the
                     # resumed attempt.  With no checkpoint yet, rewind
                     # to 0.0 keeps only the post-MD initial frame.
-                    from repro.io.store import is_store, rewind_store
-
                     if is_store(cfg.trajectory):
                         rewind_store(
                             cfg.trajectory,
@@ -475,8 +479,6 @@ class CoupledSimulation:
             if cfg.checkpoint_dir is not None:
                 # Persist the post-cascade MD engine state so a recovery
                 # (or a later session) never has to replay the MD stage.
-                from repro.io.checkpoint import save_checkpoint
-
                 self._notify("checkpoint")
                 with obs.phase("coupled.checkpoint"):
                     save_checkpoint(
@@ -498,8 +500,6 @@ class CoupledSimulation:
                 # incrementally (rank 0 via the gather path when
                 # parallel), and recovery rewinds it with the
                 # checkpoints.
-                from repro.io.store import TrajectoryWriter
-
                 self._notify("trajectory_init")
                 with obs.phase("io.trajectory.init"):
                     writer = TrajectoryWriter(
@@ -512,8 +512,6 @@ class CoupledSimulation:
                 kmc, recoveries, fault_report = self._run_kmc_supervised(occ0)
             trajectory_frames = None
             if cfg.trajectory is not None:
-                from repro.io.store import TrajectoryReader, finalize_store
-
                 with obs.phase("io.trajectory.finalize"):
                     finalize_store(cfg.trajectory)
                     trajectory_frames = len(TrajectoryReader(cfg.trajectory))

@@ -1,33 +1,12 @@
-"""I/O: trajectory dumps, structured state dumps, checkpoints."""
+"""I/O: trajectory dumps, structured state dumps, checkpoints.
 
-from repro.io.xyz import write_xyz, read_xyz, write_vacancy_xyz
-from repro.io.dump import dump_state, load_state
-from repro.io.checkpoint import save_checkpoint, load_checkpoint, CheckpointError
-from repro.io.atomic import atomic_write, atomic_write_bytes
-from repro.io.store import (
-    StoreError,
-    TrajectoryReader,
-    TrajectoryWriter,
-    finalize_store,
-    is_store,
-    rewind_store,
-)
+* :mod:`~repro.io.atomic` — write-to-temp, fsync, rename.
+* :mod:`~repro.io.store` — the streaming chunked trajectory store.
+* :mod:`~repro.io.checkpoint` — MD engine and KMC occupancy checkpoints
+  (a KMC checkpoint loads no MD module).
+* :mod:`~repro.io.dump`, :mod:`~repro.io.xyz` — ``.npz`` state dumps and
+  XYZ frames.
 
-__all__ = [
-    "CheckpointError",
-    "StoreError",
-    "TrajectoryReader",
-    "TrajectoryWriter",
-    "atomic_write",
-    "atomic_write_bytes",
-    "dump_state",
-    "finalize_store",
-    "is_store",
-    "load_checkpoint",
-    "load_state",
-    "read_xyz",
-    "rewind_store",
-    "save_checkpoint",
-    "write_vacancy_xyz",
-    "write_xyz",
-]
+The package exports nothing: import from the defining submodule, so a
+run loads only the formats it reads or writes.
+"""

@@ -18,19 +18,25 @@ Both families write through :func:`repro.io.atomic.atomic_write`
 loss mid-write can never destroy — or truncate — the last good
 checkpoint, and concurrent checkpointers sharing a path never corrupt
 each other's temp file.
+
+Nothing under :mod:`repro.md` is imported at module level: a KMC run
+that checkpoints loads no MD module, and whoever holds an
+``MDEngine`` has already loaded the ones the MD family touches.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.io.atomic import atomic_write
 from repro.io.dump import dump_state, load_state
-from repro.md.engine import MDEngine
-from repro.md.neighbors.lattice_list import RunawayAtom
+
+if TYPE_CHECKING:
+    from repro.md.engine import MDEngine
 
 #: Format marker of a KMC checkpoint file.
 KMC_FORMAT = "repro-kmc-checkpoint-v1"
@@ -65,6 +71,8 @@ def save_checkpoint(path, engine: MDEngine) -> None:
 
 def load_checkpoint(path, engine: MDEngine) -> None:
     """Restore a checkpoint into a compatible engine, in place."""
+    from repro.md.neighbors.lattice_list import RunawayAtom
+
     state, extra = load_state(path)
     dims = extra["lattice_dims"]
     if tuple(dims) != (engine.lattice.nx, engine.lattice.ny, engine.lattice.nz):

@@ -7,10 +7,14 @@ the low-level building block :mod:`repro.io.checkpoint` composes.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.io.atomic import atomic_write
-from repro.md.state import AtomState
+
+if TYPE_CHECKING:
+    from repro.md.state import AtomState
 
 #: Format marker stored in every dump.
 FORMAT = "repro-state-v1"
@@ -44,6 +48,8 @@ def dump_state(path, state: AtomState, extra: dict | None = None) -> None:
 
 def load_state(path) -> tuple[AtomState, dict]:
     """Read a dump back; returns ``(state, extra_arrays)``."""
+    from repro.md.state import AtomState
+
     with np.load(path, allow_pickle=False) as data:
         if str(data["format"]) != FORMAT:
             raise ValueError(

@@ -17,6 +17,9 @@ default (numba if importable, else numpy).  Requesting ``numba`` where
 numba is missing degrades gracefully to the NumPy path with a one-shot
 ``RuntimeWarning`` and a ``kernels.numba_unavailable`` observe counter —
 never an error, because the physics is identical either way.
+
+:mod:`repro.kernels.impl` is imported by the three functions of the
+compiled path only, so a NumPy-kernel run never loads the loop twins.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import warnings
 import numpy as np
 
 from repro import observe as obs
-from repro.kernels import impl
 from repro.kernels._jit import HAVE_NUMBA
 
 KERNEL_BACKENDS = ("numpy", "numba", "auto")
@@ -104,6 +106,8 @@ def table_payload(table):
         return None
     if cached is not None:
         return cached
+    from repro.kernels import impl
+
     layout = getattr(table, "layout", None)
     if layout == "traditional":
         payload = (
@@ -156,6 +160,8 @@ def eam_fused(payloads, i, j, d, r, n):
     so float32 pair geometry produces the same float64 results the NumPy
     path gets from its mixed-precision expressions.
     """
+    from repro.kernels import impl
+
     pair_pl, dens_pl, emb_pl = payloads
     i64 = np.ascontiguousarray(i, dtype=np.int64)
     j64 = np.ascontiguousarray(j, dtype=np.int64)
@@ -188,6 +194,8 @@ def rate_batch(
     NumPy disagree about ``exp`` in the last ulp, so the transcendental
     stays on the NumPy side of the fence in both backends.
     """
+    from repro.kernels import impl
+
     return impl.rate_batch(
         *emb_payload,
         np.ascontiguousarray(e_matrix, dtype=np.int64),

@@ -33,43 +33,8 @@ both species-blind: the rate model carries the species —
 :func:`~repro.kmc.akmc.model_for` from the type of the potential — and
 every event is selected through the incremental
 :class:`~repro.kmc.catalog.EventCatalog`.
+
+The package exports nothing: import from the submodule that defines the
+name (``from repro.kmc.akmc import SerialAKMC``), so a serial run loads
+no exchange scheme, sector geometry or message runtime.
 """
-
-from repro.kmc.rng import sector_rng, cycle_seed
-from repro.kmc.catalog import EventCatalog
-from repro.kmc.events import BaseKMCModel, KMCModel, RateParameters
-from repro.kmc.sublattice import SectorSchedule
-from repro.kmc.comm import TraditionalExchange, ExchangeScheme
-from repro.kmc.ondemand import OnDemandExchange
-from repro.kmc.onesided import OneSidedExchange
-from repro.kmc.akmc import SerialAKMC, ParallelAKMC, KMCResult, model_for
-from repro.kmc.alloy import (
-    AlloyKMCModel,
-    AlloyRateParameters,
-    S_VACANCY,
-    S_FE,
-    S_CU,
-)
-
-__all__ = [
-    "AlloyKMCModel",
-    "AlloyRateParameters",
-    "BaseKMCModel",
-    "EventCatalog",
-    "ExchangeScheme",
-    "KMCModel",
-    "KMCResult",
-    "OnDemandExchange",
-    "OneSidedExchange",
-    "ParallelAKMC",
-    "RateParameters",
-    "S_CU",
-    "S_FE",
-    "S_VACANCY",
-    "SectorSchedule",
-    "SerialAKMC",
-    "TraditionalExchange",
-    "cycle_seed",
-    "model_for",
-    "sector_rng",
-]

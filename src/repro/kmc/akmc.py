@@ -15,36 +15,62 @@ Both engines are species-blind: the rate model carries the species
 (:func:`model_for` picks it from the potential's type, the only place
 either engine asks), and events flow through one path, the incremental
 :class:`~repro.kmc.catalog.EventCatalog`.
+
+The module level imports what both engines execute.  The domain
+decomposition, the sector geometry, the exchange schemes and the message
+runtime are the parallel engine's alone and are imported where it is
+constructed, so a serial run loads none of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import observe as obs
+from repro.io.checkpoint import (
+    KMCCheckpoint,
+    load_kmc_checkpoint,
+    restore_rng_state,
+    rng_state_json,
+    save_kmc_checkpoint,
+)
 from repro.kmc.alloy import AlloyKMCModel, AlloyRateParameters
 from repro.kmc.catalog import EventCatalog
-from repro.kmc.comm import ExchangeScheme, TraditionalExchange
 from repro.kmc.events import VACANCY, BaseKMCModel, KMCModel, RateParameters
-from repro.kmc.ondemand import OnDemandExchange
-from repro.kmc.onesided import OneSidedExchange
 from repro.kmc.rng import sector_rng
-from repro.kmc.sublattice import SectorSchedule
 from repro.lattice.bcc import BCCLattice
-from repro.lattice.domain import DomainDecomposition, choose_grid
 from repro.potential.alloy import AlloyTables
 from repro.potential.eam import EAMPotential
-from repro.runtime.simmpi import World
 
-#: Registry of the selectable communication schemes.
-SCHEMES: dict[str, type[ExchangeScheme]] = {
-    "traditional": TraditionalExchange,
-    "ondemand": OnDemandExchange,
-    "onesided": OneSidedExchange,
-}
+if TYPE_CHECKING:
+    from repro.kmc.comm import ExchangeScheme
+    from repro.lattice.domain import DomainDecomposition
+
+
+def _parallel_stack():
+    """``(World, SectorSchedule, schemes)``: what only the parallel engine runs.
+
+    ``schemes`` is the registry of the selectable communication schemes,
+    by name.  :class:`ParallelAKMC` calls this where it is constructed,
+    so its users pay for the message runtime, the sector geometry and
+    the exchange schemes there and :class:`SerialAKMC` users never do.
+    """
+    from repro.kmc.comm import TraditionalExchange
+    from repro.kmc.ondemand import OnDemandExchange
+    from repro.kmc.onesided import OneSidedExchange
+    from repro.kmc.sublattice import SectorSchedule
+    from repro.runtime.simmpi import World
+
+    schemes: dict[str, type[ExchangeScheme]] = {
+        "traditional": TraditionalExchange,
+        "ondemand": OnDemandExchange,
+        "onesided": OneSidedExchange,
+    }
+    return World, SectorSchedule, schemes
 
 
 def ghost_width_cells(lattice: BCCLattice, params: RateParameters) -> int:
@@ -70,6 +96,8 @@ def sector_decomposition(
     conflict-free sectors — at construction (and at scenario
     validation), not inside some rank of a running world.
     """
+    from repro.lattice.domain import DomainDecomposition, choose_grid
+
     if grid is None:
         if nranks is None:
             raise ValueError("provide either grid or nranks")
@@ -313,8 +341,6 @@ class SerialAKMC:
     # ------------------------------------------------------------------
     def checkpoint(self, path) -> None:
         """Atomically write this engine's resumable state to ``path``."""
-        from repro.io.checkpoint import rng_state_json, save_kmc_checkpoint
-
         save_kmc_checkpoint(
             path,
             self.occ,
@@ -332,12 +358,6 @@ class SerialAKMC:
         restored occupancy — the continuation is bit-identical to a run
         that never stopped.
         """
-        from repro.io.checkpoint import (
-            KMCCheckpoint,
-            load_kmc_checkpoint,
-            restore_rng_state,
-        )
-
         ckpt = (
             checkpoint
             if isinstance(checkpoint, KMCCheckpoint)
@@ -485,8 +505,9 @@ class ParallelAKMC:
         workers: int | None = None,
         rate_bound: str = "clamp",
     ) -> None:
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}; choose from {list(SCHEMES)}")
+        *_, schemes = _parallel_stack()
+        if scheme not in schemes:
+            raise ValueError(f"unknown scheme {scheme!r}; choose from {list(schemes)}")
         if rate_bound not in self.RATE_BOUND_MODES:
             raise ValueError(
                 f"unknown rate_bound {rate_bound!r}; "
@@ -571,34 +592,37 @@ class ParallelAKMC:
         width = self.width
         seed = self.seed
         rate_bound = self.dt_rate_bound
-        scheme_cls = SCHEMES[self.scheme_name]
+        World, SectorSchedule, schemes = _parallel_stack()
+        scheme_cls = schemes[self.scheme_name]
         start_cycle = 0 if resume is None else int(resume.cycle)
         start_time = 0.0 if resume is None else float(resume.time)
         events_base = 0 if resume is None else int(resume.events)
 
         def rank_main(comm):
-            sub = self.decomp.subdomain(comm.rank)
-            owned = sub.owned_site_ranks(lattice)
-            ghosts = sub.all_ghost_site_ranks(lattice, width)
-            sites = np.union1d(owned, ghosts)
-            central_rows = np.searchsorted(sites, owned)
-            model = self.model_cls(
-                lattice,
-                self.potential,
-                self.params,
-                sites=sites,
-                rate_cap=self.rate_cap,
-            )
-            occ = occupancy[sites].copy()
-            schedule = SectorSchedule(self.decomp, comm.rank, sites, width)
-            scheme = scheme_cls(comm, schedule, occ)
-            # One persistent catalog per sector: sector row sets repeat
-            # every cycle, so incremental invalidation can carry rates
-            # across cycles.  The snapshot records the occupancy each
-            # catalog was last consistent with.
-            catalogs = [
-                EventCatalog(model.nrows) for _ in range(schedule.nsectors)
-            ]
+            # Everything a rank builds before cycle 0, under one phase.
+            with obs.phase("kmc.construct"):
+                sub = self.decomp.subdomain(comm.rank)
+                owned = sub.owned_site_ranks(lattice)
+                ghosts = sub.all_ghost_site_ranks(lattice, width)
+                sites = np.union1d(owned, ghosts)
+                central_rows = np.searchsorted(sites, owned)
+                model = self.model_cls(
+                    lattice,
+                    self.potential,
+                    self.params,
+                    sites=sites,
+                    rate_cap=self.rate_cap,
+                )
+                occ = occupancy[sites].copy()
+                schedule = SectorSchedule(self.decomp, comm.rank, sites, width)
+                scheme = scheme_cls(comm, schedule, occ)
+                # One persistent catalog per sector: sector row sets
+                # repeat every cycle, so incremental invalidation can
+                # carry rates across cycles.  The snapshot records the
+                # occupancy each catalog was last consistent with.
+                catalogs = [
+                    EventCatalog(model.nrows) for _ in range(schedule.nsectors)
+                ]
             snapshots: list[np.ndarray | None] = [None] * schedule.nsectors
             t = start_time
             cycle = start_cycle
@@ -684,8 +708,6 @@ class ParallelAKMC:
                             (owned, occ[central_rows].copy(), events)
                         )
                         if comm.rank == 0:
-                            from repro.io.checkpoint import save_kmc_checkpoint
-
                             if traj_writer is not None:
                                 # Durability fence: every trajectory
                                 # frame at or before this checkpoint

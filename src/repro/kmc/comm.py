@@ -59,10 +59,16 @@ class TraditionalExchange(ExchangeScheme):
 
     name = "traditional"
 
+    def __init__(self, comm, schedule: SectorSchedule, occ: np.ndarray) -> None:
+        super().__init__(comm, schedule, occ)
+        # The one reader of the strip sets: asking builds them, here
+        # and once, so the on-demand schemes never pay for them.
+        self.strips = schedule.sector_comm
+
     def before_sector(self, sector: int) -> None:
         """Get phase: refresh our sector's ghost strips from their owners."""
         with obs.phase("kmc.ghost_sync"):
-            plans = self.schedule.sector_comm[sector]
+            plans = self.strips[sector]
             for sc in plans:
                 self.comm.send(
                     sc.neighbor,
@@ -83,7 +89,7 @@ class TraditionalExchange(ExchangeScheme):
         removes; ``dirty_rows`` is deliberately ignored here.
         """
         with obs.phase("kmc.ghost_sync"):
-            plans = self.schedule.sector_comm[sector]
+            plans = self.strips[sector]
             for sc in plans:
                 self.comm.send(
                     sc.neighbor,

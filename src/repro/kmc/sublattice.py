@@ -5,26 +5,29 @@ processes work on the *same* octant position concurrently, so active
 regions on different processes are separated by at least the inactive
 remainder of a subdomain and never conflict within a cycle.
 
-:class:`SectorSchedule` precomputes, per (sector, neighbor) pair, every
-row set the communication schemes need:
+:class:`SectorSchedule` precomputes what every communication scheme
+reads — the sector rows and masks, the neighbor ranks, and per neighbor
+the ``interest`` set: the global ranks that neighbor can see (its owned
+sites plus its ghost shell), against which the on-demand schemes
+intersect the event-affected sites (Figure 8d).
 
-* ``get_send`` / ``get_recv`` — the full-strip transfers of the
-  traditional two-phase exchange (Figure 8b: "Get the latest ghost sites
-  from neighbor processes"); the put phase (Figure 8c) reuses the same
-  sets mirrored.
-* ``interest`` — per neighbor, the global ranks that neighbor can see
-  (its owned sites plus its ghost shell); the on-demand scheme intersects
-  the event-affected sites against these (Figure 8d).
+The per-(sector, neighbor) strip sets of the traditional two-phase
+exchange — ``get_send`` / ``get_recv`` (Figure 8b: "Get the latest ghost
+sites from neighbor processes") and the mirrored put sets (Figure 8c) —
+have one reader, :class:`~repro.kmc.comm.TraditionalExchange`, and are
+built when it first asks for ``sector_comm``; an on-demand or one-sided
+rank never builds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.lattice.bcc import BCCLattice
-from repro.lattice.domain import DIRECTIONS, DomainDecomposition
+from repro.lattice.domain import DIRECTIONS, DomainDecomposition, Subdomain
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,7 @@ class SectorComm:
 
 
 class SectorSchedule:
-    """Per-rank sector geometry and precomputed communication row sets.
+    """Per-rank sector geometry and the row sets every scheme reads.
 
     Parameters
     ----------
@@ -85,8 +88,10 @@ class SectorSchedule:
         event_width: int = 1,
     ) -> None:
         lattice: BCCLattice = decomp.lattice
+        self.decomp = decomp
         self.rank = rank
         self.sites = sites
+        self.width = width
         self.event_width = event_width
         sub = decomp.subdomain(rank)
         if any(s < 2 * width for s in sub.shape):
@@ -135,44 +140,20 @@ class SectorSchedule:
             owned_n = nsub.owned_site_ranks(lattice)
             ghost_n = nsub.all_ghost_site_ranks(lattice, width)
             self.interest[n] = np.union1d(owned_n, ghost_n)
-        # Traditional per-sector strip sets.
-        my_owned = sub.owned_site_ranks(lattice)
-        owned_by = {
-            n: decomp.subdomain(n).owned_site_ranks(lattice) for n in neighbor_ranks
+        # The same sets as row masks: ``interest_rows`` runs per sector
+        # and neighbor every cycle and only ever asks about local rows.
+        self.interest_member: dict[int, np.ndarray] = {
+            n: np.isin(sites, ranks) for n, ranks in self.interest.items()
         }
-        self.sector_comm: list[list[SectorComm]] = []
-        for s, sector in enumerate(self.sectors):
-            my_rate_ghost = sector.all_ghost_site_ranks(lattice, width)
-            my_event_ghost = sector.all_ghost_site_ranks(lattice, event_width)
-            per_neighbor = []
-            for n in neighbor_ranks:
-                n_sector = decomp.subdomain(n).sectors()[s]
-                n_rate_ghost = n_sector.all_ghost_site_ranks(lattice, width)
-                n_event_ghost = n_sector.all_ghost_site_ranks(lattice, event_width)
-                per_neighbor.append(
-                    SectorComm(
-                        neighbor=n,
-                        get_send_rows=_rows_in(
-                            sites, np.intersect1d(n_rate_ghost, my_owned)
-                        ),
-                        get_recv_rows=_rows_in(
-                            sites, np.intersect1d(my_rate_ghost, owned_by[n])
-                        ),
-                        put_send_rows=_rows_in(
-                            sites, np.intersect1d(my_event_ghost, owned_by[n])
-                        ),
-                        put_recv_rows=_rows_in(
-                            sites, np.intersect1d(n_event_ghost, my_owned)
-                        ),
-                    )
-                )
-            self.sector_comm.append(per_neighbor)
+
+    @cached_property
+    def sector_comm(self) -> list[list[SectorComm]]:
+        """Traditional strip sets, ``[sector][neighbor]``, built on first use."""
+        return _strip_sets(self)
 
     def interest_rows(self, neighbor: int, dirty_rows: np.ndarray) -> np.ndarray:
         """Subset of ``dirty_rows`` the given neighbor can see."""
-        dirty_ranks = self.sites[dirty_rows]
-        mask = np.isin(dirty_ranks, self.interest[neighbor], assume_unique=False)
-        return dirty_rows[mask]
+        return dirty_rows[self.interest_member[neighbor][dirty_rows]]
 
     def traditional_strip_sites(self) -> int:
         """Total strip sites moved per full cycle by the traditional scheme
@@ -184,6 +165,70 @@ class SectorSchedule:
                 total += len(sc.get_send_rows) + len(sc.get_recv_rows)
                 total += len(sc.put_send_rows) + len(sc.put_recv_rows)
         return total
+
+
+def _in_shell(box: Subdomain, width: int, dims, cells) -> np.ndarray:
+    """Which of the ``cells`` lie in the ``width``-cell ghost shell of ``box``.
+
+    The membership test of ``box.all_ghost_site_ranks(lattice, width)``
+    without building the rank set: a (periodically wrapped) cell is in
+    the shell when every axis puts it inside the dilated box and some
+    axis puts it outside the box itself.
+    """
+    inside = np.ones(len(cells[0]), dtype=bool)
+    outside = np.zeros(len(cells[0]), dtype=bool)
+    for c, lo, hi, n in zip(cells, box.cell_lo, box.cell_hi, dims, strict=True):
+        dilated = np.zeros(n, dtype=bool)
+        dilated[np.arange(lo - width, hi + width) % n] = True
+        rim = np.zeros(n, dtype=bool)
+        rim[np.arange(lo - width, lo) % n] = True
+        rim[np.arange(hi, hi + width) % n] = True
+        inside &= dilated[c]
+        outside |= rim[c]
+    return inside & outside
+
+
+def _strip_sets(schedule: SectorSchedule) -> list[list[SectorComm]]:
+    """The traditional exchange's strip sets of one rank.
+
+    Every local row carries two kinds of label, both plain arithmetic on
+    its cell coordinates: the rank that owns it, and whether it lies in
+    the ghost shell of a given sector box at a given width.  A strip is
+    the rows with one owner label and one shell label, in row order —
+    the arrays that intersecting ``all_ghost_site_ranks`` of the sector
+    with ``owned_site_ranks`` of the owner and looking the result up in
+    ``sites`` would give (``tests/kmc_strip_oracle.py`` does exactly
+    that) without building a single global rank set.
+    """
+    decomp = schedule.decomp
+    lattice = decomp.lattice
+    dims = (lattice.nx, lattice.ny, lattice.nz)
+    _basis, *cells = lattice.coords_of(schedule.sites)
+    owner = decomp.owner_of_cells(*cells)
+    mine = np.flatnonzero(owner == schedule.rank)
+    my_cells = [c[mine] for c in cells]
+    theirs = {n: owner == n for n in schedule.neighbors}
+    their_sectors = {n: decomp.subdomain(n).sectors() for n in schedule.neighbors}
+    widths = (schedule.width, schedule.event_width)
+    strips = []
+    for s, sector in enumerate(schedule.sectors):
+        my_rate, my_event = (_in_shell(sector, w, dims, cells) for w in widths)
+        per_neighbor = []
+        for n in schedule.neighbors:
+            n_rate, n_event = (
+                _in_shell(their_sectors[n][s], w, dims, my_cells) for w in widths
+            )
+            per_neighbor.append(
+                SectorComm(
+                    neighbor=n,
+                    get_send_rows=mine[n_rate],
+                    get_recv_rows=np.flatnonzero(my_rate & theirs[n]),
+                    put_send_rows=np.flatnonzero(my_event & theirs[n]),
+                    put_recv_rows=mine[n_event],
+                )
+            )
+        strips.append(per_neighbor)
+    return strips
 
 
 def _rows_in(sites: np.ndarray, ranks: np.ndarray) -> np.ndarray:

@@ -316,6 +316,16 @@ class DomainDecomposition:
         cz = _owner_index(self._bounds_z, k)
         return self.proc_rank((cx, cy, cz))
 
+    def owner_of_cells(self, ci, cj, ck) -> np.ndarray:
+        """:meth:`owner_of_cell` over arrays of global cell coordinates."""
+        lat = self.lattice
+        px, py, pz = (
+            np.repeat(np.arange(len(bounds)), [hi - lo for lo, hi in bounds])
+            for bounds in (self._bounds_x, self._bounds_y, self._bounds_z)
+        )
+        _px, npy, npz = self.grid
+        return (px[ci % lat.nx] * npy + py[cj % lat.ny]) * npz + pz[ck % lat.nz]
+
     def owner_of_site(self, site_rank: int) -> int:
         """Linear rank of the process owning a global site."""
         _b, i, j, k = self.lattice.coords_of(site_rank)

@@ -20,27 +20,9 @@ linked cells              IMD / ls1-MarDyn / CoMD    cell occupancy rebuilt
 
 All three produce identical interaction pair sets on identical
 configurations (asserted by the test suite).
+
+The package exports nothing: the engines import
+:mod:`~repro.md.neighbors.lattice_list` alone, and the two baselines and
+the :mod:`~repro.md.neighbors.memory` footprint model are loaded only by
+the comparison that names them.
 """
-
-from repro.md.neighbors.lattice_list import LatticeNeighborList, RunawayAtom
-from repro.md.neighbors.verlet_list import VerletNeighborList
-from repro.md.neighbors.linked_cell import LinkedCellList
-from repro.md.neighbors.memory import (
-    MemoryFootprint,
-    lattice_list_footprint,
-    verlet_list_footprint,
-    linked_cell_footprint,
-    max_atoms_in_memory,
-)
-
-__all__ = [
-    "LatticeNeighborList",
-    "LinkedCellList",
-    "MemoryFootprint",
-    "RunawayAtom",
-    "VerletNeighborList",
-    "lattice_list_footprint",
-    "linked_cell_footprint",
-    "max_atoms_in_memory",
-    "verlet_list_footprint",
-]

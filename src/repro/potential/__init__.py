@@ -13,21 +13,7 @@ cubic-spline interpolation tables in the paper's two storage layouts:
   formula of Figure 5.
 
 Both layouts evaluate to identical values, which the test suite asserts.
+
+The package exports nothing: import from the defining submodule
+(``from repro.potential.fe import make_fe_potential``).
 """
-
-from repro.potential.spline import SplineTable
-from repro.potential.compact import CompactTable
-from repro.potential.eam import EAMPotential, TableSet
-from repro.potential.fe import make_fe_potential, FeParameters
-from repro.potential.alloy import AlloyTables, plan_local_store_residency
-
-__all__ = [
-    "AlloyTables",
-    "CompactTable",
-    "EAMPotential",
-    "FeParameters",
-    "SplineTable",
-    "TableSet",
-    "make_fe_potential",
-    "plan_local_store_residency",
-]

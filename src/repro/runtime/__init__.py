@@ -35,39 +35,10 @@ cost model — converts that traffic into modeled communication time,
 replacing wall-clock timing that an in-process runtime cannot
 meaningfully provide.
 
-Importing the package stays light: ``multiprocessing``, shared memory,
-the scheduler and the sanitizer are imported by the first run that needs
-them.
+Importing the package loads nothing: it exports no names, and each
+submodule imports only what every use of it executes.
+:mod:`~repro.runtime.simmpi` is the entry point of a run;
+``multiprocessing`` and shared memory are imported by the first
+process-backend run, the scheduler by the first thread or
+overdecomposed run, and the sanitizer only by a run that is sanitized.
 """
-
-from repro.runtime.faults import FaultInjector, FaultPlan, InjectedFault
-from repro.runtime.simmpi import (
-    ANY_SOURCE,
-    ANY_TAG,
-    RankComm,
-    Status,
-    WatchdogTimeout,
-    World,
-    WorldAborted,
-)
-from repro.runtime.window import Window
-from repro.runtime.stats import TrafficStats
-from repro.runtime.netmodel import NetworkModel
-from repro.runtime.topology import CartesianTopology
-
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "CartesianTopology",
-    "FaultInjector",
-    "FaultPlan",
-    "InjectedFault",
-    "NetworkModel",
-    "RankComm",
-    "Status",
-    "TrafficStats",
-    "WatchdogTimeout",
-    "Window",
-    "World",
-    "WorldAborted",
-]

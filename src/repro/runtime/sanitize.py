@@ -97,14 +97,6 @@ def _violation_text(v: dict) -> str:
     return str(v)
 
 
-def sanitize_enabled(override: bool | None = None) -> bool:
-    """Whether sanitized execution is requested (kwarg beats env)."""
-    if override is not None:
-        return bool(override)
-    env = os.environ.get("REPRO_SANITIZE", "").strip().lower()
-    return env in ("1", "true", "yes", "on")
-
-
 _RUNTIME_DIR = os.path.dirname(__file__)
 
 

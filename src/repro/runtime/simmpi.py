@@ -375,6 +375,18 @@ def resolve_workers(workers: int | str | None) -> int | None:
     return count
 
 
+def sanitize_enabled(override: bool | None = None) -> bool:
+    """Whether sanitized execution is requested: explicit > ``REPRO_SANITIZE``.
+
+    Lives here, not in :mod:`repro.runtime.sanitize`, so that an
+    unsanitized run never loads the sanitizer to learn that it is off.
+    """
+    if override is not None:
+        return bool(override)
+    env = os.environ.get("REPRO_SANITIZE", "").strip().lower()
+    return env in ("1", "true", "yes", "on")
+
+
 def conclude(
     nranks: int, timeout: float, grace: float,
     stragglers: list[str] | None, what: str, fate: str,
@@ -521,13 +533,15 @@ class World:
         ``backend`` and ``workers`` override the world's configuration
         for this run.
         """
-        from repro.runtime.sanitize import finish_world, sanitize_enabled
-
         backend = resolve_backend(backend) if backend else self.backend
         workers = self.workers if workers is None else resolve_workers(workers)
         sanitizing = sanitize_enabled(self.sanitize)
         results = self._launch(main, timeout, grace, backend, workers, sanitizing)
-        return finish_world(self, results) if sanitizing else results
+        if not sanitizing:
+            return results
+        from repro.runtime.sanitize import finish_world
+
+        return finish_world(self, results)
 
     def _launch(
         self, main, timeout=300.0, grace=5.0, backend="thread", workers=None,

@@ -26,38 +26,40 @@ every component is crash-safe plain files:
   (:class:`ServiceClient`, :func:`run_service`); the CLI ``serve`` /
   ``submit`` / ``status`` / ``result`` subcommands are thin wrappers
   over it, and ``coupled`` builds the same :class:`ScenarioSpec`.
+
+Every public name resolves on first access (PEP 562), so
+``from repro.service.spec import ScenarioSpec`` loads neither the
+scheduler nor ``multiprocessing``.
 """
 
-from repro.service.cache import ResultCache
-from repro.service.client import JobResult, ServiceClient, run_service
-from repro.service.queue import (
-    DONE,
-    FAILED,
-    PENDING,
-    RUNNING,
-    JobQueue,
-    JobRecord,
-    ServiceError,
-)
-from repro.service.scheduler import ServicePool
-from repro.service.spec import SPEC_SCHEMA_VERSION, ScenarioSpec, SpecError
-from repro.service.worker import execute_spec
+from importlib import import_module
 
-__all__ = [
-    "DONE",
-    "FAILED",
-    "PENDING",
-    "RUNNING",
-    "SPEC_SCHEMA_VERSION",
-    "JobQueue",
-    "JobRecord",
-    "JobResult",
-    "ResultCache",
-    "ScenarioSpec",
-    "ServiceClient",
-    "ServiceError",
-    "ServicePool",
-    "SpecError",
-    "execute_spec",
-    "run_service",
-]
+#: Public name -> defining module; ``repro.analyze.graph`` reads this
+#: literal to follow calls through the package.
+_EXPORTS = {
+    "DONE": "repro.service.queue",
+    "FAILED": "repro.service.queue",
+    "PENDING": "repro.service.queue",
+    "RUNNING": "repro.service.queue",
+    "SPEC_SCHEMA_VERSION": "repro.service.spec",
+    "JobQueue": "repro.service.queue",
+    "JobRecord": "repro.service.queue",
+    "JobResult": "repro.service.client",
+    "ResultCache": "repro.service.cache",
+    "ScenarioSpec": "repro.service.spec",
+    "ServiceClient": "repro.service.client",
+    "ServiceError": "repro.service.queue",
+    "ServicePool": "repro.service.scheduler",
+    "SpecError": "repro.service.spec",
+    "execute_spec": "repro.service.worker",
+    "run_service": "repro.service.client",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_EXPORTS[name]), name)
+    return value

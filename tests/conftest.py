@@ -36,8 +36,11 @@ def crash_outcome(crashes: int = 1, backend: str | None = None) -> tuple[int, in
 @pytest.fixture()
 def forbid_world(monkeypatch):
     """``forbid_world(module)``: creating a ``World`` through ``module``
-    (an engine module that imported the name) fails the test — for
-    errors that must surface before any rank is spawned."""
+    fails the test — for errors that must surface before any rank is
+    spawned.  ``module`` is where the engine looks the name up: the
+    engine module itself when it imports ``World`` at top level
+    (``md.parallel_damage``), ``repro.runtime.simmpi`` when it imports
+    it where it is constructed (``kmc.akmc.ParallelAKMC``)."""
 
     def forbid(module) -> None:
         def no_world(*args, **kwargs):

@@ -1,0 +1,66 @@
+"""Reference strip sets of the traditional exchange: global set algebra.
+
+:func:`repro.kmc.sublattice._strip_sets` labels local rows by arithmetic
+on their cell coordinates.  This module keeps the construction it
+replaced, moved verbatim out of ``SectorSchedule.__init__`` — build the
+global rank set of every sector ghost shell with
+``Subdomain.all_ghost_site_ranks``, intersect it with the global rank
+set an owner holds, look the result up in the sorted local ``sites`` —
+as the oracle the strip tests compare against.  It shares no geometry
+code with the builder under test beyond the ``Subdomain`` boxes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.kmc.sublattice import SectorComm, _rows_in
+from repro.lattice.domain import DIRECTIONS
+
+
+def strip_sets(decomp, rank, sites, width, event_width=1) -> list[list[SectorComm]]:
+    """``[sector][neighbor]`` strip sets of ``rank``, the parent's way."""
+    lattice = decomp.lattice
+    sub = decomp.subdomain(rank)
+    sectors = sub.sectors()
+    neighbor_ranks = sorted(
+        {
+            decomp.neighbor_rank(rank, d)
+            for d in DIRECTIONS
+            if decomp.neighbor_rank(rank, d) != rank
+        }
+    )
+    # Traditional per-sector strip sets.
+    my_owned = sub.owned_site_ranks(lattice)
+    owned_by = {
+        n: decomp.subdomain(n).owned_site_ranks(lattice) for n in neighbor_ranks
+    }
+    sector_comm: list[list[SectorComm]] = []
+    for s, sector in enumerate(sectors):
+        my_rate_ghost = sector.all_ghost_site_ranks(lattice, width)
+        my_event_ghost = sector.all_ghost_site_ranks(lattice, event_width)
+        per_neighbor = []
+        for n in neighbor_ranks:
+            n_sector = decomp.subdomain(n).sectors()[s]
+            n_rate_ghost = n_sector.all_ghost_site_ranks(lattice, width)
+            n_event_ghost = n_sector.all_ghost_site_ranks(lattice, event_width)
+            per_neighbor.append(
+                SectorComm(
+                    neighbor=n,
+                    get_send_rows=_rows_in(
+                        sites, np.intersect1d(n_rate_ghost, my_owned)
+                    ),
+                    get_recv_rows=_rows_in(
+                        sites, np.intersect1d(my_rate_ghost, owned_by[n])
+                    ),
+                    put_send_rows=_rows_in(
+                        sites, np.intersect1d(my_event_ghost, owned_by[n])
+                    ),
+                    put_recv_rows=_rows_in(
+                        sites, np.intersect1d(n_event_ghost, my_owned)
+                    ),
+                )
+            )
+        sector_comm.append(per_neighbor)
+    return sector_comm
+

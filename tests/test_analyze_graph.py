@@ -98,6 +98,36 @@ class TestProjectGraph:
             "repro.pkg.impl.work"
         ]
 
+    def test_lazy_facade_export_table_is_an_alias_source(self, tmp_path):
+        # A PEP 562 facade has no ``from x import y`` to chase: the
+        # graph reads its literal name -> module table instead.
+        graph = build_graph(
+            tmp_path,
+            {
+                "src/repro/service/__init__.py": """                from importlib import import_module
+
+                _EXPORTS = {"run_service": "repro.service.client"}
+
+                def __getattr__(name):
+                    return getattr(import_module(_EXPORTS[name]), name)
+                """,
+                "src/repro/service/client.py": """                def run_service(root, specs):
+                    return []
+                """,
+                "src/repro/user.py": """                from repro.service import run_service
+
+                def use():
+                    return run_service("root", [])
+                """,
+            },
+        )
+        assert graph.deref("repro.service.run_service") == (
+            "repro.service.client.run_service"
+        )
+        assert graph.functions["repro.user.use"].callees == [
+            "repro.service.client.run_service"
+        ]
+
     def test_cross_module_constant_resolution(self, tmp_path):
         import ast
 

@@ -196,9 +196,9 @@ class TestCoupledRecovery:
         # A configuration error, not a fault: 5 cells cannot be sectored
         # over 8 ranks.  It must fail where the engine is constructed —
         # no World, and no supervisor retry "recovering" it.
-        from repro.kmc import akmc
+        from repro.runtime import simmpi
 
-        forbid_world(akmc)
+        forbid_world(simmpi)
         with pytest.raises(ValueError, match=r"4x4x4.*8 ranks.*sectors"):
             ParallelAKMC(BCCLattice(4, 4, 4), potential, nranks=8)
         sim = CoupledSimulation(

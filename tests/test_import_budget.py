@@ -1,7 +1,9 @@
-"""What a fresh interpreter pays: the import graph stays NumPy-only.
+"""What a fresh interpreter pays: the import graph stays NumPy-only,
+and a run loads only the modules it executes.
 
 Every check runs in a new subprocess — inside the pytest process
-everything is already imported, so nothing could be observed.
+everything is already imported, so nothing could be observed.  The
+budgets are exact ``sys.modules`` sets, not timings.
 """
 
 import json
@@ -60,6 +62,91 @@ print(json.dumps({
 """
 
 
+#: Every probe below ends by printing the ``repro`` modules it loaded.
+_LOADED = """
+def loaded():
+    return sorted(m for m in sys.modules if m == "repro" or m.startswith("repro."))
+"""
+
+_STREAM_PROBE = _LOADED + """
+import json, sys, tempfile
+import numpy as np
+from repro.core.clusters import clustering_report_from_store
+from repro.io.store import TrajectoryReader, finalize_store
+from repro.kmc.akmc import SerialAKMC
+from repro.kmc.events import VACANCY
+from repro.lattice.bcc import BCCLattice
+from repro.potential.fe import make_fe_potential
+
+lattice = BCCLattice(6, 6, 6)
+occ = np.ones(lattice.nsites, dtype=np.int8)
+occ[::29] = VACANCY
+engine = SerialAKMC(lattice, make_fe_potential(n=300), occupancy=occ, seed=3)
+constructed = loaded()
+with tempfile.TemporaryDirectory() as tmp:
+    result = engine.run(
+        max_events=60, trajectory=tmp + "/traj", trajectory_every=1,
+        checkpoint_every=20, checkpoint_path=tmp + "/kmc.npz",
+    )
+    finalize_store(tmp + "/traj")
+    reader = TrajectoryReader(tmp + "/traj")
+    frames = sum(1 for _ in reader.iter_frames())
+    report = clustering_report_from_store(reader)
+print(json.dumps({
+    "constructed": constructed, "ran": loaded(), "frames": frames,
+    "events": result.events, "vacancies": report.n_vacancies,
+    "multiprocessing": "multiprocessing" in sys.modules,
+}))
+"""
+
+_CASCADE_PROBE = _LOADED + """
+import json, sys
+import repro.md.engine
+from repro.lattice.bcc import BCCLattice
+from repro.md.cascade import CascadeConfig, run_cascade
+from repro.md.engine import MDConfig, MDEngine
+from repro.potential.fe import make_fe_potential
+
+engine = MDEngine(BCCLattice(5, 5, 5), make_fe_potential(n=300),
+                  MDConfig(temperature=300.0, seed=1))
+result = run_cascade(engine, CascadeConfig(pka_energy=200.0, nsteps=5))
+print(json.dumps({"ran": loaded(), "steps": len(result.energy_trace)}))
+"""
+
+_SPEC_PROBE = _LOADED + """
+import json, sys
+from repro.service.spec import ScenarioSpec
+ScenarioSpec(cells=5, md_steps=5, kmc_max_events=5).key()
+print(json.dumps({"ran": loaded(),
+                  "multiprocessing": "multiprocessing" in sys.modules}))
+"""
+
+_STATUS_PROBE = _LOADED + """
+import json, sys, tempfile
+import repro.cli
+with tempfile.TemporaryDirectory() as root:
+    code = repro.cli.main(["status", "--root", root])
+print(json.dumps({"ran": loaded(), "exit": code,
+                  "numpy": "numpy" in sys.modules}))
+"""
+
+_WORLD_PROBE = _LOADED + """
+import json, sys
+from repro.runtime.simmpi import World
+total = World(2, backend="thread", sanitize={sanitize}).run(
+    lambda comm: comm.allreduce(comm.rank + 1))
+print(json.dumps({{"ran": loaded(), "total": total}}))
+"""
+
+
+def _under(modules: list[str], *prefixes: str) -> list[str]:
+    """The loaded modules at or below any of the dotted ``prefixes``."""
+    return [
+        m for m in modules
+        if any(m == p or m.startswith(p + ".") for p in prefixes)
+    ]
+
+
 def _run(code: str) -> dict:
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = _SRC
@@ -103,3 +190,60 @@ def test_forked_worker_inherits_the_execution_stack():
     # stays cheap; the scheduler pays the import once, before forking.
     assert seen["at_service_import"] is False
     assert seen["on_worker_entry"] is True
+
+
+def test_serial_kmc_with_store_and_checkpoints_loads_no_parallel_stack():
+    """The ``stream_io`` shape: serial KMC streaming into the store with
+    checkpoints, then the out-of-core read-back and clustering report."""
+    seen = _run(_STREAM_PROBE)
+    assert seen["events"] == 60 and seen["frames"] == 60
+    assert seen["vacancies"] > 0
+    assert not _under(
+        seen["ran"],
+        "repro.md", "repro.runtime", "repro.service", "repro.core.coupling",
+        "repro.kmc.comm", "repro.kmc.ondemand", "repro.kmc.onesided",
+        "repro.kmc.sublattice", "repro.lattice.domain", "repro.kernels.impl",
+    )
+    assert not seen["multiprocessing"]
+    # Removal, not deferral: the run itself imports nothing.
+    assert seen["ran"] == seen["constructed"]
+
+
+def test_serial_cascade_loads_no_comparator_or_parallel_md():
+    seen = _run(_CASCADE_PROBE)
+    assert seen["steps"] > 0
+    assert not _under(
+        seen["ran"],
+        "repro.md.neighbors.verlet_list", "repro.md.neighbors.linked_cell",
+        "repro.md.neighbors.memory", "repro.md.parallel_damage",
+        "repro.runtime", "repro.kmc", "repro.io",
+    )
+
+
+def test_scenario_spec_loads_no_scheduler():
+    seen = _run(_SPEC_PROBE)
+    assert _under(seen["ran"], "repro.service") == [
+        "repro.service", "repro.service.spec",
+    ]
+    assert not seen["multiprocessing"]
+
+
+def test_status_command_loads_no_numpy():
+    seen = _run(_STATUS_PROBE)
+    assert seen["exit"] == 0
+    assert not seen["numpy"]
+    assert not _under(
+        seen["ran"], "repro.core", "repro.kmc", "repro.md", "repro.runtime",
+        "repro.lattice", "repro.potential",
+    )
+
+
+def test_unsanitized_world_loads_no_sanitizer():
+    seen = _run(_WORLD_PROBE.format(sanitize=False))
+    assert seen["total"] == [3, 3]
+    assert "repro.runtime.sanitize" not in seen["ran"]
+    assert not _under(seen["ran"], "repro.runtime.procbackend", "repro.runtime.shm")
+    # The control: the same world, sanitized, is what loads it.
+    assert "repro.runtime.sanitize" in _run(
+        _WORLD_PROBE.format(sanitize=True)
+    )["ran"]

@@ -327,9 +327,9 @@ class TestOccupancyBoundary:
     def test_parallel_run_rejects_unknown_code_before_any_world(
         self, system, forbid_world
     ):
-        from repro.kmc import akmc
+        from repro.runtime import simmpi
 
-        forbid_world(akmc)
+        forbid_world(simmpi)
         lattice, pot, params, code, _accepted = system
         engine = ParallelAKMC(lattice, pot, params, nranks=8)
         with pytest.raises(ValueError, match=f"code {code} at site rank 77"):

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.kmc.akmc import ghost_width_cells
+from repro.kmc import sublattice
+from repro.kmc.akmc import ParallelAKMC, ghost_width_cells
 from repro.kmc.events import RateParameters
 from repro.kmc.sublattice import SectorSchedule
 from repro.lattice.bcc import BCCLattice
 from repro.lattice.domain import DomainDecomposition
+from tests.kmc_strip_oracle import strip_sets
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +129,101 @@ class TestStrips:
     def test_traditional_strip_volume_positive(self, schedules8):
         _lat, _dec, _w, scheds = schedules8
         assert scheds[0].traditional_strip_sites() > 0
+
+
+STRIP_FIELDS = ("get_send_rows", "get_recv_rows", "put_send_rows", "put_recv_rows")
+
+
+class TestStripOracle:
+    """The row-label builder against the set-algebra construction it
+    replaced (``tests/kmc_strip_oracle.py``): same arrays, same dtype."""
+
+    @pytest.mark.parametrize(
+        "cells, grid",
+        [
+            ((8, 8, 8), (2, 2, 2)),
+            ((12, 12, 12), (2, 2, 2)),
+            ((16, 16, 16), (2, 2, 2)),
+            ((8, 12, 16), (2, 2, 2)),  # non-cubic
+            ((16, 8, 8), (4, 2, 2)),  # +y/-y and +z/-z alias to one rank
+            ((8, 9, 11), (1, 2, 2)),  # x wraps onto the rank itself; odd halves
+        ],
+    )
+    def test_every_strip_equals_the_oracle(self, cells, grid):
+        lattice = BCCLattice(*cells)
+        decomp = DomainDecomposition(lattice, grid)
+        width = ghost_width_cells(lattice, RateParameters())
+        for rank in range(decomp.nprocs):
+            sub = decomp.subdomain(rank)
+            sites = np.union1d(
+                sub.owned_site_ranks(lattice),
+                sub.all_ghost_site_ranks(lattice, width),
+            )
+            sched = SectorSchedule(decomp, rank, sites, width)
+            expected = strip_sets(decomp, rank, sites, width)
+            assert len(sched.sector_comm) == len(expected) == 8
+            for s, (got_s, want_s) in enumerate(
+                zip(sched.sector_comm, expected, strict=True)
+            ):
+                assert [sc.neighbor for sc in got_s] == sched.neighbors
+                for got, want in zip(got_s, want_s, strict=True):
+                    assert got.neighbor == want.neighbor
+                    for name in STRIP_FIELDS:
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a.dtype == b.dtype, (rank, s, got.neighbor, name)
+                        assert np.array_equal(a, b), (rank, s, got.neighbor, name)
+
+    def test_strip_volume_follows_the_strips(self, schedules8):
+        lattice, decomp, width, scheds = schedules8
+        expected = strip_sets(decomp, 0, scheds[0].sites, width)
+        assert scheds[0].traditional_strip_sites() == sum(
+            len(getattr(sc, name))
+            for per_neighbor in expected
+            for sc in per_neighbor
+            for name in STRIP_FIELDS
+        )
+
+
+class TestWhoBuildsStrips:
+    """Only the traditional scheme reads the strip sets, so only it may
+    build them: with the builder broken, the two on-demand schemes run
+    on, bit-identically; the traditional one cannot."""
+
+    @pytest.fixture()
+    def broken_builder(self, monkeypatch):
+        def no_strips(schedule):
+            raise AssertionError("a strip set was built")
+
+        monkeypatch.setattr(sublattice, "_strip_sets", no_strips)
+
+    def _engine(self, lattice8, potential, rate_params, scheme):
+        # The workload of the ``parallel_kmc_results`` session fixture.
+        return ParallelAKMC(
+            lattice8, potential, rate_params, nranks=8, scheme=scheme, seed=5
+        )
+
+    @pytest.mark.parametrize("scheme", ["ondemand", "onesided"])
+    def test_on_demand_schemes_never_ask(
+        self, scheme, broken_builder, lattice8, potential, rate_params,
+        kmc_initial_occ, parallel_kmc_results,
+    ):
+        engine = self._engine(lattice8, potential, rate_params, scheme)
+        got = engine.run(kmc_initial_occ, max_cycles=10)
+        want = parallel_kmc_results[scheme]
+        assert np.array_equal(got.occupancy, want.occupancy)
+        assert (got.time, got.cycles, got.events) == (
+            want.time, want.cycles, want.events,
+        )
+        assert got.comm_stats["total_messages"] == (
+            want.comm_stats["total_messages"]
+        )
+        assert got.comm_stats["total_sent_bytes"] == (
+            want.comm_stats["total_sent_bytes"]
+        )
+
+    def test_traditional_scheme_does(
+        self, broken_builder, lattice8, potential, rate_params, kmc_initial_occ
+    ):
+        engine = self._engine(lattice8, potential, rate_params, "traditional")
+        with pytest.raises(RuntimeError, match="a strip set was built"):
+            engine.run(kmc_initial_occ, max_cycles=1)

@@ -132,7 +132,8 @@ class TestTransportParity:
             comm.barrier()
             return None
 
-        from repro.runtime.sanitize import SanitizerError, sanitize_enabled
+        from repro.runtime.sanitize import SanitizerError
+        from repro.runtime.simmpi import sanitize_enabled
 
         world = World(2, backend="process")
         if sanitize_enabled():

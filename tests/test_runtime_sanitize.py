@@ -15,9 +15,8 @@ from repro.runtime.sanitize import (
     _concurrent,
     _unwrap,
     finish_world,
-    sanitize_enabled,
 )
-from repro.runtime.simmpi import ANY_SOURCE, World
+from repro.runtime.simmpi import ANY_SOURCE, World, sanitize_enabled
 
 
 class TestPrimitives:

@@ -50,7 +50,8 @@ class TestMessaging:
             comm.send(0, tag=3, payload=None)
             return None
 
-        from repro.runtime.sanitize import SanitizerError, sanitize_enabled
+        from repro.runtime.sanitize import SanitizerError
+        from repro.runtime.simmpi import sanitize_enabled
 
         if sanitize_enabled():
             # Wildcard delivery from concurrent senders is exactly the
