@@ -602,10 +602,9 @@ class ParallelAKMC:
             # Everything a rank builds before cycle 0, under one phase.
             with obs.phase("kmc.construct"):
                 sub = self.decomp.subdomain(comm.rank)
-                owned = sub.owned_site_ranks(lattice)
-                ghosts = sub.all_ghost_site_ranks(lattice, width)
-                sites = np.union1d(owned, ghosts)
-                central_rows = np.searchsorted(sites, owned)
+                site_set, central_rows = sub.site_set(lattice, width)
+                sites = site_set.ranks
+                owned = sites[central_rows]
                 model = self.model_cls(
                     lattice,
                     self.potential,

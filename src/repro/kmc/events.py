@@ -30,7 +30,7 @@ import numpy as np
 from repro import kernels
 from repro import observe as obs
 from repro.constants import KB_EV
-from repro.lattice.bcc import BCCLattice
+from repro.lattice.bcc import FIRST_SHELL, BCCLattice, SiteSet, sorted_unique
 from repro.potential.eam import EAMPotential
 
 #: Occupancy codes of the site array.
@@ -88,73 +88,6 @@ class RateParameters:
         return self.nu * math.exp(-self.e_m0 / self.kt)
 
 
-def local_rows(
-    lattice: BCCLattice, sites: np.ndarray, ranks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the sorted ``sites`` holding global ``ranks`` (0 where absent),
-    and which exist.
-
-    When ``sites`` is the whole lattice in rank order a rank *is* its row,
-    so the search is skipped and ``ranks`` itself is returned.
-    """
-    n = len(sites)
-    if n == lattice.nsites and np.array_equal(sites, np.arange(n)):
-        return ranks, np.ones(ranks.shape, dtype=bool)
-    local = np.clip(np.searchsorted(sites, ranks), 0, n - 1)
-    found = sites[local] == ranks
-    local[~found] = 0
-    return local, found
-
-
-def build_static_matrix(
-    lattice: BCCLattice,
-    cutoff: float,
-    sites: np.ndarray,
-    strict: bool = True,
-):
-    """Static neighbor matrix over a site subset, with per-slot distances.
-
-    Returns ``(matrix, valid, dist)``: row indices into ``sites`` of each
-    site's neighbors within ``cutoff``, the valid-slot mask, and the static
-    lattice distances per slot, one row per basis (site ``s`` reads
-    ``dist[s % 2]``; unused slots hold 0).  With ``strict`` the function
-    raises if a neighbor is missing from ``sites`` (too-thin ghost shell);
-    otherwise such slots are marked invalid.
-    """
-    offsets = lattice.offsets_within(cutoff)
-    b, i, j, k = lattice.coords_of(sites)
-    m = offsets.max_count
-    n = len(sites)
-    matrix_global = np.zeros((n, m), dtype=np.int64)
-    valid = np.zeros((n, m), dtype=bool)
-    dist = np.zeros((2, m))
-    for basis in (0, 1):
-        rows = offsets.for_basis(basis)
-        d_a = (
-            offsets.corner_distances if basis == 0 else offsets.center_distances
-        ) * lattice.a
-        dist[basis, : len(rows)] = d_a
-        sel = np.flatnonzero(b == basis)
-        if len(sel) == 0:
-            continue
-        nb = np.where(rows[:, 0] == 0, basis, 1 - basis)
-        gi = i[sel, None] + rows[None, :, 1]
-        gj = j[sel, None] + rows[None, :, 2]
-        gk = k[sel, None] + rows[None, :, 3]
-        ranks = lattice.rank_of(np.broadcast_to(nb, gi.shape), gi, gj, gk)
-        matrix_global[sel[:, None], np.arange(len(rows))[None, :]] = ranks
-        valid[sel, : len(rows)] = True
-    local, found = local_rows(lattice, sites, matrix_global)
-    missing = valid & ~found
-    if np.any(missing):
-        if strict:
-            raise ValueError(
-                "neighbor outside the provided site set; widen the ghost shell"
-            )
-        valid = valid & found
-    return local, valid, dist
-
-
 class BaseKMCModel:
     """Species-blind half of an on-lattice rate model over one site set.
 
@@ -207,20 +140,23 @@ class BaseKMCModel:
         self.lattice = lattice
         self.params = params
         self.rate_cap = rate_cap
-        if sites is None:
-            sites = np.arange(lattice.nsites, dtype=np.int64)
-        self.sites = np.asarray(sites, dtype=np.int64)
-        # Energy shell, built non-strictly: rows deep in the ghost shell
-        # miss some neighbors, but energies are only ever evaluated
-        # within one hop of owned sites, where the ghost width guarantees
-        # a complete stencil.  ``e_dist`` holds the two per-basis
-        # distance rows the subclass evaluates its tables on.
-        self.e_matrix, self.e_valid, self.e_dist = build_static_matrix(
-            lattice, params.energy_cutoff, self.sites, strict=False
-        )
+        self.site_set = SiteSet(lattice, sites)
+        self.sites = self.site_set.ranks
+        # Energy shell, non-strict: rows deep in the ghost shell miss
+        # some neighbors, but energies are only ever evaluated within
+        # one hop of owned sites, where the ghost width guarantees a
+        # complete stencil.
+        offsets = lattice.offsets_within(params.energy_cutoff)
+        self.e_matrix, self.e_valid = self.site_set.neighbor_rows(offsets)
+        #: Static lattice distance per slot, one row per basis (site
+        #: ``s`` reads ``e_dist[s % 2]``; unused slots hold 0): the two
+        #: rows the subclass evaluates its tables on.
+        self.e_dist = np.zeros((2, offsets.max_count))
+        self.e_dist[0, : len(offsets.corner)] = offsets.corner_distances * lattice.a
+        self.e_dist[1, : len(offsets.center)] = offsets.center_distances * lattice.a
         # First shell: the 8 exchange partners of every site.
-        self.first_matrix, self.first_valid = local_rows(
-            lattice, self.sites, lattice.first_shell_ranks(self.sites)
+        self.first_matrix, self.first_valid = self.site_set.neighbor_rows(
+            FIRST_SHELL
         )
         self._influence: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -278,13 +214,13 @@ class BaseKMCModel:
                 + self.params.energy_cutoff
                 + 1e-9
             )
-            self._influence = build_static_matrix(
-                self.lattice, reach, self.sites, strict=False
-            )[:2]
+            self._influence = self.site_set.neighbor_rows(
+                self.lattice.offsets_within(reach)
+            )
         matrix, valid = self._influence
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
         out = matrix[rows][valid[rows]]
-        return np.unique(np.concatenate([out, rows]))
+        return sorted_unique(np.concatenate([out, rows]))
 
     @property
     def nrows(self) -> int:

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro import observe as obs
 from repro.kmc.comm import ExchangeScheme, TAG_ONDEMAND
+from repro.lattice.bcc import SiteSet
 
 
 def pack_updates(sites: np.ndarray, occ: np.ndarray, rows: np.ndarray):
@@ -43,11 +44,7 @@ def apply_updates(sites: np.ndarray, occ: np.ndarray, ranks, values) -> int:
     ranks = np.asarray(ranks, dtype=np.int64)
     if len(ranks) == 0:
         return 0
-    rows = np.searchsorted(sites, ranks)
-    if np.any(rows >= len(sites)) or np.any(
-        sites[np.minimum(rows, len(sites) - 1)] != ranks
-    ):
-        raise ValueError("on-demand update addresses a site outside this rank")
+    rows = SiteSet(None, sites).rows_of(ranks)
     occ[rows] = np.asarray(values).astype(occ.dtype)
     return len(rows)
 

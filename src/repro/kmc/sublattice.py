@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.lattice.bcc import BCCLattice
+from repro.lattice.bcc import BCCLattice, SiteSet
 from repro.lattice.domain import DIRECTIONS, DomainDecomposition, Subdomain
 
 
@@ -113,8 +113,9 @@ class SectorSchedule:
                 "be at least 2 cells wide per axis"
             )
         # Rows of each sector's owned sites (event sites).
+        site_set = SiteSet(lattice, sites)
         self.sector_rows: list[np.ndarray] = [
-            _rows_in(sites, sec.owned_site_ranks(lattice)) for sec in self.sectors
+            site_set.rows_of(sec.owned_site_ranks(lattice)) for sec in self.sectors
         ]
         # Boolean membership masks over the local rows — the O(1) lookup
         # the incremental event catalogs use to intersect an influence
@@ -136,10 +137,8 @@ class SectorSchedule:
         # Interest sets: what each neighbor can see (owned + ghost shell).
         self.interest: dict[int, np.ndarray] = {}
         for n in neighbor_ranks:
-            nsub = decomp.subdomain(n)
-            owned_n = nsub.owned_site_ranks(lattice)
-            ghost_n = nsub.all_ghost_site_ranks(lattice, width)
-            self.interest[n] = np.union1d(owned_n, ghost_n)
+            visible, _owned_rows = decomp.subdomain(n).site_set(lattice, width)
+            self.interest[n] = visible.ranks
         # The same sets as row masks: ``interest_rows`` runs per sector
         # and neighbor every cycle and only ever asks about local rows.
         self.interest_member: dict[int, np.ndarray] = {
@@ -230,15 +229,3 @@ def _strip_sets(schedule: SectorSchedule) -> list[list[SectorComm]]:
         strips.append(per_neighbor)
     return strips
 
-
-def _rows_in(sites: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Rows of ``ranks`` within sorted ``sites``; all must be present."""
-    ranks = np.asarray(ranks, dtype=np.int64)
-    if len(ranks) == 0:
-        return np.empty(0, dtype=np.int64)
-    rows = np.searchsorted(sites, ranks)
-    if np.any(rows >= len(sites)) or np.any(
-        sites[np.minimum(rows, len(sites) - 1)] != ranks
-    ):
-        raise ValueError("requested ranks missing from the local site set")
-    return rows

@@ -30,28 +30,6 @@ import numpy as np
 
 from repro.constants import FE_LATTICE_CONSTANT
 
-#: Cell-offset patterns of the first BCC neighbor shell (8 sites at
-#: distance sqrt(3)/2 * a).  From a basis-0 site the 8 first neighbors are
-#: basis-1 sites of this cell and the cells at -1 along each axis subset.
-_FIRST_SHELL_FROM_CORNER = [
-    (1, di, dj, dk) for di in (0, -1) for dj in (0, -1) for dk in (0, -1)
-]
-#: From a basis-1 (center) site the 8 first neighbors are basis-0 sites of
-#: this cell and the cells at +1 along each axis subset.
-_FIRST_SHELL_FROM_CENTER = [
-    (0, di, dj, dk) for di in (0, 1) for dj in (0, 1) for dk in (0, 1)
-]
-
-#: Second shell: 6 same-basis sites at distance a.
-_SECOND_SHELL = [
-    (0, 1, 0, 0),
-    (0, -1, 0, 0),
-    (0, 0, 1, 0),
-    (0, 0, -1, 0),
-    (0, 0, 0, 1),
-    (0, 0, 0, -1),
-]
-
 
 @dataclass(frozen=True)
 class NeighborOffsets:
@@ -82,6 +60,33 @@ class NeighborOffsets:
     def max_count(self) -> int:
         """Largest neighbor count over the two bases."""
         return max(len(self.corner), len(self.center))
+
+
+def _shell(corner, center, distance: float) -> NeighborOffsets:
+    """One neighbor shell as an offset table, slots in the order listed."""
+    return NeighborOffsets(
+        corner=np.array(corner, dtype=np.int64),
+        center=np.array(center, dtype=np.int64),
+        corner_distances=np.full(len(corner), distance),
+        center_distances=np.full(len(center), distance),
+        cutoff=distance,
+    )
+
+
+#: First shell: 8 sites of the other basis at sqrt(3)/2 * a — from a
+#: corner site in this cell and the cells at -1 along each axis subset,
+#: from a center site at +1.
+FIRST_SHELL = _shell(
+    [(1, di, dj, dk) for di in (0, -1) for dj in (0, -1) for dk in (0, -1)],
+    [(1, di, dj, dk) for di in (0, 1) for dj in (0, 1) for dk in (0, 1)],
+    math.sqrt(3.0) / 2.0,
+)
+_AXES = [
+    (0, 1, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0),
+    (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1),
+]
+#: Second shell: 6 same-basis sites at distance a.
+SECOND_SHELL = _shell(_AXES, _AXES, 1.0)
 
 
 class BCCLattice:
@@ -212,27 +217,16 @@ class BCCLattice:
         ("eight possible events for a vacancy").  Output shape is
         ``rank.shape + (8,)``.
         """
-        b, i, j, k = self.coords_of(np.asarray(rank))
-        out_shape = np.shape(rank) + (8,)
-        result = np.empty(out_shape, dtype=np.int64)
-        corner = np.asarray(_FIRST_SHELL_FROM_CORNER)
-        center = np.asarray(_FIRST_SHELL_FROM_CENTER)
-        for idx in range(8):
-            use = np.where(np.asarray(b) == 0, 0, 1)
-            off_b = np.where(use == 0, corner[idx, 0], center[idx, 0])
-            off_i = np.where(use == 0, corner[idx, 1], center[idx, 1])
-            off_j = np.where(use == 0, corner[idx, 2], center[idx, 2])
-            off_k = np.where(use == 0, corner[idx, 3], center[idx, 3])
-            result[..., idx] = self.rank_of(off_b, i + off_i, j + off_j, k + off_k)
-        return result
+        return self._neighbor_ranks(rank, FIRST_SHELL)
 
     def second_shell_ranks(self, rank) -> np.ndarray:
         """Ranks of the 6 second-shell (same basis) neighbors of each site."""
-        b, i, j, k = self.coords_of(np.asarray(rank))
-        result = np.empty(np.shape(rank) + (6,), dtype=np.int64)
-        for idx, (_db, di, dj, dk) in enumerate(_SECOND_SHELL):
-            result[..., idx] = self.rank_of(b, i + di, j + dj, k + dk)
-        return result
+        return self._neighbor_ranks(rank, SECOND_SHELL)
+
+    def _neighbor_ranks(self, rank, offsets: NeighborOffsets) -> np.ndarray:
+        rank = np.asarray(rank)
+        ranks, _valid = SiteSet(self).neighbor_rows(offsets, rank.ravel())
+        return ranks.reshape(rank.shape + (offsets.max_count,))
 
     def offsets_within(self, cutoff: float) -> NeighborOffsets:
         """Static neighbor offset table for all sites within ``cutoff`` (A).
@@ -248,11 +242,10 @@ class BCCLattice:
 
     def neighbor_ranks_within(self, rank, cutoff: float) -> np.ndarray:
         """Neighbor ranks within ``cutoff`` for scalar site ``rank``."""
-        offsets = self.offsets_within(cutoff)
-        b, i, j, k = self.coords_of(int(rank))
-        rows = offsets.for_basis(int(b))
-        nb = np.where(rows[:, 0] == 0, b, 1 - b)
-        return self.rank_of(nb, i + rows[:, 1], j + rows[:, 2], k + rows[:, 3])
+        ranks, valid = SiteSet(self).neighbor_rows(
+            self.offsets_within(cutoff), np.array([int(rank)])
+        )
+        return ranks[0][valid[0]]
 
     def shell_distances(self, nshells: int = 4) -> list[float]:
         """Geometric distances (A) of the first ``nshells`` neighbor shells."""
@@ -264,6 +257,114 @@ class BCCLattice:
             }
         )
         return [d * self.a for d in dists[:nshells]]
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted 1-D ``values``, duplicates dropped: ``np.unique`` without
+    its first call importing ``numpy.ma`` into every process (this runs
+    per KMC event and per run-away atom, in forked ranks and workers)."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+class SiteSet:
+    """The site index: sorted global site ranks and the row of each.
+
+    Every table of neighbor *rows* and every global-rank -> local-row
+    lookup of the tree goes through it, for the whole lattice and for a
+    rank's owned + ghost sites alike.  ``ranks`` are strictly increasing
+    global site ranks (row ``r`` of an array laid out over the set is
+    site ``ranks[r]``); ``None`` is the whole lattice in rank order,
+    where a rank *is* its row and nothing is ever searched.  ``lattice``
+    is read by :meth:`neighbor_rows` (and to size the whole lattice).
+    """
+
+    def __init__(self, lattice: BCCLattice | None, ranks=None) -> None:
+        self.lattice = lattice
+        self.whole = ranks is None
+        if ranks is None:
+            ranks = np.arange(lattice.nsites)
+        self.ranks = np.asarray(ranks, dtype=np.int64)
+
+    def rows_of(self, ranks, missing: str = "raise"):
+        """Rows holding the global ``ranks`` (any shape).
+
+        ``missing="raise"`` returns the rows, or raises ``ValueError`` on
+        a rank outside the set; ``"mask"`` returns ``(rows, found)``,
+        row 0 standing in where ``found`` is False.
+        """
+        ranks = np.asarray(ranks, dtype=np.int64)
+        if self.whole:
+            rows, found = ranks, (ranks >= 0) & (ranks < len(self.ranks))
+        else:
+            rows = np.minimum(
+                np.searchsorted(self.ranks, ranks), len(self.ranks) - 1
+            )
+            found = self.ranks[rows] == ranks
+        if missing == "mask":
+            return np.where(found, rows, 0), found
+        if not found.all():
+            raise ValueError(
+                f"site rank {int(ranks[~found].flat[0])} is not present in this "
+                f"site set: it lies outside the {len(self.ranks)} sites covered"
+            )
+        return rows
+
+    def neighbor_rows(
+        self, offsets: NeighborOffsets, centrals=None, strict: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, valid)``: the sites at ``offsets`` from each central.
+
+        ``centrals`` are rows of the set (default: all).  Slot ``m`` of a
+        central of basis ``b`` is its neighbor at
+        ``offsets.for_basis(b)[m]``; ``valid`` is False, and the row 0,
+        where one basis has fewer offsets (padding) and where the
+        neighbor is outside the set — which raises instead if ``strict``.
+
+        Periodic wrapping is separable, so the arithmetic runs once per
+        *axis coordinate*: three wrap tables (the basis flip folded into
+        the last) are gathered by each central's ``(b, i, j, k)`` and
+        summed.
+        """
+        lat = self.lattice
+        if centrals is None:
+            ranks = self.ranks
+        else:
+            ranks = np.asarray(centrals) if self.whole else self.ranks[centrals]
+        b, i, j, k = lat.coords_of(ranks)
+        m = offsets.max_count
+        off = np.zeros((2, m, 4), dtype=np.int64)
+        present = np.zeros((2, m), dtype=bool)
+        for basis in (0, 1):
+            per_basis = offsets.for_basis(basis)
+            off[basis, : len(per_basis)] = per_basis
+            present[basis, : len(per_basis)] = True
+
+        def gather(n: int, axis: int, stride: int, coord, flip=0) -> np.ndarray:
+            """Rank contribution of each central's coordinate on one axis."""
+            shifted = np.arange(n)[None, :, None] + off[:, None, :, axis]
+            table = shifted % n * stride + flip
+            return np.take(table.reshape(2 * n, m), b * n + coord, axis=0)
+
+        rows = gather(lat.nx, 1, 2 * lat.ny * lat.nz, i)
+        rows += gather(lat.ny, 2, 2 * lat.nz, j)
+        # Relative basis flip: 0 keeps the central's basis, 1 flips it.
+        flip = (np.arange(2)[:, None] ^ off[:, :, 0])[:, None, :]
+        rows += gather(lat.nz, 3, 2, k, flip)
+        valid = np.take(present, b, axis=0)
+        if not self.whole:
+            rows, found = self.rows_of(rows, missing="mask")
+            if strict and np.any(valid & ~found):
+                raise ValueError(
+                    "a central site's neighbor falls outside the site set: "
+                    "the ghost shell is too thin for the cutoff; widen the "
+                    "ghost shell"
+                )
+            valid &= found
+        rows[~valid] = 0
+        return rows, valid
 
 
 def _candidate_distances(reach: int):

@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from repro.lattice.bcc import BCCLattice
+from repro.lattice.bcc import BCCLattice, SiteSet
 
 #: The 26 nonzero neighbor directions of a 3-D Cartesian decomposition.
 DIRECTIONS: tuple[tuple[int, int, int], ...] = tuple(
@@ -220,6 +220,21 @@ class Subdomain:
         return np.unique(
             _cells_to_ranks(lattice, ci[shell], cj[shell], ck[shell])
         )
+
+    def site_set(
+        self, lattice: BCCLattice, width: int
+    ) -> tuple[SiteSet, np.ndarray]:
+        """``(sites, owned rows)``: the local site index of this subdomain.
+
+        ``sites`` covers the owned sites plus the ``width``-cell ghost
+        shell — the row layout of every per-rank array, for MD and KMC
+        alike; ``sites.ranks[owned rows]`` are the owned site ranks.
+        """
+        owned = self.owned_site_ranks(lattice)
+        sites = SiteSet(
+            lattice, np.union1d(owned, self.all_ghost_site_ranks(lattice, width))
+        )
+        return sites, sites.rows_of(owned)
 
     def sectors(self) -> list["Subdomain"]:
         """Split into the 8 Shim-Amar sectors (2 x 2 x 2 halves).

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.lattice.bcc import BCCLattice
+from repro.lattice.bcc import BCCLattice, SiteSet
 from repro.lattice.domain import DIRECTIONS, DomainDecomposition
 
 #: Index of the opposite direction for each entry of DIRECTIONS.
@@ -65,6 +65,7 @@ class GhostExchanger:
     ) -> None:
         lattice: BCCLattice = decomp.lattice
         sub = decomp.subdomain(rank)
+        site_set = SiteSet(lattice, sites)
         self.rank = rank
         self.width = width
         self.plans: list[ExchangePlan] = []
@@ -81,8 +82,8 @@ class GhostExchanger:
                     direction=d,
                     dir_index=di,
                     neighbor=neighbor,
-                    send_rows=_rows_of(sites, send_ranks),
-                    recv_rows=_rows_of(sites, recv_ranks),
+                    send_rows=site_set.rows_of(send_ranks),
+                    recv_rows=site_set.rows_of(recv_ranks),
                 )
             )
 
@@ -111,10 +112,3 @@ class GhostExchanger:
         """Bytes this rank sends per exchange of one float64 (n,3) field."""
         return sum(len(p.send_rows) * 24 for p in self.plans)
 
-
-def _rows_of(sites: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Indices of ``ranks`` (global, possibly unwrapped duplicates) in ``sites``."""
-    rows = np.searchsorted(sites, ranks)
-    if np.any(rows >= len(sites)) or np.any(sites[np.minimum(rows, len(sites) - 1)] != ranks):
-        raise ValueError("exchange ranks not present in the local site set")
-    return rows

@@ -20,8 +20,11 @@ The structure exploits that:
 
 Note on vectorization: the paper computes neighbor indexes on the fly to
 save memory; we materialize them once as a NumPy index matrix because
-per-element arithmetic is the expensive operation in Python.  The matrix
-is shared, static, and derived — the *algorithmic* memory accounting of
+per-element arithmetic is the expensive operation in Python.  The
+lattice materializes it (:meth:`repro.lattice.bcc.SiteSet.neighbor_rows`,
+the one offsets-to-rows routine, by per-axis table arithmetic) and the
+occupancy-independent half-pair list derives from it on first use.  Both
+are shared, static, and derived — the *algorithmic* memory accounting of
 :mod:`repro.md.neighbors.memory` follows the paper's storage scheme.
 """
 
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.lattice.bcc import BCCLattice
+from repro.lattice.bcc import BCCLattice, SiteSet, sorted_unique
 from repro.lattice.box import Box
 from repro.md.state import AtomState
 
@@ -119,69 +122,23 @@ class LatticeNeighborList:
                 "on every axis, or a static offset and its periodic image "
                 "would alias onto the same neighbor (double counting)"
             )
-        if sites is None:
-            self.sites = np.arange(lattice.nsites, dtype=np.int64)
-            self._full = True
-        else:
-            self.sites = np.asarray(sites, dtype=np.int64)
-            if np.any(np.diff(self.sites) <= 0):
-                raise ValueError("sites must be strictly increasing")
-            self._full = False
+        if sites is not None and np.any(np.diff(sites) <= 0):
+            raise ValueError("sites must be strictly increasing")
+        self.site_set = SiteSet(lattice, sites)
+        self.sites = self.site_set.ranks
         if centrals is None:
             self.centrals = np.arange(len(self.sites), dtype=np.int64)
         else:
             self.centrals = np.asarray(centrals, dtype=np.int64)
         #: Linked lists of run-away atoms keyed by host row.
         self.hosts: dict[int, list[RunawayAtom]] = {}
-        self._build_matrix()
-
-    # ------------------------------------------------------------------
-    # Static neighbor index matrix
-    # ------------------------------------------------------------------
-    def _build_matrix(self) -> None:
-        """Materialize neighbor rows for every central site.
-
-        ``matrix[c, m]`` is the row index of the m-th neighbor of central
-        row ``self.centrals[c]``; ``valid[c, m]`` is False for padding
-        (the two bases have different neighbor counts only in principle;
-        for BCC they are equal, but padding keeps the code general).
-        """
-        offsets = self.lattice.offsets_within(self.cutoff + self.skin)
-        central_ranks = self.sites[self.centrals]
-        b, i, j, k = self.lattice.coords_of(central_ranks)
-        m = offsets.max_count
-        matrix_global = np.empty((len(central_ranks), m), dtype=np.int64)
-        valid = np.zeros((len(central_ranks), m), dtype=bool)
-        for basis in (0, 1):
-            rows = offsets.for_basis(basis)
-            sel = np.flatnonzero(b == basis)
-            if len(sel) == 0:
-                continue
-            # Relative basis flip: 0 keeps the basis, 1 flips it.
-            nb = np.where(rows[:, 0] == 0, basis, 1 - basis)
-            gi = i[sel, None] + rows[None, :, 1]
-            gj = j[sel, None] + rows[None, :, 2]
-            gk = k[sel, None] + rows[None, :, 3]
-            ranks = self.lattice.rank_of(
-                np.broadcast_to(nb, gi.shape), gi, gj, gk
-            )
-            matrix_global[sel[:, None], np.arange(len(rows))[None, :]] = ranks
-            valid[sel, : len(rows)] = True
-        if self._full:
-            self.matrix = matrix_global
-        else:
-            rows = np.searchsorted(self.sites, matrix_global)
-            rows = np.clip(rows, 0, len(self.sites) - 1)
-            found = self.sites[rows] == matrix_global
-            if np.any(valid & ~found):
-                raise ValueError(
-                    "a central site's neighbor falls outside the provided "
-                    "site set; the ghost shell is too thin for the cutoff"
-                )
-            self.matrix = rows
-        self.valid = valid
-        # Padding entries point at row 0; the valid mask excludes them.
-        self.matrix[~self.valid] = 0
+        #: ``matrix[c, m]``: row of the m-th static neighbor of central
+        #: row ``centrals[c]``; ``valid[c, m]`` is False for padding
+        #: (row 0).  Strict: every central needs its whole stencil local.
+        self.matrix, self.valid = self.site_set.neighbor_rows(
+            lattice.offsets_within(reach), centrals, strict=True
+        )
+        self._half_pairs: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def max_neighbors(self) -> int:
@@ -196,20 +153,27 @@ class LatticeNeighborList:
 
         Row indices into ``state``; each unordered pair appears once.
         Only meaningful when every site is a central (serial use).
+
+        Which slots form a half pair is a property of the static matrix,
+        so that list is derived once (row-major, the order every
+        downstream accumulation sees) and each call only filters it by
+        the state's current occupancy.
         """
+        if self._half_pairs is None:
+            half = self.valid & (self.matrix > self.centrals[:, None])
+            ci, mi = np.nonzero(half)
+            self._half_pairs = (self.centrals[ci], self.matrix[ci, mi])
+        i, j = self._half_pairs
         occ = state.occupied
-        c = self.centrals[:, None]
-        nbr = self.matrix
-        mask = self.valid & (nbr > c) & occ[nbr] & occ[self.centrals][:, None]
-        ci, mi = np.nonzero(mask)
-        return self.centrals[ci], nbr[ci, mi]
+        keep = occ[i] & occ[j]
+        return i[keep], j[keep]
 
     def neighbor_rows(self, row: int) -> np.ndarray:
         """Row indices of the static neighbors of central row ``row``."""
-        c = np.searchsorted(self.centrals, row)
-        if c >= len(self.centrals) or self.centrals[c] != row:
+        (c,) = np.nonzero(self.centrals == row)
+        if len(c) == 0:
             raise ValueError(f"row {row} is not a central site")
-        return self.matrix[c][self.valid[c]]
+        return self.matrix[c[0]][self.valid[c[0]]]
 
     # ------------------------------------------------------------------
     # Run-away atom management (Figure 3)
@@ -228,13 +192,8 @@ class LatticeNeighborList:
 
     def _nearest_row(self, x: np.ndarray) -> int:
         """Row index of the lattice point nearest to position ``x``."""
-        rank = int(self.lattice.nearest_site(self.box.wrap(x)))
-        if self._full:
-            return rank
-        row = int(np.searchsorted(self.sites, rank))
-        if row >= len(self.sites) or self.sites[row] != rank:
-            raise KeyError(f"nearest site {rank} not covered by this list")
-        return row
+        rank = self.lattice.nearest_site(self.box.wrap(x))
+        return int(self.site_set.rows_of(rank))
 
     def _link(self, atom: RunawayAtom) -> None:
         self.hosts.setdefault(atom.host, []).append(atom)
@@ -313,29 +272,32 @@ class LatticeNeighborList:
     # ------------------------------------------------------------------
     # Run-away interaction candidates
     # ------------------------------------------------------------------
-    def _runaway_stencil(self, host_row: int) -> np.ndarray:
-        """Candidate rows around a run-away atom's host lattice point.
+    def _runaway_stencils(self, host_rows) -> list[np.ndarray]:
+        """Candidate rows around each run-away atom's host lattice point.
 
         The paper says a run-away "checks the same neighbor atoms as the
         nearest lattice point it is linked to"; taken literally that
         misses partners near the cutoff edge, because the atom sits up to
         half the first-shell distance from its host (and another run-away
         partner adds the same slack on its side).  The stencil therefore
-        reaches ``cutoff + 2 * link + skin``; duplicates from periodic
-        aliasing are removed (safe: two images of one site can never both
-        be within the cutoff of a point once the box exceeds 2*cutoff).
+        reaches ``cutoff + 2 * link + skin``; neighbors outside the site
+        set are dropped and duplicates from periodic aliasing are removed
+        (safe: two images of one site can never both be within the cutoff
+        of a point once the box exceeds 2*cutoff).  One table pass serves
+        every host of a step.
         """
         link = math.sqrt(3.0) / 4.0 * self.lattice.a
         reach = self.cutoff + 2.0 * link + self.skin
-        rank = int(self.sites[host_row])
-        neighbors = self.lattice.neighbor_ranks_within(rank, reach)
-        if self._full:
-            rows = neighbors
-        else:
-            idx = np.searchsorted(self.sites, neighbors)
-            idx = np.minimum(idx, len(self.sites) - 1)
-            rows = idx[self.sites[idx] == neighbors]
-        return np.unique(np.append(rows, host_row))
+        hosts = np.asarray(host_rows, dtype=np.int64)
+        if len(hosts) == 0:
+            return []
+        rows, valid = self.site_set.neighbor_rows(
+            self.lattice.offsets_within(reach), hosts
+        )
+        return [
+            sorted_unique(np.append(r[v], h))
+            for r, v, h in zip(rows, valid, hosts, strict=True)
+        ]
 
     def runaway_candidates(self) -> list[tuple[RunawayAtom, np.ndarray]]:
         """(atom, candidate rows) per run-away atom.
@@ -343,9 +305,10 @@ class LatticeNeighborList:
         Candidate partners are distance-filtered against the true cutoff
         by the force kernel; this list only needs to be a superset.
         """
-        return [
-            (atom, self._runaway_stencil(atom.host)) for atom in self.runaways
-        ]
+        runs = self.runaways
+        return list(
+            zip(runs, self._runaway_stencils([a.host for a in runs]), strict=True)
+        )
 
     def runaway_pairs(self) -> list[tuple[RunawayAtom, RunawayAtom]]:
         """Unordered run-away/run-away pairs from neighboring linked lists.
@@ -353,11 +316,11 @@ class LatticeNeighborList:
         O(N) in the run-away count: each atom only scans the linked lists
         hanging off its host's static stencil.
         """
-        runs = self.runaways
-        order = {id(a): idx for idx, a in enumerate(runs)}
+        candidates = self.runaway_candidates()
+        order = {id(a): idx for idx, (a, _rows) in enumerate(candidates)}
         pairs = []
-        for atom in runs:
-            for host in self._runaway_stencil(atom.host).tolist():
+        for atom, rows in candidates:
+            for host in rows.tolist():
                 for other in self.hosts.get(host, ()):
                     if order[id(other)] > order[id(atom)]:
                         pairs.append((atom, other))

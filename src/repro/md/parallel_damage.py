@@ -169,10 +169,9 @@ class ParallelDamageMD:
 
         def rank_main(comm):
             sub = decomp.subdomain(comm.rank)
-            owned = sub.owned_site_ranks(lattice)
-            ghosts = sub.all_ghost_site_ranks(lattice, width)
-            sites = np.union1d(owned, ghosts)
-            central_rows = np.searchsorted(sites, owned)
+            site_set, central_rows = sub.site_set(lattice, width)
+            sites = site_set.ranks
+            owned = sites[central_rows]
             own_mask = np.zeros(len(sites), dtype=bool)
             own_mask[central_rows] = True
             state = AtomState.for_sites(lattice, sites)
@@ -188,13 +187,8 @@ class ParallelDamageMD:
             )
             interest: dict[int, set] = {}
             for n in neighbor_ranks:
-                nsub = decomp.subdomain(n)
-                interest[n] = set(
-                    np.union1d(
-                        nsub.owned_site_ranks(lattice),
-                        nsub.all_ghost_site_ranks(lattice, width),
-                    ).tolist()
-                )
+                visible, _rows = decomp.subdomain(n).site_set(lattice, width)
+                interest[n] = set(visible.ranks.tolist())
             fm = FM2A / state.mass
             forces = np.zeros((len(sites), 3))
             ids_f = np.empty(len(sites), dtype=float)
@@ -226,13 +220,13 @@ class ParallelDamageMD:
                         source=n, tag=TAG_RUNAWAY_MIGRATE
                     )
                     ids, hosts, xs, vs = payload
+                    host_rows = site_set.rows_of(hosts)
                     for k in range(len(ids)):
-                        host_row = int(np.searchsorted(sites, hosts[k]))
                         atom = RunawayAtom(
                             id=int(ids[k]),
                             x=xs[k].copy(),
                             v=vs[k].copy(),
-                            host=host_row,
+                            host=int(host_rows[k]),
                         )
                         nbl._link(atom)
 
@@ -253,16 +247,14 @@ class ParallelDamageMD:
                         source=n, tag=TAG_RUNAWAY_GHOST_X
                     )
                     ids, hosts, xs, vs = payload
-                    for k in range(len(ids)):
-                        idx = int(np.searchsorted(sites, hosts[k]))
-                        if idx >= len(sites) or sites[idx] != hosts[k]:
-                            continue  # outside my coverage
+                    host_rows, covered = site_set.rows_of(hosts, missing="mask")
+                    for k in np.flatnonzero(covered):
                         ghosts_in.append(
                             RunawayAtom(
                                 id=int(ids[k]),
                                 x=xs[k].copy(),
                                 v=vs[k].copy(),
-                                host=idx,
+                                host=int(host_rows[k]),
                             )
                         )
                 return ghosts_in
@@ -297,10 +289,10 @@ class ParallelDamageMD:
                         atom.rho = rho_by_id[atom.id]
 
             def runaway_star(
-                atom: RunawayAtom, occ: np.ndarray
+                atom: RunawayAtom, rows: np.ndarray, occ: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-                """(rows, d, r) of the atom's occupied lattice partners."""
-                rows = nbl._runaway_stencil(atom.host)
+                """(rows, d, r) of the atom's occupied lattice partners
+                among its host's stencil ``rows``."""
                 rows = rows[occ[rows]]
                 d = box.minimum_image(state.x[rows] - atom.x)
                 r = np.linalg.norm(d, axis=1)
@@ -320,8 +312,9 @@ class ParallelDamageMD:
                 state.rho[:] = 0.0
                 state.rho[central_rows] = rho_c
                 run_partners = []
-                for atom in all_runs:
-                    rows, d, r = runaway_star(atom, occ)
+                stencils = nbl._runaway_stencils([a.host for a in all_runs])
+                for atom, stencil in zip(all_runs, stencils, strict=True):
+                    rows, d, r = runaway_star(atom, stencil, occ)
                     fd = pot.fdens(r)
                     state.rho[rows] += fd
                     atom.rho = float(np.sum(fd))

@@ -32,16 +32,10 @@ Mechanics
   envelopes (abort-while-slot-held), and ``destroy`` unlinks the whole
   segment in a ``finally`` so no run can leak ``/dev/shm`` space.
 
-Tuning knobs (environment):
-
-``REPRO_SHM``
-    ``0``/``off``/``false`` disables the pool (pickle-only transport).
-``REPRO_SHM_SLOTS`` / ``REPRO_SHM_SLOT_BYTES``
-    Ring geometry; defaults scale slots with the world size.
-``REPRO_SHM_MIN_BYTES``
-    Arrays smaller than this stay inline (header + memcpy overhead
-    beats pickle only past ~1 KiB).  Set to 0 to force everything
-    through shared memory (the parity tests do).
+``REPRO_SHM=0`` (or ``off``/``false``/``no``) disables the pool: the
+pickle-only transport every payload can always fall back to.  The ring
+geometry is fixed (:data:`SLOTS`, :data:`SLOT_BYTES`, :data:`MIN_BYTES`);
+no ledger row moves with it.
 """
 
 from __future__ import annotations
@@ -63,6 +57,18 @@ __all__ = [
 ]
 
 _DISABLED = ("0", "off", "false", "no")
+
+#: Ring slots ``(per rank, base)``: a world of R ranks gets
+#: ``SLOTS[0] * R + SLOTS[1]``.  Each rank typically has a handful of
+#: in-flight envelopes (halo sends to face neighbours plus one
+#: collective contribution); bursts overflow to one-shot segments.
+SLOTS = (4, 8)
+#: Bytes per ring slot; larger arrays always use one-shot segments.
+SLOT_BYTES = 1 << 20
+#: Arrays smaller than this stay inline (header + memcpy overhead beats
+#: pickle only past ~1 KiB).  The parity tests patch it to 0 to force
+#: everything through shared memory.
+MIN_BYTES = 1024
 
 
 def pool_enabled() -> bool:
@@ -336,27 +342,14 @@ class ShmPool:
 
 
 def create_pool(ctx, nranks: int):
-    """A world-sized :class:`ShmPool`, or ``None`` when disabled/unavailable.
-
-    Geometry defaults scale with the world: each rank typically has a
-    handful of in-flight envelopes (halo sends to face neighbours plus
-    one collective contribution), so ``4 * nranks + 8`` slots of 1 MiB
-    absorb the steady state; bursts overflow to one-shot segments and
-    giant arrays (> 1 MiB) always use one-shots.
-    """
+    """A world-sized :class:`ShmPool`, or ``None`` when disabled/unavailable."""
     if not pool_enabled():
         return None
+    per_rank, base = SLOTS
     try:
-        nslots = int(os.environ.get("REPRO_SHM_SLOTS") or 4 * nranks + 8)
-        slot_bytes = int(os.environ.get("REPRO_SHM_SLOT_BYTES") or (1 << 20))
-        min_bytes = int(os.environ.get("REPRO_SHM_MIN_BYTES") or 1024)
-    except ValueError:
-        raise ValueError(
-            "REPRO_SHM_SLOTS / REPRO_SHM_SLOT_BYTES / REPRO_SHM_MIN_BYTES "
-            "must be integers"
-        ) from None
-    try:
-        return ShmPool(ctx, nslots, slot_bytes, min_bytes=min_bytes)
+        return ShmPool(
+            ctx, per_rank * nranks + base, SLOT_BYTES, min_bytes=MIN_BYTES
+        )
     except (OSError, ValueError):  # pragma: no cover - no /dev/shm
         obs.add("runtime.shm.unavailable")
         return None

@@ -14,8 +14,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kmc.sublattice import SectorComm, _rows_in
+from repro.kmc.sublattice import SectorComm
 from repro.lattice.domain import DIRECTIONS
+
+
+def _rows_in(sites: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Rows of ``ranks`` within sorted ``sites``; all must be present.
+
+    Moved here from ``repro.kmc.sublattice`` when the tree's lookups
+    went to :meth:`repro.lattice.bcc.SiteSet.rows_of`, so the oracle
+    keeps a search of its own.
+    """
+    ranks = np.asarray(ranks, dtype=np.int64)
+    if len(ranks) == 0:
+        return np.empty(0, dtype=np.int64)
+    rows = np.searchsorted(sites, ranks)
+    if np.any(rows >= len(sites)) or np.any(
+        sites[np.minimum(rows, len(sites) - 1)] != ranks
+    ):
+        raise ValueError("requested ranks missing from the local site set")
+    return rows
 
 
 def strip_sets(decomp, rank, sites, width, event_width=1) -> list[list[SectorComm]]:

@@ -10,6 +10,7 @@ from repro.kmc.akmc import ghost_width_cells
 from repro.kmc.events import ATOM, VACANCY, KMCModel, RateParameters
 from repro.lattice.bcc import BCCLattice
 from repro.lattice.domain import DomainDecomposition
+from tests import lattice_oracle
 
 
 class TestRateParameters:
@@ -180,9 +181,11 @@ class TestInfluence:
 def _reference_tables(lattice, potential, params, sites):
     """Per-slot oracle: one spline evaluation per (site, slot).
 
-    Neighbors come from the scalar ``neighbor_ranks_within`` and every
-    rank is looked up in ``sites`` by binary search — no per-basis
-    sharing and no whole-lattice shortcut.
+    Neighbors come from the scalar ``rank_of``-based
+    ``neighbor_ranks_within`` (in ``tests/lattice_oracle.py`` since the
+    lattice's own went onto ``SiteSet``) and every rank is looked up in
+    ``sites`` by binary search — no per-basis sharing and no
+    whole-lattice shortcut.
     """
     offsets = lattice.offsets_within(params.energy_cutoff)
     n, m = len(sites), offsets.max_count
@@ -196,7 +199,9 @@ def _reference_tables(lattice, potential, params, sites):
     e_global = np.zeros((n, m), dtype=np.int64)
     dist = np.zeros((n, m))
     for row, site in enumerate(sites):
-        nbrs = lattice.neighbor_ranks_within(int(site), params.energy_cutoff)
+        nbrs = lattice_oracle.neighbor_ranks_within(
+            lattice, int(site), params.energy_cutoff
+        )
         e_global[row, : len(nbrs)] = nbrs
         d = offsets.corner_distances if site % 2 == 0 else offsets.center_distances
         dist[row, : len(nbrs)] = d * lattice.a
@@ -204,7 +209,9 @@ def _reference_tables(lattice, potential, params, sites):
     e_valid &= dist > 0
     e_matrix[~e_valid] = 0
     safe = np.where(e_valid, dist, potential.cutoff)
-    first_matrix, first_valid = localize(lattice.first_shell_ranks(sites))
+    first_matrix, first_valid = localize(
+        lattice_oracle.first_shell_ranks(lattice, sites)
+    )
     return {
         "e_matrix": e_matrix,
         "e_valid": e_valid,

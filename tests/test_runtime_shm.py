@@ -179,18 +179,18 @@ class TestCreatePool:
         assert shm.create_pool(ctx, 4) is None
 
     def test_geometry_env_knobs(self, ctx, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_SLOTS", "3")
-        monkeypatch.setenv("REPRO_SHM_SLOT_BYTES", "512")
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
+        """The geometry is three module constants (environment knobs
+        until nothing but this file set them); tests patch them."""
+        monkeypatch.setattr(shm, "SLOTS", (0, 3))
+        monkeypatch.setattr(shm, "SLOT_BYTES", 512)
+        monkeypatch.setattr(shm, "MIN_BYTES", 0)
         p = shm.create_pool(ctx, 4)
         try:
             assert (p.nslots, p.slot_bytes, p.min_bytes) == (3, 512, 0)
         finally:
             p.destroy()
 
-    def test_default_geometry_scales_with_world(self, ctx, monkeypatch):
-        for var in ("REPRO_SHM_SLOTS", "REPRO_SHM_SLOT_BYTES"):
-            monkeypatch.delenv(var, raising=False)
+    def test_default_geometry_scales_with_world(self, ctx):
         p = shm.create_pool(ctx, 6)
         try:
             assert p.nslots == 4 * 6 + 8
@@ -198,11 +198,7 @@ class TestCreatePool:
         finally:
             p.destroy()
 
-    def test_bad_geometry_rejected(self, ctx, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_SLOTS", "three")
-        with pytest.raises(ValueError, match="must be integers"):
-            shm.create_pool(ctx, 4)
-        monkeypatch.setenv("REPRO_SHM_SLOTS", "3")
+    def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             shm.ShmPool(multiprocessing.get_context("fork"), 0, 1024)
 
@@ -231,7 +227,7 @@ def _bulk_main(comm):
 
 class TestWorldIntegration:
     def test_bulk_traffic_travels_via_shm(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
+        monkeypatch.setattr(shm, "MIN_BYTES", 0)
         # One child per rank, so every message crosses a process
         # boundary: the slot count below assumes no rank-group routing.
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
@@ -257,7 +253,7 @@ class TestWorldIntegration:
 
     def test_abort_while_slot_held_reclaims(self, monkeypatch):
         """A receiver that exits with envelopes undelivered leaks nothing."""
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
+        monkeypatch.setattr(shm, "MIN_BYTES", 0)
         before = _shm_names()
 
         def main(comm):
