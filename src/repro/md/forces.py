@@ -1,12 +1,29 @@
-"""Vectorized EAM energy/force kernels.
+"""The EAM energy/force kernel — the only one under ``src/``.
 
 The core computation of both MD and KMC (paper §2): a two-pass EAM
-evaluation — density accumulation, embedding derivative, then pair +
-embedding forces — over a half pair list produced by any of the neighbor
-structures.  All hot loops are NumPy gather/scatter operations; the
-scatters run through ``np.bincount(..., minlength=n)`` rather than
-``np.add.at``, whose unbuffered ufunc path is the known slow scatter in
-NumPy (an order of magnitude on large pair lists).
+evaluation over a half pair list produced by any of the neighbor
+structures.  :func:`density_pass` evaluates the pair and density tables
+once per pair and accumulates electron densities; :func:`force_pass`
+takes *converged* densities and closes the force expression from the
+table values the density pass already fetched — the geometry
+(:class:`PairTable`) and the table rows are gathered once and shared by
+both passes (paper §2.1.2).  :func:`eam_evaluate` is the two back to
+back; a :class:`~repro.md.parallel_damage.ParallelDamageMD` rank runs
+them over the half pairs it owns with its density exchange in between,
+and :class:`~repro.sunway.kernel.BlockedEAMKernel` reads a core group's
+share off them.  The same expressions in the same pair order give every
+caller the same bits.
+
+All hot loops are NumPy gather/scatter operations; the scatters run
+through ``np.bincount(..., minlength=n)``, one contiguous accumulation
+per endpoint array in pair order, rather than an unbuffered ufunc
+scatter (an order of magnitude slower on large pair lists).
+
+Work counters (exact, free when observation is off): ``md.force.calls``,
+``md.geometry.passes``, ``md.pairs.candidate`` / ``md.pairs.kept``
+(before / after the cutoff), ``md.spline.rows`` (rows gathered over all
+table evaluations) and ``md.runaway.pairs`` (candidate pairs with a
+run-away endpoint).
 """
 
 from __future__ import annotations
@@ -16,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import kernels
-from repro.md.neighbors.lattice_list import LatticeNeighborList
+from repro import observe as obs
+from repro.md.neighbors.lattice_list import LatticeNeighborList, RunawayAtom
 from repro.md.state import AtomState
 from repro.potential.eam import EAMPotential
 
@@ -44,7 +62,11 @@ class PairTable:
             d = box.minimum_image(d)
         r = np.linalg.norm(d, axis=-1) if len(i) else np.empty(0)
         keep = (r > 1e-12) & (r <= cutoff)
-        return cls(i=i[keep], j=j[keep], d=d[keep], r=r[keep])
+        table = cls(i=i[keep], j=j[keep], d=d[keep], r=r[keep])
+        obs.add("md.geometry.passes")
+        obs.add("md.pairs.candidate", len(i))
+        obs.add("md.pairs.kept", len(table))
+        return table
 
     def __len__(self) -> int:
         return len(self.i)
@@ -59,6 +81,57 @@ class EAMResult:
     rho: np.ndarray
     pair_energy: float
     embed_energy: float
+
+
+@dataclass
+class DensityPass:
+    """What the density pass leaves for the force pass.
+
+    Per pair: the pair table's value and derivative ``phi``/``dphi`` and
+    the density table's derivative ``dfd``.  Per particle: ``rho``, the
+    density accumulated from the pairs given (complete for a particle
+    whose every partner is in the list).
+    """
+
+    phi: np.ndarray
+    dphi: np.ndarray
+    dfd: np.ndarray
+    rho: np.ndarray
+
+
+def density_pass(pot: EAMPotential, n: int, pairs: PairTable) -> DensityPass:
+    """Pass 1: the two pair-distance tables, and ``rho`` over ``n`` particles."""
+    phi, dphi = pot.tables.pair.value_and_derivative(pairs.r)
+    fd, dfd = pot.tables.density.value_and_derivative(pairs.r)
+    rho = np.bincount(pairs.i, weights=fd, minlength=n) + np.bincount(
+        pairs.j, weights=fd, minlength=n
+    )
+    obs.add("md.spline.rows", 2 * len(pairs))
+    return DensityPass(phi, dphi, dfd, rho)
+
+
+def force_pass(
+    pot: EAMPotential, pairs: PairTable, dens: DensityPass, rho: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pass 2: ``(forces, embedding energies)`` from converged ``rho``.
+
+    ``rho`` must be converged for every particle a pair touches —
+    ``dens.rho`` where the pair list is complete, the exchanged
+    densities on a rank.  Forces are complete for the same particles
+    ``dens.rho`` is.
+    """
+    n = len(rho)
+    emb, demb = pot.tables.embedding.value_and_derivative(rho)
+    coeff = (dens.dphi + (demb[pairs.i] + demb[pairs.j]) * dens.dfd) / pairs.r
+    fvec = coeff[:, None] * pairs.d
+    forces = np.empty((n, 3))
+    for k in range(3):
+        forces[:, k] = np.bincount(
+            pairs.i, weights=fvec[:, k], minlength=n
+        ) - np.bincount(pairs.j, weights=fvec[:, k], minlength=n)
+    obs.add("md.spline.rows", n)
+    obs.add("md.force.calls")
+    return forces, emb
 
 
 def eam_evaluate(
@@ -85,41 +158,22 @@ def eam_evaluate(
         active = np.ones(n, dtype=bool)
     if len(pairs) == 0:
         return EAMResult(0.0, np.zeros((n, 3)), np.zeros(n), 0.0, 0.0)
-    if kernels.selected() == "numba":
-        payloads = kernels.eam_payloads(pot.tables)
-        if payloads is not None:
-            # Compiled path: bit-identical to the NumPy expressions below
-            # by construction (same accumulation order, same pairwise
-            # sums); the energy reductions stay NumPy-side in both paths.
-            phi, rho, emb, forces = kernels.eam_fused(
-                payloads, pairs.i, pairs.j, pairs.d, pairs.r, n
-            )
-            pair_energy = float(np.sum(phi))
-            embed_energy = float(np.sum(emb[active]))
-            return EAMResult(
-                energy=pair_energy + embed_energy,
-                forces=forces,
-                rho=rho,
-                pair_energy=pair_energy,
-                embed_energy=embed_energy,
-            )
-    # Pass 1: pair energy and density accumulation.  bincount scatters:
-    # one contiguous accumulation per endpoint array instead of the
-    # element-wise np.add.at loop.
-    phi, dphi = pot.tables.pair.value_and_derivative(pairs.r)
-    fd, dfd = pot.tables.density.value_and_derivative(pairs.r)
-    rho = np.bincount(pairs.i, weights=fd, minlength=n) + np.bincount(
-        pairs.j, weights=fd, minlength=n
+    payloads = (
+        kernels.eam_payloads(pot.tables) if kernels.selected() == "numba" else None
     )
-    # Pass 2: embedding derivative closes the force expression.
-    emb, demb = pot.tables.embedding.value_and_derivative(rho)
-    coeff = (dphi + (demb[pairs.i] + demb[pairs.j]) * dfd) / pairs.r
-    fvec = coeff[:, None] * pairs.d
-    forces = np.empty((n, 3))
-    for k in range(3):
-        forces[:, k] = np.bincount(
-            pairs.i, weights=fvec[:, k], minlength=n
-        ) - np.bincount(pairs.j, weights=fvec[:, k], minlength=n)
+    if payloads is not None:
+        # Compiled path: bit-identical to the two NumPy passes by
+        # construction (same accumulation order, same pairwise sums);
+        # the energy reductions stay NumPy-side in both paths.
+        phi, rho, emb, forces = kernels.eam_fused(
+            payloads, pairs.i, pairs.j, pairs.d, pairs.r, n
+        )
+        obs.add("md.spline.rows", 2 * len(pairs) + n)
+        obs.add("md.force.calls")
+    else:
+        dens = density_pass(pot, n, pairs)
+        phi, rho = dens.phi, dens.rho
+        forces, emb = force_pass(pot, pairs, dens, rho)
     pair_energy = float(np.sum(phi))
     embed_energy = float(np.sum(emb[active]))
     return EAMResult(
@@ -131,52 +185,46 @@ def eam_evaluate(
     )
 
 
-def gather_particles(
-    state: AtomState, nblist: LatticeNeighborList
-) -> tuple[np.ndarray, np.ndarray, list]:
-    """Flat particle array: occupied/vacancy rows first, run-aways appended.
-
-    Returns ``(x_flat, active_mask, runaway_atoms)``; run-away atom ``k``
-    is flat particle ``state.n + k``.
-    """
-    runs = nblist.runaways
-    if runs:
-        x = np.vstack([state.x, np.array([a.x for a in runs])])
-    else:
-        x = state.x
-    active = np.concatenate(
-        [state.occupied, np.ones(len(runs), dtype=bool)]
-    )
-    return x, active, runs
-
-
 def build_pair_table(
-    state: AtomState, nblist: LatticeNeighborList, pot: EAMPotential
+    state: AtomState,
+    nblist: LatticeNeighborList,
+    pot: EAMPotential,
+    runs: list[RunawayAtom] | None = None,
 ) -> tuple[PairTable, np.ndarray, np.ndarray, list]:
     """All interacting half pairs of a state under the lattice list.
 
     Combines (1) on-lattice pairs from static index arithmetic, (2)
     run-away/lattice pairs from each run-away's host neighborhood, and
     (3) run-away/run-away pairs from adjacent linked lists.
+
+    Returns ``(table, x_flat, active_mask, runs)`` over the flat particle
+    array: the state's rows first, run-away ``k`` of ``runs`` at
+    ``state.n + k``.  ``runs`` defaults to the list's own run-aways; a
+    rank passes its own plus its ghost copies, in host order.
     """
-    x, active, runs = gather_particles(state, nblist)
+    if runs is None:
+        runs = nblist.runaways
+    n = state.n
+    x = state.x
     li, lj = nblist.lattice_pairs(state)
     pi = [li]
     pj = [lj]
     if runs:
-        run_index = {id(a): state.n + k for k, a in enumerate(runs)}
+        x = np.vstack([x, np.array([a.x for a in runs])])
         occ = state.occupied
-        for atom, rows in nblist.runaway_candidates():
+        candidates = nblist.runaway_candidates(runs)
+        for k, (_atom, rows) in enumerate(candidates):
             rows = rows[occ[rows]]
-            if len(rows):
-                pi.append(np.full(len(rows), run_index[id(atom)], dtype=np.int64))
-                pj.append(rows.astype(np.int64))
-        rr = nblist.runaway_pairs()
-        if rr:
-            pi.append(np.asarray([run_index[id(a)] for a, _b in rr], dtype=np.int64))
-            pj.append(np.asarray([run_index[id(b)] for _a, b in rr], dtype=np.int64))
+            pi.append(np.full(len(rows), n + k, dtype=np.int64))
+            pj.append(rows)
+        rr = np.array(nblist.runaway_pairs(candidates), dtype=np.int64)
+        rr = n + rr.reshape(-1, 2)
+        pi.append(rr[:, 0])
+        pj.append(rr[:, 1])
+    active = np.concatenate([state.occupied, np.ones(len(runs), dtype=bool)])
     i = np.concatenate(pi)
     j = np.concatenate(pj)
+    obs.add("md.runaway.pairs", len(i) - len(li))
     table = PairTable.from_pairs(x, i, j, nblist.box, pot.cutoff)
     return table, x, active, runs
 
@@ -199,87 +247,6 @@ def compute_energy_forces(
         atom.f = result.forces[state.n + k].copy()
         atom.rho = float(result.rho[state.n + k])
     return result.energy
-
-
-def star_geometry(
-    x: np.ndarray,
-    occupied: np.ndarray,
-    centrals: np.ndarray,
-    matrix: np.ndarray,
-    valid: np.ndarray,
-    box,
-    cutoff: float,
-):
-    """Distances from each central row to its static neighbors.
-
-    Returns ``(d, r, mask)`` with shapes ``(C, m, 3)``, ``(C, m)``,
-    ``(C, m)``: the displacement vectors, distances, and the mask of
-    genuine interactions (valid slot, both occupied, within cutoff).
-    Used by the parallel engine, where each owned central accumulates its
-    full interaction star (ghost neighbors included).
-    """
-    xc = x[centrals]
-    xn = x[matrix]
-    d = xn - xc[:, None, :]
-    if box is not None:
-        d = box.minimum_image(d)
-    r = np.linalg.norm(d, axis=2)
-    mask = (
-        valid
-        & occupied[matrix]
-        & occupied[centrals][:, None]
-        & (r > 1e-12)
-        & (r <= cutoff)
-    )
-    return d, r, mask
-
-
-def star_density(
-    pot: EAMPotential,
-    x: np.ndarray,
-    occupied: np.ndarray,
-    centrals: np.ndarray,
-    matrix: np.ndarray,
-    valid: np.ndarray,
-    box,
-) -> tuple[np.ndarray, float]:
-    """Density pass of the parallel kernel.
-
-    Returns ``(rho_centrals, local_pair_energy)``; the pair energy carries
-    the EAM 1/2 factor, so summing it over ranks gives the global pair
-    term exactly (every bond is seen from both ends).
-    """
-    _d, r, mask = star_geometry(x, occupied, centrals, matrix, valid, box, pot.cutoff)
-    rsafe = np.where(mask, r, pot.cutoff)
-    rho_c = np.sum(pot.tables.density(rsafe) * mask, axis=1)
-    pair_e = 0.5 * float(np.sum(pot.tables.pair(rsafe) * mask))
-    return rho_c, pair_e
-
-
-def star_forces(
-    pot: EAMPotential,
-    x: np.ndarray,
-    occupied: np.ndarray,
-    rho: np.ndarray,
-    centrals: np.ndarray,
-    matrix: np.ndarray,
-    valid: np.ndarray,
-    box,
-) -> np.ndarray:
-    """Force pass of the parallel kernel; forces on the central rows only.
-
-    ``rho`` must hold *converged* densities for every row the matrix can
-    touch — ghosts included, which is why the engine exchanges densities
-    between the two passes.
-    """
-    d, r, mask = star_geometry(x, occupied, centrals, matrix, valid, box, pot.cutoff)
-    rsafe = np.where(mask, r, pot.cutoff)
-    dphi = pot.tables.pair.derivative(rsafe)
-    dfd = pot.tables.density.derivative(rsafe)
-    demb = pot.tables.embedding.derivative(rho)
-    coeff = (dphi + (demb[centrals][:, None] + demb[matrix]) * dfd) / rsafe
-    coeff = np.where(mask, coeff, 0.0)
-    return np.einsum("cm,cmk->ck", coeff, d)
 
 
 def compute_energy_forces_pairs(

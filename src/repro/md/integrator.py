@@ -8,6 +8,7 @@ coordinates and the velocity of the atoms").  Operates on
 
 from __future__ import annotations
 
+import numpy as np
 
 from repro.constants import FM2A
 from repro.md.neighbors.lattice_list import LatticeNeighborList
@@ -28,9 +29,18 @@ class VelocityVerlet:
             raise ValueError(f"dt must be positive, got {dt}")
         self.dt = float(dt)
 
-    def first_half(self, state: AtomState, nblist: LatticeNeighborList | None = None) -> None:
-        """Half-kick velocities, then drift positions by a full step."""
-        occ = state.occupied
+    def first_half(
+        self,
+        state: AtomState,
+        nblist: LatticeNeighborList | None = None,
+        rows: np.ndarray | None = None,
+    ) -> None:
+        """Half-kick velocities, then drift positions by a full step.
+
+        ``rows`` (a boolean mask) restricts the lattice update to those
+        rows — a rank's owned sites; the list's run-aways always move.
+        """
+        occ = state.occupied if rows is None else state.occupied & rows
         acc = state.f * (FM2A / state.mass)
         state.v[occ] += 0.5 * self.dt * acc[occ]
         state.x[occ] += self.dt * state.v[occ]
@@ -39,9 +49,14 @@ class VelocityVerlet:
                 atom.v = atom.v + 0.5 * self.dt * (FM2A / state.mass) * atom.f
                 atom.x = atom.x + self.dt * atom.v
 
-    def second_half(self, state: AtomState, nblist: LatticeNeighborList | None = None) -> None:
-        """Half-kick with the freshly computed forces."""
-        occ = state.occupied
+    def second_half(
+        self,
+        state: AtomState,
+        nblist: LatticeNeighborList | None = None,
+        rows: np.ndarray | None = None,
+    ) -> None:
+        """Half-kick with the freshly computed forces (``rows`` as above)."""
+        occ = state.occupied if rows is None else state.occupied & rows
         acc = state.f * (FM2A / state.mass)
         state.v[occ] += 0.5 * self.dt * acc[occ]
         if nblist is not None:

@@ -151,8 +151,12 @@ class LatticeNeighborList:
     def lattice_pairs(self, state: AtomState) -> tuple[np.ndarray, np.ndarray]:
         """Half pair list (i, j) of interacting on-lattice atoms.
 
-        Row indices into ``state``; each unordered pair appears once.
-        Only meaningful when every site is a central (serial use).
+        Row indices into ``state``, ``i < j``; each unordered pair with
+        at least one central endpoint appears once.  Over the whole
+        lattice that is every pair; over a subdomain (centrals = owned
+        rows) it is the whole-lattice list restricted to the pairs that
+        touch an owned row, in the same order — so a rank accumulates an
+        owned atom's terms in the order the serial engine does.
 
         Which slots form a half pair is a property of the static matrix,
         so that list is derived once (row-major, the order every
@@ -160,13 +164,37 @@ class LatticeNeighborList:
         the state's current occupancy.
         """
         if self._half_pairs is None:
-            half = self.valid & (self.matrix > self.centrals[:, None])
-            ci, mi = np.nonzero(half)
-            self._half_pairs = (self.centrals[ci], self.matrix[ci, mi])
+            self._half_pairs = self._static_half_pairs()
         i, j = self._half_pairs
         occ = state.occupied
         keep = occ[i] & occ[j]
         return i[keep], j[keep]
+
+    def _static_half_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every static pair that touches a central, low row first.
+
+        Each row emits its own higher-row neighbors in slot order: the
+        centrals from the matrix, and the ghost rows next to them (low
+        end of a pair whose high end is a central) from their own
+        stencil.  Each ``i`` has one emitter, so the stable sort by ``i``
+        is the whole-lattice row-major order.
+        """
+        half = self.valid & (self.matrix > self.centrals[:, None])
+        ci, mi = np.nonzero(half)
+        i, j = self.centrals[ci], self.matrix[ci, mi]
+        central = np.zeros(len(self.sites), dtype=bool)
+        central[self.centrals] = True
+        if central.all():
+            return i, j
+        ghosts = sorted_unique(self.matrix[self.valid & ~central[self.matrix]])
+        rows, valid = self.site_set.neighbor_rows(
+            self.lattice.offsets_within(self.cutoff + self.skin), ghosts
+        )
+        gi, mi = np.nonzero(valid & central[rows] & (rows > ghosts[:, None]))
+        i = np.concatenate([i, ghosts[gi]])
+        j = np.concatenate([j, rows[gi, mi]])
+        order = np.argsort(i, kind="stable")
+        return i[order], j[order]
 
     def neighbor_rows(self, row: int) -> np.ndarray:
         """Row indices of the static neighbors of central row ``row``."""
@@ -299,31 +327,43 @@ class LatticeNeighborList:
             for r, v, h in zip(rows, valid, hosts, strict=True)
         ]
 
-    def runaway_candidates(self) -> list[tuple[RunawayAtom, np.ndarray]]:
+    def runaway_candidates(
+        self, runs: list[RunawayAtom] | None = None
+    ) -> list[tuple[RunawayAtom, np.ndarray]]:
         """(atom, candidate rows) per run-away atom.
 
+        ``runs`` defaults to the list's own :attr:`runaways`; a rank
+        passes its own atoms plus the ghost copies it was sent.
         Candidate partners are distance-filtered against the true cutoff
         by the force kernel; this list only needs to be a superset.
         """
-        runs = self.runaways
+        if runs is None:
+            runs = self.runaways
         return list(
             zip(runs, self._runaway_stencils([a.host for a in runs]), strict=True)
         )
 
-    def runaway_pairs(self) -> list[tuple[RunawayAtom, RunawayAtom]]:
+    def runaway_pairs(
+        self, candidates: list[tuple[RunawayAtom, np.ndarray]] | None = None
+    ) -> list[tuple[int, int]]:
         """Unordered run-away/run-away pairs from neighboring linked lists.
 
-        O(N) in the run-away count: each atom only scans the linked lists
-        hanging off its host's static stencil.
+        Pairs are positions ``(a, b)``, ``a < b``, in ``candidates``
+        (default: :meth:`runaway_candidates`).  O(N) in the run-away
+        count: each atom's stencil is intersected with the rows that
+        host a run-away, and only those linked lists are walked.
         """
-        candidates = self.runaway_candidates()
-        order = {id(a): idx for idx, (a, _rows) in enumerate(candidates)}
+        if candidates is None:
+            candidates = self.runaway_candidates()
+        linked: dict[int, list[int]] = {}
+        for pos, (atom, _rows) in enumerate(candidates):
+            linked.setdefault(atom.host, []).append(pos)
+        hosting = np.zeros(len(self.sites), dtype=bool)
+        hosting[list(linked)] = True
         pairs = []
-        for atom, rows in candidates:
-            for host in rows.tolist():
-                for other in self.hosts.get(host, ()):
-                    if order[id(other)] > order[id(atom)]:
-                        pairs.append((atom, other))
+        for a, (_atom, rows) in enumerate(candidates):
+            for host in rows[hosting[rows]].tolist():
+                pairs.extend((a, b) for b in linked[host] if b > a)
         return pairs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -23,13 +23,18 @@ Per step the protocol is:
 3. static ghost exchange of positions + occupancy (IDs);
 4. run-away ghost broadcast: copies of owned run-aways hosted in a
    neighbor's interest region travel with their positions;
-5. density pass (lattice stars + run-away contributions), then the
-   second exchange phase ships densities — for lattice sites through the
-   static pattern, for run-aways with refreshed ghost copies;
-6. force pass, second half-kick.
+5. density pass over the half pairs the rank owns — every pair with at
+   least one owned endpoint, own and ghost-copy run-aways included —
+   then the second exchange phase ships densities: for lattice sites
+   through the static pattern, for run-aways with refreshed ghost copies;
+6. force pass over the same pair table and the table values the density
+   pass fetched, second half-kick.
 
-The result is bit-compatible with the serial engine (asserted by tests):
-same trajectories, same vacancy inventory, same run-away population.
+Steps 5-6 are :func:`repro.md.forces.density_pass` and
+:func:`~repro.md.forces.force_pass`, the serial engine's kernel, over a
+pair list in the serial engine's order; step 1 is its integrator.  So
+the result is the serial engine's bit for bit (asserted by tests): same
+positions and velocities, same vacancy inventory, same run-aways.
 """
 
 from __future__ import annotations
@@ -38,13 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constants import FM2A
+from repro import observe as obs
 from repro.lattice.bcc import BCCLattice
 from repro.lattice.box import Box
 from repro.lattice.domain import DIRECTIONS, DomainDecomposition, choose_grid
 from repro.md.engine import MDConfig
-from repro.md.forces import star_density, star_forces
+from repro.md.forces import build_pair_table, density_pass, force_pass
 from repro.md.ghost import GhostExchanger
+from repro.md.integrator import VelocityVerlet
 from repro.md.neighbors.lattice_list import LatticeNeighborList, RunawayAtom
 from repro.md.state import AtomState
 from repro.md.thermostat import maxwell_boltzmann_velocities
@@ -168,43 +174,47 @@ class ParallelDamageMD:
         width = self.width
 
         def rank_main(comm):
-            sub = decomp.subdomain(comm.rank)
-            site_set, central_rows = sub.site_set(lattice, width)
-            sites = site_set.ranks
-            owned = sites[central_rows]
-            own_mask = np.zeros(len(sites), dtype=bool)
-            own_mask[central_rows] = True
-            state = AtomState.for_sites(lattice, sites)
-            state.v[:] = v_global[sites]
-            nbl = LatticeNeighborList(
-                lattice, pot.cutoff, sites=sites, centrals=central_rows
-            )
-            ex = GhostExchanger(decomp, comm.rank, sites, width)
-            # Ranks my ghost region could host run-aways for / from.
-            neighbor_ranks = sorted(
-                {decomp.neighbor_rank(comm.rank, d) for d in DIRECTIONS}
-                - {comm.rank}
-            )
-            interest: dict[int, set] = {}
-            for n in neighbor_ranks:
-                visible, _rows = decomp.subdomain(n).site_set(lattice, width)
-                interest[n] = set(visible.ranks.tolist())
-            fm = FM2A / state.mass
-            forces = np.zeros((len(sites), 3))
-            ids_f = np.empty(len(sites), dtype=float)
-
-            def owned_runaways() -> list[RunawayAtom]:
-                return nbl.runaways
+            with obs.phase("md.initialize"):
+                sub = decomp.subdomain(comm.rank)
+                site_set, central_rows = sub.site_set(lattice, width)
+                sites = site_set.ranks
+                own_mask = np.zeros(len(sites), dtype=bool)
+                own_mask[central_rows] = True
+                ghost_rows = np.flatnonzero(~own_mask)
+                state = AtomState.for_sites(lattice, sites)
+                state.v[:] = v_global[sites]
+                nbl = LatticeNeighborList(
+                    lattice, pot.cutoff, sites=sites, centrals=central_rows
+                )
+                ex = GhostExchanger(decomp, comm.rank, sites, width)
+                # Ranks my ghost region could host run-aways for / from,
+                # and which of my rows each of them holds (owned or ghost).
+                neighbor_ranks = sorted(
+                    {decomp.neighbor_rank(comm.rank, d) for d in DIRECTIONS}
+                    - {comm.rank}
+                )
+                interest: dict[int, np.ndarray] = {}
+                for n in neighbor_ranks:
+                    visible, _rows = decomp.subdomain(n).site_set(lattice, width)
+                    rows, mine = site_set.rows_of(visible.ranks, missing="mask")
+                    interest[n] = np.zeros(len(sites), dtype=bool)
+                    interest[n][rows[mine]] = True
+                integ = VelocityVerlet(dt)
+                ids_f = np.empty(len(sites), dtype=float)
 
             def exchange_ids_and_x() -> None:
                 ids_f[:] = state.ids
                 ex.exchange(comm, TAG_X, [state.x, ids_f])
                 state.ids[:] = ids_f.astype(np.int64)
 
+            def seen_by(n: int) -> list[RunawayAtom]:
+                """Owned run-aways hosted where neighbor ``n`` can see them."""
+                return [a for a in nbl.runaways if interest[n][a.host]]
+
             def migrate_runaways() -> None:
                 """Ship run-aways whose nearest site belongs elsewhere."""
                 outgoing: dict[int, list[RunawayAtom]] = {n: [] for n in neighbor_ranks}
-                for atom in list(owned_runaways()):
+                for atom in nbl.runaways:
                     owner = decomp.owner_of_site(int(sites[atom.host]))
                     if owner != comm.rank:
                         nbl._unlink(atom)
@@ -233,13 +243,8 @@ class ParallelDamageMD:
             def broadcast_ghost_runaways() -> list[RunawayAtom]:
                 """Copies of owned run-aways for neighbors that see them."""
                 for n in neighbor_ranks:
-                    copies = [
-                        a
-                        for a in owned_runaways()
-                        if int(sites[a.host]) in interest[n]
-                    ]
                     comm.send(
-                        n, TAG_RUNAWAY_GHOST_X, _pack_runaways(copies, sites)
+                        n, TAG_RUNAWAY_GHOST_X, _pack_runaways(seen_by(n), sites)
                     )
                 ghosts_in: list[RunawayAtom] = []
                 for n in neighbor_ranks:
@@ -264,11 +269,7 @@ class ParallelDamageMD:
             ) -> None:
                 """Refresh ghost run-away densities from their owners."""
                 for n in neighbor_ranks:
-                    mine = [
-                        a
-                        for a in owned_runaways()
-                        if int(sites[a.host]) in interest[n]
-                    ]
+                    mine = seen_by(n)
                     comm.send(
                         n,
                         TAG_RUNAWAY_GHOST_RHO,
@@ -288,111 +289,62 @@ class ParallelDamageMD:
                     if atom.id in rho_by_id:
                         atom.rho = rho_by_id[atom.id]
 
-            def runaway_star(
-                atom: RunawayAtom, rows: np.ndarray, occ: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-                """(rows, d, r) of the atom's occupied lattice partners
-                among its host's stencil ``rows``."""
-                rows = rows[occ[rows]]
-                d = box.minimum_image(state.x[rows] - atom.x)
-                r = np.linalg.norm(d, axis=1)
-                keep = (r > 1e-12) & (r <= pot.cutoff)
-                return rows[keep], d[keep], r[keep]
+            def compute_forces(ghost_runs: list[RunawayAtom]) -> None:
+                """The two EAM passes over the pairs this rank owns.
 
-            def compute_step(
-                own_list: list[RunawayAtom], ghost_list: list[RunawayAtom]
-            ) -> None:
-                """Two-pass EAM with run-away participation."""
-                all_runs = own_list + ghost_list
-                occ = state.occupied
-                # --- density pass -------------------------------------
-                rho_c, _pair_e = star_density(
-                    pot, state.x, occ, central_rows, nbl.matrix, nbl.valid, box
-                )
-                state.rho[:] = 0.0
-                state.rho[central_rows] = rho_c
-                run_partners = []
-                stencils = nbl._runaway_stencils([a.host for a in all_runs])
-                for atom, stencil in zip(all_runs, stencils, strict=True):
-                    rows, d, r = runaway_star(atom, stencil, occ)
-                    fd = pot.fdens(r)
-                    state.rho[rows] += fd
-                    atom.rho = float(np.sum(fd))
-                    run_partners.append((rows, d, r))
-                # run-away / run-away density contributions
-                rr_pairs = _runaway_runaway_pairs(all_runs, box, pot.cutoff)
-                for a, b, _d, r in rr_pairs:
-                    fd = float(pot.fdens(r))
-                    a.rho += fd
-                    b.rho += fd
-                # --- density reconciliation ---------------------------
-                ex.exchange(comm, TAG_RHO, [state.rho])
-                exchange_runaway_rho(ghost_list)
-                # --- force pass ----------------------------------------
-                forces[:] = 0.0
-                forces[central_rows] = star_forces(
-                    pot,
-                    state.x,
-                    occ,
-                    state.rho,
-                    central_rows,
-                    nbl.matrix,
-                    nbl.valid,
-                    box,
-                )
-                demb_sites = pot.dembed(state.rho)
-                for atom, (rows, d, r) in zip(all_runs, run_partners, strict=True):
-                    demb_a = float(pot.dembed(atom.rho))
-                    coeff = (
-                        pot.dphi(r) + (demb_a + demb_sites[rows]) * pot.dfdens(r)
-                    ) / r
-                    # force on the run-away along +d (d = site - atom)...
-                    atom.f = np.einsum("m,mk->k", coeff, d)
-                    # ...and the reaction on the lattice sites.
-                    np.add.at(forces, rows, -coeff[:, None] * d)
-                for a, b, d, r in rr_pairs:
-                    demb_a = float(pot.dembed(a.rho))
-                    demb_b = float(pot.dembed(b.rho))
-                    coeff = float(
-                        (pot.dphi(r) + (demb_a + demb_b) * pot.dfdens(r)) / r
-                    )
-                    a.f = a.f + coeff * d
-                    b.f = b.f - coeff * d
+                Own and ghost-copy run-aways join the flat particle array
+                in host order, the serial engine's.  What the passes
+                accumulate on ghost rows and ghost copies is partial and
+                never read: their densities come from their owners, their
+                forces are not integrated here.
+                """
+                n = state.n
+                runs = sorted(nbl.runaways + ghost_runs, key=lambda a: a.host)
+                table, x, _active, runs = build_pair_table(state, nbl, pot, runs)
+                dens = density_pass(pot, len(x), table)
+                state.rho[:] = dens.rho[:n]
+                for k, atom in enumerate(runs):
+                    atom.rho = float(dens.rho[n + k])
+                with obs.phase("md.exchange"):
+                    ex.exchange(comm, TAG_RHO, [state.rho])
+                    exchange_runaway_rho(ghost_runs)
+                rho = np.concatenate([state.rho, [a.rho for a in runs]])
+                forces, _emb = force_pass(pot, table, dens, rho)
+                state.f[:] = forces[:n]
+                for k, atom in enumerate(runs):
+                    atom.f = forces[n + k].copy()
 
-            # ----------------------------------------------------------
-            # main loop
-            # ----------------------------------------------------------
-            exchange_ids_and_x()
-            compute_step(owned_runaways(), broadcast_ghost_runaways())
-            for step in range(nsteps):
-                own = owned_runaways()
-                state.v[central_rows] += 0.5 * dt * fm * forces[central_rows]
-                vac = ~state.occupied
-                state.v[central_rows[vac[central_rows]]] = 0.0
-                state.x[central_rows] += dt * state.v[central_rows]
-                state.x[central_rows] = box.wrap(state.x[central_rows])
-                for atom in own:
-                    atom.v = atom.v + 0.5 * dt * fm * atom.f
-                    atom.x = box.wrap(atom.x + dt * atom.v)
-                if step % runaway_check_interval == 0:
-                    # Escape + relink over owned rows (ghosts parked),
-                    # then ownership migration, then the capture pass —
-                    # each capture decision is taken by the vacancy's
-                    # owner, after the run-away has reached it.
-                    _escape_and_relink(
-                        state, nbl, own_mask, displacement_threshold
-                    )
-                    migrate_runaways()
-                    _capture_pass(state, nbl, displacement_threshold)
+            with obs.phase("md.initialize"):
                 exchange_ids_and_x()
-                compute_step(owned_runaways(), broadcast_ghost_runaways())
-                own = owned_runaways()
-                state.v[central_rows] += 0.5 * dt * fm * forces[central_rows]
-                for atom in own:
-                    atom.v = atom.v + 0.5 * dt * fm * atom.f
-            runs = owned_runaways()
+                compute_forces(broadcast_ghost_runaways())
+            for step in range(nsteps):
+                with obs.phase("md.step"):
+                    with obs.phase("md.integrate"):
+                        integ.first_half(state, nbl, own_mask)
+                        state.x[central_rows] = box.wrap(state.x[central_rows])
+                        for atom in nbl.runaways:
+                            atom.x = box.wrap(atom.x)
+                    if step % runaway_check_interval == 0:
+                        # Escape + relink over owned rows (ghosts parked),
+                        # then ownership migration, then the capture pass —
+                        # each capture decision is taken by the vacancy's
+                        # owner, after the run-away has reached it.
+                        with obs.phase("md.neighbor"):
+                            _escape_and_relink(
+                                state, nbl, ghost_rows, displacement_threshold
+                            )
+                            migrate_runaways()
+                            _capture_pass(state, nbl, displacement_threshold)
+                    with obs.phase("md.exchange"):
+                        exchange_ids_and_x()
+                        ghost_runs = broadcast_ghost_runaways()
+                    with obs.phase("md.force"):
+                        compute_forces(ghost_runs)
+                    with obs.phase("md.integrate"):
+                        integ.second_half(state, nbl, own_mask)
+            runs = nbl.runaways
             return {
-                "owned": owned,
+                "owned": sites[central_rows],
                 "x": state.x[central_rows].copy(),
                 "v": state.v[central_rows].copy(),
                 "ids": state.ids[central_rows].copy(),
@@ -438,7 +390,7 @@ class ParallelDamageMD:
 def _escape_and_relink(
     state: AtomState,
     nbl: LatticeNeighborList,
-    own_mask: np.ndarray,
+    ghost_rows: np.ndarray,
     threshold: float,
 ) -> None:
     """Escape detection + relinking restricted to owned rows, no capture.
@@ -449,16 +401,15 @@ def _escape_and_relink(
     double-detecting, and a zero capture radius defers captures to the
     owner-side pass after migration.
     """
-    saved_x = state.x.copy()
-    saved_ids = state.ids.copy()
-    ghost_rows = np.flatnonzero(~own_mask)
+    saved_x = state.x[ghost_rows]
+    saved_ids = state.ids[ghost_rows]
     state.x[ghost_rows] = state.site_pos[ghost_rows]
-    state.ids[ghost_rows] = np.abs(state.ids[ghost_rows])
+    state.ids[ghost_rows] = np.abs(saved_ids)
     try:
         nbl.update_runaways(state, threshold, capture_radius=0.0)
     finally:
-        state.x[ghost_rows] = saved_x[ghost_rows]
-        state.ids[ghost_rows] = saved_ids[ghost_rows]
+        state.x[ghost_rows] = saved_x
+        state.ids[ghost_rows] = saved_ids
 
 
 def _capture_pass(
@@ -480,17 +431,3 @@ def _capture_pass(
         if state.ids[atom.host] < 0 and dist <= cap:
             nbl._unlink(atom)
             state.occupy(atom.host, atom.id, atom.x, atom.v)
-
-
-def _runaway_runaway_pairs(
-    runs: list[RunawayAtom], box: Box, cutoff: float
-) -> list[tuple[RunawayAtom, RunawayAtom, np.ndarray, float]]:
-    """All interacting run-away pairs in a (small) population."""
-    out = []
-    for i, a in enumerate(runs):
-        for b in runs[i + 1 :]:
-            d = box.minimum_image(b.x - a.x)
-            r = float(np.linalg.norm(d))
-            if 1e-12 < r <= cutoff:
-                out.append((a, b, d, r))
-    return out

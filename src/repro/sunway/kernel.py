@@ -5,9 +5,11 @@ one slab cannot be loaded into the local store at one time either. Thus,
 each slab is further partitioned into blocks, and each slave core
 processes the blocks one by one." (§2.1.2)
 
-The kernel executes the real EAM computation (NumPy over block slices;
-verified force-identical to the MD engine) while a :class:`DMAEngine`
-and cycle counters price every variant:
+The kernel executes the real EAM computation — the MD engine's own two
+passes (:func:`repro.md.forces.density_pass` /
+:func:`~repro.md.forces.force_pass`), read off for the central range —
+while the block loop, a :class:`DMAEngine` and cycle counters price every
+variant from the blocks' masks and counts:
 
 ========================  ====================================================
 variant                   cost structure
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import observe as obs
-from repro.md.forces import star_density, star_forces
+from repro.md.forces import PairTable, density_pass, force_pass
 from repro.md.neighbors.lattice_list import LatticeNeighborList
 from repro.md.state import AtomState
 from repro.potential.eam import EAMPotential
@@ -240,12 +242,10 @@ class BlockedEAMKernel:
         if not 0 <= lo <= hi <= state.n:
             raise ValueError(f"invalid central range ({lo}, {hi})")
         dma = DMAEngine(arch)
-        forces = np.zeros((state.n, 3))
-        rho = np.zeros(state.n)
         total_interactions = 0
         nblocks_total = 0
 
-        matrix, valid, box = nblist.matrix, nblist.valid, nblist.box
+        matrix, valid = nblist.matrix, nblist.valid
         slabs = self.pool.partition(hi - lo)
         # Per-pass per-thread accounting.
         pass_names = ("density", "embedding", "force_pair", "force_density")
@@ -313,9 +313,6 @@ class BlockedEAMKernel:
                 recent_loads = [*recent_loads, loaded][-2:]
                 trad = strat.table_layout == "traditional"
                 # --- pass 1: density (rho per central) -------------------
-                rho[rows] = star_density(
-                    pot, state.x, occ, rows, matrix[rows], valid[rows], box
-                )[0]
                 account_block(
                     "density",
                     tidx,
@@ -348,25 +345,24 @@ class BlockedEAMKernel:
                         per_neighbor_gets=n_inter if trad else 0,
                     )
 
-        # The force computation itself is correct per row partition; one
-        # vectorized sweep per slab block set was executed for rho above,
-        # and the force sweep needs converged rho for *all* rows first.
-        centrals = np.arange(lo, hi)
-        if central_range is not None:
-            # Rho outside the range is needed for demb of ghost neighbors;
-            # compute it directly (owned by other CGs in the modeled run).
-            others = np.setdiff1d(np.arange(state.n), centrals)
-            if len(others):
-                rho[others] = star_density(
-                    pot, state.x, occ, others, matrix[others], valid[others], box
-                )[0]
-        forces[centrals] = star_forces(
-            pot, state.x, occ, rho, centrals, matrix[centrals], valid[centrals], box
+        # The values: a core group's central range is a rank's owned rows.
+        # Densities must be converged for the neighbors outside the range
+        # too (other CGs own them in the modeled run), so both passes run
+        # over the whole half pair list and the range is read off; a bond
+        # with one endpoint outside it carries half its pair energy.
+        table = PairTable.from_pairs(
+            state.x, *nblist.lattice_pairs(state), nblist.box, pot.cutoff
         )
-        _rho_c, pair_e = star_density(
-            pot, state.x, occ, centrals, matrix[centrals], valid[centrals], box
+        dens = density_pass(pot, state.n, table)
+        all_forces, emb = force_pass(pot, table, dens, dens.rho)
+        forces = np.zeros((state.n, 3))
+        forces[lo:hi] = all_forces[lo:hi]
+        inside = ((table.i >= lo) & (table.i < hi)).astype(float) + (
+            (table.j >= lo) & (table.j < hi)
         )
-        energy = pair_e + float(np.sum(pot.embed(rho[centrals][occ[centrals]])))
+        energy = float(np.sum(dens.phi * (0.5 * inside))) + float(
+            np.sum(emb[lo:hi][occ[lo:hi]])
+        )
 
         # Per-pass team times (synchronized threads: slowest slab wins),
         # plus the once-per-pass resident table load of the compacted path.

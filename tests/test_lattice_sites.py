@@ -251,6 +251,43 @@ class TestStaticHalfPairs:
             assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
             assert i.dtype == want_i.dtype and j.dtype == want_j.dtype
 
+    #: 4x2x2 on 8^3 would leave 2-cell subdomains, thinner than the
+    #: 3-cell shell of the MD stencil: ``Subdomain`` rejects it.
+    RANK_GRIDS = [
+        (8, (2, 1, 1)), (8, (2, 2, 2)),
+        (12, (2, 1, 1)), (12, (2, 2, 2)), (12, (4, 2, 2)),
+    ]
+
+    @pytest.mark.parametrize("cells,grid", RANK_GRIDS)
+    def test_rank_list_is_the_whole_lattice_list_touching_owned(self, cells, grid):
+        """A rank's half pairs are the serial list restricted to the pairs
+        with an owned endpoint — element for element, in the serial order,
+        so ``np.bincount`` accumulates an owned atom's terms as the serial
+        engine does.  The whole-lattice list comes from the oracle alone."""
+        lattice = BCCLattice(cells, cells, cells)
+        decomp = DomainDecomposition(lattice, grid)
+        width = decomp.ghost_width_cells(MD_REACH)
+        occ = np.random.default_rng(cells + sum(grid)).random(lattice.nsites) > 0.1
+        everything = np.arange(lattice.nsites)
+        matrix, valid = oracle.build_static_matrix(
+            lattice, lattice.offsets_within(MD_REACH), everything
+        )
+        all_i, all_j = oracle.lattice_pairs(everything, matrix, valid, occ)
+        for rank in range(decomp.nprocs):
+            site_set, owned_rows = decomp.subdomain(rank).site_set(lattice, width)
+            sites = site_set.ranks
+            nbl = LatticeNeighborList(
+                lattice, 5.6, sites=sites, centrals=owned_rows
+            )
+            state = AtomState.for_sites(lattice, sites)
+            state.ids[~occ[sites]] = -1
+            i, j = nbl.lattice_pairs(state)
+            owned = np.zeros(lattice.nsites, dtype=bool)
+            owned[sites[owned_rows]] = True
+            touches = owned[all_i] | owned[all_j]
+            assert np.array_equal(sites[i], all_i[touches]), rank
+            assert np.array_equal(sites[j], all_j[touches]), rank
+
 
 class TestOneSiteIndex:
     """Tooling guard: the copies this index replaced must not grow back."""

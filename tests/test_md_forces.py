@@ -1,21 +1,28 @@
 """EAM force kernel tests: correctness, conservation, run-away paths."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+from repro.lattice.bcc import BCCLattice
 from repro.lattice.box import Box
+from repro.lattice.domain import DomainDecomposition
 from repro.md.forces import (
     PairTable,
     build_pair_table,
     compute_energy_forces,
     compute_energy_forces_pairs,
+    density_pass,
     eam_evaluate,
-    star_density,
-    star_forces,
+    force_pass,
 )
-from repro.md.neighbors.lattice_list import LatticeNeighborList
+from repro.md.neighbors.lattice_list import LatticeNeighborList, RunawayAtom
 from repro.md.neighbors.verlet_list import VerletNeighborList
 from repro.md.state import AtomState
+from tests.md_star_oracle import star_density, star_forces
 
 
 @pytest.fixture()
@@ -195,3 +202,135 @@ class TestStarKernels:
         )
         embed_e = float(np.sum(potential.embed(state.rho[state.occupied])))
         assert pair_e + embed_e == pytest.approx(e_total, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def damaged(potential):
+    """An 8^3 lattice with thermal displacements, vacancies and three
+    run-aways (two of them partners), evaluated by the serial engine."""
+    lattice = BCCLattice(8, 8, 8)
+    state = AtomState.perfect(lattice)
+    state.x = state.x + np.random.default_rng(8).normal(0, 0.05, state.x.shape)
+    for row in (7, 300, 611):
+        state.make_vacancy(row)
+    nbl = LatticeNeighborList(lattice, potential.cutoff)
+    seam = int(lattice.rank_of(0, 4, 2, 2))  # first cell past the x = 4 seam
+    state.x[seam] += np.array([-1.3, 0.3, 0.1])
+    state.x[20] += np.array([1.4, 0.0, 0.0])
+    state.x[22] += np.array([1.4, 0.2, 0.0])
+    nbl.update_runaways(state, threshold=1.2)
+    assert nbl.n_runaways == 3
+    compute_energy_forces(potential, state, nbl)
+    return lattice, state, nbl, seam
+
+
+class TestTwoPasses:
+    def test_composition_is_eam_evaluate_bit_for_bit(self, damaged, potential):
+        _lattice, state, nbl, _seam = damaged
+        table, x, active, runs = build_pair_table(state, nbl, potential)
+        assert len(runs) == 3 and not active.all()
+        whole = eam_evaluate(potential, len(x), table, active)
+        dens = density_pass(potential, len(x), table)
+        forces, emb = force_pass(potential, table, dens, dens.rho)
+        assert np.array_equal(dens.rho, whole.rho)
+        assert np.array_equal(forces, whole.forces)
+        assert float(np.sum(dens.phi)) == whole.pair_energy
+        assert float(np.sum(emb[active])) == whole.embed_energy
+
+    def test_rank_passes_match_star_oracle_with_a_ghost_runaway(
+        self, damaged, potential
+    ):
+        """What a 2x1x1 rank computes for its owned rows — half pairs
+        with an owned endpoint, a ghost-copy run-away appended, ghost
+        densities from their owners — against the full-star kernels,
+        whose matrix gets one more slot: the run-away."""
+        lattice, serial, serial_nbl, seam = damaged
+        decomp = DomainDecomposition(lattice, (2, 1, 1))
+        width = decomp.ghost_width_cells(potential.cutoff) + 1
+        site_set, owned = decomp.subdomain(0).site_set(lattice, width)
+        sites = site_set.ranks
+        state = AtomState.for_sites(lattice, sites)
+        state.x[:] = serial.x[sites]
+        state.ids[:] = serial.ids[sites]
+        nbl = LatticeNeighborList(
+            lattice, potential.cutoff, sites=sites, centrals=owned
+        )
+        # The rank's run-aways, in host order: the two it owns and a copy
+        # of the one hosted across the seam.
+        serial_runs = {a.id: a for a in serial_nbl.runaways}
+        runs = sorted(
+            (
+                RunawayAtom(a.id, a.x.copy(), a.v.copy(), int(site_set.rows_of(a.host)))
+                for a in serial_runs.values()
+            ),
+            key=lambda a: a.host,
+        )
+        (copy,) = (k for k, a in enumerate(runs) if a.id == seam)
+        assert runs[copy].host not in owned
+        table, x, _active, runs = build_pair_table(state, nbl, potential, runs)
+        n = state.n
+        dens = density_pass(potential, len(x), table)
+        # The density exchange: every row and run-away gets its owner's value.
+        rho = np.concatenate(
+            [serial.rho[sites], [serial_runs[a.id].rho for a in runs]]
+        )
+        forces, _emb = force_pass(potential, table, dens, rho)
+
+        # Oracle: each owned central's full star plus one slot per run-away.
+        extra = np.broadcast_to(n + np.arange(len(runs)), (len(owned), len(runs)))
+        matrix = np.hstack([nbl.matrix, extra])
+        valid = np.hstack([nbl.valid, np.ones_like(extra, dtype=bool)])
+        occ = np.concatenate([state.occupied, np.ones(len(runs), dtype=bool)])
+        rho_star, _pair_e = star_density(
+            potential, x, occ, owned, matrix, valid, nbl.box
+        )
+        f_star = star_forces(potential, x, occ, rho, owned, matrix, valid, nbl.box)
+        # The ghost copy reaches owned atoms.
+        assert np.isin(table.j[table.i == n + copy], owned).any()
+        assert np.allclose(dens.rho[owned], rho_star, rtol=0, atol=1e-12)
+        assert np.allclose(forces[owned], f_star, rtol=0, atol=1e-12)
+        # ... and both are the serial engine's values for those sites.
+        assert np.array_equal(dens.rho[owned], serial.rho[sites[owned]])
+        assert np.array_equal(forces[owned], serial.f[sites[owned]])
+
+
+class TestOneKernel:
+    """Tooling guard: ``md/forces.py`` is the only EAM force path."""
+
+    #: ``minimum_image(`` calls allowed under ``src/repro/md``, by file.
+    GEOMETRY = {
+        "forces.py": (1, "PairTable.from_pairs, the one geometry pass"),
+        "state.py": (1, "displacement from the lattice point (escape scan)"),
+        "neighbors/lattice_list.py": (1, "run-away capture distance"),
+        "parallel_damage.py": (1, "_capture_pass: owner-side capture distance"),
+        "neighbors/verlet_list.py": (3, "fig 2-3 baseline, builds its own pairs"),
+        "neighbors/linked_cell.py": (1, "fig 2-3 baseline, builds its own pairs"),
+    }
+
+    def test_no_second_force_path_under_src_md(self):
+        root = Path(repro.__file__).resolve().parent / "md"
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            tree = ast.parse(path.read_text(), str(path))
+            images = 0
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("star_"):
+                    offenders.append(f"{rel}:{node.lineno}: def {node.name}")
+                if not isinstance(node, ast.Call):
+                    continue
+                call = ast.unparse(node.func)
+                if call.endswith("add.at"):
+                    offenders.append(f"{rel}:{node.lineno}: {call}(")
+                images += call.endswith("minimum_image")
+            allowed = self.GEOMETRY.get(rel, (0, ""))[0]
+            if images != allowed:
+                offenders.append(
+                    f"{rel}: {images} minimum_image( calls, {allowed} listed"
+                )
+        assert not offenders, (
+            "EAM forces come from density_pass/force_pass over one PairTable "
+            "(repro.md.forces); the star kernels live in tests/md_star_oracle.py "
+            "and a legitimate other geometry pass is listed in this test with "
+            "its reason:\n" + "\n".join(offenders)
+        )

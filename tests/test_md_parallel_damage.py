@@ -3,7 +3,8 @@
 The strongest assertion in the suite: a parallel cascade — vacancies in
 ghost exchanges, run-away migration between ranks, run-away ghost copies
 in the force loop — reproduces the serial engine's trajectory and defect
-inventory essentially bitwise.
+inventory bit for bit: a rank runs the serial kernel over the serial
+pair order (``md/forces.py``) and the serial integrator.
 """
 
 import numpy as np
@@ -15,26 +16,34 @@ from repro.md.engine import MDConfig, MDEngine
 from repro.md.parallel_damage import ParallelDamageMD
 
 
-def run_pair(lattice, potential, pka_site, nranks, nsteps=35, seed=3):
-    """(serial engine, parallel result) for the same cascade."""
+def run_serial(lattice, potential, pka_site, nsteps=35, seed=3, pka=True):
+    """(serial engine after the run, config, the PKA it was given)."""
     cfg = MDConfig(temperature=300.0, seed=seed)
     serial = MDEngine(lattice, potential, cfg)
     serial.initialize()
-    row = insert_pka(
-        serial.state,
-        CascadeConfig(pka_energy=120.0, pka_site=pka_site),
-        lattice,
-    )
-    pka_v = serial.state.v[row].copy()
+    kick = None
+    if pka:
+        row = insert_pka(
+            serial.state,
+            CascadeConfig(pka_energy=120.0, pka_site=pka_site),
+            lattice,
+        )
+        kick = (row, serial.state.v[row].copy())
     serial.run(
         nsteps=nsteps, displacement_threshold=1.2, runaway_check_interval=5
     )
+    return serial, cfg, kick
+
+
+def run_pair(lattice, potential, pka_site, nranks, nsteps=35, seed=3):
+    """(serial engine, parallel result) for the same cascade."""
+    serial, cfg, kick = run_serial(lattice, potential, pka_site, nsteps, seed)
     parallel = ParallelDamageMD(lattice, potential, cfg, nranks=nranks)
     result = parallel.run(
         nsteps=nsteps,
         displacement_threshold=1.2,
         runaway_check_interval=5,
-        pka=(row, pka_v),
+        pka=kick,
     )
     return serial, result
 
@@ -55,21 +64,17 @@ def boundary(potential):
 
 
 def _assert_matches_serial(serial, result):
-    occ = serial.state.occupied
-    assert np.abs(result.positions[occ] - serial.state.x[occ]).max() < 1e-11
-    assert set(result.vacancy_ranks.tolist()) == set(
-        serial.state.vacancy_rows().tolist()
+    """Bit for bit: every row (vacancies sit on their lattice point with
+    zero velocity in both engines) and every run-away, by atom id."""
+    assert np.array_equal(result.positions, serial.state.x)
+    assert np.array_equal(result.velocities, serial.state.v)
+    assert np.array_equal(result.vacancy_ranks, serial.state.vacancy_rows())
+    serial_runs = sorted(serial.nblist.runaways, key=lambda a: a.id)
+    assert np.array_equal(result.runaway_ids, [a.id for a in serial_runs])
+    assert np.array_equal(
+        result.runaway_positions,
+        np.array([a.x for a in serial_runs]).reshape(-1, 3),
     )
-    serial_runs = sorted(
-        (a.id, a.x.tolist()) for a in serial.nblist.runaways
-    )
-    parallel_runs = sorted(
-        (int(i), x.tolist())
-        for i, x in zip(result.runaway_ids, result.runaway_positions, strict=True)
-    )
-    assert [r[0] for r in serial_runs] == [r[0] for r in parallel_runs]
-    for (sid, sx), (_pid, px) in zip(serial_runs, parallel_runs, strict=True):
-        assert np.abs(np.array(sx) - np.array(px)).max() < 1e-11, sid
 
 
 class TestCenteredCascade:
@@ -109,20 +114,28 @@ class TestBoundaryCascade:
 
 
 class TestMechanics:
-    def test_rank_count_invariance(self, potential):
+    @staticmethod
+    def _every_rank_count_is_the_serial_run(potential, pka):
         lattice = BCCLattice(8, 8, 8)
-        _serial2, r2 = None, None
-        results = {}
-        for nranks in (2, 8):
-            _s, results[nranks] = run_pair(
-                lattice, potential, pka_site=None, nranks=nranks, nsteps=20
-            )
-        assert np.allclose(
-            results[2].positions, results[8].positions, atol=1e-11
+        serial, cfg, kick = run_serial(
+            lattice, potential, pka_site=None, nsteps=20, pka=pka
         )
-        assert set(results[2].vacancy_ranks.tolist()) == set(
-            results[8].vacancy_ranks.tolist()
-        )
+        assert (serial.state.nvacancies >= 1) == pka
+        for nranks in (1, 2, 8):
+            result = ParallelDamageMD(
+                lattice, potential, cfg, nranks=nranks
+            ).run(nsteps=20, displacement_threshold=1.2, pka=kick)
+            _assert_matches_serial(serial, result)
+
+    def test_rank_count_invariance(self, potential):
+        """1, 2 and 8 ranks are each the serial engine's cascade, hence
+        each other's."""
+        self._every_rank_count_is_the_serial_run(potential, pka=True)
+
+    def test_perfect_lattice_is_the_serial_run_at_every_rank_count(
+        self, potential
+    ):
+        self._every_rank_count_is_the_serial_run(potential, pka=False)
 
     def test_nsteps_validated(self, potential):
         pmd = ParallelDamageMD(BCCLattice(8, 8, 8), potential, nranks=2)
