@@ -52,10 +52,8 @@ def main(outdir: Path) -> None:
         tag = f"pka{int(pka)}"
         # Atom configuration (on-lattice + run-aways) and vacancy cloud.
         occ = engine.state.occupied
-        runaway_x = np.array([a.x for a in engine.nblist.runaways]).reshape(
-            -1, 3
-        )
-        positions = np.vstack([engine.state.x[occ], runaway_x])
+        runaway_x = engine.nblist.runaways.x
+        positions = np.concatenate([engine.state.x[occ], runaway_x])
         symbols = ["Fe"] * int(occ.sum()) + ["Fe"] * len(runaway_x)
         write_xyz(
             outdir / f"atoms_{tag}.xyz",

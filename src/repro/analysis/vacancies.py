@@ -2,7 +2,7 @@
 
 The lattice neighbor list makes defect identification trivial compared to
 a general MD code: vacancy rows are marked in the site array (negative
-IDs), and run-away atoms in the linked lists are the interstitials.
+IDs), and the rows of the run-away table are the interstitials.
 These helpers extract and cross-check that inventory.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.md.neighbors.lattice_list import LatticeNeighborList
+from repro.md.neighbors.lattice_list import LatticeNeighborList, RunawayTable
 from repro.md.state import AtomState
 
 
@@ -19,7 +19,7 @@ def identify_vacancies(state: AtomState) -> np.ndarray:
     return state.vacancy_rows()
 
 
-def identify_interstitials(nblist: LatticeNeighborList) -> list:
+def identify_interstitials(nblist: LatticeNeighborList) -> RunawayTable:
     """The run-away atoms — off-lattice interstitials."""
     return nblist.runaways
 

@@ -2,12 +2,12 @@
 
 A long coupled run (the paper's is 8.6 hours) must survive interruption;
 checkpoints capture enough to resume: the full atom state, the run-away
-atom linked lists, the step counter, and RNG-relevant seeds.
+table, the step counter, and RNG-relevant seeds.
 
 Two checkpoint families live here:
 
 * :func:`save_checkpoint` / :func:`load_checkpoint` — the full MD engine
-  state (atoms, run-away linked lists, step counter);
+  state (atoms, run-away table, step counter);
 * :func:`save_kmc_checkpoint` / :func:`load_kmc_checkpoint` — the
   lightweight per-cycle AKMC record the fault-recovery supervisor
   restores from: the global occupancy, the simulated clock, the cycle /
@@ -55,12 +55,12 @@ def save_checkpoint(path, engine: MDEngine) -> None:
     runs = engine.nblist.runaways
     extra = {
         "step": np.array(engine._step),
-        "runaway_ids": np.array([a.id for a in runs], dtype=np.int64),
-        "runaway_x": np.array([a.x for a in runs]).reshape(-1, 3),
-        "runaway_v": np.array([a.v for a in runs]).reshape(-1, 3),
-        "runaway_f": np.array([a.f for a in runs]).reshape(-1, 3),
-        "runaway_rho": np.array([a.rho for a in runs]),
-        "runaway_host": np.array([a.host for a in runs], dtype=np.int64),
+        "runaway_ids": runs.ids,
+        "runaway_x": runs.x,
+        "runaway_v": runs.v,
+        "runaway_f": runs.f,
+        "runaway_rho": runs.rho,
+        "runaway_host": runs.host,
         "lattice_dims": np.array(
             [engine.lattice.nx, engine.lattice.ny, engine.lattice.nz]
         ),
@@ -70,9 +70,11 @@ def save_checkpoint(path, engine: MDEngine) -> None:
 
 
 def load_checkpoint(path, engine: MDEngine) -> None:
-    """Restore a checkpoint into a compatible engine, in place."""
-    from repro.md.neighbors.lattice_list import RunawayAtom
+    """Restore a checkpoint into a compatible engine, in place.
 
+    The engine is touched only once the file has been validated: a
+    :class:`CheckpointError` names the offending key and the file.
+    """
     state, extra = load_state(path)
     dims = extra["lattice_dims"]
     if tuple(dims) != (engine.lattice.nx, engine.lattice.ny, engine.lattice.nz):
@@ -82,19 +84,44 @@ def load_checkpoint(path, engine: MDEngine) -> None:
         )
     if abs(float(extra["lattice_a"]) - engine.lattice.a) > 1e-12:
         raise CheckpointError("lattice constant mismatch")
+    runs = _checked_runaways(path, extra, state)
     engine.state = state
     engine._step = int(extra["step"])
-    engine.nblist.hosts.clear()
-    for i in range(len(extra["runaway_ids"])):
-        atom = RunawayAtom(
-            id=int(extra["runaway_ids"][i]),
-            x=extra["runaway_x"][i].copy(),
-            v=extra["runaway_v"][i].copy(),
-            host=int(extra["runaway_host"][i]),
-            f=extra["runaway_f"][i].copy(),
-            rho=float(extra["runaway_rho"][i]),
-        )
-        engine.nblist.hosts.setdefault(atom.host, []).append(atom)
+    engine.nblist.runaways = runs
+
+
+def _checked_runaways(path, extra: dict, state):
+    """The run-away table of a checkpoint, from its ``runaway_*`` arrays."""
+    from repro.md.neighbors.lattice_list import RunawayTable
+
+    def bad(name: str, why: str) -> CheckpointError:
+        return CheckpointError(f"{path}: runaway_{name} {why}")
+
+    try:
+        arrays = {name: extra[f"runaway_{name}"] for name in RunawayTable.FIELDS}
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: no {exc.args[0]} array") from exc
+    n = arrays["ids"].size
+    for name, array in arrays.items():
+        shape = (n, 3) if name in ("x", "v", "f") else (n,)
+        if array.shape != shape:
+            raise bad(
+                name,
+                f"has shape {array.shape}, not {shape}: one row for each "
+                f"of the {n} runaway_ids",
+            )
+    if np.any((arrays["host"] < 0) | (arrays["host"] >= state.n)):
+        raise bad("host", f"points outside the {state.n} site rows")
+    if np.any(arrays["ids"] < 0):
+        raise bad("ids", "holds a negative atom id")
+    if len(np.unique(arrays["ids"])) < n:
+        raise bad("ids", "names an atom twice")
+    if np.isin(arrays["ids"], state.ids).any():
+        raise bad("ids", "names an atom that is also on the lattice")
+    for name in ("x", "v"):
+        if not np.isfinite(arrays[name]).all():
+            raise bad(name, "is not finite")
+    return RunawayTable(**arrays).by_host()
 
 
 # ----------------------------------------------------------------------

@@ -38,17 +38,17 @@ from repro.io.checkpoint import (
     rng_state_json,
     save_kmc_checkpoint,
 )
-from repro.kmc.alloy import AlloyKMCModel, AlloyRateParameters
 from repro.kmc.catalog import EventCatalog
 from repro.kmc.events import VACANCY, BaseKMCModel, KMCModel, RateParameters
 from repro.kmc.rng import sector_rng
 from repro.lattice.bcc import BCCLattice
-from repro.potential.alloy import AlloyTables
 from repro.potential.eam import EAMPotential
 
 if TYPE_CHECKING:
+    from repro.kmc.alloy import AlloyRateParameters
     from repro.kmc.comm import ExchangeScheme
     from repro.lattice.domain import DomainDecomposition
+    from repro.potential.alloy import AlloyTables
 
 
 def _parallel_stack():
@@ -122,8 +122,13 @@ def model_for(
     anything else the single-species one; ``params=None`` means that
     model's defaults.
     """
-    if isinstance(potential, AlloyTables):
-        return AlloyKMCModel, params or AlloyRateParameters()
+    if not isinstance(potential, EAMPotential):
+        # The Fe-Cu pair loads for the run that asks for it only.
+        from repro.kmc.alloy import AlloyKMCModel, AlloyRateParameters
+        from repro.potential.alloy import AlloyTables
+
+        if isinstance(potential, AlloyTables):
+            return AlloyKMCModel, params or AlloyRateParameters()
     return KMCModel, params or RateParameters()
 
 

@@ -124,7 +124,6 @@ def run_cascade(engine, config: CascadeConfig) -> CascadeResult:
     )
     state = engine.state
     vac_rows = state.vacancy_rows()
-    runs = engine.nblist.runaways
     return CascadeResult(
         vacancy_rows=vac_rows,
         vacancy_positions=state.site_pos[vac_rows].copy(),
@@ -132,7 +131,5 @@ def run_cascade(engine, config: CascadeConfig) -> CascadeResult:
         n_frenkel_pairs=min(len(vac_rows), engine.nblist.n_runaways),
         final_temperature=state.temperature(),
         energy_trace=trace,
-        runaway_positions=(
-            np.array([a.x for a in runs]).reshape(-1, 3)
-        ),
+        runaway_positions=engine.nblist.runaways.x.copy(),
     )

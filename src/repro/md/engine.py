@@ -154,15 +154,14 @@ class MDEngine:
     def _wrap_positions(self) -> None:
         occ = self.state.occupied
         self.state.x[occ] = self.box.wrap(self.state.x[occ])
-        for atom in self.nblist.runaways:
-            atom.x = self.box.wrap(atom.x)
+        runs = self.nblist.runaways
+        runs.x[:] = self.box.wrap(runs.x)
 
     def _runaway_kinetic_energy(self) -> float:
         from repro.constants import MVV2E
 
-        return sum(
-            0.5 * self.state.mass * MVV2E * float(np.dot(a.v, a.v))
-            for a in self.nblist.runaways
+        return float(
+            0.5 * self.state.mass * MVV2E * np.sum(self.nblist.runaways.v ** 2)
         )
 
     @property

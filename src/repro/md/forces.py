@@ -34,7 +34,7 @@ import numpy as np
 
 from repro import kernels
 from repro import observe as obs
-from repro.md.neighbors.lattice_list import LatticeNeighborList, RunawayAtom
+from repro.md.neighbors.lattice_list import LatticeNeighborList, RunawayTable
 from repro.md.state import AtomState
 from repro.potential.eam import EAMPotential
 
@@ -189,41 +189,30 @@ def build_pair_table(
     state: AtomState,
     nblist: LatticeNeighborList,
     pot: EAMPotential,
-    runs: list[RunawayAtom] | None = None,
-) -> tuple[PairTable, np.ndarray, np.ndarray, list]:
+    runs: RunawayTable | None = None,
+) -> tuple[PairTable, np.ndarray, np.ndarray, RunawayTable]:
     """All interacting half pairs of a state under the lattice list.
 
     Combines (1) on-lattice pairs from static index arithmetic, (2)
     run-away/lattice pairs from each run-away's host neighborhood, and
-    (3) run-away/run-away pairs from adjacent linked lists.
+    (3) run-away/run-away pairs from adjacent lists.
 
     Returns ``(table, x_flat, active_mask, runs)`` over the flat particle
-    array: the state's rows first, run-away ``k`` of ``runs`` at
+    array: the state's rows first, row ``k`` of ``runs`` at
     ``state.n + k``.  ``runs`` defaults to the list's own run-aways; a
     rank passes its own plus its ghost copies, in host order.
     """
     if runs is None:
         runs = nblist.runaways
     n = state.n
-    x = state.x
     li, lj = nblist.lattice_pairs(state)
-    pi = [li]
-    pj = [lj]
-    if runs:
-        x = np.vstack([x, np.array([a.x for a in runs])])
-        occ = state.occupied
-        candidates = nblist.runaway_candidates(runs)
-        for k, (_atom, rows) in enumerate(candidates):
-            rows = rows[occ[rows]]
-            pi.append(np.full(len(rows), n + k, dtype=np.int64))
-            pj.append(rows)
-        rr = np.array(nblist.runaway_pairs(candidates), dtype=np.int64)
-        rr = n + rr.reshape(-1, 2)
-        pi.append(rr[:, 0])
-        pj.append(rr[:, 1])
+    rows, keep = nblist.runaway_candidates(runs)
+    k, slot = np.nonzero(keep & state.occupied[rows])
+    a, b = nblist.runaway_pairs(runs, (rows, keep))
+    i = np.concatenate([li, n + k, n + a])
+    j = np.concatenate([lj, rows[k, slot], n + b])
+    x = np.concatenate([state.x, runs.x])
     active = np.concatenate([state.occupied, np.ones(len(runs), dtype=bool)])
-    i = np.concatenate(pi)
-    j = np.concatenate(pj)
     obs.add("md.runaway.pairs", len(i) - len(li))
     table = PairTable.from_pairs(x, i, j, nblist.box, pot.cutoff)
     return table, x, active, runs
@@ -234,8 +223,8 @@ def compute_energy_forces(
 ) -> float:
     """Full EAM evaluation; writes forces and rho into ``state`` in place.
 
-    Run-away atoms get their ``f``/``rho`` fields updated too.  Returns
-    the total potential energy (eV).
+    The run-away table's ``f``/``rho`` are updated too.  Returns the
+    total potential energy (eV).
     """
     table, x, active, runs = build_pair_table(state, nblist, pot)
     result = eam_evaluate(pot, len(x), table, active)
@@ -243,9 +232,8 @@ def compute_energy_forces(
     state.f[~state.occupied] = 0.0
     state.rho[:] = result.rho[: state.n]
     state.rho[~state.occupied] = 0.0
-    for k, atom in enumerate(runs):
-        atom.f = result.forces[state.n + k].copy()
-        atom.rho = float(result.rho[state.n + k])
+    runs.f[:] = result.forces[state.n :]
+    runs.rho[:] = result.rho[state.n :]
     return result.energy
 
 

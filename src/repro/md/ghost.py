@@ -6,12 +6,18 @@ according to the indexes in the array. For the ghost data at the lattice
 points, the communication pattern is static, which can be reused at each
 time step." (§2.1.1)
 
-:class:`GhostExchanger` precomputes, once, the per-direction send/receive
-row index lists of a subdomain, then moves any set of state arrays through
-them.  MD uses two exchange phases per step: positions+occupancy before
-the density pass, and electron densities before the force pass (the
-embedding derivative of a ghost atom must come from its owner, which sees
-the atom's full neighborhood).
+:class:`GhostExchanger` precomputes, once, the send/receive row index
+lists of a subdomain — one pair per *neighbor rank*: the 26 directions
+are grouped by the rank they lead to and the rows they name are sent
+once (on a 2-rank grid 18 directions alias onto the one other rank) —
+then moves any set of state arrays through them, one message per
+neighbor.  MD uses two exchange phases per step: positions+occupancy
+before the density pass, and electron densities before the force pass
+(the embedding derivative of a ghost atom must come from its owner,
+which sees the atom's full neighborhood).  Whatever else a rank has for
+a neighbor in a phase — the run-away atoms that neighbor can see — rides
+on the same message as a tail ("we pack their information and send it to
+the corresponding neighbor processes").
 """
 
 from __future__ import annotations
@@ -20,21 +26,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.lattice.bcc import BCCLattice, SiteSet
+from repro.lattice.bcc import BCCLattice, SiteSet, sorted_unique
 from repro.lattice.domain import DIRECTIONS, DomainDecomposition
-
-#: Index of the opposite direction for each entry of DIRECTIONS.
-_OPPOSITE = [
-    DIRECTIONS.index(tuple(-c for c in d)) for d in DIRECTIONS
-]
 
 
 @dataclass(frozen=True)
 class ExchangePlan:
-    """One direction's precomputed exchange: who, and which rows."""
+    """One neighbor rank's precomputed exchange: who, and which rows.
 
-    direction: tuple[int, int, int]
-    dir_index: int
+    Both lists ascend in global site rank on both sides, so the payload
+    of ``send_rows`` lands on the neighbor's ``recv_rows`` positionally.
+    """
+
     neighbor: int
     send_rows: np.ndarray
     recv_rows: np.ndarray
@@ -68,47 +71,54 @@ class GhostExchanger:
         site_set = SiteSet(lattice, sites)
         self.rank = rank
         self.width = width
-        self.plans: list[ExchangePlan] = []
-        for di, d in enumerate(DIRECTIONS):
+        send: dict[int, list[np.ndarray]] = {}
+        recv: dict[int, list[np.ndarray]] = {}
+        for d in DIRECTIONS:
             neighbor = decomp.neighbor_rank(rank, d)
             if neighbor == rank:
                 # Periodic wrap onto our own subdomain: the ghost rows and
                 # the source rows are the same array entries; no exchange.
                 continue
-            send_ranks = sub.send_site_ranks(lattice, d, width)
-            recv_ranks = sub.ghost_site_ranks(lattice, d, width)
-            self.plans.append(
-                ExchangePlan(
-                    direction=d,
-                    dir_index=di,
-                    neighbor=neighbor,
-                    send_rows=site_set.rows_of(send_ranks),
-                    recv_rows=site_set.rows_of(recv_ranks),
-                )
+            send.setdefault(neighbor, []).append(
+                sub.send_site_ranks(lattice, d, width)
             )
+            recv.setdefault(neighbor, []).append(
+                sub.ghost_site_ranks(lattice, d, width)
+            )
+        #: One plan per distinct neighbor rank, in rank order.
+        self.plans = [
+            ExchangePlan(
+                neighbor=n,
+                send_rows=site_set.rows_of(sorted_unique(np.concatenate(send[n]))),
+                recv_rows=site_set.rows_of(sorted_unique(np.concatenate(recv[n]))),
+            )
+            for n in sorted(send)
+        ]
 
-    def exchange(self, comm, tag_base: int, arrays: list[np.ndarray]) -> None:
+    def exchange(self, comm, tag: int, arrays: list[np.ndarray], tails=None) -> list:
         """Ship boundary rows of each array; fill ghost rows in place.
 
         All sends are posted eagerly first (MPI eager protocol), then the
-        matching receives are drained — the standard halo-exchange shape.
-        ``tag_base`` separates concurrent exchange phases; direction
-        indexes 0..25 are added to it.
+        matching receives are drained — the standard halo-exchange shape,
+        one message per neighbor rank under ``tag`` (which separates
+        concurrent exchange phases).  ``tails``, one list of arrays per
+        plan, rides behind the boundary rows on the same message; the
+        tails received come back in plan order.
         """
-        for plan in self.plans:
+        for k, plan in enumerate(self.plans):
             payload = [np.ascontiguousarray(a[plan.send_rows]) for a in arrays]
-            comm.send(plan.neighbor, tag_base + plan.dir_index, payload)
+            if tails is not None:
+                payload.extend(tails[k])
+            comm.send(plan.neighbor, tag, payload)
+        received = []
         for plan in self.plans:
-            # Our neighbor toward d tagged its message with the opposite
-            # direction (its direction toward us).
-            _src, _tag, payload = comm.recv(
-                source=plan.neighbor, tag=tag_base + _OPPOSITE[plan.dir_index]
-            )
-            for a, data in zip(arrays, payload, strict=True):
+            _src, _tag, payload = comm.recv(source=plan.neighbor, tag=tag)
+            for a, data in zip(arrays, payload[: len(arrays)], strict=True):
                 a[plan.recv_rows] = data
+            received.append(payload[len(arrays) :])
+        return received
 
     @property
     def bytes_per_exchange_estimate(self) -> int:
         """Bytes this rank sends per exchange of one float64 (n,3) field."""
         return sum(len(p.send_rows) * 24 for p in self.plans)
-

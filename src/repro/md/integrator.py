@@ -2,7 +2,7 @@
 
 Standard symplectic integrator used by the paper's MD ("updates the
 coordinates and the velocity of the atoms").  Operates on
-:class:`~repro.md.state.AtomState` plus the run-away atoms of a
+:class:`~repro.md.state.AtomState` plus the run-away table of a
 :class:`~repro.md.neighbors.lattice_list.LatticeNeighborList`.
 """
 
@@ -45,9 +45,9 @@ class VelocityVerlet:
         state.v[occ] += 0.5 * self.dt * acc[occ]
         state.x[occ] += self.dt * state.v[occ]
         if nblist is not None:
-            for atom in nblist.runaways:
-                atom.v = atom.v + 0.5 * self.dt * (FM2A / state.mass) * atom.f
-                atom.x = atom.x + self.dt * atom.v
+            runs = nblist.runaways
+            runs.v += 0.5 * self.dt * (FM2A / state.mass) * runs.f
+            runs.x += self.dt * runs.v
 
     def second_half(
         self,
@@ -60,8 +60,8 @@ class VelocityVerlet:
         acc = state.f * (FM2A / state.mass)
         state.v[occ] += 0.5 * self.dt * acc[occ]
         if nblist is not None:
-            for atom in nblist.runaways:
-                atom.v = atom.v + 0.5 * self.dt * (FM2A / state.mass) * atom.f
+            runs = nblist.runaways
+            runs.v += 0.5 * self.dt * (FM2A / state.mass) * runs.f
 
     def step(
         self,

@@ -10,11 +10,16 @@ The structure exploits that:
   neighbor storage at all.
 * An atom displaced beyond a threshold becomes a *run-away atom*: its row
   turns into a vacancy (negative ID, position = the lattice point) and the
-  atom's record moves to a **linked list** hanging off the nearest lattice
-  point.  This is the paper's improvement over the array storage of
-  Hu et al. [11]: linked lists grow dynamically and keep run-away/run-away
-  neighbor finding O(N) by locality ("the run-away atoms are linked to the
-  nearest lattice point").
+  atom's record moves to the list linked to its nearest lattice point.
+  This is the paper's improvement over the array storage of Hu et al.
+  [11]: the lists grow dynamically and keep run-away/run-away neighbor
+  finding O(N) by locality ("the run-away atoms are linked to the nearest
+  lattice point").  Here all the lists are one struct-of-arrays
+  :class:`RunawayTable` whose rows are kept sorted by host row
+  (physics/0311055's data sorting): the atoms linked to a lattice point
+  are the contiguous rows with that host, in the order they arrived.
+  That table is the only run-away store — the integrator, the force
+  kernel, the checkpoint and a rank's wire messages all read its arrays.
 * A run-away atom that reaches a vacancy re-occupies it ("the information
   of the vacancy in the array is overlapped by the run-away atom").
 
@@ -31,7 +36,6 @@ are shared, static, and derived — the *algorithmic* memory accounting of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,29 +44,61 @@ from repro.lattice.box import Box
 from repro.md.state import AtomState
 
 
-@dataclass
-class RunawayAtom:
-    """An off-lattice atom linked to its nearest lattice point.
+class RunawayTable:
+    """The run-away atoms: one row each, struct of arrays, in host order.
 
     Attributes
     ----------
-    id:
-        The atom's ID (its original site rank).
-    x, v, f:
-        Position, velocity, force (3-vectors).
+    ids:
+        Atom IDs (their original site ranks), ``(n,)`` int64.
     host:
         Row index (into the owning state's arrays) of the nearest lattice
-        point — the entry whose linked list holds this atom.
+        point — the site each atom is linked to, ``(n,)`` int64.
+    x, v, f:
+        Positions, velocities, forces, each ``(n, 3)`` float64.
     rho:
-        Electron density at the atom.
+        Electron densities, ``(n,)`` float64.
+
+    Rows are in host-then-arrival order (a stable sort by ``host``), the
+    order every consumer accumulates in.  The arrays are written in
+    place (``runs.x[k] = ...``, ``runs.v += ...``); rows are added,
+    dropped and re-ordered by building a new table.
     """
 
-    id: int
-    x: np.ndarray
-    v: np.ndarray
-    host: int
-    f: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    rho: float = 0.0
+    FIELDS = ("ids", "host", "x", "v", "f", "rho")
+
+    def __init__(self, ids=(), host=(), x=(), v=(), f=None, rho=None) -> None:
+        self.ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        n = len(self.ids)
+        self.host = np.asarray(host, dtype=np.int64).reshape(n)
+        self.x = np.asarray(x, dtype=float).reshape(n, 3)
+        self.v = np.asarray(v, dtype=float).reshape(n, 3)
+        f = np.zeros((n, 3)) if f is None else f
+        rho = np.zeros(n) if rho is None else rho
+        self.f = np.asarray(f, dtype=float).reshape(n, 3)
+        self.rho = np.asarray(rho, dtype=float).reshape(n)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows) -> "RunawayTable":
+        """The given rows (index array or mask), in the order given."""
+        return RunawayTable(*(getattr(self, name)[rows] for name in self.FIELDS))
+
+    @classmethod
+    def concat(cls, tables) -> "RunawayTable":
+        """The rows of ``tables`` (any number of them) one after the other."""
+        tables = list(tables) or [cls()]
+        return cls(
+            *(
+                np.concatenate([getattr(t, name) for t in tables])
+                for name in cls.FIELDS
+            )
+        )
+
+    def by_host(self) -> "RunawayTable":
+        """The rows stably sorted by host: arrivals end their host's list."""
+        return self.take(np.argsort(self.host, kind="stable"))
 
 
 class LatticeNeighborList:
@@ -130,8 +166,8 @@ class LatticeNeighborList:
             self.centrals = np.arange(len(self.sites), dtype=np.int64)
         else:
             self.centrals = np.asarray(centrals, dtype=np.int64)
-        #: Linked lists of run-away atoms keyed by host row.
-        self.hosts: dict[int, list[RunawayAtom]] = {}
+        #: The run-away atoms (Figure 3), rows in host order.
+        self.runaways = RunawayTable()
         #: ``matrix[c, m]``: row of the m-th static neighbor of central
         #: row ``centrals[c]``; ``valid[c, m]`` is False for padding
         #: (row 0).  Strict: every central needs its whole stencil local.
@@ -207,30 +243,35 @@ class LatticeNeighborList:
     # Run-away atom management (Figure 3)
     # ------------------------------------------------------------------
     @property
-    def runaways(self) -> list[RunawayAtom]:
-        """All run-away atoms, in deterministic host-then-insertion order."""
-        out: list[RunawayAtom] = []
-        for host in sorted(self.hosts):
-            out.extend(self.hosts[host])
-        return out
-
-    @property
     def n_runaways(self) -> int:
-        return sum(len(v) for v in self.hosts.values())
+        return len(self.runaways)
 
-    def _nearest_row(self, x: np.ndarray) -> int:
-        """Row index of the lattice point nearest to position ``x``."""
-        rank = self.lattice.nearest_site(self.box.wrap(x))
-        return int(self.site_set.rows_of(rank))
+    def _distance(self, state: AtomState, x: np.ndarray, rows) -> np.ndarray:
+        """Distance of each position from the lattice point of its row."""
+        return np.linalg.norm(
+            self.box.minimum_image(x - state.site_pos[rows]), axis=-1
+        )
 
-    def _link(self, atom: RunawayAtom) -> None:
-        self.hosts.setdefault(atom.host, []).append(atom)
+    def _nearest_rows(self, state: AtomState, ids, x, linked) -> np.ndarray:
+        """Rows of the lattice points nearest to the atoms at ``x``.
 
-    def _unlink(self, atom: RunawayAtom) -> None:
-        bucket = self.hosts[atom.host]
-        bucket.remove(atom)
-        if not bucket:
-            del self.hosts[atom.host]
+        The one place hosts are computed.  ``linked`` are the rows the
+        atoms hang off now: an atom whose nearest point is outside the
+        site set is reported by how far it got from there.
+        """
+        ranks = self.lattice.nearest_site(self.box.wrap(x))
+        rows, found = self.site_set.rows_of(ranks, missing="mask")
+        if not found.all():
+            k = int(np.flatnonzero(~found)[0])
+            raise ValueError(
+                f"run-away atom {ids[k]} is "
+                f"{self._distance(state, x[k], linked[k]):.2f} A from site "
+                f"{self.sites[linked[k]]}, where the last check left it, and "
+                f"nearest to site {ranks[k]}, outside the {len(self.sites)} "
+                "sites (owned + ghost shell) of this rank: it outran the "
+                "ghost shell between two checks; lower `runaway_check_interval`"
+            )
+        return rows
 
     def update_runaways(
         self,
@@ -258,113 +299,144 @@ class LatticeNeighborList:
         if threshold <= 0:
             raise ValueError(f"threshold must be positive, got {threshold}")
         cap = threshold / 2.0 if capture_radius is None else capture_radius
-        stats = {"escaped": 0, "captured": 0, "relinked": 0}
 
-        # 1. New escapes: occupied rows displaced beyond the threshold.
-        disp = state.displacement(self.box)
-        for row in np.flatnonzero(disp > threshold):
-            row = int(row)
-            atom = RunawayAtom(
-                id=int(state.ids[row]),
-                x=state.x[row].copy(),
-                v=state.v[row].copy(),
-                host=row,
-                f=state.f[row].copy(),
-                rho=float(state.rho[row]),
+        # 1. New escapes: occupied rows displaced beyond the threshold
+        #    leave a vacancy and join the list of their nearest site.
+        runs = self.runaways
+        rows = np.flatnonzero(state.displacement(self.box) > threshold)
+        if len(rows):
+            ids, x = state.ids[rows], state.x[rows]
+            escaped = RunawayTable(
+                ids,
+                self._nearest_rows(state, ids, x, rows),
+                x,
+                state.v[rows],
+                state.f[rows],
+                state.rho[rows],
             )
-            state.make_vacancy(row)
-            atom.host = self._nearest_row(atom.x)
-            self._link(atom)
-            stats["escaped"] += 1
+            state.make_vacancy(rows)
+            # In the table before step 2 can raise: no atom is lost.
+            runs = self.runaways = RunawayTable.concat([runs, escaped]).by_host()
+        if not len(runs):
+            # The thermal lattice, and most ranks of a cascade.
+            return {"escaped": 0, "captured": 0, "relinked": 0}
 
-        # 2. Existing run-aways: re-link to the now-nearest lattice point;
-        #    capture into a vacancy when close enough.
-        for atom in list(self.runaways):
-            host = self._nearest_row(atom.x)
-            if host != atom.host:
-                self._unlink(atom)
-                atom.host = host
-                self._link(atom)
-                stats["relinked"] += 1
-            dist = float(
-                np.linalg.norm(
-                    self.box.minimum_image(atom.x - state.site_pos[atom.host])
-                )
-            )
-            if state.ids[atom.host] < 0 and dist <= cap:
-                self._unlink(atom)
-                state.occupy(atom.host, atom.id, atom.x, atom.v)
-                stats["captured"] += 1
-        return stats
+        # 2. Every run-away: re-link to the now-nearest lattice point;
+        #    capture into a vacancy when close enough.  Captures are
+        #    decided in the order the atoms had before re-linking, and a
+        #    re-linked atom ends its new host's list.
+        host = self._nearest_rows(state, runs.ids, runs.x, runs.host)
+        moved = host != runs.host
+        runs.host = host
+        captured = self._captured(state, runs, cap)
+        left = np.flatnonzero(~captured)
+        order = np.argsort(2 * host[left] + moved[left], kind="stable")
+        self.runaways = runs.take(left[order])
+        return {
+            "escaped": len(rows),
+            "captured": int(np.count_nonzero(captured)),
+            "relinked": int(np.count_nonzero(moved)),
+        }
+
+    def _captured(
+        self, state: AtomState, runs: RunawayTable, radius: float
+    ) -> np.ndarray:
+        """Let vacant hosts capture; returns the mask of captured rows.
+
+        A run-away within ``radius`` of its host's lattice point
+        re-occupies it if it is vacant; of two inside the radius of one
+        vacancy the first in the order of ``runs`` wins.
+        """
+        near = self._distance(state, runs.x, runs.host) <= radius
+        rows = np.flatnonzero(near & (state.ids[runs.host] < 0))
+        rows = rows[np.argsort(runs.host[rows], kind="stable")]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = runs.host[rows[1:]] != runs.host[rows[:-1]]
+        rows = rows[first]
+        state.occupy(runs.host[rows], runs.ids[rows], runs.x[rows], runs.v[rows])
+        captured = np.zeros(len(runs), dtype=bool)
+        captured[rows] = True
+        return captured
+
+    def capture(self, state: AtomState, radius: float) -> int:
+        """The capture pass alone (no escapes, no re-linking); the count."""
+        captured = self._captured(state, self.runaways, radius)
+        self.runaways = self.runaways.take(~captured)
+        return int(np.count_nonzero(captured))
 
     # ------------------------------------------------------------------
     # Run-away interaction candidates
     # ------------------------------------------------------------------
-    def _runaway_stencils(self, host_rows) -> list[np.ndarray]:
-        """Candidate rows around each run-away atom's host lattice point.
+    def runaway_candidates(
+        self, runs: RunawayTable | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, keep)``: candidate site rows around each run-away.
+
+        ``rows[k][keep[k]]`` are the candidate partners of run-away ``k``
+        of ``runs``, ascending.  ``runs`` defaults to the list's own
+        :attr:`runaways`; a rank passes its own atoms plus the ghost
+        copies it was sent.
 
         The paper says a run-away "checks the same neighbor atoms as the
         nearest lattice point it is linked to"; taken literally that
         misses partners near the cutoff edge, because the atom sits up to
         half the first-shell distance from its host (and another run-away
         partner adds the same slack on its side).  The stencil therefore
-        reaches ``cutoff + 2 * link + skin``; neighbors outside the site
-        set are dropped and duplicates from periodic aliasing are removed
-        (safe: two images of one site can never both be within the cutoff
-        of a point once the box exceeds 2*cutoff).  One table pass serves
-        every host of a step.
-        """
-        link = math.sqrt(3.0) / 4.0 * self.lattice.a
-        reach = self.cutoff + 2.0 * link + self.skin
-        hosts = np.asarray(host_rows, dtype=np.int64)
-        if len(hosts) == 0:
-            return []
-        rows, valid = self.site_set.neighbor_rows(
-            self.lattice.offsets_within(reach), hosts
-        )
-        return [
-            sorted_unique(np.append(r[v], h))
-            for r, v, h in zip(rows, valid, hosts, strict=True)
-        ]
-
-    def runaway_candidates(
-        self, runs: list[RunawayAtom] | None = None
-    ) -> list[tuple[RunawayAtom, np.ndarray]]:
-        """(atom, candidate rows) per run-away atom.
-
-        ``runs`` defaults to the list's own :attr:`runaways`; a rank
-        passes its own atoms plus the ghost copies it was sent.
-        Candidate partners are distance-filtered against the true cutoff
-        by the force kernel; this list only needs to be a superset.
+        reaches ``cutoff + 2 * link + skin`` and includes the host;
+        neighbors outside the site set are dropped and duplicates from
+        periodic aliasing are removed (safe: two images of one site can
+        never both be within the cutoff of a point once the box exceeds
+        2*cutoff).  One table pass serves every run-away of a step.
+        Candidates are distance-filtered against the true cutoff by the
+        force kernel; this set only needs to be a superset.
         """
         if runs is None:
             runs = self.runaways
-        return list(
-            zip(runs, self._runaway_stencils([a.host for a in runs]), strict=True)
+        link = math.sqrt(3.0) / 4.0 * self.lattice.a
+        reach = self.cutoff + 2.0 * link + self.skin
+        rows, valid = self.site_set.neighbor_rows(
+            self.lattice.offsets_within(reach), runs.host
         )
+        rows = np.concatenate([rows, runs.host[:, None]], axis=1)
+        # Ascending per run-away, dropped slots last, duplicates adjacent.
+        nsites = len(self.sites)
+        rows[:, :-1][~valid] = nsites
+        rows.sort(axis=1)
+        keep = rows < nsites
+        keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+        rows[~keep] = 0
+        return rows, keep
 
     def runaway_pairs(
-        self, candidates: list[tuple[RunawayAtom, np.ndarray]] | None = None
-    ) -> list[tuple[int, int]]:
-        """Unordered run-away/run-away pairs from neighboring linked lists.
+        self,
+        runs: RunawayTable | None = None,
+        candidates: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Unordered run-away/run-away pairs from neighboring lists.
 
-        Pairs are positions ``(a, b)``, ``a < b``, in ``candidates``
-        (default: :meth:`runaway_candidates`).  O(N) in the run-away
-        count: each atom's stencil is intersected with the rows that
-        host a run-away, and only those linked lists are walked.
+        Pairs are positions ``(a, b)``, ``a < b``, in ``runs`` (default:
+        the list's own), in lexicographic order; ``candidates`` is
+        :meth:`runaway_candidates` of the same ``runs``.  O(N) in the
+        run-away count: each atom's stencil is intersected with the rows
+        that host a run-away, and only those stretches of the host-sorted
+        table are walked.
         """
+        if runs is None:
+            runs = self.runaways
         if candidates is None:
-            candidates = self.runaway_candidates()
-        linked: dict[int, list[int]] = {}
-        for pos, (atom, _rows) in enumerate(candidates):
-            linked.setdefault(atom.host, []).append(pos)
-        hosting = np.zeros(len(self.sites), dtype=bool)
-        hosting[list(linked)] = True
-        pairs = []
-        for a, (_atom, rows) in enumerate(candidates):
-            for host in rows[hosting[rows]].tolist():
-                pairs.extend((a, b) for b in linked[host] if b > a)
-        return pairs
+            candidates = self.runaway_candidates(runs)
+        rows, keep = candidates
+        # Host h's list is table rows first[h] : first[h] + hosted[h].
+        hosted = np.bincount(runs.host, minlength=len(self.sites))
+        first = np.cumsum(hosted) - hosted
+        a, slot = np.nonzero(keep & (hosted[rows] > 0))
+        host = rows[a, slot]
+        count = hosted[host]
+        within = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        b = np.repeat(first[host], count) + within
+        a = np.repeat(a, count)
+        later = b > a
+        return a[later], b[later]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -17,20 +17,25 @@ run with no PKA: zero vacancies, zero run-aways):
 Per step the protocol is:
 
 1. half-kick + drift owned atoms and owned run-aways;
-2. every ``runaway_check_interval`` steps: escape/capture/relink
-   bookkeeping, then *migration* — a run-away whose nearest lattice point
-   is owned elsewhere is packed and shipped to its new owner;
-3. static ghost exchange of positions + occupancy (IDs);
-4. run-away ghost broadcast: copies of owned run-aways hosted in a
-   neighbor's interest region travel with their positions;
-5. density pass over the half pairs the rank owns — every pair with at
+2. every ``runaway_check_interval`` steps: escape/relink bookkeeping,
+   then *migration* — the rows of the run-away table whose nearest
+   lattice point is owned elsewhere are shipped to their new owner, one
+   message per neighbor — then the capture pass.  Migration keeps its
+   own round because a vacancy's owner must hold the migrants before it
+   decides captures, and the captures before step 3 publishes them;
+3. position exchange, one message per neighbor rank: the boundary rows
+   of positions + occupancy (IDs) through the static pattern and, behind
+   them, the table rows ``(ids, host ranks, x, v)`` of the owned
+   run-aways hosted where that neighbor can see them;
+4. density pass over the half pairs the rank owns — every pair with at
    least one owned endpoint, own and ghost-copy run-aways included —
-   then the second exchange phase ships densities: for lattice sites
-   through the static pattern, for run-aways with refreshed ghost copies;
-6. force pass over the same pair table and the table values the density
+   then the density exchange, again one message per neighbor: the
+   boundary rows of ``rho`` and behind them the ``rho`` of the same
+   run-away rows, which refresh the ghost copies positionally;
+5. force pass over the same pair table and the table values the density
    pass fetched, second half-kick.
 
-Steps 5-6 are :func:`repro.md.forces.density_pass` and
+Steps 4-5 are :func:`repro.md.forces.density_pass` and
 :func:`~repro.md.forces.force_pass`, the serial engine's kernel, over a
 pair list in the serial engine's order; step 1 is its integrator.  So
 the result is the serial engine's bit for bit (asserted by tests): same
@@ -46,12 +51,12 @@ import numpy as np
 from repro import observe as obs
 from repro.lattice.bcc import BCCLattice
 from repro.lattice.box import Box
-from repro.lattice.domain import DIRECTIONS, DomainDecomposition, choose_grid
+from repro.lattice.domain import DomainDecomposition, choose_grid
 from repro.md.engine import MDConfig
 from repro.md.forces import build_pair_table, density_pass, force_pass
 from repro.md.ghost import GhostExchanger
 from repro.md.integrator import VelocityVerlet
-from repro.md.neighbors.lattice_list import LatticeNeighborList, RunawayAtom
+from repro.md.neighbors.lattice_list import LatticeNeighborList, RunawayTable
 from repro.md.state import AtomState
 from repro.md.thermostat import maxwell_boltzmann_velocities
 from repro.potential.eam import EAMPotential
@@ -61,8 +66,6 @@ from repro.runtime.simmpi import World
 TAG_X = 0
 TAG_RHO = 100
 TAG_RUNAWAY_MIGRATE = 300
-TAG_RUNAWAY_GHOST_X = 400
-TAG_RUNAWAY_GHOST_RHO = 500
 
 
 @dataclass
@@ -76,16 +79,6 @@ class ParallelDamageResult:
     runaway_positions: np.ndarray
     comm_stats: dict
     nranks: int
-
-
-def _pack_runaways(atoms: list[RunawayAtom], sites: np.ndarray):
-    """Wire format: (ids, host global ranks, x, v) arrays."""
-    return (
-        np.array([a.id for a in atoms], dtype=np.int64),
-        sites[[a.host for a in atoms]].astype(np.int64),
-        np.array([a.x for a in atoms]).reshape(-1, 3),
-        np.array([a.v for a in atoms]).reshape(-1, 3),
-    )
 
 
 class ParallelDamageMD:
@@ -187,109 +180,63 @@ class ParallelDamageMD:
                     lattice, pot.cutoff, sites=sites, centrals=central_rows
                 )
                 ex = GhostExchanger(decomp, comm.rank, sites, width)
-                # Ranks my ghost region could host run-aways for / from,
-                # and which of my rows each of them holds (owned or ghost).
-                neighbor_ranks = sorted(
-                    {decomp.neighbor_rank(comm.rank, d) for d in DIRECTIONS}
-                    - {comm.rank}
-                )
-                interest: dict[int, np.ndarray] = {}
-                for n in neighbor_ranks:
-                    visible, _rows = decomp.subdomain(n).site_set(lattice, width)
+                # Per neighbor (plan order): which of my rows it holds,
+                # owned or ghost — where it can see a run-away of mine.
+                interest = []
+                for plan in ex.plans:
+                    visible, _rows = decomp.subdomain(plan.neighbor).site_set(
+                        lattice, width
+                    )
                     rows, mine = site_set.rows_of(visible.ranks, missing="mask")
-                    interest[n] = np.zeros(len(sites), dtype=bool)
-                    interest[n][rows[mine]] = True
+                    interest.append(np.zeros(len(sites), dtype=bool))
+                    interest[-1][rows[mine]] = True
                 integ = VelocityVerlet(dt)
                 ids_f = np.empty(len(sites), dtype=float)
 
-            def exchange_ids_and_x() -> None:
-                ids_f[:] = state.ids
-                ex.exchange(comm, TAG_X, [state.x, ids_f])
-                state.ids[:] = ids_f.astype(np.int64)
+            def exchange_runaways(tag: int, arrays, groups) -> RunawayTable:
+                """One message per neighbor: the boundary rows of
+                ``arrays`` and, behind them, ``groups[k]`` — rows of the
+                run-away table for plan ``k``'s neighbor, hosts as global
+                site ranks on the wire.  Returns the rows received."""
+                own = nbl.runaways
+                tails = ex.exchange(
+                    comm,
+                    tag,
+                    arrays,
+                    [
+                        (own.ids[g], sites[own.host[g]], own.x[g], own.v[g])
+                        for g in groups
+                    ],
+                )
+                return RunawayTable.concat(
+                    RunawayTable(ids, site_set.rows_of(hosts), x, v)
+                    for ids, hosts, x, v in tails
+                )
 
-            def seen_by(n: int) -> list[RunawayAtom]:
-                """Owned run-aways hosted where neighbor ``n`` can see them."""
-                return [a for a in nbl.runaways if interest[n][a.host]]
+            def exchange_positions() -> tuple[RunawayTable, list]:
+                """Phase 1: positions, occupancy and the run-aways each
+                neighbor can see; ``(ghost copies, who sees which row)``."""
+                seen = [np.flatnonzero(mask[nbl.runaways.host]) for mask in interest]
+                ids_f[:] = state.ids
+                ghosts = exchange_runaways(TAG_X, [state.x, ids_f], seen)
+                state.ids[:] = ids_f.astype(np.int64)
+                return ghosts, seen
 
             def migrate_runaways() -> None:
                 """Ship run-aways whose nearest site belongs elsewhere."""
-                outgoing: dict[int, list[RunawayAtom]] = {n: [] for n in neighbor_ranks}
-                for atom in nbl.runaways:
-                    owner = decomp.owner_of_site(int(sites[atom.host]))
-                    if owner != comm.rank:
-                        nbl._unlink(atom)
-                        outgoing[owner].append(atom)
-                for n in neighbor_ranks:
-                    comm.send(
-                        n,
-                        TAG_RUNAWAY_MIGRATE,
-                        _pack_runaways(outgoing[n], sites),
-                    )
-                for n in neighbor_ranks:
-                    _s, _t, payload = comm.recv(
-                        source=n, tag=TAG_RUNAWAY_MIGRATE
-                    )
-                    ids, hosts, xs, vs = payload
-                    host_rows = site_set.rows_of(hosts)
-                    for k in range(len(ids)):
-                        atom = RunawayAtom(
-                            id=int(ids[k]),
-                            x=xs[k].copy(),
-                            v=vs[k].copy(),
-                            host=int(host_rows[k]),
-                        )
-                        nbl._link(atom)
+                own = nbl.runaways
+                _b, i, j, k = lattice.coords_of(sites[own.host])
+                owner = decomp.owner_of_cells(i, j, k)
+                arrived = exchange_runaways(
+                    TAG_RUNAWAY_MIGRATE,
+                    [],
+                    [np.flatnonzero(owner == plan.neighbor) for plan in ex.plans],
+                )
+                nbl.runaways = RunawayTable.concat(
+                    [own.take(owner == comm.rank), arrived]
+                ).by_host()
 
-            def broadcast_ghost_runaways() -> list[RunawayAtom]:
-                """Copies of owned run-aways for neighbors that see them."""
-                for n in neighbor_ranks:
-                    comm.send(
-                        n, TAG_RUNAWAY_GHOST_X, _pack_runaways(seen_by(n), sites)
-                    )
-                ghosts_in: list[RunawayAtom] = []
-                for n in neighbor_ranks:
-                    _s, _t, payload = comm.recv(
-                        source=n, tag=TAG_RUNAWAY_GHOST_X
-                    )
-                    ids, hosts, xs, vs = payload
-                    host_rows, covered = site_set.rows_of(hosts, missing="mask")
-                    for k in np.flatnonzero(covered):
-                        ghosts_in.append(
-                            RunawayAtom(
-                                id=int(ids[k]),
-                                x=xs[k].copy(),
-                                v=vs[k].copy(),
-                                host=int(host_rows[k]),
-                            )
-                        )
-                return ghosts_in
-
-            def exchange_runaway_rho(
-                ghost_runs: list[RunawayAtom],
-            ) -> None:
-                """Refresh ghost run-away densities from their owners."""
-                for n in neighbor_ranks:
-                    mine = seen_by(n)
-                    comm.send(
-                        n,
-                        TAG_RUNAWAY_GHOST_RHO,
-                        (
-                            np.array([a.id for a in mine], dtype=np.int64),
-                            np.array([a.rho for a in mine]),
-                        ),
-                    )
-                rho_by_id: dict[int, float] = {}
-                for n in neighbor_ranks:
-                    _s, _t, (ids, rhos) = comm.recv(
-                        source=n, tag=TAG_RUNAWAY_GHOST_RHO
-                    )
-                    for k in range(len(ids)):
-                        rho_by_id[int(ids[k])] = float(rhos[k])
-                for atom in ghost_runs:
-                    if atom.id in rho_by_id:
-                        atom.rho = rho_by_id[atom.id]
-
-            def compute_forces(ghost_runs: list[RunawayAtom]) -> None:
+            def compute_forces(ghosts: RunawayTable, seen: list) -> None:
                 """The two EAM passes over the pairs this rank owns.
 
                 Own and ghost-copy run-aways join the flat particle array
@@ -299,57 +246,60 @@ class ParallelDamageMD:
                 forces are not integrated here.
                 """
                 n = state.n
-                runs = sorted(nbl.runaways + ghost_runs, key=lambda a: a.host)
+                own = nbl.runaways
+                order = np.argsort(
+                    np.concatenate([own.host, ghosts.host]), kind="stable"
+                )
+                mine = order < len(own)
+                runs = RunawayTable.concat([own, ghosts]).take(order)
                 table, x, _active, runs = build_pair_table(state, nbl, pot, runs)
                 dens = density_pass(pot, len(x), table)
                 state.rho[:] = dens.rho[:n]
-                for k, atom in enumerate(runs):
-                    atom.rho = float(dens.rho[n + k])
+                own.rho[:] = dens.rho[n:][mine]
                 with obs.phase("md.exchange"):
-                    ex.exchange(comm, TAG_RHO, [state.rho])
-                    exchange_runaway_rho(ghost_runs)
-                rho = np.concatenate([state.rho, [a.rho for a in runs]])
+                    tails = ex.exchange(
+                        comm, TAG_RHO, [state.rho], [(own.rho[g],) for g in seen]
+                    )
+                # A neighbor sends the rho of the rows it sent in phase 1.
+                run_rho = np.concatenate([own.rho, *(rho for (rho,) in tails)])
+                rho = np.concatenate([state.rho, run_rho[order]])
                 forces, _emb = force_pass(pot, table, dens, rho)
                 state.f[:] = forces[:n]
-                for k, atom in enumerate(runs):
-                    atom.f = forces[n + k].copy()
+                own.f[:] = forces[n:][mine]
 
             with obs.phase("md.initialize"):
-                exchange_ids_and_x()
-                compute_forces(broadcast_ghost_runaways())
+                compute_forces(*exchange_positions())
             for step in range(nsteps):
                 with obs.phase("md.step"):
                     with obs.phase("md.integrate"):
                         integ.first_half(state, nbl, own_mask)
                         state.x[central_rows] = box.wrap(state.x[central_rows])
-                        for atom in nbl.runaways:
-                            atom.x = box.wrap(atom.x)
+                        nbl.runaways.x[:] = box.wrap(nbl.runaways.x)
                     if step % runaway_check_interval == 0:
                         # Escape + relink over owned rows (ghosts parked),
                         # then ownership migration, then the capture pass —
                         # each capture decision is taken by the vacancy's
-                        # owner, after the run-away has reached it.
+                        # owner, after the run-away has reached it, with
+                        # the serial engine's capture radius.
                         with obs.phase("md.neighbor"):
                             _escape_and_relink(
                                 state, nbl, ghost_rows, displacement_threshold
                             )
                             migrate_runaways()
-                            _capture_pass(state, nbl, displacement_threshold)
+                            nbl.capture(state, displacement_threshold / 2.0)
                     with obs.phase("md.exchange"):
-                        exchange_ids_and_x()
-                        ghost_runs = broadcast_ghost_runaways()
+                        ghosts, seen = exchange_positions()
                     with obs.phase("md.force"):
-                        compute_forces(ghost_runs)
+                        compute_forces(ghosts, seen)
                     with obs.phase("md.integrate"):
                         integ.second_half(state, nbl, own_mask)
-            runs = nbl.runaways
             return {
                 "owned": sites[central_rows],
                 "x": state.x[central_rows].copy(),
                 "v": state.v[central_rows].copy(),
                 "ids": state.ids[central_rows].copy(),
-                "runaway_ids": np.array([a.id for a in runs], dtype=np.int64),
-                "runaway_x": np.array([a.x for a in runs]).reshape(-1, 3),
+                "runaway_ids": nbl.runaways.ids,
+                "runaway_x": nbl.runaways.x,
             }
 
         world = World(
@@ -363,18 +313,12 @@ class ParallelDamageMD:
         x = np.zeros((nsites, 3))
         v = np.zeros((nsites, 3))
         ids = np.zeros(nsites, dtype=np.int64)
-        run_ids = []
-        run_x = []
         for res in results:
             x[res["owned"]] = res["x"]
             v[res["owned"]] = res["v"]
             ids[res["owned"]] = res["ids"]
-            run_ids.append(res["runaway_ids"])
-            run_x.append(res["runaway_x"])
-        run_ids = np.concatenate(run_ids)
-        run_x = (
-            np.concatenate(run_x) if len(run_ids) else np.empty((0, 3))
-        )
+        run_ids = np.concatenate([res["runaway_ids"] for res in results])
+        run_x = np.concatenate([res["runaway_x"] for res in results])
         order = np.argsort(run_ids)
         return ParallelDamageResult(
             positions=x,
@@ -410,24 +354,3 @@ def _escape_and_relink(
     finally:
         state.x[ghost_rows] = saved_x
         state.ids[ghost_rows] = saved_ids
-
-
-def _capture_pass(
-    state: AtomState, nbl: LatticeNeighborList, threshold: float
-) -> None:
-    """Owner-side capture: a run-away on a vacant host re-occupies it.
-
-    Uses the serial engine's capture radius (threshold / 2) and the same
-    host-sorted processing order, so trajectories match the serial
-    bookkeeping exactly.
-    """
-    cap = threshold / 2.0
-    for atom in list(nbl.runaways):
-        dist = float(
-            np.linalg.norm(
-                nbl.box.minimum_image(atom.x - state.site_pos[atom.host])
-            )
-        )
-        if state.ids[atom.host] < 0 and dist <= cap:
-            nbl._unlink(atom)
-            state.occupy(atom.host, atom.id, atom.x, atom.v)

@@ -8,8 +8,9 @@ to the site — or a vacancy marker ("ID is modified to a negative number to
 indicate this is a vacancy", Figure 3), in which case the row's position
 records the vacancy's lattice-point coordinates.
 
-Run-away atoms live *outside* these arrays, in the linked lists of
-:class:`~repro.md.neighbors.lattice_list.LatticeNeighborList`.
+Run-away atoms live *outside* these arrays, as the rows of the one
+host-sorted :class:`~repro.md.neighbors.lattice_list.RunawayTable` that
+the :class:`~repro.md.neighbors.lattice_list.LatticeNeighborList` owns.
 """
 
 from __future__ import annotations
@@ -113,19 +114,22 @@ class AtomState:
         """Row indices of vacancy entries."""
         return np.flatnonzero(~self.occupied)
 
-    def make_vacancy(self, row: int) -> None:
-        """Turn ``row`` into a vacancy anchored at its lattice point."""
+    def make_vacancy(self, row) -> None:
+        """Turn ``row`` (one, or an array) into a vacancy at its lattice point."""
         self.ids[row] = VACANCY_ID
         self.x[row] = self.site_pos[row]
         self.v[row] = 0.0
         self.f[row] = 0.0
         self.rho[row] = 0.0
 
-    def occupy(self, row: int, atom_id: int, x, v) -> None:
-        """Fill a vacancy row with an atom ("overlapped by the run-away atom")."""
-        if self.ids[row] >= 0:
+    def occupy(self, row, atom_id, x, v) -> None:
+        """Fill a vacancy row with an atom ("overlapped by the run-away atom").
+
+        One row, or arrays of distinct rows with one atom each.
+        """
+        if np.any(self.ids[row] >= 0):
             raise ValueError(f"row {row} is already occupied by atom {self.ids[row]}")
-        if atom_id < 0:
+        if np.any(np.asarray(atom_id) < 0):
             raise ValueError(f"atom id must be non-negative, got {atom_id}")
         self.ids[row] = atom_id
         self.x[row] = x

@@ -10,7 +10,8 @@ the Sunway machine model — emits through this package:
 
 Observation is **disabled by default**: without an active
 :class:`Registry` each call is one global load and a ``None`` check, so
-instrumented hot paths stay as fast as uninstrumented ones.  Activate
+instrumented hot paths stay as fast as uninstrumented ones — and the
+registry, report and trace modules load only once something observes.  Activate
 with :func:`enable`/:func:`disable` or the :func:`observing` context
 manager; render with :func:`format_report` (plain-text phase tree) or
 :func:`write_chrome_trace` (``chrome://tracing`` / Perfetto JSON).
@@ -32,6 +33,8 @@ and the recovery supervisor in :mod:`repro.core.coupling`):
   ``kmc.checkpoint`` (periodic snapshot writes).
 """
 
+from importlib import import_module
+
 from repro.observe.api import (
     NULL_PHASE,
     active,
@@ -43,24 +46,36 @@ from repro.observe.api import (
     phase,
     set_gauge,
 )
-from repro.observe.registry import PhaseStat, Registry, TraceEvent
-from repro.observe.report import format_report
-from repro.observe.trace import chrome_trace, write_chrome_trace
+
+#: The names only an *observed* run touches -> defining module, resolved
+#: on first access (PEP 562): with observation off a run loads
+#: ``observe.api`` and nothing else of this package.  ``repro.analyze.graph``
+#: reads this literal to follow calls through the package.
+_EXPORTS = {
+    "PhaseStat": "repro.observe.registry",
+    "Registry": "repro.observe.registry",
+    "TraceEvent": "repro.observe.registry",
+    "chrome_trace": "repro.observe.trace",
+    "format_report": "repro.observe.report",
+    "write_chrome_trace": "repro.observe.trace",
+}
 
 __all__ = [
     "NULL_PHASE",
-    "PhaseStat",
-    "Registry",
-    "TraceEvent",
     "active",
     "add",
-    "chrome_trace",
     "disable",
     "enable",
     "enabled",
-    "format_report",
     "observing",
     "phase",
     "set_gauge",
-    "write_chrome_trace",
+    *_EXPORTS,
 ]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_EXPORTS[name]), name)
+    return value

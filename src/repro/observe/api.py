@@ -18,10 +18,19 @@ Enable observation around a region of interest::
 from __future__ import annotations
 
 from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
-from repro.observe.registry import Registry
+if TYPE_CHECKING:
+    from repro.observe.registry import Registry
 
 _active: Registry | None = None
+
+
+def _new_registry(trace: bool) -> Registry:
+    """A fresh registry; the first one loads ``observe.registry``."""
+    from repro.observe.registry import Registry
+
+    return Registry(trace=trace)
 
 
 class _NullPhase:
@@ -42,7 +51,7 @@ NULL_PHASE = _NullPhase()
 def enable(registry: Registry | None = None, trace: bool = True) -> Registry:
     """Install ``registry`` (or a fresh one) as the active registry."""
     global _active
-    _active = registry if registry is not None else Registry(trace=trace)
+    _active = registry if registry is not None else _new_registry(trace)
     return _active
 
 
@@ -68,7 +77,7 @@ def observing(registry: Registry | None = None, trace: bool = True):
     """Context manager activating a registry and restoring the previous one."""
     global _active
     previous = _active
-    registry = registry if registry is not None else Registry(trace=trace)
+    registry = registry if registry is not None else _new_registry(trace)
     _active = registry
     try:
         yield registry

@@ -19,12 +19,14 @@ Force on atom i (the MD kernel's core):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
-from repro.potential.compact import CompactTable
 from repro.potential.spline import SplineTable
+
+if TYPE_CHECKING:
+    from repro.potential.compact import CompactTable
 
 Layout = Literal["traditional", "compacted"]
 
@@ -69,7 +71,12 @@ class TableSet:
 
 
 def _to_compact(t):
-    return t if isinstance(t, CompactTable) else CompactTable.from_spline(t)
+    if not isinstance(t, SplineTable):
+        return t
+    # Loaded where the compacted layout is asked for, not with the module.
+    from repro.potential.compact import CompactTable
+
+    return CompactTable.from_spline(t)
 
 
 def _to_spline(t):

@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 from repro.constants import FE_LATTICE_CONSTANT
-from repro.potential.compact import CompactTable
 from repro.potential.eam import EAMPotential, TableSet
 from repro.potential.spline import SplineTable
 
@@ -136,6 +135,8 @@ def make_fe_tables(
     if layout == "traditional":
         cls = SplineTable
     elif layout == "compacted":
+        from repro.potential.compact import CompactTable
+
         cls = CompactTable
     else:
         raise ValueError(f"unknown table layout {layout!r}")

@@ -124,9 +124,11 @@ class ServicePool:
     # Launch / attach / complete
     # ------------------------------------------------------------------
     def _spawn(self, execution: _Execution) -> None:
-        # Forked workers inherit the execution stack instead of importing it
-        # per job; not at module level, because status/result run no job.
+        # Forked workers inherit the execution stack — and the registry
+        # every job observes into — instead of importing them per job; not
+        # at module level, because status/result run no job.
         import repro.core.coupling  # noqa: F401
+        import repro.observe.registry  # noqa: F401
         execution.proc = self._ctx.Process(
             target=self._target,
             args=(

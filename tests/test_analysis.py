@@ -37,7 +37,7 @@ class TestVacancies:
 
     def test_identify_interstitials(self, damaged):
         _state, nbl = damaged
-        assert {a.id for a in identify_interstitials(nbl)} == {20, 40}
+        assert set(identify_interstitials(nbl).ids.tolist()) == {20, 40}
 
     def test_frenkel_pairs(self, damaged):
         state, nbl = damaged

@@ -45,17 +45,19 @@ at_service_import = "repro.core.coupling" in sys.modules
 
 def target(spec_dict, staging, root, obs_path=None, attempt=1):
     with open(root + "/on_entry.json", "w") as fh:
-        json.dump("repro.core.coupling" in sys.modules, fh)
+        json.dump(["repro.core.coupling" in sys.modules,
+                   "repro.observe.registry" in sys.modules], fh)
     worker.run_job(spec_dict, staging, root, obs_path, attempt)
 
 spec = ScenarioSpec(cells=5, md_steps=5, kmc_max_events=5, table_points=300)
 with tempfile.TemporaryDirectory() as root:
     (record,) = run_service(root, [spec], workers=1, target=target)
     with open(root + "/on_entry.json") as fh:
-        on_worker_entry = json.load(fh)
+        on_worker_entry, registry_on_worker_entry = json.load(fh)
 print(json.dumps({
     "at_service_import": at_service_import,
     "on_worker_entry": on_worker_entry,
+    "registry_on_worker_entry": registry_on_worker_entry,
     "state": record.state,
     "mode": record.mode,
 }))
@@ -147,6 +149,17 @@ def _under(modules: list[str], *prefixes: str) -> list[str]:
     ]
 
 
+#: What a run does not configure it does not load: the registry, report
+#: and trace behind ``repro.observe`` (observation is off), the Fe-Cu
+#: pair (the potential is an ``EAMPotential``) and the compacted table
+#: layout (``layout="traditional"``).
+_NOT_CONFIGURED = (
+    ("repro.observe.registry", "repro.observe.report", "repro.observe.trace"),
+    ("repro.kmc.alloy", "repro.potential.alloy"),
+    ("repro.potential.compact",),
+)
+
+
 def _run(code: str) -> dict:
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = _SRC
@@ -190,6 +203,9 @@ def test_forked_worker_inherits_the_execution_stack():
     # stays cheap; the scheduler pays the import once, before forking.
     assert seen["at_service_import"] is False
     assert seen["on_worker_entry"] is True
+    # Every job observes (worker.run_job enables a registry): the
+    # registry module is inherited too, not compiled once per job.
+    assert seen["registry_on_worker_entry"] is True
 
 
 def test_serial_kmc_with_store_and_checkpoints_loads_no_parallel_stack():
@@ -205,6 +221,9 @@ def test_serial_kmc_with_store_and_checkpoints_loads_no_parallel_stack():
         "repro.kmc.sublattice", "repro.lattice.domain", "repro.kernels.impl",
     )
     assert not seen["multiprocessing"]
+    assert "repro.observe.api" in seen["ran"]
+    for unconfigured in _NOT_CONFIGURED:
+        assert not _under(seen["ran"], *unconfigured)
     # Removal, not deferral: the run itself imports nothing.
     assert seen["ran"] == seen["constructed"]
 
@@ -218,6 +237,9 @@ def test_serial_cascade_loads_no_comparator_or_parallel_md():
         "repro.md.neighbors.memory", "repro.md.parallel_damage",
         "repro.runtime", "repro.kmc", "repro.io",
     )
+    assert "repro.observe.api" in seen["ran"]
+    for unconfigured in _NOT_CONFIGURED:
+        assert not _under(seen["ran"], *unconfigured)
 
 
 def test_scenario_spec_loads_no_scheduler():

@@ -153,6 +153,40 @@ class TestCheckpoint:
         b.run(nsteps=3, displacement_threshold=1.2)
         assert np.allclose(a.state.x, b.state.x, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "key,corrupt,message",
+        [
+            ("runaway_v", lambda a: a[:-1], r"runaway_v has shape \(0, 3\), not \(1, 3\)"),
+            ("runaway_host", lambda a: a + 10**6, r"runaway_host points outside the 432"),
+            ("runaway_ids", lambda a: a * 0 + 21, r"runaway_ids .* also on the lattice"),
+            ("runaway_x", lambda a: a * np.nan, r"runaway_x is not finite"),
+        ],
+    )
+    def test_corrupted_runaway_arrays_fail_at_the_boundary(
+        self, tmp_path, potential, key, corrupt, message
+    ):
+        """A bad ``runaway_*`` array is a ``CheckpointError`` naming the
+        key and the file, raised before the engine is touched (it used
+        to be an ``IndexError`` in the rebuild loop, or a crash at the
+        next force call)."""
+        engine = self._engine_with_damage(potential)
+        assert engine.nblist.n_runaways == 1
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, engine)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays[key] = corrupt(arrays[key])
+        np.savez(path, **arrays)
+        fresh = MDEngine(
+            BCCLattice(6, 6, 6), potential, MDConfig(temperature=300.0, seed=3)
+        )
+        state, runs = fresh.state, fresh.nblist.runaways
+        with pytest.raises(CheckpointError, match=message) as err:
+            load_checkpoint(path, fresh)
+        assert str(path) in str(err.value)
+        assert fresh.state is state and fresh.nblist.runaways is runs
+        assert fresh._step == 0
+
     def test_lattice_mismatch_rejected(self, tmp_path, potential, lattice5):
         engine = self._engine_with_damage(potential)
         path = tmp_path / "ckpt.npz"

@@ -19,7 +19,7 @@ from repro.md.forces import (
     eam_evaluate,
     force_pass,
 )
-from repro.md.neighbors.lattice_list import LatticeNeighborList, RunawayAtom
+from repro.md.neighbors.lattice_list import LatticeNeighborList, RunawayTable
 from repro.md.neighbors.verlet_list import VerletNeighborList
 from repro.md.state import AtomState
 from tests.md_star_oracle import star_density, star_forces
@@ -135,13 +135,13 @@ class TestRunawayForces:
         state.x[20] += np.array([1.5, 0.0, 0.0])
         nbl.update_runaways(state, threshold=1.2)
         energy = compute_energy_forces(potential, state, nbl)
-        atom = nbl.runaways[0]
-        assert np.linalg.norm(atom.f) > 0
-        assert atom.rho > 0
+        runs = nbl.runaways
+        assert np.linalg.norm(runs.f[0]) > 0
+        assert runs.rho[0] > 0
         # Energy must match the flat-particle reference including the
         # off-lattice atom.
         box = Box.for_lattice(lattice5)
-        x_all = np.vstack([state.x[state.occupied], atom.x])
+        x_all = np.vstack([state.x[state.occupied], runs.x])
         assert energy == pytest.approx(
             potential.total_energy(x_all, box), rel=1e-10
         )
@@ -152,7 +152,7 @@ class TestRunawayForces:
         state.x[20] += np.array([1.5, 0.0, 0.0])
         nbl.update_runaways(state, threshold=1.2)
         compute_energy_forces(potential, state, nbl)
-        total = state.f.sum(axis=0) + nbl.runaways[0].f
+        total = state.f.sum(axis=0) + nbl.runaways.f[0]
         assert np.allclose(total, 0.0, atol=1e-9)
 
     def test_pair_table_includes_runaway_pairs(self, lattice5, potential):
@@ -257,23 +257,19 @@ class TestTwoPasses:
         )
         # The rank's run-aways, in host order: the two it owns and a copy
         # of the one hosted across the seam.
-        serial_runs = {a.id: a for a in serial_nbl.runaways}
-        runs = sorted(
-            (
-                RunawayAtom(a.id, a.x.copy(), a.v.copy(), int(site_set.rows_of(a.host)))
-                for a in serial_runs.values()
-            ),
-            key=lambda a: a.host,
-        )
-        (copy,) = (k for k, a in enumerate(runs) if a.id == seam)
-        assert runs[copy].host not in owned
+        whole = serial_nbl.runaways
+        runs = RunawayTable(
+            whole.ids, site_set.rows_of(whole.host), whole.x, whole.v
+        ).by_host()
+        (copy,) = np.flatnonzero(runs.ids == seam)
+        assert runs.host[copy] not in owned
         table, x, _active, runs = build_pair_table(state, nbl, potential, runs)
         n = state.n
         dens = density_pass(potential, len(x), table)
-        # The density exchange: every row and run-away gets its owner's value.
-        rho = np.concatenate(
-            [serial.rho[sites], [serial_runs[a.id].rho for a in runs]]
-        )
+        # The density exchange: every row and run-away gets its owner's
+        # value (local rows ascend with global ranks: same table order).
+        assert np.array_equal(runs.ids, whole.ids)
+        rho = np.concatenate([serial.rho[sites], whole.rho])
         forces, _emb = force_pass(potential, table, dens, rho)
 
         # Oracle: each owned central's full star plus one slot per run-away.
@@ -301,8 +297,7 @@ class TestOneKernel:
     GEOMETRY = {
         "forces.py": (1, "PairTable.from_pairs, the one geometry pass"),
         "state.py": (1, "displacement from the lattice point (escape scan)"),
-        "neighbors/lattice_list.py": (1, "run-away capture distance"),
-        "parallel_damage.py": (1, "_capture_pass: owner-side capture distance"),
+        "neighbors/lattice_list.py": (1, "run-away distance from its host site"),
         "neighbors/verlet_list.py": (3, "fig 2-3 baseline, builds its own pairs"),
         "neighbors/linked_cell.py": (1, "fig 2-3 baseline, builds its own pairs"),
     }

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.lattice.bcc import BCCLattice
-from repro.lattice.domain import DIRECTIONS, DomainDecomposition
+from repro.lattice.domain import DomainDecomposition
 from repro.md.ghost import GhostExchanger
 from repro.runtime.simmpi import World
+
+from .md_runaway_oracle import DirectionGhostExchanger
 
 
 @pytest.fixture(scope="module")
@@ -45,18 +47,33 @@ class TestPlans:
             GhostExchanger(decomp, r, per_rank[r][2], width)
             for r in range(decomp.nprocs)
         ]
-        opposite = {d: tuple(-c for c in d) for d in DIRECTIONS}
         for r, ex in enumerate(exchangers):
             for plan in ex.plans:
-                peer = exchangers[plan.neighbor]
-                # The peer's plan toward the opposite direction receives us.
-                peer_plan = next(
-                    p
-                    for p in peer.plans
-                    if p.direction == opposite[plan.direction]
-                    and p.neighbor == r
+                # The peer's one plan for us receives what we send it.
+                (peer_plan,) = (
+                    p for p in exchangers[plan.neighbor].plans if p.neighbor == r
                 )
                 assert len(peer_plan.recv_rows) == len(plan.send_rows)
+
+    def test_one_plan_per_neighbor_rank(self, setup8):
+        """2x2x2: the 26 directions lead to 7 distinct ranks; a rank posts
+        7 messages per phase, not 26, and ships no row twice."""
+        lattice, decomp, width, per_rank = setup8
+        for rank in range(decomp.nprocs):
+            ex = GhostExchanger(decomp, rank, per_rank[rank][2], width)
+            old = DirectionGhostExchanger(decomp, rank, per_rank[rank][2], width)
+            assert len(old.plans) == 26
+            assert [p.neighbor for p in ex.plans] == sorted(
+                {p.neighbor for p in old.plans}
+            )
+            assert len(ex.plans) == 7
+            for plan in ex.plans:
+                assert np.all(np.diff(plan.send_rows) > 0)
+                assert np.all(np.diff(plan.recv_rows) > 0)
+            # Opposite directions lead to one rank but name disjoint rows
+            # here (4-cell subdomains, width 2): nothing was sent twice
+            # before either, so the bytes are unchanged.
+            assert ex.bytes_per_exchange_estimate == old.bytes_per_exchange_estimate
 
     def test_missing_ranks_rejected(self, setup8):
         lattice, decomp, width, per_rank = setup8
@@ -135,3 +152,84 @@ class TestExchange:
         w = World(decomp.nprocs)
         estimates = w.run(main)
         assert w.stats.total_sent_bytes == sum(estimates)
+
+
+class TestAgainstDirectionOracle:
+    """One deduplicated message per neighbor rank fills every ghost row
+    with what the per-direction exchange (26 messages, aliased
+    directions re-sending rows) filled it with."""
+
+    @pytest.mark.parametrize(
+        "cells,grid,neighbors",
+        [
+            ((12, 12, 12), (2, 1, 1), 1),
+            ((8, 8, 8), (2, 2, 2), 7),
+            ((12, 8, 8), (4, 2, 2), 11),
+        ],
+    )
+    def test_same_ghost_values_fewer_messages(self, cells, grid, neighbors):
+        lattice = BCCLattice(*cells)
+        decomp = DomainDecomposition(lattice, grid)
+        width = 3
+        rng = np.random.default_rng(22)
+        x_global = rng.normal(size=(lattice.nsites, 3))
+        ids_global = rng.integers(-1, 1000, lattice.nsites).astype(float)
+
+        def fields(comm):
+            site_set, owned = decomp.subdomain(comm.rank).site_set(lattice, width)
+            sites = site_set.ranks
+            x = np.full((len(sites), 3), np.nan)
+            ids = np.full(len(sites), np.nan)
+            x[owned] = x_global[sites[owned]]
+            ids[owned] = ids_global[sites[owned]]
+            return sites, x, ids
+
+        def main(comm):
+            sites, x, ids = fields(comm)
+            ex = GhostExchanger(decomp, comm.rank, sites, width)
+            tails = ex.exchange(comm, 0, [x, ids])
+            assert tails == [[] for _ in ex.plans]
+            return x, ids, len(ex.plans), ex.bytes_per_exchange_estimate
+
+        def oracle(comm):
+            sites, x, ids = fields(comm)
+            ex = DirectionGhostExchanger(decomp, comm.rank, sites, width)
+            ex.exchange(comm, 0, [x, ids])
+            return x, ids, len(ex.plans), ex.bytes_per_exchange_estimate
+
+        new_world, old_world = World(decomp.nprocs), World(decomp.nprocs)
+        got, want = new_world.run(main), old_world.run(oracle)
+        for rank, ((x, ids, plans, est), (ox, oids, oplans, oest)) in enumerate(
+            zip(got, want, strict=True)
+        ):
+            sites = decomp.subdomain(rank).site_set(lattice, width)[0].ranks
+            # Every row filled, with its owner's value, as the oracle did.
+            assert np.array_equal(x, x_global[sites])
+            assert np.array_equal(ids, ids_global[sites])
+            assert np.array_equal(x, ox) and np.array_equal(ids, oids)
+            assert plans == neighbors and plans <= oplans
+            assert est <= oest
+        assert new_world.stats.total_messages == decomp.nprocs * neighbors
+        assert old_world.stats.total_messages == sum(w[2] for w in want)
+        # Estimate == metered bytes: x is 24 bytes a row, ids 8 more.
+        sent = sum(g[3] for g in got)
+        assert new_world.stats.total_sent_bytes == sent + sent // 3
+
+    def test_tails_ride_on_the_same_message(self):
+        lattice = BCCLattice(12, 12, 12)
+        decomp = DomainDecomposition(lattice, (2, 1, 1))
+
+        def main(comm):
+            sites = decomp.subdomain(comm.rank).site_set(lattice, 3)[0].ranks
+            ex = GhostExchanger(decomp, comm.rank, sites, 3)
+            rho = np.zeros(len(sites))
+            tail = (np.arange(3) + 10 * comm.rank, np.full((2, 3), comm.rank))
+            ((ids, x),) = ex.exchange(comm, 7, [rho], [tail])
+            other = 1 - comm.rank
+            assert np.array_equal(ids, np.arange(3) + 10 * other)
+            assert np.array_equal(x, np.full((2, 3), other))
+            return True
+
+        world = World(2)
+        assert all(world.run(main))
+        assert world.stats.total_messages == 2

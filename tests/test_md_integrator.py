@@ -97,8 +97,8 @@ class TestStepMechanics:
         nbl = LatticeNeighborList(lattice5, potential.cutoff)
         state.x[20] += np.array([1.5, 0.0, 0.0])
         nbl.update_runaways(state, threshold=1.2)
-        atom = nbl.runaways[0]
-        atom.v = np.array([1.0, 0.0, 0.0])
-        x0 = atom.x.copy()
+        runs = nbl.runaways
+        runs.v[0] = [1.0, 0.0, 0.0]
+        x0 = runs.x[0].copy()
         VelocityVerlet(dt=0.01).first_half(state, nbl)
-        assert atom.x[0] > x0[0]
+        assert runs.x[0, 0] > x0[0]

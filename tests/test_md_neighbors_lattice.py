@@ -106,9 +106,9 @@ class TestRunaways:
         assert stats["escaped"] == 1
         assert state.ids[20] == VACANCY_ID
         assert nbl.n_runaways == 1
-        atom = nbl.runaways[0]
-        assert atom.id == 20
-        assert np.allclose(atom.v, [9.0, 0.0, 0.0])
+        runs = nbl.runaways
+        assert runs.ids[0] == 20
+        assert np.allclose(runs.v[0], [9.0, 0.0, 0.0])
 
     def test_atom_count_conserved_through_escape(self, lattice5):
         nbl = LatticeNeighborList(lattice5, CUTOFF)
@@ -120,16 +120,15 @@ class TestRunaways:
         nbl = LatticeNeighborList(lattice5, CUTOFF)
         state = self._escaped_state(nbl)
         nbl.update_runaways(state, threshold=1.2)
-        atom = nbl.runaways[0]
-        assert atom.host == int(lattice5.nearest_site(atom.x))
+        runs = nbl.runaways
+        assert runs.host[0] == int(lattice5.nearest_site(runs.x[0]))
 
     def test_capture_into_vacancy(self, lattice5):
         nbl = LatticeNeighborList(lattice5, CUTOFF)
         state = self._escaped_state(nbl)
         nbl.update_runaways(state, threshold=1.2)
         # Walk the atom back onto its (now vacant) lattice point.
-        atom = nbl.runaways[0]
-        atom.x = state.site_pos[20].copy()
+        nbl.runaways.x[0] = state.site_pos[20]
         stats = nbl.update_runaways(state, threshold=1.2)
         assert stats["captured"] == 1
         assert nbl.n_runaways == 0
@@ -139,20 +138,18 @@ class TestRunaways:
         nbl = LatticeNeighborList(lattice5, CUTOFF)
         state = self._escaped_state(nbl)
         nbl.update_runaways(state, threshold=1.2)
-        atom = nbl.runaways[0]
-        old_host = atom.host
-        atom.x = atom.x + np.array([2.855, 0.0, 0.0])
+        old_host = nbl.runaways.host[0]
+        nbl.runaways.x[0] += np.array([2.855, 0.0, 0.0])
         stats = nbl.update_runaways(state, threshold=1.2)
         assert stats["relinked"] >= 1
-        assert nbl.runaways[0].host != old_host
+        assert nbl.runaways.host[0] != old_host
 
     def test_no_capture_into_occupied_site(self, lattice5):
         nbl = LatticeNeighborList(lattice5, CUTOFF)
         state = self._escaped_state(nbl)
         nbl.update_runaways(state, threshold=1.2)
-        atom = nbl.runaways[0]
         # Park the run-away next to an *occupied* site.
-        atom.x = state.site_pos[40] + np.array([0.1, 0.0, 0.0])
+        nbl.runaways.x[0] = state.site_pos[40] + np.array([0.1, 0.0, 0.0])
         stats = nbl.update_runaways(state, threshold=1.2)
         assert stats["captured"] == 0
         assert nbl.n_runaways == 1
@@ -161,14 +158,16 @@ class TestRunaways:
         nbl = LatticeNeighborList(lattice5, CUTOFF)
         state = self._escaped_state(nbl)
         nbl.update_runaways(state, threshold=1.2)
-        (atom, rows), = nbl.runaway_candidates()
+        rows, keep = nbl.runaway_candidates()
+        (rows,) = (r[k] for r, k in zip(rows, keep, strict=True))
+        (host,), (x,) = nbl.runaways.host.tolist(), nbl.runaways.x
         # Superset of the host's own stencil...
-        host_stencil = set(nbl.neighbor_rows(atom.host).tolist()) | {atom.host}
+        host_stencil = set(nbl.neighbor_rows(host).tolist()) | {host}
         assert host_stencil <= set(rows.tolist())
         # ...and covers every occupied site within the true cutoff of the
         # atom's actual (off-lattice) position.
         box = Box.for_lattice(lattice5)
-        d = box.distance(atom.x, state.x)
+        d = box.distance(x, state.x)
         within = set(
             np.flatnonzero((d <= CUTOFF) & state.occupied).tolist()
         )
@@ -182,8 +181,8 @@ class TestRunaways:
         state.x[22] += np.array([1.4, 0.2, 0.0])
         nbl.update_runaways(state, threshold=1.2)
         assert nbl.n_runaways == 2
-        pairs = nbl.runaway_pairs()
-        assert len(pairs) == 1
+        a, b = nbl.runaway_pairs()
+        assert (a.tolist(), b.tolist()) == ([0], [1])
 
     def test_distant_runaways_not_paired(self, lattice5):
         nbl = LatticeNeighborList(lattice5, CUTOFF)
@@ -194,7 +193,8 @@ class TestRunaways:
         state.x[far] += np.array([1.4, 0.0, 0.0])
         nbl.update_runaways(state, threshold=1.2)
         assert nbl.n_runaways == 2
-        assert nbl.runaway_pairs() == []
+        a, b = nbl.runaway_pairs()
+        assert len(a) == len(b) == 0
 
     def test_threshold_validation(self, lattice5):
         nbl = LatticeNeighborList(lattice5, CUTOFF)

@@ -69,12 +69,10 @@ def _assert_matches_serial(serial, result):
     assert np.array_equal(result.positions, serial.state.x)
     assert np.array_equal(result.velocities, serial.state.v)
     assert np.array_equal(result.vacancy_ranks, serial.state.vacancy_rows())
-    serial_runs = sorted(serial.nblist.runaways, key=lambda a: a.id)
-    assert np.array_equal(result.runaway_ids, [a.id for a in serial_runs])
-    assert np.array_equal(
-        result.runaway_positions,
-        np.array([a.x for a in serial_runs]).reshape(-1, 3),
-    )
+    runs = serial.nblist.runaways
+    by_id = np.argsort(runs.ids)
+    assert np.array_equal(result.runaway_ids, runs.ids[by_id])
+    assert np.array_equal(result.runaway_positions, runs.x[by_id])
 
 
 class TestCenteredCascade:
@@ -153,6 +151,30 @@ class TestMechanics:
         forbid_world(parallel_damage)
         with pytest.raises(ValueError, match=r"5x5x5.*4 ranks.*ghost shell"):
             ParallelDamageMD(BCCLattice(5, 5, 5), potential, nranks=4)
+
+    def test_runaway_that_outruns_the_ghost_shell_is_named(self, potential):
+        """A 2 keV PKA (0.83 A/fs, dt = 0.2 fs) flies 12 A — past rank 0's
+        3-cell ghost shell — between two checks 80 steps apart: the rank
+        that loses it says which atom, how far it got and what to change
+        (it used to be SiteSet's bare "site rank N is not present in this
+        site set"), and the same run with the advice taken completes."""
+        from repro.constants import MVV2E
+
+        lattice = BCCLattice(16, 6, 6)
+        site = int(lattice.rank_of(0, 7, 3, 3))  # last cell rank 0 owns
+        speed = np.sqrt(2.0 * 2000.0 / (55.845 * MVV2E))
+        kick = (site, speed * np.array([1.0, 0.5, 0.0]) / np.sqrt(1.25))
+        pmd = ParallelDamageMD(
+            lattice, potential, MDConfig(temperature=0.0, seed=1, dt=0.0002), nranks=2
+        )
+        with pytest.raises(
+            RuntimeError,
+            match=rf"rank 0 failed.*run-away atom {site} is 1\d\.\d+ A from "
+            rf"site {site}.*outran the ghost shell.*lower `runaway_check_interval`",
+        ):
+            pmd.run(81, runaway_check_interval=80, pka=kick)
+        result = pmd.run(81, runaway_check_interval=20, pka=kick)
+        assert site in result.runaway_ids
 
     def test_no_damage_without_pka(self, potential):
         lattice = BCCLattice(8, 8, 8)
