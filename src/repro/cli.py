@@ -78,19 +78,92 @@ def _add_observe_flags(parser) -> None:
         default=None,
         help="write a Chrome-trace JSON (chrome://tracing / Perfetto)",
     )
+
+
+def _add_backend_flags(parser) -> None:
+    """How a parallel KMC world runs (``coupled``, ``submit``, ``kmc-schemes``)."""
     parser.add_argument(
-        "--kernels",
-        choices=("numpy", "numba", "auto"),
+        "--backend",
+        choices=("thread", "process", "overdecomposed"),
         default=None,
         help=(
-            "compute-kernel backend for the EAM and rate evaluations: "
-            "'numpy' (vectorized reference), 'numba' (compiled loops, "
-            "bit-identical, falls back to numpy with a warning if numba "
-            "is missing), or 'auto' (numba when importable; the "
-            "default); the REPRO_KERNELS environment variable sets the "
-            "default"
+            "execution backend for the parallel KMC ranks: 'thread' "
+            "(default), 'process' (one OS process per rank, real "
+            "multi-core parallelism), or 'overdecomposed' (R logical "
+            "ranks cooperatively scheduled on --workers OS workers; "
+            "results are bit-identical across all three); "
+            "the REPRO_BACKEND environment variable sets the default"
         ),
     )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        metavar="P",
+        help=(
+            "physical workers for the overdecomposed/rank-group "
+            "backends (default: REPRO_WORKERS or the cpu count)"
+        ),
+    )
+
+
+def _add_scenario_flags(parser) -> None:
+    """The scenario flags ``coupled`` and ``submit`` share.
+
+    One flag per :class:`~repro.service.ScenarioSpec` field that
+    describes the scenario rather than this invocation;
+    :func:`_scenario_spec` reads them back.
+    """
+    parser.add_argument("--cells", type=int, default=8)
+    parser.add_argument("--events", type=int, default=500,
+                        help="KMC event budget (serial engine)")
+    parser.add_argument("--temperature", type=float, default=600.0)
+    parser.add_argument("--seed", type=int, default=2018)
+    parser.add_argument("--md-steps", type=int, default=None,
+                        help="MD cascade steps (default: cascade default)")
+    parser.add_argument("--pka", type=float, default=None, metavar="EV",
+                        help="PKA energy (default: cascade default)")
+    parser.add_argument("--table-points", type=int, default=2000)
+    parser.add_argument("--recombination-radius", type=float, default=None,
+                        metavar="A")
+    parser.add_argument(
+        "--kmc-ranks",
+        type=int,
+        default=None,
+        help=(
+            "run the KMC stage on the parallel engine with N ranks "
+            "(default: the serial engine; `coupled` also takes 0 for "
+            "serial, and defaults to 1 rank when profiling so the trace "
+            "covers the runtime layer)"
+        ),
+    )
+    parser.add_argument("--kmc-cycles", type=int, default=50,
+                        help="parallel-KMC cycle budget (with --kmc-ranks)")
+    parser.add_argument("--kmc-scheme", default="ondemand",
+                        choices=("traditional", "ondemand", "onesided"))
+    parser.add_argument(
+        "--faults",
+        metavar="PLAN",
+        type=_fault_plan_arg,
+        default=None,
+        help=(
+            "fault-injection plan for the KMC stage, e.g. "
+            '"crash:rank=1,cycle=3; dup:rank=0,nth=2"; the run recovers '
+            "from the last checkpoint and finishes bit-identically to a "
+            "fault-free run (see repro.runtime.faults for the syntax)"
+        ),
+    )
+    parser.add_argument(
+        "--checkpoint-every",
+        type=int,
+        default=None,
+        metavar="N",
+        help=(
+            "write a resumable KMC checkpoint every N cycles (parallel) "
+            "or N events (serial)"
+        ),
+    )
+    _add_backend_flags(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,54 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("info", help="library and machine-model inventory")
 
     coupled = sub.add_parser("coupled", help="run the coupled MD-KMC pipeline")
-    coupled.add_argument("--cells", type=int, default=8)
-    coupled.add_argument("--events", type=int, default=500)
-    coupled.add_argument("--temperature", type=float, default=600.0)
-    coupled.add_argument("--seed", type=int, default=2018)
-    coupled.add_argument(
-        "--md-steps",
-        type=int,
-        default=None,
-        help="MD cascade steps (default: the CascadeConfig default)",
-    )
-    coupled.add_argument(
-        "--kmc-ranks",
-        type=int,
-        default=None,
-        help=(
-            "run the KMC stage on the parallel engine with N ranks "
-            "(0 forces the serial engine; default: serial, or 1 rank "
-            "when profiling so the trace covers the runtime layer)"
-        ),
-    )
-    coupled.add_argument(
-        "--kmc-cycles",
-        type=int,
-        default=50,
-        help="parallel-KMC cycle budget (with --kmc-ranks)",
-    )
-    coupled.add_argument(
-        "--faults",
-        metavar="PLAN",
-        type=_fault_plan_arg,
-        default=None,
-        help=(
-            "fault-injection plan for the KMC stage, e.g. "
-            '"crash:rank=1,cycle=3; dup:rank=0,nth=2"; the run recovers '
-            "from the last checkpoint and finishes bit-identically to a "
-            "fault-free run (see repro.runtime.faults for the syntax)"
-        ),
-    )
-    coupled.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "write a resumable KMC checkpoint every N cycles (parallel) "
-            "or N events (serial)"
-        ),
-    )
+    _add_scenario_flags(coupled)
     coupled.add_argument(
         "--checkpoint-dir",
         default=None,
@@ -195,29 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     coupled.add_argument(
-        "--backend",
-        choices=("thread", "process", "overdecomposed"),
-        default=None,
-        help=(
-            "execution backend for the parallel KMC ranks: 'thread' "
-            "(default), 'process' (one OS process per rank, real "
-            "multi-core parallelism), or 'overdecomposed' (R logical "
-            "ranks cooperatively scheduled on --workers OS workers; "
-            "results are bit-identical across all three); "
-            "the REPRO_BACKEND environment variable sets the default"
-        ),
-    )
-    coupled.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="P",
-        help=(
-            "physical workers for the overdecomposed/rank-group "
-            "backends (default: REPRO_WORKERS or the cpu count)"
-        ),
-    )
-    coupled.add_argument(
         "--sanitize",
         action="store_true",
         help=(
@@ -240,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     cascade.add_argument("--temperature", type=float, default=300.0)
     cascade.add_argument("--seed", type=int, default=3)
     _add_observe_flags(cascade)
+    cascade.set_defaults(_parser=cascade)
 
     schemes = sub.add_parser(
         "kmc-schemes", help="compare parallel-KMC communication schemes"
@@ -249,23 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     schemes.add_argument("--cycles", type=int, default=8)
     schemes.add_argument("--vacancies", type=int, default=20)
     schemes.add_argument("--seed", type=int, default=5)
-    schemes.add_argument(
-        "--backend",
-        choices=("thread", "process", "overdecomposed"),
-        default=None,
-        help="simmpi execution backend (default: REPRO_BACKEND or thread)",
-    )
-    schemes.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="P",
-        help=(
-            "physical workers for the overdecomposed/rank-group "
-            "backends (default: REPRO_WORKERS or the cpu count)"
-        ),
-    )
+    _add_backend_flags(schemes)
     _add_observe_flags(schemes)
+    schemes.set_defaults(_parser=schemes)
 
     figure = sub.add_parser("figure", help="regenerate a paper figure")
     figure.add_argument("id", choices=sorted(FIGURES))
@@ -293,23 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _root_flag(submit)
-    submit.add_argument("--cells", type=int, default=8)
-    submit.add_argument("--events", type=int, default=500,
-                        help="KMC event budget (serial engine)")
-    submit.add_argument("--temperature", type=float, default=600.0)
-    submit.add_argument("--seed", type=int, default=2018)
-    submit.add_argument("--md-steps", type=int, default=None,
-                        help="MD cascade steps (default: cascade default)")
-    submit.add_argument("--pka", type=float, default=None, metavar="EV",
-                        help="PKA energy (default: cascade default)")
-    submit.add_argument("--table-points", type=int, default=2000)
-    submit.add_argument("--recombination-radius", type=float, default=None,
-                        metavar="A")
-    submit.add_argument("--kmc-ranks", type=int, default=None,
-                        help="parallel KMC rank count (default: serial)")
-    submit.add_argument("--kmc-cycles", type=int, default=50)
-    submit.add_argument("--kmc-scheme", default="ondemand",
-                        choices=("traditional", "ondemand", "onesided"))
+    _add_scenario_flags(submit)
     submit.add_argument(
         "--trajectory-every", type=int, default=None, metavar="N",
         help=(
@@ -317,14 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
             "events/cycles as part of the result (default: no store)"
         ),
     )
-    submit.add_argument("--faults", metavar="PLAN", type=_fault_plan_arg,
-                        default=None,
-                        help="fault-injection plan for the KMC stage")
-    submit.add_argument("--checkpoint-every", type=int, default=None,
-                        metavar="N")
-    submit.add_argument("--backend", default=None,
-                        choices=("thread", "process", "overdecomposed"))
-    submit.add_argument("--workers", type=int, default=None, metavar="P")
     submit.set_defaults(_parser=submit)
 
     serve = sub.add_parser(
@@ -404,7 +370,7 @@ def _finish_observation(args, registry) -> None:
         print(f"\ntrace written to {args.trace} (open in chrome://tracing)")
 
 
-def cmd_info() -> int:
+def cmd_info(args) -> int:
     import repro
     from repro.perfmodel.machine import TAIHULIGHT
 
@@ -433,7 +399,6 @@ def cmd_info() -> int:
 def cmd_coupled(args) -> int:
     from repro.core.coupling import CoupledSimulation
     from repro.runtime.faults import FaultPlan
-    from repro.service import ScenarioSpec, SpecError
 
     if args.trajectory is None and args.trajectory_every != 1:
         args._parser.error("--trajectory-every requires --trajectory")
@@ -466,26 +431,15 @@ def cmd_coupled(args) -> int:
     # One spec path for batch and service runs: `coupled` builds the
     # same declarative ScenarioSpec `submit` enqueues, then executes it
     # inline with the run-local knobs (paths, profiling) layered on top.
-    try:
-        spec = ScenarioSpec(
-            cells=cells,
-            temperature=args.temperature,
-            md_steps=args.md_steps,
-            kmc_max_events=args.events,
-            kmc_nranks=kmc_nranks,
-            kmc_max_cycles=args.kmc_cycles,
-            seed=args.seed,
-            trajectory_every=(
-                args.trajectory_every if args.trajectory is not None else None
-            ),
-            faults=args.faults,
-            checkpoint_every=args.checkpoint_every,
-            backend=args.backend,
-            workers=args.workers,
-            watchdog=args.watchdog,
-        )
-    except SpecError as exc:
-        args._parser.error(str(exc))
+    spec = _scenario_spec(
+        args,
+        cells=cells,
+        kmc_nranks=kmc_nranks,
+        trajectory_every=(
+            args.trajectory_every if args.trajectory is not None else None
+        ),
+        watchdog=args.watchdog,
+    )
     registry = _start_observation(args)
     sim = CoupledSimulation(
         spec.to_coupled_config(
@@ -536,28 +490,33 @@ def cmd_coupled(args) -> int:
     return 0
 
 
-def _spec_from_submit_args(args):
+def _scenario_spec(args, **run_fields):
+    """The :class:`ScenarioSpec` of :func:`_add_scenario_flags`' flags.
+
+    ``run_fields`` are the fields the subcommand decides itself; a
+    :class:`SpecError` is a usage error of ``args._parser``.
+    """
     from repro.service import ScenarioSpec, SpecError
 
+    fields = dict(
+        cells=args.cells,
+        temperature=args.temperature,
+        table_points=args.table_points,
+        md_steps=args.md_steps,
+        pka_energy=args.pka,
+        kmc_max_events=args.events,
+        kmc_nranks=args.kmc_ranks,
+        kmc_max_cycles=args.kmc_cycles,
+        recombination_radius=args.recombination_radius,
+        seed=args.seed,
+        kmc_scheme=args.kmc_scheme,
+        backend=args.backend,
+        workers=args.workers,
+        faults=args.faults,
+        checkpoint_every=args.checkpoint_every,
+    )
     try:
-        return ScenarioSpec(
-            cells=args.cells,
-            temperature=args.temperature,
-            table_points=args.table_points,
-            md_steps=args.md_steps,
-            pka_energy=args.pka,
-            kmc_max_events=args.events,
-            kmc_nranks=args.kmc_ranks,
-            kmc_max_cycles=args.kmc_cycles,
-            recombination_radius=args.recombination_radius,
-            trajectory_every=args.trajectory_every,
-            seed=args.seed,
-            kmc_scheme=args.kmc_scheme,
-            backend=args.backend,
-            workers=args.workers,
-            faults=args.faults,
-            checkpoint_every=args.checkpoint_every,
-        )
+        return ScenarioSpec(**(fields | run_fields))
     except SpecError as exc:
         args._parser.error(str(exc))
 
@@ -565,7 +524,7 @@ def _spec_from_submit_args(args):
 def cmd_submit(args) -> int:
     from repro.service import ServiceClient
 
-    spec = _spec_from_submit_args(args)
+    spec = _scenario_spec(args, trajectory_every=args.trajectory_every)
     record = ServiceClient(args.root).submit(spec)
     print(
         f"submitted {record.job_id} key={record.key[:12]} "
@@ -687,20 +646,23 @@ def cmd_cascade(args) -> int:
     from repro.md.engine import MDConfig, MDEngine
     from repro.potential.fe import make_fe_potential
 
-    registry = _start_observation(args)
-    engine = MDEngine(
-        BCCLattice(args.cells, args.cells, args.cells),
-        make_fe_potential(n=2000),
-        MDConfig(temperature=args.temperature, seed=args.seed),
-    )
-    result = run_cascade(
-        engine,
-        CascadeConfig(
+    # What the flags cannot build is a usage error; what fails while
+    # running is not.
+    try:
+        engine = MDEngine(
+            BCCLattice(args.cells, args.cells, args.cells),
+            make_fe_potential(n=2000),
+            MDConfig(temperature=args.temperature, seed=args.seed),
+        )
+        config = CascadeConfig(
             pka_energy=args.pka,
             nsteps=args.steps,
             temperature=args.temperature,
-        ),
-    )
+        )
+    except ValueError as exc:
+        args._parser.error(str(exc))
+    registry = _start_observation(args)
+    result = run_cascade(engine, config)
     print(
         f"PKA {args.pka} eV -> {len(result.vacancy_rows)} vacancies, "
         f"{result.n_runaways} interstitials "
@@ -719,28 +681,34 @@ def cmd_kmc_schemes(args) -> int:
     from repro.lattice.bcc import BCCLattice
     from repro.potential.fe import make_fe_potential
 
-    lattice = BCCLattice(args.cells, args.cells, args.cells)
     potential = make_fe_potential(n=1000)
     params = RateParameters()
-    occ0 = place_random_vacancies(
-        KMCModel(lattice, potential, params),
-        args.vacancies,
-        np.random.default_rng(args.seed),
-    )
+    try:
+        lattice = BCCLattice(args.cells, args.cells, args.cells)
+        occ0 = place_random_vacancies(
+            KMCModel(lattice, potential, params),
+            args.vacancies,
+            np.random.default_rng(args.seed),
+        )
+        engines = {
+            scheme: ParallelAKMC(
+                lattice,
+                potential,
+                params,
+                nranks=args.ranks,
+                scheme=scheme,
+                seed=args.seed,
+                backend=args.backend,
+                workers=args.workers,
+            )
+            for scheme in ("traditional", "ondemand", "onesided")
+        }
+    except ValueError as exc:
+        args._parser.error(str(exc))
     registry = _start_observation(args)
     reference = None
     print(f"{'scheme':>12} {'events':>7} {'bytes':>12} {'messages':>9}")
-    for scheme in ("traditional", "ondemand", "onesided"):
-        engine = ParallelAKMC(
-            lattice,
-            potential,
-            params,
-            nranks=args.ranks,
-            scheme=scheme,
-            seed=args.seed,
-            backend=args.backend,
-            workers=args.workers,
-        )
+    for scheme, engine in engines.items():
         result = engine.run(occ0, max_cycles=args.cycles)
         stats = result.comm_stats
         print(
@@ -773,32 +741,22 @@ def cmd_figure(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    import os
-
     args = build_parser().parse_args(argv)
-    if getattr(args, "kernels", None):
-        # Every dispatch site resolves REPRO_KERNELS, so the flag just
-        # pins the environment for this process (children inherit it).
-        os.environ["REPRO_KERNELS"] = args.kernels
-    if args.command == "info":
-        return cmd_info()
-    if args.command == "coupled":
-        return cmd_coupled(args)
-    if args.command == "cascade":
-        return cmd_cascade(args)
-    if args.command == "kmc-schemes":
-        return cmd_kmc_schemes(args)
-    if args.command == "figure":
-        return cmd_figure(args)
-    if args.command == "submit":
-        return cmd_submit(args)
-    if args.command == "serve":
-        return cmd_serve(args)
-    if args.command == "status":
-        return cmd_status(args)
-    if args.command == "result":
-        return cmd_result(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return _COMMANDS[args.command](args)
+
+
+#: Subcommand name -> handler; ``build_parser`` requires one of these.
+_COMMANDS = {
+    "info": cmd_info,
+    "coupled": cmd_coupled,
+    "cascade": cmd_cascade,
+    "kmc-schemes": cmd_kmc_schemes,
+    "figure": cmd_figure,
+    "submit": cmd_submit,
+    "serve": cmd_serve,
+    "status": cmd_status,
+    "result": cmd_result,
+}
 
 
 if __name__ == "__main__":  # pragma: no cover

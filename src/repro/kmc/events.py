@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels
 from repro import observe as obs
 from repro.constants import KB_EV
 from repro.lattice.bcc import FIRST_SHELL, BCCLattice, SiteSet, sorted_unique
@@ -260,8 +259,8 @@ class BaseKMCModel:
     def _apply_rate_cap(self, rates: np.ndarray) -> np.ndarray:
         """Clamp rates to ``rate_cap`` and count every clamped event.
 
-        Applied after the exp, outside the kernels, so the numba and
-        NumPy rate paths stay bit-identical under the cap.
+        Applied after the exp, to whole rate arrays, so the scalar and
+        batched rate paths clamp the same values.
         """
         cap = self.rate_cap
         if cap is None or len(rates) == 0:
@@ -392,31 +391,6 @@ class KMCModel(BaseKMCModel):
         if np.any(occ[vrows] != VACANCY):
             bad = vrows[occ[vrows] != VACANCY][0]
             raise ValueError(f"row {int(bad)} does not hold a vacancy")
-        if (
-            kernels.selected() == "numba"
-            and self.e_matrix.shape[1] <= kernels.MAX_ROW_WIDTH
-        ):
-            emb_payload = kernels.table_payload(self.potential.tables.embedding)
-            if emb_payload is not None:
-                counts, targets, de = kernels.rate_batch(
-                    emb_payload,
-                    self.e_matrix,
-                    self.e_valid,
-                    self.phi_slots,
-                    self.f_slots,
-                    self.first_matrix,
-                    self.first_valid,
-                    occ,
-                    vrows,
-                    self.params.e_m0,
-                    self.params.de_min,
-                )
-                if len(targets) == 0:
-                    return counts, targets, np.empty(0)
-                # exp stays NumPy-side in both kernel backends: libm and
-                # NumPy's SIMD exp differ in the last ulp.
-                rates = self.params.nu * np.exp(-de / self.params.kt)
-                return counts, targets, self._apply_rate_cap(rates)
         cand = self.first_matrix[vrows]
         ev_mask = self.first_valid[vrows] & (occ[cand] == ATOM)
         counts = ev_mask.sum(axis=1).astype(np.int64)

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels
 from repro import observe as obs
 from repro.md.neighbors.lattice_list import LatticeNeighborList, RunawayTable
 from repro.md.state import AtomState
@@ -158,28 +157,14 @@ def eam_evaluate(
         active = np.ones(n, dtype=bool)
     if len(pairs) == 0:
         return EAMResult(0.0, np.zeros((n, 3)), np.zeros(n), 0.0, 0.0)
-    payloads = (
-        kernels.eam_payloads(pot.tables) if kernels.selected() == "numba" else None
-    )
-    if payloads is not None:
-        # Compiled path: bit-identical to the two NumPy passes by
-        # construction (same accumulation order, same pairwise sums);
-        # the energy reductions stay NumPy-side in both paths.
-        phi, rho, emb, forces = kernels.eam_fused(
-            payloads, pairs.i, pairs.j, pairs.d, pairs.r, n
-        )
-        obs.add("md.spline.rows", 2 * len(pairs) + n)
-        obs.add("md.force.calls")
-    else:
-        dens = density_pass(pot, n, pairs)
-        phi, rho = dens.phi, dens.rho
-        forces, emb = force_pass(pot, pairs, dens, rho)
-    pair_energy = float(np.sum(phi))
+    dens = density_pass(pot, n, pairs)
+    forces, emb = force_pass(pot, pairs, dens, dens.rho)
+    pair_energy = float(np.sum(dens.phi))
     embed_energy = float(np.sum(emb[active]))
     return EAMResult(
         energy=pair_energy + embed_energy,
         forces=forces,
-        rho=rho,
+        rho=dens.rho,
         pair_energy=pair_energy,
         embed_energy=embed_energy,
     )

@@ -146,7 +146,8 @@ _CLAUSE_KEYS = {
 }
 
 
-def _parse_clause(clause: str) -> FaultSpec:
+def _parse_clause(clause: str) -> tuple[FaultSpec, int | None]:
+    """One clause's spec, and the plan seed if the clause sets one."""
     kind, _, body = clause.partition(":")
     kind = kind.strip()
     if kind not in _KINDS:
@@ -168,32 +169,36 @@ def _parse_clause(clause: str) -> FaultSpec:
                 )
             kw[key] = value.strip()
     try:
+        # Only ``shake`` accepts the key (``_CLAUSE_KEYS``).
+        seed = int(kw["seed"]) if "seed" in kw else None
         if kind == "crash":
             site, index = kw.get("site"), kw.get("index")
             if "cycle" in kw:
                 site, index = SITE_KMC_CYCLE, kw["cycle"]
             elif "event" in kw:
                 site, index = SITE_KMC_EVENT, kw["event"]
-            return FaultSpec(
+            spec = FaultSpec(
                 kind="crash",
                 rank=int(kw["rank"]),
                 site=site,
                 index=None if index is None else int(index),
             )
-        if kind == "shake":
-            return FaultSpec(
+        elif kind == "shake":
+            spec = FaultSpec(
                 kind="shake",
                 p_dup=float(kw.get("dup", 0.0)),
                 p_delay=float(kw.get("delay", 0.0)),
                 seconds=float(kw.get("seconds", 0.001)),
             )
-        return FaultSpec(
-            kind=kind,
-            rank=int(kw["rank"]),
-            nth=int(kw["nth"]),
-            seconds=float(kw.get("seconds", 0.0)),
-            op=kw.get("op", "send"),
-        )
+        else:
+            spec = FaultSpec(
+                kind=kind,
+                rank=int(kw["rank"]),
+                nth=int(kw["nth"]),
+                seconds=float(kw.get("seconds", 0.0)),
+                op=kw.get("op", "send"),
+            )
+        return spec, seed
     except KeyError as exc:
         raise FaultPlanError(f"{clause!r} is missing {exc.args[0]}=") from exc
     except ValueError as exc:
@@ -223,9 +228,9 @@ class FaultPlan:
         for clause in text.split(";"):
             clause = clause.strip()
             if clause:
-                spec = _parse_clause(clause)
-                if spec.kind == "shake" and "seed=" in clause:
-                    seed = int(clause.split("seed=")[1].split(",")[0])
+                spec, clause_seed = _parse_clause(clause)
+                if clause_seed is not None:
+                    seed = clause_seed
                 specs.append(spec)
         return cls(specs=tuple(specs), seed=seed)
 

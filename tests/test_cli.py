@@ -193,13 +193,15 @@ class TestFaultFlags:
 
     def test_bad_fault_plan_exits_2(self, capsys):
         # Routed through argparse (type=): usage error, SystemExit(2).
-        with pytest.raises(SystemExit) as exc_info:
-            main(["coupled", "--faults", "explode:rank=0,cycle=1"])
-        err = capsys.readouterr().err
-        assert exc_info.value.code == 2
-        assert "bad --faults plan" in err
-        assert "explode" in err
-        assert "usage:" in err
+        for plan, named in [("explode:rank=0,cycle=1", "explode"),
+                            ("shake:seed=abc", "seed=abc")]:
+            with pytest.raises(SystemExit) as exc_info:
+                main(["coupled", "--faults", plan])
+            err = capsys.readouterr().err
+            assert exc_info.value.code == 2
+            assert "bad --faults plan" in err
+            assert named in err
+            assert "usage:" in err
 
     def test_bad_fault_plan_exits_2_on_submit(self, capsys, tmp_path):
         # Same validation path (argparse type=) on the service surface.
@@ -264,6 +266,29 @@ class TestValidationExitCodes:
         assert "6x6x6" in err and "8 ranks" in err
         assert "coupled MD-KMC over" not in out
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,named", [
+        (["cascade", "--cells", "3"], "box"),
+        (["cascade", "--steps", "0"], "nsteps"),
+        (["kmc-schemes", "--cells", "4", "--ranks", "8"], "4x4x4"),
+        (["kmc-schemes", "--vacancies", "99999"], "99999 vacancies"),
+    ])
+    def test_unbuildable_run_exits_2(self, argv, named, capsys):
+        # A lattice/engine/occupancy the flags cannot build is a usage
+        # error of that subcommand, not a traceback.
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc_info.value.code == 2
+        assert named in err
+        assert f"usage: repro {argv[0]}" in err
+        assert out == ""
+
+    def test_kernels_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["coupled", "--kernels", "numpy"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --kernels" in capsys.readouterr().err
 
     def test_submit_bad_spec_exits_2(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc_info:

@@ -183,13 +183,11 @@ def _run(code: str) -> dict:
 )
 def test_entry_point_imports_only_numpy(module):
     seen = _run(_IMPORT_PROBE.format(module=module))
-    # numba is the one optional accelerator; it brings llvmlite along.
-    extra = set(seen["third_party"]) - {"numpy", "numba", "llvmlite"}
+    extra = set(seen["third_party"]) - {"numpy"}
     assert not extra, f"import {module} pulled in {sorted(extra)}"
-    if "numba" not in seen["third_party"]:
-        # Entry-point scanning (what made the graph library slow to
-        # import) lives here; nothing of ours may need it at import.
-        assert not seen["metadata"]
+    # Entry-point scanning (what made the graph library slow to
+    # import) lives here; nothing of ours may need it at import.
+    assert not seen["metadata"]
 
 
 @pytest.mark.skipif(
@@ -218,7 +216,7 @@ def test_serial_kmc_with_store_and_checkpoints_loads_no_parallel_stack():
         seen["ran"],
         "repro.md", "repro.runtime", "repro.service", "repro.core.coupling",
         "repro.kmc.comm", "repro.kmc.ondemand", "repro.kmc.onesided",
-        "repro.kmc.sublattice", "repro.lattice.domain", "repro.kernels.impl",
+        "repro.kmc.sublattice", "repro.lattice.domain", "repro.kernels",
     )
     assert not seen["multiprocessing"]
     assert "repro.observe.api" in seen["ran"]
@@ -235,7 +233,7 @@ def test_serial_cascade_loads_no_comparator_or_parallel_md():
         seen["ran"],
         "repro.md.neighbors.verlet_list", "repro.md.neighbors.linked_cell",
         "repro.md.neighbors.memory", "repro.md.parallel_damage",
-        "repro.runtime", "repro.kmc", "repro.io",
+        "repro.runtime", "repro.kmc", "repro.io", "repro.kernels",
     )
     assert "repro.observe.api" in seen["ran"]
     for unconfigured in _NOT_CONFIGURED:
@@ -264,7 +262,10 @@ def test_unsanitized_world_loads_no_sanitizer():
     seen = _run(_WORLD_PROBE.format(sanitize=False))
     assert seen["total"] == [3, 3]
     assert "repro.runtime.sanitize" not in seen["ran"]
-    assert not _under(seen["ran"], "repro.runtime.procbackend", "repro.runtime.shm")
+    assert not _under(
+        seen["ran"], "repro.runtime.procbackend", "repro.runtime.shm",
+        "repro.kernels",
+    )
     # The control: the same world, sanitized, is what loads it.
     assert "repro.runtime.sanitize" in _run(
         _WORLD_PROBE.format(sanitize=True)

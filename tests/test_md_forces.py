@@ -236,6 +236,7 @@ class TestTwoPasses:
         assert np.array_equal(forces, whole.forces)
         assert float(np.sum(dens.phi)) == whole.pair_energy
         assert float(np.sum(emb[active])) == whole.embed_energy
+        assert whole.energy == whole.pair_energy + whole.embed_energy
 
     def test_rank_passes_match_star_oracle_with_a_ghost_runaway(
         self, damaged, potential
@@ -328,4 +329,41 @@ class TestOneKernel:
             "(repro.md.forces); the star kernels live in tests/md_star_oracle.py "
             "and a legitimate other geometry pass is listed in this test with "
             "its reason:\n" + "\n".join(offenders)
+        )
+
+    #: Names of the compiled twin and of what selected it.
+    TWIN = ("numba", "REPRO_KERNELS", "REPRO_NO_NUMBA", "eam_fused",
+            "rate_batch", "table_payload", "kernels.selected")
+
+    def test_no_second_kernel_implementation_under_src(self):
+        root = Path(repro.__file__).resolve().parent
+        shim = root / "kernels.py"
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            text = path.read_text()
+            if path != shim:
+                offenders += [f"{rel}: {name}" for name in self.TWIN if name in text]
+            for node in ast.walk(ast.parse(text, str(path))):
+                if isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                elif isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(m.split(".")[:2] == ["repro", "kernels"] for m in modules):
+                    offenders.append(f"{rel}:{node.lineno}: imports repro.kernels")
+        assert not (root / "kernels").exists()
+        tree = ast.parse(shim.read_text())
+        defined = [getattr(node, "name", ast.unparse(node)) for node in tree.body[1:]]
+        expected = ["selected", "numba_available"]
+        if ast.get_docstring(tree) is None or defined != expected:
+            offenders.append(f"kernels.py: docstring, then {defined}")
+        assert not offenders, (
+            "there is one kernel implementation (NumPy) and no switch; "
+            "repro/kernels.py only answers benchmarks/ledger's two calls "
+            "until a benchmark PR drops them, and DESIGN section 9 says how "
+            "a compiled path comes back:\n" + "\n".join(offenders)
         )

@@ -58,6 +58,7 @@ class TestFaultPlanParsing:
             "delay:rank=0,nth=1",  # delay without seconds
             "crash:rank=0,cycle=1,frobnicate=2",  # unknown key
             "shake:seed=1,dup=1.5",  # probability out of range
+            "shake:seed=abc,dup=0.1",  # seed is parsed with the other keys
         ],
     )
     def test_parse_rejects(self, bad):

@@ -103,3 +103,28 @@ class TestFlow:
         # construction as submit; spec-level validation reaches it too.
         assert main(["coupled", "--cells", "6", "--events", "30"]) == 0
         assert "after KMC" in capsys.readouterr().out
+
+    def test_coupled_takes_every_scenario_flag_submit_takes(self, capsys, tmp_path):
+        # One flag table, one spec builder: the identity flags coupled
+        # used to lack (--pka, --table-points, --kmc-scheme) select the
+        # same scenario inline as through the queue.
+        flags = [
+            "--cells", "8", "--md-steps", "30", "--pka", "200",
+            "--table-points", "500", "--kmc-scheme", "traditional",
+            "--kmc-ranks", "8", "--kmc-cycles", "40",
+        ]
+        assert main(["coupled", *flags]) == 0
+        inline = capsys.readouterr().out
+        assert main(["submit", "--root", str(tmp_path), *flags]) == 0
+        assert main(
+            ["serve", "--root", str(tmp_path), "--workers", "1", "--drain"]
+        ) == 0
+        capsys.readouterr()
+        assert main(
+            ["result", "--root", str(tmp_path), "job-000001", "--json"]
+        ) == 0
+        served = json.loads(capsys.readouterr().out)
+        assert served["kmc_events"] > 0
+        assert f"after MD : {served['vacancies_after_md']} vacancies" in inline
+        assert f"after KMC: {served['vacancies_after_kmc']} vacancies" in inline
+        assert f"{served['kmc_events']} events over" in inline

@@ -118,6 +118,7 @@ class TestValidation:
         # and a rank count with no process grid over the cells.
         ({"cells": 5, "kmc_nranks": 8}, r"cells=5 .*kmc_nranks=8 .*\(2, 2, 2\)"),
         ({"cells": 6, "kmc_nranks": 7}, "cells=6 .*kmc_nranks=7 .*process grid"),
+        ({"faults": "shake:seed=abc"}, "bad faults plan: .*seed=abc"),
     ])
     def test_bad_values_rejected(self, kwargs, match):
         with pytest.raises(SpecError, match=match):
