@@ -31,10 +31,9 @@ from repro.core.timescale import kmc_real_time
 from repro.io.checkpoint import load_kmc_checkpoint, save_checkpoint
 from repro.io.store import (
     TrajectoryReader,
-    TrajectoryWriter,
     finalize_store,
-    is_store,
     rewind_store,
+    seed_store,
 )
 from repro.kmc.akmc import ParallelAKMC, SerialAKMC
 from repro.kmc.events import ATOM, VACANCY, RateParameters
@@ -269,12 +268,6 @@ class CoupledSimulation:
             MDConfig(temperature=cfg.temperature, seed=cfg.seed),
         )
 
-    def run_md_stage(self) -> CascadeResult:
-        """Stage 1-2: thermalize and run the cascade."""
-        cfg = self.config
-        cascade_cfg = cfg.cascade or CascadeConfig(temperature=cfg.temperature)
-        return run_cascade(self._build_md_engine(), cascade_cfg)
-
     def model_sunway_step(self, engine: MDEngine) -> dict:
         """Optional stage: price one EAM step on the SW26010 machine model.
 
@@ -325,13 +318,6 @@ class CoupledSimulation:
             occ[:] = ATOM
             occ[surviving] = VACANCY
         return occ
-
-    def run_kmc_stage(self, occupancy: np.ndarray):
-        """Stage 4: evolve the damage with AKMC (no fault machinery)."""
-        result, _recoveries, _report = self._run_kmc_supervised(
-            occupancy, plain=True
-        )
-        return result
 
     # ------------------------------------------------------------------
     # Fault-tolerant KMC stage (the recovery supervisor)
@@ -394,7 +380,7 @@ class CoupledSimulation:
             trajectory_every=traj_every,
         )
 
-    def _run_kmc_supervised(self, occupancy: np.ndarray, plain: bool = False):
+    def _run_kmc_supervised(self, occupancy: np.ndarray):
         """Stage 4 under the fault supervisor.
 
         Runs KMC attempts until one completes.  On a rank failure
@@ -409,9 +395,8 @@ class CoupledSimulation:
         Returns ``(result, recoveries, fault_report)``.
         """
         cfg = self.config
-        plan = None if plain else resolve_plan(cfg.faults)
-        supervised = plan is not None or cfg.checkpoint_every is not None
-        if plain or not supervised:
+        plan = resolve_plan(cfg.faults)
+        if plan is None and cfg.checkpoint_every is None:
             # The historical direct path: no injector, no checkpoints.
             return (
                 self._run_kmc_attempt(occupancy, None, None, None),
@@ -447,11 +432,10 @@ class CoupledSimulation:
                     # dropped and re-recorded bit-identically by the
                     # resumed attempt.  With no checkpoint yet, rewind
                     # to 0.0 keeps only the post-MD initial frame.
-                    if is_store(cfg.trajectory):
-                        rewind_store(
-                            cfg.trajectory,
-                            resume.time if resume is not None else 0.0,
-                        )
+                    rewind_store(
+                        cfg.trajectory,
+                        resume.time if resume is not None else 0.0,
+                    )
                 obs.add(
                     "coupling.recover.from_checkpoint"
                     if resume is not None
@@ -502,11 +486,7 @@ class CoupledSimulation:
                 # checkpoints.
                 self._notify("trajectory_init")
                 with obs.phase("io.trajectory.init"):
-                    writer = TrajectoryWriter(
-                        cfg.trajectory, self.lattice, mode="w"
-                    )
-                    writer.append(0.0, occ0)
-                    writer.close(final=False)
+                    seed_store(cfg.trajectory, self.lattice, occ0)
             self._notify("kmc")
             with obs.phase("coupled.kmc"):
                 kmc, recoveries, fault_report = self._run_kmc_supervised(occ0)

@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.clusters import clustering_report, clustering_report_from_store
 from repro.core.coupling import CoupledConfig, CoupledSimulation
 from repro.core.timescale import kmc_real_time
-from repro.io.store import TrajectoryReader, TrajectoryWriter, finalize_store
+from repro.io.store import TrajectoryReader, finalize_store, seed_store
 from repro.kmc.akmc import SerialAKMC, place_random_vacancies
 from repro.kmc.events import KMCModel, RateParameters
 from repro.lattice.bcc import BCCLattice
@@ -79,9 +79,7 @@ def run(
         before = clustering_report(lattice, vac_before)
         if store_path is not None:
             # Seed the "before" frame, then let the engine append.
-            writer = TrajectoryWriter(store_path, lattice, mode="w")
-            writer.append(0.0, occ0)
-            writer.close(final=False)
+            seed_store(store_path, lattice, occ0)
         engine = SerialAKMC(lattice, potential, params, occ0, seed=seed)
         result = engine.run(max_events=kmc_events, trajectory=store_path)
         vac_after = result.vacancy_ranks

@@ -5,39 +5,44 @@ never hold its occupancy trajectory in memory, let alone write it as one
 monolithic ``.npz`` at the end.  This module is the durable-artifact
 substrate ROADMAP's "streaming trajectory store" item calls for:
 
-* **Append-only shards.**  A store is a directory holding one binary
-  shard per writing rank (``shard-00000.bin`` ...).  Frames are grouped
-  into fixed-size *chunks*; each chunk starts with a full **keyframe**
-  (the raw int8 occupancy) followed by **delta** frames (row indices +
-  new codes vs the previous frame), and the whole chunk is compressed
-  (zlib by default, zstd when available, or none).  Deltas make a
-  quiescent lattice nearly free; the periodic keyframe bounds the work
-  of random access.
-* **Index sidecar.**  Each shard carries a JSON sidecar
+* **One append-only shard.**  A store is a directory holding one binary
+  shard of full-lattice frames, ``shard-00000.bin``.  Frames are
+  grouped into fixed-size *chunks*; each chunk starts with a full
+  **keyframe** (the raw int8 occupancy) followed by **delta** frames
+  (row indices + new codes vs the previous frame), and the whole chunk
+  is zlib-compressed (level 6).  Deltas make a quiescent lattice nearly
+  free; the periodic keyframe bounds the work of random access.  The
+  parallel engine gathers to rank 0, which writes the global frames.
+* **Index sidecar.**  The shard carries a JSON sidecar
   (``shard-00000.json``) mapping chunks to byte ranges, frame numbers
   and timestamps, plus the lattice metadata and a CRC32 per chunk.  The
   sidecar is rewritten through :func:`repro.io.atomic.atomic_write`
-  *after* the shard bytes are flushed and fsynced, so after any crash
+  *after* the shard bytes are written and fsynced, so after any crash
   the index describes only complete, durable chunks — trailing torn
   bytes in the shard are simply unreferenced and are truncated away on
   the next append.
 * **Atomic finalize.**  :func:`finalize_store` (or
-  ``TrajectoryWriter.close(final=True)``) marks the sidecars final in
+  ``TrajectoryWriter.close(final=True)``) marks the sidecar final in
   one atomic replace; readers accept non-final stores, so a crashed
   run's store reopens cleanly at its last durable fence.
 * **Out-of-core reading.**  :class:`TrajectoryReader` iterates frames
   or random-accesses them by index or time while holding at most one
-  decoded chunk per shard, and stitches multi-shard (per-rank
-  site-subset) stores back into global frames.
+  decoded chunk.
+* **One frame fence.**  :meth:`TrajectoryWriter.record` is the only
+  place that decides whether a frame is written: only when the clock
+  advanced past the newest one, which makes recording idempotent under
+  resume and replay.  :func:`seed_store` writes a run's t=0 frame.
+
+The sidecar keeps the v1 keys ``rank``, ``sites_length`` and
+``compression`` at their single values (0, 0, ``"zlib"``), so a store
+is byte-identical to one written before per-rank subset shards and the
+zstd/none codecs were removed.  A store using any of those — another
+codec, a subset shard, a second shard — is rejected with a
+:class:`StoreError` naming the file and the field.
 
 Writes are instrumented as ``io.trajectory.*`` observe phases and
 counters, so trajectory I/O is a measured phase exactly like the
 paper's output stage.
-
-Sharding: a shard may cover the full lattice (``sites=None``, the
-gather-path wiring where rank 0 writes global frames) or an arbitrary
-site subset (``sites=owned``), in which case the reader requires the
-shards to tile the lattice and stitches them per frame.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from repro import observe as obs
 from repro.io.atomic import atomic_write_bytes
 from repro.lattice.bcc import BCCLattice
 
-#: Format marker stored in every shard index sidecar.
+#: Format marker stored in the shard index sidecar.
 FORMAT = "repro-trajectory-store-v1"
 
 #: Default frames per chunk (each chunk opens with a keyframe).
@@ -64,6 +69,15 @@ DEFAULT_CHUNK_FRAMES = 16
 
 _KEYFRAME = b"K"
 _DELTA = b"D"
+
+#: The one shard a store holds (``.bin`` data, ``.json`` sidecar).
+_SHARD = "shard-00000"
+
+#: Sidecar keys every reader and resuming writer relies on.
+_REQUIRED = ("dims", "a", "nsites", "chunk_frames", "nframes", "final")
+
+#: v1 sidecar keys that now have exactly one legal value.
+_FIXED = {"rank": 0, "sites_length": 0, "compression": "zlib"}
 
 
 class StoreError(RuntimeError):
@@ -79,31 +93,6 @@ class TornTailWarning(UserWarning):
     promotes ``RuntimeWarning`` to errors, and recovering from a torn
     tail is legitimate, observable behaviour — not a numeric fault.
     """
-
-
-# ----------------------------------------------------------------------
-# Compression codecs (zstd is optional; the container may not ship it)
-# ----------------------------------------------------------------------
-def _get_codec(name: str):
-    """Return ``(compress, decompress)`` callables for a codec name."""
-    if name == "zlib":
-        return (lambda b: zlib.compress(b, 6), zlib.decompress)
-    if name == "none":
-        return (lambda b: b, lambda b: b)
-    if name == "zstd":
-        try:
-            import zstandard
-        except ImportError as exc:
-            raise StoreError(
-                "compression='zstd' needs the optional zstandard package; "
-                "use 'zlib' (default) or 'none'"
-            ) from exc
-        cctx = zstandard.ZstdCompressor()
-        dctx = zstandard.ZstdDecompressor()
-        return (cctx.compress, dctx.decompress)
-    raise StoreError(
-        f"unknown compression {name!r}; choose zlib, zstd, or none"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -157,12 +146,8 @@ def _decode_frames(blob: bytes, nsites: int, nframes: int) -> list[np.ndarray]:
     return frames
 
 
-def _shard_name(rank: int) -> str:
-    return f"shard-{rank:05d}"
-
-
 class TrajectoryWriter:
-    """Incremental, crash-safe writer of one shard of a trajectory store.
+    """Incremental, crash-safe writer of a trajectory store.
 
     Parameters
     ----------
@@ -170,25 +155,15 @@ class TrajectoryWriter:
         Store directory (created if missing).
     lattice:
         The :class:`~repro.lattice.bcc.BCCLattice` the frames cover.
-        Required when creating a shard; optional (validated) when
+        Required when creating a store; optional (validated) when
         reopening one.
-    rank:
-        Shard number.  Single-writer stores use the default 0.
-    sites:
-        Global site ranks this shard covers, or ``None`` for the full
-        lattice.  Per-rank subset shards are stitched by the reader.
     chunk_frames:
         Frames per chunk; every chunk opens with a keyframe, so this is
         also the worst-case delta chain a random access decodes.
-    compression:
-        ``"zlib"`` (default), ``"zstd"`` (if installed), or ``"none"``.
     mode:
-        ``"a"`` (default) appends to an existing shard — reopening after
+        ``"a"`` (default) appends to an existing store — reopening after
         a crash resumes at the last indexed chunk and truncates any torn
-        tail bytes.  ``"w"`` starts the shard over.
-    sync:
-        Fsync shard bytes before each index update (the durability
-        contract; tests may disable for speed).
+        tail bytes.  ``"w"`` starts the store over.
 
     Memory stays bounded by ``chunk_frames`` encoded records plus one
     previous-frame copy — peak RSS does not grow with frame count.
@@ -199,12 +174,8 @@ class TrajectoryWriter:
         path,
         lattice: BCCLattice | None = None,
         *,
-        rank: int = 0,
-        sites: np.ndarray | None = None,
         chunk_frames: int = DEFAULT_CHUNK_FRAMES,
-        compression: str = "zlib",
         mode: str = "a",
-        sync: bool = True,
     ) -> None:
         if chunk_frames < 1:
             raise ValueError(f"chunk_frames must be >= 1, got {chunk_frames}")
@@ -213,14 +184,8 @@ class TrajectoryWriter:
         self.path = Path(path)
         if self.path.exists() and not self.path.is_dir():
             raise StoreError(f"{self.path} exists and is not a store directory")
-        self.path.mkdir(parents=True, exist_ok=True)
-        self.rank = int(rank)
-        self.sync = sync
-        self._bin_path = self.path / (_shard_name(self.rank) + ".bin")
-        self._idx_path = self.path / (_shard_name(self.rank) + ".json")
-        self._sites = (
-            None if sites is None else np.asarray(sites, dtype=np.int64)
-        )
+        self._bin_path = self.path / (_SHARD + ".bin")
+        self._idx_path = self.path / (_SHARD + ".json")
         self._pending: list[bytes] = []
         self._pending_times: list[float] = []
         self._prev: np.ndarray | None = None
@@ -228,91 +193,68 @@ class TrajectoryWriter:
 
         if mode == "a" and self._idx_path.exists():
             self._resume(lattice)
-        else:
-            if lattice is None:
-                raise ValueError("creating a shard requires a lattice")
-            self._init_fresh(lattice, chunk_frames, compression)
-        self._compress, _ = _get_codec(self.compression)
-
-    # -- construction ---------------------------------------------------
-    def _init_fresh(self, lattice, chunk_frames, compression) -> None:
+            return
+        if lattice is None:
+            raise StoreError(
+                f"{self.path} holds no shard index sidecar; "
+                "creating a store requires a lattice"
+            )
+        self.path.mkdir(parents=True, exist_ok=True)
         self.lattice = lattice
         self.chunk_frames = int(chunk_frames)
-        self.compression = compression
-        _get_codec(compression)  # validate (and fail early on zstd)
-        self.nsites = (
-            lattice.nsites if self._sites is None else len(self._sites)
-        )
-        if self._sites is not None and (
-            self._sites.min() < 0 or self._sites.max() >= lattice.nsites
-        ):
-            raise StoreError("shard sites out of lattice range")
+        self.nsites = lattice.nsites
         self._chunks: list[dict] = []
-        self._nframes = 0
-        self._last_time: float | None = None
-        sites_bytes = (
-            b"" if self._sites is None else self._sites.astype("<i8").tobytes()
-        )
-        self._sites_length = len(sites_bytes)
         # Unbuffered: chunk writes are single large write() calls, and an
         # abandoned handle (a crashed rank's writer, reclaimed by GC
         # after the store was rewound by the supervisor) must never
         # flush stale buffered bytes over the resumed writer's data.
         self._fh = open(self._bin_path, "wb", buffering=0)
-        if sites_bytes:
-            self._fh.write(sites_bytes)
-        self._data_end = self._sites_length
+        self._cut_to_index()
         self._write_index()
 
     def _resume(self, lattice) -> None:
-        meta = _load_shard_index(self._idx_path)
-        dims = meta["dims"]
-        self.lattice = BCCLattice(*(int(d) for d in dims), a=float(meta["a"]))
+        meta = _load_index(self.path)
+        dims = tuple(int(d) for d in meta["dims"])
+        a = float(meta["a"])
         if lattice is not None and (
-            (lattice.nx, lattice.ny, lattice.nz) != tuple(dims)
-            or abs(lattice.a - float(meta["a"])) > 1e-12
+            (lattice.nx, lattice.ny, lattice.nz) != dims
+            or abs(lattice.a - a) > 1e-12
         ):
             raise StoreError(
-                f"store at {self.path} covers lattice {tuple(dims)}, "
+                f"store at {self.path} covers lattice {dims}, "
                 f"writer given ({lattice.nx}, {lattice.ny}, {lattice.nz})"
             )
+        self.lattice = BCCLattice(*dims, a=a)
         self.chunk_frames = int(meta["chunk_frames"])
-        self.compression = meta["compression"]
         self.nsites = int(meta["nsites"])
-        self._sites_length = int(meta["sites_length"])
-        if self._sites_length:
-            self._sites = np.fromfile(
-                self._bin_path, dtype="<i8", count=self.nsites
-            ).astype(np.int64)
-        else:
-            self._sites = None
         self._chunks = list(meta["chunks"])
-        self._nframes = int(meta["nframes"])
-        self._last_time = (
-            float(self._chunks[-1]["times"][-1]) if self._chunks else None
-        )
-        end = self._sites_length
-        if self._chunks:
-            end = int(self._chunks[-1]["offset"]) + int(self._chunks[-1]["length"])
-        # Drop any torn tail a crash left beyond the last indexed chunk —
-        # but never silently: recovered-from corruption must be
-        # observable (the REP005 discipline applied to data, not code).
         size = os.path.getsize(self._bin_path)
-        if size > end:
+        self._fh = open(self._bin_path, "r+b", buffering=0)
+        self._cut_to_index()
+        # A torn tail a crash left beyond the last indexed chunk is
+        # dropped — but never silently: recovered-from corruption must
+        # be observable (the REP005 discipline applied to data, not
+        # code).  A reopened writer starts a fresh chunk (keyframe), so
+        # it never needs to decode the previous frame to continue.
+        if size > self._data_end:
             obs.add("io.trajectory.torn_tail")
             warnings.warn(
                 f"trajectory shard {self._bin_path.name} in {self.path}: "
-                f"dropping {size - end} unindexed tail byte(s) left by an "
-                "interrupted append",
+                f"dropping {size - self._data_end} unindexed tail byte(s) "
+                "left by an interrupted append",
                 TornTailWarning,
                 stacklevel=3,
             )
-        self._fh = open(self._bin_path, "r+b", buffering=0)
+
+    def _cut_to_index(self) -> None:
+        """Truncate the shard to its last indexed chunk and continue there."""
+        last = self._chunks[-1] if self._chunks else None
+        self._nframes = 0 if last is None else int(last["frame0"] + last["nframes"])
+        self._last_time = None if last is None else float(last["times"][-1])
+        end = 0 if last is None else int(last["offset"]) + int(last["length"])
         self._fh.truncate(end)
         self._fh.seek(end)
         self._data_end = end
-        # A reopened writer starts a fresh chunk (keyframe), so it never
-        # needs to decode the previous frame to continue the delta chain.
 
     # -- properties -----------------------------------------------------
     @property
@@ -331,20 +273,40 @@ class TrajectoryWriter:
     def append(self, time: float, occupancy: np.ndarray) -> None:
         """Buffer one frame; a full chunk is flushed to disk durably.
 
-        ``occupancy`` covers this shard's sites (the full lattice for
-        unsharded stores).  Times must be non-decreasing.
+        ``occupancy`` covers the full lattice.  Times must be
+        non-decreasing.
         """
         if self._closed:
             raise StoreError("writer is closed")
         occ = np.asarray(occupancy, dtype=np.int8)
         if len(occ) != self.nsites:
             raise ValueError(
-                f"frame has {len(occ)} sites, shard covers {self.nsites}"
+                f"frame has {len(occ)} sites, store covers {self.nsites}"
             )
         time = float(time)
         last = self.last_time
         if last is not None and time < last:
             raise ValueError(f"time must be non-decreasing: {time} < {last}")
+        self._buffer(time, occ)
+        obs.add("io.trajectory.frames")
+        if len(self._pending) >= self.chunk_frames:
+            self._commit_chunk()
+
+    def record(self, time: float, occupancy: np.ndarray) -> None:
+        """Append a frame only when the clock advanced past the newest one.
+
+        The frame fence both AKMC engines record through.  BKL time
+        increments are strictly positive, so a frame at a non-advancing
+        clock is a resume or replay re-record of one already in the
+        store — skipping it keeps recording idempotent.
+        """
+        last = self.last_time
+        if last is None or time > last:
+            with obs.phase("io.trajectory.append"):
+                self.append(time, occupancy)
+
+    def _buffer(self, time: float, occ: np.ndarray) -> None:
+        """Encode one frame into the pending chunk (keyframe first)."""
         if not self._pending:
             rec = _encode_keyframe(occ)
         else:
@@ -352,9 +314,6 @@ class TrajectoryWriter:
         self._prev = occ.copy()
         self._pending.append(rec)
         self._pending_times.append(time)
-        obs.add("io.trajectory.frames")
-        if len(self._pending) >= self.chunk_frames:
-            self._commit_chunk()
 
     def _commit_chunk(self) -> None:
         """Compress the buffered frames, append them, publish the index."""
@@ -362,12 +321,11 @@ class TrajectoryWriter:
             return
         with obs.phase("io.trajectory.write_chunk"):
             blob = b"".join(self._pending)
-            comp = self._compress(blob)
+            comp = zlib.compress(blob, 6)
             self._fh.seek(self._data_end)
             self._fh.write(comp)
             self._fh.flush()
-            if self.sync:
-                os.fsync(self._fh.fileno())
+            os.fsync(self._fh.fileno())
             self._chunks.append(
                 {
                     "offset": self._data_end,
@@ -393,21 +351,17 @@ class TrajectoryWriter:
             "format": FORMAT,
             "dims": [self.lattice.nx, self.lattice.ny, self.lattice.nz],
             "a": self.lattice.a,
-            "rank": self.rank,
+            "rank": _FIXED["rank"],
             "nsites": self.nsites,
-            "sites_length": self._sites_length,
-            "compression": self.compression,
+            "sites_length": _FIXED["sites_length"],
+            "compression": _FIXED["compression"],
             "chunk_frames": self.chunk_frames,
             "nframes": self._nframes,
             "final": bool(final),
             "chunks": self._chunks,
         }
         with obs.phase("io.trajectory.write_index"):
-            atomic_write_bytes(
-                self._idx_path,
-                json.dumps(meta).encode("utf-8"),
-                sync=self.sync,
-            )
+            atomic_write_bytes(self._idx_path, json.dumps(meta).encode("utf-8"))
 
     def flush(self) -> None:
         """Force the partial chunk (if any) out to durable storage."""
@@ -427,70 +381,38 @@ class TrajectoryWriter:
         # Decode the buffered tail first: records are a keyframe + delta
         # chain, so trimming it requires the actual frames to rebuild
         # the chain (and ``_prev``) from the kept prefix.
-        kept_frames: list[np.ndarray] = []
-        kept_times: list[float] = []
+        times: list[float] = []
+        frames: list[np.ndarray] = []
         if self._pending:
+            times = self._pending_times
             frames = _decode_frames(
                 b"".join(self._pending), self.nsites, len(self._pending)
             )
-            for t, f in zip(self._pending_times, frames, strict=True):
-                if t > time:
-                    break
-                kept_times.append(t)
-                kept_frames.append(f)
         keep = len(self._chunks)
         while keep and self._chunks[keep - 1]["times"][0] > time:
             keep -= 1
         if keep < len(self._chunks):
             # Committed chunks are being dropped, so every pending frame
             # (recorded after them) is also beyond the cut.
-            kept_frames = []
-            kept_times = []
+            times, frames = [], []
         if keep and self._chunks[keep - 1]["times"][-1] > time:
             # The cut lands inside chunk ``keep - 1``: decode it and
             # re-buffer the frame prefix at or before the cut.
-            chunk = self._chunks[keep - 1]
-            frames = _read_chunk(
-                self._bin_path, chunk, self.nsites, self.compression
-            )
-            kept_frames = []
-            kept_times = []
-            for t, f in zip(chunk["times"], frames, strict=True):
-                if t > time:
-                    break
-                kept_times.append(float(t))
-                kept_frames.append(f)
             keep -= 1
+            times = self._chunks[keep]["times"]
+            frames = _read_chunk(self._bin_path, self._chunks[keep], self.nsites)
         self._chunks = self._chunks[:keep]
-        self._nframes = (
-            int(self._chunks[-1]["frame0"] + self._chunks[-1]["nframes"])
-            if self._chunks
-            else 0
-        )
-        self._last_time = (
-            float(self._chunks[-1]["times"][-1]) if self._chunks else None
-        )
-        end = self._sites_length
-        if self._chunks:
-            end = int(self._chunks[-1]["offset"]) + int(self._chunks[-1]["length"])
-        self._fh.truncate(end)
-        self._fh.seek(end)
-        self._data_end = end
+        self._cut_to_index()
         self._pending = []
         self._pending_times = []
-        for t, f in zip(kept_times, kept_frames, strict=True):
-            rec = (
-                _encode_keyframe(f)
-                if not self._pending
-                else _encode_delta(self._prev, f)
-            )
-            self._prev = f.copy()
-            self._pending.append(rec)
-            self._pending_times.append(t)
+        for t, f in zip(times, frames, strict=True):
+            if t > time:
+                break
+            self._buffer(float(t), f)
         self._write_index()
 
     def close(self, final: bool = False) -> None:
-        """Flush and close; ``final=True`` marks the shard finalized."""
+        """Flush and close; ``final=True`` marks the store finalized."""
         if self._closed:
             return
         self._commit_chunk()
@@ -517,19 +439,39 @@ class TrajectoryWriter:
 # ----------------------------------------------------------------------
 # Reading
 # ----------------------------------------------------------------------
-def _load_shard_index(idx_path: Path) -> dict:
+def _load_index(store: Path) -> dict:
+    """Read and validate a store's sidecar at the boundary."""
+    idx_path = store / (_SHARD + ".json")
+    for other in sorted(store.glob("shard-*.json")):
+        if other.name != idx_path.name:
+            raise StoreError(
+                f"{other}: second shard; a store holds one full-lattice "
+                f"shard, {idx_path.name}"
+            )
     try:
-        meta = json.loads(Path(idx_path).read_text())
+        meta = json.loads(idx_path.read_text())
+    except FileNotFoundError as exc:
+        raise StoreError(f"{store} holds no shard index sidecar") from exc
     except (OSError, ValueError) as exc:
         raise StoreError(f"cannot read shard index {idx_path}: {exc}") from exc
-    if meta.get("format") != FORMAT:
+    if not isinstance(meta, dict) or meta.get("format") != FORMAT:
         raise StoreError(f"{idx_path} is not a {FORMAT} sidecar")
+    for key in _REQUIRED:
+        if key not in meta:
+            raise StoreError(f"{idx_path}: missing key {key!r}")
+    if not isinstance(meta.get("chunks"), list):
+        raise StoreError(f"{idx_path}: key 'chunks' must be a list")
+    for key, want in _FIXED.items():
+        if meta.get(key) != want:
+            raise StoreError(
+                f"{idx_path}: {key}={meta.get(key)!r}; this store format "
+                f"holds only {key}={want!r}"
+            )
     return meta
 
 
-def _read_chunk(bin_path, chunk: dict, nsites: int, compression: str):
-    """Read, verify, decompress and decode one chunk from a shard file."""
-    _, decompress = _get_codec(compression)
+def _read_chunk(bin_path, chunk: dict, nsites: int) -> list[np.ndarray]:
+    """Read, verify, decompress and decode one chunk from the shard."""
     with obs.phase("io.trajectory.read_chunk"):
         with open(bin_path, "rb") as fh:
             fh.seek(int(chunk["offset"]))
@@ -545,117 +487,55 @@ def _read_chunk(bin_path, chunk: dict, nsites: int, compression: str):
         obs.add("io.trajectory.chunks_read")
         obs.add("io.trajectory.bytes_read", len(comp))
         return _decode_frames(
-            decompress(comp), nsites, int(chunk["nframes"])
+            zlib.decompress(comp), nsites, int(chunk["nframes"])
         )
-
-
-class _Shard:
-    """One shard's index, site map, and single-chunk decode cache."""
-
-    def __init__(self, store: Path, meta: dict) -> None:
-        self.meta = meta
-        self.rank = int(meta["rank"])
-        self.nsites = int(meta["nsites"])
-        self.compression = meta["compression"]
-        self.bin_path = store / (_shard_name(self.rank) + ".bin")
-        self.chunks = meta["chunks"]
-        self.nframes = int(meta["nframes"])
-        self.times = np.array(
-            [t for c in self.chunks for t in c["times"]], dtype=float
-        )
-        self.frame0s = [int(c["frame0"]) for c in self.chunks]
-        if int(meta["sites_length"]):
-            self.sites = np.fromfile(
-                self.bin_path, dtype="<i8", count=self.nsites
-            ).astype(np.int64)
-        else:
-            self.sites = None
-        self._cache_idx: int | None = None
-        self._cache_frames: list[np.ndarray] | None = None
-
-    def frame(self, i: int) -> np.ndarray:
-        """This shard's occupancy slice for global frame ``i``."""
-        ci = bisect_right(self.frame0s, i) - 1
-        if ci < 0 or i >= self.nframes:
-            raise IndexError(f"frame {i} out of range (shard has {self.nframes})")
-        if ci != self._cache_idx:
-            self._cache_frames = _read_chunk(
-                self.bin_path, self.chunks[ci], self.nsites, self.compression
-            )
-            self._cache_idx = ci
-        return self._cache_frames[i - self.frame0s[ci]]
 
 
 class TrajectoryReader:
-    """Out-of-core reader over a (possibly sharded) trajectory store.
+    """Out-of-core reader over a trajectory store.
 
-    Holds at most one decoded chunk per shard; frames are materialized
-    on demand, so iterating a 10^6-frame store costs chunk-sized memory,
-    not trajectory-sized.  Subset shards (per-rank ``sites``) are
-    stitched into full-lattice frames; they must tile the lattice.
+    Holds at most one decoded chunk; frames are materialized on demand,
+    so iterating a 10^6-frame store costs chunk-sized memory, not
+    trajectory-sized.
     """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
         if not self.path.is_dir():
             raise StoreError(f"{self.path} is not a trajectory store directory")
-        idx_paths = sorted(self.path.glob("shard-*.json"))
-        if not idx_paths:
-            raise StoreError(f"{self.path} holds no shard index sidecars")
-        self.shards = [
-            _Shard(self.path, _load_shard_index(p)) for p in idx_paths
-        ]
-        ref = self.shards[0].meta
-        for s in self.shards[1:]:
-            if (
-                s.meta["dims"] != ref["dims"]
-                or float(s.meta["a"]) != float(ref["a"])
-            ):
-                raise StoreError("shards disagree on the lattice")
+        meta = _load_index(self.path)
         self.lattice = BCCLattice(
-            *(int(d) for d in ref["dims"]), a=float(ref["a"])
+            *(int(d) for d in meta["dims"]), a=float(meta["a"])
         )
-        #: Frames present in every shard (an unclean shutdown may leave
-        #: shards a fence apart; the common prefix is the usable store).
-        self.nframes = min(s.nframes for s in self.shards)
-        self.times = self.shards[0].times[: self.nframes].copy()
-        for s in self.shards[1:]:
-            if not np.array_equal(s.times[: self.nframes], self.times):
-                raise StoreError("shards disagree on frame timestamps")
-        self.final = all(bool(s.meta["final"]) for s in self.shards)
-        covered = np.zeros(self.lattice.nsites, dtype=bool)
-        for s in self.shards:
-            if s.sites is None:
-                covered[:] = True
-            else:
-                covered[s.sites] = True
-        if not covered.all():
-            raise StoreError(
-                "shards do not tile the lattice: "
-                f"{int((~covered).sum())} sites uncovered"
-            )
+        self.nsites = int(meta["nsites"])
+        self.nframes = int(meta["nframes"])
+        self.final = bool(meta["final"])
+        self._bin_path = self.path / (_SHARD + ".bin")
+        self._chunks = meta["chunks"]
+        self._frame0s = [int(c["frame0"]) for c in self._chunks]
+        self.times = np.array(
+            [t for c in self._chunks for t in c["times"]], dtype=float
+        )
+        self._cache_idx: int | None = None
+        self._cache_frames: list[np.ndarray] | None = None
 
     def __len__(self) -> int:
         return self.nframes
 
     def _resolve(self, frame: int) -> int:
-        idx = range(self.nframes)[frame]
-        return int(idx)
+        return int(range(self.nframes)[frame])
 
     def frame(self, frame: int) -> np.ndarray:
-        """One stitched global occupancy frame (negative indices OK)."""
+        """One global occupancy frame (negative indices OK)."""
         i = self._resolve(frame)
         obs.add("io.trajectory.frames_read")
-        if len(self.shards) == 1 and self.shards[0].sites is None:
-            return self.shards[0].frame(i).copy()
-        occ = np.empty(self.lattice.nsites, dtype=np.int8)
-        for s in self.shards:
-            part = s.frame(i)
-            if s.sites is None:
-                occ[:] = part
-            else:
-                occ[s.sites] = part
-        return occ
+        ci = bisect_right(self._frame0s, i) - 1
+        if ci != self._cache_idx:
+            self._cache_frames = _read_chunk(
+                self._bin_path, self._chunks[ci], self.nsites
+            )
+            self._cache_idx = ci
+        return self._cache_frames[i - self._frame0s[ci]].copy()
 
     def time_of(self, frame: int) -> float:
         """Timestamp of one frame."""
@@ -690,31 +570,28 @@ class TrajectoryReader:
 # ----------------------------------------------------------------------
 def is_store(path) -> bool:
     """True when ``path`` is a trajectory store directory."""
-    p = Path(path)
-    return p.is_dir() and any(p.glob("shard-*.json"))
+    return (Path(path) / (_SHARD + ".json")).is_file()
+
+
+def seed_store(path, lattice: BCCLattice, occupancy: np.ndarray) -> None:
+    """Start a store over with the t=0 frame; engines append after it."""
+    writer = TrajectoryWriter(path, lattice, mode="w")
+    try:
+        writer.append(0.0, occupancy)
+    finally:
+        writer.close(final=False)
 
 
 def rewind_store(path, time: float) -> None:
-    """Drop frames newer than ``time`` from every shard (recovery path)."""
-    p = Path(path)
-    for idx_path in sorted(p.glob("shard-*.json")):
-        meta = _load_shard_index(idx_path)
-        writer = TrajectoryWriter(p, rank=int(meta["rank"]))
-        try:
-            writer.rewind(time)
-            writer.flush()
-        finally:
-            writer.close(final=False)
+    """Drop frames newer than ``time`` from a store (recovery path)."""
+    writer = TrajectoryWriter(path)
+    try:
+        writer.rewind(time)
+        writer.flush()
+    finally:
+        writer.close(final=False)
 
 
 def finalize_store(path) -> None:
-    """Atomically mark every shard of a store final (end-of-run commit)."""
-    p = Path(path)
-    saw = False
-    for idx_path in sorted(p.glob("shard-*.json")):
-        saw = True
-        meta = _load_shard_index(idx_path)
-        writer = TrajectoryWriter(p, rank=int(meta["rank"]))
-        writer.finalize()
-    if not saw:
-        raise StoreError(f"{p} holds no shard index sidecars")
+    """Atomically mark a store final (end-of-run commit)."""
+    TrajectoryWriter(path).finalize()

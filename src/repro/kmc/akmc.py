@@ -25,6 +25,7 @@ constructed, so a serial run loads none of them.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -265,14 +266,12 @@ class SerialAKMC:
         run from such a snapshot bit-identically to one that was never
         interrupted.
 
-        With ``trajectory`` set — a store path or an open
-        :class:`~repro.io.store.TrajectoryWriter` — the occupancy is
-        appended to the streaming chunked store every
+        With ``trajectory`` set — a store path
+        (:mod:`repro.io.store`) — the occupancy is recorded every
         ``trajectory_every`` events (default 1) plus once at run end,
         so frames land on disk incrementally instead of accumulating in
-        memory.  A path is opened in append mode and closed (without
-        finalizing) when the run ends; a writer object's lifecycle stays
-        with the caller.
+        memory.  The store is opened in append mode and closed (without
+        finalizing) when the run ends.
         """
         if max_events is None and t_threshold is None:
             raise ValueError("provide max_events and/or t_threshold")
@@ -280,18 +279,12 @@ class SerialAKMC:
             raise ValueError("checkpoint_every requires checkpoint_path")
         if trajectory_every is not None and trajectory is None:
             raise ValueError("trajectory_every requires trajectory")
-        writer, own_writer = self._open_trajectory(trajectory)
+        writer = None
+        if trajectory is not None:
+            from repro.io.store import TrajectoryWriter
+
+            writer = TrajectoryWriter(trajectory, self.model.lattice)
         every_t = trajectory_every if trajectory_every is not None else 1
-
-        def record_frame():
-            # BKL time increments are strictly positive, so a frame at
-            # a non-advancing clock is a resume/replay re-record of one
-            # already on disk — skipping it keeps appends idempotent.
-            if writer.last_time is None or self.time > writer.last_time:
-                with obs.phase("io.trajectory.append"):
-                    writer.append(self.time, self.occ)
-
-        recorded = None
         try:
             while True:
                 if max_events is not None and self.events >= max_events:
@@ -301,8 +294,7 @@ class SerialAKMC:
                 if self.step() is None:
                     break
                 if writer is not None and self.events % every_t == 0:
-                    record_frame()
-                    recorded = self.events
+                    writer.record(self.time, self.occ)
                 if (
                     checkpoint_every is not None
                     and self.events % checkpoint_every == 0
@@ -315,12 +307,12 @@ class SerialAKMC:
                         writer.flush()
                     with obs.phase("kmc.checkpoint"):
                         self.checkpoint(checkpoint_path)
-            if writer is not None and recorded != self.events:
-                # The closing frame, whether or not the bound landed on
-                # a fence — the store always ends at the final state.
-                record_frame()
+            if writer is not None:
+                # The closing frame (a no-op when the bound landed on a
+                # fence) — the store always ends at the final state.
+                writer.record(self.time, self.occ)
         finally:
-            if own_writer and writer is not None:
+            if writer is not None:
                 writer.close(final=False)
         vac = self.vacancy_rows
         return KMCResult(
@@ -330,16 +322,6 @@ class SerialAKMC:
             events=self.events,
             vacancy_ranks=self.model.sites[vac],
         )
-
-    def _open_trajectory(self, trajectory):
-        """Resolve a ``trajectory`` argument to ``(writer, owned)``."""
-        if trajectory is None:
-            return None, False
-        if hasattr(trajectory, "append") and hasattr(trajectory, "flush"):
-            return trajectory, False
-        from repro.io.store import TrajectoryWriter
-
-        return TrajectoryWriter(trajectory, self.model.lattice), True
 
     # ------------------------------------------------------------------
     # Checkpoint / restore (the recovery supervisor's primitives)
@@ -586,12 +568,8 @@ class ParallelAKMC:
             raise ValueError("checkpoint_every requires checkpoint_path")
         if trajectory_every is not None and trajectory is None:
             raise ValueError("trajectory_every requires trajectory")
-        if trajectory is not None and hasattr(trajectory, "append"):
-            raise TypeError(
-                "ParallelAKMC takes a trajectory store *path*, not a "
-                "writer: rank 0 opens the writer inside its worker"
-            )
-        traj_path = None if trajectory is None else str(trajectory)
+        # A path, not a writer: rank 0 opens the writer in its worker.
+        traj_path = None if trajectory is None else os.fspath(trajectory)
         traj_every = trajectory_every if trajectory_every is not None else 1
         lattice = self.lattice
         width = self.width
@@ -635,13 +613,12 @@ class ParallelAKMC:
             traj_cycle = None
 
             def record_frame():
-                """Gather the global occupancy; rank 0 appends a frame.
+                """Gather the global occupancy; rank 0 records a frame.
 
                 Uses the same gather path as the checkpoints, so the
                 store holds merged global frames regardless of the rank
-                count.  Appends are skipped when the clock has not
-                advanced past the shard's newest frame, which makes the
-                write idempotent under journal replay (a migrated rank 0
+                count.  The writer's frame fence keeps recording
+                idempotent under journal replay (a migrated rank 0
                 re-executes from the top) and under resumed attempts.
                 """
                 nonlocal traj_writer
@@ -656,9 +633,7 @@ class ParallelAKMC:
                     from repro.io.store import TrajectoryWriter
 
                     traj_writer = TrajectoryWriter(traj_path, lattice)
-                if traj_writer.last_time is None or t > traj_writer.last_time:
-                    with obs.phase("io.trajectory.append"):
-                        traj_writer.append(t, g_occ)
+                traj_writer.record(t, g_occ)
 
             while cycle < max_cycles and (t_threshold is None or t < t_threshold):
                 comm.fault_point("kmc.cycle", cycle)
@@ -734,7 +709,9 @@ class ParallelAKMC:
                             obs.add("kmc.checkpoints_written")
             if traj_path is not None and traj_cycle != cycle:
                 # The closing frame: the store always ends at the final
-                # state even when the cycle budget missed a fence.
+                # state even when the cycle budget missed a fence (the
+                # gather is a collective, so every rank skips it alike
+                # when this cycle was already recorded).
                 record_frame()
             if traj_writer is not None:
                 traj_writer.close(final=False)

@@ -1,13 +1,15 @@
 """Streaming chunked trajectory store (:mod:`repro.io.store`).
 
-Covers the on-disk format round trip, out-of-core random access, crash
-safety (torn tails, CRC corruption, rewind), multi-shard stitching, the
-engine/coupling wiring, and the acceptance criteria of the trajectory
+Covers the on-disk format round trip and its pinned bytes, out-of-core
+random access, crash safety (torn tails, CRC corruption, rewind), the
+rejection of sidecars this format does not hold, the engine/coupling
+wiring, and the acceptance criteria of the trajectory
 store issue: the reader reproduces the recorded frame list bit-exactly
 and a fault-injected coupled run leaves the same store as a fault-free
 one.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -106,32 +108,36 @@ class TestRoundTrip:
             np.testing.assert_array_equal(reader.frame(i), frames[i])
             assert reader.time_of(i) == times[i]
 
-    def test_compression_none_roundtrip(self, tmp_path, lattice4):
-        times, frames = _hop_frames(lattice4, 5)
-        store = _write(
-            tmp_path / "s", lattice4, times, frames, compression="none"
-        )
-        reader = TrajectoryReader(store)
-        np.testing.assert_array_equal(reader.frame(-1), frames[-1])
+    def test_format_bytes_are_pinned(self, tmp_path, lattice4):
+        # The on-disk format is frozen: a fixed 40-frame hop sequence
+        # writes these exact .bin and .json bytes, so stores written
+        # now and stores written before the format was narrowed to one
+        # zlib shard are interchangeable.
+        times, frames = _hop_frames(lattice4, 40)
+        store = _write(tmp_path / "s", lattice4, times, frames)
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in store.iterdir()
+        }
+        assert digests == {
+            "shard-00000.bin": (
+                "eb19f20e089b63f27ce69e2c77a44372"
+                "bb0a74d67355a783f60c82f4221c6973"
+            ),
+            "shard-00000.json": (
+                "01da37bd8104e7ddbc291baab91fd112"
+                "abd607e99ca387226625ac999cec4a7b"
+            ),
+        }
 
-    def test_zstd_requires_zstandard(self, tmp_path, lattice4):
-        # zstd is optional: with the package absent the writer fails
-        # early with a clear error instead of half-writing a store.
-        try:
-            import zstandard  # noqa: F401
-        except ImportError:
-            with pytest.raises(StoreError, match="zstandard"):
-                TrajectoryWriter(
-                    tmp_path / "s", lattice4, compression="zstd"
-                )
-        else:
-            times, frames = _hop_frames(lattice4, 3)
-            store = _write(
-                tmp_path / "s", lattice4, times, frames, compression="zstd"
-            )
-            np.testing.assert_array_equal(
-                TrajectoryReader(store).frame(-1), frames[-1]
-            )
+    def test_compression_floor(self, tmp_path):
+        # Delta + zlib must beat the raw frame stack by a wide margin.
+        lattice = BCCLattice(12, 12, 12)
+        times, frames = _hop_frames(lattice, 64, nvac=48)
+        store = _write(tmp_path / "s", lattice, times, frames)
+        raw = len(frames) * lattice.nsites
+        disk = (store / "shard-00000.bin").stat().st_size
+        assert disk < raw / 4
 
 
 class TestRandomAccess:
@@ -372,67 +378,56 @@ class TestCrashSafety:
             finalize_store(tmp_path / "empty")
 
 
-class TestSharding:
-    def test_two_shards_stitch_to_global_frames(self, tmp_path, lattice4):
-        times, frames = _hop_frames(lattice4, 6)
-        n = lattice4.nsites
-        lo = np.arange(n // 2, dtype=np.int64)
-        hi = np.arange(n // 2, n, dtype=np.int64)
-        for rank, sites in ((0, lo), (1, hi)):
-            writer = TrajectoryWriter(
-                tmp_path / "s",
-                lattice4,
-                rank=rank,
-                sites=sites,
-                mode="w",
-                chunk_frames=3,
-            )
-            for t, f in zip(times, frames, strict=True):
-                writer.append(t, f[sites])
-            writer.finalize()
-        reader = TrajectoryReader(tmp_path / "s")
-        assert len(reader.shards) == 2
-        assert len(reader) == 6
-        for i, f in enumerate(frames):
-            np.testing.assert_array_equal(reader.frame(i), f)
-            np.testing.assert_array_equal(
-                reader.vacancy_ranks(i), np.flatnonzero(f == 0)
-            )
+def _edit_sidecar(store, edit):
+    sidecar = store / "shard-00000.json"
+    meta = json.loads(sidecar.read_text())
+    edit(meta)
+    sidecar.write_text(json.dumps(meta))
 
-    def test_incomplete_tiling_rejected(self, tmp_path, lattice4):
-        times, frames = _hop_frames(lattice4, 2)
-        sites = np.arange(lattice4.nsites // 2, dtype=np.int64)
-        writer = TrajectoryWriter(
-            tmp_path / "s", lattice4, sites=sites, mode="w"
-        )
-        for t, f in zip(times, frames, strict=True):
-            writer.append(t, f[sites])
-        writer.finalize()
-        with pytest.raises(StoreError, match="tile"):
-            TrajectoryReader(tmp_path / "s")
 
-    def test_common_prefix_when_shards_disagree(self, tmp_path, lattice4):
-        # An unclean shutdown can leave shards a fence apart; the
-        # usable store is the common frame prefix.
+class TestSidecarBoundary:
+    """Sidecars this format does not hold fail when the store opens."""
+
+    @pytest.fixture()
+    def store(self, tmp_path, lattice4):
         times, frames = _hop_frames(lattice4, 5)
-        n = lattice4.nsites
-        lo = np.arange(n // 2, dtype=np.int64)
-        hi = np.arange(n // 2, n, dtype=np.int64)
-        for rank, sites, upto in ((0, lo, 5), (1, hi, 4)):
-            writer = TrajectoryWriter(
-                tmp_path / "s",
-                lattice4,
-                rank=rank,
-                sites=sites,
-                mode="w",
-                chunk_frames=1,
+        return _write(tmp_path / "s", lattice4, times, frames, chunk_frames=2)
+
+    @staticmethod
+    def _rejected(store, match):
+        with pytest.raises(StoreError, match=match):
+            TrajectoryReader(store)
+        with pytest.raises(StoreError, match=match):
+            TrajectoryWriter(store)
+
+    @pytest.mark.parametrize(
+        "key", ["chunks", "nframes", "nsites", "dims", "chunk_frames"]
+    )
+    def test_missing_key_rejected(self, store, key):
+        _edit_sidecar(store, lambda meta: meta.pop(key))
+        self._rejected(store, rf"shard-00000\.json.*'{key}'")
+
+    def test_non_list_chunks_rejected(self, store):
+        _edit_sidecar(store, lambda meta: meta.update(chunks={"0": 1}))
+        self._rejected(store, r"shard-00000\.json.*'chunks'")
+
+    @pytest.mark.parametrize("codec", ["zstd", "none"])
+    def test_foreign_codec_rejected(self, store, codec):
+        _edit_sidecar(store, lambda meta: meta.update(compression=codec))
+        self._rejected(store, r"shard-00000\.json.*compression")
+
+    def test_subset_shard_rejected(self, store):
+        _edit_sidecar(store, lambda meta: meta.update(sites_length=64))
+        self._rejected(store, r"shard-00000\.json.*sites_length")
+
+    def test_second_shard_rejected(self, store):
+        for suffix in (".bin", ".json"):
+            (store / ("shard-00001" + suffix)).write_bytes(
+                (store / ("shard-00000" + suffix)).read_bytes()
             )
-            for t, f in zip(times[:upto], frames[:upto], strict=True):
-                writer.append(t, f[sites])
-            writer.close(final=False)
-        reader = TrajectoryReader(tmp_path / "s")
-        assert len(reader) == 4
-        np.testing.assert_array_equal(reader.frame(3), frames[3])
+        self._rejected(store, r"shard-00001\.json.*second shard")
+        with pytest.raises(StoreError, match="second shard"):
+            finalize_store(store)
 
 
 class TestEngineWiring:
@@ -517,7 +512,7 @@ class TestEngineWiring:
         engine = ParallelAKMC(
             lattice8, potential, rate_params, nranks=2, seed=5
         )
-        with pytest.raises(TypeError, match="path"):
+        with pytest.raises(TypeError, match="PathLike"):
             engine.run(kmc_initial_occ, max_cycles=2, trajectory=writer)
 
     def test_parallel_run_records_global_frames(

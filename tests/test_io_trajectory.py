@@ -6,7 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.io.store import StoreError, TrajectoryReader, TrajectoryWriter
+from repro.io.store import (
+    StoreError,
+    TrajectoryReader,
+    TrajectoryWriter,
+    finalize_store,
+    seed_store,
+)
 from repro.io.xyz import read_xyz, write_vacancy_xyz
 from repro.lattice.bcc import BCCLattice
 
@@ -83,15 +89,16 @@ class TestIntegrationWithKMC:
         model = KMCModel(lattice8, potential, rate_params)
         occ0 = place_random_vacancies(model, 10, np.random.default_rng(0))
         engine = SerialAKMC(lattice8, potential, rate_params, occ0, seed=1)
-        with TrajectoryWriter(tmp_path / "run", lattice8, mode="w") as writer:
-            writer.append(engine.time, engine.occ)
-            for _ in range(3):
-                engine.run(
-                    max_events=engine.events + 10,
-                    trajectory=writer,
-                    trajectory_every=10,
-                )
+        seed_store(tmp_path / "run", lattice8, engine.occ)
+        for _ in range(3):
+            engine.run(
+                max_events=engine.events + 10,
+                trajectory=tmp_path / "run",
+                trajectory_every=10,
+            )
+        finalize_store(tmp_path / "run")
         reader = TrajectoryReader(tmp_path / "run")
+        assert reader.final
         assert len(reader) == 4
         assert reader.time_of(-1) == engine.time
         # Conservation across all recorded frames.
