@@ -45,10 +45,6 @@ FIGURES = {
 }
 
 
-#: Smallest box the MD neighbor machinery accepts (cells per axis).
-MIN_CELLS = 5
-
-
 def _fault_plan_arg(value: str) -> str:
     """Validate a ``--faults`` plan at parse time (argparse ``type=``).
 
@@ -411,13 +407,6 @@ def cmd_coupled(args) -> int:
         # Parse-time validated (argparse type); describe for the log.
         print(f"fault plan: {FaultPlan.parse(args.faults).describe()}")
     profiling = _profiling_requested(args)
-    cells = args.cells
-    if cells < MIN_CELLS:
-        print(
-            f"note: --cells raised from {cells} to {MIN_CELLS} "
-            "(minimum box for the MD cutoff)"
-        )
-        cells = MIN_CELLS
     kmc_nranks = args.kmc_ranks
     if kmc_nranks is None and profiling:
         # Route the KMC stage through the parallel engine so the profile
@@ -433,7 +422,6 @@ def cmd_coupled(args) -> int:
     # inline with the run-local knobs (paths, profiling) layered on top.
     spec = _scenario_spec(
         args,
-        cells=cells,
         kmc_nranks=kmc_nranks,
         trajectory_every=(
             args.trajectory_every if args.trajectory is not None else None

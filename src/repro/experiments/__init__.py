@@ -5,8 +5,8 @@ figure's data series) and ``summary`` (the headline comparisons), plus a
 ``main()`` that prints the table — so each figure can be regenerated with
 ``python -m repro.experiments.fig12_kmc_comm_volume``.
 
-The benchmarks under ``benchmarks/`` call these same functions and assert
-the shape criteria of DESIGN.md §4.
+``tests/test_experiments.py`` calls these same functions and asserts the
+shape criteria of DESIGN.md §4.
 """
 
 from repro.experiments import (

@@ -6,19 +6,9 @@ Paper finding: "Scaling from 97,500 cores to 6,240,000 cores, we achieve
 Reproduction: the calibrated MD scaling model (per-atom cost measured
 from the blocked CPE kernel; surface/volume, pack, network and sync terms
 per DESIGN.md).
-
-:func:`run_measured` complements the analytic curve with an *executed*
-strong-scaling measurement: the same
-:class:`~repro.md.parallel_damage.ParallelDamageMD` problem run at
-several rank counts on the simmpi runtime, timing real wall-clock per
-backend.  On the ``process`` backend and a multi-core host the measured
-speedup is genuine multi-core scaling (the thread backend is
-GIL-serialized and acts as the flat baseline).
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.perfmodel.calibrate import calibrate_from_kernels
 from repro.perfmodel.md_model import MDScalingModel, paper_core_counts_strong
@@ -41,68 +31,6 @@ def run(total_atoms: float = PAPER_ATOMS, cores_list=None) -> dict:
         "paper": {"speedup": PAPER_SPEEDUP, "efficiency": PAPER_EFFICIENCY},
     }
     return {"rows": rows, "summary": summary}
-
-
-def run_measured(
-    cells: int = 8,
-    nsteps: int = 15,
-    ranks_list=(1, 2, 4),
-    backend: str = "process",
-    seed: int = 3,
-    workers: int | None = None,
-) -> dict:
-    """Executed strong scaling: one damage MD problem, varying rank count.
-
-    Returns rows of ``{"ranks", "workers", "wall_s", "speedup",
-    "efficiency"}`` (speedup relative to the first-listed rank count on
-    the *same* backend) plus a fingerprint of the final positions, so
-    callers can assert that every rank count — and every backend —
-    computed the same trajectory.
-
-    ``workers`` selects the physical worker count for the
-    ``overdecomposed`` / rank-group backends: paper-scale logical
-    decompositions (64–1024 ranks) then become *measured* runs on a
-    handful of cores, and the returned ``natoms``/``wall_s`` feed
-    :func:`repro.perfmodel.calibrate.calibrate_from_measured`.
-    """
-    import numpy as np
-
-    from repro.lattice.bcc import BCCLattice
-    from repro.md.engine import MDConfig
-    from repro.md.parallel_damage import ParallelDamageMD
-
-    config = MDConfig(temperature=300.0, seed=seed)
-    pka = (10, np.array([60.0, 35.0, 25.0]))
-    lattice_shape = (cells, cells, cells)
-    natoms = BCCLattice(*lattice_shape).nsites
-    rows = []
-    fingerprints = set()
-    for nranks in ranks_list:
-        engine = ParallelDamageMD(
-            BCCLattice(*lattice_shape),
-            config=config,
-            nranks=nranks,
-            backend=backend,
-            workers=workers,
-        )
-        t0 = time.perf_counter()
-        result = engine.run(nsteps, pka=pka)
-        wall = time.perf_counter() - t0
-        rows.append({"ranks": nranks, "workers": workers, "wall_s": wall})
-        fingerprints.add(result.positions.tobytes())
-    base = rows[0]["wall_s"]
-    for row in rows:
-        row["speedup"] = base / row["wall_s"]
-        row["efficiency"] = row["speedup"] / (row["ranks"] / rows[0]["ranks"])
-    return {
-        "backend": backend,
-        "workers": workers,
-        "cells": cells,
-        "nsteps": nsteps,
-        "natoms": natoms,
-        "rows": rows,
-        "deterministic": len(fingerprints) == 1,
-    }
 
 
 def main() -> None:  # pragma: no cover - CLI entry

@@ -7,17 +7,9 @@ L2 cache on the master cores, which can store the entire dataset."
 
 Reproduction: the calibrated KMC cycle model with the L2 working-set
 effect (see DESIGN.md).
-
-:func:`run_measured` complements the analytic curve with an *executed*
-measurement: the same :class:`~repro.kmc.akmc.ParallelAKMC` problem run
-at several rank counts, timing real wall-clock per simmpi backend (the
-``process`` backend delivers genuine multi-core scaling; the thread
-backend is the GIL-serialized baseline).
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.perfmodel.calibrate import calibrate_from_kernels
 from repro.perfmodel.kmc_model import KMCScalingModel, paper_kmc_strong_cores
@@ -48,85 +40,6 @@ def run(total_sites: float = PAPER_SITES, cores_list=None) -> dict:
         },
     }
     return {"rows": rows, "summary": summary}
-
-
-def run_measured(
-    cells: int = 8,
-    max_cycles: int = 6,
-    vacancies: int = 20,
-    ranks_list=(1, 2, 4),
-    backend: str = "process",
-    scheme: str = "ondemand",
-    seed: int = 5,
-    workers: int | None = None,
-) -> dict:
-    """Executed strong scaling: one parallel-AKMC problem, varying ranks.
-
-    Returns rows of ``{"ranks", "workers", "wall_s", "speedup",
-    "efficiency", "events"}`` (speedup relative to the smallest rank
-    count on the same backend).  Note AKMC trajectories are a function
-    of (seed, rank, cycle, sector), so different rank counts
-    legitimately walk different trajectories — determinism is only
-    asserted per rank count across repeats/backends, not across rank
-    counts.
-
-    ``workers`` selects the physical worker count for the
-    ``overdecomposed`` / rank-group backends: paper-scale logical
-    decompositions (64–1024 masters) then become *measured* runs on a
-    handful of cores, and the returned ``events``/``wall_s`` feed
-    :func:`repro.perfmodel.calibrate.calibrate_from_measured`.
-    """
-    import numpy as np
-
-    from repro.kmc.akmc import ParallelAKMC, place_random_vacancies
-    from repro.kmc.events import KMCModel, RateParameters
-    from repro.lattice.bcc import BCCLattice
-    from repro.potential.fe import make_fe_potential
-
-    lattice = BCCLattice(cells, cells, cells)
-    potential = make_fe_potential(n=1000)
-    params = RateParameters()
-    occ0 = place_random_vacancies(
-        KMCModel(lattice, potential, params),
-        vacancies,
-        np.random.default_rng(seed),
-    )
-    rows = []
-    for nranks in ranks_list:
-        engine = ParallelAKMC(
-            lattice,
-            potential,
-            params,
-            nranks=nranks,
-            scheme=scheme,
-            seed=seed,
-            backend=backend,
-            workers=workers,
-        )
-        t0 = time.perf_counter()
-        result = engine.run(occ0.copy(), max_cycles=max_cycles)
-        wall = time.perf_counter() - t0
-        rows.append(
-            {
-                "ranks": nranks,
-                "workers": workers,
-                "wall_s": wall,
-                "events": result.events,
-            }
-        )
-    base = rows[0]
-    for row in rows:
-        row["speedup"] = base["wall_s"] / row["wall_s"]
-        row["efficiency"] = row["speedup"] / (row["ranks"] / base["ranks"])
-    return {
-        "backend": backend,
-        "workers": workers,
-        "scheme": scheme,
-        "cells": cells,
-        "max_cycles": max_cycles,
-        "nsites": lattice.nsites,
-        "rows": rows,
-    }
 
 
 def main() -> None:  # pragma: no cover - CLI entry

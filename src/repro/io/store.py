@@ -547,10 +547,6 @@ class TrajectoryReader:
             raise ValueError(f"no frame at or before t={time}")
         return int(np.searchsorted(self.times, time, side="right") - 1)
 
-    def frame_at_time(self, time: float) -> np.ndarray:
-        """The newest frame at or before ``time`` (random access)."""
-        return self.frame(self.frame_index_at(time))
-
     def vacancy_ranks(self, frame: int) -> np.ndarray:
         """Vacancy site ranks of one frame (code 0 = vacancy)."""
         return np.flatnonzero(self.frame(frame) == 0)

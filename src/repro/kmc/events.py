@@ -271,14 +271,6 @@ class BaseKMCModel:
             rates = np.minimum(rates, cap)
         return rates
 
-    def total_rate(self, vacancy_rows, occ: np.ndarray) -> float:
-        """Sum of all event rates of the given vacancies."""
-        total = 0.0
-        for v in vacancy_rows:
-            _t, rates = self.vacancy_events(int(v), occ)
-            total += float(np.sum(rates))
-        return total
-
     def execute_swap(self, occ: np.ndarray, vrow: int, trow: int) -> None:
         """Move the atom at ``trow`` into the vacancy at ``vrow``, in place."""
         if occ[vrow] != VACANCY or occ[trow] == VACANCY:

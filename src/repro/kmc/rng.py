@@ -23,8 +23,3 @@ def cycle_seed(seed: int, rank: int, cycle: int, sector: int) -> np.random.SeedS
 def sector_rng(seed: int, rank: int, cycle: int, sector: int) -> np.random.Generator:
     """Generator for one sector's event selection."""
     return np.random.default_rng(cycle_seed(seed, rank, cycle, sector))
-
-
-def global_rng(seed: int, cycle: int) -> np.random.Generator:
-    """Generator shared by all ranks within a cycle (time-step draws)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(cycle,)))

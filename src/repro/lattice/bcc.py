@@ -247,17 +247,6 @@ class BCCLattice:
         )
         return ranks[0][valid[0]]
 
-    def shell_distances(self, nshells: int = 4) -> list[float]:
-        """Geometric distances (A) of the first ``nshells`` neighbor shells."""
-        dists = sorted(
-            {
-                round(d, 10)
-                for d in _candidate_distances(reach=4)
-                if d > 0
-            }
-        )
-        return [d * self.a for d in dists[:nshells]]
-
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
     """Sorted 1-D ``values``, duplicates dropped: ``np.unique`` without
@@ -365,19 +354,6 @@ class SiteSet:
             valid &= found
         rows[~valid] = 0
         return rows, valid
-
-
-def _candidate_distances(reach: int):
-    """All site-to-site distances (units of a) within a +-reach cell block."""
-    for db in (0, 1):
-        for di in range(-reach, reach + 1):
-            for dj in range(-reach, reach + 1):
-                for dk in range(-reach, reach + 1):
-                    yield math.sqrt(
-                        (di + 0.5 * db) ** 2
-                        + (dj + 0.5 * db) ** 2
-                        + (dk + 0.5 * db) ** 2
-                    )
 
 
 @lru_cache(maxsize=32)

@@ -117,12 +117,6 @@ class Subdomain:
     def nsites(self) -> int:
         return 2 * self.ncells
 
-    def contains_cell(self, i: int, j: int, k: int) -> bool:
-        """Whether global cell (i, j, k) is owned by this subdomain."""
-        return all(
-            l <= c < h for c, l, h in zip((i, j, k), self.cell_lo, self.cell_hi, strict=True)
-        )
-
     def _axis_range(self, axis: int, d: int, width: int, kind: str) -> range:
         lo, hi = self.cell_lo[axis], self.cell_hi[axis]
         if kind == "send":
@@ -316,10 +310,6 @@ class DomainDecomposition:
         return Subdomain(
             proc=(cx, cy, cz), cell_lo=(xlo, ylo, zlo), cell_hi=(xhi, yhi, zhi)
         )
-
-    def subdomains(self) -> list[Subdomain]:
-        """All subdomains in process-rank order."""
-        return [self.subdomain(r) for r in range(self.nprocs)]
 
     def owner_of_cell(self, i: int, j: int, k: int) -> int:
         """Linear rank of the process owning global cell ``(i, j, k)``."""

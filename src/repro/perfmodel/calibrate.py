@@ -10,7 +10,7 @@ event service cost) are documented estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -88,41 +88,3 @@ def calibrate_from_kernels(
     """Build the cost set, measuring what the executable models provide."""
     return CalibratedCosts(md_atom_step_time=_kernel_atom_time(cells, table_points))
 
-
-def calibrate_from_measured(
-    md_measured: dict | None = None,
-    kmc_measured: dict | None = None,
-    base: CalibratedCosts | None = None,
-) -> CalibratedCosts:
-    """Refine the cost set from *executed* overdecomposed scaling runs.
-
-    ``md_measured`` / ``kmc_measured`` are the result dicts of
-    :func:`repro.experiments.fig10_md_strong_scaling.run_measured` and
-    :func:`repro.experiments.fig14_kmc_strong_scaling.run_measured`.
-    The per-atom MD step cost and the per-event KMC service cost are
-    re-derived from the fastest observed row (the best wall-clock bounds
-    the unit cost from above: every measured run also pays scheduling
-    and communication overhead, so the minimum is the least-contaminated
-    sample).  Costs with no measurement keep their ``base`` values.
-    """
-    costs = base if base is not None else calibrate_from_kernels()
-    updates: dict[str, float] = {}
-    if md_measured is not None:
-        natoms = md_measured["natoms"]
-        nsteps = md_measured["nsteps"]
-        per_atom = [
-            row["wall_s"] / (natoms * nsteps)
-            for row in md_measured["rows"]
-            if row["wall_s"] > 0
-        ]
-        if per_atom:
-            updates["md_atom_step_time"] = min(per_atom)
-    if kmc_measured is not None:
-        per_event = [
-            row["wall_s"] / row["events"]
-            for row in kmc_measured["rows"]
-            if row.get("events") and row["wall_s"] > 0
-        ]
-        if per_event:
-            updates["kmc_event_time"] = min(per_event)
-    return replace(costs, **updates) if updates else costs

@@ -16,7 +16,6 @@ contention term grows (the paper's 85% at 6.656M cores).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.perfmodel.calibrate import CalibratedCosts
@@ -128,31 +127,3 @@ def paper_kmc_strong_cores() -> list[int]:
     """The Fig 14 x-axis (master cores only): 1,500 .. 48,000."""
     return [1500 * (2**k) for k in range(6)]
 
-
-def strong_scaling_atoms() -> float:
-    """Fig 10 workload: 3.2e10 atoms."""
-    return 3.2e10
-
-
-def weak_scaling_atoms_per_cg() -> float:
-    """Fig 11 workload: 3.9e7 atoms per core group."""
-    return 3.9e7
-
-
-def weak_efficiency(rows: list[dict]) -> float:
-    """Efficiency at the largest scale of a weak-scaling table."""
-    return rows[-1]["efficiency"]
-
-
-def strong_efficiency(rows: list[dict]) -> float:
-    """Efficiency at the largest scale of a strong-scaling table."""
-    return rows[-1]["efficiency"]
-
-
-def check_math() -> None:  # pragma: no cover - manual sanity helper
-    """Quick self-check of the surface formula (survives ``python -O``)."""
-    s = boundary_sites(2.13e7)
-    if not 1e6 < s < 2e6:
-        raise ValueError(f"boundary_sites(2.13e7) outside [1e6, 2e6]: {s}")
-    if not math.isclose(boundary_sites(2.0), 2.0, rel_tol=1e-9):
-        raise ValueError("boundary_sites must be the identity for tiny boxes")

@@ -70,10 +70,6 @@ class AlloyTables:
             raise KeyError(f"no tables registered for pair {key}")
         return self.pair_tables[key]
 
-    def dominant_species(self) -> str:
-        """The species with the highest content (paper's residency pick)."""
-        return max(self.species, key=lambda s: self.concentrations[s])
-
     def table_inventory(self) -> list[tuple[str, int, float]]:
         """(label, payload bytes, access weight) of every *individual* table.
 

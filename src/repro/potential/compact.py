@@ -141,13 +141,3 @@ class CompactTable:
             f"nbytes={self.nbytes})"
         )
 
-
-def compaction_ratio(n: int = 5000) -> float:
-    """Payload size ratio compacted/traditional for an ``n``-segment table.
-
-    For n = 5000 this is 1/7 — the paper's "39 KB (1/7 of the traditional
-    table)".
-    """
-    traditional = (n + 1) * 7 * 8
-    compacted = (n + 1) * 8
-    return compacted / traditional

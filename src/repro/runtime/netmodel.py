@@ -65,12 +65,6 @@ class NetworkModel:
         depth = max(1, math.ceil(math.log2(nranks))) if nranks > 1 else 0
         return depth * (self.alpha + nbytes * self.effective_beta(nranks))
 
-    def exchange_time(
-        self, messages: int, total_bytes: int, nranks: int = 1
-    ) -> float:
-        """Modeled time of a batch of messages on one rank's critical path."""
-        return messages * self.alpha + total_bytes * self.effective_beta(nranks)
-
 
 #: Parameters loosely calibrated to the Sunway TaihuLight interconnect
 #: (MPI latency a few microseconds, ~5 GB/s effective node bandwidth,

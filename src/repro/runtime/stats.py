@@ -172,10 +172,6 @@ class TrafficStats:
         """Modeled communication time on the critical (slowest) rank."""
         return self.snapshot()["max_comm_time"]
 
-    @property
-    def mean_comm_time(self) -> float:
-        return self.snapshot()["mean_comm_time"]
-
     def snapshot(self) -> dict:
         """A plain-dict summary for logging and experiment tables."""
         with self._lock:

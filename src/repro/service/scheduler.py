@@ -284,27 +284,6 @@ class ServicePool:
                 execution.proc.join()
         self._execs.clear()
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def in_flight(self) -> dict:
-        """Key -> (attempt, pid, job ids) of the running executions."""
-        return {
-            key: {
-                "attempt": execution.attempts,
-                "pid": execution.proc.pid if execution.proc else None,
-                "jobs": list(execution.job_ids),
-            }
-            for key, execution in self._execs.items()
-        }
-
-    def worker_pids(self) -> list[int]:
-        return [
-            execution.proc.pid
-            for execution in self._execs.values()
-            if execution.proc is not None and execution.proc.is_alive()
-        ]
-
 
 def summarize(records: list[JobRecord]) -> dict:
     """Queue-level statistics of a record list (the ``status`` payload)."""

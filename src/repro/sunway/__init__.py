@@ -22,7 +22,7 @@ the machine as an explicit, *executable* model:
   mechanism behind Figure 9.
 """
 
-from repro.sunway.arch import SunwayArch, CoreGroup
+from repro.sunway.arch import SunwayArch
 from repro.sunway.localstore import LocalStore, LocalStoreOverflow
 from repro.sunway.dma import DMAEngine, DMAStats
 from repro.sunway.athread import AthreadPool, SlabPartition
@@ -32,30 +32,17 @@ from repro.sunway.kernel import (
     KernelReport,
     STRATEGY_LADDER,
 )
-from repro.sunway.register import (
-    RegisterMesh,
-    DistributedTable,
-    TwoSidedRegisterProtocol,
-    OneSidedRegisterProtocol,
-    lookup_strategy_comparison,
-)
 
 __all__ = [
     "AthreadPool",
     "BlockedEAMKernel",
-    "CoreGroup",
     "DMAEngine",
     "DMAStats",
-    "DistributedTable",
     "KernelReport",
     "KernelStrategy",
     "LocalStore",
     "LocalStoreOverflow",
-    "OneSidedRegisterProtocol",
-    "RegisterMesh",
     "STRATEGY_LADDER",
     "SlabPartition",
     "SunwayArch",
-    "TwoSidedRegisterProtocol",
-    "lookup_strategy_comparison",
 ]

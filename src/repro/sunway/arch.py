@@ -82,18 +82,3 @@ class SunwayArch:
             raise ValueError(f"cycles must be non-negative, got {cycles}")
         return cycles * self.cycle_s
 
-
-@dataclass(frozen=True)
-class CoreGroup:
-    """One CG of the machine; convenience wrapper over the arch numbers."""
-
-    arch: SunwayArch = SunwayArch()
-    index: int = 0
-
-    @property
-    def total_cores(self) -> int:
-        return self.arch.cores_per_cg
-
-    def memory_fits_atoms(self, natoms: int, bytes_per_atom: float) -> bool:
-        """Whether a CG's 8 GB holds ``natoms`` at the given record size."""
-        return natoms * bytes_per_atom <= self.arch.memory_per_cg

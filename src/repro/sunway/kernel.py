@@ -165,11 +165,6 @@ class BlockedEAMKernel:
         """Payload of one compacted table (39 KB at 5000 knots)."""
         return (self.table_points + 1) * 8
 
-    @property
-    def traditional_table_bytes(self) -> int:
-        """Payload of one traditional table (273 KB at 5000 knots)."""
-        return (self.table_points + 1) * 7 * 8
-
     def _per_site_buffer_bytes(self, ghost_factor: float = 3.0) -> float:
         """Local-store bytes per block site across the widest pass.
 

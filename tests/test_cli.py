@@ -71,7 +71,7 @@ class TestCommands:
         trace = tmp_path / "t.json"
         argv = [
             "coupled",
-            "--cells", "4",  # below the minimum; the CLI must bump it
+            "--cells", "5",
             "--events", "20",
             "--md-steps", "40",
             "--kmc-cycles", "5",
@@ -80,7 +80,6 @@ class TestCommands:
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "--cells raised from 4" in out
         assert "phase tree" in out
         # All five pipeline stages appear in the printed tree.
         for stage in ("setup", "cascade", "map_damage", "kmc", "analysis"):
@@ -244,12 +243,16 @@ class TestValidationExitCodes:
         assert "usage:" in err
 
     def test_coupled_bad_spec_exits_2(self, capsys):
-        # Spec-level validation (cells floor) also routes to exit 2.
-        with pytest.raises(SystemExit) as exc_info:
-            main(["coupled", "--cells", "6", "--temperature", "-10"])
-        err = capsys.readouterr().err
-        assert exc_info.value.code == 2
-        assert "temperature" in err
+        # Spec-level validation (cells floor) also routes to exit 2, the
+        # same rule `submit` applies.
+        for flags, named in [(["--cells", "6", "--temperature", "-10"],
+                              "temperature"),
+                             (["--cells", "4"], "cells must be >= 5")]:
+            with pytest.raises(SystemExit) as exc_info:
+                main(["coupled", *flags])
+            err = capsys.readouterr().err
+            assert exc_info.value.code == 2
+            assert named in err
 
     @pytest.mark.parametrize("command", ["coupled", "submit"])
     def test_infeasible_decomposition_exits_2(self, command, capsys, tmp_path):

@@ -149,7 +149,9 @@ class TestRandomAccess:
         assert reader.frame_index_at(times[4]) == 4
         mid = (times[4] + times[5]) / 2
         assert reader.frame_index_at(mid) == 4
-        np.testing.assert_array_equal(reader.frame_at_time(mid), frames[4])
+        np.testing.assert_array_equal(
+            reader.frame(reader.frame_index_at(mid)), frames[4]
+        )
         assert reader.frame_index_at(times[-1] + 1e9) == 9
 
     def test_before_first_frame_rejected(self, tmp_path, lattice4):

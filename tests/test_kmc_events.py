@@ -124,15 +124,6 @@ class TestVacancyEvents:
         with pytest.raises(ValueError, match="vacancy"):
             kmc_model8.vacancy_events(5, occ)
 
-    def test_total_rate_sums_vacancies(self, kmc_model8):
-        occ = kmc_model8.perfect_occupancy()
-        occ[10] = VACANCY
-        occ[500] = VACANCY
-        total = kmc_model8.total_rate([10, 500], occ)
-        r1 = float(np.sum(kmc_model8.vacancy_events(10, occ)[1]))
-        r2 = float(np.sum(kmc_model8.vacancy_events(500, occ)[1]))
-        assert total == pytest.approx(r1 + r2)
-
 
 class TestSwap:
     def test_swap_exchanges_occupancy(self, kmc_model8):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.kmc.rng import cycle_seed, global_rng, sector_rng
+from repro.kmc.rng import cycle_seed, sector_rng
 
 
 class TestStreams:
@@ -33,11 +33,6 @@ class TestStreams:
     def test_negative_coordinates_rejected(self):
         with pytest.raises(ValueError):
             cycle_seed(7, -1, 0, 0)
-
-    def test_global_rng_rank_independent(self):
-        a = global_rng(9, cycle=4).random(3)
-        b = global_rng(9, cycle=4).random(3)
-        assert np.array_equal(a, b)
 
     def test_streams_statistically_independent(self):
         # Crude: correlations between adjacent streams stay small.

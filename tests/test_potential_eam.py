@@ -5,7 +5,7 @@ import pytest
 
 from repro.lattice.box import Box
 from repro.potential.eam import EAMPotential
-from repro.potential.fe import make_fe_tables
+from repro.potential.fe import make_fe_potential, make_fe_tables
 
 
 class TestTableSet:
@@ -30,6 +30,23 @@ class TestTableSet:
     def test_unknown_layout_rejected(self, potential):
         with pytest.raises(ValueError, match="layout"):
             potential.with_layout("mystery")
+
+    def test_knot_count_vs_accuracy_and_size(self, fe_params):
+        # The 5000-knot choice: cubic convergence buys orders of
+        # magnitude per 4x refinement, and the compacted layout is 1/7
+        # of the traditional one at every resolution.
+        x = np.linspace(0.8, fe_params.cutoff - 1e-6, 20000)
+        exact = fe_params.pair(x)
+        errors = []
+        for n in (250, 1000, 4000):
+            pot = make_fe_potential(fe_params, n=n)
+            errors.append(float(np.max(np.abs(pot.phi(x) - exact))))
+            pair = pot.tables.pair.nbytes
+            assert pot.tables.compacted().pair.nbytes == pytest.approx(
+                pair / 7, rel=1e-6
+            )
+        assert errors[0] > errors[1] > errors[2]
+        assert errors[2] < 1e-8
 
 
 class TestPointQueries:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sunway.arch import CoreGroup, SunwayArch
+from repro.sunway.arch import SunwayArch
 from repro.sunway.athread import AthreadPool
 from repro.sunway.dma import DMAEngine, DMAStats
 
@@ -32,11 +32,11 @@ class TestArch:
             arch.compute_time(-1)
 
     def test_memory_fits_atoms(self):
-        cg = CoreGroup()
+        memory = SunwayArch().memory_per_cg
         # 8 GB / 88 B per atom ~ 9.8e7 atoms; the paper's weak scaling
         # uses 3.9e7 atoms per CG — must fit.
-        assert cg.memory_fits_atoms(3.9e7, 88)
-        assert not cg.memory_fits_atoms(2e8, 88)
+        assert 3.9e7 * 88 <= memory
+        assert 2e8 * 88 > memory
 
 
 class TestDMAEngine:

@@ -130,7 +130,7 @@ class TestCostStructure:
         gain = (
             t["CompactedTable"] - t["CompactedTable+DataReuse"]
         ) / t["CompactedTable"]
-        assert 0.0 < gain < 0.12
+        assert 0.0 < gain < 0.10
 
     def test_double_buffer_no_big_gain(self, ladder_reports):
         # Paper: "double buffer does not bring obvious performance
@@ -158,12 +158,15 @@ class TestPlanning:
         assert table + kernel.block_sites * per_site <= 64 * 1024
 
     def test_traditional_table_bytes_match_paper(self, potential):
+        from repro.potential.spline import SplineTable
+
         kernel = BlockedEAMKernel(
             SunwayArch(), potential, STRATEGY_LADDER[0], table_points=5000
         )
-        assert kernel.traditional_table_bytes == pytest.approx(
-            273 * 1024, rel=0.03
+        traditional = SplineTable.from_function(
+            np.sin, potential.cutoff, n=kernel.table_points
         )
+        assert traditional.nbytes == pytest.approx(273 * 1024, rel=0.03)
         assert kernel.compacted_table_bytes == pytest.approx(
             39 * 1024, rel=0.03
         )
