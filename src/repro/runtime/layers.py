@@ -24,13 +24,17 @@ accounted size, ``None`` for unmetered control-plane exchanges.  The
 point-to-point traffic an ``exchange`` or ``fence`` generates *inside*
 the endpoint travels under reserved tags straight through the transport:
 no layer ever sees it.
+
+Waiting is not a layer: yielding the worker slot and charging the wait
+to a ``runtime.*`` phase happen at the endpoint's one wait point
+(:meth:`~repro.runtime.simmpi.Endpoint._wait`), and only when the
+mailbox has nothing to match.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro import observe as obs
 from repro.runtime.transport import freeze
 
 PRIMITIVES = ("send", "recv", "probe", "iprobe", "exchange", "put", "fence")
@@ -51,36 +55,6 @@ class Layer:
         for prim in PRIMITIVES:
             if not hasattr(type(self), prim):
                 setattr(self, prim, getattr(inner, prim))
-
-
-class BlockingLayer(Layer):
-    """Run every blocking primitive inside ``around(op)``.
-
-    Two instances exist: *yield* (the rank gives its worker slot back to
-    the scheduler for the duration of the wait) and *observe* (the wait
-    is charged to a ``runtime.*`` phase).
-    """
-
-    def __init__(self, inner, name: str, around) -> None:
-        super().__init__(inner)
-        self.name = name
-        self._around = around
-
-    def recv(self, source, tag):
-        with self._around("recv"):
-            return self.inner.recv(source, tag)
-
-    def probe(self, source, tag):
-        with self._around("probe"):
-            return self.inner.probe(source, tag)
-
-    def exchange(self, kind, value, meter):
-        with self._around("collective"):
-            return self.inner.exchange(kind, value, meter)
-
-    def fence(self, win_tag, counts):
-        with self._around("collective"):
-            return self.inner.fence(win_tag, counts)
 
 
 class TrafficLayer(Layer):
@@ -233,41 +207,25 @@ class JournalLayer(Layer):
         return self._through("fence", self.inner.fence, win_tag, counts)
 
 
-_PHASES = {
-    "recv": "runtime.recv",
-    "probe": "runtime.probe",
-    "collective": "runtime.collective",
-}
-
-
 def compose(
-    endpoint, *, rank, size, stats, mailbox, faults=None, scheduler=None,
-    journal=None, sanitize=False,
+    endpoint, *, rank, size, stats, mailbox, faults=None, journal=None,
+    sanitize=False,
 ):
     """Stack the active layers over ``endpoint``; return the outermost.
 
     The order, innermost first, and why it is that order:
 
-    1. **yield** (overdecomposed only) — hugs the wait itself, so the
-       worker slot is held for everything except blocking.
-    2. **observe** (when observation is on as the rank starts) — outside
-       the yield, so time queued for a slot counts as blocked time.
-    3. **traffic** — below the fault layer, so a duplicated delivery is
+    1. **traffic** — below the fault layer, so a duplicated delivery is
        metered as the second wire message it models.
-    4. **faults** (world has a plan) — below the journal, so a replayed
+    2. **faults** (world has a plan) — below the journal, so a replayed
        send does not advance the injector's nth-send ordinals again.
-    5. **journal** (overdecomposed with a plan) — above everything with
+    3. **journal** (overdecomposed with a plan) — above everything with
        a side effect, so replay suppresses all of it.
-    6. **sanitize** — outermost: it stamps payloads with vector clocks
+    4. **sanitize** — outermost: it stamps payloads with vector clocks
        before anything else sees them and rebuilds its ledger from the
        journal's replayed outcomes after a migration.
     """
-    chain = endpoint
-    if scheduler is not None:
-        chain = BlockingLayer(chain, "yield", lambda op: scheduler.waiting(rank))
-    if obs.enabled():
-        chain = BlockingLayer(chain, "observe", lambda op: obs.phase(_PHASES[op]))
-    chain = TrafficLayer(chain, stats, rank)
+    chain = TrafficLayer(endpoint, stats, rank)
     if faults is not None:
         chain = FaultLayer(chain, faults, rank)
     if journal is not None:

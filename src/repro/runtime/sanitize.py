@@ -10,10 +10,13 @@ the outermost layer of its middleware chain
 * stamps each point-to-point payload with the sender's vector clock and
   merges clocks on receive — the happens-before order of the run;
 * flags **recv races**: a wildcard receive (``ANY_SOURCE``/``ANY_TAG``)
-  that matched one message while a *concurrent* rival (neither send
-  happens-before the other) also matched — the delivered value depends
-  on scheduling, which is exactly the nondeterminism the paper's
-  bit-identity claims forbid;
+  that matched one message when a *concurrent* rival (neither send
+  happens-before the other, and the rival's send not after the receive)
+  could have matched instead — the delivered value depends on
+  scheduling, which is exactly the nondeterminism the paper's
+  bit-identity claims forbid.  Each wildcard match is recorded and
+  every later delivery is tested against it, and what is still queued
+  at teardown, so the verdict does not depend on arrival timing;
 * records every send/recv per ``(source, dest, tag)`` with the first
   call site, so **unmatched sends** are reported at teardown with rank,
   tag and ``file:line``;
@@ -112,11 +115,14 @@ def _call_site() -> str:
     return f"{os.path.basename(frame.f_code.co_filename)}:{frame.f_lineno}"
 
 
+def _before(a: tuple, b: tuple) -> bool:
+    """Clock ``a`` happens-before (or equals) clock ``b``."""
+    return all(x <= y for x, y in zip(a, b))
+
+
 def _concurrent(a: tuple, b: tuple) -> bool:
     """Neither clock happens-before the other."""
-    return not all(x <= y for x, y in zip(a, b)) and not all(
-        y <= x for x, y in zip(a, b)
-    )
+    return not _before(a, b) and not _before(b, a)
 
 
 def _marked(obj, marker: str) -> bool:
@@ -161,6 +167,10 @@ class SanitizeLayer(Layer):
         self._recvs: dict[tuple[int, int], int] = {}  # (source, tag) -> n
         self._events: list[tuple] = []
         self._races: list[dict] = []
+        # Wildcard matches so far: (source, tag) pattern, the matched
+        # message's clock, this rank's clock after the receive, call
+        # site, and the matched (source, tag).
+        self._wildcards: list[tuple] = []
 
     def _tick_and_stamp(self, payload) -> tuple:
         self._vc[self.rank] += 1
@@ -191,40 +201,38 @@ class SanitizeLayer(Layer):
         src, t, payload, nbytes = self.inner.recv(source, tag)
         vc, user = _unwrap(payload)
         if vc is not None:
-            if source == ANY_SOURCE or tag == ANY_TAG:
-                self._scan_for_race(source, tag, src, t, vc)
+            self._check_rivals(src, t, vc)
             self._merge(vc)
         self._vc[self.rank] += 1
+        if vc is not None and (source == ANY_SOURCE or tag == ANY_TAG):
+            self._wildcards.append(
+                (source, tag, vc, tuple(self._vc), _call_site(), src, t)
+            )
         self._recvs[(src, t)] = self._recvs.get((src, t), 0) + 1
         return src, t, user, nbytes
 
-    def _scan_for_race(
-        self, source: int, tag: int, matched_src: int, matched_tag: int,
-        matched_vc: tuple,
-    ) -> None:
-        """After a wildcard match, look for concurrent rival candidates.
+    def _check_rivals(self, src: int, t: int, vc: tuple) -> None:
+        """Test a delivery against every earlier wildcard match it fits.
 
-        The rival is still queued in this rank's mailbox; if its send is
-        concurrent with the matched one, the runtime could have handed
-        either message to this recv — a schedule-dependent result.
-        FIFO per (source, tag) means same-channel messages are never
+        It is a rival when its send is concurrent with the matched
+        message's and did not happen after the receive: the runtime
+        could have handed either message to that recv — a
+        schedule-dependent result, whenever the rival arrives.  FIFO
+        per (source, tag) means same-channel messages are never
         concurrent, so pinned-source schemes stay clean by construction.
         """
-        for src, t, payload, _nbytes in self._mailbox.queued():
-            if source not in (ANY_SOURCE, src):
+        for source, tag, matched_vc, recv_vc, site, m_src, m_tag in self._wildcards:
+            if source not in (ANY_SOURCE, src) or tag not in (ANY_TAG, t):
                 continue
-            if tag not in (ANY_TAG, t):
-                continue
-            vc, _user = _unwrap(payload)
-            if vc is None or not _concurrent(matched_vc, vc):
+            if not _concurrent(matched_vc, vc) or _before(recv_vc, vc):
                 continue
             self._races.append(
                 {
                     "kind": "recv_race",
                     "rank": self.rank,
-                    "site": _call_site(),
-                    "matched_source": matched_src,
-                    "matched_tag": matched_tag,
+                    "site": site,
+                    "matched_source": m_src,
+                    "matched_tag": m_tag,
                     "rival_source": src,
                     "rival_tag": t,
                 }
@@ -259,9 +267,15 @@ class SanitizeLayer(Layer):
     def seal(self, result) -> tuple:
         """Exchange the ledgers; return ``(marker, result, report)``.
 
-        The exchange goes inward from here — unstamped, unmetered — so
-        it perturbs neither the clocks nor the traffic ledger.
+        Messages still queued are settled against the wildcard matches
+        first.  The exchange goes inward from here — unstamped,
+        unmetered — so it perturbs neither the clocks nor the traffic
+        ledger.
         """
+        for src, t, payload, _nbytes in self._mailbox.queued():
+            vc, _user = _unwrap(payload)
+            if vc is not None:
+                self._check_rivals(src, t, vc)
         export = {
             "rank": self.rank,
             "sends": [

@@ -12,11 +12,13 @@ beyond any host's core count.  ``backend="overdecomposed"`` decouples the
 production codes on Sunway do: one rank program per logical rank, but
 only ``workers=P`` of them may execute at any instant
 (:class:`RankScheduler`).  Scheduling is cooperative and happens exactly
-at the communication waits:
+at the communication waits that find nothing to match:
 
-* a rank that blocks in ``recv``/``probe``/a collective/a fence *yields*
-  its worker slot back to the scheduler before parking on its mailbox
-  (the ``yield`` layer of :mod:`repro.runtime.layers`);
+* a rank whose ``recv``/``probe``/collective/fence finds its envelope
+  already queued takes it and keeps computing on its slot;
+* a rank whose mailbox has nothing to match *yields* its worker slot
+  back to the scheduler before parking on the mailbox (the endpoint's
+  one wait point, :meth:`~repro.runtime.simmpi.Endpoint._wait`);
 * an idle worker slot is *stolen* by the longest-waiting runnable rank
   (FIFO run queue — a released slot is handed directly to the queue
   head, never bounced through a free pool, so admission is O(1) and
@@ -24,12 +26,13 @@ at the communication waits:
 * when the wait completes, the rank re-enters the run queue and resumes
   once a slot frees up.
 
-Because every blocking primitive yields, R > P cannot deadlock: a rank
-parked in a collective holds no slot, so the remaining parties always
-get to run.  And because scheduling only reorders *timing* — engines
-address receives by explicit (source, tag) and collectives return
-rank-ordered lists — R ranks on P workers produce physics bit-identical
-to R ranks on R threads, the same argument (and the same tests) that
+A rank holds a slot only while it computes or takes an envelope that is
+already queued, so R > P cannot deadlock: a rank parked in a collective
+holds no slot, so the remaining parties always get to run.  And because
+scheduling only reorders *timing* — engines address receives by
+explicit (source, tag) and collectives return rank-ordered lists — R
+ranks on P workers produce physics bit-identical to R ranks on R
+threads, the same argument (and the same tests) that
 make the thread and process backends interchangeable.
 
 Rank migration
@@ -62,12 +65,12 @@ class RankScheduler:
     """FIFO run-queue admission of R logical ranks to P worker slots.
 
     A rank *holds* a slot while computing and *yields* it across every
-    blocking communication wait.  Released slots are handed directly to
-    the head of the run queue (each queued rank parks on its own event,
-    so a hand-off wakes exactly one thread).  :meth:`release_all` opens
-    the gate permanently — the world-abort path, after which admission
-    and release become no-ops and every rank runs free to observe the
-    abort flag and exit.
+    communication wait that finds its mailbox empty.  Released slots are
+    handed directly to the head of the run queue (each queued rank parks
+    on its own event, so a hand-off wakes exactly one thread).
+    :meth:`release_all` opens the gate permanently — the world-abort
+    path, after which admission and release become no-ops and every rank
+    runs free to observe the abort flag and exit.
     """
 
     def __init__(self, workers: int) -> None:
@@ -79,7 +82,8 @@ class RankScheduler:
         #: FIFO of (rank, event) waiting for a slot.
         self._queue: deque[tuple[int, threading.Event]] = deque()
         self._drain = False
-        #: Times a rank gave up its slot at a communication wait.
+        #: Times a rank gave up its slot at a communication wait that
+        #: found nothing queued (schedule-dependent when P > 1).
         self.yields = 0
         #: Times a freed slot was handed to a queued (stolen by an idle
         #: worker, in the deque-of-runnable-ranks picture) rank.

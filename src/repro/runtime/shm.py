@@ -32,15 +32,15 @@ Mechanics
   envelopes (abort-while-slot-held), and ``destroy`` unlinks the whole
   segment in a ``finally`` so no run can leak ``/dev/shm`` space.
 
-``REPRO_SHM=0`` (or ``off``/``false``/``no``) disables the pool: the
-pickle-only transport every payload can always fall back to.  The ring
-geometry is fixed (:data:`SLOTS`, :data:`SLOT_BYTES`, :data:`MIN_BYTES`);
-no ledger row moves with it.
+The pool is always on where shared memory exists; a host without
+``/dev/shm`` gets no pool and runs the pickle-only transport every
+payload can always fall back to.  The ring geometry is fixed
+(:data:`SLOTS`, :data:`SLOT_BYTES`, :data:`MIN_BYTES`); no ledger row
+moves with it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -53,10 +53,7 @@ __all__ = [
     "SegRef",
     "ShmPool",
     "create_pool",
-    "pool_enabled",
 ]
-
-_DISABLED = ("0", "off", "false", "no")
 
 #: Ring slots ``(per rank, base)``: a world of R ranks gets
 #: ``SLOTS[0] * R + SLOTS[1]``.  Each rank typically has a handful of
@@ -69,12 +66,6 @@ SLOT_BYTES = 1 << 20
 #: pickle only past ~1 KiB).  The parity tests patch it to 0 to force
 #: everything through shared memory.
 MIN_BYTES = 1024
-
-
-def pool_enabled() -> bool:
-    """Whether ``REPRO_SHM`` permits the shared-memory transport."""
-    env = os.environ.get("REPRO_SHM", "").strip().lower()
-    return env not in _DISABLED
 
 
 @dataclass(slots=True)
@@ -342,9 +333,7 @@ class ShmPool:
 
 
 def create_pool(ctx, nranks: int):
-    """A world-sized :class:`ShmPool`, or ``None`` when disabled/unavailable."""
-    if not pool_enabled():
-        return None
+    """A world-sized :class:`ShmPool`, or ``None`` without shared memory."""
     per_rank, base = SLOTS
     try:
         return ShmPool(

@@ -27,6 +27,10 @@ The stack has three layers: the transport below
 Window` in the middle, and the ordered middleware of
 :mod:`repro.runtime.layers` between the two halves of this one.
 
+Every blocking wait of a rank is one :meth:`Endpoint._wait`: a rank
+gives up its worker slot and opens a blocked phase only when its
+mailbox has nothing to match.
+
 All traffic is recorded in :class:`~repro.runtime.stats.TrafficStats`.
 """
 
@@ -34,11 +38,13 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
+from repro import observe as obs
 from repro.runtime.faults import FaultInjector, FaultPlan, InjectedFault
 from repro.runtime.layers import Layer, compose
 from repro.runtime.netmodel import NetworkModel
@@ -98,6 +104,38 @@ def reduce_values(values: list, op: str):
     raise ValueError(f"unknown reduction op {op!r}")
 
 
+#: The observe phase a wait is charged to, by ``Mailbox.match`` op.
+_PHASES = {
+    "recv": "runtime.recv",
+    "probe": "runtime.probe",
+    "collective": "runtime.collective",
+    "fence": "runtime.collective",
+}
+
+
+def _blocked_around(rank: int, scheduler):
+    """What a rank's wait on an empty mailbox runs inside, or ``None``.
+
+    Outside, the ``runtime.*`` phase the wait is charged to, when
+    observation is on as the rank starts — so time queued for a slot
+    counts as blocked time; inside, on the overdecomposed backend, the
+    rank's worker slot goes back to the scheduler for the wait.
+    """
+    if not obs.enabled():
+        if scheduler is None:
+            return None
+        return lambda op: scheduler.waiting(rank)
+    if scheduler is None:
+        return lambda op: obs.phase(_PHASES[op])
+
+    @contextmanager
+    def around(op):
+        with obs.phase(_PHASES[op]), scheduler.waiting(rank):
+            yield
+
+    return around
+
+
 class Endpoint:
     """One rank's unlayered attachment to the transport.
 
@@ -110,26 +148,47 @@ class Endpoint:
 
     def __init__(
         self, transport: LocalTransport, rank: int, size: int,
-        watchdog: float | None,
+        watchdog: float | None, around,
     ) -> None:
         self.rank = rank
         self.size = size
         self._post = transport.post
         self._match = transport.mailbox(rank).match
         self._watchdog = watchdog
+        self._around = around
+        if around is None:
+            # Nothing wraps a wait: block directly, with no extra look.
+            self._wait = self._match
 
     def _deadline(self) -> float | None:
         wd = self._watchdog
         return None if wd is None else time.monotonic() + wd
 
+    def _wait(self, source, tag, consume=True, deadline=None, op="recv"):
+        """The one blocking match of this rank (``Mailbox.match``'s).
+
+        Looks first, and takes an envelope that is already queued
+        without leaving its worker slot.  Only on a miss does the rank
+        enter ``around(op)`` — give the slot back, open the blocked
+        phase — and block; the wait runs outside the mailbox lock,
+        which a rank re-acquiring its slot must never hold, because
+        depositors need it.
+        """
+        match = self._match
+        hit = match(source, tag, consume, block=False)
+        if hit is not None:
+            return hit
+        with self._around(op):
+            return match(source, tag, consume, deadline=deadline, op=op)
+
     def send(self, dest, tag, payload, nbytes, msg_id=None) -> None:
         self._post((dest,), self.rank, tag, payload, nbytes, msg_id)
 
     def recv(self, source, tag):
-        return self._match(source, tag, deadline=self._deadline())
+        return self._wait(source, tag, deadline=self._deadline())
 
     def probe(self, source, tag) -> Status:
-        src, t, _payload, nbytes = self._match(
+        src, t, _payload, nbytes = self._wait(
             source, tag, consume=False, deadline=self._deadline(), op="probe"
         )
         return Status(src, t, nbytes)
@@ -151,11 +210,11 @@ class Endpoint:
         deadline = self._deadline()
         if self.rank:
             self._post((0,), self.rank, TAG_GATHER, value, 0)
-            result = self._match(0, TAG_RESULT, deadline=deadline, op="collective")
+            result = self._wait(0, TAG_RESULT, deadline=deadline, op="collective")
             return list(result[2])
         values = [value] * self.size
         for _ in range(self.size - 1):
-            src, _tag, contribution, _n = self._match(
+            src, _tag, contribution, _n = self._wait(
                 ANY_SOURCE, TAG_GATHER, deadline=deadline, op="collective"
             )
             values[src] = contribution
@@ -181,7 +240,7 @@ class Endpoint:
         drained = []
         for origin, row in enumerate(table):
             for _ in range(row[self.rank]):
-                _src, _tag, payload, nbytes = self._match(
+                _src, _tag, payload, nbytes = self._wait(
                     origin, win_tag, deadline=deadline, op="fence"
                 )
                 drained.append((origin, payload, nbytes))
@@ -195,7 +254,8 @@ class RankComm:
     The one communicator class of the runtime: the public MPI-style API
     validates, freezes and costs its arguments, then speaks the seven
     primitives to the middleware chain composed over this rank's
-    :class:`Endpoint`.
+    :class:`Endpoint`.  What the endpoint's waits run inside is decided
+    here, once per rank.
     """
 
     def __init__(
@@ -216,10 +276,13 @@ class RankComm:
         self.stats = stats
         self._faults = faults
         self._chain = chain = compose(
-            Endpoint(transport, rank, size, watchdog),
+            Endpoint(
+                transport, rank, size, watchdog,
+                _blocked_around(rank, scheduler),
+            ),
             rank=rank, size=size, stats=stats,
             mailbox=transport.mailbox(rank), faults=faults,
-            scheduler=scheduler, journal=journal, sanitize=sanitize,
+            journal=journal, sanitize=sanitize,
         )
         #: The sanitizer layer (always outermost), if this run has one.
         self.sanitizer = chain if sanitize else None

@@ -109,8 +109,10 @@ class TestThreadSafety:
             if comm.rank != 0:
                 comm.send(0, tag=1, payload=np.arange(8))
             else:
-                for _ in range(comm.size - 1):
-                    comm.recv(tag=1)
+                # Pinned sources: a wildcard receive over concurrent
+                # senders is a recv race under the sanitizer.
+                for source in range(1, comm.size):
+                    comm.recv(source=source, tag=1)
             comm.barrier()
 
         with obs.observing() as reg:

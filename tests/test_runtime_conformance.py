@@ -163,7 +163,7 @@ def test_layers_compose_in_one_order_on_every_backend():
         (layers, _same) = world.run(main, timeout=60.0)
         expected = ("sanitize", "faults", "traffic")
         if backend == "overdecomposed":
-            expected = ("sanitize", "journal", "faults", "traffic", "yield")
+            expected = ("sanitize", "journal", "faults", "traffic")
         assert layers == expected
 
 

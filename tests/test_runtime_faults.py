@@ -221,7 +221,14 @@ class TestWatchdog:
     def test_straggler_collective_raises_watchdog_timeout(self):
         def main(comm):
             if comm.rank == 0:
+                # Stall only after rank 1 has sent, so rank 1 waits in
+                # the barrier while rank 0 straggles on every backend:
+                # with one worker slot, a straggler that computes first
+                # keeps its peer from starting the wait at all.
+                comm.recv(1, tag=5)
                 time.sleep(0.5)  # straggler beyond the deadline
+            else:
+                comm.send(0, tag=5)
             comm.barrier()
             return comm.rank
 

@@ -6,6 +6,8 @@ the real halo-exchange protocols on both the thread and process
 backends.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,46 @@ class TestThreadBackend:
             World(3, sanitize=True).run(race)
         kinds = {v["kind"] for v in err.value.report["violations"]}
         assert kinds == {"recv_race"}
+
+    def test_wildcard_race_with_a_rival_sent_after_the_match(self):
+        # The verdict must not depend on arrival timing.  Rank 2 sends
+        # only after rank 0's first wildcard match, gated by an event the
+        # vector clocks cannot see: the rival is never queued beside the
+        # matched message, yet the runtime could have delivered it first.
+        matched = threading.Event()
+
+        def late_rival(comm):
+            if comm.rank == 0:
+                comm.recv(source=ANY_SOURCE, tag=7)
+                matched.set()
+                comm.recv(source=ANY_SOURCE, tag=7)
+            elif comm.rank == 1:
+                comm.send(0, 7, "early")
+            else:
+                assert matched.wait(timeout=30)
+                comm.send(0, 7, "late")
+
+        with pytest.raises(SanitizerError, match="recv race") as err:
+            World(3, sanitize=True, backend="thread").run(late_rival, timeout=60)
+        (violation,) = err.value.report["violations"]
+        assert (violation["matched_source"], violation["rival_source"]) == (1, 2)
+        assert "test_runtime_sanitize.py" in violation["site"]
+
+    def test_rival_sent_after_the_receive_is_not_a_race(self):
+        # A barrier after the first match orders it before the second
+        # send: the later message could never have been delivered first.
+        def ordered(comm):
+            if comm.rank == 1:
+                comm.send(0, 7, "first")
+            if comm.rank == 0:
+                comm.recv(source=ANY_SOURCE, tag=7)
+            comm.barrier()
+            if comm.rank == 2:
+                comm.send(0, 7, "second")
+            if comm.rank == 0:
+                comm.recv(source=ANY_SOURCE, tag=7)
+
+        World(3, sanitize=True, backend="thread").run(ordered, timeout=60)
 
     def test_pinned_source_recv_is_not_a_race(self):
         def pinned(comm):

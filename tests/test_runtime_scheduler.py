@@ -13,20 +13,26 @@ import time
 import numpy as np
 import pytest
 
+from repro import observe as obs
 from repro.kmc.akmc import ParallelAKMC, place_random_vacancies
 from repro.kmc.events import KMCModel, RateParameters
 from repro.lattice.bcc import BCCLattice
 from repro.md.engine import MDConfig
 from repro.md.parallel_damage import ParallelDamageMD
+from repro.observe.registry import Registry
 from repro.potential.fe import make_fe_potential
 from repro.runtime.faults import FaultInjector, FaultPlan
+from repro.runtime.netmodel import NetworkModel
 from repro.runtime.scheduler import RankScheduler, default_workers
 from repro.runtime.simmpi import (
+    RankComm,
     WatchdogTimeout,
     World,
     resolve_backend,
     resolve_workers,
 )
+from repro.runtime.stats import TrafficStats
+from repro.runtime.transport import TAG_GATHER, TAG_RESULT, LocalTransport
 
 SCHEMES = ("traditional", "ondemand", "onesided")
 
@@ -183,6 +189,114 @@ class TestRankScheduler:
 
 
 # ----------------------------------------------------------------------
+# One wait point: yield and observe only when nothing is queued
+# ----------------------------------------------------------------------
+def _comms(scheduler=None, size=2):
+    """Communicators of every rank of one in-process world, built on
+    the calling thread (no rank threads): the tests drive them.  The
+    watchdog turns a wait that never ends into a failure."""
+    transport = LocalTransport(range(size))
+    stats = TrafficStats(size, NetworkModel())
+    return transport, [
+        RankComm(rank, size, transport, stats, watchdog=30.0, scheduler=scheduler)
+        for rank in range(size)
+    ]
+
+
+def _deposit_once_yielded(scheduler, mailbox, *envelope):
+    """Deposit ``envelope`` from a thread that must first win the only
+    worker slot: the deposit happens after the waiting rank yielded, so
+    the rank's first look is a miss on every schedule."""
+
+    def depositor():
+        scheduler.acquire(99)
+        mailbox.deposit(*envelope)
+        scheduler.release(99)
+
+    thread = threading.Thread(target=depositor)
+    thread.start()
+    return thread
+
+
+class TestOneWaitPoint:
+    def test_queued_envelope_is_taken_without_yielding(self):
+        sched = RankScheduler(1)
+        sched.acquire(0)
+        transport, (comm0, comm1) = _comms(sched)
+        transport.mailbox(0).deposit(1, 5, "x", 0)
+        assert comm0.recv(1, 5)[2] == "x"
+        transport.mailbox(0).deposit(1, 6, "y", 0)
+        assert comm0.probe(1, 6).tag == 6
+        # Rank 1's barrier finds rank 0's result queued; rank 0's then
+        # finds rank 1's contribution queued.
+        transport.mailbox(1).deposit(0, TAG_RESULT, [None, None], 0)
+        comm1.barrier()
+        comm0.barrier()
+        assert sched.yields == 0
+
+    def test_a_miss_yields_exactly_once(self):
+        sched = RankScheduler(1)
+        sched.acquire(0)
+        transport, (comm0, _comm1) = _comms(sched)
+        depositor = _deposit_once_yielded(
+            sched, transport.mailbox(0), 1, 5, "late", 0
+        )
+        assert comm0.recv(1, 5)[2] == "late"
+        depositor.join(timeout=5)
+        assert not depositor.is_alive()
+        assert sched.yields == 1
+
+    def test_observe_charges_a_miss_not_a_hit(self):
+        sched = RankScheduler(1)
+        sched.acquire(0)
+        with obs.observing(Registry(trace=False)) as registry:
+            transport, (comm0, _comm1) = _comms(sched)
+            transport.mailbox(0).deposit(1, 5, "queued", 0)
+            comm0.recv(1, 5)
+            assert ("runtime.recv",) not in registry.phases
+            depositor = _deposit_once_yielded(
+                sched, transport.mailbox(0), 1, 5, "late", 0
+            )
+            comm0.recv(1, 5)
+            depositor.join(timeout=5)
+        assert not depositor.is_alive()
+        assert registry.phases[("runtime.recv",)].count == 1
+        assert sched.yields == 1
+
+    def test_unwrapped_wait_is_one_match_call(self):
+        assert not obs.enabled()
+        transport = LocalTransport(range(2))
+        mailbox = transport.mailbox(0)
+        calls = []
+        match = mailbox.match
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("block", True))
+            return match(*args, **kwargs)
+
+        mailbox.match = counting
+        comm = RankComm(0, 2, transport, TrafficStats(2, NetworkModel()))
+        mailbox.deposit(1, 5, "x", 0)
+        comm.recv(1, 5)
+        assert calls == [True]
+        mailbox.deposit(1, 6, "y", 0)
+        comm.probe(1, 6)
+        assert calls == [True, True]
+        mailbox.deposit(1, TAG_GATHER, None, 0)
+        comm.barrier()
+        assert calls == [True, True, True]
+
+    def test_watchdog_fires_on_a_collective_miss(self):
+        def main(comm):
+            if comm.rank == 0:
+                comm.barrier()  # rank 1 never joins
+
+        world = World(2, watchdog=0.2, backend="overdecomposed", sanitize=False)
+        with pytest.raises(WatchdogTimeout):
+            world.run(main, workers=1, timeout=30)
+
+
+# ----------------------------------------------------------------------
 # Bit-identity: R ranks on P workers == R ranks on R threads
 # ----------------------------------------------------------------------
 def _kmc_problem(nranks=16):
@@ -223,6 +337,25 @@ class TestBitIdentity:
             assert result.occupancy.tobytes() == reference.occupancy.tobytes()
             assert result.events == reference.events
             assert result.time == reference.time
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_kmc_schemes_8_ranks(
+        self, scheme, lattice8, potential, rate_params, kmc_initial_occ
+    ):
+        def run(backend, workers):
+            engine = ParallelAKMC(
+                lattice8, potential, rate_params, nranks=8, scheme=scheme,
+                seed=5, backend=backend, workers=workers,
+            )
+            return engine.run(kmc_initial_occ.copy(), max_cycles=4)
+
+        reference = run("thread", None)
+        for workers in (1, 2):
+            result = run("overdecomposed", workers)
+            assert np.array_equal(result.occupancy, reference.occupancy)
+            assert (result.events, result.time) == (
+                reference.events, reference.time,
+            )
 
     def test_damage_md_16_ranks(self):
         def run(backend, workers):

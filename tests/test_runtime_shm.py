@@ -172,12 +172,6 @@ class TestEncodeDecode:
 # Configuration
 # ----------------------------------------------------------------------
 class TestCreatePool:
-    def test_disabled_by_env(self, ctx, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        assert shm.create_pool(ctx, 4) is None
-        monkeypatch.setenv("REPRO_SHM", "off")
-        assert shm.create_pool(ctx, 4) is None
-
     def test_geometry_env_knobs(self, ctx, monkeypatch):
         """The geometry is three module constants (environment knobs
         until nothing but this file set them); tests patch them."""
@@ -206,6 +200,12 @@ class TestCreatePool:
 # ----------------------------------------------------------------------
 # End-to-end through the process backend
 # ----------------------------------------------------------------------
+def _no_pool(monkeypatch):
+    """Run the process backend pickle-only, as on a host without
+    ``/dev/shm`` (``create_pool`` returns ``None`` there)."""
+    monkeypatch.setattr(shm, "create_pool", lambda ctx, nranks: None)
+
+
 def _bulk_main(comm):
     right = (comm.rank + 1) % comm.size
     left = (comm.rank - 1) % comm.size
@@ -243,13 +243,14 @@ class TestWorldIntegration:
 
     def test_traffic_ledger_matches_pickle_transport(self, monkeypatch):
         ledgers = {}
-        for env in ("0", "1"):
-            monkeypatch.setenv("REPRO_SHM", {"0": "0", "1": ""}[env] or "1")
+        for transport in ("shm", "pickle"):
+            if transport == "pickle":
+                _no_pool(monkeypatch)
             world = World(3, backend="process")
             world.run(_bulk_main, timeout=60.0)
-            ledgers[env] = world.stats.snapshot()
+            ledgers[transport] = world.stats.snapshot()
         for key in ("total_sent_bytes", "total_messages", "total_collectives"):
-            assert ledgers["0"][key] == ledgers["1"][key]
+            assert ledgers["pickle"][key] == ledgers["shm"][key]
 
     def test_abort_while_slot_held_reclaims(self, monkeypatch):
         """A receiver that exits with envelopes undelivered leaks nothing."""
@@ -264,7 +265,9 @@ class TestWorldIntegration:
 
         registry = obs.enable(Registry())
         try:
-            world = World(2, backend="process")
+            # The orphaned send is the point: the sanitizer would call it
+            # an unmatched send.
+            world = World(2, backend="process", sanitize=False)
             world.run(main, timeout=60.0)
         finally:
             obs.disable()
@@ -275,6 +278,6 @@ class TestWorldIntegration:
         assert _shm_names() <= before
 
     def test_pool_disabled_world_still_runs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
+        _no_pool(monkeypatch)
         results = World(2, backend="process").run(_bulk_main, timeout=60.0)
         assert results == World(2, backend="thread").run(_bulk_main, 60.0)
