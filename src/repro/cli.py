@@ -144,7 +144,8 @@ def _add_scenario_flags(parser) -> None:
         default=None,
         help=(
             "fault-injection plan for the KMC stage, e.g. "
-            '"crash:rank=1,cycle=3; dup:rank=0,nth=2"; the run recovers '
+            '"crash:rank=1,cycle=3; delay:rank=0,nth=2,seconds=0.01"; '
+            "the run recovers "
             "from the last checkpoint and finishes bit-identically to a "
             "fault-free run (see repro.runtime.faults for the syntax)"
         ),
@@ -455,8 +456,7 @@ def cmd_coupled(args) -> int:
         fr = result.fault_report
         print(
             f"faults injected: {fr['injected']} "
-            f"({fr['crashes']} crashes, {fr['delays']} delays, "
-            f"{fr['duplicates']} duplicates, {fr['stalls']} stalls); "
+            f"({fr['crashes']} crashes, {fr['delays']} delays); "
             f"recoveries: {result.recoveries}"
         )
     elif result.recoveries:

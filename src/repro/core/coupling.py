@@ -216,7 +216,7 @@ class CoupledResult:
     #: Crashed logical ranks replayed in place on a surviving worker
     #: (overdecomposed backend) — no world restart involved.
     migrations: int = 0
-    #: Injector counters (crashes/delays/duplicates/stalls), when faults
+    #: Injector counters (crashes/delays), when faults
     #: were planned.
     fault_report: dict | None = None
     #: Trajectory store path (when ``config.trajectory`` was set) and

@@ -142,7 +142,7 @@ class EventCatalog:
             tree[half : 2 * half] = child[0::2] + child[1::2]
 
     def set_row(self, row: int, targets: np.ndarray, rates: np.ndarray) -> None:
-        """Install the event table of ``row`` (replacing any previous one)."""
+        """Set the event table of ``row`` (replacing any previous one)."""
         if self.targets[row] is None:
             self.n_active += 1
         self.targets[row] = targets

@@ -24,8 +24,7 @@ Well-known fault-tolerance names (emitted by :mod:`repro.runtime.faults`
 and the recovery supervisor in :mod:`repro.core.coupling`):
 
 * counters ``runtime.faults.injected`` (plus per-kind
-  ``runtime.faults.crashes`` / ``.delays`` / ``.duplicates`` /
-  ``.stalls`` and ``runtime.faults.duplicates_dropped`` on delivery),
+  ``runtime.faults.crashes`` / ``.delays``),
   ``runtime.watchdog.expired``, ``runtime.recoveries``,
   ``coupling.recover.from_checkpoint`` / ``.from_scratch``, and
   ``kmc.checkpoints_written``;

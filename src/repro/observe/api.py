@@ -49,7 +49,7 @@ NULL_PHASE = _NullPhase()
 
 
 def enable(registry: Registry | None = None, trace: bool = True) -> Registry:
-    """Install ``registry`` (or a fresh one) as the active registry."""
+    """Make ``registry`` (or a fresh one) the active registry."""
     global _active
     _active = registry if registry is not None else _new_registry(trace)
     return _active

@@ -1,18 +1,16 @@
 """Deterministic fault injection for the simmpi runtime.
 
 The paper's production runs are 8.6-hour jobs on 6.6 million cores; at
-that scale rank failures, straggling messages, and duplicated one-sided
-traffic are the norm, not the exception.  This module lets a run *plan*
-those faults ahead of time so the recovery machinery can be exercised
+that scale a rank crash is worth planning for.  This module lets a run
+*plan* its faults ahead of time so the recovery machinery is exercised
 deterministically:
 
 * a :class:`FaultPlan` is a parsed, immutable list of :class:`FaultSpec`
-  actions (rank crash at a named execution point, delayed or duplicated
-  sends, stalled one-sided window puts) plus a seed for the optional
-  probabilistic "shake" mode;
+  actions: a rank crash at a named execution point, or a pause of one
+  of a rank's sends or one-sided puts;
 * a :class:`FaultInjector` is the per-run mutable state the runtime
   consults: it counts each rank's sends and puts, decides which operation
-  a spec fires on, and guarantees a crash fires **once** — so a
+  a delay fires on, and guarantees a crash fires **once** — so a
   supervisor that restarts from a checkpoint converges instead of
   crashing forever;
 * :class:`InjectedFault` is what a crashed rank raises; the world then
@@ -27,19 +25,13 @@ Plan syntax (semicolon-separated clauses, ``kind:key=value,...``)::
     crash:rank=1,cycle=3          # raise on rank 1 at KMC cycle 3
     crash:rank=0,event=120        # raise on rank 0 at serial event 120
     crash:rank=2,site=md.step,index=10   # any named fault point
-    delay:rank=1,nth=5,seconds=0.05      # rank 1's 5th send stalls 50 ms
-    dup:rank=0,nth=3              # rank 0's 3rd send is delivered twice
-    dup:rank=0,nth=1,op=put       # ... or its 1st one-sided put
-    stall:rank=1,nth=2,seconds=0.02      # rank 1's 2nd window put stalls
-    shake:seed=7,dup=0.05,delay=0.01,seconds=0.001
-                                  # seeded random dup/delay on every send
+    delay:rank=1,nth=5,seconds=0.05      # rank 1's 5th send pauses 50 ms
+    delay:rank=1,nth=2,seconds=0.02,op=put   # ... or its 2nd window put
 
-Delays and stalls are *sender-side* pauses, so MPI's per-(source, tag)
-FIFO ordering is preserved; duplicates are deduplicated at delivery by
-message id (at-least-once transport, exactly-once delivery), so user
-code never observes them except through the counters.  None of the fault
-kinds can change the final state of a deterministic program — crashes
-are survived by recovery, everything else only perturbs timing.
+A delay is a *sender-side* pause, so MPI's per-(source, tag) FIFO
+ordering is preserved and no byte moves differently.  Neither kind can
+change the final state of a deterministic program: crashes are survived
+by recovery, and a delay only perturbs timing.
 """
 
 from __future__ import annotations
@@ -47,17 +39,15 @@ from __future__ import annotations
 import threading
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from repro import observe as obs
 
 #: Execution-point names used by the built-in engines.
 SITE_KMC_CYCLE = "kmc.cycle"
 SITE_KMC_EVENT = "kmc.event"
 
-_KINDS = ("crash", "delay", "dup", "stall", "shake")
-#: The sender-side pause of each operation stream: (spec kind, counter).
-_PAUSES = {"send": ("delay", "delays"), "put": ("stall", "stalls")}
+_KINDS = ("crash", "delay")
+#: The operation streams a delay counts.
+_OPS = ("send", "put")
 
 
 class InjectedFault(RuntimeError):
@@ -75,34 +65,29 @@ class FaultSpec:
     Attributes
     ----------
     kind:
-        ``crash`` | ``delay`` | ``dup`` | ``stall`` | ``shake``.
+        ``crash`` | ``delay``.
     rank:
-        Target rank (``-1`` = every rank; only meaningful for ``shake``).
+        Target rank.
     site / index:
         Crash trigger: the named execution point and its ordinal (e.g.
         ``("kmc.cycle", 3)``).
     nth:
-        Delay/dup/stall trigger: fire on the rank's nth send or put
-        (1-based, counted from world construction).
+        Delay trigger: fire on the rank's nth send or put (1-based,
+        counted from the injector's creation).
     seconds:
-        Pause duration for ``delay``/``stall``/``shake``.
+        Pause duration of a ``delay``.
     op:
-        Which operation stream ``dup`` counts: ``"send"`` (default) or
-        ``"put"`` (one-sided window traffic).
-    p_dup / p_delay:
-        ``shake`` probabilities per send, drawn from the plan's seeded
-        per-rank streams.
+        Which operation stream a ``delay`` counts: ``"send"`` (default)
+        or ``"put"`` (one-sided window traffic).
     """
 
     kind: str
-    rank: int = -1
+    rank: int
     site: str | None = None
     index: int | None = None
     nth: int | None = None
     seconds: float = 0.0
     op: str = "send"
-    p_dup: float = 0.0
-    p_delay: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -112,42 +97,30 @@ class FaultSpec:
                 raise FaultPlanError(
                     "crash needs rank plus cycle=/event=/site=+index="
                 )
-        elif self.kind in ("delay", "dup", "stall"):
-            if self.rank < 0 or self.nth is None or self.nth < 1:
-                raise FaultPlanError(f"{self.kind} needs rank= and nth>=1")
-            if self.kind != "dup" and self.seconds <= 0:
-                raise FaultPlanError(f"{self.kind} needs seconds>0")
-            if self.op not in ("send", "put"):
-                raise FaultPlanError(f"op must be send or put, got {self.op!r}")
-        elif self.kind == "shake":
-            if not (0 <= self.p_dup <= 1 and 0 <= self.p_delay <= 1):
-                raise FaultPlanError("shake probabilities must be in [0, 1]")
+            return
+        if self.rank < 0 or self.nth is None or self.nth < 1:
+            raise FaultPlanError("delay needs rank= and nth>=1")
+        if self.seconds <= 0:
+            raise FaultPlanError("delay needs seconds>0")
+        if self.op not in _OPS:
+            raise FaultPlanError(f"op must be send or put, got {self.op!r}")
 
     def describe(self) -> str:
         if self.kind == "crash":
             return f"crash rank {self.rank} at {self.site}[{self.index}]"
-        if self.kind == "shake":
-            return (
-                f"shake all ranks (p_dup={self.p_dup}, "
-                f"p_delay={self.p_delay}, {self.seconds}s)"
-            )
-        what = {"delay": "delay send", "dup": f"duplicate {self.op}",
-                "stall": "stall put"}[self.kind]
-        tail = f" by {self.seconds}s" if self.seconds else ""
-        return f"{what} #{self.nth} of rank {self.rank}{tail}"
+        return (
+            f"delay {self.op} #{self.nth} of rank {self.rank} "
+            f"by {self.seconds}s"
+        )
 
 
 _CLAUSE_KEYS = {
     "crash": {"rank", "cycle", "event", "site", "index"},
-    "delay": {"rank", "nth", "seconds"},
-    "dup": {"rank", "nth", "op"},
-    "stall": {"rank", "nth", "seconds"},
-    "shake": {"seed", "dup", "delay", "seconds"},
+    "delay": {"rank", "nth", "seconds", "op"},
 }
 
 
-def _parse_clause(clause: str) -> tuple[FaultSpec, int | None]:
-    """One clause's spec, and the plan seed if the clause sets one."""
+def _parse_clause(clause: str) -> FaultSpec:
     kind, _, body = clause.partition(":")
     kind = kind.strip()
     if kind not in _KINDS:
@@ -169,70 +142,54 @@ def _parse_clause(clause: str) -> tuple[FaultSpec, int | None]:
                 )
             kw[key] = value.strip()
     try:
-        # Only ``shake`` accepts the key (``_CLAUSE_KEYS``).
-        seed = int(kw["seed"]) if "seed" in kw else None
         if kind == "crash":
             site, index = kw.get("site"), kw.get("index")
             if "cycle" in kw:
                 site, index = SITE_KMC_CYCLE, kw["cycle"]
             elif "event" in kw:
                 site, index = SITE_KMC_EVENT, kw["event"]
-            spec = FaultSpec(
+            return FaultSpec(
                 kind="crash",
                 rank=int(kw["rank"]),
                 site=site,
                 index=None if index is None else int(index),
             )
-        elif kind == "shake":
-            spec = FaultSpec(
-                kind="shake",
-                p_dup=float(kw.get("dup", 0.0)),
-                p_delay=float(kw.get("delay", 0.0)),
-                seconds=float(kw.get("seconds", 0.001)),
-            )
-        else:
-            spec = FaultSpec(
-                kind=kind,
-                rank=int(kw["rank"]),
-                nth=int(kw["nth"]),
-                seconds=float(kw.get("seconds", 0.0)),
-                op=kw.get("op", "send"),
-            )
-        return spec, seed
+        return FaultSpec(
+            kind="delay",
+            rank=int(kw["rank"]),
+            nth=int(kw["nth"]),
+            seconds=float(kw.get("seconds", 0.0)),
+            op=kw.get("op", "send"),
+        )
     except KeyError as exc:
         raise FaultPlanError(f"{clause!r} is missing {exc.args[0]}=") from exc
+    except FaultPlanError as exc:
+        raise FaultPlanError(f"{exc} in {clause!r}") from None
     except ValueError as exc:
-        if isinstance(exc, FaultPlanError):
-            raise
         raise FaultPlanError(f"bad value in {clause!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """An immutable, seeded schedule of faults for one run."""
+    """An immutable schedule of faults for one run."""
 
     specs: tuple[FaultSpec, ...] = ()
-    seed: int = 0
 
     @classmethod
-    def parse(cls, text, seed: int = 0) -> "FaultPlan":
+    def parse(cls, text) -> "FaultPlan":
         """Parse the semicolon-separated plan DSL (see module docstring).
 
         Idempotent: an already-parsed :class:`FaultPlan` passes through.
         """
         if isinstance(text, FaultPlan):
             return text
-        if text is None or not text.strip():
-            return cls(specs=(), seed=seed)
-        specs = []
-        for clause in text.split(";"):
-            clause = clause.strip()
-            if clause:
-                spec, clause_seed = _parse_clause(clause)
-                if clause_seed is not None:
-                    seed = clause_seed
-                specs.append(spec)
-        return cls(specs=tuple(specs), seed=seed)
+        if text is None:
+            return cls()
+        return cls(tuple(
+            _parse_clause(clause.strip())
+            for clause in text.split(";")
+            if clause.strip()
+        ))
 
     def describe(self) -> str:
         if not self.specs:
@@ -244,29 +201,13 @@ class FaultPlan:
 
 
 @dataclass
-class FaultAction:
-    """What the injector asks the fault layer to do to one send or put.
-
-    ``pause_s`` is the sender-side delay (send) or stall (put);
-    ``msg_id`` is set exactly when the delivery is to be duplicated.
-    """
-
-    pause_s: float = 0.0
-    duplicate: bool = False
-    msg_id: tuple | None = None
-
-
-@dataclass
 class _Counters:
     crashes: int = 0
     delays: int = 0
-    duplicates: int = 0
-    stalls: int = 0
-    dropped: int = 0
 
     @property
     def injected(self) -> int:
-        return self.crashes + self.delays + self.duplicates + self.stalls
+        return self.crashes + self.delays
 
 
 class FaultInjector:
@@ -276,7 +217,7 @@ class FaultInjector:
     same injector, whose fired-crash set prevents the planned crash from
     firing again — the in-process analogue of "the failed node was
     replaced".  Send/put ordinals also keep counting across attempts, so
-    nth-operation faults are one-shot too.
+    a delay is one-shot too.
 
     Thread-safe: ranks are threads and consult the injector concurrently.
     On the process backend every child works on a forked copy and the
@@ -288,30 +229,10 @@ class FaultInjector:
         self.plan = plan
         self._lock = threading.Lock()
         self._fired: set[int] = set()
-        #: Per-rank count of sends and puts so far (nth-operation specs).
-        self._ordinals: dict[str, dict[int, int]] = {"send": {}, "put": {}}
-        self._shake_rng: dict[int, np.random.Generator] = {}
-        self._next_msg_id = 0
-        #: Namespace for allocated message ids.  The thread backend keeps
-        #: the default 0 (one shared injector); the process backend sets
-        #: it to ``rank + 1`` in each forked child, so ids allocated by
-        #: independent per-process injector copies never collide at the
-        #: delivery-side dedup.
-        self.msg_id_tag = 0
+        #: Per-rank count of sends and puts so far (delay triggers).
+        self._ordinals: dict[str, dict[int, int]] = {op: {} for op in _OPS}
         self.counters = _Counters()
 
-    # ------------------------------------------------------------------
-    def _rank_shake_rng(self, rank: int) -> np.random.Generator:
-        rng = self._shake_rng.get(rank)
-        if rng is None:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=self.plan.seed,
-                                       spawn_key=(0xFA, rank))
-            )
-            self._shake_rng[rank] = rng
-        return rng
-
-    # ------------------------------------------------------------------
     def crash_point(self, rank: int, site: str, index: int) -> None:
         """Raise :class:`InjectedFault` if a crash is planned here.
 
@@ -335,95 +256,45 @@ class FaultInjector:
                 f"planned crash: rank {rank} at {site}[{index}]"
             )
 
-    def on_send(self, rank: int, dest: int, tag: int) -> FaultAction | None:
-        """Consulted by every ``send``; returns the action to apply (or None)."""
-        return self._consult(rank, "send")
+    def pause(self, rank: int, op: str) -> float:
+        """Count ``rank``'s next ``op``; seconds a planned delay holds it.
 
-    def on_put(self, rank: int, target: int) -> FaultAction | None:
-        """Consulted by every one-sided ``put``; like :meth:`on_send`."""
-        return self._consult(rank, "put")
-
-    def _consult(self, rank: int, op: str) -> FaultAction | None:
-        """Count ``rank``'s next ``op`` and collect what the plan does to it.
-
-        Sends can be delayed, puts stalled (the same sender-side pause
-        under the name each transport uses), either duplicated by an
-        nth-operation spec; ``shake`` perturbs sends only.
+        Consulted by every send and one-sided put; ``0.0`` when no
+        delay fires on this operation.  Ordinals only grow, so each
+        delay fires at most once.
         """
-        pause_kind, pause_counter = _PAUSES[op]
-        ordinals = self._ordinals[op]
-        action: FaultAction | None = None
+        seconds = 0.0
         with self._lock:
+            ordinals = self._ordinals[op]
             n = ordinals[rank] = ordinals.get(rank, 0) + 1
-            for i, spec in enumerate(self.plan.specs):
-                if spec.kind == "shake":
-                    if op == "send":
-                        rng = self._rank_shake_rng(rank)
-                        if spec.p_dup and rng.random() < spec.p_dup:
-                            action = self._duplicated(action)
-                        if spec.p_delay and rng.random() < spec.p_delay:
-                            action = self._paused(action, spec, pause_counter)
-                elif spec.rank != rank or spec.nth != n or i in self._fired:
-                    continue
-                elif spec.kind == pause_kind:
-                    self._fired.add(i)
-                    action = self._paused(action, spec, pause_counter)
-                elif spec.kind == "dup" and spec.op == op:
-                    self._fired.add(i)
-                    action = self._duplicated(action)
-        if action is not None:
+            for spec in self.plan.specs:
+                if (spec.kind, spec.op, spec.rank, spec.nth) == (
+                    "delay", op, rank, n
+                ):
+                    self.counters.delays += 1
+                    seconds = max(seconds, spec.seconds)
+        if seconds:
             obs.add("runtime.faults.injected")
-            if action.pause_s:
-                obs.add(f"runtime.faults.{pause_counter}")
-            if action.duplicate:
-                obs.add("runtime.faults.duplicates")
-        return action
-
-    def _paused(self, action, spec: FaultSpec, counter: str) -> FaultAction:
-        action = action or FaultAction()
-        action.pause_s = max(action.pause_s, spec.seconds)
-        setattr(self.counters, counter, getattr(self.counters, counter) + 1)
-        return action
-
-    def _duplicated(self, action) -> FaultAction:
-        action = action or FaultAction()
-        if not action.duplicate:
-            action.duplicate = True
-            self._next_msg_id += 1
-            action.msg_id = ("fault-dup", self.msg_id_tag, self._next_msg_id)
-            self.counters.duplicates += 1
-        return action
-
-    def record_dropped_duplicate(self) -> None:
-        """Called by the delivery layers when an id-dedup drops a message."""
-        with self._lock:
-            self.counters.dropped += 1
+            obs.add("runtime.faults.delays")
+        return seconds
 
     # ------------------------------------------------------------------
     # Cross-process state transfer (the simmpi process backend)
     # ------------------------------------------------------------------
-    def export_state(self, ranks=None) -> dict:
-        """Fired specs, operation ordinals, shake streams, counters — picklable.
+    def export_state(self) -> dict:
+        """Fired crashes, operation ordinals and counters — picklable.
 
         A forked child's injector copy mutates independently of the
         parent's; the child ships this dict back at exit so the parent
         injector stays the single owner of the state: crash
-        one-shot-ness, nth-operation ordinals and the per-rank shake
-        streams all survive a recovery supervisor re-forking the world.
-        ``ranks`` names the ranks the exporting child hosted: only their
-        shake streams are shipped, because its forked copies of the
-        other ranks' streams are stale.
+        one-shot-ness and the send/put ordinals survive a recovery
+        supervisor re-forking the world.
         """
         with self._lock:
             return {
                 "fired": sorted(self._fired),
                 "ordinals": {
                     op: dict(counts) for op, counts in self._ordinals.items()
-                },
-                "shake": {
-                    rank: rng.bit_generator.state
-                    for rank, rng in self._shake_rng.items()
-                    if ranks is None or rank in ranks
                 },
                 "counters": asdict(self.counters),
             }
@@ -434,12 +305,9 @@ class FaultInjector:
         ``base`` is the child's export at fork time (i.e. this
         injector's state when the world started): counters are absorbed
         as deltas against it so inherited history is not double-counted.
-        Send/put ordinals and shake streams are per-rank and each rank
-        runs in exactly one child, so the child's absolute value
-        replaces the parent's.
+        Send/put ordinals are per-rank and each rank runs in exactly one
+        child, so the child's value replaces the parent's.
         """
-        for rank, rng_state in state["shake"].items():
-            self._rank_shake_rng(rank).bit_generator.state = rng_state
         with self._lock:
             self._fired.update(int(i) for i in state["fired"])
             for op, counts in state["ordinals"].items():
@@ -456,22 +324,21 @@ class FaultInjector:
     def snapshot(self) -> dict:
         """Counters of everything injected so far (for reports/results)."""
         with self._lock:
-            counts = asdict(self.counters)
-            counts["duplicates_dropped"] = counts.pop("dropped")
             return {
                 "injected": self.counters.injected,
-                **counts,
+                **asdict(self.counters),
                 "plan": self.plan.describe(),
             }
 
 
 def resolve_plan(faults) -> FaultPlan | None:
-    """Normalize a ``--faults`` value: str | FaultPlan | None -> FaultPlan."""
+    """Normalize a ``--faults`` value: str | FaultPlan | None -> FaultPlan.
+
+    An empty plan is no plan: it resolves to ``None``.
+    """
     if faults is None:
         return None
-    if isinstance(faults, FaultPlan):
-        return faults if faults else None
-    if isinstance(faults, str):
+    if isinstance(faults, (FaultPlan, str)):
         plan = FaultPlan.parse(faults)
         return plan if plan else None
     raise TypeError(f"cannot interpret fault plan of type {type(faults)!r}")

@@ -9,12 +9,12 @@ the active ones in one fixed order, identical on every backend.
 
 Primitive signatures (what a layer sees)::
 
-    send(dest, tag, payload, nbytes, msg_id=None)
+    send(dest, tag, payload, nbytes)
     recv(source, tag) -> (source, tag, payload, nbytes)
     probe(source, tag) -> Status
     iprobe(source, tag) -> Status | None
     exchange(kind, value, meter) -> [value of rank 0, ..., of rank n-1]
-    put(win_tag, target, payload, nbytes, msg_id=None)
+    put(win_tag, target, payload, nbytes)
     fence(win_tag, counts) -> [(origin, payload, nbytes), ...]
 
 ``payload`` is already frozen and ``nbytes`` already costed by
@@ -73,9 +73,9 @@ class TrafficLayer(Layer):
         self._stats = stats
         self._rank = rank
 
-    def send(self, dest, tag, payload, nbytes, msg_id=None):
+    def send(self, dest, tag, payload, nbytes):
         self._stats.record_send(self._rank, dest, nbytes)
-        self.inner.send(dest, tag, payload, nbytes, msg_id)
+        self.inner.send(dest, tag, payload, nbytes)
 
     def recv(self, source, tag):
         envelope = self.inner.recv(source, tag)
@@ -87,9 +87,9 @@ class TrafficLayer(Layer):
             self._stats.record_collective(meter)
         return self.inner.exchange(kind, value, meter)
 
-    def put(self, win_tag, target, payload, nbytes, msg_id=None):
+    def put(self, win_tag, target, payload, nbytes):
         self._stats.record_send(self._rank, target, nbytes)
-        self.inner.put(win_tag, target, payload, nbytes, msg_id)
+        self.inner.put(win_tag, target, payload, nbytes)
 
     def fence(self, win_tag, counts):
         if self._rank == 0:
@@ -102,39 +102,32 @@ class TrafficLayer(Layer):
 
 
 class FaultLayer(Layer):
-    """Apply the fault plan's delays, stalls and duplicates.
+    """Apply the fault plan's delays.
 
-    A pause is sender-side, so FIFO order per (source, tag) survives it
-    (an MPI send is allowed to block).  A duplicate is a second delivery
-    under the same message id: the traffic layer below meters it as the
-    wire-level retransmission it models, and the destination mailbox
-    drops it, so the receiver still sees exactly-once delivery.
+    A delay pauses the sender before the operation goes inward, so FIFO
+    order per (source, tag) survives it (an MPI send is allowed to
+    block) and no byte moves differently.
     """
 
     name = "faults"
 
     def __init__(self, inner, injector, rank: int) -> None:
         super().__init__(inner)
-        self._injector = injector
+        self._pause = injector.pause
         self._rank = rank
 
-    def _deliver(self, action, deliver, *args) -> None:
-        if action is None:
-            deliver(*args)
-            return
-        if action.pause_s > 0:
-            time.sleep(action.pause_s)
-        deliver(*args, action.msg_id)
-        if action.duplicate:
-            deliver(*args, action.msg_id)
+    def _hold(self, op: str) -> None:
+        seconds = self._pause(self._rank, op)
+        if seconds:
+            time.sleep(seconds)
 
-    def send(self, dest, tag, payload, nbytes, msg_id=None):
-        action = self._injector.on_send(self._rank, dest, tag)
-        self._deliver(action, self.inner.send, dest, tag, payload, nbytes)
+    def send(self, dest, tag, payload, nbytes):
+        self._hold("send")
+        self.inner.send(dest, tag, payload, nbytes)
 
-    def put(self, win_tag, target, payload, nbytes, msg_id=None):
-        action = self._injector.on_put(self._rank, target)
-        self._deliver(action, self.inner.put, win_tag, target, payload, nbytes)
+    def put(self, win_tag, target, payload, nbytes):
+        self._hold("put")
+        self.inner.put(win_tag, target, payload, nbytes)
 
 
 class MigrationError(RuntimeError):
@@ -183,8 +176,8 @@ class JournalLayer(Layer):
         self._cursor = len(journal)
         return out
 
-    def send(self, dest, tag, payload, nbytes, msg_id=None):
-        self._through("send", self.inner.send, dest, tag, payload, nbytes, msg_id)
+    def send(self, dest, tag, payload, nbytes):
+        self._through("send", self.inner.send, dest, tag, payload, nbytes)
 
     def recv(self, source, tag):
         return self._through("recv", self.inner.recv, source, tag)
@@ -198,10 +191,8 @@ class JournalLayer(Layer):
     def exchange(self, kind, value, meter):
         return self._through("exchange", self.inner.exchange, kind, value, meter)
 
-    def put(self, win_tag, target, payload, nbytes, msg_id=None):
-        self._through(
-            "put", self.inner.put, win_tag, target, payload, nbytes, msg_id
-        )
+    def put(self, win_tag, target, payload, nbytes):
+        self._through("put", self.inner.put, win_tag, target, payload, nbytes)
 
     def fence(self, win_tag, counts):
         return self._through("fence", self.inner.fence, win_tag, counts)
@@ -215,8 +206,8 @@ def compose(
 
     The order, innermost first, and why it is that order:
 
-    1. **traffic** — below the fault layer, so a duplicated delivery is
-       metered as the second wire message it models.
+    1. **traffic** — innermost, so it meters exactly what reaches the
+       endpoint: a send the journal suppresses is never charged.
     2. **faults** (world has a plan) — below the journal, so a replayed
        send does not advance the injector's nth-send ordinals again.
     3. **journal** (overdecomposed with a plan) — above everything with

@@ -32,9 +32,9 @@ Each child records into its own :class:`TrafficStats`, observe
 :class:`~repro.runtime.faults.FaultInjector`; at exit it ships those
 through a result pipe and the parent merges them, so ``world.stats``,
 the active observe registry, and the shared injector end up equivalent
-to a thread-backend run — fired crash specs, operation ordinals and
-shake streams included, so a recovery supervisor re-forking the world
-continues exactly where a thread-backend rerun would.
+to a thread-backend run — fired crash specs and operation ordinals
+included, so a recovery supervisor re-forking the world continues
+exactly where a thread-backend rerun would.
 
 Determinism
 -----------
@@ -121,8 +121,8 @@ class _Endpoints:
 class ForkedTransport(LocalTransport):
     """One child's end of the process transport (its hosted rank group)."""
 
-    def __init__(self, endpoints: _Endpoints, gi: int, on_duplicate=None) -> None:
-        super().__init__(endpoints.groups[gi], on_duplicate)
+    def __init__(self, endpoints: _Endpoints, gi: int) -> None:
+        super().__init__(endpoints.groups[gi])
         self._endpoints = endpoints
         self._inbox = endpoints.inboxes[gi]
         self._pool = endpoints.pool
@@ -131,14 +131,14 @@ class ForkedTransport(LocalTransport):
         )
         self._pump.start()
 
-    def post(self, dests, src, tag, payload, nbytes, msg_id=None) -> None:
+    def post(self, dests, src, tag, payload, nbytes) -> None:
         remote: dict[int, list[int]] = {}
         for dest in dests:
             mailbox = self._mailboxes.get(dest)
             if mailbox is not None:
                 # Same child: straight into the peer's mailbox — no
                 # queue, no pickle, no feeder-thread latency.
-                mailbox.deposit(src, tag, payload, nbytes, msg_id)
+                mailbox.deposit(src, tag, payload, nbytes)
             else:
                 remote.setdefault(self._endpoints.group_of[dest], []).append(dest)
         if not remote:
@@ -147,23 +147,17 @@ class ForkedTransport(LocalTransport):
         # queue's feeder thread cannot observe sender-side mutations.
         # With a pool, bulk arrays move to shared memory here — encoded
         # once, pinned for every receiving child — and the queue pickles
-        # only the slot headers.  A fault-injected duplicate post encodes
-        # again (own slots); the pump's decode-then-dedup order
-        # guarantees those are released too.
+        # only the slot headers.
         if self._pool is not None:
             payload = self._pool.encode(payload, nrefs=len(remote))
         for gi, members in remote.items():
             self._endpoints.inboxes[gi].put(
-                (_MSG, members, src, tag, payload, nbytes, msg_id)
+                (_MSG, members, src, tag, payload, nbytes)
             )
 
     def abort(self) -> None:
         super().abort()
         self._endpoints.abort_all()
-
-    def seen_ids(self) -> set:
-        """Duplicate-message ids delivered in this child (residual sweep)."""
-        return set().union(*(mb.seen_ids for mb in self._mailboxes.values()))
 
     def _pump_loop(self) -> None:
         while True:
@@ -179,12 +173,10 @@ class ForkedTransport(LocalTransport):
             self._deliver(item)
 
     def _deliver(self, item) -> None:
-        _kind, dests, src, tag, payload, nbytes, msg_id = item
+        _kind, dests, src, tag, payload, nbytes = item
         if self._pool is not None:
-            # Decode *before* the mailbox's duplicate check: a dropped
-            # duplicate must still release its slots.
             payload = self._pool.decode(payload)
-        super().post(dests, src, tag, payload, nbytes, msg_id)
+        super().post(dests, src, tag, payload, nbytes)
 
     def quiesce(self) -> None:
         """Stop the pump and fold already-arrived envelopes into the mailboxes.
@@ -231,21 +223,13 @@ def _child_entry(
     pinned to one physical node.
     """
     ranks = endpoints.groups[gi]
-    if faults is not None:
-        # Namespace this child's duplicate message ids: the per-process
-        # injector copies allocate ids independently.  Groups are
-        # contiguous, so the lowest hosted rank is unique per child.
-        faults.msg_id_tag = ranks[0] + 1
     child_registry = None
     if obs_trace is not None:
         from repro.observe.registry import Registry
 
         child_registry = obs.enable(Registry(trace=obs_trace))
     stats = TrafficStats(nranks, network)
-    transport = ForkedTransport(
-        endpoints, gi,
-        None if faults is None else faults.record_dropped_duplicate,
-    )
+    transport = ForkedTransport(endpoints, gi)
 
     # A rank error aborts the whole world from inside the child, exactly
     # as the parent would: every child's pump sees the sentinel.
@@ -264,9 +248,8 @@ def _child_entry(
         "obs": (
             child_registry.export_state() if child_registry is not None else None
         ),
-        "faults": faults.export_state(ranks) if faults is not None else None,
+        "faults": faults.export_state() if faults is not None else None,
         "pending": transport.pending(),
-        "seen_ids": transport.seen_ids(),
     }
     try:
         conn.send(report)
@@ -421,7 +404,6 @@ def _run_forked(
     # Merge every child's measurements into the parent-side registries.
     pending_msgs = 0
     results: dict[int, object] = {}
-    seen_ids: set = set()
     for gi, ranks in enumerate(groups):
         rep = reports.get(gi)
         if rep is None:
@@ -434,15 +416,13 @@ def _run_forked(
             label = _names(gi, ranks)["observe"]
             registry.absorb_state(rep["obs"], label=label)
         pending_msgs += rep["pending"]
-        seen_ids |= rep["seen_ids"]
 
     # Residual sweep: an envelope can still sit in a child's inbox queue
     # when that child quiesces (queue feeder threads flush asynchronously,
     # so a send that "happened before" the receiver's exit may reach the
     # pipe after it).  All children have exited by now, which flushes
     # their feeders, so whatever remains here is the exact set of
-    # undelivered envelopes — count the user messages, dropping
-    # fault-injected duplicates exactly as a mailbox would.
+    # undelivered envelopes — count the user messages.
     pool = endpoints.pool
     for q in endpoints.inboxes:
         while True:
@@ -454,17 +434,11 @@ def _run_forked(
                 break  # a terminated child left a truncated write
             if item[0] != _MSG:
                 continue
-            _kind, dests, _src, tag, payload, _nbytes, msg_id = item
+            _kind, dests, _src, tag, payload, _nbytes = item
             if pool is not None:
                 # Abort-while-slot-held: the receivers are gone, so the
                 # parent drops this envelope's slot references.
                 pool.release_refs(payload)
-            if msg_id is not None:
-                if msg_id in seen_ids:
-                    if world.faults is not None:
-                        world.faults.record_dropped_duplicate()
-                    continue
-                seen_ids.add(msg_id)
             if tag >= 0:
                 pending_msgs += len(dests)
     world._pending = pending_msgs

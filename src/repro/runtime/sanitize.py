@@ -190,8 +190,8 @@ class SanitizeLayer(Layer):
         return user
 
     # -- two-sided -----------------------------------------------------
-    def send(self, dest, tag, payload, nbytes, msg_id=None):
-        self.inner.send(dest, tag, self._tick_and_stamp(payload), nbytes, msg_id)
+    def send(self, dest, tag, payload, nbytes):
+        self.inner.send(dest, tag, self._tick_and_stamp(payload), nbytes)
         slot = self._sends.get((dest, tag))
         if slot is None:
             slot = self._sends[(dest, tag)] = [0, _call_site()]
@@ -249,10 +249,8 @@ class SanitizeLayer(Layer):
         return users
 
     # -- one-sided -----------------------------------------------------
-    def put(self, win_tag, target, payload, nbytes, msg_id=None):
-        self.inner.put(
-            win_tag, target, self._tick_and_stamp(payload), nbytes, msg_id
-        )
+    def put(self, win_tag, target, payload, nbytes):
+        self.inner.put(win_tag, target, self._tick_and_stamp(payload), nbytes)
 
     def fence(self, win_tag, counts):
         self._events.append(("fence",))

@@ -45,7 +45,12 @@ from typing import Any, Callable
 import numpy as np
 
 from repro import observe as obs
-from repro.runtime.faults import FaultInjector, FaultPlan, InjectedFault
+from repro.runtime.faults import (
+    FaultInjector,
+    FaultPlan,
+    InjectedFault,
+    resolve_plan,
+)
 from repro.runtime.layers import Layer, compose
 from repro.runtime.netmodel import NetworkModel
 from repro.runtime.stats import TrafficStats, payload_nbytes
@@ -181,8 +186,8 @@ class Endpoint:
         with self._around(op):
             return match(source, tag, consume, deadline=deadline, op=op)
 
-    def send(self, dest, tag, payload, nbytes, msg_id=None) -> None:
-        self._post((dest,), self.rank, tag, payload, nbytes, msg_id)
+    def send(self, dest, tag, payload, nbytes) -> None:
+        self._post((dest,), self.rank, tag, payload, nbytes)
 
     def recv(self, source, tag):
         return self._wait(source, tag, deadline=self._deadline())
@@ -221,8 +226,8 @@ class Endpoint:
         self._post(range(1, self.size), 0, TAG_RESULT, values, 0)
         return list(values)
 
-    def put(self, win_tag, target, payload, nbytes, msg_id=None) -> None:
-        self._post((target,), self.rank, win_tag, payload, nbytes, msg_id)
+    def put(self, win_tag, target, payload, nbytes) -> None:
+        self._post((target,), self.rank, win_tag, payload, nbytes)
 
     def fence(self, win_tag, counts) -> list:
         """Complete a window epoch; ``counts[t]`` puts went to rank ``t``.
@@ -304,8 +309,7 @@ class RankComm:
         """Eager buffered send; returns immediately.
 
         When the world carries a fault plan the injector may impose a
-        sender-side delay or deliver the message twice (see
-        :class:`~repro.runtime.layers.FaultLayer`).
+        sender-side delay (see :class:`~repro.runtime.layers.FaultLayer`).
         """
         if not 0 <= dest < self.size:
             raise ValueError(f"destination rank {dest} out of range")
@@ -507,10 +511,12 @@ class World:
         HPC interconnect; use :data:`repro.runtime.netmodel.SUNWAY_NETWORK`
         for the TaihuLight-flavored parameters).
     faults:
-        Optional :class:`~repro.runtime.faults.FaultPlan` (or an already
-        shared :class:`~repro.runtime.faults.FaultInjector`) that sends,
-        one-sided puts, and engine fault points consult.  ``None`` (the
-        default) keeps every hot path exactly as before.  On the
+        Optional :class:`~repro.runtime.faults.FaultPlan` or its DSL
+        string (or an already shared
+        :class:`~repro.runtime.faults.FaultInjector`) that sends,
+        one-sided puts, and engine fault points consult.  ``None`` or an
+        empty plan (the default) composes no fault layer and keeps every
+        hot path exactly as before.  On the
         overdecomposed backend a world with a plan journals its ranks'
         communication, so a planned crash is survived by *migrating* the
         rank (journal replay on a replacement thread) instead of
@@ -550,7 +556,7 @@ class World:
         self,
         nranks: int,
         network: NetworkModel | None = None,
-        faults: FaultPlan | FaultInjector | None = None,
+        faults: FaultPlan | FaultInjector | str | None = None,
         watchdog: float | None = None,
         backend: str | None = None,
         workers: int | None = None,
@@ -564,9 +570,10 @@ class World:
         self.backend = resolve_backend(backend)
         self.workers = resolve_workers(workers)
         self.stats = TrafficStats(nranks, network or NetworkModel())
-        self.faults = (
-            FaultInjector(faults) if isinstance(faults, FaultPlan) else faults
-        )
+        if not isinstance(faults, FaultInjector):
+            plan = resolve_plan(faults)
+            faults = None if plan is None else FaultInjector(plan)
+        self.faults = faults
         self.watchdog = watchdog
         self.sanitize = sanitize
         #: Ranks migrated (journal-replayed) after an injected crash.
@@ -622,17 +629,13 @@ class World:
             return run_process_world(self, main, timeout, grace, workers, sanitizing)
         from repro.runtime.scheduler import RankScheduler, RankThreads, default_workers
 
-        faults = self.faults
-        transport = LocalTransport(
-            range(self.nranks),
-            None if faults is None else faults.record_dropped_duplicate,
-        )
+        transport = LocalTransport(range(self.nranks))
         scheduler = None
         if backend == "overdecomposed":
             slots = workers if workers is not None else default_workers()
             scheduler = RankScheduler(min(slots, self.nranks))
         ranks = RankThreads(
-            main, transport, self.nranks, self.stats, faults, self.watchdog,
+            main, transport, self.nranks, self.stats, self.faults, self.watchdog,
             sanitizing, scheduler,
         )
         ranks.start(range(self.nranks))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -81,34 +81,14 @@ class Mailbox:
     fit wins, which gives FIFO order per (source, tag) pair.
     """
 
-    def __init__(
-        self,
-        aborted: threading.Event,
-        on_duplicate: Callable[[], None] | None = None,
-    ) -> None:
+    def __init__(self, aborted: threading.Event) -> None:
         self._cond = threading.Condition()
         self._queue: list[tuple[int, int, Any, int]] = []
         self._aborted = aborted
-        self._on_duplicate = on_duplicate
-        #: Ids of fault-injected duplicates already delivered here.
-        self.seen_ids: set = set()
 
-    def deposit(self, src: int, tag: int, payload, nbytes: int, msg_id=None) -> None:
-        """Enqueue an envelope, dropping a redelivered ``msg_id``.
-
-        ``msg_id`` is only set by fault-injected duplicates: the
-        transport then behaves as an at-least-once network while
-        delivery stays exactly-once — the second copy is dropped (and
-        counted) here, never seen by a receive.
-        """
+    def deposit(self, src: int, tag: int, payload, nbytes: int) -> None:
+        """Enqueue an envelope and wake the waiters."""
         with self._cond:
-            if msg_id is not None:
-                if msg_id in self.seen_ids:
-                    obs.add("runtime.faults.duplicates_dropped")
-                    if self._on_duplicate is not None:
-                        self._on_duplicate()
-                    return
-                self.seen_ids.add(msg_id)
             self._queue.append((src, tag, payload, nbytes))
             self._cond.notify_all()
 
@@ -187,18 +167,13 @@ class LocalTransport:
     ForkedTransport` extends it with the leg to ranks in other processes.
     """
 
-    def __init__(
-        self, ranks: Iterable[int], on_duplicate: Callable[[], None] | None = None
-    ) -> None:
+    def __init__(self, ranks: Iterable[int]) -> None:
         #: Set once the world is aborting; blocked waiters re-check it.
         self.aborted = threading.Event()
-        self._mailboxes = {
-            rank: Mailbox(self.aborted, on_duplicate) for rank in ranks
-        }
+        self._mailboxes = {rank: Mailbox(self.aborted) for rank in ranks}
 
     def post(
-        self, dests: Iterable[int], src: int, tag: int, payload, nbytes: int,
-        msg_id=None,
+        self, dests: Iterable[int], src: int, tag: int, payload, nbytes: int
     ) -> None:
         """Deliver one envelope to every rank in ``dests``.
 
@@ -206,7 +181,7 @@ class LocalTransport:
         values that are already frozen (or immutable control data).
         """
         for dest in dests:
-            self._mailboxes[dest].deposit(src, tag, payload, nbytes, msg_id)
+            self._mailboxes[dest].deposit(src, tag, payload, nbytes)
 
     def mailbox(self, rank: int) -> Mailbox:
         """The mailbox of a rank hosted in this process."""

@@ -32,8 +32,7 @@ class Window:
         self._chain = chain
         self._tag = tag
         #: Logical puts issued this epoch, by target rank.  Counted here,
-        #: above the middleware, so a fault-injected retransmission is
-        #: not counted twice and a journal replay counts like the
+        #: above the middleware, so a journal replay counts like the
         #: original run.
         self._epoch_counts = [0] * comm.size
 
@@ -41,10 +40,9 @@ class Window:
         """Deposit ``payload`` in ``target``'s window; target not involved.
 
         Completion is only guaranteed after the next :meth:`fence`.
-        A fault plan on the world may stall the put (the DMA analogue of
-        a congested network engine) or retransmit it; retransmissions
-        are deduplicated by message id before they reach the window, so
-        the target drains each logical put exactly once.
+        A fault plan on the world may delay the put at the origin (the
+        DMA analogue of a congested network engine); the target still
+        drains each put exactly once.
         """
         if not 0 <= target < self.comm.size:
             raise ValueError(f"target rank {target} out of range")

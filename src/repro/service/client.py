@@ -1,7 +1,7 @@
 """Client API of the service layer: submit, wait, fetch results.
 
 :class:`ServiceClient` talks to a service root purely through the
-on-disk queue and cache — no sockets, no daemon handshake — so it works
+on-disk queue and cache — no sockets, no daemon protocol — so it works
 against a live ``serve`` pool, a pool in another process, or a pool
 run inline afterwards.  :func:`run_service` is the one-shot embedded
 mode: submit a batch of specs and drain a pool in-process (what the

@@ -193,7 +193,8 @@ class TestFaultFlags:
     def test_bad_fault_plan_exits_2(self, capsys):
         # Routed through argparse (type=): usage error, SystemExit(2).
         for plan, named in [("explode:rank=0,cycle=1", "explode"),
-                            ("shake:seed=abc", "seed=abc")]:
+                            ("dup:rank=0,nth=1", "'dup'"),
+                            ("crash:rank=abc,cycle=1", "rank=abc")]:
             with pytest.raises(SystemExit) as exc_info:
                 main(["coupled", "--faults", plan])
             err = capsys.readouterr().err

@@ -234,7 +234,8 @@ class TestCoupledRecovery:
         result = CoupledSimulation(
             _coupled_config(
                 faults=FaultPlan.parse(
-                    "delay:rank=0,nth=3,seconds=0.01; dup:rank=1,nth=2"
+                    "delay:rank=0,nth=3,seconds=0.01; "
+                    "delay:rank=1,nth=2,seconds=0.01"
                 )
             )
         ).run()

@@ -253,22 +253,6 @@ class TestFailureParity:
         assert retry.run(main, timeout=60.0) == [0, 1]
         assert world.faults.counters.crashes == 1
 
-    def test_duplicate_send_deduplicated_and_counted(self):
-        plan = FaultPlan.parse("dup:rank=0,nth=1")
-
-        def main(comm):
-            other = 1 - comm.rank
-            comm.send(other, 2, comm.rank)
-            _s, _t, first = comm.recv(other, 2)
-            comm.barrier()
-            return first
-
-        world = World(2, faults=plan, backend="process")
-        assert world.run(main, timeout=60.0) == [1, 0]
-        assert world.faults.counters.duplicates == 1
-        assert world.faults.counters.dropped == 1
-        assert world.pending_messages() == 0
-
 
 # ----------------------------------------------------------------------
 # Observe aggregation

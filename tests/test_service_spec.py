@@ -118,7 +118,8 @@ class TestValidation:
         # and a rank count with no process grid over the cells.
         ({"cells": 5, "kmc_nranks": 8}, r"cells=5 .*kmc_nranks=8 .*\(2, 2, 2\)"),
         ({"cells": 6, "kmc_nranks": 7}, "cells=6 .*kmc_nranks=7 .*process grid"),
-        ({"faults": "shake:seed=abc"}, "bad faults plan: .*seed=abc"),
+        ({"faults": "crash:rank=abc,cycle=1"}, "bad faults plan: .*rank=abc"),
+        ({"faults": "shake:seed=1"}, "bad faults plan: .*'shake'"),
     ])
     def test_bad_values_rejected(self, kwargs, match):
         with pytest.raises(SpecError, match=match):
