@@ -461,8 +461,6 @@ def cmd_coupled(args) -> int:
         )
     elif result.recoveries:
         print(f"recoveries: {result.recoveries}")
-    if result.migrations:
-        print(f"migrations: {result.migrations}")
     if result.trajectory_path is not None:
         print(
             f"trajectory: {result.trajectory_frames} frames "

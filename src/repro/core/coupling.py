@@ -213,9 +213,6 @@ class CoupledResult:
     sunway_report: dict | None = None
     #: How many times the KMC stage was restarted after a fault.
     recoveries: int = 0
-    #: Crashed logical ranks replayed in place on a surviving worker
-    #: (overdecomposed backend) — no world restart involved.
-    migrations: int = 0
     #: Injector counters (crashes/delays), when faults
     #: were planned.
     fault_report: dict | None = None
@@ -518,7 +515,6 @@ class CoupledSimulation:
             comm_stats=kmc.comm_stats,
             sunway_report=sunway_report,
             recoveries=recoveries,
-            migrations=(kmc.comm_stats or {}).get("migrations", 0),
             fault_report=fault_report,
             trajectory_path=cfg.trajectory,
             trajectory_frames=trajectory_frames,

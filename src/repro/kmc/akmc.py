@@ -618,8 +618,8 @@ class ParallelAKMC:
                 Uses the same gather path as the checkpoints, so the
                 store holds merged global frames regardless of the rank
                 count.  The writer's frame fence keeps recording
-                idempotent under journal replay (a migrated rank 0
-                re-executes from the top) and under resumed attempts.
+                idempotent under resumed attempts, which re-execute
+                cycles past the checkpoint they resume from.
                 """
                 nonlocal traj_writer
                 with obs.phase("io.trajectory.gather"):
@@ -738,13 +738,11 @@ class ParallelAKMC:
         for res in results:
             global_occ[res["owned"]] = res["occ"]
         vac = np.flatnonzero(global_occ == VACANCY)
-        stats = world.stats.snapshot()
-        stats["migrations"] = world.migrations
         return KMCResult(
             occupancy=global_occ,
             time=results[0]["time"],
             cycles=results[0]["cycles"],
             events=results[0]["events"],
             vacancy_ranks=vac,
-            comm_stats=stats,
+            comm_stats=world.stats.snapshot(),
         )

@@ -23,13 +23,12 @@ real.  It is one communication stack in three layers:
    every rank — as threads, as forked processes, or as R logical ranks
    on P worker slots (:mod:`~repro.runtime.scheduler`).
 3. **Middleware** (:mod:`~repro.runtime.layers`) — fault injection
-   (:mod:`~repro.runtime.faults`), journal/replay rank migration, the
-   vector-clock sanitizer (:mod:`~repro.runtime.sanitize`) and traffic
-   accounting as an ordered chain over seven primitives, composed
-   identically on every backend.  Waiting is not a layer: a rank gives
-   up its worker slot and opens a ``runtime.*`` blocked phase at the
-   endpoint's one wait point, and only when its mailbox has nothing to
-   match.
+   (:mod:`~repro.runtime.faults`), the vector-clock sanitizer
+   (:mod:`~repro.runtime.sanitize`) and traffic accounting as an ordered
+   chain over seven primitives, composed identically on every backend.
+   Waiting is not a layer: a rank gives up its worker slot and opens a
+   ``runtime.*`` blocked phase at the endpoint's one wait point, and
+   only when its mailbox has nothing to match.
 
 :class:`~repro.runtime.stats.TrafficStats` counts every byte and message
 (the measurements behind Figures 12-13), and

@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import time
 
-from repro.runtime.transport import freeze
-
 PRIMITIVES = ("send", "recv", "probe", "iprobe", "exchange", "put", "fence")
 
 
@@ -130,97 +128,21 @@ class FaultLayer(Layer):
         self.inner.put(win_tag, target, payload, nbytes)
 
 
-class MigrationError(RuntimeError):
-    """A replayed rank diverged from its journal (should never happen)."""
-
-
-class JournalLayer(Layer):
-    """Journal every primitive's outcome; replay it after a migration.
-
-    Live, each call goes inward and its outcome is appended to the
-    journal.  A replacement incarnation of a crashed rank is given the
-    same journal and starts in *replay*: calls whose entry exists return
-    the recorded outcome at once — receives, collective results and
-    fence drains are served from the log, sends and puts are suppressed
-    (the world already saw them) — until the cursor reaches the journal
-    end and the rank seamlessly goes live.  Nothing below this layer
-    runs during replay, so the traffic ledger and the injector's
-    ordinals of a migrated run equal the fault-free ones.
-
-    Suppression is sound because injected crashes fire only at engine
-    ``fault_point``s, which sit at quiescent cycle boundaries: no
-    collective is in flight and every window epoch is fenced.
-    """
-
-    name = "journal"
-
-    def __init__(self, inner, journal: list, rank: int) -> None:
-        super().__init__(inner)
-        self._journal = journal
-        self._cursor = 0
-        self._rank = rank
-
-    def _through(self, kind: str, call, *args):
-        journal = self._journal
-        if self._cursor < len(journal):
-            entry = journal[self._cursor]
-            if entry[0] != kind:
-                raise MigrationError(
-                    f"rank {self._rank} replay diverged: journal has "
-                    f"{entry[0]!r} where the program performed {kind!r}"
-                )
-            self._cursor += 1
-            return freeze(entry[1])
-        out = call(*args)
-        journal.append((kind, freeze(out)))
-        self._cursor = len(journal)
-        return out
-
-    def send(self, dest, tag, payload, nbytes):
-        self._through("send", self.inner.send, dest, tag, payload, nbytes)
-
-    def recv(self, source, tag):
-        return self._through("recv", self.inner.recv, source, tag)
-
-    def probe(self, source, tag):
-        return self._through("probe", self.inner.probe, source, tag)
-
-    def iprobe(self, source, tag):
-        return self._through("iprobe", self.inner.iprobe, source, tag)
-
-    def exchange(self, kind, value, meter):
-        return self._through("exchange", self.inner.exchange, kind, value, meter)
-
-    def put(self, win_tag, target, payload, nbytes):
-        self._through("put", self.inner.put, win_tag, target, payload, nbytes)
-
-    def fence(self, win_tag, counts):
-        return self._through("fence", self.inner.fence, win_tag, counts)
-
-
-def compose(
-    endpoint, *, rank, size, stats, mailbox, faults=None, journal=None,
-    sanitize=False,
-):
+def compose(endpoint, *, rank, size, stats, mailbox, faults=None, sanitize=False):
     """Stack the active layers over ``endpoint``; return the outermost.
 
     The order, innermost first, and why it is that order:
 
     1. **traffic** — innermost, so it meters exactly what reaches the
-       endpoint: a send the journal suppresses is never charged.
-    2. **faults** (world has a plan) — below the journal, so a replayed
-       send does not advance the injector's nth-send ordinals again.
-    3. **journal** (overdecomposed with a plan) — above everything with
-       a side effect, so replay suppresses all of it.
-    4. **sanitize** — outermost: it stamps payloads with vector clocks
-       before anything else sees them and rebuilds its ledger from the
-       journal's replayed outcomes after a migration.
+       endpoint.
+    2. **faults** (world has a plan) — pauses an operation before it is
+       metered or sent.
+    3. **sanitize** — outermost: it stamps payloads with vector clocks
+       before anything else sees them.
     """
     chain = TrafficLayer(endpoint, stats, rank)
     if faults is not None:
         chain = FaultLayer(chain, faults, rank)
-    if journal is not None:
-        chain = JournalLayer(chain, journal, rank)
     if sanitize:
         from repro.runtime.sanitize import SanitizeLayer
 

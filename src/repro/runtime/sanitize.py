@@ -36,8 +36,7 @@ collective is one ``exchange`` primitive, so it carries the clock as
 part of its value and divergent collective *kinds* still pair up and are
 reported instead of deadlocking; all state crosses process boundaries as
 plain tuples/dicts — it works identically on the thread, process, and
-overdecomposed backends, including journal-replay rank migration (the
-layer sits above the journal and rebuilds its ledger from the replay).
+overdecomposed backends.
 """
 
 from __future__ import annotations
@@ -359,9 +358,7 @@ def wrap_main(main: Callable) -> Callable:
 
     Runs the user's ``main`` — whose communicator carries the sanitizer
     layer — then seals the rank's result with the world-wide verdict;
-    :func:`finish_world` unwraps it.  Works on every backend; on rank
-    migration the replacement rank re-enters here and rebuilds its
-    ledger from the journal replay.
+    :func:`finish_world` unwraps it.  Works on every backend.
     """
 
     def sanitized_main(comm):

@@ -34,16 +34,6 @@ explicit (source, tag) and collectives return rank-ordered lists — R
 ranks on P workers produce physics bit-identical to R ranks on R
 threads, the same argument (and the same tests) that
 make the thread and process backends interchangeable.
-
-Rank migration
---------------
-With a fault plan on an overdecomposed world, each rank's communication
-is journaled (:class:`~repro.runtime.layers.JournalLayer`).  When a
-planned crash fires, the world is not restarted: the rank *migrates* — a
-replacement thread replays the journal and goes live exactly where the
-crash struck.  Peers blocked at the next collective simply wait a little
-longer; the trajectory, the final state, and the traffic ledger come out
-bit-identical to a fault-free run.
 """
 
 from __future__ import annotations
@@ -56,7 +46,6 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterable
 
 from repro import observe as obs
-from repro.runtime.faults import InjectedFault
 from repro.runtime.simmpi import RankComm
 from repro.runtime.transport import LocalTransport, WorldAborted
 
@@ -157,10 +146,7 @@ class RankThreads:
     holding a scheduler slot while it computes when there is a
     scheduler.  A rank that raises aborts the world and its error is
     kept for the join epilogue; ranks unblocked by that abort exit
-    quietly.  On a scheduler with a fault plan a planned crash is
-    instead survived *in place*: the crashed rank's journal is handed to
-    a replacement thread, which replays it rather than tearing the world
-    down.
+    quietly.
     """
 
     def __init__(
@@ -171,56 +157,34 @@ class RankThreads:
         self._main = main
         self._transport = transport
         self._scheduler = scheduler
-        #: What every rank's communicator is built from, besides its
-        #: rank and journal.
+        #: What every rank's communicator is built from, besides its rank.
         self._comm_options = dict(
             size=size, transport=transport, stats=stats, faults=faults,
             watchdog=watchdog, scheduler=scheduler, sanitize=sanitize,
         )
-        # Overdecomposed worlds with a fault plan migrate crashed ranks.
-        self._journaling = scheduler is not None and faults is not None
         self._lock = threading.Lock()
         self._threads: list[threading.Thread] = []
         self.results: dict[int, Any] = {}
         self.errors: list[tuple[int, BaseException]] = []
-        self.migrations = 0
 
     def start(self, ranks: Iterable[int]) -> None:
         for rank in ranks:
-            self._spawn(rank, [] if self._journaling else None, 0)
-
-    def _spawn(self, rank: int, journal: list | None, incarnation: int) -> None:
-        suffix = f".{incarnation}" if incarnation else ""
-        thread = threading.Thread(
-            target=self._run_rank,
-            args=(rank, journal, incarnation),
-            name=f"simmpi-rank-{rank}{suffix}",
-            daemon=True,
-        )
-        with self._lock:
+            thread = threading.Thread(
+                target=self._run_rank, args=(rank,),
+                name=f"simmpi-rank-{rank}", daemon=True,
+            )
             self._threads.append(thread)
-        thread.start()
+            thread.start()
 
-    def _run_rank(self, rank: int, journal: list | None, incarnation: int) -> None:
+    def _run_rank(self, rank: int) -> None:
         scheduler = self._scheduler
         if scheduler is not None:
             scheduler.acquire(rank)
         try:
-            comm = RankComm(rank, journal=journal, **self._comm_options)
+            comm = RankComm(rank, **self._comm_options)
             self.results[rank] = self._main(comm)
         except WorldAborted:
             pass
-        except InjectedFault as exc:
-            if journal is None or self._transport.aborted.is_set():
-                self._fail(rank, exc)
-            else:
-                # Migrate: planned crashes are one-shot, so the replay
-                # cannot re-fire this spec.  The replacement is spawned
-                # before this thread ends, so wait() never sees a gap.
-                with self._lock:
-                    self.migrations += 1
-                obs.add("runtime.migrations")
-                self._spawn(rank, journal, incarnation + 1)
         except BaseException as exc:  # must cross threads (see baseline)
             self._fail(rank, exc)
         finally:
@@ -240,25 +204,18 @@ class RankThreads:
         self._transport.abort()
 
     def wait(self, timeout: float | None) -> bool:
-        """Join every rank thread (replacements included); ``False`` if
-        ``timeout`` seconds pass first."""
+        """Join every rank thread; ``False`` if ``timeout`` seconds pass
+        first."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        joined = 0
-        while True:
-            with self._lock:
-                threads = self._threads[joined:]
-            if not threads:
-                return True
-            for thread in threads:
-                thread.join(
-                    None if deadline is None
-                    else max(0.0, deadline - time.monotonic())
-                )
-                if thread.is_alive():
-                    return False
-            joined += len(threads)
+        for thread in self._threads:
+            thread.join(
+                None if deadline is None
+                else max(0.0, deadline - time.monotonic())
+            )
+            if thread.is_alive():
+                return False
+        return True
 
     def alive(self) -> list[str]:
         """Names of the rank threads still running."""
-        with self._lock:
-            return [t.name for t in self._threads if t.is_alive()]
+        return [t.name for t in self._threads if t.is_alive()]

@@ -148,7 +148,7 @@ class Endpoint:
     directly over ``post`` and the rank's mailbox.  The envelopes an
     ``exchange`` or a ``fence`` moves internally use reserved tags and
     bypass the middleware, so they are never frozen per receiver,
-    metered, journaled, fault-injected or visible to user receives.
+    metered, fault-injected or visible to user receives.
     """
 
     def __init__(
@@ -272,7 +272,6 @@ class RankComm:
         faults: FaultInjector | None = None,
         watchdog: float | None = None,
         scheduler=None,
-        journal: list | None = None,
         sanitize: bool = False,
     ) -> None:
         self.rank = rank
@@ -287,7 +286,7 @@ class RankComm:
             ),
             rank=rank, size=size, stats=stats,
             mailbox=transport.mailbox(rank), faults=faults,
-            journal=journal, sanitize=sanitize,
+            sanitize=sanitize,
         )
         #: The sanitizer layer (always outermost), if this run has one.
         self.sanitizer = chain if sanitize else None
@@ -497,10 +496,9 @@ class World:
     """A fixed-size group of SPMD ranks executed on threads or processes.
 
     A ``World`` holds configuration and what accumulates over its runs
-    (``stats``, the shared fault injector, ``migrations``); everything a
-    single run needs — transport, abort flag, error list, scheduler — is
-    created inside :meth:`run`, so a world can be run again after a
-    failure.
+    (``stats``, the shared fault injector); everything a single run
+    needs — transport, abort flag, error list, scheduler — is created
+    inside :meth:`run`, so a world can be run again after a failure.
 
     Parameters
     ----------
@@ -516,11 +514,9 @@ class World:
         :class:`~repro.runtime.faults.FaultInjector`) that sends,
         one-sided puts, and engine fault points consult.  ``None`` or an
         empty plan (the default) composes no fault layer and keeps every
-        hot path exactly as before.  On the
-        overdecomposed backend a world with a plan journals its ranks'
-        communication, so a planned crash is survived by *migrating* the
-        rank (journal replay on a replacement thread) instead of
-        aborting the world.
+        hot path exactly as before.  A planned crash aborts the world
+        and raises :class:`~repro.runtime.faults.InjectedFault` out of
+        :meth:`run` on every backend.
     watchdog:
         Optional deadline in seconds for each blocking recv/probe/
         collective/fence; when exceeded the waiting rank raises
@@ -576,8 +572,6 @@ class World:
         self.faults = faults
         self.watchdog = watchdog
         self.sanitize = sanitize
-        #: Ranks migrated (journal-replayed) after an injected crash.
-        self.migrations = 0
         #: Shm slots the last process-backend run left pinned (the
         #: sanitizer reports them).
         self.shm_leaked_slots = 0
@@ -644,7 +638,6 @@ class World:
             ranks.abort()
             stragglers = [] if ranks.wait(grace) else ranks.alive()
         self._pending = transport.pending()
-        self.migrations += ranks.migrations
         if scheduler is not None:
             scheduler.publish()
         conclude(

@@ -31,9 +31,8 @@ class Window:
         self.comm = comm
         self._chain = chain
         self._tag = tag
-        #: Logical puts issued this epoch, by target rank.  Counted here,
-        #: above the middleware, so a journal replay counts like the
-        #: original run.
+        #: Logical puts issued this epoch, by target rank; the fence
+        #: tells each target how many to drain.
         self._epoch_counts = [0] * comm.size
 
     def put(self, target: int, payload) -> None:

@@ -139,7 +139,6 @@ def execute_spec(spec: ScenarioSpec, workdir, *, progress=None) -> dict:
         fh.write((_dumps(summary) + "\n").encode())
     run_meta = {
         "recoveries": result.recoveries,
-        "migrations": result.migrations,
         "fault_report": result.fault_report,
         "comm_stats": result.comm_stats,
     }

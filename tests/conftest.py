@@ -15,22 +15,6 @@ from repro.lattice.bcc import BCCLattice
 from repro.lattice.box import Box
 from repro.md.state import AtomState
 from repro.potential.fe import FeParameters, make_fe_potential
-from repro.runtime.simmpi import resolve_backend
-
-
-def crash_outcome(crashes: int = 1, backend: str | None = None) -> tuple[int, int]:
-    """``(recoveries, migrations)`` a run surviving ``crashes`` planned
-    rank crashes must report on the backend ``backend`` resolves to.
-
-    The overdecomposed backend replays a crashed rank in place on a
-    surviving worker (a migration: the world never stops); the thread
-    and process backends abort the world and the recovery supervisor
-    restarts the stage.  Either way the final state is bit-identical to
-    a fault-free run — callers assert that separately.
-    """
-    if resolve_backend(backend) == "overdecomposed":
-        return 0, crashes
-    return crashes, 0
 
 
 def pytest_addoption(parser):

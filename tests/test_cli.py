@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.cli import FIGURES, build_parser, main
-from tests.conftest import crash_outcome
 
 
 class TestParser:
@@ -184,10 +183,11 @@ class TestFaultFlags:
         out = capsys.readouterr().out
         assert rc == 0
         assert "fault plan: crash rank 1 at kmc.cycle[3]" in out
-        assert "faults injected: 1 (1 crashes" in out
-        recoveries, migrations = crash_outcome()
-        assert f"recoveries: {recoveries}" in out
-        assert ("migrations: 1" in out) == bool(migrations)
+        # One observable outcome per crash, whatever the backend.
+        assert [
+            line for line in out.splitlines()
+            if "recoveries" in line or "migration" in line
+        ] == ["faults injected: 1 (1 crashes, 0 delays); recoveries: 1"]
         assert (tmp_path / "kmc_checkpoint.npz").exists()
 
     def test_bad_fault_plan_exits_2(self, capsys):

@@ -19,7 +19,6 @@ from repro.kmc.alloy import (
 from repro.kmc.events import KMCModel
 from repro.lattice.bcc import BCCLattice
 from repro.potential.alloy import make_fe_cu_alloy
-from tests.conftest import crash_outcome
 
 
 @pytest.fixture(scope="module")
@@ -247,9 +246,9 @@ class TestInherited:
     def test_parallel_crash_recovers_to_fault_free_state(
         self, alloy_model, tmp_path
     ):
-        """A ``crash:`` plan on an alloy ``ParallelAKMC``: the backend
-        either migrates the rank in place or aborts the world for a
-        resume from the checkpoint — the same final occupancy both ways."""
+        """A ``crash:`` plan on an alloy ``ParallelAKMC`` aborts the world;
+        a resume from the last checkpoint ends at the fault-free
+        occupancy."""
         from repro.io.checkpoint import load_kmc_checkpoint
         from repro.runtime.faults import FaultPlan, InjectedFault
 
@@ -265,16 +264,11 @@ class TestInherited:
         path = tmp_path / "alloy-par.npz"
         budget = dict(max_cycles=8, checkpoint_every=2, checkpoint_path=path)
         crashing = engine(FaultPlan.parse("crash:rank=3,cycle=5"))
-        _restarts, migrations = crash_outcome()
-        if migrations:
-            result = crashing.run(occ0, **budget)
-        else:
-            with pytest.raises(InjectedFault):
-                crashing.run(occ0, **budget)
-            ckpt = load_kmc_checkpoint(path)
-            assert ckpt.cycle == 4
-            result = engine().run(ckpt.occupancy, resume=ckpt, **budget)
-        assert result.comm_stats["migrations"] == migrations
+        with pytest.raises(InjectedFault):
+            crashing.run(occ0, **budget)
+        ckpt = load_kmc_checkpoint(path)
+        assert ckpt.cycle == 4
+        result = engine().run(ckpt.occupancy, resume=ckpt, **budget)
         assert np.array_equal(result.occupancy, clean.occupancy)
         assert result.time == clean.time
         assert result.events == clean.events > 0

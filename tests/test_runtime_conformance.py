@@ -3,8 +3,10 @@
 A single synthetic SPMD program touches every primitive of the runtime;
 it must produce identical results and an identical traffic ledger on
 every backend, worker count, with the sanitizer on or off, and through
-migrated crashes and delayed sends and puts — because all of them run the
-one ``RankComm`` over one middleware chain and differ only in transport.
+delayed sends and puts — because all of them run the one ``RankComm``
+over one middleware chain and differ only in transport.  A planned crash
+aborts the world on every backend alike, and a rerun with the same
+injector completes.
 """
 
 import numpy as np
@@ -91,7 +93,6 @@ def program(comm):
 
 FAULTS = {
     "none": None,
-    "crash": "crash:rank=1,cycle=1",
     "delay": "delay:rank=0,nth=2,seconds=0.005; "
              "delay:rank=2,nth=3,seconds=0.005,op=put",
 }
@@ -111,8 +112,8 @@ def run_program(backend, workers=None, sanitize=False, faults="none"):
 def reference():
     """Thread-backend results and ledger of the fault-free program.
 
-    A migrated crash must be invisible and a pause moves no byte, so
-    every fault plan's reference is the fault-free run.
+    A pause moves no byte, so every fault plan's reference is the
+    fault-free run.
     """
     world, _inj, results = run_program("thread")
     return repr(results), world.stats.snapshot()
@@ -123,10 +124,6 @@ def cells():
         for workers in (None,) if backend == "thread" else (1, 2, R):
             for sanitize in (False, True):
                 for faults in FAULTS:
-                    # Only the overdecomposed backend survives a crash in
-                    # place; elsewhere it is the supervisor's job (§7).
-                    if faults == "crash" and backend != "overdecomposed":
-                        continue
                     yield pytest.param(
                         backend, workers, sanitize, faults,
                         id=f"{backend}-w{workers}-san{int(sanitize)}-{faults}",
@@ -141,9 +138,6 @@ def test_conformance(reference, backend, workers, sanitize, faults):
     assert repr(results) == expected_results
     assert_same_ledger(world.stats.snapshot(), expected_ledger)
     assert world.pending_messages() == 0
-    if faults == "crash":
-        assert world.migrations == 1
-        assert injector.counters.crashes == 1
     if faults == "delay":
         assert injector.counters.delays == 2
 
@@ -158,10 +152,7 @@ def test_layers_compose_in_one_order_on_every_backend():
             continue
         world = World(2, faults=plan, backend=backend, workers=2, sanitize=True)
         (layers, _same) = world.run(main, timeout=60.0)
-        expected = ("sanitize", "faults", "traffic")
-        if backend == "overdecomposed":
-            expected = ("sanitize", "journal", "faults", "traffic")
-        assert layers == expected
+        assert layers == ("sanitize", "faults", "traffic")
 
 
 def test_an_empty_plan_composes_no_fault_layer():
@@ -249,8 +240,8 @@ def test_onesided_akmc_ledger_identical_across_backends(
 # ----------------------------------------------------------------------
 # The injector is the one owner of fault state
 # ----------------------------------------------------------------------
-@needs_fork
-def test_fired_set_survives_a_recovery_refork():
+@pytest.mark.parametrize("backend", [backend_param(b) for b in BACKENDS])
+def test_fired_set_survives_a_recovery_refork(backend):
     def main(comm):
         r, n = comm.rank, comm.size
         seen = []
@@ -262,16 +253,16 @@ def test_fired_set_survives_a_recovery_refork():
         return seen
 
     plan = "delay:rank=0,nth=1,seconds=0.001; crash:rank=1,cycle=2"
-    reruns = {}
-    for backend in ("thread", "process"):
-        injector = FaultInjector(FaultPlan.parse(plan))
-        with pytest.raises(InjectedFault):
-            World(3, faults=injector, backend=backend).run(main, timeout=60.0)
-        # The supervisor's move: rerun with the same injector.  Neither
-        # the crash nor the delay fires again on either backend.
-        reruns[backend] = World(3, faults=injector, backend=backend).run(
+    injector = FaultInjector(FaultPlan.parse(plan))
+    with pytest.raises(InjectedFault):
+        World(3, faults=injector, backend=backend, workers=2).run(
             main, timeout=60.0
         )
-        counters = injector.counters
-        assert (counters.crashes, counters.delays) == (1, 1)
-    assert reruns["thread"] == reruns["process"]
+    # The supervisor's move: rerun with the same injector.  Neither the
+    # crash nor the delay fires again.
+    rerun = World(3, faults=injector, backend=backend, workers=2).run(
+        main, timeout=60.0
+    )
+    counters = injector.counters
+    assert (counters.crashes, counters.delays) == (1, 1)
+    assert rerun == [[((r - 1) % 3, c) for c in range(4)] for r in range(3)]

@@ -17,7 +17,6 @@ from repro.runtime.faults import (
     InjectedFault,
 )
 from repro.runtime.simmpi import WatchdogTimeout, World
-from tests.conftest import crash_outcome
 
 
 class TestFaultPlanParsing:
@@ -91,17 +90,16 @@ class TestCrashInjection:
         assert inj.snapshot()["crashes"] == 1
 
     def test_crash_raises_through_world_run(self):
-        # Pinned to the two backends that abort on a crash; the
-        # overdecomposed one migrates the rank instead (next test).
         def main(comm):
             for cycle in range(10):
                 comm.fault_point("kmc.cycle", cycle)
                 comm.barrier()
             return comm.rank
 
-        for backend in ("thread", "process"):
+        for backend in ("thread", "process", "overdecomposed"):
             world = World(
-                3, faults=FaultPlan.parse("crash:rank=2,cycle=4"), backend=backend
+                3, faults=FaultPlan.parse("crash:rank=2,cycle=4"), backend=backend,
+                workers=2,
             )
             with pytest.raises(InjectedFault):
                 world.run(main)
@@ -118,14 +116,8 @@ class TestCrashInjection:
 
         plan = FaultPlan.parse("crash:rank=0,cycle=2")
         inj = FaultInjector(plan)
-        first = World(2, faults=inj)
-        _restarts, migrations = crash_outcome()
-        if migrations:
-            assert first.run(main) == [0, 1]
-        else:
-            with pytest.raises(InjectedFault):
-                first.run(main)
-        assert first.migrations == migrations
+        with pytest.raises(InjectedFault):
+            World(2, faults=inj).run(main)
         assert World(2, faults=inj).run(main) == [0, 1]
         assert inj.snapshot()["crashes"] == 1
 

@@ -2,9 +2,8 @@
 
 Contract under test (ISSUE 6): scheduling only reorders *timing* — R
 ranks on P workers must produce physics byte-identical to R ranks on R
-threads for every engine; a crashed rank is migrated (journal replayed
-on a fresh thread) without a world restart; and paper-scale logical
-decompositions (64 ranks) run to completion on a handful of workers.
+threads for every engine; and paper-scale logical decompositions (64
+ranks) run to completion on a handful of workers.
 """
 
 import threading
@@ -21,7 +20,6 @@ from repro.md.engine import MDConfig
 from repro.md.parallel_damage import ParallelDamageMD
 from repro.observe.registry import Registry
 from repro.potential.fe import make_fe_potential
-from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.netmodel import NetworkModel
 from repro.runtime.scheduler import RankScheduler, default_workers
 from repro.runtime.simmpi import (
@@ -375,94 +373,6 @@ class TestBitIdentity:
             assert (
                 result.velocities.tobytes() == reference.velocities.tobytes()
             )
-
-
-# ----------------------------------------------------------------------
-# Rank migration: crash -> journal replay, no world restart
-# ----------------------------------------------------------------------
-class TestMigration:
-    def test_crashed_rank_migrates_bit_identically(self):
-        lattice = BCCLattice(8, 8, 8)
-        potential = make_fe_potential(n=1000)
-        params = RateParameters()
-        occ0 = place_random_vacancies(
-            KMCModel(lattice, potential, params),
-            12,
-            np.random.default_rng(5),
-        )
-
-        def run(**kwargs):
-            engine = ParallelAKMC(
-                lattice,
-                potential,
-                params,
-                grid=(2, 2, 2),
-                scheme="onesided",
-                seed=9,
-                **kwargs,
-            )
-            return engine.run(occ0.copy(), max_cycles=3)
-
-        reference = run(backend="thread")
-        injector = FaultInjector(FaultPlan.parse("crash:rank=3,cycle=1"))
-        migrated = run(
-            backend="overdecomposed", workers=2, faults=injector
-        )
-        # The crash fired ...
-        assert injector.counters.crashes == 1
-        # ... the rank was replayed in place, not the world restarted ...
-        assert migrated.comm_stats["migrations"] == 1
-        # ... and the trajectory is byte-identical to fault-free.
-        assert migrated.occupancy.tobytes() == reference.occupancy.tobytes()
-        assert migrated.events == reference.events
-
-    def test_fault_free_overdecomposed_reports_zero_migrations(self):
-        lattice = BCCLattice(8, 8, 8)
-        potential = make_fe_potential(n=1000)
-        params = RateParameters()
-        occ0 = place_random_vacancies(
-            KMCModel(lattice, potential, params),
-            8,
-            np.random.default_rng(5),
-        )
-        engine = ParallelAKMC(
-            lattice,
-            potential,
-            params,
-            grid=(2, 2, 2),
-            seed=9,
-            backend="overdecomposed",
-            workers=2,
-        )
-        result = engine.run(occ0.copy(), max_cycles=2)
-        assert result.comm_stats["migrations"] == 0
-
-    def test_synthetic_migration_with_all_primitives(self):
-        def main(comm):
-            r, n = comm.rank, comm.size
-            acc = np.zeros(3)
-            total = 0.0
-            for cycle in range(4):
-                comm.fault_point("kmc.cycle", cycle)
-                comm.send((r + 1) % n, cycle, np.arange(3) * 1.0 + r + cycle)
-                _, _, got = comm.recv((r - 1) % n, tag=cycle)
-                acc += got
-                total = comm.allreduce(float(acc.sum()))
-                win = comm.win_create()
-                win.put((r + 3) % n, acc.copy())
-                for _src, payload in win.fence():
-                    acc += 0.01 * payload
-                comm.barrier()
-            return (r, acc.tolist(), total)
-
-        reference = World(8).run(main, timeout=60)
-        injector = FaultInjector(FaultPlan.parse("crash:rank=3,cycle=2"))
-        world = World(
-            8, faults=injector, backend="overdecomposed", workers=2
-        )
-        results = world.run(main, timeout=60)
-        assert world.migrations == 1
-        assert repr(results) == repr(reference)
 
 
 # ----------------------------------------------------------------------
