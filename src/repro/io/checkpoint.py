@@ -27,6 +27,8 @@ that checkpoints loads no MD module, and whoever holds an
 from __future__ import annotations
 
 import json
+import math
+import zipfile
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -186,18 +188,46 @@ def save_kmc_checkpoint(
 
 
 def load_kmc_checkpoint(path) -> KMCCheckpoint:
-    """Read back a checkpoint written by :func:`save_kmc_checkpoint`."""
-    with np.load(path, allow_pickle=False) as data:
+    """Read back a checkpoint written by :func:`save_kmc_checkpoint`.
+
+    Validated at the boundary, as :func:`load_checkpoint` validates the
+    run-away table: a file that is not an npz archive or not a KMC
+    checkpoint, a missing field, an occupancy that is not 1-D, a
+    non-finite clock or a negative counter is a :class:`CheckpointError`
+    naming the file and the field.
+    """
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"{path} is not an npz archive: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise CheckpointError(f"{path} is not an npz archive")
+    with data:
         if "format" not in data.files or str(data["format"]) != KMC_FORMAT:
             raise CheckpointError(f"{path} is not a {KMC_FORMAT} file")
-        rng_state = str(data["rng_state"])
-        return KMCCheckpoint(
+        for name in ("occupancy", "time", "cycle", "events", "rng_state"):
+            if name not in data.files:
+                raise CheckpointError(f"{path}: no {name} field")
+        ckpt = KMCCheckpoint(
             occupancy=data["occupancy"].astype(np.int8).copy(),
             time=float(data["time"]),
             cycle=int(data["cycle"]),
             events=int(data["events"]),
-            rng_state=rng_state or None,
+            rng_state=str(data["rng_state"]) or None,
         )
+    if ckpt.occupancy.ndim != 1:
+        raise CheckpointError(
+            f"{path}: occupancy has shape {ckpt.occupancy.shape}, "
+            "not one code per site"
+        )
+    if not math.isfinite(ckpt.time):
+        raise CheckpointError(f"{path}: time {ckpt.time} is not finite")
+    for name in ("cycle", "events"):
+        if getattr(ckpt, name) < 0:
+            raise CheckpointError(
+                f"{path}: {name} {getattr(ckpt, name)} is negative"
+            )
+    return ckpt
 
 
 def rng_state_json(rng: np.random.Generator) -> str:

@@ -27,12 +27,9 @@ they differ only in measured communication volume and modeled time.
 
 There is one serial engine (:class:`~repro.kmc.akmc.SerialAKMC`, exact
 BKL) and one parallel engine (:class:`~repro.kmc.akmc.ParallelAKMC`),
-both species-blind: the rate model carries the species —
-:class:`~repro.kmc.events.KMCModel` for pure iron,
-:class:`~repro.kmc.alloy.AlloyKMCModel` for Fe-Cu, chosen by
-:func:`~repro.kmc.akmc.model_for` from the type of the potential — and
-every event is selected through the incremental
-:class:`~repro.kmc.catalog.EventCatalog`.
+both over one rate model, :class:`~repro.kmc.events.KMCModel` (BCC iron,
+the only material the paper evaluates), and every event is selected
+through the incremental :class:`~repro.kmc.catalog.EventCatalog`.
 
 The package exports nothing: import from the submodule that defines the
 name (``from repro.kmc.akmc import SerialAKMC``), so a serial run loads

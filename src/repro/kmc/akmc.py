@@ -11,9 +11,9 @@ by residence-time sampling inside each sector, and ghost reconciliation
 after every sector through a pluggable
 :class:`~repro.kmc.comm.ExchangeScheme` — the knob Figures 12-13 turn.
 
-Both engines are species-blind: the rate model carries the species
-(:func:`model_for` picks it from the potential's type, the only place
-either engine asks), and events flow through one path, the incremental
+Both engines build the one pure-iron rate model,
+:class:`~repro.kmc.events.KMCModel`, from ``params or RateParameters()``,
+and events flow through one path, the incremental
 :class:`~repro.kmc.catalog.EventCatalog`.
 
 The module level imports what both engines execute.  The domain
@@ -40,16 +40,14 @@ from repro.io.checkpoint import (
     save_kmc_checkpoint,
 )
 from repro.kmc.catalog import EventCatalog
-from repro.kmc.events import VACANCY, BaseKMCModel, KMCModel, RateParameters
+from repro.kmc.events import VACANCY, KMCModel, RateParameters
 from repro.kmc.rng import sector_rng
 from repro.lattice.bcc import BCCLattice
 from repro.potential.eam import EAMPotential
 
 if TYPE_CHECKING:
-    from repro.kmc.alloy import AlloyRateParameters
     from repro.kmc.comm import ExchangeScheme
     from repro.lattice.domain import DomainDecomposition
-    from repro.potential.alloy import AlloyTables
 
 
 def _parallel_stack():
@@ -113,26 +111,6 @@ def sector_decomposition(
     return decomp, width
 
 
-def model_for(
-    potential: EAMPotential | AlloyTables, params
-) -> tuple[type[BaseKMCModel], RateParameters | AlloyRateParameters]:
-    """``(model class, rate parameters)`` for a potential.
-
-    The one place an engine asks "which species?": an
-    :class:`~repro.potential.alloy.AlloyTables` selects the Fe-Cu model,
-    anything else the single-species one; ``params=None`` means that
-    model's defaults.
-    """
-    if not isinstance(potential, EAMPotential):
-        # The Fe-Cu pair loads for the run that asks for it only.
-        from repro.kmc.alloy import AlloyKMCModel, AlloyRateParameters
-        from repro.potential.alloy import AlloyTables
-
-        if isinstance(potential, AlloyTables):
-            return AlloyKMCModel, params or AlloyRateParameters()
-    return KMCModel, params or RateParameters()
-
-
 @dataclass
 class KMCResult:
     """Outcome of a KMC run."""
@@ -167,15 +145,12 @@ class SerialAKMC:
     Parameters
     ----------
     lattice, potential, params:
-        The physical system.  ``potential`` is an
-        :class:`~repro.potential.eam.EAMPotential` (pure iron) or an
-        :class:`~repro.potential.alloy.AlloyTables` (Fe-Cu, with
-        :class:`~repro.kmc.alloy.AlloyRateParameters`); see
-        :func:`model_for`.
+        The physical system (``params=None`` = :class:`RateParameters`
+        defaults).
     occupancy:
         Initial site array (``None`` = perfect lattice; add vacancies via
         :func:`place_random_vacancies` or from an MD cascade result).
-        Every code must be one the model has tables for.
+        Every code must be ATOM or VACANCY.
     seed:
         RNG seed for event selection.
     faults:
@@ -189,17 +164,17 @@ class SerialAKMC:
     def __init__(
         self,
         lattice: BCCLattice,
-        potential: EAMPotential | AlloyTables,
-        params: RateParameters | AlloyRateParameters | None = None,
+        potential: EAMPotential,
+        params: RateParameters | None = None,
         occupancy: np.ndarray | None = None,
         seed: int = 2018,
         faults=None,
     ) -> None:
-        model_cls, self.params = model_for(potential, params)
-        self.model = model_cls(lattice, potential, self.params)
+        self.params = params or RateParameters()
+        self.model = KMCModel(lattice, potential, self.params)
         if occupancy is None:
             occupancy = self.model.perfect_occupancy()
-        self.occ = model_cls.checked_occupancy(lattice, occupancy).copy()
+        self.occ = KMCModel.checked_occupancy(lattice, occupancy).copy()
         self.rng = np.random.default_rng(seed)
         self.time = 0.0
         self.events = 0
@@ -424,9 +399,7 @@ class ParallelAKMC:
     Parameters
     ----------
     lattice, potential, params:
-        The physical system; species follow ``potential`` exactly as in
-        :class:`SerialAKMC` (an alloy occupancy carries codes 0/1/2 and
-        every communication scheme ships them unchanged).
+        The physical system, as in :class:`SerialAKMC`.
     grid / nranks:
         Process grid, or a world size for :func:`choose_grid` to
         factorize.  A decomposition whose subdomains cannot host the
@@ -452,19 +425,6 @@ class ParallelAKMC:
     workers:
         Physical worker count for the overdecomposed / rank-group
         backends; ``None`` defers to ``REPRO_WORKERS`` / cpu count.
-    rate_bound:
-        How the per-vacancy rate bound behind the cycle dt is enforced
-        (:meth:`~repro.kmc.events.BaseKMCModel.rate_bound`).
-        The EAM correction can drive a barrier below the ``e_m0``
-        reference (only the ``de_min`` floor limits it), so raw event
-        rates can exceed the nominal ``8 * nu * exp(-e_m0/kT)`` that dt
-        is derived from.  ``"clamp"`` (default) keeps the
-        reference-rate dt and caps each event's rate at the reference
-        rate, counting every clamp on ``kmc.rate_bound.clamped`` — the
-        documented invariant then truly holds.  ``"strict"`` derives dt
-        from the true supremum ``8 * nu * exp(-de_min/kT)`` instead
-        (physically exact, but the dt shrinks by orders of magnitude,
-        so cycles advance the clock far more slowly).
 
     Each sector keeps a persistent
     :class:`~repro.kmc.catalog.EventCatalog` across cycles; between
@@ -473,14 +433,11 @@ class ParallelAKMC:
     scheme) re-enter it.
     """
 
-    #: Accepted ``rate_bound`` enforcement modes.
-    RATE_BOUND_MODES = ("clamp", "strict")
-
     def __init__(
         self,
         lattice: BCCLattice,
-        potential: EAMPotential | AlloyTables,
-        params: RateParameters | AlloyRateParameters | None = None,
+        potential: EAMPotential,
+        params: RateParameters | None = None,
         grid: tuple[int, int, int] | None = None,
         nranks: int | None = None,
         scheme: str = "ondemand",
@@ -490,25 +447,20 @@ class ParallelAKMC:
         watchdog: float | None = None,
         backend: str | None = None,
         workers: int | None = None,
-        rate_bound: str = "clamp",
     ) -> None:
         *_, schemes = _parallel_stack()
         if scheme not in schemes:
             raise ValueError(f"unknown scheme {scheme!r}; choose from {list(schemes)}")
-        if rate_bound not in self.RATE_BOUND_MODES:
-            raise ValueError(
-                f"unknown rate_bound {rate_bound!r}; "
-                f"choose from {list(self.RATE_BOUND_MODES)}"
-            )
-        self.rate_bound = rate_bound
         self.lattice = lattice
         self.potential = potential
-        self.model_cls, self.params = model_for(potential, params)
-        #: Per-vacancy rate bound the cycle dt derives from, and the
-        #: per-event cap (``None`` in strict mode) that enforces it.
-        self.dt_rate_bound, self.rate_cap = self.model_cls.rate_bound(
-            self.params, rate_bound
-        )
+        self.params = params or RateParameters()
+        #: Per-vacancy rate bound the cycle dt derives from: 8 candidate
+        #: hops at the reference rate.  The EAM correction can drive a
+        #: barrier below ``e_m0`` (only ``de_min`` limits it), so every
+        #: event is capped at bound/8 (counted on
+        #: ``kmc.rate_bound.clamped``) to make it a true bound.
+        self.dt_rate_bound = 8.0 * self.params.reference_rate
+        self.rate_cap = self.dt_rate_bound / 8.0
         self.decomp, self.width = sector_decomposition(
             lattice, self.params, grid, nranks
         )
@@ -563,7 +515,7 @@ class ParallelAKMC:
             number, so a resumed run appends at the same fences as an
             uninterrupted one.
         """
-        occupancy = self.model_cls.checked_occupancy(self.lattice, occupancy)
+        occupancy = KMCModel.checked_occupancy(self.lattice, occupancy)
         if checkpoint_every is not None and checkpoint_path is None:
             raise ValueError("checkpoint_every requires checkpoint_path")
         if trajectory_every is not None and trajectory is None:
@@ -588,7 +540,7 @@ class ParallelAKMC:
                 site_set, central_rows = sub.site_set(lattice, width)
                 sites = site_set.ranks
                 owned = sites[central_rows]
-                model = self.model_cls(
+                model = KMCModel(
                     lattice,
                     self.potential,
                     self.params,
@@ -641,11 +593,10 @@ class ParallelAKMC:
                     # "#1: Compute dt for the subdomain" + global time sync —
                     # the collective the weak-scaling analysis blames.  The
                     # cycle step derives from the per-vacancy rate bound
-                    # (reference rate in clamp mode, de_min supremum in
-                    # strict mode) times the busiest rank's vacancy
-                    # count x 8 candidate hops.  It depends only on owned-site
-                    # occupancy — guaranteed current under every communication
-                    # scheme — so all schemes draw identical dt.
+                    # times the busiest rank's vacancy count.  It depends
+                    # only on owned-site occupancy — guaranteed current
+                    # under every communication scheme — so all schemes
+                    # draw identical dt.
                     nv_local = int(np.count_nonzero(occ[central_rows] == VACANCY))
                     with obs.phase("kmc.dt_sync"):
                         nv_max = comm.allreduce(nv_local, op="max")

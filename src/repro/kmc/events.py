@@ -87,24 +87,23 @@ class RateParameters:
         return self.nu * math.exp(-self.e_m0 / self.kt)
 
 
-class BaseKMCModel:
-    """Species-blind half of an on-lattice rate model over one site set.
+class KMCModel:
+    """Pure-iron on-lattice rate model over one site set and one EAM potential.
 
-    Owns everything the AKMC engines and the event catalog touch — the
-    site set, the static energy and first-shell stencils, the influence
-    map, swap execution, the rate cap and the cycle-dt rate bound — so
-    the engines never ask which species a run carries.  A concrete model
-    adds its interpolation tables, ``species`` codes and
-    :meth:`vacancy_events`: :class:`KMCModel` for pure iron,
-    :class:`~repro.kmc.alloy.AlloyKMCModel` for Fe-Cu.
+    Owns everything the AKMC engines and the event catalog touch: the
+    site set, the static energy and first-shell stencils with their
+    per-slot ``phi`` / ``f`` constants, the influence map, swap
+    execution, the rate cap and the occupancy check.
 
     Parameters
     ----------
     lattice:
         Global BCC lattice.
+    potential:
+        The :class:`~repro.potential.eam.EAMPotential` supplying phi / f / F.
     params:
-        Rate parameters (``nu``, ``kt``, ``de_min``, ``energy_cutoff``,
-        ``reference_rate``).
+        Rate parameters (``nu``, ``kt``, ``e_m0``, ``de_min``,
+        ``energy_cutoff``).
     sites:
         Sorted global site ranks covered (``None`` = full lattice).
     rate_cap:
@@ -122,21 +121,18 @@ class BaseKMCModel:
     the occupancy array and pass it in.
     """
 
-    #: Occupied-site codes this model has tables for, matrix species
-    #: first; together with :data:`VACANCY` they are the only values an
-    #: occupancy array may hold.
-    species: tuple[int, ...] = ()
-
     def __init__(
         self,
         lattice: BCCLattice,
-        params,
+        potential: EAMPotential,
+        params: RateParameters,
         sites: np.ndarray | None = None,
         rate_cap: float | None = None,
     ) -> None:
         if rate_cap is not None and rate_cap <= 0:
             raise ValueError(f"rate_cap must be positive, got {rate_cap}")
         self.lattice = lattice
+        self.potential = potential
         self.params = params
         self.rate_cap = rate_cap
         self.site_set = SiteSet(lattice, sites)
@@ -147,12 +143,16 @@ class BaseKMCModel:
         # complete stencil.
         offsets = lattice.offsets_within(params.energy_cutoff)
         self.e_matrix, self.e_valid = self.site_set.neighbor_rows(offsets)
-        #: Static lattice distance per slot, one row per basis (site
-        #: ``s`` reads ``e_dist[s % 2]``; unused slots hold 0): the two
-        #: rows the subclass evaluates its tables on.
-        self.e_dist = np.zeros((2, offsets.max_count))
-        self.e_dist[0, : len(offsets.corner)] = offsets.corner_distances * lattice.a
-        self.e_dist[1, : len(offsets.center)] = offsets.center_distances * lattice.a
+        # Static lattice distance per slot, one row per basis (site s
+        # reads row s % 2; unused slots hold 0): the splines see the two
+        # per-basis distance rows, not one per site.
+        e_dist = np.zeros((2, offsets.max_count))
+        e_dist[0, : len(offsets.corner)] = offsets.corner_distances * lattice.a
+        e_dist[1, : len(offsets.center)] = offsets.center_distances * lattice.a
+        basis = self.sites % 2
+        safe = np.where(e_dist > 0, e_dist, potential.cutoff)
+        self.phi_slots = np.where(self.e_valid, potential.phi(safe)[basis], 0.0)
+        self.f_slots = np.where(self.e_valid, potential.fdens(safe)[basis], 0.0)
         # First shell: the 8 exchange partners of every site.
         self.first_matrix, self.first_valid = self.site_set.neighbor_rows(
             FIRST_SHELL
@@ -160,27 +160,12 @@ class BaseKMCModel:
         self._influence: tuple[np.ndarray, np.ndarray] | None = None
 
     @staticmethod
-    def rate_bound(params, mode: str) -> tuple[float, float | None]:
-        """``(per-vacancy rate bound, per-event cap)`` behind the cycle dt.
+    def checked_occupancy(lattice: BCCLattice, occupancy) -> np.ndarray:
+        """``occupancy`` as an int8 full-lattice array of ATOM/VACANCY codes.
 
-        ``"clamp"`` keeps the reference-rate bound and makes it a true
-        bound by capping every event at bound/8 (a vacancy has at most 8
-        candidate hops).  ``"strict"`` needs no cap: ``de_min`` is the
-        only floor under a corrected barrier, so no event can exceed
-        ``nu * exp(-de_min/kT)`` whatever its species.
-        """
-        if mode == "strict":
-            return 8.0 * params.nu * math.exp(-params.de_min / params.kt), None
-        bound = 8.0 * params.reference_rate
-        return bound, bound / 8.0
-
-    @classmethod
-    def checked_occupancy(cls, lattice: BCCLattice, occupancy) -> np.ndarray:
-        """``occupancy`` as an int8 full-lattice array of this model's codes.
-
-        Raises ``ValueError`` on a wrong length or on a site code the
-        model has no tables for (an unknown code would otherwise be read
-        as a multiple of the matrix species or freeze the lattice).
+        Raises ``ValueError`` on a wrong length or on any other site code
+        (an unknown code would otherwise be read as a multiple of an
+        atom or freeze the lattice).
         """
         occ = np.asarray(occupancy, dtype=np.int8)
         if len(occ) != lattice.nsites:
@@ -188,12 +173,12 @@ class BaseKMCModel:
                 f"occupancy covers {len(occ)} sites, the lattice has "
                 f"{lattice.nsites}"
             )
-        codes = (VACANCY, *cls.species)
+        codes = (VACANCY, ATOM)
         bad = np.flatnonzero(~np.isin(occ, codes))
         if len(bad):
             raise ValueError(
                 f"occupancy code {int(occ[bad[0]])} at site rank "
-                f"{int(bad[0])} is not a species of {cls.__name__} "
+                f"{int(bad[0])} is not a site code of KMCModel "
                 f"(accepted codes: {codes})"
             )
         return occ
@@ -226,35 +211,8 @@ class BaseKMCModel:
         return len(self.sites)
 
     def perfect_occupancy(self) -> np.ndarray:
-        """Defect-free occupancy: every site holds the matrix species."""
-        return np.full(self.nrows, self.species[0], dtype=np.int8)
-
-    # ------------------------------------------------------------------
-    # Events
-    # ------------------------------------------------------------------
-    def vacancy_events(
-        self, vrow: int, occ: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(target rows, rates) of all possible hops of the vacancy at ``vrow``."""
-        raise NotImplementedError
-
-    def vacancy_events_batch(
-        self, vrows, occ: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`vacancy_events` over many vacancy rows at once.
-
-        Returns ``(counts, targets, rates)``: ``counts[k]`` events of
-        ``vrows[k]`` stored consecutively in the flat ``targets`` /
-        ``rates`` arrays, in the per-vacancy order :meth:`vacancy_events`
-        produces.
-        """
-        vrows = np.atleast_1d(np.asarray(vrows, dtype=np.int64))
-        per_row = [self.vacancy_events(int(v), occ) for v in vrows]
-        counts = np.array([len(t) for t, _r in per_row], dtype=np.int64)
-        if not counts.sum():
-            return counts, np.empty(0, dtype=np.int64), np.empty(0)
-        targets, rates = zip(*per_row, strict=True)
-        return counts, np.concatenate(targets), np.concatenate(rates)
+        """Defect-free occupancy: every site holds an atom."""
+        return np.full(self.nrows, ATOM, dtype=np.int8)
 
     def _apply_rate_cap(self, rates: np.ndarray) -> np.ndarray:
         """Clamp rates to ``rate_cap`` and count every clamped event.
@@ -279,32 +237,6 @@ class BaseKMCModel:
             )
         occ[vrow] = occ[trow]
         occ[trow] = VACANCY
-
-
-class KMCModel(BaseKMCModel):
-    """Single-species (pure iron) energetics over one EAM potential.
-
-    Parameters are those of :class:`BaseKMCModel` plus ``potential``,
-    the :class:`~repro.potential.eam.EAMPotential` supplying phi / f / F.
-    """
-
-    species = (ATOM,)
-
-    def __init__(
-        self,
-        lattice: BCCLattice,
-        potential: EAMPotential,
-        params: RateParameters,
-        sites: np.ndarray | None = None,
-        rate_cap: float | None = None,
-    ) -> None:
-        super().__init__(lattice, params, sites, rate_cap)
-        self.potential = potential
-        # The splines see the two per-basis distance rows, not one per site.
-        basis = self.sites % 2
-        safe = np.where(self.e_dist > 0, self.e_dist, potential.cutoff)
-        self.phi_slots = np.where(self.e_valid, potential.phi(safe)[basis], 0.0)
-        self.f_slots = np.where(self.e_valid, potential.fdens(safe)[basis], 0.0)
 
     # ------------------------------------------------------------------
     # Energetics

@@ -63,13 +63,6 @@ class AlloyTables:
         k = len(self.species)
         return k * (k + 1) // 2
 
-    def tables_for(self, s1: str, s2: str) -> TableSet:
-        """The table set governing the interaction of species s1-s2."""
-        key = _pair_key(s1, s2)
-        if key not in self.pair_tables:
-            raise KeyError(f"no tables registered for pair {key}")
-        return self.pair_tables[key]
-
     def table_inventory(self) -> list[tuple[str, int, float]]:
         """(label, payload bytes, access weight) of every *individual* table.
 

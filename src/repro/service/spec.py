@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 #: Bumped whenever the artifact layout or the meaning of a spec field
@@ -162,9 +163,14 @@ class ScenarioSpec:
             if value is None and name in _OPTIONAL_FLOAT:
                 continue
             try:
-                object.__setattr__(self, name, float(value))
+                coerced = float(value)
             except (TypeError, ValueError) as exc:
                 raise SpecError(f"{name} must be a number, got {value!r}") from exc
+            # NaN slips past every range check below and cannot be hashed
+            # into the key (canonical JSON has no NaN/Infinity).
+            if not math.isfinite(coerced):
+                raise SpecError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, coerced)
         if self.cells < 5:
             raise SpecError(
                 f"cells must be >= 5 (box >= 2*(cutoff+skin)), got {self.cells}"

@@ -307,3 +307,20 @@ class TestValidationExitCodes:
         assert exc_info.value.code == 2
         assert "cells" in err
         assert "usage:" in err
+
+    def test_submit_non_finite_float_exits_2(self, capsys, tmp_path):
+        # argparse's float() accepts "nan"; the spec names the field.
+        with pytest.raises(SystemExit) as exc_info:
+            main(
+                [
+                    "submit",
+                    "--root", str(tmp_path),
+                    "--cells", "5",
+                    "--temperature", "nan",
+                ]
+            )
+        err = capsys.readouterr().err
+        assert exc_info.value.code == 2
+        assert "temperature must be finite" in err
+        assert "usage:" in err
+        assert not list(tmp_path.iterdir())

@@ -151,11 +151,11 @@ def _under(modules: list[str], *prefixes: str) -> list[str]:
 
 #: What a run does not configure it does not load: the registry, report
 #: and trace behind ``repro.observe`` (observation is off), the Fe-Cu
-#: pair (the potential is an ``EAMPotential``) and the compacted table
+#: residency tables (no run builds them) and the compacted table
 #: layout (``layout="traditional"``).
 _NOT_CONFIGURED = (
     ("repro.observe.registry", "repro.observe.report", "repro.observe.trace"),
-    ("repro.kmc.alloy", "repro.potential.alloy"),
+    ("repro.potential.alloy",),
     ("repro.potential.compact",),
 )
 

@@ -229,6 +229,54 @@ class TestKMCCheckpoint:
         with pytest.raises(CheckpointError):
             load_kmc_checkpoint(path)
 
+    @pytest.mark.parametrize("field,change,named", [
+        ("rng_state", None, "no rng_state field"),
+        ("events", None, "no events field"),
+        ("occupancy", np.zeros((4, 32), dtype=np.int8),
+         r"occupancy has shape \(4, 32\)"),
+        ("time", np.array(float("nan")), "time nan is not finite"),
+        ("time", np.array(float("inf")), "time inf is not finite"),
+        ("cycle", np.array(-1), "cycle -1 is negative"),
+        ("events", np.array(-3), "events -3 is negative"),
+    ])
+    def test_bad_field_rejected_naming_file_and_field(
+        self, tmp_path, field, change, named
+    ):
+        from repro.io.checkpoint import (
+            load_kmc_checkpoint,
+            save_kmc_checkpoint,
+        )
+
+        good = tmp_path / "good.npz"
+        save_kmc_checkpoint(good, self._occ(), time=1.5, cycle=7, events=42)
+        with np.load(good) as data:
+            arrays = dict(data)
+        if change is None:
+            del arrays[field]
+        else:
+            arrays[field] = change
+        path = tmp_path / "bad.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError, match=named) as exc_info:
+            load_kmc_checkpoint(path)
+        assert str(path) in str(exc_info.value)
+
+    @pytest.mark.parametrize("content", [
+        b"", b"not an archive at all", b"PK\x03\x04torn", "npy",
+    ])
+    def test_non_npz_file_rejected(self, tmp_path, content):
+        from repro.io.checkpoint import load_kmc_checkpoint
+
+        path = tmp_path / "junk.npz"
+        if content == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, self._occ())
+        else:
+            path.write_bytes(content)
+        with pytest.raises(CheckpointError, match="is not an npz archive") as exc_info:
+            load_kmc_checkpoint(path)
+        assert str(path) in str(exc_info.value)
+
     def test_md_checkpoint_is_not_a_kmc_checkpoint(self, tmp_path, potential):
         from repro.io.checkpoint import load_kmc_checkpoint
 

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from repro.kmc import akmc
 from repro.kmc.akmc import ParallelAKMC, SerialAKMC, place_random_vacancies
-from repro.kmc.alloy import AlloyKMCModel, AlloyRateParameters
 from repro.kmc.catalog import EventCatalog
 from repro.kmc.events import ATOM, VACANCY
-from repro.potential.alloy import make_fe_cu_alloy
 from tests.kmc_oracle import oracle_sector_events, oracle_step
 
 
@@ -212,33 +210,21 @@ class TestBatchedRates:
         assert np.all(occ[targets] == ATOM)
 
 
-def _assert_catalog_matches_oracle(*system, steps=150):
-    """Fixed seed, catalog engine vs the cache-free flat oracle: identical
-    event sequences (occupancy after every step) and times."""
-    cat = SerialAKMC(*system, seed=7)
-    flat = SerialAKMC(*system, seed=7)
-    for step in range(steps):
-        dt_c, dt_f = cat.step(), oracle_step(flat)
-        assert np.array_equal(cat.occ, flat.occ), f"diverged at step {step}"
-        assert dt_c == pytest.approx(dt_f, rel=1e-12)
-    assert cat.time == pytest.approx(flat.time, rel=1e-12)
-    assert cat.events == flat.events == steps
-
-
 class TestDriverEquivalence:
     def test_serial_catalog_matches_flat_rebuild(
         self, lattice8, potential, rate_params, kmc_initial_occ
     ):
-        _assert_catalog_matches_oracle(
-            lattice8, potential, rate_params, kmc_initial_occ
-        )
-
-    def test_alloy_serial_catalog_matches_flat_rebuild(self, lattice8):
-        alloy, params = make_fe_cu_alloy(n=500), AlloyRateParameters()
-        occ = AlloyKMCModel(lattice8, alloy, params).random_solution(
-            30, 5, np.random.default_rng(7)
-        )
-        _assert_catalog_matches_oracle(lattice8, alloy, params, occ)
+        """Fixed seed, catalog engine vs the cache-free flat oracle:
+        identical event sequences (occupancy after every step) and times."""
+        system = (lattice8, potential, rate_params, kmc_initial_occ)
+        cat = SerialAKMC(*system, seed=7)
+        flat = SerialAKMC(*system, seed=7)
+        for step in range(150):
+            dt_c, dt_f = cat.step(), oracle_step(flat)
+            assert np.array_equal(cat.occ, flat.occ), f"diverged at step {step}"
+            assert dt_c == pytest.approx(dt_f, rel=1e-12)
+        assert cat.time == pytest.approx(flat.time, rel=1e-12)
+        assert cat.events == flat.events == 150
 
     def test_serial_incremental_matches_full_rebuild_bitwise(
         self, lattice8, potential, rate_params, kmc_initial_occ

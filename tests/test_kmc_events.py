@@ -1,16 +1,26 @@
 """AKMC event/rate model tests (Equation 4)."""
 
+import importlib.util
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from repro.constants import KB_EV
-from repro.kmc.akmc import ghost_width_cells
+from repro.kmc.akmc import ParallelAKMC, ghost_width_cells
 from repro.kmc.events import ATOM, VACANCY, KMCModel, RateParameters
 from repro.lattice.bcc import BCCLattice
 from repro.lattice.domain import DomainDecomposition
 from tests import lattice_oracle
+
+
+class TestOneRateModel:
+    def test_pure_iron_is_the_only_rate_model(self):
+        """No alloy model, no base class, no rate-bound mode switch."""
+        assert importlib.util.find_spec("repro.kmc.alloy") is None
+        assert KMCModel.__mro__ == (KMCModel, object)
+        assert "rate_bound" not in inspect.signature(ParallelAKMC).parameters
 
 
 class TestRateParameters:

@@ -7,14 +7,10 @@ correction term in Equation (4) can push a barrier *below* ``e_m0``
 the reference rate and the claimed bound did not actually hold.  These
 tests pin both halves of the fix:
 
-* ``clamp`` (default): per-event rates are capped at the reference rate
-  (so the advertised bound holds for the dt actually used) and every
-  clamped event is counted on ``kmc.rate_bound.clamped``;
-* ``strict``: the bound is the true supremum ``8*nu*exp(-de_min/kT)``
-  and no clamping happens.
+per-event rates are capped at the reference rate (so the advertised
+bound holds for the dt actually used) and every clamped event is counted
+on ``kmc.rate_bound.clamped``.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -22,7 +18,6 @@ import pytest
 from repro import observe as obs
 from repro.kmc.akmc import ParallelAKMC, place_random_vacancies
 from repro.kmc.events import VACANCY, KMCModel
-from repro.potential.alloy import make_fe_cu_alloy
 
 
 def _two_vacancy_occ(model):
@@ -115,37 +110,14 @@ class TestRateCap:
 
 
 class TestEngineModes:
-    def test_invalid_mode_rejected(self, lattice8, potential, rate_params):
-        with pytest.raises(ValueError, match="rate_bound"):
-            ParallelAKMC(
-                lattice8, potential, rate_params,
-                nranks=8, rate_bound="hopeful",
-            )
-
     def test_clamp_is_default_and_caps_model(
         self, lattice8, potential, rate_params
     ):
         engine = ParallelAKMC(lattice8, potential, rate_params, nranks=8)
-        assert engine.rate_bound == "clamp"
         assert engine.dt_rate_bound == pytest.approx(
             8.0 * rate_params.reference_rate
         )
         assert engine.rate_cap == pytest.approx(rate_params.reference_rate)
-
-    def test_strict_mode_uses_true_supremum(
-        self, lattice8, potential, rate_params
-    ):
-        engine = ParallelAKMC(
-            lattice8, potential, rate_params, nranks=8, rate_bound="strict",
-        )
-        expected = 8.0 * rate_params.nu * math.exp(
-            -rate_params.de_min / rate_params.kt
-        )
-        assert engine.dt_rate_bound == pytest.approx(expected)
-        assert engine.rate_cap is None
-        # The true supremum dwarfs the reference bound — the reason
-        # strict mode is opt-in, not the default.
-        assert expected > 8.0 * rate_params.reference_rate
 
     def test_clamp_run_counts_clamped_events(
         self, lattice8, potential, rate_params, kmc_model8
@@ -161,19 +133,3 @@ class TestEngineModes:
             obs.disable()
         assert result.events >= 0
         assert registry.counters.get("kmc.rate_bound.clamped", 0) > 0
-
-    def test_alloy_strict_mode(self, lattice8):
-        engine = ParallelAKMC(
-            lattice8, make_fe_cu_alloy(n=500), nranks=8, rate_bound="strict",
-        )
-        params = engine.params
-        expected = 8.0 * params.nu * math.exp(-params.de_min / params.kt)
-        assert engine.dt_rate_bound == pytest.approx(expected)
-        assert engine.rate_cap is None
-
-    def test_alloy_clamp_mode_follows_the_fastest_species(self, lattice8):
-        engine = ParallelAKMC(lattice8, make_fe_cu_alloy(n=500), nranks=8)
-        params = engine.params
-        fastest = params.nu * math.exp(-params.e_m0_cu / params.kt)
-        assert params.reference_rate == fastest
-        assert (engine.dt_rate_bound, engine.rate_cap) == (8.0 * fastest, fastest)

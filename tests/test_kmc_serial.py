@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.kmc.akmc import SerialAKMC, place_random_vacancies
+from repro.kmc.akmc import ParallelAKMC, SerialAKMC, place_random_vacancies
 from repro.kmc.events import VACANCY
 
 
@@ -107,3 +107,60 @@ class TestClusteringPhysics:
         assert after.max_cluster > before.max_cluster
         assert after.mean_nn_distance < before.mean_nn_distance
         assert after.n_clusters < before.n_clusters
+
+
+class TestOccupancyBoundary:
+    """Site codes are validated where occupancy enters an engine."""
+
+    @pytest.fixture
+    def system(self, lattice8, potential, rate_params):
+        """(lattice, potential, params, a code the model rejects,
+        the codes it accepts)."""
+        return lattice8, potential, rate_params, 2, (0, 1)
+
+    @staticmethod
+    def _poisoned(lattice, code, site=77):
+        occ = np.ones(lattice.nsites, dtype=np.int8)
+        occ[5] = VACANCY
+        occ[site:] = code  # first offender is `site`
+        return occ
+
+    def test_serial_constructor_rejects_unknown_code(self, system):
+        lattice, pot, params, code, accepted = system
+        with pytest.raises(ValueError) as exc_info:
+            SerialAKMC(lattice, pot, params, self._poisoned(lattice, code))
+        msg = str(exc_info.value)
+        assert f"code {code} " in msg
+        assert "site rank 77 " in msg
+        assert str(accepted) in msg
+
+    def test_serial_restore_rejects_unknown_code(self, system, tmp_path):
+        from repro.io.checkpoint import save_kmc_checkpoint
+
+        lattice, pot, params, code, _accepted = system
+        path = tmp_path / "bad.npz"
+        save_kmc_checkpoint(
+            path, self._poisoned(lattice, code), time=1.0, cycle=1, events=1
+        )
+        engine = SerialAKMC(lattice, pot, params)
+        with pytest.raises(ValueError, match=f"code {code} at site rank 77"):
+            engine.restore(path)
+        assert engine.events == 0  # untouched by the rejected restore
+
+    def test_parallel_run_rejects_unknown_code_before_any_world(
+        self, system, forbid_world
+    ):
+        from repro.runtime import simmpi
+
+        forbid_world(simmpi)
+        lattice, pot, params, code, _accepted = system
+        engine = ParallelAKMC(lattice, pot, params, nranks=8)
+        with pytest.raises(ValueError, match=f"code {code} at site rank 77"):
+            engine.run(self._poisoned(lattice, code), max_cycles=1)
+
+    def test_all_unknown_matrix_is_not_a_frozen_lattice(self, lattice8, potential):
+        """An all-``2`` matrix was once reported as a frozen lattice
+        (``step()`` -> ``None``)."""
+        occ = np.full(lattice8.nsites, 2, dtype=np.int8)
+        with pytest.raises(ValueError, match="code 2 at site rank 0"):
+            SerialAKMC(lattice8, potential, occupancy=occ)

@@ -21,13 +21,6 @@ class TestAlloyTables:
         assert fecu.npairs == 3
         assert len(fecu.pair_tables) == 3
 
-    def test_pair_lookup_symmetric(self, fecu):
-        assert fecu.tables_for("Fe", "Cu") is fecu.tables_for("Cu", "Fe")
-
-    def test_unknown_pair_rejected(self, fecu):
-        with pytest.raises(KeyError):
-            fecu.tables_for("Fe", "Ni")
-
     def test_concentrations_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
             AlloyTables(species=("Fe", "Cu"), concentrations={"Fe": 0.5, "Cu": 0.2})

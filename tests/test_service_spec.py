@@ -120,6 +120,14 @@ class TestValidation:
         ({"cells": 6, "kmc_nranks": 7}, "cells=6 .*kmc_nranks=7 .*process grid"),
         ({"faults": "crash:rank=abc,cycle=1"}, "bad faults plan: .*rank=abc"),
         ({"faults": "shake:seed=1"}, "bad faults plan: .*'shake'"),
+        # Non-finite floats: NaN passes every range check, +inf most.
+        ({"temperature": float("nan")}, "temperature must be finite"),
+        ({"temperature": float("inf")}, "temperature must be finite"),
+        ({"pka_energy": float("inf")}, "pka_energy must be finite"),
+        ({"recombination_radius": float("nan")},
+         "recombination_radius must be finite"),
+        ({"watchdog": float("inf")}, "watchdog must be finite"),
+        ({"watchdog": "nan"}, "watchdog must be finite"),
     ])
     def test_bad_values_rejected(self, kwargs, match):
         with pytest.raises(SpecError, match=match):
