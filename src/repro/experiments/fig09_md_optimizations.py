@@ -19,7 +19,7 @@ import numpy as np
 from repro.lattice.bcc import BCCLattice
 from repro.md.neighbors.lattice_list import LatticeNeighborList
 from repro.md.state import AtomState
-from repro.perfmodel.machine import TAIHULIGHT
+from repro.perfmodel.machine import EXCHANGE_MESSAGES, TAIHULIGHT
 from repro.perfmodel.md_model import boundary_sites
 from repro.potential.fe import make_fe_potential
 from repro.sunway.arch import SunwayArch
@@ -68,7 +68,11 @@ def run(
         cgs = machine.cgs_from_cores(cores)
         atoms_per = lattice.nsites / cgs
         surface = boundary_sites(atoms_per) if cgs > 1 else 0.0
-        comm = 2 * network.exchange(26, surface * 32.0, cgs) if cgs > 1 else 0.0
+        comm = (
+            2 * network.exchange(EXCHANGE_MESSAGES, surface * 32.0, cgs)
+            if cgs > 1
+            else 0.0
+        )
         for strategy in STRATEGY_LADDER:
             total = per_strategy_time[strategy.name] / cgs + comm
             rows.append(

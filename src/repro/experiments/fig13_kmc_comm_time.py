@@ -5,12 +5,13 @@ communication strategy obtains 21x speedup on average in terms of
 communication time."
 
 Reproduction: the same measured runs as Figure 12, with time from the
-alpha-beta network model over the recorded messages (a threaded
-in-process runtime has no meaningful communication wall-clock).  At
-reduced scale the per-message latency term weighs more than at the
-paper's 1.6e7 sites, so the speedup is smaller but still decisively in
-the on-demand direction; the volume term (Figure 12) carries the
-mechanism.
+exact per-rank message, byte and collective counts priced by the
+TaihuLight network model (:data:`repro.perfmodel.machine.TAIHULIGHT`, the
+price list of Figures 10-16; a threaded in-process runtime has no
+meaningful communication wall-clock).  At reduced scale the per-message
+latency term weighs more than at the paper's 1.6e7 sites, so the speedup
+is smaller (~1.6-1.7x) but still decisively in the on-demand direction;
+the volume term (Figure 12) carries the mechanism.
 """
 
 from __future__ import annotations

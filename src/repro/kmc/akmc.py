@@ -442,7 +442,6 @@ class ParallelAKMC:
         nranks: int | None = None,
         scheme: str = "ondemand",
         seed: int = 2018,
-        network=None,
         faults=None,
         watchdog: float | None = None,
         backend: str | None = None,
@@ -466,7 +465,6 @@ class ParallelAKMC:
         )
         self.scheme_name = scheme
         self.seed = seed
-        self.network = network
         self.faults = faults
         self.watchdog = watchdog
         self.backend = backend
@@ -678,7 +676,6 @@ class ParallelAKMC:
 
         world = World(
             self.nranks,
-            network=self.network,
             faults=self.faults,
             watchdog=self.watchdog,
             backend=self.backend,

@@ -92,7 +92,7 @@ class ParallelDamageMD:
         Process grid, or a world size for :func:`choose_grid` to
         factorize.  A decomposition whose subdomains are thinner than
         the ghost shell is rejected here, before any world exists.
-    network, backend, workers:
+    backend, workers:
         Handed to the :class:`~repro.runtime.simmpi.World`.
     """
 
@@ -103,7 +103,6 @@ class ParallelDamageMD:
         config: MDConfig | None = None,
         grid: tuple[int, int, int] | None = None,
         nranks: int | None = None,
-        network=None,
         backend: str | None = None,
         workers: int | None = None,
     ) -> None:
@@ -126,7 +125,6 @@ class ParallelDamageMD:
             self.width, f"the MD ghost shell of width {self.width}"
         )
         self.box = Box.for_lattice(lattice)
-        self.network = network
         self.backend = backend
         self.workers = workers
 
@@ -304,7 +302,6 @@ class ParallelDamageMD:
 
         world = World(
             self.nranks,
-            network=self.network,
             backend=self.backend,
             workers=self.workers,
         )

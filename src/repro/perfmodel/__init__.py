@@ -6,13 +6,15 @@ DESIGN.md, we regenerate their *shape* from first-principles arithmetic:
 
     T(P) = compute(workload / P) + pack(boundary) + network(P) + sync(P)
 
-with per-unit costs calibrated from this repository's own executable
-models (the blocked CPE kernel for MD compute, the measured ghost-exchange
-traffic of the parallel engines for communication volume) plus documented
-machine constants for the network.  The models make the same qualitative
-predictions the paper measures: strong-scaling decay to ~40% at 64x for
-MD, the KMC L2 super-linear window, flat compute/growing communication in
-weak scaling, and coupled efficiency of ~76% at 6.24M cores.
+with the MD compute cost measured from this repository's blocked CPE
+kernel, documented default traffic volumes (ghost bytes per boundary
+site, bytes per KMC event, 26 messages per exchange), and the one
+TaihuLight network price list (:mod:`repro.perfmodel.machine`), which
+also prices the executed traffic counts of Figure 13.  The models make
+the same qualitative predictions the paper measures: strong-scaling
+decay to ~40% at 64x for MD, the KMC L2 super-linear window, flat
+compute/growing communication in weak scaling, and coupled efficiency of
+~76% at 6.24M cores.
 """
 
 from repro.perfmodel.machine import ScalingNetwork, TAIHULIGHT, MachineSpec

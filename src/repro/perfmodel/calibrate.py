@@ -1,11 +1,11 @@
 """Calibration of the scaling-model unit costs from executable components.
 
-Wherever a per-unit cost can be *measured* from this repository's own
-models, it is: the MD per-atom step cost comes from one run of the blocked
-CPE kernel (the same cost model Figure 9 uses), and the MD ghost traffic
-per boundary site comes from the actual pack sizes of the parallel
-engine's exchange plans.  The remaining constants (MPE pack cost, KMC
-event service cost) are documented estimates.
+One per-unit cost is *measured* from this repository's own models: the
+MD per-atom step cost comes from one run of the blocked CPE kernel (the
+same cost model Figure 9 uses).  Every other field of
+:class:`CalibratedCosts` — the MD ghost bytes per boundary site among
+them — is a documented default, not a measurement: nothing here reads
+the traffic the parallel engines actually send.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ class CalibratedCosts:
     md_ghost_bytes_per_site:
         Bytes exchanged per boundary site per step (positions out +
         densities out, both directions counted once for the sender).
+        A default of 32 bytes, not derived from the executed exchange.
     mpe_pack_time_per_site:
         Seconds the master core spends packing/unpacking one boundary
         site ("the master cores are responsible for inter-node

@@ -22,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.perfmodel.calibrate import CalibratedCosts
-from repro.perfmodel.machine import TAIHULIGHT, MachineSpec
+from repro.perfmodel.machine import EXCHANGE_MESSAGES, TAIHULIGHT, MachineSpec
 
-#: Sites shipped per sector exchange, as a fraction of a subdomain's
-#: boundary sites, for the on-demand scheme (tiny) — Fig 14/15 are run
-#: with the paper's own (on-demand) code, so strips carry only affected
-#: sites.
+#: Bytes one rank ships per KMC event in a sector exchange of the
+#: on-demand scheme — Fig 14/15 are run with the paper's own (on-demand)
+#: code, so strips carry only event-affected sites.  A default estimate,
+#: not a measurement: the executed on-demand scheme of this repository
+#: sends 168 bytes per event (Figures 12-13 runs at 8 and 27 ranks).
 ONDEMAND_BYTES_PER_EVENT = 24.0
 
 
@@ -61,7 +62,7 @@ class KMCScalingModel:
         net = self.machine.network
         # Events per rank per sector bound the on-demand traffic.
         strip_bytes = max(vac_per, 1.0) * ONDEMAND_BYTES_PER_EVENT
-        comm = self.sectors * net.exchange(26, strip_bytes, cores)
+        comm = self.sectors * net.exchange(EXCHANGE_MESSAGES, strip_bytes, cores)
         sync = net.collective(cores)
         total = compute + comm + sync
         return {

@@ -1,11 +1,13 @@
 """Machine constants of the scaling models.
 
-:class:`ScalingNetwork` extends the postal model with a *power-law*
-contention term: at full-machine scale the effective per-byte cost of the
-TaihuLight interconnect degrades roughly as ``(P / P0)^gamma`` (shared
-links, adaptive routing pressure) — the effect behind the paper's "the
-communication time for larger number of cores is a little higher, which is
-caused by the communication contention".
+:class:`ScalingNetwork` is the one Sunway network price list of the
+repository: it prices the assumed traffic of Figures 10-16 and the
+executed traffic counts of Figure 13 alike.  It extends the postal model
+with a *power-law* contention term: at full-machine scale the effective
+per-byte cost of the TaihuLight interconnect degrades roughly as
+``(P / P0)^gamma`` (shared links, adaptive routing pressure) — the effect
+behind the paper's "the communication time for larger number of cores is
+a little higher, which is caused by the communication contention".
 
 :data:`TAIHULIGHT` collects the system-level facts of §3 ("total 40,960
 computing nodes", 4 CGs per node, 8 GB per CG, 1.45 GHz, 256 KB MPE L2).
@@ -17,6 +19,12 @@ import math
 from dataclasses import dataclass
 
 from repro.sunway.arch import SunwayArch
+
+#: Messages one rank sends per halo exchange: one to each face, edge and
+#: corner neighbour of a 3-D block decomposition.  The executed on-demand
+#: KMC sends exactly this many per sector at 27 ranks (3 x 3 x 3, so all
+#: 26 neighbours are distinct), traditional twice as many.
+EXCHANGE_MESSAGES = 26
 
 
 @dataclass(frozen=True)
@@ -66,6 +74,25 @@ class ScalingNetwork:
             return 0.0
         depth = math.log2(nranks)
         return self.sync_alpha * depth * (1.0 + self.sync_contention * depth)
+
+    def traffic_time(self, snapshot: dict) -> float:
+        """Communication time of the critical rank of executed traffic.
+
+        ``snapshot`` is a :meth:`~repro.runtime.stats.TrafficStats.snapshot`.
+        Each rank's sends are priced as one exchange of its exact message
+        and byte counts — the postal model is linear, so this is the sum
+        of ``alpha + nbytes * beta(P)`` over its messages — and every
+        rank takes part in every collective of the world.
+        """
+        nranks = snapshot["nranks"]
+        sends = max(
+            self.exchange(msgs, nbytes, nranks)
+            for msgs, nbytes in zip(
+                snapshot["sent_messages"], snapshot["sent_bytes"], strict=True
+            )
+        )
+        collectives = snapshot["total_collectives"] // nranks
+        return sends + collectives * self.collective(nranks)
 
 
 @dataclass(frozen=True)

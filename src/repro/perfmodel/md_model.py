@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.perfmodel.calibrate import CalibratedCosts
-from repro.perfmodel.machine import TAIHULIGHT, MachineSpec
+from repro.perfmodel.machine import EXCHANGE_MESSAGES, TAIHULIGHT, MachineSpec
 
 #: Ghost shell width in conventional cells for the MD cutoff (5.6 A).
 GHOST_WIDTH_CELLS = 2
@@ -56,7 +56,9 @@ class MDScalingModel:
         pack = surface * self.costs.mpe_pack_time_per_site
         net = self.machine.network
         comm_bytes = surface * self.costs.md_ghost_bytes_per_site
-        comm = self.exchange_phases * net.exchange(26, comm_bytes, cgs)
+        comm = self.exchange_phases * net.exchange(
+            EXCHANGE_MESSAGES, comm_bytes, cgs
+        )
         sync = net.collective(cgs) + self.costs.md_fixed_step_overhead
         total = compute + pack + comm + sync
         return {

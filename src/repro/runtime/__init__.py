@@ -30,12 +30,11 @@ real.  It is one communication stack in three layers:
    ``runtime.*`` blocked phase at the endpoint's one wait point, and
    only when its mailbox has nothing to match.
 
-:class:`~repro.runtime.stats.TrafficStats` counts every byte and message
-(the measurements behind Figures 12-13), and
-:class:`~repro.runtime.netmodel.NetworkModel` — an alpha-beta network
-cost model — converts that traffic into modeled communication time,
-replacing wall-clock timing that an in-process runtime cannot
-meaningfully provide.
+:class:`~repro.runtime.stats.TrafficStats` counts every message, byte
+and collective per rank (the measurements behind Figures 12-13).  The
+runtime prices none of it: modeled Sunway communication time comes from
+those counts through :class:`~repro.perfmodel.machine.ScalingNetwork`,
+the one network model of the repository.
 
 Importing the package loads nothing: it exports no names, and each
 submodule imports only what every use of it executes.

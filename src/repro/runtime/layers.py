@@ -13,14 +13,14 @@ Primitive signatures (what a layer sees)::
     recv(source, tag) -> (source, tag, payload, nbytes)
     probe(source, tag) -> Status
     iprobe(source, tag) -> Status | None
-    exchange(kind, value, meter) -> [value of rank 0, ..., of rank n-1]
+    exchange(kind, value, metered) -> [value of rank 0, ..., of rank n-1]
     put(win_tag, target, payload, nbytes)
     fence(win_tag, counts) -> [(origin, payload, nbytes), ...]
 
 ``payload`` is already frozen and ``nbytes`` already costed by
 :class:`~repro.runtime.simmpi.RankComm`; ``kind`` names the collective
-(``("barrier",)``, ``("allreduce", "sum")``, ...) and ``meter`` is its
-accounted size, ``None`` for unmetered control-plane exchanges.  The
+(``("barrier",)``, ``("allreduce", "sum")``, ...) and ``metered`` is
+false for control-plane exchanges, which count as no collective.  The
 point-to-point traffic an ``exchange`` or ``fence`` generates *inside*
 the endpoint travels under reserved tags straight through the transport:
 no layer ever sees it.
@@ -80,10 +80,10 @@ class TrafficLayer(Layer):
         self._stats.record_recv(self._rank, envelope[3])
         return envelope
 
-    def exchange(self, kind, value, meter):
-        if meter is not None and self._rank == 0:
-            self._stats.record_collective(meter)
-        return self.inner.exchange(kind, value, meter)
+    def exchange(self, kind, value, metered):
+        if metered and self._rank == 0:
+            self._stats.record_collective()
+        return self.inner.exchange(kind, value, metered)
 
     def put(self, win_tag, target, payload, nbytes):
         self._stats.record_send(self._rank, target, nbytes)
@@ -91,8 +91,8 @@ class TrafficLayer(Layer):
 
     def fence(self, win_tag, counts):
         if self._rank == 0:
-            self._stats.record_collective(0)
-            self._stats.record_collective(0)
+            self._stats.record_collective()
+            self._stats.record_collective()
         drained = self.inner.fence(win_tag, counts)
         for _origin, _payload, nbytes in drained:
             self._stats.record_recv(self._rank, nbytes)

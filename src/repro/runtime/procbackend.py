@@ -211,7 +211,7 @@ def _ensure_picklable(exc: BaseException) -> BaseException:
 
 
 def _child_entry(
-    main, gi, endpoints, conn, nranks, network, faults, watchdog, sanitize,
+    main, gi, endpoints, conn, nranks, faults, watchdog, sanitize,
     obs_trace,
 ) -> None:
     """Entry point of one forked child hosting a contiguous rank group.
@@ -228,7 +228,7 @@ def _child_entry(
         from repro.observe.registry import Registry
 
         child_registry = obs.enable(Registry(trace=obs_trace))
-    stats = TrafficStats(nranks, network)
+    stats = TrafficStats(nranks)
     transport = ForkedTransport(endpoints, gi)
 
     # A rank error aborts the whole world from inside the child, exactly
@@ -329,8 +329,8 @@ def _run_forked(
         proc = ctx.Process(
             target=_child_entry,
             args=(
-                main, gi, endpoints, child_conn, nranks, world.stats.network,
-                world.faults, world.watchdog, sanitize, obs_trace,
+                main, gi, endpoints, child_conn, nranks, world.faults,
+                world.watchdog, sanitize, obs_trace,
             ),
             name=_names(gi, ranks)["process"],
             daemon=True,

@@ -238,10 +238,10 @@ class SanitizeLayer(Layer):
             )
 
     # -- collectives ---------------------------------------------------
-    def exchange(self, kind, value, meter):
+    def exchange(self, kind, value, metered):
         self._events.append(kind)
         outs = self.inner.exchange(
-            kind, (_ENVELOPE, tuple(self._vc), value), meter
+            kind, (_ENVELOPE, tuple(self._vc), value), metered
         )
         users = [self._absorb(item) for item in outs]
         self._vc[self.rank] += 1
@@ -286,7 +286,7 @@ class SanitizeLayer(Layer):
             "events": [list(e) for e in self._events],
             "races": self._races,
         }
-        exports = self.inner.exchange(("sanitize",), export, None)
+        exports = self.inner.exchange(("sanitize",), export, False)
         return (_RESULT, result, _validate(exports))
 
 

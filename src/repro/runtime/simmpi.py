@@ -31,7 +31,8 @@ Every blocking wait of a rank is one :meth:`Endpoint._wait`: a rank
 gives up its worker slot and opens a blocked phase only when its
 mailbox has nothing to match.
 
-All traffic is recorded in :class:`~repro.runtime.stats.TrafficStats`.
+All traffic is counted, per rank, in
+:class:`~repro.runtime.stats.TrafficStats`; the runtime prices none of it.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from repro.runtime.faults import (
     resolve_plan,
 )
 from repro.runtime.layers import Layer, compose
-from repro.runtime.netmodel import NetworkModel
 from repro.runtime.stats import TrafficStats, payload_nbytes
 from repro.runtime.transport import (
     ANY_SOURCE,
@@ -202,7 +202,7 @@ class Endpoint:
         hit = self._match(source, tag, consume=False, block=False)
         return None if hit is None else Status(hit[0], hit[1], hit[3])
 
-    def exchange(self, kind, value, meter) -> list:
+    def exchange(self, kind, value, metered) -> list:
         """Every rank contributes ``value``; all get the list by rank.
 
         Gather to rank 0, then fan one shared list out to everybody.
@@ -240,7 +240,7 @@ class Endpoint:
         while a slow one still drains this one (the paper's "global
         synchronization ... to guarantee the completion").
         """
-        table = self.exchange(None, counts, None)
+        table = self.exchange(None, counts, False)
         deadline = self._deadline()
         drained = []
         for origin, row in enumerate(table):
@@ -249,7 +249,7 @@ class Endpoint:
                     origin, win_tag, deadline=deadline, op="fence"
                 )
                 drained.append((origin, payload, nbytes))
-        self.exchange(None, None, None)
+        self.exchange(None, None, False)
         return drained
 
 
@@ -345,13 +345,11 @@ class RankComm:
     # ------------------------------------------------------------------
     def barrier(self) -> None:
         """Synchronize all ranks."""
-        self._chain.exchange(("barrier",), None, 0)
+        self._chain.exchange(("barrier",), None, True)
 
     def allgather(self, value) -> list:
         """Every rank contributes ``value``; all get the list by rank."""
-        return self._chain.exchange(
-            ("allgather",), freeze(value), payload_nbytes(value)
-        )
+        return self._chain.exchange(("allgather",), freeze(value), True)
 
     def allreduce(self, value, op: str = "sum"):
         """Reduce ``value`` across ranks with ``op`` in {sum, min, max}.
@@ -359,9 +357,7 @@ class RankComm:
         Works on scalars and NumPy arrays (elementwise); the reduction
         runs in rank order on every rank, so all backends agree bitwise.
         """
-        values = self._chain.exchange(
-            ("allreduce", op), freeze(value), payload_nbytes(value)
-        )
+        values = self._chain.exchange(("allreduce", op), freeze(value), True)
         return reduce_values(values, op)
 
     def bcast(self, value=None, root: int = 0):
@@ -369,9 +365,7 @@ class RankComm:
         if not 0 <= root < self.size:
             raise ValueError(f"root rank {root} out of range")
         value = value if self.rank == root else None
-        values = self._chain.exchange(
-            ("bcast", root), freeze(value), payload_nbytes(value)
-        )
+        values = self._chain.exchange(("bcast", root), freeze(value), True)
         return values[root]
 
     # ------------------------------------------------------------------
@@ -388,7 +382,7 @@ class RankComm:
 
         win_id = self._windows
         self._windows += 1
-        ids = self._chain.exchange(("win_create",), win_id, None)
+        ids = self._chain.exchange(("win_create",), win_id, False)
         if any(i != win_id for i in ids):
             raise RuntimeError("window creation out of sync across ranks")
         return Window(self, self._chain, TAG_WINDOW_BASE - win_id)
@@ -504,10 +498,6 @@ class World:
     ----------
     nranks:
         Number of ranks.
-    network:
-        Cost model for the traffic accounting (defaults to a generic
-        HPC interconnect; use :data:`repro.runtime.netmodel.SUNWAY_NETWORK`
-        for the TaihuLight-flavored parameters).
     faults:
         Optional :class:`~repro.runtime.faults.FaultPlan` or its DSL
         string (or an already shared
@@ -551,7 +541,6 @@ class World:
     def __init__(
         self,
         nranks: int,
-        network: NetworkModel | None = None,
         faults: FaultPlan | FaultInjector | str | None = None,
         watchdog: float | None = None,
         backend: str | None = None,
@@ -565,7 +554,7 @@ class World:
         self.nranks = nranks
         self.backend = resolve_backend(backend)
         self.workers = resolve_workers(workers)
-        self.stats = TrafficStats(nranks, network or NetworkModel())
+        self.stats = TrafficStats(nranks)
         if not isinstance(faults, FaultInjector):
             plan = resolve_plan(faults)
             faults = None if plan is None else FaultInjector(plan)

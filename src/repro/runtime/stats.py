@@ -1,9 +1,11 @@
 """Per-rank communication accounting.
 
-Every message the runtime carries is recorded here: count, payload bytes,
-and modeled time (via :class:`~repro.runtime.netmodel.NetworkModel`).
-These measurements are the data behind the Figure 12 (communication
-volume) and Figure 13 (communication time) reproductions.
+Every message the runtime carries is counted here, exactly, per rank:
+messages, payload bytes and collectives — and nothing else.  These
+counts are the data behind the Figure 12 (communication volume) and
+Figure 13 (communication time) reproductions; the runtime prices
+nothing, :class:`~repro.perfmodel.machine.ScalingNetwork` turns the
+counts into modeled Sunway seconds.
 
 :class:`TrafficStats` doubles as a backend of the unified
 :mod:`repro.observe` spine: with observation enabled, every recorded
@@ -15,12 +17,11 @@ from __future__ import annotations
 
 import pickle
 import threading
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from repro import observe as obs
-from repro.runtime.netmodel import NetworkModel
 
 
 def payload_nbytes(obj) -> int:
@@ -95,25 +96,13 @@ class RankCounters:
     recv_messages: int = 0
     recv_bytes: int = 0
     collectives: int = 0
-    comm_time: float = 0.0
 
 
-@dataclass
 class TrafficStats:
-    """Thread-safe aggregate of all communication in one :class:`World`.
+    """Thread-safe per-rank counts of all communication in one :class:`World`."""
 
-    Attributes
-    ----------
-    nranks:
-        World size (used by the contention model).
-    network:
-        Cost model converting traffic to modeled seconds.
-    """
-
-    nranks: int
-    network: NetworkModel = field(default_factory=NetworkModel)
-
-    def __post_init__(self) -> None:
+    def __init__(self, nranks: int) -> None:
+        self.nranks = nranks
         self._lock = threading.Lock()
         self.ranks = [RankCounters() for _ in range(self.nranks)]
 
@@ -121,16 +110,13 @@ class TrafficStats:
     # Recording (called by the runtime)
     # ------------------------------------------------------------------
     def record_send(self, src: int, dst: int, nbytes: int) -> None:
-        t = self.network.point_to_point(nbytes, self.nranks)
         with self._lock:
             c = self.ranks[src]
             c.sent_messages += 1
             c.sent_bytes += nbytes
-            c.comm_time += t
         if obs.enabled():
             obs.add("runtime.sent_messages")
             obs.add("runtime.sent_bytes", nbytes)
-            obs.add("runtime.comm_time_modeled_s", t)
 
     def record_recv(self, dst: int, nbytes: int) -> None:
         with self._lock:
@@ -141,16 +127,13 @@ class TrafficStats:
             obs.add("runtime.recv_messages")
             obs.add("runtime.recv_bytes", nbytes)
 
-    def record_collective(self, nbytes: int = 8) -> None:
+    def record_collective(self) -> None:
         """Record one collective; charged to every rank."""
-        t = self.network.collective(self.nranks, nbytes)
         with self._lock:
             for c in self.ranks:
                 c.collectives += 1
-                c.comm_time += t
         if obs.enabled():
             obs.add("runtime.collectives")
-            obs.add("runtime.comm_time_modeled_s", t * self.nranks)
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -167,25 +150,18 @@ class TrafficStats:
     def total_collectives(self) -> int:
         return self.snapshot()["total_collectives"]
 
-    @property
-    def max_comm_time(self) -> float:
-        """Modeled communication time on the critical (slowest) rank."""
-        return self.snapshot()["max_comm_time"]
-
     def snapshot(self) -> dict:
-        """A plain-dict summary for logging and experiment tables."""
+        """A plain-dict summary: world totals and per-rank sent counts."""
         with self._lock:
+            sent_messages = [c.sent_messages for c in self.ranks]
+            sent_bytes = [c.sent_bytes for c in self.ranks]
             return {
                 "nranks": self.nranks,
-                "total_sent_bytes": sum(c.sent_bytes for c in self.ranks),
-                "total_messages": sum(c.sent_messages for c in self.ranks),
+                "total_sent_bytes": sum(sent_bytes),
+                "total_messages": sum(sent_messages),
                 "total_collectives": sum(c.collectives for c in self.ranks),
-                "max_comm_time": max((c.comm_time for c in self.ranks), default=0.0),
-                "mean_comm_time": (
-                    sum(c.comm_time for c in self.ranks) / len(self.ranks)
-                    if self.ranks
-                    else 0.0
-                ),
+                "sent_messages": sent_messages,
+                "sent_bytes": sent_bytes,
             }
 
     def publish(self, registry=None, prefix: str = "runtime") -> None:
@@ -203,7 +179,6 @@ class TrafficStats:
         registry.set_gauge(f"{prefix}.world.sent_messages", snap["total_messages"])
         registry.set_gauge(f"{prefix}.world.sent_bytes", snap["total_sent_bytes"])
         registry.set_gauge(f"{prefix}.world.collectives", snap["total_collectives"])
-        registry.set_gauge(f"{prefix}.world.max_comm_time_s", snap["max_comm_time"])
 
     def reset(self) -> None:
         """Zero all counters (e.g. after a warm-up phase)."""

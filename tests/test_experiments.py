@@ -22,6 +22,10 @@ from repro.experiments import (
     memory_table,
 )
 from repro.experiments._kmc_comm import run_comm_experiment
+from repro.perfmodel.machine import EXCHANGE_MESSAGES
+
+#: Cycles of the Figure 12/13 runs of the ``kmc_comm_rows`` fixture.
+KMC_COMM_CYCLES = 6
 
 
 def _geometric_mean(values):
@@ -31,7 +35,7 @@ def _geometric_mean(values):
 @pytest.fixture(scope="module")
 def kmc_comm_rows():
     """The measured Figure 12/13 runs: both schemes, 8 and 27 ranks."""
-    return run_comm_experiment(ranks_list=(8, 27), cycles=6)
+    return run_comm_experiment(ranks_list=(8, 27), cycles=KMC_COMM_CYCLES)
 
 
 class TestModelExperiments:
@@ -129,6 +133,17 @@ class TestExecutedExperiments:
         assert all(s > 1.5 for s in speedups)
         # The advantage holds (or grows) with rank count.
         assert speedups[-1] >= speedups[0] * 0.7
+
+    def test_exchange_messages_match_executed_traffic(self, kmc_comm_rows):
+        # At 27 ranks (3 x 3 x 3) each rank has 26 distinct neighbours:
+        # per cycle, on-demand sends one message to each in each of the 8
+        # sectors, traditional two.  The scaling models price the same 26.
+        (row,) = [r for r in kmc_comm_rows if r["ranks"] == 27]
+        rank_cycles = 27 * KMC_COMM_CYCLES
+        assert row["ondemand_messages"] == rank_cycles * 8 * EXCHANGE_MESSAGES
+        assert row["traditional_messages"] == (
+            rank_cycles * 2 * 8 * EXCHANGE_MESSAGES
+        )
 
     def test_fig17_clustering_direction(self):
         # Paper: "very dispersive" after MD, "several vacancy clusters are

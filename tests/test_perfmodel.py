@@ -22,6 +22,7 @@ from repro.perfmodel.md_model import (
     paper_core_counts_strong,
     paper_core_counts_weak,
 )
+from repro.runtime.stats import TrafficStats
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,33 @@ class TestMachine:
     def test_collective_grows_superlinearly_in_depth(self):
         net = ScalingNetwork()
         assert net.collective(100_000) > 2 * net.collective(1_000)
+
+    def test_single_rank_collective_free(self):
+        assert ScalingNetwork().collective(1) == 0.0
+
+    def test_beta_needs_a_rank(self):
+        with pytest.raises(ValueError):
+            ScalingNetwork().beta(0)
+
+    def test_traffic_time_is_the_per_message_sum(self):
+        # Past p0, so the contention term is live in beta(P).
+        nranks = 2000
+        net = ScalingNetwork()
+        sends = {0: [0, 100, 4096], 1: [8], 7: [1 << 20, 0]}
+        stats = TrafficStats(nranks)
+        for src, sizes in sends.items():
+            for nbytes in sizes:
+                stats.record_send(src, (src + 1) % nranks, nbytes)
+        for _ in range(3):
+            stats.record_collective()
+        per_rank = [
+            sum(net.alpha + nbytes * net.beta(nranks) for nbytes in sizes)
+            for sizes in sends.values()
+        ]
+        expected = max(per_rank) + 3 * net.collective(nranks)
+        assert net.traffic_time(stats.snapshot()) == pytest.approx(
+            expected, rel=1e-12
+        )
 
 
 class TestBoundary:

@@ -81,7 +81,6 @@ ALLOWLIST = {
     "runtime.stats.TrafficStats.total_sent_bytes": _LEDGER,
     "runtime.stats.TrafficStats.total_messages": _LEDGER,
     "runtime.stats.TrafficStats.total_collectives": _LEDGER,
-    "runtime.stats.TrafficStats.max_comm_time": _LEDGER,
     "runtime.stats.TrafficStats.reset": "zeroes the ledger after a warm-up",
     "service.client.JobResult.artifact":
         "client accessor of a published artifact (README example)",

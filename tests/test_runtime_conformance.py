@@ -33,11 +33,12 @@ def backend_param(backend):
 
 
 def assert_same_ledger(stats, reference):
-    """Full ``TrafficStats.snapshot()`` equality; modeled times to 1e-12."""
-    for key in ("nranks", "total_sent_bytes", "total_messages", "total_collectives"):
+    """Full ``TrafficStats.snapshot()`` equality, per-rank counts included."""
+    for key in (
+        "nranks", "total_sent_bytes", "total_messages", "total_collectives",
+        "sent_messages", "sent_bytes",
+    ):
         assert stats[key] == reference[key], key
-    for key in ("max_comm_time", "mean_comm_time"):
-        assert stats[key] == pytest.approx(reference[key], rel=1e-12), key
 
 
 # ----------------------------------------------------------------------

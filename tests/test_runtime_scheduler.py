@@ -20,7 +20,6 @@ from repro.md.engine import MDConfig
 from repro.md.parallel_damage import ParallelDamageMD
 from repro.observe.registry import Registry
 from repro.potential.fe import make_fe_potential
-from repro.runtime.netmodel import NetworkModel
 from repro.runtime.scheduler import RankScheduler, default_workers
 from repro.runtime.simmpi import (
     RankComm,
@@ -194,7 +193,7 @@ def _comms(scheduler=None, size=2):
     the calling thread (no rank threads): the tests drive them.  The
     watchdog turns a wait that never ends into a failure."""
     transport = LocalTransport(range(size))
-    stats = TrafficStats(size, NetworkModel())
+    stats = TrafficStats(size)
     return transport, [
         RankComm(rank, size, transport, stats, watchdog=30.0, scheduler=scheduler)
         for rank in range(size)
@@ -273,7 +272,7 @@ class TestOneWaitPoint:
             return match(*args, **kwargs)
 
         mailbox.match = counting
-        comm = RankComm(0, 2, transport, TrafficStats(2, NetworkModel()))
+        comm = RankComm(0, 2, transport, TrafficStats(2))
         mailbox.deposit(1, 5, "x", 0)
         comm.recv(1, 5)
         assert calls == [True]
