@@ -13,9 +13,10 @@ Usage::
     python -m repro.analyze --explain REP001 # rule documentation
     python -m repro.analyze src --format json
 
-Findings are suppressed either inline (``# repro: noqa(REP003)`` with a
-trailing justification) or via a committed baseline file
-(``analyze-baseline.json``) whose entries must carry a justification.
+A finding is silenced one way only: an inline comment naming the rule
+and the reason, ``# repro: noqa(REP003) <why>``.  A pragma that names
+no rule, gives no reason or silences nothing is itself a ``REP000``
+finding, which no pragma silences.
 """
 
 from repro.analyze.core import Finding, ModuleContext, Rule, all_rules, register

@@ -1,28 +1,17 @@
-"""``python -m repro.analyze`` — scan paths, explain rules, manage baseline.
+"""``python -m repro.analyze`` — scan paths or explain rules.
 
-Exit codes: 0 clean scan, 1 findings remain after suppressions, 2 usage
-or configuration error (bad baseline, unknown rule).
+Exit codes: 0 clean scan, 1 findings remain after pragmas, 2 usage
+error (unknown rule, a scan path that is not a directory or a ``.py``
+file).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from repro.analyze import report
-from repro.analyze.baseline import (
-    BaselineError,
-    apply_baseline,
-    entry_is_justified,
-    load_baseline,
-    prune_baseline,
-    render_baseline,
-)
-from repro.analyze.core import all_rules
 from repro.analyze.runner import analyze_paths
-
-DEFAULT_BASELINE = "analyze-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,40 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help=f"baseline file (default: {DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        default=None,
-        help="write current findings as a baseline (justify by hand), exit 0",
-    )
-    parser.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help=(
-            "drop stale entries (fingerprints no longer found) from the "
-            "baseline file and exit 1 if any were stale"
-        ),
-    )
-    parser.add_argument(
-        "--rules",
-        metavar="REP0xx[,REP0xx...]",
-        default=None,
-        help=(
-            "restrict the scan to a comma-separated rule subset (scoped "
-            "allowlist for tests/benchmarks scans)"
-        ),
-    )
-    parser.add_argument(
         "--explain",
         metavar="REP0xx",
         default=None,
@@ -90,80 +45,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    out = sys.stdout
-
     if args.list_rules:
-        print(report.list_rules(), file=out)
+        print(report.list_rules())
         return 0
     if args.explain is not None:
         text = report.explain(args.explain)
         if text is None:
             print(f"unknown rule {args.explain!r}; --list-rules", file=sys.stderr)
             return 2
-        print(text, file=out)
+        print(text)
         return 0
-
-    rules = None
-    if args.rules is not None:
-        registry = all_rules()
-        wanted = [c.strip().upper() for c in args.rules.split(",") if c.strip()]
-        unknown = [c for c in wanted if c not in registry]
-        if unknown:
-            print(
-                f"unknown rule(s) {', '.join(unknown)}; --list-rules",
-                file=sys.stderr,
-            )
-            return 2
-        rules = [registry[c]() for c in wanted]
-
-    result = analyze_paths(args.paths, rules=rules)
-
-    if args.write_baseline is not None:
-        Path(args.write_baseline).write_text(render_baseline(result.findings))
-        print(
-            f"wrote {len(result.findings)} suppression(s) to "
-            f"{args.write_baseline} (marked 'justified': false); fill in "
-            "the justifications and flip the flags — the scan fails on "
-            "unjustified entries",
-            file=out,
-        )
-        return 0
-
-    baselined, stale, unjustified, pruned = [], [], [], []
-    baseline_path = args.baseline
-    if baseline_path is None and Path(DEFAULT_BASELINE).is_file():
-        baseline_path = DEFAULT_BASELINE
-    if baseline_path is not None and not args.no_baseline:
-        try:
-            entries = load_baseline(baseline_path)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        result.findings, baselined, stale = apply_baseline(
-            result.findings, entries
-        )
-        unjustified = [e for e in entries if not entry_is_justified(e)]
-        if args.prune_baseline:
-            pruned = prune_baseline(baseline_path, entries, stale)
-            for entry in pruned:
-                print(
-                    "pruned stale baseline entry: "
-                    f"{entry['rule']} {entry['path']} :: {entry['snippet']}",
-                    file=out,
-                )
-            stale = []  # dropped from the file; gate on `pruned` below
-    elif args.prune_baseline:
-        print("error: --prune-baseline requires a baseline file", file=sys.stderr)
+    try:
+        result = analyze_paths(args.paths)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.format == "json":
-        print(
-            report.format_json(result, baselined, stale, unjustified),
-            file=out,
-        )
-    else:
-        print(
-            report.format_text(result, baselined, stale, unjustified),
-            file=out,
-        )
-    return 1 if (result.findings or unjustified or pruned) else 0
+    formatter = report.format_json if args.format == "json" else report.format_text
+    print(formatter(result))
+    return 1 if result.findings else 0

@@ -1,23 +1,26 @@
 """Framework core: findings, rule registry, pragmas, import resolution.
 
 A :class:`Rule` sees one :class:`ModuleContext` at a time via
-``check_module`` and may keep cross-module state that it flushes in
-``finalize`` (used by the protocol rule to pair send/recv tags across
-the whole scanned set).  Rules are *instantiated per run*, so state
-never leaks between invocations.
+``check_module``, and the whole scanned program once via
+``check_project`` (a ``ProjectGraph``: symbol table plus call graph).
+Rules are *instantiated per run*, so state never leaks between
+invocations.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass
 from pathlib import PurePosixPath
 from typing import Iterable, Iterator
 
-#: ``# repro: noqa`` (blanket) or ``# repro: noqa(REP001,REP003)``; any
-#: trailing text is the justification and is encouraged.
-NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\(([A-Za-z0-9 ,]*)\))?")
+#: The one way to silence a finding: the comment
+#: ``repro: noqa(REP001,REP003) <reason>`` names the rules it silences on
+#: its line, then why.  Only COMMENT tokens are read, never strings.
+NOQA_RE = re.compile(r"#\s*repro:\s*noqa\b(?:\(([^)]*)\))?(.*)")
 
 
 @dataclass(frozen=True)
@@ -31,11 +34,6 @@ class Finding:
     message: str
     snippet: str = ""
 
-    @property
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Line-number-free identity used for baseline matching."""
-        return (self.rule, self.path, self.snippet)
-
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule)
 
@@ -48,6 +46,16 @@ class Finding:
             "message": self.message,
             "snippet": self.snippet,
         }
+
+
+@dataclass(frozen=True)
+class Pragma:
+    """One ``repro: noqa`` comment: where, which rules, and why."""
+
+    line: int
+    col: int
+    codes: frozenset[str]  # empty for a blanket pragma, which silences nothing
+    reason: str
 
 
 class ModuleContext:
@@ -89,14 +97,10 @@ class Rule:
     def check_project(self, graph) -> Iterable[Finding]:
         """Whole-program findings, given a ``ProjectGraph`` over the scan.
 
-        Called once per run, after every ``check_module`` and before
-        ``finalize``.  Per-file rules ignore it; the interprocedural
-        rules (REP008/REP009) do their whole work here.
+        Called once per run, after every ``check_module``.  REP001 and
+        REP002 do their whole work here: a per-file finding is the call
+        chain of length 0.
         """
-        return ()
-
-    def finalize(self) -> Iterable[Finding]:
-        """Cross-module findings, called once after every module."""
         return ()
 
 
@@ -118,31 +122,34 @@ def all_rules() -> dict[str, type[Rule]]:
     return dict(sorted(_REGISTRY.items()))
 
 
-def suppressed_codes(source: str) -> dict[int, frozenset[str]]:
-    """Map line number -> suppressed rule codes on that line.
+def read_pragmas(source: str) -> dict[int, Pragma]:
+    """Map line number -> the pragma comment on that line.
 
-    An empty frozenset means a blanket ``# repro: noqa`` suppressing
-    every rule on the line.
+    Read from ``tokenize`` COMMENT tokens, so pragma-looking text inside
+    a string literal is never a pragma.
     """
-    out: dict[int, frozenset[str]] = {}
-    for lineno, line in enumerate(source.splitlines(), 1):
-        m = NOQA_RE.search(line)
+    out: dict[int, Pragma] = {}
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type != tokenize.COMMENT:
+            continue
+        m = NOQA_RE.search(tok.string)
         if m is None:
             continue
-        codes = m.group(1)
-        if codes is None:
-            out[lineno] = frozenset()
-        else:
-            out[lineno] = frozenset(
-                c.strip().upper() for c in codes.split(",") if c.strip()
-            )
+        codes = (m.group(1) or "").split(",")
+        line, col = tok.start
+        out[line] = Pragma(
+            line,
+            col + m.start(),
+            frozenset(c.strip().upper() for c in codes if c.strip()),
+            m.group(2).strip(),
+        )
     return out
 
 
-#: Simple (non-compound) statements whose ``# repro: noqa`` on the first
-#: physical line extends over the whole statement.  Compound statements
+#: Simple (non-compound) statements whose pragma on the first physical
+#: line extends over the whole statement.  Compound statements
 #: (def/if/for/with/...) are deliberately excluded: a pragma on a
-#: ``def`` line must not blanket-suppress the entire body.
+#: ``def`` line must not suppress the entire body.
 _SIMPLE_STMTS = (
     ast.Expr,
     ast.Assign,
@@ -156,43 +163,23 @@ _SIMPLE_STMTS = (
 
 
 def expand_statement_pragmas(
-    tree: ast.Module, pragmas: dict[int, frozenset[str]]
-) -> dict[int, frozenset[str]]:
-    """Extend pragmas on multi-line simple statements to every line.
+    tree: ast.Module, pragmas: dict[int, Pragma]
+) -> dict[int, tuple[Pragma, ...]]:
+    """Map line number -> every pragma covering that line.
 
-    A ``# repro: noqa(REP0xx)`` on the first line of a multi-line call
-    must suppress findings anchored to *any* physical line of that
-    statement (an argument on line 3 carries the call's ``lineno`` of
-    the argument node, not the statement head).  Codes are unioned with
-    any pragma already on the inner line; a blanket pragma (empty set)
-    on either side wins.
+    A pragma on the first line of a multi-line simple statement also
+    covers the statement's later lines (an argument on line 3 anchors
+    its finding there, not at the statement head), beside any pragma
+    of the inner line itself.
     """
-    out = dict(pragmas)
-    for node in ast.walk(tree):
-        if not isinstance(node, _SIMPLE_STMTS):
-            continue
-        end = getattr(node, "end_lineno", None)
-        if end is None or end <= node.lineno:
-            continue
-        head = pragmas.get(node.lineno)
+    out = {line: (p,) for line, p in pragmas.items()}
+    for node in ast.walk(tree) if pragmas else ():
+        head = pragmas.get(node.lineno) if isinstance(node, _SIMPLE_STMTS) else None
         if head is None:
             continue
-        for line in range(node.lineno + 1, end + 1):
-            existing = out.get(line)
-            if existing is None:
-                out[line] = head
-            elif not head or not existing:
-                out[line] = frozenset()  # blanket suppression wins
-            else:
-                out[line] = existing | head
+        for line in range(node.lineno + 1, node.end_lineno + 1):
+            out[line] = (*out.get(line, ()), head)
     return out
-
-
-def is_suppressed(finding: Finding, pragmas: dict[int, frozenset[str]]) -> bool:
-    codes = pragmas.get(finding.line)
-    if codes is None:
-        return False
-    return not codes or finding.rule in codes
 
 
 class ImportMap:

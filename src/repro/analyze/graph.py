@@ -1,9 +1,9 @@
-"""Whole-program symbol table and call graph for interprocedural rules.
+"""Whole-program symbol table and call graph for REP001 and REP002.
 
-The per-file rules (REP001-REP007) see one :class:`ModuleContext` at a
-time, so an RNG draw or a collective hidden behind a helper function in
-another module is invisible to them.  :class:`ProjectGraph` closes that
-gap for the *statically decidable* slice of the call graph:
+A check that sees one :class:`ModuleContext` at a time cannot see an
+RNG draw or a collective hidden behind a helper function in another
+module.  :class:`ProjectGraph` closes that gap for the *statically
+decidable* slice of the call graph:
 
 * module-level functions and class methods get dotted qualified names
   (``repro.kmc.comm.TraditionalExchange.before_sector``);
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.analyze.core import ImportMap, ModuleContext
 
@@ -233,27 +234,27 @@ class ProjectGraph:
                         (fn, node)
                     )
 
-    def iter_calls_with_owner(
+    def owned_nodes(
         self, module: ModuleContext
-    ):
-        """Yield ``(call, class_name)`` for every call in ``module``.
+    ) -> Iterator[tuple[FunctionNode | None, ast.AST]]:
+        """Yield ``(enclosing function, node)`` for every node of ``module``.
 
-        ``class_name`` is the enclosing class when the call sits inside
-        a method body (so ``self.helper()`` resolves), else ``None``.
+        The enclosing function is the indexed module-level function or
+        method (nested functions belong to it), or ``None`` for code
+        outside any function.
         """
-        modname = self.module_names.get(module.rel_path, "")
-        del modname
+        owners = {fn.node: fn for fn in self.functions.values()}
 
-        def walk(nodes, class_name):
+        def walk(nodes, top_level):
             for node in nodes:
-                if isinstance(node, ast.ClassDef):
-                    yield from walk(node.body, node.name)
-                else:
-                    for sub in ast.walk(node):
-                        if isinstance(sub, ast.Call):
-                            yield sub, class_name
+                if isinstance(node, ast.ClassDef) and top_level:
+                    yield from walk(node.body, False)
+                    continue
+                owner = owners.get(node)
+                for sub in ast.walk(node):
+                    yield owner, sub
 
-        yield from walk(module.tree.body, None)
+        yield from walk(module.tree.body, True)
 
     def transitive_closure(
         self, mark: dict[str, tuple[str, ...]]

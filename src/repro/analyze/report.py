@@ -5,38 +5,16 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from repro.analyze.core import Finding, all_rules
+from repro.analyze.core import all_rules
 from repro.analyze.runner import AnalysisResult
 
 
-def format_text(
-    result: AnalysisResult,
-    baselined: list[Finding],
-    stale_baseline: list[dict],
-    unjustified: list[dict] = (),
-) -> str:
+def format_text(result: AnalysisResult) -> str:
     lines: list[str] = []
     for f in result.findings:
         lines.append(f"{f.path}:{f.line}:{f.col + 1}: {f.rule} {f.message}")
         if f.snippet:
             lines.append(f"    {f.snippet}")
-    if stale_baseline:
-        lines.append("")
-        lines.append("stale baseline entries (fixed? remove them):")
-        for entry in stale_baseline:
-            lines.append(
-                f"  {entry['rule']} {entry['path']}: {entry['snippet'][:60]}"
-            )
-    if unjustified:
-        lines.append("")
-        lines.append(
-            "unjustified baseline entries (write a justification and set "
-            "'justified': true):"
-        )
-        for entry in unjustified:
-            lines.append(
-                f"  {entry['rule']} {entry['path']}: {entry['snippet'][:60]}"
-            )
     lines.append("")
     by_rule = Counter(f.rule for f in result.findings)
     summary = ", ".join(f"{rule}={n}" for rule, n in sorted(by_rule.items()))
@@ -44,7 +22,6 @@ def format_text(
         f"{result.files_scanned} files scanned: "
         f"{len(result.findings)} finding(s)"
         + (f" ({summary})" if summary else "")
-        + (f", {len(baselined)} baselined" if baselined else "")
         + (
             f", {len(result.suppressed)} noqa-suppressed"
             if result.suppressed
@@ -54,32 +31,16 @@ def format_text(
     return "\n".join(lines)
 
 
-def as_json(
-    result: AnalysisResult,
-    baselined: list[Finding],
-    stale_baseline: list[dict],
-    unjustified: list[dict] = (),
-) -> dict:
-    return {
-        "version": 1,
-        "files_scanned": result.files_scanned,
-        "findings": [f.to_dict() for f in result.findings],
-        "baselined": [f.to_dict() for f in baselined],
-        "suppressed": [f.to_dict() for f in result.suppressed],
-        "stale_baseline": stale_baseline,
-        "unjustified_baseline": list(unjustified),
-        "counts": dict(Counter(f.rule for f in result.findings)),
-    }
-
-
-def format_json(
-    result: AnalysisResult,
-    baselined: list[Finding],
-    stale_baseline: list[dict],
-    unjustified: list[dict] = (),
-) -> str:
+def format_json(result: AnalysisResult) -> str:
     return json.dumps(
-        as_json(result, baselined, stale_baseline, unjustified), indent=2
+        {
+            "version": 2,
+            "files_scanned": result.files_scanned,
+            "findings": [f.to_dict() for f in result.findings],
+            "suppressed": [f.to_dict() for f in result.suppressed],
+            "counts": dict(Counter(f.rule for f in result.findings)),
+        },
+        indent=2,
     )
 
 

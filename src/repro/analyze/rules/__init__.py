@@ -2,7 +2,6 @@
 
 from repro.analyze.rules import (
     determinism,
-    interprocedural,
     numeric,
     observe_use,
     perf,

@@ -14,8 +14,8 @@ sneak back in:
 The rule flags both in the hot directories (``md/``, ``kmc/``) and in
 the two transport implementations themselves.  Deliberate survivors — a scatter
 whose duplicate-index accumulation order is load-bearing for
-bit-identity, a pickle on an error path — belong in the committed
-baseline with a written justification.
+bit-identity, a pickle on an error path — carry an inline pragma that
+says why.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ _SLOW_CALLS = {
     "numpy.add.at": (
         "np.add.at is NumPy's unbuffered scatter (known ~10x slow); use "
         "np.bincount(..., minlength=n) unless duplicate-index accumulation "
-        "order is load-bearing (then justify in the baseline)"
+        "order is load-bearing (then say why in a pragma)"
     ),
     "pickle.dumps": (
         "pickle.dumps on a hot path copies bytes the shared-memory "
@@ -60,10 +60,10 @@ this reproduction measured and replaced: unbuffered ufunc scatters lose
 an order of magnitude to ``np.bincount`` accumulation, and pickling
 array payloads defeats the zero-copy shared-memory transport.
 
-Keep a deliberate exception (duplicate-index accumulation whose order is
-load-bearing for bit-identity, serialization on an error path) in the
-committed baseline with a justification, or annotate it inline with
-``# repro: noqa(REP007) <why this movement pattern is required>``.
+Annotate a deliberate exception (duplicate-index accumulation whose
+order is load-bearing for bit-identity, serialization on an error path)
+inline with ``# repro: noqa(REP007) <why this movement pattern is
+required>``.
 """
 
     def check_module(self, module: ModuleContext) -> Iterable[Finding]:

@@ -1,11 +1,14 @@
 """REP002 — simmpi protocol discipline.
 
-Two statically visible deadlock shapes:
+Two statically visible deadlock shapes, checked over the project call
+graph (a per-file finding is the call chain of length 0):
 
 * a send (or recv/probe) tag that never pairs up anywhere in the
-  scanned set — the receiver blocks forever;
-* a collective (or window fence/put) executed only under a
-  rank-conditional branch — the other ranks block in the collective.
+  scanned set, also when the tag reaches the op as a helper's
+  parameter — the receiver blocks forever;
+* a collective (or window fence/put) reached, directly or through
+  helper calls, only under a rank-conditional branch — the other ranks
+  block in the collective.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ _COLLECTIVES = {
 }
 
 #: The modules that *implement* the transport and the communicator: their
-#: internals legitimately branch on rank and use reserved tags, so the
-#: protocol rules (REP002, REP009) skip them.  Everything else under
+#: internals legitimately branch on rank and use reserved tags, so
+#: REP002 skips them.  Everything else under
 #: ``runtime/`` — the middleware layers, the sanitizer, the scheduler —
 #: is a caller of the communicator like any engine and is scanned.
 _TRANSPORT_FILES = (
@@ -51,30 +54,48 @@ def implements_transport(module: ModuleContext) -> bool:
 #: window; bare ``q.put`` (queues) must not trip the rule.
 _WINDOW_HINTS = ("win", "window")
 
+#: Wildcards: a receive with one of these tags may match any send.
+_WILDCARDS = ("ANY_TAG", "ANY_SOURCE")
 
-def _tag_key(node: ast.expr | None):
-    """A pairing key for a tag expression, or ``None`` when dynamic.
 
-    Literal ints/strings pair by value; uppercase constants (``TAG_GET``,
-    ``mod.TAG_PUT``) pair by name, including ``TAG_GET + sector`` offset
-    forms which pair by their base constant.  Anything else (a computed
-    tag, ``status.tag``, the ANY_TAG default) is dynamic: it may match
-    any tag, so pairing is not statically decidable.
+def _tag_keys(graph, module: ModuleContext, expr: ast.expr | None) -> set:
+    """Pairing keys of a tag expression; empty when it is dynamic.
+
+    A literal or a resolved module-level constant pairs by *value*
+    across modules (``TAG_GET = 1000`` pairs with a literal ``1000``);
+    an uppercase name also pairs by *name*, so a constant pairs with
+    itself whether or not the other side resolves it.  ``BASE + sector``
+    offset forms pair by their base.  Anything else (a computed tag,
+    ``status.tag``, the ANY_TAG wildcard) may match any tag.
     """
-    if node is None:
-        return None
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, str)):
-        return ("lit", node.value)
-    if isinstance(node, ast.Name) and node.id.isupper():
-        return ("const", node.id)
-    if (
-        isinstance(node, ast.Attribute)
-        and node.attr.isupper()
-        and node.attr not in ("ANY_TAG", "ANY_SOURCE")
-    ):
-        return ("const", node.attr)
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-        return _tag_key(node.left)
+    while isinstance(expr, ast.BinOp) and isinstance(expr.op, (ast.Add, ast.Sub)):
+        expr = expr.left
+    name = getattr(expr, "id", getattr(expr, "attr", None))
+    if expr is None or name in _WILDCARDS:
+        return set()
+    keys = {("name", name)} if isinstance(name, str) and name.isupper() else set()
+    value = (
+        expr.value
+        if isinstance(expr, ast.Constant)
+        else graph.resolve_constant(module, expr)
+    )
+    if isinstance(value, (int, str)):
+        keys.add(value)
+    return keys
+
+
+def _show(keys: set):
+    """The tag as a message names it: its value, else its name."""
+    values = [k for k in keys if not isinstance(k, tuple)]
+    return values[0] if values else next(iter(keys))[1]
+
+
+def _tag_param(expr: ast.expr | None, params: list[str]) -> str | None:
+    """The function parameter a tag expression is built from, if any."""
+    while isinstance(expr, ast.BinOp) and isinstance(expr.op, (ast.Add, ast.Sub)):
+        expr = expr.left
+    if isinstance(expr, ast.Name) and expr.id in params:
+        return expr.id
     return None
 
 
@@ -117,17 +138,6 @@ def _collective_name(call: ast.Call) -> str | None:
     return None
 
 
-def _collectives_in(nodes: list[ast.stmt]) -> set[str]:
-    names: set[str] = set()
-    for stmt in nodes:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call):
-                name = _collective_name(node)
-                if name is not None:
-                    names.add(name)
-    return names
-
-
 @register
 class ProtocolRule(Rule):
     code = "REP002"
@@ -138,23 +148,27 @@ class ProtocolRule(Rule):
     )
     explanation = """\
 simmpi point-to-point messages pair by tag; collectives require every
-rank to participate.  Two shapes are statically rejectable:
+rank to participate.  Two shapes are statically rejectable, both over
+the project call graph:
 
-1. Tag pairing (cross-module): tag keys are collected from every
-   ``.send``/``.isend`` and ``.recv``/``.probe`` in the scanned set.
-   Literal tags pair by value, uppercase constants (``TAG_GET``, also in
-   ``TAG_GET + sector`` offset form) pair by base name.  A send tag with
-   no matching receive anywhere (and vice versa) is flagged — unless a
-   dynamic tag (``status.tag``, the ANY_TAG default) appears on the
-   other side, which makes pairing statically undecidable and mutes the
-   check for that direction.
+1. Tag pairing: tag keys are collected from every ``.send``/``.isend``
+   and ``.recv``/``.probe`` in the scanned set.  Literals and resolved
+   module-level constants pair by value across modules, uppercase
+   constants also by name, and ``TAG_GET + sector`` offset forms by
+   their base.  A tag that is a function *parameter* is substituted at
+   every resolved call site of the helper (``def ship(comm, dest, tag,
+   x): comm.send(dest, tag, x)``), and the finding names the chain.  A
+   send tag with no matching receive anywhere (and vice versa) is
+   flagged, unless a dynamic tag (``status.tag``, the ANY_TAG default,
+   a helper with no resolved caller) appears on the other side, which
+   makes pairing statically undecidable and mutes that direction.
 
-2. Rank-conditional collectives (per module): ``barrier``/``bcast``/
-   ``gather``/``allreduce``/``exchange``/``win_create``/``fence`` (and
-   ``<win>.put``) reached only under ``if rank == ...`` deadlock the
-   other ranks.  A collective in one branch is accepted when the
-   opposite branch calls the *same* collective (the root/leaf bcast
-   idiom).
+2. Rank-conditional collectives: ``barrier``/``bcast``/``gather``/
+   ``allreduce``/``exchange``/``win_create``/``fence`` (and
+   ``<win>.put``) reached under ``if rank == ...``, directly or through
+   a chain of helper calls, deadlock the other ranks.  A collective in
+   one branch is accepted when the opposite branch reaches the *same*
+   collective (the root/leaf bcast idiom).
 
 The transport and communicator modules (``runtime/transport.py``,
 ``runtime/simmpi.py``, ``runtime/procbackend.py``) are exempt: they
@@ -163,80 +177,125 @@ rank.  Suppress elsewhere with
 ``# repro: noqa(REP002) <why every rank reaches this call>``.
 """
 
-    def __init__(self) -> None:
-        self._sends: dict[tuple, Finding] = {}
-        self._recvs: dict[tuple, Finding] = {}
-        self._dynamic_send = False
-        self._dynamic_recv = False
-
-    def check_module(self, module: ModuleContext) -> Iterable[Finding]:
-        if implements_transport(module):
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+    def check_project(self, graph) -> Iterable[Finding]:
+        reach = {
+            name: graph.transitive_closure(marks)
+            for name, marks in self._direct_collectives(graph).items()
+        }
+        ops: dict[bool, list] = {True: [], False: []}  # is_send -> sites
+        dynamic = {True: False, False: False}
+        for module in graph.modules:
+            if implements_transport(module):
+                continue
+            for fn, node in graph.owned_nodes(module):
+                if isinstance(node, ast.If) and _mentions_rank(node.test):
+                    yield from self._check_branches(graph, module, fn, node, reach)
+                if not (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                ):
+                    continue
                 method = node.func.attr
-                if method in _SEND_METHODS:
-                    tag, present = _call_tag(node)
-                    if not present:
-                        continue  # not a simmpi send (pipes, sockets)
-                    key = _tag_key(tag)
-                    if key is None:
-                        self._dynamic_send = True
+                if method not in _SEND_METHODS and method not in _RECV_METHODS:
+                    continue
+                is_send = method in _SEND_METHODS
+                tag, present = _call_tag(node)
+                if not present:  # recv: the ANY_TAG default; send: not simmpi's
+                    dynamic[False] |= not is_send
+                    continue
+                for keys, *where in self._tag_sites(graph, module, fn, node, tag):
+                    if keys:
+                        ops[is_send].append((keys, *where))
                     else:
-                        self._sends.setdefault(
-                            key,
-                            module.finding(
-                                self.code,
-                                node,
-                                f"send tag {key[1]!r} has no matching "
-                                "recv/probe anywhere in the scanned paths",
-                            ),
-                        )
-                elif method in _RECV_METHODS:
-                    tag, present = _call_tag(node)
-                    if not present:
-                        self._dynamic_recv = True  # ANY_TAG default
+                        dynamic[is_send] = True
+        for is_send, direction, opposite in (
+            (True, "send", "recv/probe"),
+            (False, "recv/probe", "send"),
+        ):
+            if dynamic[not is_send]:
+                continue
+            partners = set().union(*(keys for keys, *_ in ops[not is_send]))
+            for keys, site_module, site, via in ops[is_send]:
+                if not keys & partners:
+                    yield site_module.finding(
+                        self.code,
+                        site,
+                        f"{direction} tag {_show(keys)!r}{via} has no matching "
+                        f"{opposite} anywhere in the scanned paths",
+                    )
+
+    @staticmethod
+    def _tag_sites(graph, module, fn, op: ast.Call, tag):
+        """``(keys, module, node, via)`` for each place a tag is fixed.
+
+        A direct tag is fixed at the op itself; a parameter tag at every
+        resolved call site of the enclosing helper (no call site at all
+        is one dynamic site).
+        """
+        param = _tag_param(tag, fn.params) if fn is not None else None
+        if param is None:
+            return [(_tag_keys(graph, module, tag), module, op, "")]
+        idx = fn.params.index(param)
+        if fn.class_name is not None and fn.params[0] in ("self", "cls"):
+            idx -= 1  # resolved self.method() calls pass no receiver
+        sites = []
+        for caller, site in graph.callers.get(fn.qname, []):
+            arg = next((kw.value for kw in site.keywords if kw.arg == param), None)
+            if arg is None and 0 <= idx < len(site.args):
+                arg = site.args[idx]
+            via = (
+                f" (via parameter '{param}' of {fn.qname}.{op.func.attr}: "
+                f"{caller.qname} -> {fn.qname})"
+            )
+            sites.append((_tag_keys(graph, caller.module, arg), caller.module, site, via))
+        return sites or [(set(), module, op, "")]
+
+    @staticmethod
+    def _direct_collectives(graph) -> dict[str, dict[str, tuple[str, ...]]]:
+        """collective name -> {qname of a function calling it: witness}."""
+        out: dict[str, dict[str, tuple[str, ...]]] = {}
+        for qname, fn in graph.functions.items():
+            for node in ast.walk(fn.node):
+                name = _collective_name(node) if isinstance(node, ast.Call) else None
+                if name is not None:
+                    out.setdefault(name, {}).setdefault(
+                        qname, (f"{name}() ({fn.module.rel_path}:{node.lineno})",)
+                    )
+        return out
+
+    def _check_branches(self, graph, module, fn, branch_if: ast.If, reach):
+        """Collectives one side of a rank test reaches and the other not."""
+        class_name = fn and fn.class_name
+
+        def reached(call: ast.Call) -> dict[str, tuple[str, ...]]:
+            """collective name -> chain (empty when called directly)."""
+            name = _collective_name(call)
+            out = {name: ()} if name is not None else {}
+            callee = graph.resolve_call(module, call, class_name)
+            for cname, closure in reach.items():
+                if callee is not None and callee.qname in closure:
+                    out.setdefault(cname, (callee.qname, *closure[callee.qname]))
+            return out
+
+        def calls(stmts):
+            for stmt in stmts:
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Call):
+                        yield node
+
+        for body, other in (
+            (branch_if.body, branch_if.orelse),
+            (branch_if.orelse, branch_if.body),
+        ):
+            other_names = {n for call in calls(other) for n in reached(call)}
+            for call in calls(body):
+                for cname, chain in sorted(reached(call).items()):
+                    if cname in other_names:
                         continue
-                    key = _tag_key(tag)
-                    if key is None:
-                        self._dynamic_recv = True
-                    else:
-                        self._recvs.setdefault(
-                            key,
-                            module.finding(
-                                self.code,
-                                node,
-                                f"recv/probe tag {key[1]!r} has no matching "
-                                "send anywhere in the scanned paths",
-                            ),
-                        )
-            if isinstance(node, ast.If) and _mentions_rank(node.test):
-                yield from self._check_branch(module, node.body, node.orelse)
-                yield from self._check_branch(module, node.orelse, node.body)
-
-    def _check_branch(
-        self, module: ModuleContext, branch: list[ast.stmt], other: list[ast.stmt]
-    ) -> Iterable[Finding]:
-        other_names = _collectives_in(other)
-        for stmt in branch:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Call):
-                    name = _collective_name(node)
-                    if name is not None and name not in other_names:
-                        yield module.finding(
-                            self.code,
-                            node,
-                            f"collective '{name}' under a rank-conditional "
-                            "branch: ranks not taking this branch will "
-                            "deadlock in the collective",
-                        )
-
-    def finalize(self) -> Iterable[Finding]:
-        if not self._dynamic_recv:
-            for key, finding in sorted(self._sends.items(), key=lambda kv: str(kv[0])):
-                if key not in self._recvs:
-                    yield finding
-        if not self._dynamic_send:
-            for key, finding in sorted(self._recvs.items(), key=lambda kv: str(kv[0])):
-                if key not in self._sends:
-                    yield finding
+                    via = f" (via {' -> '.join(chain)})" if chain else ""
+                    yield module.finding(
+                        self.code,
+                        call,
+                        f"collective '{cname}' under a rank-conditional "
+                        f"branch{via}: ranks not taking this branch will "
+                        "deadlock in the collective",
+                    )

@@ -201,7 +201,7 @@ class ForkedTransport(LocalTransport):
 def _ensure_picklable(exc: BaseException) -> BaseException:
     """The exception itself if it survives pickling, else a summary."""
     try:
-        pickle.loads(pickle.dumps(exc))
+        pickle.loads(pickle.dumps(exc))  # repro: noqa(REP007) error path only, once per failed rank, never a message payload
         return exc
     except Exception:
         # A custom __reduce__ can raise anything, so the catch must stay

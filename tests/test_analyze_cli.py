@@ -1,18 +1,12 @@
-"""CLI contract tests: exit codes, JSON schema, noqa and baseline paths."""
+"""CLI contract tests: exit codes, JSON schema, the pragma contract."""
 
 import json
 import textwrap
 
 import pytest
 
-from repro.analyze.baseline import (
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    render_baseline,
-)
 from repro.analyze.cli import main
-from repro.analyze.core import Finding
+from repro.analyze.core import all_rules
 from repro.analyze.runner import analyze_paths
 
 BAD_KMC = textwrap.dedent(
@@ -52,26 +46,27 @@ class TestExitCodes:
     def test_unknown_rule_exits_two(self, tree, capsys):
         assert main(["--explain", "REP999"]) == 2
 
-    def test_bad_baseline_exits_two(self, tree, capsys):
-        (tree / "b.json").write_text("{not json")
-        assert main(["src", "--baseline", "b.json"]) == 2
+    def test_missing_path_exits_two(self, tree, capsys):
+        # A typo in a scan path must not turn the gate green.
+        assert main(["srcx"]) == 2
+        assert "srcx" in capsys.readouterr().err
+        (tree / "notes.txt").write_text("not python\n")
+        assert main(["src", "notes.txt"]) == 2
+        assert "notes.txt" in capsys.readouterr().err
 
-    def test_unjustified_baseline_exits_two(self, tree):
-        (tree / "b.json").write_text(
-            json.dumps(
-                {
-                    "suppressions": [
-                        {
-                            "rule": "REP001",
-                            "path": "src/repro/kmc/bad.py",
-                            "snippet": "return np.random.rand()",
-                            "justification": "   ",
-                        }
-                    ]
-                }
+    def test_pragma_without_reason_exits_one(self, tree, capsys):
+        # An exception with no reason fails the gate, though it silences
+        # the finding it names.
+        (tree / "src/repro/kmc/bad.py").write_text(
+            BAD_KMC.replace(
+                "return np.random.rand()",
+                "return np.random.rand()  # repro: noqa(REP001)",
             )
         )
-        assert main(["src", "--baseline", "b.json"]) == 2
+        assert main(["src"]) == 1
+        out = capsys.readouterr().out
+        assert "REP000 pragma gives no reason" in out
+        assert "1 noqa-suppressed" in out
 
     def test_syntax_error_is_a_finding(self, tree, capsys):
         (tree / "src/repro/kmc/broken.py").write_text("def f(:\n")
@@ -83,7 +78,10 @@ class TestReporters:
     def test_json_schema(self, tree, capsys):
         assert main(["src", "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == 1
+        assert doc["version"] == 2
+        assert set(doc) == {
+            "version", "files_scanned", "findings", "suppressed", "counts"
+        }
         assert doc["files_scanned"] == 2
         assert doc["counts"] == {"REP001": 1}
         (finding,) = doc["findings"]
@@ -97,8 +95,8 @@ class TestReporters:
         assert "sector_rng" in capsys.readouterr().out
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("REP001", "REP002", "REP003", "REP004", "REP005", "REP006"):
-            assert code in out
+        codes = [line.split()[0] for line in out.splitlines()]
+        assert codes == [f"REP00{i}" for i in range(1, 8)]
 
 
 class TestSuppression:
@@ -112,8 +110,8 @@ class TestSuppression:
         assert main(["src"]) == 0
         assert "1 noqa-suppressed" in capsys.readouterr().out
 
-    def test_blanket_noqa_and_other_code(self, tree):
-        # noqa for a *different* rule does not suppress
+    def test_blanket_noqa_and_other_code(self, tree, capsys):
+        # noqa for a *different* rule does not suppress, and is stale
         (tree / "src/repro/kmc/bad.py").write_text(
             BAD_KMC.replace(
                 "return np.random.rand()",
@@ -121,197 +119,115 @@ class TestSuppression:
             )
         )
         assert main(["src"]) == 1
+        out = capsys.readouterr().out
+        assert "REP001" in out and "suppresses no REP003 finding" in out
+        # a blanket pragma silences nothing and is itself a finding
         (tree / "src/repro/kmc/bad.py").write_text(
             BAD_KMC.replace(
                 "return np.random.rand()",
                 "return np.random.rand()  # repro: noqa",
             )
         )
-        assert main(["src"]) == 0
-
-    def test_baseline_roundtrip(self, tree, capsys):
-        # --write-baseline exits 0 and records the finding
-        assert main(["src", "--write-baseline", "base.json"]) == 0
-        doc = json.loads((tree / "base.json").read_text())
-        assert len(doc["suppressions"]) == 1
-        assert doc["suppressions"][0]["justified"] is False
-        # ... but the entry is rejected until justified by hand
-        doc["suppressions"][0]["justification"] = "seeded fixture, known dirty"
-        doc["suppressions"][0]["justified"] = True
-        (tree / "base.json").write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert main(["src", "--baseline", "base.json"]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-        # --no-baseline brings the finding back
-        assert main(["src", "--baseline", "base.json", "--no-baseline"]) == 1
-
-    def test_fresh_baseline_cannot_silently_pass(self, tree, capsys):
-        # A generated baseline suppresses the finding but still fails the
-        # scan until every entry is justified by hand.
-        assert main(["src", "--write-baseline", "base.json"]) == 0
-        capsys.readouterr()
-        assert main(["src", "--baseline", "base.json"]) == 1
+        assert main(["src"]) == 1
         out = capsys.readouterr().out
-        assert "unjustified baseline" in out
-        # Fixing the text without flipping the flag is still unjustified
-        doc = json.loads((tree / "base.json").read_text())
-        doc["suppressions"][0]["justification"] = "real reason"
-        (tree / "base.json").write_text(json.dumps(doc))
-        assert main(["src", "--baseline", "base.json"]) == 1
-        # ... and keeping the TODO text with the flag flipped is too
-        doc["suppressions"][0]["justification"] = (
-            "TODO: justify this suppression"
-        )
-        doc["suppressions"][0]["justified"] = True
-        (tree / "base.json").write_text(json.dumps(doc))
-        assert main(["src", "--baseline", "base.json"]) == 1
+        assert "REP001" in out and "REP000 pragma names no rule" in out
 
-    def test_unjustified_entries_in_json_report(self, tree, capsys):
-        assert main(["src", "--write-baseline", "base.json"]) == 0
-        capsys.readouterr()
-        assert main(["src", "--baseline", "base.json", "--format", "json"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert len(doc["unjustified_baseline"]) == 1
-        assert doc["findings"] == []
-
-    def test_default_baseline_discovered_in_cwd(self, tree, capsys):
-        assert main(["src", "--write-baseline", "analyze-baseline.json"]) == 0
-        doc = json.loads((tree / "analyze-baseline.json").read_text())
-        doc["suppressions"][0]["justification"] = "fixture"
-        doc["suppressions"][0]["justified"] = True
-        (tree / "analyze-baseline.json").write_text(json.dumps(doc))
-        assert main(["src"]) == 0
-
-    def test_stale_baseline_entries_reported(self, tree, capsys):
-        (tree / "base.json").write_text(
-            json.dumps(
-                {
-                    "suppressions": [
-                        {
-                            "rule": "REP004",
-                            "path": "src/repro/kmc/gone.py",
-                            "snippet": "assert x",
-                            "justification": "was fixed long ago",
-                        }
-                    ]
-                }
+    def test_pragma_in_string_literal_does_not_suppress(self, tree, capsys):
+        # Only a comment is a pragma; text in a string literal is data.
+        (tree / "src/repro/kmc/bad.py").write_text(
+            BAD_KMC.replace(
+                "return np.random.rand()",
+                'return np.random.rand(), "# repro: noqa(REP001) in a string"',
             )
         )
-        assert main(["src", "--baseline", "base.json"]) == 1
-        assert "stale baseline" in capsys.readouterr().out
-
-
-class TestPruneBaseline:
-    def stale_entry(self):
-        return {
-            "rule": "REP004",
-            "path": "src/repro/kmc/gone.py",
-            "snippet": "assert x",
-            "justification": "was fixed long ago",
-        }
-
-    def live_entry(self):
-        return {
-            "rule": "REP001",
-            "path": "src/repro/kmc/bad.py",
-            "snippet": "return np.random.rand()",
-            "justification": "seeded fixture, known dirty",
-            "justified": True,
-        }
-
-    def test_prune_rewrites_file_and_exits_one(self, tree, capsys):
-        (tree / "base.json").write_text(
-            json.dumps({"suppressions": [self.live_entry(), self.stale_entry()]})
-        )
-        assert main(
-            ["src", "--baseline", "base.json", "--prune-baseline"]
-        ) == 1
+        assert main(["src"]) == 1
         out = capsys.readouterr().out
-        assert "pruned stale baseline entry" in out
-        assert "gone.py" in out
-        doc = json.loads((tree / "base.json").read_text())
-        assert [e["path"] for e in doc["suppressions"]] == [
-            "src/repro/kmc/bad.py"
-        ]
-        # Second run: nothing stale left, scan is clean.
-        capsys.readouterr()
-        assert main(
-            ["src", "--baseline", "base.json", "--prune-baseline"]
-        ) == 0
-        assert "pruned" not in capsys.readouterr().out
+        assert "REP001" in out and "noqa-suppressed" not in out
 
-    def test_prune_without_stale_entries_is_a_no_op(self, tree):
-        (tree / "base.json").write_text(
-            json.dumps({"suppressions": [self.live_entry()]})
+
+    def test_fresh_pragma_cannot_silently_pass(self, tree, capsys):
+        # The scan passes only once the pragma names the rule and says why.
+        for pragma, code in [
+            ("# repro: noqa", 1),
+            ("# repro: noqa seeded fixture", 1),
+            ("# repro: noqa(REP001)", 1),
+            ("# repro: noqa(REP001) seeded fixture", 0),
+        ]:
+            (tree / "src/repro/kmc/bad.py").write_text(
+                BAD_KMC.replace(
+                    "return np.random.rand()",
+                    f"return np.random.rand()  {pragma}",
+                )
+            )
+            assert main(["src"]) == code, pragma
+            capsys.readouterr()
+
+    def test_stale_pragma_reported(self, tree, capsys):
+        (tree / "src/repro/kmc/fixed.py").write_text(
+            "x = 1  # repro: noqa(REP004) was fixed long ago\n"
         )
-        before = (tree / "base.json").read_text()
-        assert main(
-            ["src", "--baseline", "base.json", "--prune-baseline"]
-        ) == 0
-        assert (tree / "base.json").read_text() == before
+        (tree / "src/repro/kmc/bad.py").write_text(CLEAN)
+        assert main(["src"]) == 1
+        out = capsys.readouterr().out
+        assert "fixed.py:1" in out and "suppresses no REP004 finding" in out
 
-    def test_prune_without_baseline_file_is_an_error(self, tree, capsys):
-        assert main(["src", "--prune-baseline"]) == 2
-        assert "baseline" in capsys.readouterr().err.lower()
+
+class TestPragmaContract:
+    """Each broken pragma is a REP000 finding that no pragma silences."""
+
+    def scan_with(self, tree, line):
+        (tree / "src/repro/kmc/bad.py").write_text(
+            BAD_KMC.replace("return np.random.rand()", line)
+        )
+        return analyze_paths(["src"])
+
+    def test_blanket_pragma_is_a_finding(self, tree):
+        result = self.scan_with(tree, "return np.random.rand()  # repro: noqa why")
+        rep001, rep000 = result.findings  # the pragma sits right of the call
+        assert (rep001.rule, rep000.rule) == ("REP001", "REP000")
+        assert "names no rule" in rep000.message
+
+    def test_pragma_without_reason_is_a_finding(self, tree):
+        result = self.scan_with(
+            tree, "return np.random.rand()  # repro: noqa(REP001)"
+        )
+        (finding,) = result.findings
+        assert finding.rule == "REP000" and "no reason" in finding.message
+        assert [f.rule for f in result.suppressed] == ["REP001"]
+
+    def test_stale_pragma_is_a_finding(self, tree):
+        result = self.scan_with(
+            tree, "return 0.5  # repro: noqa(REP001) the draw was removed"
+        )
+        (finding,) = result.findings
+        assert finding.rule == "REP000"
+        assert finding.line == 4
+        assert "suppresses no REP001 finding" in finding.message
+
+    def test_pragma_of_a_rule_that_did_not_run_is_not_stale(self, tree):
+        (tree / "src/repro/kmc/bad.py").write_text(
+            "x = 1  # repro: noqa(REP001) checked by the full scan\n"
+        )
+        only_rep004 = [all_rules()["REP004"]()]
+        assert analyze_paths(["src"], rules=only_rep004).findings == []
+        assert [f.rule for f in analyze_paths(["src"]).findings] == ["REP000"]
+
+    def test_rep000_cannot_be_silenced(self, tree):
+        result = self.scan_with(
+            tree, "return np.random.rand()  # repro: noqa(REP000, REP001) try"
+        )
+        (finding,) = result.findings
+        assert finding.rule == "REP000"
+        assert "unknown rule REP000" in finding.message
 
 
 class TestRuleSubset:
-    def test_rules_flag_restricts_the_scan(self, tree, capsys):
+    def test_rules_argument_restricts_the_scan(self, tree):
         # The tree has a REP001 finding; scanning only REP004 is clean.
-        assert main(["src", "--rules", "REP004"]) == 0
-        capsys.readouterr()
-        assert main(["src", "--rules", "REP001,REP004"]) == 1
-        assert "REP001" in capsys.readouterr().out
-
-    def test_unknown_rule_in_subset_exits_two(self, tree, capsys):
-        assert main(["src", "--rules", "REP001,REP999"]) == 2
-        assert "REP999" in capsys.readouterr().err
-
-
-class TestBaselineUnit:
-    def test_render_then_load(self, tmp_path):
-        f = Finding("REP004", "src/x.py", 3, 0, "msg", "assert x")
-        path = tmp_path / "b.json"
-        path.write_text(
-            render_baseline([f]).replace(
-                "TODO: justify this suppression", "legacy self-check"
-            )
-        )
-        entries = load_baseline(path)
-        kept, baselined, stale = apply_baseline([f], entries)
-        assert kept == [] and baselined == [f] and stale == []
-
-    def test_line_drift_does_not_unmatch(self, tmp_path):
-        f1 = Finding("REP004", "src/x.py", 3, 0, "msg", "assert x")
-        f2 = Finding("REP004", "src/x.py", 57, 4, "msg", "assert x")
-        path = tmp_path / "b.json"
-        path.write_text(
-            render_baseline([f1]).replace("TODO: justify this suppression", "ok")
-        )
-        kept, baselined, _ = apply_baseline([f2], load_baseline(path))
-        assert kept == [] and baselined == [f2]
-
-    def test_entry_is_justified(self):
-        from repro.analyze.baseline import entry_is_justified
-
-        base = {
-            "rule": "REP004",
-            "path": "src/x.py",
-            "snippet": "assert x",
-            "justification": "real reason",
-        }
-        assert entry_is_justified(base)  # historical entry, no flag
-        assert entry_is_justified({**base, "justified": True})
-        assert not entry_is_justified({**base, "justified": False})
-        assert not entry_is_justified(
-            {**base, "justification": "TODO: justify this suppression"}
-        )
-
-    def test_missing_fields_rejected(self, tmp_path):
-        path = tmp_path / "b.json"
-        path.write_text(json.dumps({"suppressions": [{"rule": "REP004"}]}))
-        with pytest.raises(BaselineError):
-            load_baseline(path)
+        rules = all_rules()
+        assert analyze_paths(["src"], rules=[rules["REP004"]()]).findings == []
+        found = analyze_paths(["src"], rules=[rules["REP001"](), rules["REP004"]()])
+        assert [f.rule for f in found.findings] == ["REP001"]
 
 
 class TestRunner:

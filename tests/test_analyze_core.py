@@ -3,13 +3,8 @@
 import ast
 import textwrap
 
-from repro.analyze.core import (
-    Finding,
-    ImportMap,
-    expand_statement_pragmas,
-    is_suppressed,
-    suppressed_codes,
-)
+from repro.analyze.core import ImportMap, expand_statement_pragmas, read_pragmas
+from repro.analyze.runner import analyze_paths
 
 
 def import_map(source):
@@ -62,31 +57,56 @@ class TestImportMapResolveCall:
         assert m.resolve_call(call_expr("helpers.work()")) is None
 
 
+def codes_on(covering, line):
+    """Every rule code the pragmas covering ``line`` name."""
+    return {code for p in covering.get(line, ()) for code in p.codes}
+
+
+def covering(source):
+    return expand_statement_pragmas(ast.parse(source), read_pragmas(source))
+
+
 class TestSuppressedCodes:
     def test_blanket_noqa_is_empty_frozenset(self):
-        out = suppressed_codes("x = 1  # repro: noqa\n")
-        assert out == {1: frozenset()}
+        out = read_pragmas("x = 1  # repro: noqa\n")
+        assert out[1].codes == frozenset()
 
     def test_scoped_codes_parse_with_spaces_and_case(self):
-        out = suppressed_codes("x = 1  # repro: noqa(rep001, REP003 )\n")
-        assert out == {1: frozenset({"REP001", "REP003"})}
+        out = read_pragmas("x = 1  # repro: noqa(rep001, REP003 ) why\n")
+        assert out[1].codes == frozenset({"REP001", "REP003"})
 
     def test_justification_text_after_pragma_is_accepted(self):
-        out = suppressed_codes(
+        out = read_pragmas(
             "t = time.time()  # repro: noqa(REP001) wall time is only logged\n"
         )
-        assert out == {1: frozenset({"REP001"})}
+        assert out[1].codes == frozenset({"REP001"})
+        assert out[1].reason == "wall time is only logged"
 
     def test_unmarked_lines_have_no_entry(self):
-        out = suppressed_codes("x = 1\ny = 2  # repro: noqa(REP001)\n")
+        out = read_pragmas("x = 1\ny = 2  # repro: noqa(REP001)\n")
         assert 1 not in out and 2 in out
+        assert out[2].reason == ""
 
-    def test_is_suppressed_matches_code_and_blanket(self):
-        f = Finding("REP001", "src/x.py", 3, 0, "m")
-        assert is_suppressed(f, {3: frozenset()})
-        assert is_suppressed(f, {3: frozenset({"REP001"})})
-        assert not is_suppressed(f, {3: frozenset({"REP002"})})
-        assert not is_suppressed(f, {4: frozenset()})
+    def test_only_a_named_code_on_the_line_suppresses(self, tmp_path):
+        bad = "import numpy as np\nx = np.random.rand()"
+        cases = [
+            ("  # repro: noqa(REP001) seeded", ["REP001"], []),
+            ("  # repro: noqa(rep003, REP001) seeded", ["REP001"], ["REP000"]),
+            ("  # repro: noqa(REP002) seeded", [], ["REP000", "REP001"]),
+            ("  # repro: noqa seeded", [], ["REP000", "REP001"]),
+            ("\ny = 1  # repro: noqa(REP001) seeded", [], ["REP000", "REP001"]),
+        ]
+        pkg = tmp_path / "src" / "repro" / "kmc"
+        pkg.mkdir(parents=True)
+        for pragma, suppressed, found in cases:
+            (pkg / "bad.py").write_text(bad + pragma + "\n")
+            result = analyze_paths([tmp_path / "src"], root=tmp_path)
+            assert [f.rule for f in result.suppressed] == suppressed, pragma
+            assert sorted(f.rule for f in result.findings) == found, pragma
+
+    def test_pragma_inside_a_string_is_not_a_pragma(self):
+        source = 'x = "# repro: noqa(REP001) data"\ny = """\n# repro: noqa\n"""\n'
+        assert read_pragmas(source) == {}
 
 
 class TestStatementExtentPragmas:
@@ -99,24 +119,16 @@ class TestStatementExtentPragmas:
             3,
         )
         """)
-        pragmas = expand_statement_pragmas(
-            ast.parse(source), suppressed_codes(source)
-        )
         # The call argument on line 4 anchors findings there; the pragma
         # on the statement head (line 3) must reach it.
-        f = Finding("REP001", "src/x.py", 4, 4, "m")
-        assert is_suppressed(f, pragmas)
+        assert codes_on(covering(source), 4) == {"REP001"}
 
     def test_pragma_on_def_line_does_not_blanket_the_body(self):
         source = textwrap.dedent("""\
         def f():  # repro: noqa(REP001) about the signature only
             return np.random.rand()
         """)
-        pragmas = expand_statement_pragmas(
-            ast.parse(source), suppressed_codes(source)
-        )
-        f = Finding("REP001", "src/x.py", 2, 11, "m")
-        assert not is_suppressed(f, pragmas)
+        assert codes_on(covering(source), 2) == set()
 
     def test_inner_line_codes_are_unioned_not_replaced(self):
         source = textwrap.dedent("""\
@@ -124,10 +136,7 @@ class TestStatementExtentPragmas:
             risky(),  # repro: noqa(REP003) inner reason
         )
         """)
-        pragmas = expand_statement_pragmas(
-            ast.parse(source), suppressed_codes(source)
-        )
-        assert pragmas[2] == frozenset({"REP001", "REP003"})
+        assert codes_on(covering(source), 2) == {"REP001", "REP003"}
 
     def test_end_to_end_through_the_runner(self, tmp_path):
         from repro.analyze.runner import analyze_paths
@@ -144,22 +153,5 @@ class TestStatementExtentPragmas:
             """)
         )
         result = analyze_paths([tmp_path / "src"], root=tmp_path)
-        assert [f for f in result.findings if f.rule == "REP001"] == []
+        assert result.findings == []  # silenced, and the pragma is used
         assert any(f.rule == "REP001" for f in result.suppressed)
-
-
-class TestBaselineJustificationParsing:
-    def test_unjustified_flag_and_placeholder_text(self):
-        from repro.analyze.baseline import TODO_JUSTIFICATION, entry_is_justified
-
-        base = {"rule": "REP001", "path": "p", "snippet": "s"}
-        assert entry_is_justified({**base, "justification": "real reason"})
-        assert not entry_is_justified(
-            {**base, "justification": "real reason", "justified": False}
-        )
-        assert not entry_is_justified(
-            {**base, "justification": TODO_JUSTIFICATION}
-        )
-        assert not entry_is_justified(
-            {**base, "justification": f"  {TODO_JUSTIFICATION}  "}
-        )

@@ -1,4 +1,4 @@
-"""Whole-program analysis: ProjectGraph plus the REP008/REP009 rules.
+"""Whole-program analysis: ProjectGraph plus REP001/REP002's call chains.
 
 The fixture trees are written to disk and scanned through the real
 runner (graph construction included), so these tests cover the exact
@@ -166,8 +166,8 @@ class TestProjectGraph:
         )
 
 
-class TestREP008CrossFunctionNondeterminism:
-    """A violation the per-file REP001 cannot see: the source sits in a
+class TestREP001CrossFunctionNondeterminism:
+    """A violation a per-file check cannot see: the source sits in a
     non-physics helper module, the call site sits in physics code."""
 
     FILES = {
@@ -185,14 +185,16 @@ class TestREP008CrossFunctionNondeterminism:
         """,
     }
 
-    def test_old_per_file_rules_miss_it(self, tmp_path):
+    def test_merged_rule_sees_through_the_helper(self, tmp_path):
+        # Wall-clock outside physics dirs is legal at the source line,
+        # but REP001 follows the call from physics code to it.
         write_tree(tmp_path, self.FILES)
         found = scan(tmp_path, codes={"REP001"})
-        assert found == []  # wall-clock outside physics dirs: REP001-legal
+        assert [f.path for f in found] == ["src/repro/kmc/engine.py"]
 
-    def test_rep008_reports_chain_at_physics_call_site(self, tmp_path):
+    def test_reports_chain_at_physics_call_site(self, tmp_path):
         write_tree(tmp_path, self.FILES)
-        found = scan(tmp_path, codes={"REP008"})
+        found = scan(tmp_path, codes={"REP001"})
         assert len(found) == 1
         f = found[0]
         assert f.path == "src/repro/kmc/engine.py"
@@ -202,7 +204,7 @@ class TestREP008CrossFunctionNondeterminism:
 
     def test_noqa_on_source_does_not_hide_the_physics_flow(self, tmp_path):
         # An RNG draw justified for tooling is still a violation when
-        # physics calls it — the pragma suppresses REP001, not the flow.
+        # physics calls it — the pragma silences the source line only.
         write_tree(
             tmp_path,
             {
@@ -220,9 +222,11 @@ class TestREP008CrossFunctionNondeterminism:
                 """,
             },
         )
-        assert scan(tmp_path, codes={"REP001"}) == []
-        found = scan(tmp_path, codes={"REP008"})
+        result = analyze_paths([tmp_path / "src"], root=tmp_path)
+        assert [f.path for f in result.suppressed] == ["src/repro/tooling.py"]
+        found = result.findings
         assert len(found) == 1
+        assert found[0].rule == "REP001"
         assert found[0].path == "src/repro/md/relax.py"
         assert "numpy.random.rand" in found[0].message
 
@@ -245,7 +249,7 @@ class TestREP008CrossFunctionNondeterminism:
                 """,
             },
         )
-        assert scan(tmp_path, codes={"REP008"}) == []
+        assert scan(tmp_path, codes={"REP001"}) == []
 
     def test_seeded_helpers_stay_clean(self, tmp_path):
         write_tree(
@@ -265,12 +269,12 @@ class TestREP008CrossFunctionNondeterminism:
                 """,
             },
         )
-        assert scan(tmp_path, codes={"REP008"}) == []
+        assert scan(tmp_path, codes={"REP001"}) == []
 
 
-class TestREP009CrossFunctionProtocol:
-    """Violations REP002 cannot see: the tag crosses a function boundary
-    as a parameter, or a collective hides behind a helper call."""
+class TestREP002CrossFunctionProtocol:
+    """Violations a per-call check cannot see: the tag crosses a function
+    boundary as a parameter, or a collective hides behind a helper call."""
 
     UNPAIRED = {
         "src/repro/kmc/proto.py": """\
@@ -285,18 +289,25 @@ class TestREP009CrossFunctionProtocol:
         """,
     }
 
-    def test_old_per_file_rule_misses_it(self, tmp_path):
-        # The parameterised tag looks dynamic to REP002 and mutes its
-        # pairing check entirely — neither side is reported.
+    def test_merged_rule_sees_through_the_helper(self, tmp_path):
+        # A per-call key would see the parameter as a dynamic tag and
+        # mute pairing entirely; substituted, both sides are reported.
         write_tree(tmp_path, self.UNPAIRED)
-        assert scan(tmp_path, codes={"REP002"}) == []
+        found = scan(tmp_path, codes={"REP002"})
+        assert sorted(f.message.split(" (")[0] for f in found) == [
+            "recv/probe tag 78 has no matching send anywhere in the scanned paths",
+            "send tag 77",
+        ]
 
-    def test_rep009_resolves_tag_value_through_the_helper(self, tmp_path):
+    def test_resolves_tag_value_through_the_helper(self, tmp_path):
         write_tree(tmp_path, self.UNPAIRED)
-        found = scan(tmp_path, codes={"REP009"})
+        found = [
+            f for f in scan(tmp_path, codes={"REP002"}) if "send tag" in f.message
+        ]
         assert len(found) == 1
         f = found[0]
         assert f.path == "src/repro/kmc/proto.py"
+        assert f.line == 7  # the call site that fixes the tag
         assert "send tag 77" in f.message
         assert "repro.kmc.proto.run -> repro.kmc.proto.ship" in f.message
 
@@ -320,7 +331,31 @@ class TestREP009CrossFunctionProtocol:
                 """,
             },
         )
-        assert scan(tmp_path, codes={"REP009"}) == []
+        assert scan(tmp_path, codes={"REP002"}) == []
+
+    def test_constant_pairs_by_name_when_one_side_does_not_resolve(
+        self, tmp_path
+    ):
+        # The send side resolves TAG_HALO to 77; the receive side spells
+        # it through an object the graph cannot resolve.  The constant
+        # must still pair with itself.
+        write_tree(
+            tmp_path,
+            {
+                "src/repro/kmc/tags.py": "TAG_HALO = 77\n",
+                "src/repro/kmc/send_side.py": """\
+                from repro.kmc.tags import TAG_HALO
+
+                def run(comm):
+                    comm.send(1, TAG_HALO, b"x")
+                """,
+                "src/repro/kmc/recv_side.py": """\
+                def pull(comm, tags):
+                    return comm.recv(0, tags.TAG_HALO)
+                """,
+            },
+        )
+        assert scan(tmp_path, codes={"REP002"}) == []
 
     def test_offset_tags_pair_by_base_value(self, tmp_path):
         write_tree(
@@ -338,7 +373,7 @@ class TestREP009CrossFunctionProtocol:
                 """,
             },
         )
-        assert scan(tmp_path, codes={"REP009"}) == []
+        assert scan(tmp_path, codes={"REP002"}) == []
 
     def test_dynamic_recv_mutes_send_findings(self, tmp_path):
         files = dict(self.UNPAIRED)
@@ -347,7 +382,8 @@ class TestREP009CrossFunctionProtocol:
             return comm.recv(source=0, tag=status.tag)
         """
         write_tree(tmp_path, files)
-        assert scan(tmp_path, codes={"REP009"}) == []
+        found = scan(tmp_path, codes={"REP002"})
+        assert [f for f in found if "send tag" in f.message] == []
 
     def test_rank_conditional_collective_behind_helper(self, tmp_path):
         write_tree(
@@ -363,13 +399,12 @@ class TestREP009CrossFunctionProtocol:
                 """,
             },
         )
-        # REP002 only sees a plain function call under the branch.
-        assert scan(tmp_path, codes={"REP002"}) == []
-        found = scan(tmp_path, codes={"REP009"})
+        found = scan(tmp_path, codes={"REP002"})
         assert len(found) == 1
         f = found[0]
         assert "barrier" in f.message
         assert "repro.kmc.sync.settle" in f.message
+        assert "src/repro/kmc/sync.py:2" in f.message
         assert "deadlock" in f.message
 
     def test_same_collective_in_both_branches_is_clean(self, tmp_path):
@@ -388,7 +423,7 @@ class TestREP009CrossFunctionProtocol:
                 """,
             },
         )
-        assert scan(tmp_path, codes={"REP009"}) == []
+        assert scan(tmp_path, codes={"REP002"}) == []
 
     def test_runtime_is_exempt(self, tmp_path):
         source = """\
@@ -401,11 +436,11 @@ class TestREP009CrossFunctionProtocol:
             ship(comm, 1, TAG_CTL, b"x")
         """
         write_tree(tmp_path / "a", {"src/repro/runtime/transport.py": source})
-        assert scan(tmp_path / "a", codes={"REP009"}) == []
+        assert scan(tmp_path / "a", codes={"REP002"}) == []
         # Middleware under runtime/ is a caller, not the transport.
         write_tree(tmp_path / "b", {"src/repro/runtime/layers.py": source})
-        found = scan(tmp_path / "b", codes={"REP009"})
-        assert [f.rule for f in found] == ["REP009"]
+        found = scan(tmp_path / "b", codes={"REP002"})
+        assert [f.rule for f in found] == ["REP002"]
 
 
 class TestSelfScanStaysClean:
@@ -414,5 +449,5 @@ class TestSelfScanStaysClean:
 
         root = Path(__file__).resolve().parents[1]
         result = analyze_paths([root / "src"], root=root)
-        inter = [f for f in result.findings if f.rule in ("REP008", "REP009")]
-        assert inter == []
+        chains = [f for f in result.findings if " -> " in f.message]
+        assert chains == []

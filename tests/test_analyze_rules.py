@@ -4,6 +4,7 @@ import ast
 import textwrap
 
 from repro.analyze.core import ModuleContext, all_rules
+from repro.analyze.graph import ProjectGraph
 
 
 def scan(source, rel="src/repro/kmc/mod.py", codes=None):
@@ -15,11 +16,11 @@ def scan(source, rel="src/repro/kmc/mod.py", codes=None):
         if codes is None or code in codes
     ]
     module = ModuleContext(rel, source, ast.parse(source))
+    graph = ProjectGraph([module])
     found = []
     for rule in rules:
         found.extend(rule.check_module(module))
-    for rule in rules:
-        found.extend(rule.finalize())
+        found.extend(rule.check_project(graph))
     return found
 
 
@@ -114,21 +115,20 @@ class TestREP002Protocol:
         assert scan(good, codes={"REP002"}) == []
 
     def test_pairing_is_cross_module(self):
-        import ast as astmod
-
-        rule = next(
-            cls() for code, cls in all_rules().items() if code == "REP002"
-        )
+        rule = all_rules()["REP002"]()
         send_src = "def f(comm):\n    comm.send(1, 42, 'x')\n"
         recv_src = "def g(comm):\n    _s, _t, p = comm.recv(source=0, tag=42)\n"
-        for rel, src in (
-            ("src/repro/kmc/a.py", send_src),
-            ("src/repro/md/b.py", recv_src),
-        ):
-            assert list(
-                rule.check_module(ModuleContext(rel, src, astmod.parse(src)))
-            ) == []
-        assert list(rule.finalize()) == []
+        modules = [
+            ModuleContext(rel, src, ast.parse(src))
+            for rel, src in (
+                ("src/repro/kmc/a.py", send_src),
+                ("src/repro/md/b.py", recv_src),
+            )
+        ]
+        # Each side alone is unpaired; together they pair.
+        for module in modules:
+            assert len(list(rule.check_project(ProjectGraph([module])))) == 1
+        assert list(rule.check_project(ProjectGraph(modules))) == []
 
     def test_rank_conditional_collective(self):
         bad = """\
@@ -351,18 +351,9 @@ class TestREP007SlowDataMovement:
 
 class TestRegistry:
     def test_domain_rules_registered(self):
-        codes = set(all_rules())
-        assert {
-            "REP001",
-            "REP002",
-            "REP003",
-            "REP004",
-            "REP005",
-            "REP006",
-            "REP007",
-            "REP008",
-            "REP009",
-        } <= codes
+        # One rule per hazard: the call-graph variants live inside
+        # REP001 and REP002, not beside them.
+        assert set(all_rules()) == {f"REP00{i}" for i in range(1, 8)}
 
     def test_every_rule_is_documented(self):
         for cls in all_rules().values():
