@@ -8,19 +8,20 @@ clock into real time with the paper's timescale formula.
     python examples/quickstart.py
 """
 
-from repro.core import CoupledConfig, CoupledSimulation
-from repro.md.cascade import CascadeConfig
+from repro.core import CoupledSimulation
+from repro.service import ScenarioSpec
 
 
 def main() -> None:
-    config = CoupledConfig(
+    spec = ScenarioSpec(
         cells=8,            # 1024 lattice sites
         temperature=600.0,  # the paper's evaluation temperature
-        cascade=CascadeConfig(pka_energy=160.0, nsteps=200, temperature=600.0),
+        md_steps=200,
+        pka_energy=160.0,   # primary knock-on atom energy (eV)
         kmc_max_events=800,
         seed=2018,
     )
-    sim = CoupledSimulation(config)
+    sim = CoupledSimulation(spec.to_coupled_config())
     print(f"simulating {sim.lattice.nsites} sites of BCC Fe at 600 K ...")
     result = sim.run()
 

@@ -13,8 +13,10 @@ million-core scaling figures.
 
 Quick start::
 
-    from repro.core import CoupledSimulation, CoupledConfig
-    result = CoupledSimulation(CoupledConfig(cells=8)).run()
+    from repro.core import CoupledSimulation
+    from repro.service import ScenarioSpec
+    config = ScenarioSpec(cells=8).to_coupled_config()
+    result = CoupledSimulation(config).run()
     print(result.report_after_md)
     print(result.report_after_kmc)
 

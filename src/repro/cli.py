@@ -182,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "directory for checkpoints (default: a fresh temporary "
-            "directory, so nothing lands in the working tree)"
+            "directory for checkpoints (default: a temporary directory "
+            "removed when the KMC stage ends)"
         ),
     )
     coupled.add_argument(
@@ -394,16 +394,29 @@ def cmd_info(args) -> int:
 
 
 def cmd_coupled(args) -> int:
+    if args.trajectory is None and args.trajectory_every != 1:
+        args._parser.error("--trajectory-every requires --trajectory")
+    if not args.sanitize:
+        return _run_coupled(args)
+    # The env knob is the cross-process carrier: forked backend children
+    # and service workers inherit it, and World.run reads it at dispatch
+    # time.  It is restored afterwards, so later worlds in this process
+    # run as they would have.
+    previous = os.environ.get("REPRO_SANITIZE")
+    os.environ["REPRO_SANITIZE"] = "1"
+    try:
+        return _run_coupled(args)
+    finally:
+        if previous is None:
+            del os.environ["REPRO_SANITIZE"]
+        else:
+            os.environ["REPRO_SANITIZE"] = previous
+
+
+def _run_coupled(args) -> int:
     from repro.core.coupling import CoupledSimulation
     from repro.runtime.faults import FaultPlan
 
-    if args.trajectory is None and args.trajectory_every != 1:
-        args._parser.error("--trajectory-every requires --trajectory")
-    if args.sanitize:
-        # The env knob is the cross-process carrier: forked backend
-        # children and service workers inherit it, and World.run reads
-        # it at dispatch time.
-        os.environ["REPRO_SANITIZE"] = "1"
     if args.faults is not None:
         # Parse-time validated (argparse type); describe for the log.
         print(f"fault plan: {FaultPlan.parse(args.faults).describe()}")
@@ -660,54 +673,29 @@ def cmd_cascade(args) -> int:
 
 
 def cmd_kmc_schemes(args) -> int:
-    import numpy as np
+    from repro.experiments._kmc_comm import SchemeComparison
 
-    from repro.kmc.akmc import ParallelAKMC, place_random_vacancies
-    from repro.kmc.events import KMCModel, RateParameters
-    from repro.lattice.bcc import BCCLattice
-    from repro.potential.fe import make_fe_potential
-
-    potential = make_fe_potential(n=1000)
-    params = RateParameters()
     try:
-        lattice = BCCLattice(args.cells, args.cells, args.cells)
-        occ0 = place_random_vacancies(
-            KMCModel(lattice, potential, params),
+        comparison = SchemeComparison(
+            args.cells,
             args.vacancies,
-            np.random.default_rng(args.seed),
+            args.ranks,
+            args.seed,
+            backend=args.backend,
+            workers=args.workers,
         )
-        engines = {
-            scheme: ParallelAKMC(
-                lattice,
-                potential,
-                params,
-                nranks=args.ranks,
-                scheme=scheme,
-                seed=args.seed,
-                backend=args.backend,
-                workers=args.workers,
-            )
-            for scheme in ("traditional", "ondemand", "onesided")
-        }
     except ValueError as exc:
         args._parser.error(str(exc))
     registry = _start_observation(args)
-    reference = None
+    results = comparison.run(args.cycles)
     print(f"{'scheme':>12} {'events':>7} {'bytes':>12} {'messages':>9}")
-    for scheme, engine in engines.items():
-        result = engine.run(occ0, max_cycles=args.cycles)
+    for scheme, result in results.items():
         stats = result.comm_stats
         print(
             f"{scheme:>12} {result.events:>7} "
             f"{stats['total_sent_bytes']:>12,} "
             f"{stats['total_messages']:>9,}"
         )
-        if reference is None:
-            reference = result.occupancy
-        elif not np.array_equal(result.occupancy, reference):
-            print("ERROR: schemes diverged", file=sys.stderr)
-            _finish_observation(args, registry)
-            return 1
     print("all schemes produced identical trajectories")
     _finish_observation(args, registry)
     return 0

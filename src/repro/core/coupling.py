@@ -20,6 +20,7 @@ simulates the defect evolution and vacancies clustering."
 from __future__ import annotations
 
 import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,125 +45,54 @@ from repro.potential.eam import EAMPotential
 from repro.potential.fe import make_fe_potential
 from repro.runtime.faults import FaultInjector, InjectedFault, resolve_plan
 from repro.runtime.simmpi import WorldAborted
+from repro.service.spec import ScenarioSpec
+
+
+#: Recovery attempts before the supervisor gives up and re-raises.
+MAX_RECOVERIES = 3
 
 
 @dataclass(frozen=True)
 class CoupledConfig:
-    """End-to-end configuration of one coupled run.
+    """One coupled run: a :class:`~repro.service.spec.ScenarioSpec` plus
+    the three knobs that belong to this run only.
+
+    Build it with :meth:`ScenarioSpec.to_coupled_config
+    <repro.service.spec.ScenarioSpec.to_coupled_config>`.  Every run
+    parameter — box, temperature, cascade, KMC budget, ranks, scheme,
+    backend, fault plan, checkpoint cadence, watchdog — lives in
+    ``spec`` and is validated there, once.
 
     Attributes
     ----------
-    cells:
-        Conventional cells per axis of the cubic simulation box.
-    temperature:
-        System temperature (K); the paper evaluates at 600 K.
-    cascade:
-        MD cascade parameters (``None`` selects defaults at the chosen
-        temperature).
-    rates:
-        KMC rate parameters (``None`` = defaults at ``temperature``).
-    kmc_max_events:
-        Serial KMC event budget.
-    kmc_nranks / kmc_scheme:
-        When ``kmc_nranks`` is set the KMC stage runs on the parallel
-        engine with the chosen communication scheme.
-    kmc_backend:
-        Execution backend for the parallel KMC world (``"thread"`` /
-        ``"process"`` / ``"overdecomposed"``; ``None`` defers to
-        ``REPRO_BACKEND``).
-    kmc_workers:
-        Physical worker count for the overdecomposed / rank-group
-        backends (``None`` defers to ``REPRO_WORKERS`` / cpu count).
-    kmc_max_cycles:
-        Parallel KMC cycle budget.
-    seed:
-        Master seed.
-    table_points:
-        Interpolation table resolution (5000 in the paper; smaller speeds
-        up toy runs without changing behaviour).
-    recombination_radius:
-        Interstitial-vacancy annihilation radius (angstrom) applied when
-        mapping MD damage onto the KMC sites: a run-away atom within this
-        distance of a vacancy recombines athermally before the KMC stage
-        (the standard cascade-annealing capture radius; ``None`` disables
-        recombination and every MD vacancy survives, as in the base
-        pipeline).
-    sunway_model:
-        When ``True`` an extra pipeline stage prices one EAM force step
-        of the post-cascade state on the Sunway SW26010 machine model
-        (best optimization rung of Figure 9), attaching the modeled
-        kernel time and DMA inventory to the result — the modeled
-        hardware cost next to the host cost.
-    faults:
-        Fault-injection plan for the KMC stage — a
-        :class:`~repro.runtime.faults.FaultPlan` or its DSL string (e.g.
-        ``"crash:rank=1,cycle=3"``).  Injected crashes are survived by
-        the recovery supervisor: the stage restarts from the last good
-        checkpoint (or from scratch) until it completes, to a final
-        state bit-identical to a fault-free run.
-    checkpoint_every:
-        Write a resumable KMC checkpoint every N cycles (parallel) or N
-        events (serial).  ``None`` disables checkpointing; recovery then
-        replays the whole stage.
-    checkpoint_dir:
-        Where checkpoints live.  ``None`` uses a fresh temporary
-        directory, so no run artifacts land in the working tree unless a
-        path is passed explicitly.
-    max_recoveries:
-        Recovery attempts before the supervisor gives up and re-raises.
-    watchdog:
-        Per-wait deadline (seconds) for the parallel KMC runtime's
-        blocking recv/probe/collectives; ``None`` (default) keeps the
-        hot paths deadline-free.
+    spec:
+        The scenario this run executes.
     trajectory:
         Path of a streaming chunked trajectory store
         (:mod:`repro.io.store`).  When set, the run appends occupancy
         frames incrementally — the post-MD damage state first, then the
-        KMC evolution at every ``trajectory_every`` fence — so the
-        scientific output lands on disk as the run progresses instead
-        of accumulating in memory.  The store participates in recovery:
-        after a fault it is rewound to the restored checkpoint's clock
-        and the resumed attempt re-records bit-identically.
-    trajectory_every:
-        Record a frame every N serial events / parallel cycles
-        (default 1).
+        KMC evolution every ``spec.trajectory_every`` (default 1) serial
+        events / parallel cycles — so the scientific output lands on
+        disk as the run progresses.  The store participates in
+        recovery: after a fault it is rewound to the restored
+        checkpoint's clock and the resumed attempt re-records
+        bit-identically.
+    checkpoint_dir:
+        Where the post-cascade MD checkpoint and the KMC checkpoints
+        live.  ``None`` keeps KMC checkpoints (when ``spec.faults`` or
+        ``spec.checkpoint_every`` asks for them) in a temporary
+        directory removed when the KMC stage ends.
+    sunway_model:
+        When ``True`` an extra pipeline stage prices one EAM force step
+        of the post-cascade state on the Sunway SW26010 machine model
+        (best optimization rung of Figure 9), attaching the modeled
+        kernel time and DMA inventory to the result.
     """
 
-    cells: int = 8
-    temperature: float = 600.0
-    cascade: CascadeConfig | None = None
-    rates: RateParameters | None = None
-    kmc_max_events: int = 500
-    kmc_nranks: int | None = None
-    kmc_scheme: str = "ondemand"
-    kmc_backend: str | None = None
-    kmc_workers: int | None = None
-    kmc_max_cycles: int = 50
-    seed: int = 2018
-    table_points: int = 2000
-    recombination_radius: float | None = None
-    sunway_model: bool = False
-    faults: object = None
-    checkpoint_every: int | None = None
-    checkpoint_dir: str | None = None
-    max_recoveries: int = 3
-    watchdog: float | None = None
+    spec: ScenarioSpec = ScenarioSpec()
     trajectory: str | None = None
-    trajectory_every: int = 1
-
-    def __post_init__(self) -> None:
-        if self.cells < 5:
-            raise ValueError(
-                "need at least 5 cells per axis (box >= 2*(cutoff+skin))"
-            )
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        if self.max_recoveries < 0:
-            raise ValueError("max_recoveries must be >= 0")
-        if self.trajectory_every < 1:
-            raise ValueError("trajectory_every must be >= 1")
+    checkpoint_dir: str | None = None
+    sunway_model: bool = False
 
 
 def recombine_frenkel_pairs(
@@ -246,11 +176,11 @@ class CoupledSimulation:
         progress=None,
     ) -> None:
         self.config = config or CoupledConfig()
+        self.spec = self.config.spec
         self.progress = progress
-        self.lattice = BCCLattice(
-            self.config.cells, self.config.cells, self.config.cells
-        )
-        self.potential = potential or make_fe_potential(n=self.config.table_points)
+        cells = self.spec.cells
+        self.lattice = BCCLattice(cells, cells, cells)
+        self.potential = potential or make_fe_potential(n=self.spec.table_points)
 
     def _notify(self, stage: str) -> None:
         if self.progress is not None:
@@ -258,11 +188,21 @@ class CoupledSimulation:
 
     def _build_md_engine(self) -> MDEngine:
         """Stage 1: construct the MD engine over the lattice."""
-        cfg = self.config
+        spec = self.spec
         return MDEngine(
             self.lattice,
             self.potential,
-            MDConfig(temperature=cfg.temperature, seed=cfg.seed),
+            MDConfig(temperature=spec.temperature, seed=spec.seed),
+        )
+
+    def cascade_config(self) -> CascadeConfig:
+        """Stage 2's cascade: the spec's PKA and step count (each
+        defaulting to :class:`CascadeConfig`'s) at the spec's temperature."""
+        spec = self.spec
+        return CascadeConfig(
+            pka_energy=spec.pka_energy or CascadeConfig.pka_energy,
+            nsteps=spec.md_steps or CascadeConfig.nsteps,
+            temperature=spec.temperature,
         )
 
     def model_sunway_step(self, engine: MDEngine) -> dict:
@@ -280,7 +220,7 @@ class CoupledSimulation:
             SunwayArch(),
             self.potential,
             STRATEGY_LADDER[-1],
-            table_points=self.config.table_points,
+            table_points=self.spec.table_points,
         )
         report = kernel.run_step(engine.state, engine.nblist)
         return {
@@ -304,7 +244,7 @@ class CoupledSimulation:
         """
         occ = np.full(self.lattice.nsites, ATOM, dtype=np.int8)
         occ[cascade.vacancy_rows] = VACANCY
-        radius = self.config.recombination_radius
+        radius = self.spec.recombination_radius
         if radius is not None and len(cascade.runaway_positions):
             surviving = recombine_frenkel_pairs(
                 self.lattice,
@@ -320,35 +260,31 @@ class CoupledSimulation:
     # Fault-tolerant KMC stage (the recovery supervisor)
     # ------------------------------------------------------------------
     def _checkpoint_dir(self) -> Path:
-        cfg = self.config
-        if cfg.checkpoint_dir is not None:
-            path = Path(cfg.checkpoint_dir)
-            path.mkdir(parents=True, exist_ok=True)
-            return path
-        # Run artifacts never land in the working tree by default.
-        return Path(tempfile.mkdtemp(prefix="repro-checkpoint-"))
+        path = Path(self.config.checkpoint_dir)
+        path.mkdir(parents=True, exist_ok=True)
+        return path
 
     def _run_kmc_attempt(self, occupancy, injector, resume, ckpt_path):
         """One KMC attempt: fresh engine, optional resume point."""
-        cfg = self.config
-        params = cfg.rates or RateParameters(temperature=cfg.temperature)
-        every = cfg.checkpoint_every if ckpt_path is not None else None
+        spec = self.spec
+        params = RateParameters(temperature=spec.temperature)
+        every = spec.checkpoint_every if ckpt_path is not None else None
         path = ckpt_path if every is not None else None
-        traj = cfg.trajectory
-        traj_every = cfg.trajectory_every if traj is not None else None
-        if cfg.kmc_nranks is None:
+        traj = self.config.trajectory
+        traj_every = (spec.trajectory_every or 1) if traj is not None else None
+        if spec.kmc_nranks is None:
             engine = SerialAKMC(
                 self.lattice,
                 self.potential,
                 params,
                 occupancy,
-                seed=cfg.seed,
+                seed=spec.seed,
                 faults=injector,
             )
             if resume is not None:
                 engine.restore(resume)
             return engine.run(
-                max_events=cfg.kmc_max_events,
+                max_events=spec.kmc_max_events,
                 checkpoint_every=every,
                 checkpoint_path=path,
                 trajectory=traj,
@@ -358,18 +294,18 @@ class CoupledSimulation:
             self.lattice,
             self.potential,
             params,
-            nranks=cfg.kmc_nranks,
-            scheme=cfg.kmc_scheme,
-            seed=cfg.seed,
+            nranks=spec.kmc_nranks,
+            scheme=spec.kmc_scheme,
+            seed=spec.seed,
             faults=injector,
-            watchdog=cfg.watchdog,
-            backend=cfg.kmc_backend,
-            workers=cfg.kmc_workers,
+            watchdog=spec.watchdog,
+            backend=spec.backend,
+            workers=spec.workers,
         )
         occ0 = resume.occupancy if resume is not None else occupancy
         return engine.run(
             occ0,
-            max_cycles=cfg.kmc_max_cycles,
+            max_cycles=spec.kmc_max_cycles,
             checkpoint_every=every,
             checkpoint_path=path,
             resume=resume,
@@ -391,9 +327,8 @@ class CoupledSimulation:
 
         Returns ``(result, recoveries, fault_report)``.
         """
-        cfg = self.config
-        plan = resolve_plan(cfg.faults)
-        if plan is None and cfg.checkpoint_every is None:
+        plan = resolve_plan(self.spec.faults)
+        if plan is None and self.spec.checkpoint_every is None:
             # The historical direct path: no injector, no checkpoints.
             return (
                 self._run_kmc_attempt(occupancy, None, None, None),
@@ -401,43 +336,51 @@ class CoupledSimulation:
                 None,
             )
         injector = FaultInjector(plan) if plan is not None else None
-        ckpt_path = self._checkpoint_dir() / "kmc_checkpoint.npz"
-        recoveries = 0
-        resume = None
-        while True:
-            try:
-                result = self._run_kmc_attempt(
-                    occupancy, injector, resume, ckpt_path
-                )
-                report = injector.snapshot() if injector is not None else None
-                return result, recoveries, report
-            except (WorldAborted, InjectedFault, TimeoutError, RuntimeError):
-                recoveries += 1
-                obs.add("runtime.recoveries")
-                if recoveries > cfg.max_recoveries:
-                    raise
-            with obs.phase("coupling.recover"):
-                # Restore the last good checkpoint; if the fault struck
-                # before the first one landed, replay from the start.
-                if ckpt_path.exists():
-                    resume = load_kmc_checkpoint(ckpt_path)
-                else:
-                    resume = None
-                if cfg.trajectory is not None:
-                    # Rewind the store to the restored clock: frames the
-                    # crashed attempt wrote beyond the checkpoint are
-                    # dropped and re-recorded bit-identically by the
-                    # resumed attempt.  With no checkpoint yet, rewind
-                    # to 0.0 keeps only the post-MD initial frame.
-                    rewind_store(
-                        cfg.trajectory,
-                        resume.time if resume is not None else 0.0,
+        # Run artifacts never land in the working tree by default, and a
+        # temporary checkpoint directory does not outlive the stage.
+        if self.config.checkpoint_dir is not None:
+            scope = nullcontext(self._checkpoint_dir())
+        else:
+            scope = tempfile.TemporaryDirectory(prefix="repro-checkpoint-")
+        with scope as ckpt_dir:
+            ckpt_path = Path(ckpt_dir) / "kmc_checkpoint.npz"
+            recoveries = 0
+            resume = None
+            while True:
+                try:
+                    result = self._run_kmc_attempt(
+                        occupancy, injector, resume, ckpt_path
                     )
-                obs.add(
-                    "coupling.recover.from_checkpoint"
-                    if resume is not None
-                    else "coupling.recover.from_scratch"
-                )
+                    report = injector.snapshot() if injector is not None else None
+                    return result, recoveries, report
+                except (WorldAborted, InjectedFault, TimeoutError, RuntimeError):
+                    recoveries += 1
+                    obs.add("runtime.recoveries")
+                    if recoveries > MAX_RECOVERIES:
+                        raise
+                with obs.phase("coupling.recover"):
+                    # Restore the last good checkpoint; if the fault struck
+                    # before the first one landed, replay from the start.
+                    if ckpt_path.exists():
+                        resume = load_kmc_checkpoint(ckpt_path)
+                    else:
+                        resume = None
+                    if self.config.trajectory is not None:
+                        # Rewind the store to the restored clock: frames
+                        # the crashed attempt wrote beyond the checkpoint
+                        # are dropped and re-recorded bit-identically by
+                        # the resumed attempt.  With no checkpoint yet,
+                        # rewind to 0.0 keeps only the post-MD initial
+                        # frame.
+                        rewind_store(
+                            self.config.trajectory,
+                            resume.time if resume is not None else 0.0,
+                        )
+                    obs.add(
+                        "coupling.recover.from_checkpoint"
+                        if resume is not None
+                        else "coupling.recover.from_scratch"
+                    )
 
     def run(self) -> CoupledResult:
         """Execute the full pipeline and assemble the result.
@@ -451,9 +394,7 @@ class CoupledSimulation:
             self._notify("setup")
             with obs.phase("coupled.setup"):
                 engine = self._build_md_engine()
-                cascade_cfg = cfg.cascade or CascadeConfig(
-                    temperature=cfg.temperature
-                )
+                cascade_cfg = self.cascade_config()
             self._notify("cascade")
             with obs.phase("coupled.cascade"):
                 cascade = run_cascade(engine, cascade_cfg)
@@ -499,7 +440,7 @@ class CoupledSimulation:
                 real_seconds = kmc_real_time(
                     t_threshold=kmc.time * 1e-12,
                     c_mc=c_mc,
-                    temperature=cfg.temperature,
+                    temperature=self.spec.temperature,
                 )
                 report_md = clustering_report(self.lattice, vac_md)
                 report_kmc = clustering_report(self.lattice, kmc.vacancy_ranks)

@@ -1,7 +1,10 @@
-"""Shared driver of the Figures 12-13 communication experiments.
+"""The one three-scheme comparison and the Figures 12-13 driver on it.
 
-Runs the *same* parallel AKMC workload under the traditional and
-on-demand schemes and collects the exact traffic counts of both; the
+:class:`SchemeComparison` runs the *same* parallel AKMC workload under
+each communication scheme and checks the trajectories agree; the
+``kmc-schemes`` CLI command and ``examples/parallel_kmc_schemes.py``
+print it.  The figures run the traditional and on-demand schemes and
+collect the exact traffic counts of both; the
 communication time is those counts priced by the TaihuLight network
 (:meth:`~repro.perfmodel.machine.ScalingNetwork.traffic_time`).  Scaled
 down from the paper's 1.6e7 sites / 16-1024 masters to what an
@@ -29,6 +32,63 @@ DEFAULT_RANKS = (8, 27)
 CELLS_PER_RANK_AXIS = 4
 
 
+class SchemeComparison:
+    """One parallel AKMC workload, with an engine per communication scheme.
+
+    The workload is ``vacancies`` random vacancies on a ``cells``-cubed
+    lattice.  Construction builds the lattice, the occupancy and every
+    engine, so arguments that cannot build them raise ``ValueError``
+    before any world starts; :meth:`run` runs them.
+    """
+
+    def __init__(
+        self,
+        cells: int,
+        vacancies: int,
+        nranks: int,
+        seed: int,
+        schemes: tuple[str, ...] = ("traditional", "ondemand", "onesided"),
+        backend: str | None = None,
+        workers: int | None = None,
+    ) -> None:
+        lattice = BCCLattice(cells, cells, cells)
+        potential = make_fe_potential(n=1000)
+        params = RateParameters()
+        self.occupancy = place_random_vacancies(
+            KMCModel(lattice, potential, params),
+            vacancies,
+            np.random.default_rng(seed),
+        )
+        self.engines = {
+            scheme: ParallelAKMC(
+                lattice,
+                potential,
+                params,
+                nranks=nranks,
+                scheme=scheme,
+                seed=seed,
+                backend=backend,
+                workers=workers,
+            )
+            for scheme in schemes
+        }
+
+    def run(self, cycles: int) -> dict:
+        """``{scheme: KMCResult}`` after ``cycles`` cycles of each scheme.
+
+        Raises ``AssertionError`` when the schemes simulate different
+        trajectories: their traffic comparison would then be meaningless.
+        """
+        results = {
+            scheme: engine.run(self.occupancy, max_cycles=cycles)
+            for scheme, engine in self.engines.items()
+        }
+        first, *rest = results.values()
+        if not all(np.array_equal(r.occupancy, first.occupancy) for r in rest):
+            raise AssertionError(f"schemes {', '.join(results)} diverged")
+        return results
+
+
 @lru_cache(maxsize=8)
 def _run_pair(
     ranks: int,
@@ -41,41 +101,19 @@ def _run_pair(
     grid_side = round(ranks ** (1.0 / 3.0))
     if grid_side**3 != ranks:
         raise ValueError(f"ranks must be a cube for this experiment, got {ranks}")
-    cells = grid_side * cells_per_axis
-    lattice = BCCLattice(cells, cells, cells)
-    potential = make_fe_potential(n=1000)
-    params = RateParameters()
-    model = KMCModel(lattice, potential, params)
-    occ0 = place_random_vacancies(
-        model, vacancies, np.random.default_rng(seed)
-    )
+    results = SchemeComparison(
+        grid_side * cells_per_axis,
+        vacancies,
+        ranks,
+        seed,
+        schemes=("traditional", "ondemand"),
+    ).run(cycles)
     out = []
-    results = {}
-    for scheme in ("traditional", "ondemand"):
-        engine = ParallelAKMC(
-            lattice,
-            potential,
-            params,
-            grid=(grid_side, grid_side, grid_side),
-            scheme=scheme,
-            seed=seed,
-        )
-        result = engine.run(occ0, max_cycles=cycles)
+    for result in results.values():
         stats = dict(result.comm_stats)
         stats["comm_time"] = TAIHULIGHT.network.traffic_time(stats)
         stats["events"] = result.events
-        stats["nsites"] = lattice.nsites
         out.append(stats)
-        results[scheme] = result
-    # The schemes must have simulated the *same* trajectory, or the
-    # comparison is meaningless.
-    if not np.array_equal(
-        results["traditional"].occupancy, results["ondemand"].occupancy
-    ):
-        raise AssertionError(
-            "traditional and on-demand schemes diverged; the communication "
-            "comparison would be invalid"
-        )
     return tuple(out)
 
 

@@ -22,13 +22,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.clusters import clustering_report, clustering_report_from_store
-from repro.core.coupling import CoupledConfig, CoupledSimulation
+from repro.core.coupling import CoupledSimulation
 from repro.core.timescale import kmc_real_time
 from repro.io.store import TrajectoryReader, finalize_store, seed_store
 from repro.kmc.akmc import SerialAKMC, place_random_vacancies
 from repro.kmc.events import KMCModel, RateParameters
 from repro.lattice.bcc import BCCLattice
 from repro.potential.fe import make_fe_potential
+from repro.service.spec import ScenarioSpec
 
 DEFAULT_CELLS = 8
 DEFAULT_CONCENTRATION = 2.5e-2
@@ -53,12 +54,10 @@ def run(
     analysis can run out-of-core on arbitrarily long trajectories.
     """
     if from_cascade:
+        spec = ScenarioSpec(cells=cells, kmc_max_events=kmc_events, seed=seed)
         sim = CoupledSimulation(
-            CoupledConfig(
-                cells=cells,
-                kmc_max_events=kmc_events,
-                seed=seed,
-                trajectory=None if store_path is None else str(store_path),
+            spec.to_coupled_config(
+                trajectory=None if store_path is None else str(store_path)
             )
         )
         res = sim.run()

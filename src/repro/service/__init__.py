@@ -18,10 +18,10 @@ every component is crash-safe plain files:
 * :mod:`repro.service.scheduler` — :class:`ServicePool`, scheduling
   pending jobs onto a pool of forked worker processes with bounded
   crash retries.
-* :mod:`repro.service.worker` — one job's execution: build the
-  :class:`~repro.core.coupling.CoupledConfig` from the spec, run it
-  under the PR 3 recovery supervisor, stream observe-registry
-  snapshots, and stage the artifacts.
+* :mod:`repro.service.worker` — one job's execution: run the spec
+  through :class:`~repro.core.coupling.CoupledSimulation` under its
+  recovery supervisor, stream observe-registry snapshots, and stage
+  the artifacts.
 * :mod:`repro.service.client` — the embedding API
   (:class:`ServiceClient`, :func:`run_service`); the CLI ``serve`` /
   ``submit`` / ``status`` / ``result`` subcommands are thin wrappers

@@ -1,8 +1,10 @@
 """Declarative scenario description and its content-addressed key.
 
-A :class:`ScenarioSpec` is the unit of work of the service layer: a
-frozen, JSON-serializable description of one coupled MD-KMC run.  Its
-fields split into two classes:
+A :class:`ScenarioSpec` is the one description of a coupled MD-KMC run:
+frozen, JSON-serializable, validated field by field when built.  The
+service queues it, the CLI builds it from flags, and
+:class:`~repro.core.coupling.CoupledSimulation` runs it.  Its fields
+split into two classes:
 
 * **Identity fields** determine the published artifacts.  Seeds make a
   run a pure function of these (the determinism contract the test
@@ -118,10 +120,14 @@ class ScenarioSpec:
     kmc_scheme / backend / workers:
         How the parallel KMC world runs; bit-identical across all
         choices (asserted by the scheme/backend parity tests).
+        ``backend=None`` defers to ``REPRO_BACKEND`` and
+        ``workers=None`` to ``REPRO_WORKERS`` / the cpu count.
     faults / checkpoint_every / watchdog:
-        Fault plan (DSL string), checkpoint cadence, and runtime
-        deadline; recovery converges bit-identically, so none of them
-        affects the published result.
+        Fault plan (DSL string), KMC checkpoint cadence (serial events
+        / parallel cycles), and the per-wait deadline in seconds of the
+        parallel runtime's blocking calls (``None``: none); recovery
+        converges bit-identically, so none of them affects the
+        published result.
     """
 
     cells: int = 8
@@ -284,42 +290,12 @@ class ScenarioSpec:
         checkpoint_dir: str | None = None,
         sunway_model: bool = False,
     ):
-        """The :class:`~repro.core.coupling.CoupledConfig` this spec means.
+        """The :class:`~repro.core.coupling.CoupledConfig` running this spec.
 
         Paths and profiling are per-run concerns supplied by the caller
         (the worker stages them under the cache entry; the ``coupled``
-        CLI passes its flags through) — everything physical comes from
-        the spec.
+        CLI passes its flags through) — everything else is the spec.
         """
         from repro.core.coupling import CoupledConfig
-        from repro.md.cascade import CascadeConfig
 
-        cascade = None
-        if self.md_steps is not None or self.pka_energy is not None:
-            kwargs = {"temperature": self.temperature}
-            if self.md_steps is not None:
-                kwargs["nsteps"] = self.md_steps
-            if self.pka_energy is not None:
-                kwargs["pka_energy"] = self.pka_energy
-            cascade = CascadeConfig(**kwargs)
-        return CoupledConfig(
-            cells=self.cells,
-            temperature=self.temperature,
-            cascade=cascade,
-            kmc_max_events=self.kmc_max_events,
-            kmc_nranks=self.kmc_nranks,
-            kmc_scheme=self.kmc_scheme,
-            kmc_backend=self.backend,
-            kmc_workers=self.workers,
-            kmc_max_cycles=self.kmc_max_cycles,
-            seed=self.seed,
-            table_points=self.table_points,
-            recombination_radius=self.recombination_radius,
-            sunway_model=sunway_model,
-            faults=self.faults,
-            checkpoint_every=self.checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            watchdog=self.watchdog,
-            trajectory=trajectory,
-            trajectory_every=self.trajectory_every or 1,
-        )
+        return CoupledConfig(self, trajectory, checkpoint_dir, sunway_model)

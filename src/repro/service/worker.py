@@ -1,9 +1,10 @@
 """One job's execution: spec in, staged content-addressed artifacts out.
 
-:func:`execute_spec` is the pure core — build the
-:class:`~repro.core.coupling.CoupledConfig` a spec means, run the
-coupled driver (fault plans and recovery ride the PR 3 supervisor
-inside it), and lay the artifacts out in a work directory.
+:func:`execute_spec` is the pure core — run the spec through the
+coupled driver (:class:`~repro.core.coupling.CoupledSimulation`; fault
+plans and recovery ride its supervisor) with the trajectory and
+checkpoint paths staged in a work directory, and lay the artifacts out
+there.
 :func:`run_job` is the process entry point the scheduler forks: it adds
 live observability (a streamed observe-registry snapshot rewritten
 atomically on every pipeline stage boundary and every few hundred

@@ -144,20 +144,14 @@ class TestRecombination:
             recombine_frenkel_pairs(lat, np.array([0]), np.zeros(3), radius=0)
 
     def test_coupled_pipeline_with_recombination(self, potential):
-        from repro.core.coupling import CoupledConfig, CoupledSimulation
+        from repro.core.coupling import CoupledSimulation
+        from repro.service.spec import ScenarioSpec
 
-        base = CoupledSimulation(
-            CoupledConfig(cells=6, kmc_max_events=10, table_points=1000, seed=7)
-        )
+        spec = dict(cells=6, kmc_max_events=10, table_points=1000, seed=7)
+        base = CoupledSimulation(ScenarioSpec(**spec).to_coupled_config())
         res_base = base.run()
         recomb = CoupledSimulation(
-            CoupledConfig(
-                cells=6,
-                kmc_max_events=10,
-                table_points=1000,
-                seed=7,
-                recombination_radius=4.0,
-            )
+            ScenarioSpec(**spec, recombination_radius=4.0).to_coupled_config()
         )
         res_recomb = recomb.run()
         assert len(res_recomb.vacancies_after_md) <= len(

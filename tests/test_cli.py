@@ -145,6 +145,18 @@ class TestCommands:
                      "--profile"]) == 0
         assert not obs.enabled()
 
+    def test_sanitize_is_scoped_to_the_run(self, capsys, monkeypatch):
+        # --sanitize sets REPRO_SANITIZE for the run's worlds (and forked
+        # children) only: later worlds in this process run unsanitized.
+        import os
+
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        argv = ["coupled", "--cells", "5", "--md-steps", "5", "--events",
+                "5", "--kmc-ranks", "1", "--sanitize"]
+        assert main(argv) == 0
+        assert "sanitizer: clean" in capsys.readouterr().out
+        assert "REPRO_SANITIZE" not in os.environ
+
     def test_kmc_schemes(self, capsys):
         assert (
             main(

@@ -1,28 +1,58 @@
 """Coupled MD-KMC pipeline integration tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.coupling import CoupledConfig, CoupledSimulation
 from repro.kmc.events import VACANCY
+from repro.service.spec import ScenarioSpec, SpecError
+
+
+def _config(**spec) -> CoupledConfig:
+    return ScenarioSpec(**spec).to_coupled_config()
 
 
 @pytest.fixture(scope="module")
 def coupled_result():
     sim = CoupledSimulation(
-        CoupledConfig(cells=6, kmc_max_events=200, table_points=1000, seed=7)
+        _config(cells=6, kmc_max_events=200, table_points=1000, seed=7)
     )
     return sim, sim.run()
 
 
 class TestConfig:
     def test_too_small_box_rejected(self):
-        with pytest.raises(ValueError, match="cells"):
-            CoupledConfig(cells=3)
+        with pytest.raises(SpecError, match="cells"):
+            _config(cells=3)
 
     def test_bad_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            CoupledConfig(temperature=-10.0)
+        with pytest.raises(SpecError, match="temperature"):
+            _config(temperature=-10.0)
+
+    def test_config_is_a_spec_plus_run_local_knobs(self):
+        names = [f.name for f in dataclasses.fields(CoupledConfig)]
+        assert names == ["spec", "trajectory", "checkpoint_dir", "sunway_model"]
+        # One validator: run parameters are checked by ScenarioSpec only.
+        assert "__post_init__" not in vars(CoupledConfig)
+        assert CoupledConfig().spec == ScenarioSpec()
+
+    @pytest.mark.parametrize("field,value", [
+        ("temperature", float("nan")),
+        ("table_points", 1),
+        ("kmc_max_events", -5),
+        ("kmc_nranks", 0),
+        ("kmc_scheme", "bogus"),
+        ("backend", "bogus"),
+        ("watchdog", -1),
+    ])
+    def test_bad_run_parameter_fails_at_the_spec(self, field, value):
+        # Each of these once slipped through the coupled run's own,
+        # weaker validator.  Now the spec names the field, and with no
+        # config there is no CoupledSimulation, potential or engine.
+        with pytest.raises(SpecError, match=field):
+            _config(**{field: value})
 
 
 class TestPipeline:
@@ -61,9 +91,7 @@ class TestPipeline:
         )
 
     def test_deterministic(self):
-        cfg = CoupledConfig(
-            cells=6, kmc_max_events=50, table_points=1000, seed=13
-        )
+        cfg = _config(cells=6, kmc_max_events=50, table_points=1000, seed=13)
         a = CoupledSimulation(cfg).run()
         b = CoupledSimulation(cfg).run()
         assert np.array_equal(a.vacancies_after_kmc, b.vacancies_after_kmc)
@@ -73,7 +101,7 @@ class TestPipeline:
 class TestParallelKMCStage:
     def test_parallel_kmc_path(self):
         sim = CoupledSimulation(
-            CoupledConfig(
+            _config(
                 cells=8,
                 kmc_nranks=8,
                 kmc_scheme="ondemand",

@@ -10,11 +10,11 @@ streams are pure functions of ``(seed, rank, cycle, sector)``).
 import numpy as np
 import pytest
 
-from repro.core.coupling import CoupledConfig, CoupledSimulation
+from repro.core import coupling
+from repro.core.coupling import CoupledSimulation
 from repro.kmc.akmc import ParallelAKMC, SerialAKMC
 from repro.lattice.bcc import BCCLattice
-from repro.md.cascade import CascadeConfig
-from repro.runtime.faults import FaultPlan
+from repro.service.spec import ScenarioSpec, SpecError
 
 SCHEMES = ("traditional", "ondemand", "onesided")
 
@@ -103,17 +103,19 @@ class TestParallelResume:
         np.testing.assert_array_equal(result.occupancy, ref.occupancy)
 
 
-def _coupled_config(**overrides) -> CoupledConfig:
+def _coupled_config(trajectory=None, checkpoint_dir=None, **overrides):
     base = dict(
         cells=8,
         seed=3,
-        cascade=CascadeConfig(pka_energy=120.0, nsteps=60),
+        md_steps=60,
+        pka_energy=120.0,
         kmc_nranks=2,
         kmc_max_cycles=8,
         table_points=500,
     )
-    base.update(overrides)
-    return CoupledConfig(**base)
+    return ScenarioSpec(**(base | overrides)).to_coupled_config(
+        trajectory=trajectory, checkpoint_dir=checkpoint_dir
+    )
 
 
 class TestCoupledRecovery:
@@ -171,18 +173,20 @@ class TestCoupledRecovery:
         )
         assert result.kmc_time == fault_free.kmc_time
 
-    def test_supervisor_gives_up_past_max_recoveries(self, tmp_path):
+    def test_supervisor_gives_up_past_max_recoveries(
+        self, tmp_path, monkeypatch
+    ):
         # Two planned crashes but zero allowed recoveries: the first
         # fault must surface instead of looping.
         from repro.runtime.faults import InjectedFault
 
+        monkeypatch.setattr(coupling, "MAX_RECOVERIES", 0)
         with pytest.raises(InjectedFault):
             CoupledSimulation(
                 _coupled_config(
                     faults="crash:rank=1,cycle=2",
                     checkpoint_every=2,
                     checkpoint_dir=str(tmp_path),
-                    max_recoveries=0,
                 )
             ).run()
 
@@ -190,34 +194,55 @@ class TestCoupledRecovery:
         self, potential, tmp_path, monkeypatch, forbid_world
     ):
         # A configuration error, not a fault: 5 cells cannot be sectored
-        # over 8 ranks.  It must fail where the engine is constructed —
-        # no World, and no supervisor retry "recovering" it.
+        # over 8 ranks.  It fails at the spec, before any World exists.
         from repro.runtime import simmpi
 
         forbid_world(simmpi)
         with pytest.raises(ValueError, match=r"4x4x4.*8 ranks.*sectors"):
             ParallelAKMC(BCCLattice(4, 4, 4), potential, nranks=8)
+        with pytest.raises(SpecError, match=r"cells=5.*kmc_nranks=8"):
+            _coupled_config(cells=5, kmc_nranks=8)
+        # And a ValueError out of an attempt is never "recovered" by the
+        # supervisor's retry loop.
         sim = CoupledSimulation(
             _coupled_config(
-                cells=5,
-                kmc_nranks=8,
-                checkpoint_every=2,
-                checkpoint_dir=str(tmp_path),
+                checkpoint_every=2, checkpoint_dir=str(tmp_path)
             ),
             potential=potential,
         )
         attempts = []
-        run_attempt = sim._run_kmc_attempt
-        monkeypatch.setattr(
-            sim,
-            "_run_kmc_attempt",
-            lambda *args: attempts.append(args) or run_attempt(*args),
-        )
+
+        def bad_attempt(*args):
+            attempts.append(args)
+            raise ValueError("bad configuration")
+
+        monkeypatch.setattr(sim, "_run_kmc_attempt", bad_attempt)
         occ = np.ones(sim.lattice.nsites, dtype=np.int8)
         occ[3] = 0
-        with pytest.raises(ValueError, match=r"5x5x5.*8 ranks"):
+        with pytest.raises(ValueError, match="bad configuration"):
             sim._run_kmc_supervised(occ)
         assert len(attempts) == 1
+
+    @pytest.mark.parametrize("kmc_nranks", [None, 2])
+    def test_temporary_checkpoints_are_removed(
+        self, kmc_nranks, tmp_path, monkeypatch
+    ):
+        # No checkpoint_dir: the crash recovers from checkpoints in a
+        # temporary directory that is gone once the KMC stage ends.
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        fault = "event=30" if kmc_nranks is None else "cycle=3"
+        result = CoupledSimulation(
+            _coupled_config(
+                kmc_nranks=kmc_nranks,
+                kmc_max_events=60,
+                faults=f"crash:rank=0,{fault}",
+                checkpoint_every=2,
+            )
+        ).run()
+        assert result.recoveries == 1
+        assert not list(tmp_path.glob("repro-checkpoint-*"))
 
     def test_md_checkpoint_written_when_dir_given(self, tmp_path):
         CoupledSimulation(
@@ -229,7 +254,7 @@ class TestCoupledRecovery:
     def test_messaging_faults_do_not_change_the_answer(self, fault_free):
         result = CoupledSimulation(
             _coupled_config(
-                faults=FaultPlan.parse(
+                faults=(
                     "delay:rank=0,nth=3,seconds=0.01; "
                     "delay:rank=1,nth=2,seconds=0.01"
                 )

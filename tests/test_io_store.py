@@ -536,20 +536,21 @@ class TestEngineWiring:
             assert len(reader.vacancy_ranks(i)) == nvac
 
 
-def _coupled_config(**overrides):
-    from repro.core.coupling import CoupledConfig
-    from repro.md.cascade import CascadeConfig
+def _coupled_config(trajectory=None, checkpoint_dir=None, **overrides):
+    from repro.service.spec import ScenarioSpec
 
     base = dict(
         cells=8,
         seed=3,
-        cascade=CascadeConfig(pka_energy=120.0, nsteps=60),
+        md_steps=60,
+        pka_energy=120.0,
         kmc_nranks=2,
         kmc_max_cycles=8,
         table_points=500,
     )
-    base.update(overrides)
-    return CoupledConfig(**base)
+    return ScenarioSpec(**(base | overrides)).to_coupled_config(
+        trajectory=trajectory, checkpoint_dir=checkpoint_dir
+    )
 
 
 class TestCoupledStore:

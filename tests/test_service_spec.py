@@ -143,27 +143,38 @@ class TestValidation:
 
 
 class TestCoupledConfig:
-    def test_defaults_map_through(self):
-        config = ScenarioSpec(cells=6, seed=7).to_coupled_config()
-        assert config.cells == 6
-        assert config.seed == 7
-        assert config.cascade is None  # no MD overrides -> default cascade
-        assert config.trajectory is None
+    def test_defaults_map_through(self, potential):
+        from repro.core.coupling import CoupledSimulation
 
-    def test_md_overrides_build_cascade_config(self):
+        spec = ScenarioSpec(cells=6, seed=7, temperature=450.0)
+        config = spec.to_coupled_config()
+        assert config.spec is spec
+        assert config.trajectory is None
+        assert config.checkpoint_dir is None
+        assert config.sunway_model is False
+        # No MD overrides: the default cascade at the spec's temperature.
+        cascade = CoupledSimulation(config, potential).cascade_config()
+        assert (cascade.nsteps, cascade.pka_energy) == (200, 120.0)
+        assert cascade.temperature == 450.0
+
+    def test_md_overrides_build_cascade_config(self, potential):
+        from repro.core.coupling import CoupledSimulation
+
         config = ScenarioSpec(
             cells=6, md_steps=40, pka_energy=150.0, temperature=450.0
         ).to_coupled_config()
-        assert config.cascade is not None
-        assert config.cascade.nsteps == 40
-        assert config.cascade.pka_energy == 150.0
-        assert config.cascade.temperature == 450.0
+        cascade = CoupledSimulation(config, potential).cascade_config()
+        assert cascade.nsteps == 40
+        assert cascade.pka_energy == 150.0
+        assert cascade.temperature == 450.0
 
     def test_caller_paths_pass_through(self, tmp_path):
         config = ScenarioSpec(trajectory_every=3).to_coupled_config(
             trajectory=str(tmp_path / "t"),
             checkpoint_dir=str(tmp_path / "c"),
+            sunway_model=True,
         )
         assert config.trajectory == str(tmp_path / "t")
         assert config.checkpoint_dir == str(tmp_path / "c")
-        assert config.trajectory_every == 3
+        assert config.sunway_model is True
+        assert config.spec.trajectory_every == 3
