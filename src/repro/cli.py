@@ -224,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
             "run with the communication sanitizer (vector-clock "
             "happens-before checking of every simmpi world; equivalent "
             "to REPRO_SANITIZE=1): unmatched sends, wildcard recv "
-            "races, collective-order divergence, and leaked shm slots "
-            "fail the run with a per-violation report"
+            "races and collective-order divergence fail the run with a "
+            "per-violation report"
         ),
     )
     _add_observe_flags(coupled)

@@ -8,9 +8,8 @@ real.  It is one communication stack in three layers:
 
 1. **Transport** (:mod:`~repro.runtime.transport`) — post an envelope to
    a rank's :class:`~repro.runtime.transport.Mailbox`, match, abort.  Two
-   implementations: in-process mailboxes, and forked processes over
-   queues + shared memory (:mod:`~repro.runtime.procbackend`,
-   :mod:`~repro.runtime.shm`).
+   implementations: in-process mailboxes, and forked processes whose
+   queues pickle every payload (:mod:`~repro.runtime.procbackend`).
 2. **Communicator** (:mod:`~repro.runtime.simmpi`,
    :mod:`~repro.runtime.window`) — the one
    :class:`~repro.runtime.simmpi.RankComm` (``send`` / ``recv`` /
@@ -39,7 +38,7 @@ the one network model of the repository.
 Importing the package loads nothing: it exports no names, and each
 submodule imports only what every use of it executes.
 :mod:`~repro.runtime.simmpi` is the entry point of a run;
-``multiprocessing`` and shared memory are imported by the first
-process-backend run, the scheduler by the first thread or
-overdecomposed run, and the sanitizer only by a run that is sanitized.
+``multiprocessing`` is imported by the first process-backend run, the
+scheduler by the first thread or overdecomposed run, and the sanitizer
+only by a run that is sanitized.
 """

@@ -20,10 +20,26 @@ addressed hosted rank, so matching, per-(source, tag) FIFO, watchdog
 deadlines and abort wakeups are literally the same code as in-process.
 A post to a rank hosted in the same child skips the queue altogether;
 one posted to several ranks of another child (a collective result)
-crosses the process boundary once.  Bulk arrays ride the shared-memory
-pool (:mod:`repro.runtime.shm`) and the queue carries headers only.
-Collectives and window puts need nothing of their own: they are
-reserved-tag envelopes through the same inboxes.
+crosses the process boundary once.  The queue pickles every payload,
+which is the one byte path between children: ``freeze`` has already
+made each array the C-contiguous copy the thread backend hands over,
+and ``payload_nbytes`` has already costed it, so trajectories and the
+traffic ledger do not depend on the backend.  Collectives and window
+puts need nothing of their own: they are reserved-tag envelopes through
+the same inboxes.
+
+Launch and join
+---------------
+:class:`ProcessRanks` hosts the children the way
+:class:`~repro.runtime.scheduler.RankThreads` hosts rank threads, with
+the same ``start`` / ``wait`` / ``abort`` / ``alive`` protocol, so
+:class:`~repro.runtime.simmpi.World` runs one launch/join sequence on
+every backend.  Teardown never blocks on a queue: a child that has
+reported is joined, not terminated; while children exit, the parent
+drains the inboxes that no child reads any more, so no child stalls
+flushing an envelope nobody will receive; and the parent reads an inbox
+only while every child is alive or exited cleanly, so it never waits on
+an envelope a dying child left truncated.
 
 Aggregation at join
 -------------------
@@ -52,11 +68,12 @@ import queue as _stdlib_queue
 import threading
 import time
 from multiprocessing import connection as _mpconn
+from typing import Any, Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro import observe as obs
-from repro.runtime import shm as _shm
 from repro.runtime.scheduler import RankThreads
-from repro.runtime.simmpi import conclude
 from repro.runtime.stats import TrafficStats
 from repro.runtime.transport import LocalTransport
 
@@ -71,21 +88,15 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _rank_groups(nranks: int, workers: int) -> list[list[int]]:
-    """Contiguous split of ``nranks`` ranks over ``workers`` children.
+def _rank_groups(ranks: Sequence[int], workers: int) -> list[list[int]]:
+    """Contiguous split of ``ranks`` over ``workers`` children.
 
     Mirrors the paper's block decomposition of subdomains over nodes:
     neighbouring ranks land in the same child wherever possible, so the
     halo traffic that dominates the exchange schemes stays in-process.
     """
-    n_groups = max(1, min(int(workers), nranks))
-    base, extra = divmod(nranks, n_groups)
-    groups, start = [], 0
-    for gi in range(n_groups):
-        size = base + (1 if gi < extra else 0)
-        groups.append(list(range(start, start + size)))
-        start += size
-    return groups
+    n_groups = max(1, min(int(workers), len(ranks)))
+    return [g.tolist() for g in np.array_split(np.asarray(ranks), n_groups)]
 
 
 def _names(gi: int, ranks: list[int]) -> dict[str, str]:
@@ -101,16 +112,13 @@ def _names(gi: int, ranks: list[int]) -> dict[str, str]:
 class _Endpoints:
     """All shared transport state, created in the parent before forking."""
 
-    def __init__(self, ctx, groups: list[list[int]], pool=None) -> None:
+    def __init__(self, ctx, groups: list[list[int]]) -> None:
         self.groups = groups
         #: One inbox per child, shared by the ranks it hosts.
         self.inboxes = [ctx.Queue() for _ in groups]
         self.group_of = {
             rank: gi for gi, ranks in enumerate(groups) for rank in ranks
         }
-        #: Optional zero-copy array transport (see repro.runtime.shm):
-        #: queues then carry slot headers instead of pickled array bytes.
-        self.pool = pool
 
     def abort_all(self) -> None:
         """Wake every blocked rank of every child."""
@@ -125,7 +133,6 @@ class ForkedTransport(LocalTransport):
         super().__init__(endpoints.groups[gi])
         self._endpoints = endpoints
         self._inbox = endpoints.inboxes[gi]
-        self._pool = endpoints.pool
         self._pump = threading.Thread(
             target=self._pump_loop, name=f"simmpi-pump-{gi}", daemon=True
         )
@@ -145,11 +152,6 @@ class ForkedTransport(LocalTransport):
             return
         # The payload is frozen, so the pickle performed later by the
         # queue's feeder thread cannot observe sender-side mutations.
-        # With a pool, bulk arrays move to shared memory here — encoded
-        # once, pinned for every receiving child — and the queue pickles
-        # only the slot headers.
-        if self._pool is not None:
-            payload = self._pool.encode(payload, nrefs=len(remote))
         for gi, members in remote.items():
             self._endpoints.inboxes[gi].put(
                 (_MSG, members, src, tag, payload, nbytes)
@@ -173,10 +175,7 @@ class ForkedTransport(LocalTransport):
             self._deliver(item)
 
     def _deliver(self, item) -> None:
-        _kind, dests, src, tag, payload, nbytes = item
-        if self._pool is not None:
-            payload = self._pool.decode(payload)
-        super().post(dests, src, tag, payload, nbytes)
+        super().post(*item[1:])  # (_MSG, dests, src, tag, payload, nbytes)
 
     def quiesce(self) -> None:
         """Stop the pump and fold already-arrived envelopes into the mailboxes.
@@ -201,7 +200,7 @@ class ForkedTransport(LocalTransport):
 def _ensure_picklable(exc: BaseException) -> BaseException:
     """The exception itself if it survives pickling, else a summary."""
     try:
-        pickle.loads(pickle.dumps(exc))  # repro: noqa(REP007) error path only, once per failed rank, never a message payload
+        pickle.loads(pickle.dumps(exc))
         return exc
     except Exception:
         # A custom __reduce__ can raise anything, so the catch must stay
@@ -211,8 +210,7 @@ def _ensure_picklable(exc: BaseException) -> BaseException:
 
 
 def _child_entry(
-    main, gi, endpoints, conn, nranks, faults, watchdog, sanitize,
-    obs_trace,
+    gi, endpoints, conn, obs_trace, main, nranks, faults, watchdog, sanitize,
 ) -> None:
     """Entry point of one forked child hosting a contiguous rank group.
 
@@ -272,183 +270,185 @@ def _child_entry(
         conn.close()
 
 
-def run_process_world(
-    world, main, timeout: float, grace: float, workers: int | None,
-    sanitize: bool,
-) -> list:
-    """Execute ``main(comm)`` with forked processes hosting the ranks.
+class ProcessRanks:
+    """The forked children hosting a world's ranks, for one run.
 
-    The process half of :meth:`~repro.runtime.simmpi.World.run`: same
-    result list, same join epilogue (:func:`~repro.runtime.simmpi.
-    conclude`) — and the world's stats/faults plus the active observe
-    registry absorb every child's measurements before control returns.
-
-    ``workers=None`` (default) forks one child per rank.  ``workers=P``
-    forks ``min(P, nranks)`` children, each hosting a contiguous group
-    of ~R/P ranks as threads with in-process routing inside the group —
-    the overdecomposed process topology.
+    The process counterpart of
+    :class:`~repro.runtime.scheduler.RankThreads`, with the same
+    protocol: ``start``, ``wait``, ``abort``, ``alive``, then
+    ``results``, ``errors`` and :meth:`pending`.  ``workers=None`` forks
+    one child per rank; ``workers=P`` forks ``min(P, R)`` children, each
+    hosting a contiguous group of ~R/P ranks as threads with in-process
+    routing inside the group — the overdecomposed process topology.
+    Every report a child sends is merged into ``stats``, ``faults`` and
+    the active observe registry.
     """
-    if not fork_available():
-        raise RuntimeError(
-            "the process backend requires the 'fork' start method "
-            "(unavailable on this platform); use backend='thread'"
+
+    def __init__(
+        self, main: Callable, size: int, stats: TrafficStats, faults=None,
+        watchdog: float | None = None, sanitize: bool = False,
+        workers: int | None = None,
+    ) -> None:
+        if not fork_available():
+            raise RuntimeError(
+                "the process backend requires the 'fork' start method "
+                "(unavailable on this platform); use backend='thread'"
+            )
+        #: What every child runs its rank group with, as RankThreads does.
+        self._child_args = (main, size, faults, watchdog, sanitize)
+        self._stats = stats
+        self._faults = faults
+        self._workers = size if workers is None else workers
+        self._procs: list = []
+        self._conns: list = []
+        #: Children that reported or died; no child reads their inboxes.
+        self._done: set[int] = set()
+        #: Reports not merged yet, by child.
+        self._arrived: dict[int, dict] = {}
+        self._aborted = False
+        self._pending = 0
+        self.results: dict[int, Any] = {}
+        self.errors: list[tuple[int, BaseException]] = []
+
+    def start(self, ranks: Iterable[int]) -> None:
+        self._groups = _rank_groups(list(ranks), self._workers)
+        ctx = multiprocessing.get_context("fork")
+        self._endpoints = _Endpoints(ctx, self._groups)
+        self._registry = obs.active()
+        obs_trace = self._registry._trace if self._registry is not None else None
+        self._faults_base = (
+            self._faults.export_state() if self._faults is not None else None
         )
-    nranks = world.nranks
-    groups = _rank_groups(nranks, workers if workers is not None else nranks)
-    ctx = multiprocessing.get_context("fork")
-    pool = _shm.create_pool(ctx, nranks)
-    endpoints = _Endpoints(ctx, groups, pool)
-    try:
-        return _run_forked(world, main, timeout, grace, ctx, endpoints, sanitize)
-    finally:
-        # Unconditional teardown: no run — clean, aborted, or timed out —
-        # may leak /dev/shm space past the world's lifetime.
-        if pool is not None:
-            leaked = pool.leaked_slots()
-            world.shm_leaked_slots = leaked  # the sanitizer reads this
-            if leaked:  # a terminated child died holding slots
-                obs.add("runtime.shm.leaked_slots", leaked)
-            pool.destroy()
+        with obs.phase("runtime.spawn_processes"):
+            for gi, group in enumerate(self._groups):
+                conn, child_conn = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
+                    target=_child_entry,
+                    args=(
+                        gi, self._endpoints, child_conn, obs_trace,
+                        *self._child_args,
+                    ),
+                    name=_names(gi, group)["process"],
+                    daemon=True,
+                )
+                proc.start()
+                # The child holds the only write end, so a child that
+                # dies mid-report leaves an EOF, not a read that blocks.
+                child_conn.close()
+                self._procs.append(proc)
+                self._conns.append(conn)
 
+    def wait(self, timeout: float) -> bool:
+        """Collect reports until every child has exited; ``False`` if
+        ``timeout`` seconds pass first.  What arrived is merged, in
+        child order, before this returns."""
+        deadline = time.monotonic() + timeout
+        try:
+            while True:
+                # Sampled before the reads: once no child runs, all it
+                # wrote is in the pipes, and that drain is the last one.
+                running = [p for p in self._procs if p.exitcode is None]
+                self._collect()
+                self._drain()
+                if not running:
+                    return True
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+                waitables = [
+                    conn for g, conn in enumerate(self._conns)
+                    if g not in self._done
+                ] + [proc.sentinel for proc in running]
+                if self._done:
+                    # A child may be flushing into a finished child's
+                    # inbox: come back to drain it every 10 ms.
+                    remaining = min(remaining, 0.01)
+                _mpconn.wait(waitables, timeout=remaining)
+        finally:
+            self._merge()
 
-def _run_forked(
-    world, main, timeout: float, grace: float, ctx, endpoints: _Endpoints,
-    sanitize: bool,
-) -> list:
-    """Fork/collect/merge core of :func:`run_process_world`."""
-    nranks = world.nranks
-    groups = endpoints.groups
-    registry = obs.active()
-    obs_trace = registry._trace if registry is not None else None
-    faults_base = (
-        world.faults.export_state() if world.faults is not None else None
-    )
-    procs, conns = [], []
-    for gi, ranks in enumerate(groups):
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_child_entry,
-            args=(
-                main, gi, endpoints, child_conn, nranks, world.faults,
-                world.watchdog, sanitize, obs_trace,
-            ),
-            name=_names(gi, ranks)["process"],
-            daemon=True,
-        )
-        procs.append(proc)
-        conns.append(parent_conn)
-    with obs.phase("runtime.spawn_processes"):
-        for proc in procs:
-            proc.start()
-
-    reports: dict[int, dict] = {}
-    errors: list[tuple[int, BaseException]] = []
-    aborted = False
-
-    def abort() -> None:
-        nonlocal aborted
-        if not aborted:
-            aborted = True
-            endpoints.abort_all()
-
-    def collect(deadline: float) -> None:
-        """Drain reports/exits until all children reported or time ran out."""
-        pending = set(range(len(groups))) - set(reports)
-        while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
-            waitables = [conns[g] for g in pending]
-            waitables += [procs[g].sentinel for g in pending]
-            _mpconn.wait(waitables, timeout=remaining)
-            for g in list(pending):
-                if conns[g].poll():
-                    try:
-                        rep = conns[g].recv()
-                    except (EOFError, OSError):
-                        rep = None
-                    if rep is not None:
-                        reports[g] = rep
-                        pending.discard(g)
-                        if rep["errors"]:
-                            errors.extend(rep["errors"])
-                            abort()
-                        continue
-                if not procs[g].is_alive() and not conns[g].poll():
-                    pending.discard(g)
-                    who = _names(g, groups[g])["error"]
-                    errors.append(
-                        (
-                            groups[g][0],
-                            RuntimeError(
-                                f"{who} process exited with code "
-                                f"{procs[g].exitcode} without reporting"
-                            ),
-                        )
-                    )
-                    abort()
-
-    collect(time.monotonic() + timeout)
-    timed_out = len(reports) < len(groups)
-    if timed_out:
-        abort()
-        collect(time.monotonic() + grace)
-    for proc in procs:
-        proc.join(timeout=0.1 if not timed_out else grace)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=1.0)
-    for conn in conns:
-        conn.close()
-
-    # Merge every child's measurements into the parent-side registries.
-    pending_msgs = 0
-    results: dict[int, object] = {}
-    for gi, ranks in enumerate(groups):
-        rep = reports.get(gi)
-        if rep is None:
-            continue
-        results.update(rep["results"])
-        world.stats.absorb_state(rep["stats"])
-        if rep["faults"] is not None:
-            world.faults.absorb_state(rep["faults"], base=faults_base)
-        if rep["obs"] is not None and registry is not None:
-            label = _names(gi, ranks)["observe"]
-            registry.absorb_state(rep["obs"], label=label)
-        pending_msgs += rep["pending"]
-
-    # Residual sweep: an envelope can still sit in a child's inbox queue
-    # when that child quiesces (queue feeder threads flush asynchronously,
-    # so a send that "happened before" the receiver's exit may reach the
-    # pipe after it).  All children have exited by now, which flushes
-    # their feeders, so whatever remains here is the exact set of
-    # undelivered envelopes — count the user messages.
-    pool = endpoints.pool
-    for q in endpoints.inboxes:
-        while True:
-            try:
-                item = q.get_nowait()
-            except _stdlib_queue.Empty:
-                break
-            except (EOFError, OSError, pickle.UnpicklingError):
-                break  # a terminated child left a truncated write
-            if item[0] != _MSG:
+    def _collect(self) -> None:
+        """Take the reports that arrived; a pipe that closes without one
+        means its child died."""
+        for g, conn in enumerate(self._conns):
+            if g in self._done or not conn.poll():
                 continue
-            _kind, dests, _src, tag, payload, _nbytes = item
-            if pool is not None:
-                # Abort-while-slot-held: the receivers are gone, so the
-                # parent drops this envelope's slot references.
-                pool.release_refs(payload)
-            if tag >= 0:
-                pending_msgs += len(dests)
-    world._pending = pending_msgs
+            self._done.add(g)
+            try:
+                report = conn.recv()
+            except (EOFError, OSError):
+                proc = self._procs[g]
+                proc.join(timeout=1.0)
+                who = _names(g, self._groups[g])["error"]
+                self._fail(
+                    self._groups[g][0],
+                    RuntimeError(
+                        f"{who} process exited with code {proc.exitcode} "
+                        "without reporting"
+                    ),
+                )
+                continue
+            self._arrived[g] = report
+            for rank, exc in report["errors"]:
+                self._fail(rank, exc)
 
-    stragglers = None
-    if timed_out:
-        stragglers = [
-            procs[g].name for g in range(len(groups)) if g not in reports
-        ]
-    conclude(
-        nranks, timeout, grace, stragglers, "process(es)", "terminated", errors
-    )
-    return [results.get(rank) for rank in range(nranks)]
+    def _drain(self) -> None:
+        """Count and drop what sits in the inboxes of finished children.
+
+        Nobody else reads those inboxes any more, and a child still
+        flushing into one cannot exit until somebody does.  Once a child
+        has exited uncleanly it may have left an envelope truncated, and
+        reading that would block for ever, so then nothing is read.
+        """
+        if any(proc.exitcode not in (None, 0) for proc in self._procs):
+            return
+        for g in self._done:
+            inbox = self._endpoints.inboxes[g]
+            while True:
+                try:
+                    item = inbox.get_nowait()
+                except _stdlib_queue.Empty:
+                    break
+                # (_MSG, dests, src, tag, ...); user tags are >= 0.
+                if item[0] == _MSG and item[3] >= 0:
+                    self._pending += len(item[1])
+
+    def _merge(self) -> None:
+        """Fold the reports that arrived into the world, in child order."""
+        for g in sorted(self._arrived):
+            report = self._arrived.pop(g)
+            self.results.update(report["results"])
+            self._stats.absorb_state(report["stats"])
+            if report["faults"] is not None:
+                self._faults.absorb_state(report["faults"], base=self._faults_base)
+            if report["obs"] is not None and self._registry is not None:
+                label = _names(g, self._groups[g])["observe"]
+                self._registry.absorb_state(report["obs"], label=label)
+            self._pending += report["pending"]
+
+    def _fail(self, rank: int, exc: BaseException) -> None:
+        self.errors.append((rank, exc))
+        self.abort()
+
+    def abort(self) -> None:
+        """Wake every blocked rank of every child (once)."""
+        if self._aborted:
+            return
+        self._aborted = True
+        for inbox in self._endpoints.inboxes:
+            # The parent's exit must not wait on a wake-up nobody reads.
+            inbox.cancel_join_thread()
+        self._endpoints.abort_all()
+
+    def alive(self) -> list[str]:
+        """Terminate the children still running; return their names."""
+        stragglers = [proc for proc in self._procs if proc.is_alive()]
+        for proc in stragglers:
+            proc.terminate()
+        for proc in stragglers:
+            proc.join(timeout=1.0)
+        return [proc.name for proc in stragglers]
+
+    def pending(self) -> int:
+        """Messages sent in this run but never received."""
+        return self._pending

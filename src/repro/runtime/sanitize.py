@@ -23,8 +23,7 @@ the outermost layer of its middleware chain
 * records the per-rank **collective order** (barrier/allgather/
   allreduce/bcast/win_create/fence) and reports the first divergence
   between ranks — the halo-exchange/fence protocol of §2.2.1 requires
-  all ranks to execute the same collective sequence;
-* surfaces **leaked shm slots** from the process backend's pool.
+  all ranks to execute the same collective sequence.
 
 At teardown every rank exchanges its ledger and all ranks compute the
 same verdict; :class:`repro.runtime.simmpi.World.run` unwraps it,
@@ -94,8 +93,6 @@ def _violation_text(v: dict) -> str:
                 f"rank {r} did {e}" for r, e in sorted(v["events"].items())
             )
         )
-    if kind == "shm_leak":
-        return f"shared-memory pool leaked {v['count']} slot(s) at teardown"
     return str(v)
 
 
@@ -367,7 +364,7 @@ def wrap_main(main: Callable) -> Callable:
     return sanitized_main
 
 
-def finish_world(world, results: list) -> list:
+def finish_world(results: list) -> list:
     """Unwrap sanitized results, publish counters, fail on violations."""
     unwrapped: list = []
     report: dict | None = None
@@ -379,10 +376,6 @@ def finish_world(world, results: list) -> list:
             unwrapped.append(item)
     if report is None:  # pragma: no cover - defensive
         return unwrapped
-
-    leaked = world.shm_leaked_slots
-    if leaked:
-        report["violations"].append({"kind": "shm_leak", "count": leaked})
 
     obs.add("runtime.sanitize.worlds")
     obs.add("runtime.sanitize.sends", report["sends"])

@@ -219,3 +219,7 @@ class RankThreads:
     def alive(self) -> list[str]:
         """Names of the rank threads still running."""
         return [t.name for t in self._threads if t.is_alive()]
+
+    def pending(self) -> int:
+        """Messages sent in this run but never received."""
+        return self._transport.pending()

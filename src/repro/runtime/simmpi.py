@@ -561,9 +561,6 @@ class World:
         self.faults = faults
         self.watchdog = watchdog
         self.sanitize = sanitize
-        #: Shm slots the last process-backend run left pinned (the
-        #: sanitizer reports them).
-        self.shm_leaked_slots = 0
         self._pending = 0
 
     def run(
@@ -594,44 +591,49 @@ class World:
             return results
         from repro.runtime.sanitize import finish_world
 
-        return finish_world(self, results)
+        return finish_world(results)
 
     def _launch(
         self, main, timeout=300.0, grace=5.0, backend="thread", workers=None,
         sanitizing=False,
     ) -> list:
-        """Run the ranks and join them; sanitized results stay sealed."""
+        """Run the ranks and join them, by one sequence on every backend:
+        rank threads and forked children are hosted alike.  Sanitized
+        results stay sealed."""
         if sanitizing:
             from repro.runtime.sanitize import wrap_main
 
             main = wrap_main(main)
-        self.shm_leaked_slots = 0
-        if backend == "process":
-            from repro.runtime.procbackend import run_process_world
-
-            return run_process_world(self, main, timeout, grace, workers, sanitizing)
         from repro.runtime.scheduler import RankScheduler, RankThreads, default_workers
 
-        transport = LocalTransport(range(self.nranks))
         scheduler = None
         if backend == "overdecomposed":
             slots = workers if workers is not None else default_workers()
             scheduler = RankScheduler(min(slots, self.nranks))
-        ranks = RankThreads(
-            main, transport, self.nranks, self.stats, self.faults, self.watchdog,
-            sanitizing, scheduler,
-        )
+        if backend == "process":
+            from repro.runtime.procbackend import ProcessRanks
+
+            ranks = ProcessRanks(
+                main, self.nranks, self.stats, self.faults, self.watchdog,
+                sanitizing, workers,
+            )
+            what, fate = "process(es)", "terminated"
+        else:
+            ranks = RankThreads(
+                main, LocalTransport(range(self.nranks)), self.nranks,
+                self.stats, self.faults, self.watchdog, sanitizing, scheduler,
+            )
+            what, fate = "thread(s)", "leaked"
         ranks.start(range(self.nranks))
         stragglers = None
         if not ranks.wait(timeout):
             ranks.abort()
             stragglers = [] if ranks.wait(grace) else ranks.alive()
-        self._pending = transport.pending()
+        self._pending = ranks.pending()
         if scheduler is not None:
             scheduler.publish()
         conclude(
-            self.nranks, timeout, grace, stragglers, "thread(s)", "leaked",
-            ranks.errors,
+            self.nranks, timeout, grace, stragglers, what, fate, ranks.errors
         )
         return [ranks.results.get(rank) for rank in range(self.nranks)]
 

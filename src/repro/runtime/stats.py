@@ -28,12 +28,12 @@ def payload_nbytes(obj) -> int:
     """Wire size of a message payload in bytes.
 
     NumPy arrays and raw byte strings are counted exactly (the runtime
-    moves them by reference — pickle transport or the shared-memory slot
-    pool alike, mimicking MPI's buffer sends); the array fast path costs
+    moves them by reference or through the process backend's queues,
+    mimicking MPI's buffer sends); the array fast path costs
     ``arr.nbytes`` for *any* numeric array — views, non-contiguous
     slices, Fortran order, structured dtypes — with no pickle round-trip,
-    matching what actually crosses the shm transport (a C-contiguous
-    copy of the logical elements).  Object-dtype arrays carry arbitrary
+    matching the array data that actually crosses between processes (a
+    C-contiguous copy of the logical elements).  Object-dtype arrays carry arbitrary
     Python references whose ``nbytes`` is just pointer storage, so they
     fall through to pickle costing like any other opaque object.  NumPy
     scalars cost one 8-byte word like their Python counterparts;

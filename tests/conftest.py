@@ -17,30 +17,6 @@ from repro.md.state import AtomState
 from repro.potential.fe import FeParameters, make_fe_potential
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--shm-min-bytes",
-        type=int,
-        default=None,
-        help="patch repro.runtime.shm.MIN_BYTES for the whole session "
-        "(0: every array payload of the process backend rides shared "
-        "memory, whatever its size -- CI's shm-saturation leg)",
-    )
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _shm_min_bytes(request):
-    value = request.config.getoption("--shm-min-bytes")
-    if value is None:
-        yield
-        return
-    from repro.runtime import shm
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(shm, "MIN_BYTES", value)
-        yield
-
-
 @pytest.fixture()
 def forbid_world(monkeypatch):
     """``forbid_world(module)``: creating a ``World`` through ``module``

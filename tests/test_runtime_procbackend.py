@@ -7,11 +7,16 @@ aggregation — and, above all, bit-identical results for the parallel
 engines, since the backends are meant to be freely interchangeable.
 """
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import observe as obs
 from repro.kmc.akmc import ParallelAKMC
 from repro.observe.registry import Registry
@@ -146,16 +151,83 @@ class TestTransportParity:
 
 
 # ----------------------------------------------------------------------
+# Teardown: a message nobody receives never hangs the join
+# ----------------------------------------------------------------------
+_SRC = str(Path(repro.__file__).resolve().parents[1])
+
+_TEARDOWN = """
+import json, time
+import numpy as np
+from repro.runtime.simmpi import World
+
+payload = {payload}
+
+def main(comm):
+    if comm.rank == 0:
+        comm.send(1, 3, payload)
+    elif {raises}:
+        raise ValueError("left without receiving")
+    return comm.rank
+
+world = World(2, backend="process", workers={workers}, sanitize=False)
+t0 = time.monotonic()
+try:
+    world.run(main, timeout=5.0, grace=2.0)
+    outcome = {{"pending": world.pending_messages()}}
+except RuntimeError as exc:
+    outcome = {{"error": str(exc)}}
+outcome["elapsed"] = time.monotonic() - t0
+print(json.dumps(outcome))
+"""
+
+#: 8 B, a pickled list far past a pipe buffer, and an 8 MB array.
+_UNRECEIVED = {
+    "scalar": "1.0",
+    "list": "list(range(200_000))",
+    "array": "np.ones(1_000_000)",
+}
+
+
+def _run_world(payload: str, raises: bool, workers: int | None) -> dict:
+    """Run the world in a fresh interpreter, so a join that hangs fails
+    this test after 60 s instead of stalling the suite."""
+    code = _TEARDOWN.format(payload=payload, raises=raises, workers=workers)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = _SRC
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestTeardown:
+    @pytest.mark.parametrize("workers", [None, 1])
+    @pytest.mark.parametrize("payload", sorted(_UNRECEIVED))
+    def test_receiver_returns_without_receiving(self, payload, workers):
+        out = _run_world(_UNRECEIVED[payload], False, workers)
+        assert out["pending"] == 1  # as on the thread backend
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    @pytest.mark.parametrize("payload", sorted(_UNRECEIVED))
+    def test_receiver_raises_without_receiving(self, payload, workers):
+        out = _run_world(_UNRECEIVED[payload], True, workers)
+        assert out["error"].startswith("rank 1 failed")
+        assert out["elapsed"] < 5.0 + 2.0
+
+
+# ----------------------------------------------------------------------
 # Rank-group mode: R ranks hosted on P < R children
 # ----------------------------------------------------------------------
 class TestRankGroups:
     def test_contiguous_split(self):
         from repro.runtime.procbackend import _rank_groups
 
-        assert _rank_groups(8, 2) == [[0, 1, 2, 3], [4, 5, 6, 7]]
-        assert _rank_groups(5, 2) == [[0, 1, 2], [3, 4]]
-        assert _rank_groups(3, 8) == [[0], [1], [2]]
-        assert sum(_rank_groups(17, 4), []) == list(range(17))
+        assert _rank_groups(range(8), 2) == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        assert _rank_groups(range(5), 2) == [[0, 1, 2], [3, 4]]
+        assert _rank_groups(range(3), 8) == [[0], [1], [2]]
+        assert sum(_rank_groups(range(17), 4), []) == list(range(17))
 
     def test_grouped_matches_per_rank_results(self):
         reference = World(8, backend="thread").run(_ring_main, timeout=60.0)

@@ -81,7 +81,7 @@ class TestPayloadNbytes:
     def test_views_and_noncontiguous_cost_logical_nbytes(self, monkeypatch):
         """The array fast path covers every numeric layout, pickle-free.
 
-        What crosses the shm transport is a C-contiguous copy of the
+        What crosses between processes is a C-contiguous copy of the
         logical elements, so a strided view costs its own nbytes — not
         the base buffer's, and never a pickle round-trip.
         """
