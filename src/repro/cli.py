@@ -45,22 +45,6 @@ FIGURES = {
 }
 
 
-def _fault_plan_arg(value: str) -> str:
-    """Validate a ``--faults`` plan at parse time (argparse ``type=``).
-
-    Returns the DSL string unchanged — specs and configs carry the
-    serializable form — but a malformed plan fails with argparse's own
-    exit-2 usage error instead of a hand-rolled print-and-return.
-    """
-    from repro.runtime.faults import FaultPlan, FaultPlanError
-
-    try:
-        FaultPlan.parse(value)
-    except FaultPlanError as exc:
-        raise argparse.ArgumentTypeError(f"bad --faults plan: {exc}") from exc
-    return value
-
-
 def _add_observe_flags(parser) -> None:
     """The shared profiling/tracing options of the run commands."""
     parser.add_argument(
@@ -140,7 +124,6 @@ def _add_scenario_flags(parser) -> None:
     parser.add_argument(
         "--faults",
         metavar="PLAN",
-        type=_fault_plan_arg,
         default=None,
         help=(
             "fault-injection plan for the KMC stage, e.g. "
@@ -415,11 +398,6 @@ def cmd_coupled(args) -> int:
 
 def _run_coupled(args) -> int:
     from repro.core.coupling import CoupledSimulation
-    from repro.runtime.faults import FaultPlan
-
-    if args.faults is not None:
-        # Parse-time validated (argparse type); describe for the log.
-        print(f"fault plan: {FaultPlan.parse(args.faults).describe()}")
     profiling = _profiling_requested(args)
     kmc_nranks = args.kmc_ranks
     if kmc_nranks is None and profiling:
@@ -442,6 +420,8 @@ def _run_coupled(args) -> int:
         ),
         watchdog=args.watchdog,
     )
+    if spec.faults is not None:
+        print(f"fault plan: {spec.faults}")
     registry = _start_observation(args)
     sim = CoupledSimulation(
         spec.to_coupled_config(

@@ -43,7 +43,7 @@ from repro.md.cascade import CascadeConfig, CascadeResult, run_cascade
 from repro.md.engine import MDConfig, MDEngine
 from repro.potential.eam import EAMPotential
 from repro.potential.fe import make_fe_potential
-from repro.runtime.faults import FaultInjector, InjectedFault, resolve_plan
+from repro.runtime.faults import FaultInjector, InjectedFault
 from repro.runtime.simmpi import WorldAborted
 from repro.service.spec import ScenarioSpec
 
@@ -143,8 +143,8 @@ class CoupledResult:
     sunway_report: dict | None = None
     #: How many times the KMC stage was restarted after a fault.
     recoveries: int = 0
-    #: Injector counters (crashes/delays), when faults
-    #: were planned.
+    #: The injector's snapshot (injected/crashes/delays/plan), when
+    #: faults were planned.
     fault_report: dict | None = None
     #: Trajectory store path (when ``config.trajectory`` was set) and
     #: the number of frames it holds after finalize.
@@ -327,15 +327,15 @@ class CoupledSimulation:
 
         Returns ``(result, recoveries, fault_report)``.
         """
-        plan = resolve_plan(self.spec.faults)
-        if plan is None and self.spec.checkpoint_every is None:
+        faults = self.spec.faults
+        if faults is None and self.spec.checkpoint_every is None:
             # The historical direct path: no injector, no checkpoints.
             return (
                 self._run_kmc_attempt(occupancy, None, None, None),
                 0,
                 None,
             )
-        injector = FaultInjector(plan) if plan is not None else None
+        injector = FaultInjector(faults) if faults is not None else None
         # Run artifacts never land in the working tree by default, and a
         # temporary checkpoint directory does not outlive the stage.
         if self.config.checkpoint_dir is not None:

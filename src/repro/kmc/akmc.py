@@ -48,6 +48,7 @@ from repro.potential.eam import EAMPotential
 if TYPE_CHECKING:
     from repro.kmc.comm import ExchangeScheme
     from repro.lattice.domain import DomainDecomposition
+    from repro.runtime.faults import FaultInjector
 
 
 def _parallel_stack():
@@ -168,7 +169,7 @@ class SerialAKMC:
         params: RateParameters | None = None,
         occupancy: np.ndarray | None = None,
         seed: int = 2018,
-        faults=None,
+        faults: FaultInjector | None = None,
     ) -> None:
         self.params = params or RateParameters()
         self.model = KMCModel(lattice, potential, self.params)
@@ -411,9 +412,10 @@ class ParallelAKMC:
         Base seed; event streams derive from (seed, rank, cycle, sector),
         so all three schemes reproduce identical trajectories.
     faults:
-        Optional fault plan/injector handed to the :class:`World`; every
-        cycle starts with a ``fault_point("kmc.cycle", cycle)`` so a
-        planned rank crash aborts the world exactly where the plan says.
+        Optional :class:`~repro.runtime.faults.FaultInjector` handed to
+        the :class:`World`; every cycle starts with a
+        ``fault_point("kmc.cycle", cycle)`` so a planned rank crash
+        aborts the world exactly where the plan says.
     watchdog:
         Optional per-wait deadline (seconds) for the world's blocking
         recv/probe/collectives; ``None`` keeps them deadline-free.
@@ -442,7 +444,7 @@ class ParallelAKMC:
         nranks: int | None = None,
         scheme: str = "ondemand",
         seed: int = 2018,
-        faults=None,
+        faults: FaultInjector | None = None,
         watchdog: float | None = None,
         backend: str | None = None,
         workers: int | None = None,

@@ -5,14 +5,15 @@ that scale a rank crash is worth planning for.  This module lets a run
 *plan* its faults ahead of time so the recovery machinery is exercised
 deterministically:
 
-* a :class:`FaultPlan` is a parsed, immutable list of :class:`FaultSpec`
-  actions: a rank crash at a named execution point, or a pause of one
-  of a rank's sends or one-sided puts;
-* a :class:`FaultInjector` is the per-run mutable state the runtime
-  consults: it counts each rank's sends and puts, decides which operation
-  a delay fires on, and guarantees a crash fires **once** — so a
-  supervisor that restarts from a checkpoint converges instead of
-  crashing forever;
+* a plan is one string in the DSL below, and :func:`parse_plan` is the
+  one parser and validator of it: every clause becomes a
+  :class:`FaultSpec`, a rank crash at an engine fault point or a pause
+  of one of a rank's sends or one-sided puts;
+* a :class:`FaultInjector` is a plan's clauses plus what fired: the
+  crash clauses that raised and each rank's send/put ordinals.  It
+  decides which operation a delay fires on, guarantees a crash fires
+  **once** — so a supervisor that restarts from a checkpoint converges
+  instead of crashing forever — and derives its report from that state;
 * :class:`InjectedFault` is what a crashed rank raises; the world then
   aborts exactly as it would for an organic failure.
 
@@ -22,11 +23,15 @@ next to the phase tree.
 
 Plan syntax (semicolon-separated clauses, ``kind:key=value,...``)::
 
-    crash:rank=1,cycle=3          # raise on rank 1 at KMC cycle 3
+    crash:rank=1,cycle=3          # raise on rank 1 at parallel KMC cycle 3
     crash:rank=0,event=120        # raise on rank 0 at serial event 120
-    crash:rank=2,site=md.step,index=10   # any named fault point
     delay:rank=1,nth=5,seconds=0.05      # rank 1's 5th send pauses 50 ms
     delay:rank=1,nth=2,seconds=0.02,op=put   # ... or its 2nd window put
+
+A crash takes ``rank`` and exactly one of ``cycle``/``event`` (>= 0); a
+delay takes ``rank``, ``nth`` (>= 1), a finite ``seconds`` > 0 and
+optionally ``op``.  A key given twice, or one the kind does not take, is
+an error naming the clause.
 
 A delay is a *sender-side* pause, so MPI's per-(source, tag) FIFO
 ordering is preserved and no byte moves differently.  Neither kind can
@@ -37,17 +42,15 @@ by recovery, and a delay only perturbs timing.
 from __future__ import annotations
 
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro import observe as obs
 
-#: Execution-point names used by the built-in engines.
-SITE_KMC_CYCLE = "kmc.cycle"
-SITE_KMC_EVENT = "kmc.event"
-
-_KINDS = ("crash", "delay")
-#: The operation streams a delay counts.
-_OPS = ("send", "put")
+#: Per kind, the key sets a clause may give.
+_KEYS = {
+    "crash": (("rank", "cycle"), ("rank", "event")),
+    "delay": (("rank", "nth", "seconds"), ("rank", "nth", "seconds", "op")),
+}
 
 
 class InjectedFault(RuntimeError):
@@ -60,158 +63,82 @@ class FaultPlanError(ValueError):
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One planned fault action.
+    """One clause of a plan: on ``rank``, the ``n``-th ``point`` faults.
 
-    Attributes
-    ----------
-    kind:
-        ``crash`` | ``delay``.
-    rank:
-        Target rank.
-    site / index:
-        Crash trigger: the named execution point and its ordinal (e.g.
-        ``("kmc.cycle", 3)``).
-    nth:
-        Delay trigger: fire on the rank's nth send or put (1-based,
-        counted from the injector's creation).
-    seconds:
-        Pause duration of a ``delay``.
-    op:
-        Which operation stream a ``delay`` counts: ``"send"`` (default)
-        or ``"put"`` (one-sided window traffic).
+    For a crash, ``point`` is an engine fault point (``kmc.cycle`` or
+    ``kmc.event``, numbered from 0 as the engine numbers them); for a
+    delay it is an operation stream (``send`` or ``put``, counted from
+    1), and that operation pauses ``seconds``.  ``clause`` is the text
+    the spec was parsed from.
     """
 
+    clause: str
     kind: str
     rank: int
-    site: str | None = None
-    index: int | None = None
-    nth: int | None = None
+    point: str
+    n: int
     seconds: float = 0.0
-    op: str = "send"
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise FaultPlanError(f"unknown fault kind {self.kind!r}")
-        if self.kind == "crash":
-            if self.rank < 0 or self.site is None or self.index is None:
-                raise FaultPlanError(
-                    "crash needs rank plus cycle=/event=/site=+index="
-                )
-            return
-        if self.rank < 0 or self.nth is None or self.nth < 1:
-            raise FaultPlanError("delay needs rank= and nth>=1")
-        if self.seconds <= 0:
-            raise FaultPlanError("delay needs seconds>0")
-        if self.op not in _OPS:
-            raise FaultPlanError(f"op must be send or put, got {self.op!r}")
-
-    def describe(self) -> str:
-        if self.kind == "crash":
-            return f"crash rank {self.rank} at {self.site}[{self.index}]"
-        return (
-            f"delay {self.op} #{self.nth} of rank {self.rank} "
-            f"by {self.seconds}s"
-        )
-
-
-_CLAUSE_KEYS = {
-    "crash": {"rank", "cycle", "event", "site", "index"},
-    "delay": {"rank", "nth", "seconds", "op"},
-}
 
 
 def _parse_clause(clause: str) -> FaultSpec:
-    kind, _, body = clause.partition(":")
-    kind = kind.strip()
-    if kind not in _KINDS:
+    kind, _, body = (part.strip() for part in clause.partition(":"))
+    if kind not in _KEYS:
         raise FaultPlanError(
             f"unknown fault kind {kind!r} in {clause!r}; "
-            f"expected one of {list(_KINDS)}"
+            f"expected one of {list(_KEYS)}"
         )
     kw: dict[str, str] = {}
-    if body.strip():
-        for item in body.split(","):
-            key, eq, value = item.partition("=")
-            if not eq:
-                raise FaultPlanError(f"malformed {key!r} in {clause!r}")
-            key = key.strip()
-            if key not in _CLAUSE_KEYS[kind]:
-                raise FaultPlanError(
-                    f"unknown key {key!r} for {kind!r} in {clause!r}; "
-                    f"expected one of {sorted(_CLAUSE_KEYS[kind])}"
-                )
-            kw[key] = value.strip()
+    for item in body.split(",") if body else ():
+        key, eq, value = (part.strip() for part in item.partition("="))
+        if not eq or key in kw:
+            problem = "repeated" if eq else "malformed"
+            raise FaultPlanError(f"{problem} key {key!r} in {clause!r}")
+        kw[key] = value
+    if not any(set(kw) == set(keys) for keys in _KEYS[kind]):
+        expected = " or ".join(",".join(keys) for keys in _KEYS[kind])
+        raise FaultPlanError(
+            f"{kind} takes keys {expected}, got {sorted(kw)} in {clause!r}"
+        )
     try:
         if kind == "crash":
-            site, index = kw.get("site"), kw.get("index")
-            if "cycle" in kw:
-                site, index = SITE_KMC_CYCLE, kw["cycle"]
-            elif "event" in kw:
-                site, index = SITE_KMC_EVENT, kw["event"]
-            return FaultSpec(
-                kind="crash",
-                rank=int(kw["rank"]),
-                site=site,
-                index=None if index is None else int(index),
+            at = "cycle" if "cycle" in kw else "event"
+            spec = FaultSpec(
+                clause, kind, int(kw["rank"]), f"kmc.{at}", int(kw[at])
             )
-        return FaultSpec(
-            kind="delay",
-            rank=int(kw["rank"]),
-            nth=int(kw["nth"]),
-            seconds=float(kw.get("seconds", 0.0)),
-            op=kw.get("op", "send"),
-        )
-    except KeyError as exc:
-        raise FaultPlanError(f"{clause!r} is missing {exc.args[0]}=") from exc
-    except FaultPlanError as exc:
-        raise FaultPlanError(f"{exc} in {clause!r}") from None
+        else:
+            spec = FaultSpec(
+                clause, kind, int(kw["rank"]), kw.get("op", "send"),
+                int(kw["nth"]), float(kw["seconds"]),
+            )
     except ValueError as exc:
         raise FaultPlanError(f"bad value in {clause!r}: {exc}") from exc
+    if spec.rank < 0 or spec.n < (1 if kind == "delay" else 0):
+        raise FaultPlanError(
+            f"rank and cycle/event must be >= 0, nth >= 1, in {clause!r}"
+        )
+    if kind == "delay" and spec.point not in ("send", "put"):
+        raise FaultPlanError(f"op must be send or put in {clause!r}")
+    # NaN fails the comparison; beyond TIMEOUT_MAX time.sleep overflows.
+    if kind == "delay" and not 0 < spec.seconds <= threading.TIMEOUT_MAX:
+        raise FaultPlanError(f"seconds must be finite and > 0 in {clause!r}")
+    return spec
 
 
-@dataclass(frozen=True)
-class FaultPlan:
-    """An immutable schedule of faults for one run."""
+def parse_plan(text: str) -> tuple[FaultSpec, ...]:
+    """The clauses of a plan (see the module docstring), in order.
 
-    specs: tuple[FaultSpec, ...] = ()
-
-    @classmethod
-    def parse(cls, text) -> "FaultPlan":
-        """Parse the semicolon-separated plan DSL (see module docstring).
-
-        Idempotent: an already-parsed :class:`FaultPlan` passes through.
-        """
-        if isinstance(text, FaultPlan):
-            return text
-        if text is None:
-            return cls()
-        return cls(tuple(
-            _parse_clause(clause.strip())
-            for clause in text.split(";")
-            if clause.strip()
-        ))
-
-    def describe(self) -> str:
-        if not self.specs:
-            return "no faults planned"
-        return "; ".join(s.describe() for s in self.specs)
-
-    def __bool__(self) -> bool:
-        return bool(self.specs)
-
-
-@dataclass
-class _Counters:
-    crashes: int = 0
-    delays: int = 0
-
-    @property
-    def injected(self) -> int:
-        return self.crashes + self.delays
+    Raises :class:`FaultPlanError` naming the first bad clause; a plan
+    with no clauses (``""``, ``" ; "``) parses to ``()``.
+    """
+    return tuple(
+        _parse_clause(clause.strip())
+        for clause in text.split(";")
+        if clause.strip()
+    )
 
 
 class FaultInjector:
-    """Per-run mutable fault state shared by every rank of a world.
+    """A plan's clauses plus what fired, shared by every rank of a world.
 
     The injector survives recovery attempts: a restarted world keeps the
     same injector, whose fired-crash set prevents the planned crash from
@@ -225,13 +152,14 @@ class FaultInjector:
     :meth:`absorb_state`), so this object always holds the whole state.
     """
 
-    def __init__(self, plan: FaultPlan) -> None:
+    def __init__(self, plan: str) -> None:
         self.plan = plan
+        self.specs = parse_plan(plan)
         self._lock = threading.Lock()
+        #: Indices into ``specs`` of the crashes that fired.
         self._fired: set[int] = set()
-        #: Per-rank count of sends and puts so far (delay triggers).
-        self._ordinals: dict[str, dict[int, int]] = {op: {} for op in _OPS}
-        self.counters = _Counters()
+        #: Per operation, per rank: how many sends/puts so far.
+        self._ordinals: dict[str, dict[int, int]] = {"send": {}, "put": {}}
 
     def crash_point(self, rank: int, site: str, index: int) -> None:
         """Raise :class:`InjectedFault` if a crash is planned here.
@@ -240,16 +168,15 @@ class FaultInjector:
         drivers call it at the top of every cycle / event).  Each crash
         spec fires at most once, ever.
         """
-        for i, spec in enumerate(self.plan.specs):
-            if spec.kind != "crash" or spec.rank != rank:
-                continue
-            if spec.site != site or spec.index != index:
+        for i, spec in enumerate(self.specs):
+            if (spec.kind, spec.rank, spec.point, spec.n) != (
+                "crash", rank, site, index
+            ):
                 continue
             with self._lock:
                 if i in self._fired:
                     continue
                 self._fired.add(i)
-                self.counters.crashes += 1
             obs.add("runtime.faults.injected")
             obs.add("runtime.faults.crashes")
             raise InjectedFault(
@@ -263,82 +190,61 @@ class FaultInjector:
         delay fires on this operation.  Ordinals only grow, so each
         delay fires at most once.
         """
-        seconds = 0.0
         with self._lock:
             ordinals = self._ordinals[op]
             n = ordinals[rank] = ordinals.get(rank, 0) + 1
-            for spec in self.plan.specs:
-                if (spec.kind, spec.op, spec.rank, spec.nth) == (
-                    "delay", op, rank, n
-                ):
-                    self.counters.delays += 1
-                    seconds = max(seconds, spec.seconds)
+        seconds = max(
+            (
+                spec.seconds for spec in self.specs
+                if (spec.kind, spec.rank, spec.point, spec.n)
+                == ("delay", rank, op, n)
+            ),
+            default=0.0,
+        )
         if seconds:
             obs.add("runtime.faults.injected")
             obs.add("runtime.faults.delays")
         return seconds
 
-    # ------------------------------------------------------------------
-    # Cross-process state transfer (the simmpi process backend)
-    # ------------------------------------------------------------------
     def export_state(self) -> dict:
-        """Fired crashes, operation ordinals and counters — picklable.
+        """Fired crashes and operation ordinals — picklable.
 
         A forked child's injector copy mutates independently of the
-        parent's; the child ships this dict back at exit so the parent
-        injector stays the single owner of the state: crash
-        one-shot-ness and the send/put ordinals survive a recovery
-        supervisor re-forking the world.
+        parent's; the child ships this dict back at exit, and the parent
+        absorbs it so crash one-shot-ness and the send/put ordinals
+        survive a recovery supervisor re-forking the world.
         """
         with self._lock:
             return {
-                "fired": sorted(self._fired),
-                "ordinals": {
-                    op: dict(counts) for op, counts in self._ordinals.items()
-                },
-                "counters": asdict(self.counters),
+                "fired": set(self._fired),
+                "ordinals": {op: dict(n) for op, n in self._ordinals.items()},
             }
 
-    def absorb_state(self, state: dict, base: dict | None = None) -> None:
-        """Merge a child injector's :meth:`export_state` into this one.
+    def absorb_state(self, state: dict) -> None:
+        """Merge an :meth:`export_state`: union of fired, max of ordinals.
 
-        ``base`` is the child's export at fork time (i.e. this
-        injector's state when the world started): counters are absorbed
-        as deltas against it so inherited history is not double-counted.
-        Send/put ordinals are per-rank and each rank runs in exactly one
-        child, so the child's value replaces the parent's.
+        Idempotent, so a child's copy of history it inherited at fork
+        is never counted twice.
         """
         with self._lock:
-            self._fired.update(int(i) for i in state["fired"])
+            self._fired |= state["fired"]
             for op, counts in state["ordinals"].items():
                 mine = self._ordinals[op]
                 for rank, n in counts.items():
                     mine[rank] = max(n, mine.get(rank, 0))
-            base_counters = (base or {}).get("counters", {})
-            c = self.counters
-            for key, value in state["counters"].items():
-                delta = value - base_counters.get(key, 0)
-                if delta > 0:
-                    setattr(c, key, getattr(c, key) + delta)
 
     def snapshot(self) -> dict:
-        """Counters of everything injected so far (for reports/results)."""
+        """What was injected so far (for reports/results), and the plan."""
         with self._lock:
-            return {
-                "injected": self.counters.injected,
-                **asdict(self.counters),
-                "plan": self.plan.describe(),
-            }
-
-
-def resolve_plan(faults) -> FaultPlan | None:
-    """Normalize a ``--faults`` value: str | FaultPlan | None -> FaultPlan.
-
-    An empty plan is no plan: it resolves to ``None``.
-    """
-    if faults is None:
-        return None
-    if isinstance(faults, (FaultPlan, str)):
-        plan = FaultPlan.parse(faults)
-        return plan if plan else None
-    raise TypeError(f"cannot interpret fault plan of type {type(faults)!r}")
+            crashes = len(self._fired)
+            delays = sum(
+                spec.kind == "delay"
+                and self._ordinals[spec.point].get(spec.rank, 0) >= spec.n
+                for spec in self.specs
+            )
+        return {
+            "injected": crashes + delays,
+            "crashes": crashes,
+            "delays": delays,
+            "plan": self.plan,
+        }

@@ -48,9 +48,10 @@ Each child records into its own :class:`TrafficStats`, observe
 :class:`~repro.runtime.faults.FaultInjector`; at exit it ships those
 through a result pipe and the parent merges them, so ``world.stats``,
 the active observe registry, and the shared injector end up equivalent
-to a thread-backend run — fired crash specs and operation ordinals
-included, so a recovery supervisor re-forking the world continues
-exactly where a thread-backend rerun would.
+to a thread-backend run.  The injector merge (fired crash specs union,
+operation ordinals take the maximum) is idempotent, so history a child
+inherited at fork counts once and a recovery supervisor re-forking the
+world continues exactly where a thread-backend rerun would.
 
 Determinism
 -----------
@@ -316,9 +317,6 @@ class ProcessRanks:
         self._endpoints = _Endpoints(ctx, self._groups)
         self._registry = obs.active()
         obs_trace = self._registry._trace if self._registry is not None else None
-        self._faults_base = (
-            self._faults.export_state() if self._faults is not None else None
-        )
         with obs.phase("runtime.spawn_processes"):
             for gi, group in enumerate(self._groups):
                 conn, child_conn = ctx.Pipe(duplex=False)
@@ -420,7 +418,7 @@ class ProcessRanks:
             self.results.update(report["results"])
             self._stats.absorb_state(report["stats"])
             if report["faults"] is not None:
-                self._faults.absorb_state(report["faults"], base=self._faults_base)
+                self._faults.absorb_state(report["faults"])
             if report["obs"] is not None and self._registry is not None:
                 label = _names(g, self._groups[g])["observe"]
                 self._registry.absorb_state(report["obs"], label=label)

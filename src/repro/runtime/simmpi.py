@@ -46,12 +46,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro import observe as obs
-from repro.runtime.faults import (
-    FaultInjector,
-    FaultPlan,
-    InjectedFault,
-    resolve_plan,
-)
+from repro.runtime.faults import FaultInjector, InjectedFault
 from repro.runtime.layers import Layer, compose
 from repro.runtime.stats import TrafficStats, payload_nbytes
 from repro.runtime.transport import (
@@ -499,12 +494,11 @@ class World:
     nranks:
         Number of ranks.
     faults:
-        Optional :class:`~repro.runtime.faults.FaultPlan` or its DSL
-        string (or an already shared
-        :class:`~repro.runtime.faults.FaultInjector`) that sends,
-        one-sided puts, and engine fault points consult.  ``None`` or an
-        empty plan (the default) composes no fault layer and keeps every
-        hot path exactly as before.  A planned crash aborts the world
+        Optional :class:`~repro.runtime.faults.FaultInjector` that
+        sends, one-sided puts, and engine fault points consult; pass the
+        same injector to every world of a recovered run.  ``None`` (the
+        default) composes no fault layer and keeps every hot path
+        exactly as before.  A planned crash aborts the world
         and raises :class:`~repro.runtime.faults.InjectedFault` out of
         :meth:`run` on every backend.
     watchdog:
@@ -541,7 +535,7 @@ class World:
     def __init__(
         self,
         nranks: int,
-        faults: FaultPlan | FaultInjector | str | None = None,
+        faults: FaultInjector | None = None,
         watchdog: float | None = None,
         backend: str | None = None,
         workers: int | None = None,
@@ -555,9 +549,6 @@ class World:
         self.backend = resolve_backend(backend)
         self.workers = resolve_workers(workers)
         self.stats = TrafficStats(nranks)
-        if not isinstance(faults, FaultInjector):
-            plan = resolve_plan(faults)
-            faults = None if plan is None else FaultInjector(plan)
         self.faults = faults
         self.watchdog = watchdog
         self.sanitize = sanitize

@@ -123,11 +123,13 @@ class ScenarioSpec:
         ``backend=None`` defers to ``REPRO_BACKEND`` and
         ``workers=None`` to ``REPRO_WORKERS`` / the cpu count.
     faults / checkpoint_every / watchdog:
-        Fault plan (DSL string), KMC checkpoint cadence (serial events
-        / parallel cycles), and the per-wait deadline in seconds of the
-        parallel runtime's blocking calls (``None``: none); recovery
-        converges bit-identically, so none of them affects the
-        published result.
+        Fault plan (the :mod:`repro.runtime.faults` DSL string; every
+        clause must be able to fire on the chosen KMC engine, and a
+        plan with no clauses becomes ``None``), KMC checkpoint cadence
+        (serial events / parallel cycles), and the per-wait deadline in
+        seconds of the parallel runtime's blocking calls (``None``:
+        none); recovery converges bit-identically, so none of them
+        affects the published result.
     """
 
     cells: int = 8
@@ -239,12 +241,27 @@ class ScenarioSpec:
                     "faults must be the plan DSL string (serializable), "
                     f"got {type(self.faults).__name__}"
                 )
-            from repro.runtime.faults import FaultPlan, FaultPlanError
+            from repro.runtime.faults import FaultPlanError, parse_plan
 
             try:
-                FaultPlan.parse(self.faults)
+                specs = parse_plan(self.faults)
             except FaultPlanError as exc:
                 raise SpecError(f"bad faults plan: {exc}") from exc
+            # Each engine's fault points: the serial one has rank 0's
+            # events and no World; the parallel one cycles and messages.
+            if self.kmc_nranks is None:
+                engine, points = "serial engine (rank 0, event=)", ("kmc.event",)
+            else:
+                engine = f"{self.kmc_nranks}-rank parallel engine (cycle=, delay)"
+                points = ("kmc.cycle", "send", "put")
+            for spec in specs:
+                if spec.rank >= (self.kmc_nranks or 1) or spec.point not in points:
+                    raise SpecError(
+                        f"bad faults plan: {spec.clause!r} cannot fire on "
+                        f"the {engine}"
+                    )
+            if not specs:  # an empty plan is no plan
+                object.__setattr__(self, "faults", None)
 
     # ------------------------------------------------------------------
     # Serialization

@@ -194,7 +194,7 @@ class TestFaultFlags:
         )
         out = capsys.readouterr().out
         assert rc == 0
-        assert "fault plan: crash rank 1 at kmc.cycle[3]" in out
+        assert "fault plan: crash:rank=1,cycle=3" in out
         # One observable outcome per crash, whatever the backend.
         assert [
             line for line in out.splitlines()
@@ -203,20 +203,22 @@ class TestFaultFlags:
         assert (tmp_path / "kmc_checkpoint.npz").exists()
 
     def test_bad_fault_plan_exits_2(self, capsys):
-        # Routed through argparse (type=): usage error, SystemExit(2).
+        # The ScenarioSpec's SpecError is a usage error: SystemExit(2).
         for plan, named in [("explode:rank=0,cycle=1", "explode"),
                             ("dup:rank=0,nth=1", "'dup'"),
-                            ("crash:rank=abc,cycle=1", "rank=abc")]:
+                            ("crash:rank=abc,cycle=1", "rank=abc"),
+                            ("delay:rank=0,nth=1,seconds=inf", "seconds"),
+                            ("crash:rank=0,cycle=3", "serial engine")]:
             with pytest.raises(SystemExit) as exc_info:
                 main(["coupled", "--faults", plan])
             err = capsys.readouterr().err
             assert exc_info.value.code == 2
-            assert "bad --faults plan" in err
+            assert "bad faults plan" in err
             assert named in err
             assert "usage:" in err
 
     def test_bad_fault_plan_exits_2_on_submit(self, capsys, tmp_path):
-        # Same validation path (argparse type=) on the service surface.
+        # Same validation path (the ScenarioSpec) on the service surface.
         with pytest.raises(SystemExit) as exc_info:
             main(
                 [
@@ -227,7 +229,7 @@ class TestFaultFlags:
             )
         err = capsys.readouterr().err
         assert exc_info.value.code == 2
-        assert "bad --faults plan" in err
+        assert "bad faults plan" in err
         assert "explode" in err
 
     def test_watchdog_flag_accepted(self, capsys):

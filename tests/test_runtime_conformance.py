@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.kmc.akmc import ParallelAKMC
-from repro.runtime.faults import FaultInjector, FaultPlan, InjectedFault
+from repro.runtime.faults import FaultInjector, InjectedFault
 from repro.runtime.procbackend import fork_available
 from repro.runtime.simmpi import ANY_SOURCE, ANY_TAG, World
 
@@ -101,7 +101,7 @@ FAULTS = {
 
 def run_program(backend, workers=None, sanitize=False, faults="none"):
     plan = FAULTS[faults]
-    injector = FaultInjector(FaultPlan.parse(plan)) if plan else None
+    injector = FaultInjector(plan) if plan else None
     world = World(
         R, faults=injector, backend=backend, workers=workers, sanitize=sanitize
     )
@@ -140,27 +140,22 @@ def test_conformance(reference, backend, workers, sanitize, faults):
     assert_same_ledger(world.stats.snapshot(), expected_ledger)
     assert world.pending_messages() == 0
     if faults == "delay":
-        assert injector.counters.delays == 2
+        assert injector.snapshot()["delays"] == 2
 
 
 def test_layers_compose_in_one_order_on_every_backend():
     def main(comm):
         return comm.layers
 
-    plan = FaultPlan.parse("crash:rank=0,cycle=99")
+    injector = FaultInjector("crash:rank=0,cycle=99")
     for backend in BACKENDS:
         if backend == "process" and not fork_available():
             continue
-        world = World(2, faults=plan, backend=backend, workers=2, sanitize=True)
+        world = World(
+            2, faults=injector, backend=backend, workers=2, sanitize=True
+        )
         (layers, _same) = world.run(main, timeout=60.0)
         assert layers == ("sanitize", "faults", "traffic")
-
-
-def test_an_empty_plan_composes_no_fault_layer():
-    for backend in ("thread", "overdecomposed"):
-        world = World(2, faults=FaultPlan.parse(""), backend=backend, workers=2)
-        assert world.faults is None
-        assert world.run(lambda comm: comm.layers) == [("traffic",)] * 2
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +249,7 @@ def test_fired_set_survives_a_recovery_refork(backend):
         return seen
 
     plan = "delay:rank=0,nth=1,seconds=0.001; crash:rank=1,cycle=2"
-    injector = FaultInjector(FaultPlan.parse(plan))
+    injector = FaultInjector(plan)
     with pytest.raises(InjectedFault):
         World(3, faults=injector, backend=backend, workers=2).run(
             main, timeout=60.0
@@ -264,6 +259,6 @@ def test_fired_set_survives_a_recovery_refork(backend):
     rerun = World(3, faults=injector, backend=backend, workers=2).run(
         main, timeout=60.0
     )
-    counters = injector.counters
-    assert (counters.crashes, counters.delays) == (1, 1)
+    report = injector.snapshot()
+    assert (report["crashes"], report["delays"]) == (1, 1)
     assert rerun == [[((r - 1) % 3, c) for c in range(4)] for r in range(3)]

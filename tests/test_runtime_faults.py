@@ -1,6 +1,7 @@
 """Fault-injection plans and their enforcement inside the runtime.
 
-Covers the plan DSL (parse/validate/describe), crash points raising
+Covers the plan DSL (one parser, validating every clause), the
+injector's derived report and idempotent merge, crash points raising
 through ``World.run``, delays that must stay within MPI semantics (a
 sender-side pause preserves per-source FIFO, on sends and window puts
 alike), and the optional watchdog deadlines on recv/probe/collectives.
@@ -12,40 +13,32 @@ import pytest
 
 from repro.runtime.faults import (
     FaultInjector,
-    FaultPlan,
     FaultPlanError,
     InjectedFault,
+    parse_plan,
 )
 from repro.runtime.simmpi import WatchdogTimeout, World
 
 
 class TestFaultPlanParsing:
     def test_parse_crash_cycle(self):
-        plan = FaultPlan.parse("crash:rank=1,cycle=5")
-        assert len(plan.specs) == 1
-        spec = plan.specs[0]
-        assert (spec.kind, spec.rank, spec.site, spec.index) == (
+        (spec,) = parse_plan("crash:rank=1,cycle=5")
+        assert (spec.kind, spec.rank, spec.point, spec.n) == (
             "crash", 1, "kmc.cycle", 5,
         )
+        assert spec.clause == "crash:rank=1,cycle=5"
 
     def test_parse_multiple_clauses(self):
-        plan = FaultPlan.parse(
+        specs = parse_plan(
             "crash:rank=0,event=10; delay:rank=1,nth=2,seconds=0.01"
         )
-        assert [s.kind for s in plan.specs] == ["crash", "delay"]
+        assert [s.kind for s in specs] == ["crash", "delay"]
+        assert (specs[1].point, specs[1].n, specs[1].seconds) == ("send", 2, 0.01)
 
     def test_parse_empty_is_falsy(self):
-        assert not FaultPlan.parse("")
-        assert not FaultPlan.parse(None)
-        assert FaultPlan.parse("crash:rank=0,cycle=1")
-
-    def test_describe_roundtrips_the_intent(self):
-        text = FaultPlan.parse(
-            "crash:rank=1,cycle=3; delay:rank=2,nth=3,seconds=0.5,op=put"
-        ).describe()
-        assert text == (
-            "crash rank 1 at kmc.cycle[3]; delay put #3 of rank 2 by 0.5s"
-        )
+        assert parse_plan("") == ()
+        assert parse_plan(" ; ") == ()
+        assert parse_plan("crash:rank=0,cycle=1")
 
     @pytest.mark.parametrize(
         "bad",
@@ -63,24 +56,31 @@ class TestFaultPlanParsing:
             "dup:rank=0,nth=1",
             "stall:rank=0,nth=1,seconds=0.1",
             "delay:rank=0,nth=1,seconds=0.1,op=bcast",
+            # A pause no sleep can take, one that pauses nothing, a
+            # crash point named twice, and a key given twice.
+            "delay:rank=0,nth=1,seconds=inf",
+            "delay:rank=0,nth=1,seconds=nan",
+            "crash:rank=0,cycle=1,event=2",
+            "delay:rank=0,nth=1,seconds=0.1,nth=2",
         ],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(FaultPlanError) as exc_info:
-            FaultPlan.parse(bad)
+            parse_plan(bad)
         message = str(exc_info.value)
         assert repr(bad) in message  # the error names the clause
         if bad.partition(":")[0] not in ("crash", "delay"):
             assert "expected one of ['crash', 'delay']" in message
 
-    def test_parse_is_idempotent_on_plan(self):
-        plan = FaultPlan.parse("crash:rank=0,cycle=1")
-        assert FaultPlan.parse(plan) is plan
+    def test_injector_reports_the_plan_as_written(self):
+        plan = "crash:rank=1,cycle=3;  delay:rank=0,nth=2,seconds=0.5,op=put"
+        report = FaultInjector(plan).snapshot()
+        assert report == {"injected": 0, "crashes": 0, "delays": 0, "plan": plan}
 
 
 class TestCrashInjection:
     def test_crash_point_fires_exactly_once(self):
-        inj = FaultInjector(FaultPlan.parse("crash:rank=0,cycle=3"))
+        inj = FaultInjector("crash:rank=0,cycle=3")
         inj.crash_point(0, "kmc.cycle", 2)  # wrong index: no fire
         inj.crash_point(1, "kmc.cycle", 3)  # wrong rank: no fire
         with pytest.raises(InjectedFault):
@@ -98,7 +98,7 @@ class TestCrashInjection:
 
         for backend in ("thread", "process", "overdecomposed"):
             world = World(
-                3, faults=FaultPlan.parse("crash:rank=2,cycle=4"), backend=backend,
+                3, faults=FaultInjector("crash:rank=2,cycle=4"), backend=backend,
                 workers=2,
             )
             with pytest.raises(InjectedFault):
@@ -107,19 +107,35 @@ class TestCrashInjection:
 
     def test_rerun_after_crash_completes(self):
         # The injector persists across World instances; the second
-        # attempt (same plan object) must run clean.
+        # attempt (same injector) must run clean.
         def main(comm):
             for cycle in range(6):
                 comm.fault_point("kmc.cycle", cycle)
                 comm.barrier()
             return comm.rank
 
-        plan = FaultPlan.parse("crash:rank=0,cycle=2")
-        inj = FaultInjector(plan)
+        inj = FaultInjector("crash:rank=0,cycle=2")
         with pytest.raises(InjectedFault):
             World(2, faults=inj).run(main)
         assert World(2, faults=inj).run(main) == [0, 1]
         assert inj.snapshot()["crashes"] == 1
+
+    def test_absorbing_a_child_state_is_idempotent(self):
+        # A forked child starts from the parent's state; merging its
+        # export (twice, even) counts each fired fault once.
+        parent = FaultInjector("crash:rank=1,cycle=0; delay:rank=0,nth=2,seconds=1")
+        parent.pause(0, "send")
+        child = FaultInjector(parent.plan)
+        child.absorb_state(parent.export_state())
+        assert child.pause(0, "send") == 1.0
+        with pytest.raises(InjectedFault):
+            child.crash_point(1, "kmc.cycle", 0)
+        for _ in range(2):
+            parent.absorb_state(child.export_state())
+        report = parent.snapshot()
+        assert (report["crashes"], report["delays"]) == (1, 1)
+        assert parent.pause(0, "send") == 0.0
+        parent.crash_point(1, "kmc.cycle", 0)  # fired once, ever
 
 
 class TestMessagingFaults:
@@ -134,7 +150,7 @@ class TestMessagingFaults:
             return [comm.recv(source=0, tag=7)[2] for _ in range(4)]
 
         world = World(
-            2, faults=FaultPlan.parse("delay:rank=0,nth=2,seconds=0.05")
+            2, faults=FaultInjector("delay:rank=0,nth=2,seconds=0.05")
         )
         t0 = time.perf_counter()
         results = world.run(main)
@@ -159,7 +175,7 @@ class TestWindowFaults:
     def test_put_stall_is_pure_timing(self):
         t0 = time.perf_counter()
         world, results = self._run(
-            FaultPlan.parse("delay:rank=0,nth=2,seconds=0.05,op=put")
+            FaultInjector("delay:rank=0,nth=2,seconds=0.05,op=put")
         )
         assert time.perf_counter() - t0 >= 0.05
         assert results[1] == [("item", 0), ("item", 1), ("item", 2)]

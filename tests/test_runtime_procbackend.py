@@ -20,7 +20,7 @@ import repro
 from repro import observe as obs
 from repro.kmc.akmc import ParallelAKMC
 from repro.observe.registry import Registry
-from repro.runtime.faults import FaultPlan, InjectedFault
+from repro.runtime.faults import FaultInjector, InjectedFault
 from repro.runtime.procbackend import fork_available
 from repro.runtime.simmpi import (
     WatchdogTimeout,
@@ -308,7 +308,7 @@ class TestFailureParity:
             world.run(main, timeout=60.0)
 
     def test_injected_fault_typed_and_one_shot_across_reruns(self):
-        plan = FaultPlan.parse("crash:rank=1,cycle=2")
+        injector = FaultInjector("crash:rank=1,cycle=2")
 
         def main(comm):
             for cycle in range(4):
@@ -316,14 +316,14 @@ class TestFailureParity:
                 comm.barrier()
             return comm.rank
 
-        world = World(2, faults=plan, backend="process")
+        world = World(2, faults=injector, backend="process")
         with pytest.raises(InjectedFault, match=r"rank 1 at kmc.cycle\[2\]"):
             world.run(main, timeout=60.0)
-        assert world.faults.counters.crashes == 1
+        assert world.faults.snapshot()["crashes"] == 1
         # Recovery semantics: same injector, new world -> no second crash.
         retry = World(2, faults=world.faults, backend="process")
         assert retry.run(main, timeout=60.0) == [0, 1]
-        assert world.faults.counters.crashes == 1
+        assert world.faults.snapshot()["crashes"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import repro
+from repro.runtime.simmpi import World
 from repro.service.spec import (
     EXECUTION_FIELDS,
     IDENTITY_FIELDS,
@@ -92,7 +93,12 @@ class TestKey:
     ])
     def test_execution_fields_do_not_change_key(self, name, value):
         assert name in EXECUTION_FIELDS
-        assert ScenarioSpec(**{name: value}).key() == ScenarioSpec().key()
+        # On the parallel engine, where every value here can run.
+        base = {"kmc_nranks": 4}
+        assert (
+            ScenarioSpec(**base, **{name: value}).key()
+            == ScenarioSpec(**base).key()
+        )
 
 
 class TestValidation:
@@ -128,10 +134,40 @@ class TestValidation:
          "recombination_radius must be finite"),
         ({"watchdog": float("inf")}, "watchdog must be finite"),
         ({"watchdog": "nan"}, "watchdog must be finite"),
+        # A plan that cannot fire on its engine names the clause: ranks
+        # beyond the world, cycles and delays on the serial engine
+        # (which has events and no World), events on the parallel one.
+        ({"faults": "crash:rank=1,event=3"},
+         r"bad faults plan: 'crash:rank=1,event=3' .*serial engine"),
+        ({"faults": "crash:rank=0,cycle=3"},
+         r"bad faults plan: 'crash:rank=0,cycle=3' .*serial engine"),
+        ({"faults": "delay:rank=0,nth=1,seconds=0.1"},
+         "bad faults plan: 'delay:rank=0,nth=1,seconds=0.1' .*serial engine"),
+        ({"kmc_nranks": 2, "faults": "crash:rank=2,cycle=1"},
+         "bad faults plan: 'crash:rank=2,cycle=1' .*2-rank parallel engine"),
+        ({"kmc_nranks": 2, "faults": "delay:rank=2,nth=1,seconds=0.1,op=put"},
+         "bad faults plan: .*'delay:rank=2.*2-rank parallel engine"),
+        ({"kmc_nranks": 2, "faults": "crash:rank=0,event=3"},
+         "bad faults plan: 'crash:rank=0,event=3' .*2-rank parallel engine"),
     ])
     def test_bad_values_rejected(self, kwargs, match):
         with pytest.raises(SpecError, match=match):
             ScenarioSpec(**kwargs)
+
+    def test_plans_that_fit_their_engine_accepted(self):
+        serial = ScenarioSpec(faults="crash:rank=0,event=3")
+        assert serial.faults == "crash:rank=0,event=3"
+        plan = "crash:rank=1,cycle=3; delay:rank=0,nth=2,seconds=0.01,op=put"
+        assert ScenarioSpec(kmc_nranks=2, faults=plan).faults == plan
+
+    def test_an_empty_plan_composes_no_fault_layer(self):
+        # An empty plan is no plan: the spec holds None, so the run
+        # builds no injector and its worlds compose no fault layer.
+        for plan in ("", " ; "):
+            assert ScenarioSpec(kmc_nranks=2, faults=plan).faults is None
+        for backend in ("thread", "overdecomposed"):
+            world = World(2, faults=None, backend=backend, workers=2)
+            assert world.run(lambda comm: comm.layers) == [("traffic",)] * 2
 
     def test_feasible_decomposition_accepted(self):
         assert ScenarioSpec(cells=8, kmc_nranks=8).kmc_nranks == 8
