@@ -9,7 +9,8 @@ buffer does not bring obvious performance improvement".
 
 Reproduction: the blocked CPE kernel executes the real EAM step on a
 scaled-down lattice under each strategy; multi-CG points divide the
-per-CG work and add the modeled inter-node exchange.
+per-CG work and add the MD scaling model's halo exchange, which prices
+the traffic an executed ``ParallelDamageMD`` run sends.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 from repro.lattice.bcc import BCCLattice
 from repro.md.neighbors.lattice_list import LatticeNeighborList
 from repro.md.state import AtomState
-from repro.perfmodel.machine import EXCHANGE_MESSAGES, TAIHULIGHT
-from repro.perfmodel.md_model import boundary_sites
+from repro.perfmodel.machine import TAIHULIGHT
+from repro.perfmodel.md_model import halo_time
 from repro.potential.fe import make_fe_potential
 from repro.sunway.arch import SunwayArch
 from repro.sunway.kernel import STRATEGY_LADDER, BlockedEAMKernel
@@ -50,8 +51,6 @@ def run(
     state.x = state.x + rng.normal(0.0, 0.05, state.x.shape)
     nblist = LatticeNeighborList(lattice, potential.cutoff)
     arch = SunwayArch()
-    machine = TAIHULIGHT
-    network = machine.network
 
     per_strategy_time: dict[str, float] = {}
     reports = {}
@@ -65,13 +64,9 @@ def run(
 
     rows = []
     for cores in cores_list:
-        cgs = machine.cgs_from_cores(cores)
-        atoms_per = lattice.nsites / cgs
-        surface = boundary_sites(atoms_per) if cgs > 1 else 0.0
+        cgs = TAIHULIGHT.cgs_from_cores(cores)
         comm = (
-            2 * network.exchange(EXCHANGE_MESSAGES, surface * 32.0, cgs)
-            if cgs > 1
-            else 0.0
+            halo_time(lattice.nsites / cgs, cgs, TAIHULIGHT.network) if cgs > 1 else 0.0
         )
         for strategy in STRATEGY_LADDER:
             total = per_strategy_time[strategy.name] / cgs + comm

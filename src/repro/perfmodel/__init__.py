@@ -7,14 +7,17 @@ DESIGN.md, we regenerate their *shape* from first-principles arithmetic:
     T(P) = compute(workload / P) + pack(boundary) + network(P) + sync(P)
 
 with the MD compute cost measured from this repository's blocked CPE
-kernel, documented default traffic volumes (ghost bytes per boundary
-site, bytes per KMC event, 26 messages per exchange), and the one
-TaihuLight network price list (:mod:`repro.perfmodel.machine`), which
-also prices the executed traffic counts of Figure 13.  The models make
-the same qualitative predictions the paper measures: strong-scaling
-decay to ~40% at 64x for MD, the KMC L2 super-linear window, flat
-compute/growing communication in weak scaling, and coupled efficiency of
-~76% at 6.24M cores.
+kernel, the traffic counted from two small executed runs of the parallel
+engines (ghost width, bytes per ghost row and exchanges per MD step;
+bytes per event and exchanges per on-demand KMC cycle — see
+:func:`~repro.perfmodel.calibrate.executed_traffic`), 26 messages per
+exchange, and the one TaihuLight network price list
+(:mod:`repro.perfmodel.machine`), which also prices the executed traffic
+counts of Figure 13.  The models make the same qualitative predictions
+the paper measures: strong-scaling decay to ~40% at 64x for MD, the KMC
+L2 super-linear window, flat compute/growing communication in weak
+scaling, and a coupled efficiency that declines to ~68% at 6.24M cores
+(the paper's 75.7%).
 """
 
 from repro.perfmodel.machine import ScalingNetwork, TAIHULIGHT, MachineSpec

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.perfmodel.calibrate import CalibratedCosts
 from repro.perfmodel.kmc_model import KMCScalingModel
-from repro.perfmodel.machine import TAIHULIGHT, MachineSpec
+from repro.perfmodel.machine import TAIHULIGHT, MachineSpec, weak_scaling_rows
 from repro.perfmodel.md_model import MDScalingModel
 
 
@@ -55,20 +55,11 @@ class CoupledScalingModel:
             "total": md_time + kmc_time,
         }
 
-    def weak_scaling(
-        self, atoms_per_cg: float, cores_list: list[int]
-    ) -> list[dict]:
+    def weak_scaling(self, atoms_per_cg: float, cores_list: list[int]) -> list[dict]:
         """Efficiency rows at fixed per-CG workload (Fig 16)."""
-        if not cores_list:
-            raise ValueError("cores_list must not be empty")
-        rows = []
-        base_total = None
-        for cores in cores_list:
-            r = self.run_time(atoms_per_cg, cores)
-            if base_total is None:
-                base_total = r["total"]
-            rows.append({**r, "efficiency": base_total / r["total"]})
-        return rows
+        return weak_scaling_rows(
+            lambda cores: self.run_time(atoms_per_cg, cores), cores_list
+        )
 
 
 def paper_coupled_cores() -> list[int]:

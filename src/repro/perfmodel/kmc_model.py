@@ -5,31 +5,30 @@ and per rank:
 
     T = sites_per_rank * t_scan * l2(ws)       (sweep bookkeeping)
       + vac_per_rank * t_event * l2(ws)        (rate computation + events)
-      + 8 * (26 * alpha + strip_bytes * beta)  (per-sector exchanges)
+      + 26 * X * alpha + vac_per_rank * B * beta(P)  (sector exchanges)
       + collective(P)                          (time synchronization)
 
-``l2(ws)`` is the L2-residence factor: when the active working set
-(vacancy records) fits the MPE's 256 KB L2, event service accelerates by
-``kmc_l2_speedup`` — the mechanism behind the paper's super-linear window
-("the benefit of L2 cache on the master cores, which can store the entire
-dataset").  Weak scaling is dominated by the growth of the collective
-time-synchronization cost ("the increased communication time is due to
-the collective operations used for time synchronization").
+The exchanges per cycle ``X`` (one per sector) and the bytes per event
+``B`` are counted from an executed on-demand ``ParallelAKMC`` run
+(:func:`~repro.perfmodel.calibrate.executed_traffic`) — Figs 14/15 are
+run with the paper's own (on-demand) code, so strips carry only
+event-affected sites.  ``l2(ws)`` is the L2-residence factor: when the
+active working set (vacancy records) fits the MPE's 256 KB L2, event
+service accelerates by ``kmc_l2_speedup`` — the mechanism behind the
+paper's super-linear window ("the benefit of L2 cache on the master
+cores, which can store the entire dataset").  Weak scaling is dominated
+by the growth of the collective time-synchronization cost ("the
+increased communication time is due to the collective operations used
+for time synchronization").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.perfmodel.calibrate import CalibratedCosts
+from repro.perfmodel.calibrate import CalibratedCosts, executed_traffic
 from repro.perfmodel.machine import EXCHANGE_MESSAGES, TAIHULIGHT, MachineSpec
-
-#: Bytes one rank ships per KMC event in a sector exchange of the
-#: on-demand scheme — Fig 14/15 are run with the paper's own (on-demand)
-#: code, so strips carry only event-affected sites.  A default estimate,
-#: not a measurement: the executed on-demand scheme of this repository
-#: sends 168 bytes per event (Figures 12-13 runs at 8 and 27 ranks).
-ONDEMAND_BYTES_PER_EVENT = 24.0
+from repro.perfmodel.machine import strong_scaling_rows, weak_scaling_rows
 
 
 @dataclass
@@ -39,7 +38,6 @@ class KMCScalingModel:
     costs: CalibratedCosts
     machine: MachineSpec = field(default_factory=lambda: TAIHULIGHT)
     vacancy_concentration: float = 4.5e-5
-    sectors: int = 8
 
     def _l2_factor(self, vacancies_per_rank: float) -> float:
         """Penalty multiplier when the active set spills out of L2."""
@@ -60,11 +58,14 @@ class KMCScalingModel:
             + vac_per * self.costs.kmc_event_time
         ) * l2
         net = self.machine.network
-        # Events per rank per sector bound the on-demand traffic.
-        strip_bytes = max(vac_per, 1.0) * ONDEMAND_BYTES_PER_EVENT
-        comm = self.sectors * net.exchange(EXCHANGE_MESSAGES, strip_bytes, cores)
+        traffic = executed_traffic()
+        # Events per rank per cycle bound the on-demand traffic.
+        comm = net.exchange(
+            EXCHANGE_MESSAGES * traffic.kmc_exchanges_per_cycle,
+            max(vac_per, 1.0) * traffic.kmc_bytes_per_event,
+            cores,
+        )
         sync = net.collective(cores)
-        total = compute + comm + sync
         return {
             "cores": cores,
             "sites_per_core": sites_per,
@@ -73,43 +74,20 @@ class KMCScalingModel:
             "compute": compute,
             "comm": comm + sync,
             "sync": sync,
-            "total": total,
+            "total": compute + comm + sync,
         }
 
     def strong_scaling(self, total_sites: float, cores_list: list[int]) -> list[dict]:
         """Speedup/efficiency rows against the first core count (Fig 14)."""
-        if not cores_list:
-            raise ValueError("cores_list must not be empty")
-        base = self.cycle_time(total_sites, cores_list[0])
-        rows = []
-        for cores in cores_list:
-            r = self.cycle_time(total_sites, cores)
-            ideal = cores / cores_list[0]
-            speedup = base["total"] / r["total"]
-            rows.append(
-                {
-                    **r,
-                    "ideal_speedup": ideal,
-                    "speedup": speedup,
-                    "efficiency": speedup / ideal,
-                }
-            )
-        return rows
+        return strong_scaling_rows(
+            lambda cores: self.cycle_time(total_sites, cores), cores_list
+        )
 
-    def weak_scaling(
-        self, sites_per_core: float, cores_list: list[int]
-    ) -> list[dict]:
+    def weak_scaling(self, sites_per_core: float, cores_list: list[int]) -> list[dict]:
         """Compute/comm breakdown at fixed per-core load (Fig 15)."""
-        if not cores_list:
-            raise ValueError("cores_list must not be empty")
-        rows = []
-        base_total = None
-        for cores in cores_list:
-            r = self.cycle_time(sites_per_core * cores, cores)
-            if base_total is None:
-                base_total = r["total"]
-            rows.append({**r, "efficiency": base_total / r["total"]})
-        return rows
+        return weak_scaling_rows(
+            lambda cores: self.cycle_time(sites_per_core * cores, cores), cores_list
+        )
 
 
 def paper_kmc_strong_cores() -> list[int]:

@@ -1,7 +1,7 @@
-"""Machine constants of the scaling models.
+"""Machine constants of the scaling models, and their scaling loops.
 
 :class:`ScalingNetwork` is the one Sunway network price list of the
-repository: it prices the assumed traffic of Figures 10-16 and the
+repository: it prices the counted traffic of Figures 9-16 and the
 executed traffic counts of Figure 13 alike.  It extends the postal model
 with a *power-law* contention term: at full-machine scale the effective
 per-byte cost of the TaihuLight interconnect degrades roughly as
@@ -11,6 +11,8 @@ a little higher, which is caused by the communication contention".
 
 :data:`TAIHULIGHT` collects the system-level facts of §3 ("total 40,960
 computing nodes", 4 CGs per node, 8 GB per CG, 1.45 GHz, 256 KB MPE L2).
+:func:`strong_scaling_rows` and :func:`weak_scaling_rows` turn any
+model's time at a core count into a figure's rows.
 """
 
 from __future__ import annotations
@@ -34,19 +36,26 @@ class ScalingNetwork:
     Attributes
     ----------
     alpha:
-        Per-message latency (s).
+        Per-message latency (s).  Fitted so Fig 14 lands in the paper's
+        band.
     beta0:
-        Per-byte cost (s) at the normalization scale ``p0``.
+        Per-byte cost (s) at the normalization scale ``p0``: 0.5 GB/s
+        per rank.  Fitted so Figs 10-11 land in the paper's band.
     gamma:
         Contention exponent: ``beta_eff = beta0 * (P / p0)^gamma`` for
-        ``P > p0``.
+        ``P > p0``.  Fitted so Fig 11 lands in the paper's 85% ("caused
+        by the communication contention").
     p0:
-        Rank count at which ``beta0`` is quoted.
+        Rank count at which ``beta0`` is quoted.  Fitted with ``gamma``
+        so Fig 11 lands in the paper's band.
     sync_alpha:
         Per-hop cost of the synchronization collectives (s); scaled by
-        tree depth and a contention factor of its own.
+        tree depth and a contention factor of its own.  Fitted so Figs
+        14-15 land in the paper's band.
     sync_contention:
-        Linear-in-depth inflation of collective hops at scale.
+        Linear-in-depth inflation of collective hops at scale.  Fitted
+        so Figs 14-15 land in the paper's band (Fig 15: "the collective
+        operations used for time synchronization").
     """
 
     alpha: float = 5.0e-6
@@ -126,3 +135,24 @@ class MachineSpec:
 
 #: The evaluation platform of §3.
 TAIHULIGHT = MachineSpec()
+
+
+def weak_scaling_rows(time_at, cores_list: list[int]) -> list[dict]:
+    """Efficiency rows of ``time_at(cores)`` against the first core count."""
+    if not cores_list:
+        raise ValueError("cores_list must not be empty")
+    rows = [time_at(cores) for cores in cores_list]
+    return [{**row, "efficiency": rows[0]["total"] / row["total"]} for row in rows]
+
+
+def strong_scaling_rows(time_at, cores_list: list[int]) -> list[dict]:
+    """Speedup/efficiency rows of ``time_at(cores)`` at a fixed total load.
+
+    The speedup is the first row's time over each row's: the weak rows'
+    efficiency.
+    """
+    rows = weak_scaling_rows(time_at, cores_list)
+    for cores, row in zip(cores_list, rows, strict=True):
+        ideal, speedup = cores / cores_list[0], row["efficiency"]
+        row.update(ideal_speedup=ideal, speedup=speedup, efficiency=speedup / ideal)
+    return rows

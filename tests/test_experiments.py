@@ -22,7 +22,11 @@ from repro.experiments import (
     memory_table,
 )
 from repro.experiments._kmc_comm import run_comm_experiment
+from repro.lattice.bcc import BCCLattice
+from repro.md.ghost import GhostExchanger
+from repro.md.parallel_damage import ParallelDamageMD
 from repro.perfmodel.machine import EXCHANGE_MESSAGES
+from repro.potential.fe import make_fe_potential
 
 #: Cycles of the Figure 12/13 runs of the ``kmc_comm_rows`` fixture.
 KMC_COMM_CYCLES = 6
@@ -144,6 +148,31 @@ class TestExecutedExperiments:
         assert row["traditional_messages"] == (
             rank_cycles * 2 * 8 * EXCHANGE_MESSAGES
         )
+
+    def test_model_traffic_inputs_match_executed_traffic(self, kmc_comm_rows):
+        # The scaling models price traffic counted from two 8-rank runs;
+        # runs those counts were not taken from send exactly as much.
+        from repro.perfmodel.calibrate import executed_traffic
+
+        traffic = executed_traffic()
+        (row,) = [r for r in kmc_comm_rows if r["ranks"] == 27]
+        assert row["ondemand_bytes"] / row["events"] == traffic.kmc_bytes_per_event
+        assert row["ondemand_messages"] / (
+            27 * KMC_COMM_CYCLES * EXCHANGE_MESSAGES
+        ) == traffic.kmc_exchanges_per_cycle
+        # MD on three ranks in a row: one neighbour below, one above.
+        md = ParallelDamageMD(BCCLattice(9, 9, 9), make_fe_potential(n=1000), nranks=3)
+        assert md.width == traffic.md_ghost_width
+        sites, _rows = md.decomp.subdomain(0).site_set(md.lattice, md.width)
+        plans = GhostExchanger(md.decomp, 0, sites.ranks, md.width).plans
+        assert len(plans) == 2
+        rows = sum(len(plan.send_rows) for plan in plans)
+        one, three = (md.run(nsteps).comm_stats for nsteps in (1, 3))
+        # Steps 1 and 2 run no run-away migration round (step 0 does).
+        sent_bytes = three["sent_bytes"][0] - one["sent_bytes"][0]
+        sent_messages = three["sent_messages"][0] - one["sent_messages"][0]
+        assert sent_bytes == 2 * rows * traffic.md_bytes_per_row
+        assert sent_messages == 2 * len(plans) * traffic.md_exchanges_per_step
 
     def test_fig17_clustering_direction(self):
         # Paper: "very dispersive" after MD, "several vacancy clusters are

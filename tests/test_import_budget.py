@@ -151,12 +151,10 @@ def _under(modules: list[str], *prefixes: str) -> list[str]:
 
 
 #: What a run does not configure it does not load: the registry, report
-#: and trace behind ``repro.observe`` (observation is off), the Fe-Cu
-#: residency tables (no run builds them) and the compacted table
-#: layout (``layout="traditional"``).
+#: and trace behind ``repro.observe`` (observation is off) and the
+#: compacted table layout (``layout="traditional"``).
 _NOT_CONFIGURED = (
     ("repro.observe.registry", "repro.observe.report", "repro.observe.trace"),
-    ("repro.potential.alloy",),
     ("repro.potential.compact",),
 )
 

@@ -70,7 +70,7 @@ class TestPaperConstraints:
         assert ls.free > 20 * 1024  # room for atom blocks
 
     def test_three_compacted_tables_do_not_fit(self):
-        # Why the alloy residency policy (and our pass structure) exist.
+        # Why the compacted layout (and our pass structure) exist.
         ls = LocalStore()
         ls.alloc("t1", 5001 * 8)
         with pytest.raises(LocalStoreOverflow):
