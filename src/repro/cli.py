@@ -5,19 +5,15 @@ Commands
 ``info``
     Library, machine-model, and experiment inventory.
 ``coupled``
-    Run the coupled MD-KMC pipeline at a chosen box size (a thin
-    client of the same :class:`~repro.service.ScenarioSpec` path the
-    service uses).
+    Run the coupled MD-KMC pipeline at a chosen box size (its flags
+    build the :class:`~repro.service.ScenarioSpec` a batch of
+    :func:`~repro.service.run_service` runs).
 ``cascade``
     Run one MD cascade and report the damage inventory.
 ``kmc-schemes``
     Compare the three parallel-KMC communication schemes.
 ``figure <id>``
     Regenerate a paper figure (``fig09`` .. ``fig17``, ``memory``).
-``submit`` / ``serve`` / ``status`` / ``result``
-    The simulation-as-a-service surface: enqueue scenario jobs on a
-    service root, drain them with a worker pool, inspect the queue,
-    and fetch published (content-addressed, deduplicated) results.
 
 All argument validation — including cross-flag checks and fault-plan
 parsing — routes through ``argparse``, so every usage error exits with
@@ -61,7 +57,7 @@ def _add_observe_flags(parser) -> None:
 
 
 def _add_backend_flags(parser) -> None:
-    """How a parallel KMC world runs (``coupled``, ``submit``, ``kmc-schemes``)."""
+    """How a parallel KMC world runs (``coupled``, ``kmc-schemes``)."""
     parser.add_argument(
         "--backend",
         choices=("thread", "process", "overdecomposed"),
@@ -87,65 +83,6 @@ def _add_backend_flags(parser) -> None:
     )
 
 
-def _add_scenario_flags(parser) -> None:
-    """The scenario flags ``coupled`` and ``submit`` share.
-
-    One flag per :class:`~repro.service.ScenarioSpec` field that
-    describes the scenario rather than this invocation;
-    :func:`_scenario_spec` reads them back.
-    """
-    parser.add_argument("--cells", type=int, default=8)
-    parser.add_argument("--events", type=int, default=500,
-                        help="KMC event budget (serial engine)")
-    parser.add_argument("--temperature", type=float, default=600.0)
-    parser.add_argument("--seed", type=int, default=2018)
-    parser.add_argument("--md-steps", type=int, default=None,
-                        help="MD cascade steps (default: cascade default)")
-    parser.add_argument("--pka", type=float, default=None, metavar="EV",
-                        help="PKA energy (default: cascade default)")
-    parser.add_argument("--table-points", type=int, default=2000)
-    parser.add_argument("--recombination-radius", type=float, default=None,
-                        metavar="A")
-    parser.add_argument(
-        "--kmc-ranks",
-        type=int,
-        default=None,
-        help=(
-            "run the KMC stage on the parallel engine with N ranks "
-            "(default: the serial engine; `coupled` also takes 0 for "
-            "serial, and defaults to 1 rank when profiling so the trace "
-            "covers the runtime layer)"
-        ),
-    )
-    parser.add_argument("--kmc-cycles", type=int, default=50,
-                        help="parallel-KMC cycle budget (with --kmc-ranks)")
-    parser.add_argument("--kmc-scheme", default="ondemand",
-                        choices=("traditional", "ondemand", "onesided"))
-    parser.add_argument(
-        "--faults",
-        metavar="PLAN",
-        default=None,
-        help=(
-            "fault-injection plan for the KMC stage, e.g. "
-            '"crash:rank=1,cycle=3; delay:rank=0,nth=2,seconds=0.01"; '
-            "the run recovers "
-            "from the last checkpoint and finishes bit-identically to a "
-            "fault-free run (see repro.runtime.faults for the syntax)"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "write a resumable KMC checkpoint every N cycles (parallel) "
-            "or N events (serial)"
-        ),
-    )
-    _add_backend_flags(parser)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -159,7 +96,54 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("info", help="library and machine-model inventory")
 
     coupled = sub.add_parser("coupled", help="run the coupled MD-KMC pipeline")
-    _add_scenario_flags(coupled)
+    coupled.add_argument("--cells", type=int, default=8)
+    coupled.add_argument("--events", type=int, default=500,
+                         help="KMC event budget (serial engine)")
+    coupled.add_argument("--temperature", type=float, default=600.0)
+    coupled.add_argument("--seed", type=int, default=2018)
+    coupled.add_argument("--md-steps", type=int, default=None,
+                         help="MD cascade steps (default: cascade default)")
+    coupled.add_argument("--pka", type=float, default=None, metavar="EV",
+                         help="PKA energy (default: cascade default)")
+    coupled.add_argument("--table-points", type=int, default=2000)
+    coupled.add_argument("--recombination-radius", type=float, default=None,
+                         metavar="A")
+    coupled.add_argument(
+        "--kmc-ranks",
+        type=int,
+        default=None,
+        help=(
+            "run the KMC stage on the parallel engine with N ranks "
+            "(default: the serial engine)"
+        ),
+    )
+    coupled.add_argument("--kmc-cycles", type=int, default=50,
+                         help="parallel-KMC cycle budget (with --kmc-ranks)")
+    coupled.add_argument("--kmc-scheme", default="ondemand",
+                         choices=("traditional", "ondemand", "onesided"))
+    coupled.add_argument(
+        "--faults",
+        metavar="PLAN",
+        default=None,
+        help=(
+            "fault-injection plan for the KMC stage, e.g. "
+            '"crash:rank=1,cycle=3; delay:rank=0,nth=2,seconds=0.01"; '
+            "the run recovers "
+            "from the last checkpoint and finishes bit-identically to a "
+            "fault-free run (see repro.runtime.faults for the syntax)"
+        ),
+    )
+    coupled.add_argument(
+        "--checkpoint-every",
+        type=int,
+        default=None,
+        metavar="N",
+        help=(
+            "write a resumable KMC checkpoint every N cycles (parallel) "
+            "or N events (serial)"
+        ),
+    )
+    _add_backend_flags(coupled)
     coupled.add_argument(
         "--checkpoint-dir",
         default=None,
@@ -183,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     coupled.add_argument(
         "--trajectory-every",
         type=int,
-        default=1,
+        default=None,
         metavar="N",
         help=(
             "record a trajectory frame every N events (serial) or "
@@ -240,79 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     figure = sub.add_parser("figure", help="regenerate a paper figure")
     figure.add_argument("id", choices=sorted(FIGURES))
     _add_observe_flags(figure)
-
-    # ------------------------------------------------------------------
-    # Simulation-as-a-service surface
-    # ------------------------------------------------------------------
-    def _root_flag(p) -> None:
-        p.add_argument(
-            "--root",
-            required=True,
-            metavar="DIR",
-            help="service root directory (queue/, cache/, obs/ live here)",
-        )
-
-    submit = sub.add_parser(
-        "submit",
-        help="enqueue one scenario job on a service root",
-        description=(
-            "Build a declarative ScenarioSpec from the flags and append "
-            "it durably to the service queue.  Identical specs dedupe "
-            "to one execution when scheduled; results are published "
-            "under the spec's content-addressed key."
-        ),
-    )
-    _root_flag(submit)
-    _add_scenario_flags(submit)
-    submit.add_argument(
-        "--trajectory-every", type=int, default=None, metavar="N",
-        help=(
-            "publish a chunked trajectory store recorded every N "
-            "events/cycles as part of the result (default: no store)"
-        ),
-    )
-    submit.set_defaults(_parser=submit)
-
-    serve = sub.add_parser(
-        "serve",
-        help="run a worker pool draining a service root",
-        description=(
-            "Schedule pending jobs onto forked worker processes: "
-            "identical specs share one execution, cached keys complete "
-            "immediately, crashed workers are retried with bounded "
-            "attempts."
-        ),
-    )
-    _root_flag(serve)
-    serve.add_argument("--workers", type=int, default=2, metavar="P",
-                       help="concurrent worker processes (default: 2)")
-    serve.add_argument("--max-attempts", type=int, default=3, metavar="N",
-                       help="execution attempts per job key (default: 3)")
-    serve.add_argument(
-        "--drain", action="store_true",
-        help="exit once the queue is fully processed (default: keep "
-             "watching for new submissions)",
-    )
-    serve.add_argument("--poll", type=float, default=0.05, metavar="SECONDS",
-                       help="scheduler poll interval (default: 0.05)")
-    serve.set_defaults(_parser=serve)
-
-    status = sub.add_parser(
-        "status", help="show job states and queue statistics of a root"
-    )
-    _root_flag(status)
-    status.add_argument("--job", default=None, metavar="ID",
-                        help="show one job (with its live observe snapshot)")
-    status.set_defaults(_parser=status)
-
-    result = sub.add_parser(
-        "result", help="show a completed job's published artifacts"
-    )
-    _root_flag(result)
-    result.add_argument("job", metavar="ID", help="job id (e.g. job-000001)")
-    result.add_argument("--json", action="store_true",
-                        help="print the raw result.json payload")
-    result.set_defaults(_parser=result)
 
     return parser
 
@@ -377,14 +288,14 @@ def cmd_info(args) -> int:
 
 
 def cmd_coupled(args) -> int:
-    if args.trajectory is None and args.trajectory_every != 1:
+    if args.trajectory is None and args.trajectory_every is not None:
         args._parser.error("--trajectory-every requires --trajectory")
     if not args.sanitize:
         return _run_coupled(args)
     # The env knob is the cross-process carrier: forked backend children
-    # and service workers inherit it, and World.run reads it at dispatch
-    # time.  It is restored afterwards, so later worlds in this process
-    # run as they would have.
+    # inherit it, and World.run reads it at dispatch time.  It is
+    # restored afterwards, so later worlds in this process run as they
+    # would have.
     previous = os.environ.get("REPRO_SANITIZE")
     os.environ["REPRO_SANITIZE"] = "1"
     try:
@@ -398,28 +309,30 @@ def cmd_coupled(args) -> int:
 
 def _run_coupled(args) -> int:
     from repro.core.coupling import CoupledSimulation
-    profiling = _profiling_requested(args)
-    kmc_nranks = args.kmc_ranks
-    if kmc_nranks is None and profiling:
-        # Route the KMC stage through the parallel engine so the profile
-        # covers the simulated-MPI runtime layer too (override with
-        # --kmc-ranks 0 to keep the serial BKL engine).
-        kmc_nranks = 1
-        print("note: profiling runs the KMC stage on the parallel engine "
-              "(1 rank); pass --kmc-ranks 0 to force the serial engine")
-    if kmc_nranks == 0:
-        kmc_nranks = None
-    # One spec path for batch and service runs: `coupled` builds the
-    # same declarative ScenarioSpec `submit` enqueues, then executes it
-    # inline with the run-local knobs (paths, profiling) layered on top.
-    spec = _scenario_spec(
-        args,
-        kmc_nranks=kmc_nranks,
-        trajectory_every=(
-            args.trajectory_every if args.trajectory is not None else None
-        ),
-        watchdog=args.watchdog,
-    )
+    from repro.service import ScenarioSpec, SpecError
+
+    try:
+        spec = ScenarioSpec(
+            cells=args.cells,
+            temperature=args.temperature,
+            table_points=args.table_points,
+            md_steps=args.md_steps,
+            pka_energy=args.pka,
+            kmc_max_events=args.events,
+            kmc_nranks=args.kmc_ranks,
+            kmc_max_cycles=args.kmc_cycles,
+            recombination_radius=args.recombination_radius,
+            trajectory_every=args.trajectory_every,
+            seed=args.seed,
+            kmc_scheme=args.kmc_scheme,
+            backend=args.backend,
+            workers=args.workers,
+            faults=args.faults,
+            checkpoint_every=args.checkpoint_every,
+            watchdog=args.watchdog,
+        )
+    except SpecError as exc:
+        args._parser.error(str(exc))
     if spec.faults is not None:
         print(f"fault plan: {spec.faults}")
     registry = _start_observation(args)
@@ -427,7 +340,6 @@ def _run_coupled(args) -> int:
         spec.to_coupled_config(
             trajectory=args.trajectory,
             checkpoint_dir=args.checkpoint_dir,
-            sunway_model=profiling,
         )
     )
     print(f"coupled MD-KMC over {sim.lattice.nsites} sites ...")
@@ -438,13 +350,6 @@ def _run_coupled(args) -> int:
         f"{result.kmc_events} events over {result.kmc_time:.3g} ps "
         f"-> {result.real_time_seconds:.3g} s real time"
     )
-    if result.sunway_report is not None:
-        sw = result.sunway_report
-        print(
-            f"modeled SW26010 force step ({sw['strategy']}): "
-            f"{sw['modeled_step_time_s']:.3g} s, "
-            f"{sw['dma_operations']:,} DMA ops / {sw['dma_bytes']:,} B"
-        )
     if result.fault_report is not None:
         fr = result.fault_report
         print(
@@ -466,156 +371,6 @@ def _run_coupled(args) -> int:
         # reaching it means every checked world validated clean.
         print(f"sanitizer: clean ({SUMMARY['worlds']} world(s) checked)")
     _finish_observation(args, registry)
-    return 0
-
-
-def _scenario_spec(args, **run_fields):
-    """The :class:`ScenarioSpec` of :func:`_add_scenario_flags`' flags.
-
-    ``run_fields`` are the fields the subcommand decides itself; a
-    :class:`SpecError` is a usage error of ``args._parser``.
-    """
-    from repro.service import ScenarioSpec, SpecError
-
-    fields = dict(
-        cells=args.cells,
-        temperature=args.temperature,
-        table_points=args.table_points,
-        md_steps=args.md_steps,
-        pka_energy=args.pka,
-        kmc_max_events=args.events,
-        kmc_nranks=args.kmc_ranks,
-        kmc_max_cycles=args.kmc_cycles,
-        recombination_radius=args.recombination_radius,
-        seed=args.seed,
-        kmc_scheme=args.kmc_scheme,
-        backend=args.backend,
-        workers=args.workers,
-        faults=args.faults,
-        checkpoint_every=args.checkpoint_every,
-    )
-    try:
-        return ScenarioSpec(**(fields | run_fields))
-    except SpecError as exc:
-        args._parser.error(str(exc))
-
-
-def cmd_submit(args) -> int:
-    from repro.service import ServiceClient
-
-    spec = _scenario_spec(args, trajectory_every=args.trajectory_every)
-    record = ServiceClient(args.root).submit(spec)
-    print(
-        f"submitted {record.job_id} key={record.key[:12]} "
-        f"({record.state}) -> {args.root}"
-    )
-    return 0
-
-
-def cmd_serve(args) -> int:
-    from repro.service import ServicePool
-
-    pool = ServicePool(
-        args.root,
-        workers=args.workers,
-        max_attempts=args.max_attempts,
-        notify=print,
-    )
-    mode = "drain" if args.drain else "watch"
-    print(
-        f"serving {args.root} with {args.workers} worker(s) "
-        f"(max {args.max_attempts} attempt(s)/job, {mode} mode)"
-    )
-    try:
-        pool.run(drain=args.drain, poll=args.poll)
-    except KeyboardInterrupt:
-        print("interrupted; leaving in-flight workers to finish")
-        pool.shutdown(kill=False)
-        return 130
-    print("queue drained")
-    return 0
-
-
-def cmd_status(args) -> int:
-    import json
-
-    from repro.service import ServiceClient
-    from repro.service.scheduler import summarize
-
-    client = ServiceClient(args.root)
-    if args.job is not None:
-        record = client.job(args.job)
-        print(
-            f"{record.job_id}  {record.state:8s} key={record.key[:12]}  "
-            f"attempts={record.attempts}  {record.mode or '-'}"
-        )
-        if record.error:
-            print(f"  error: {record.error}")
-        snapshot = client.observe_snapshot(args.job)
-        if snapshot is not None:
-            counters = snapshot.get("counters", {})
-            print(f"  stage: {snapshot.get('stage', '?')}")
-            for name in sorted(counters):
-                print(f"  {name}: {counters[name]:g}")
-        return 0
-    records = client.jobs()
-    for record in records:
-        line = (
-            f"{record.job_id}  {record.state:8s} key={record.key[:12]}  "
-            f"attempts={record.attempts}  {record.mode or '-'}"
-        )
-        if record.error:
-            line += f"  error: {record.error}"
-        print(line)
-    stats = summarize(records)
-    states = stats["states"]
-    print(
-        f"jobs: {stats['total']} total, {states['done']} done, "
-        f"{states['failed']} failed, {states['running']} running, "
-        f"{states['pending']} pending"
-    )
-    print(
-        f"executions: {stats['executions']}, "
-        f"deduplicated: {stats['deduplicated']}, "
-        f"retries: {stats['retries']}"
-    )
-    # Greppable by scripts (the CI smoke asserts on it).
-    print("summary:", json.dumps(stats, sort_keys=True))
-    return 0
-
-
-def cmd_result(args) -> int:
-    import json
-
-    from repro.service import ServiceClient, ServiceError
-
-    client = ServiceClient(args.root)
-    try:
-        result = client.result(args.job)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(result.summary, indent=2, sort_keys=True))
-        return 0
-    summary = result.summary
-    print(f"{result.job_id} key={result.key}")
-    print(f"entry: {result.path}")
-    print(
-        f"{summary['kmc_events']} events over {summary['kmc_time_ps']:.3g} ps "
-        f"-> {summary['real_time_seconds']:.3g} s real time"
-    )
-    print(
-        f"vacancies: {summary['vacancies_after_md']} after MD, "
-        f"{summary['vacancies_after_kmc']} after KMC"
-    )
-    if summary.get("trajectory_frames") is not None:
-        print(f"trajectory: {summary['trajectory_frames']} frames")
-    print("artifacts:")
-    for rel, meta in sorted(result.manifest["artifacts"].items()):
-        marker = "*" if meta.get("deterministic") else " "
-        print(f" {marker} {rel}  {meta['bytes']} B  sha256={meta['sha256'][:12]}")
-    print("(* = bit-deterministic artifact)")
     return 0
 
 
@@ -706,10 +461,6 @@ _COMMANDS = {
     "cascade": cmd_cascade,
     "kmc-schemes": cmd_kmc_schemes,
     "figure": cmd_figure,
-    "submit": cmd_submit,
-    "serve": cmd_serve,
-    "status": cmd_status,
-    "result": cmd_result,
 }
 
 

@@ -55,7 +55,7 @@ MAX_RECOVERIES = 3
 @dataclass(frozen=True)
 class CoupledConfig:
     """One coupled run: a :class:`~repro.service.spec.ScenarioSpec` plus
-    the three knobs that belong to this run only.
+    the two paths that belong to this run only.
 
     Build it with :meth:`ScenarioSpec.to_coupled_config
     <repro.service.spec.ScenarioSpec.to_coupled_config>`.  Every run
@@ -82,17 +82,11 @@ class CoupledConfig:
         live.  ``None`` keeps KMC checkpoints (when ``spec.faults`` or
         ``spec.checkpoint_every`` asks for them) in a temporary
         directory removed when the KMC stage ends.
-    sunway_model:
-        When ``True`` an extra pipeline stage prices one EAM force step
-        of the post-cascade state on the Sunway SW26010 machine model
-        (best optimization rung of Figure 9), attaching the modeled
-        kernel time and DMA inventory to the result.
     """
 
     spec: ScenarioSpec = ScenarioSpec()
     trajectory: str | None = None
     checkpoint_dir: str | None = None
-    sunway_model: bool = False
 
 
 def recombine_frenkel_pairs(
@@ -139,8 +133,6 @@ class CoupledResult:
     kmc_events: int
     real_time_seconds: float
     comm_stats: dict | None = None
-    #: Modeled SW26010 cost of one post-cascade EAM step (when enabled).
-    sunway_report: dict | None = None
     #: How many times the KMC stage was restarted after a fault.
     recoveries: int = 0
     #: The injector's snapshot (injected/crashes/delays/plan), when
@@ -161,12 +153,11 @@ class CoupledSimulation:
         The run configuration and an optional pre-built potential.
     progress:
         Optional callable invoked with a stage name (``"setup"``,
-        ``"cascade"``, ``"checkpoint"``, ``"sunway_model"``,
-        ``"map_damage"``, ``"trajectory_init"``, ``"kmc"``,
-        ``"analysis"``) as each pipeline stage begins — the metric
-        streaming hook the service worker uses to publish live
-        observe-registry snapshots at stage boundaries.  Exceptions it
-        raises propagate (a broken hook is the caller's bug).
+        ``"cascade"``, ``"checkpoint"``, ``"map_damage"``,
+        ``"trajectory_init"``, ``"kmc"``, ``"analysis"``) as each
+        pipeline stage begins — the stage-boundary hook the benchmark
+        ledger times its per-stage spans with.  Exceptions it raises
+        propagate (a broken hook is the caller's bug).
     """
 
     def __init__(
@@ -204,35 +195,6 @@ class CoupledSimulation:
             nsteps=spec.md_steps or CascadeConfig.nsteps,
             temperature=spec.temperature,
         )
-
-    def model_sunway_step(self, engine: MDEngine) -> dict:
-        """Optional stage: price one EAM step on the SW26010 machine model.
-
-        Uses the fully optimized kernel variant (compacted table + data
-        reuse + double buffering) over the engine's current state, so a
-        profiled coupled run reports the modeled hardware cost of its MD
-        force step alongside the measured host cost.
-        """
-        from repro.sunway.arch import SunwayArch
-        from repro.sunway.kernel import STRATEGY_LADDER, BlockedEAMKernel
-
-        kernel = BlockedEAMKernel(
-            SunwayArch(),
-            self.potential,
-            STRATEGY_LADDER[-1],
-            table_points=self.spec.table_points,
-        )
-        report = kernel.run_step(engine.state, engine.nblist)
-        return {
-            "strategy": report.strategy.name,
-            "modeled_step_time_s": report.total_time,
-            "modeled_compute_time_s": report.compute_time,
-            "modeled_dma_time_s": report.dma_time,
-            "dma_operations": report.dma.operations,
-            "dma_bytes": report.dma.total_bytes,
-            "interactions": report.interactions,
-            "natoms": report.natoms,
-        }
 
     def occupancy_from_cascade(self, cascade: CascadeResult) -> np.ndarray:
         """Stage 3: map MD damage onto the KMC site array.
@@ -406,11 +368,6 @@ class CoupledSimulation:
                     save_checkpoint(
                         self._checkpoint_dir() / "md_cascade.npz", engine
                     )
-            sunway_report = None
-            if cfg.sunway_model:
-                self._notify("sunway_model")
-                with obs.phase("coupled.sunway_model"):
-                    sunway_report = self.model_sunway_step(engine)
             self._notify("map_damage")
             with obs.phase("coupled.map_damage"):
                 occ0 = self.occupancy_from_cascade(cascade)
@@ -454,7 +411,6 @@ class CoupledSimulation:
             kmc_events=kmc.events,
             real_time_seconds=real_seconds,
             comm_stats=kmc.comm_stats,
-            sunway_report=sunway_report,
             recoveries=recoveries,
             fault_report=fault_report,
             trajectory_path=cfg.trajectory,

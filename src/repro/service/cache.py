@@ -9,7 +9,7 @@ Layout under a service root::
         trajectory/             chunked store (when the spec asks)
         checkpoint/*.npz        final checkpoints (not bit-deterministic:
                                 npz embeds zip timestamps)
-        run.json                execution metadata (attempts, recoveries)
+        run.json                execution metadata (recoveries, traffic)
     tmp/<key>.<rand>/           staging dirs of in-flight executions
 
 Publish protocol (the atomicity invariant the service tests assert):
@@ -19,9 +19,10 @@ staged file, and renames the whole directory onto ``cache/<key>`` in
 one ``rename(2)``.  A reader that can see ``MANIFEST.json`` therefore
 sees every artifact it describes, complete and durable; a crash at any
 earlier instant leaves only an orphaned staging directory that the next
-scheduler start sweeps away.  If two executions of one key race (two
-pools on one root), the first rename wins and the loser discards its
-staging — "exactly one published entry per key" holds without locks.
+executing :func:`~repro.service.worker.run_service` call sweeps away.
+If two executions of one key race (two calls on one root), the first
+rename wins and the loser discards its staging — "exactly one published
+entry per key" holds without locks.
 
 The manifest separates ``deterministic`` artifacts (bit-identical
 across re-executions, schemes, backends, and crash recoveries — the
@@ -39,7 +40,6 @@ from pathlib import Path
 
 from repro import observe as obs
 from repro.io.atomic import _fsync_dir, atomic_write
-from repro.service.queue import ServiceError
 from repro.service.spec import SPEC_SCHEMA_VERSION, canonical_json
 
 #: Manifest file name; its presence marks an entry as published.
@@ -51,6 +51,10 @@ CACHE_FORMAT = "repro-service-cache-v1"
 #: (everything else in an entry is best-effort metadata).
 _DETERMINISTIC = ("result.json", "vacancies_after_md.npy",
                   "vacancies_after_kmc.npy", "trajectory/")
+
+
+class ServiceError(RuntimeError):
+    """A cache request named a key with no published entry."""
 
 
 def _sha256_file(path: Path) -> tuple[str, int]:
@@ -131,9 +135,9 @@ class ResultCache:
     def clean_orphans(self) -> int:
         """Remove leftover staging dirs (crashed executions of past runs).
 
-        Only safe while no other scheduler is active on this root —
-        :class:`~repro.service.scheduler.ServicePool` calls it once at
-        start, the documented single-scheduler topology.
+        Only safe while nothing else executes on this root —
+        :func:`~repro.service.worker.run_service` calls it before it
+        forks, the documented one-caller-per-root topology.
         """
         removed = 0
         for entry in self.tmp.iterdir():
@@ -143,7 +147,7 @@ class ResultCache:
             obs.add("service.cache.orphans_swept", removed)
         return removed
 
-    def publish(self, key: str, staging, extra_meta: dict | None = None):
+    def publish(self, key: str, staging):
         """Atomically promote a staged execution to ``cache/<key>``.
 
         Returns ``(entry_path, fresh)``; ``fresh`` is ``False`` when a
@@ -170,8 +174,6 @@ class ResultCache:
             "key": key,
             "artifacts": artifacts,
         }
-        if extra_meta:
-            manifest.update(extra_meta)
         with atomic_write(staging / MANIFEST_NAME) as fh:
             fh.write(canonical_json(manifest).encode("ascii"))
         # Durability before visibility: every staged byte reaches disk

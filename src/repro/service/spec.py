@@ -2,7 +2,7 @@
 
 A :class:`ScenarioSpec` is the one description of a coupled MD-KMC run:
 frozen, JSON-serializable, validated field by field when built.  The
-service queues it, the CLI builds it from flags, and
+service runs batches of it, the CLI builds it from flags, and
 :class:`~repro.core.coupling.CoupledSimulation` runs it.  Its fields
 split into two classes:
 
@@ -84,6 +84,7 @@ def canonical_json(value) -> str:
     )
 
 
+# Kept here by benchmarks/ledger/workloads.py::CoupledRef.setup (repro.service.spec).
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One coupled MD-KMC scenario, serializable and canonically hashable.
@@ -305,14 +306,13 @@ class ScenarioSpec:
         *,
         trajectory: str | None = None,
         checkpoint_dir: str | None = None,
-        sunway_model: bool = False,
     ):
         """The :class:`~repro.core.coupling.CoupledConfig` running this spec.
 
-        Paths and profiling are per-run concerns supplied by the caller
-        (the worker stages them under the cache entry; the ``coupled``
-        CLI passes its flags through) — everything else is the spec.
+        Paths are per-run concerns supplied by the caller (the worker
+        stages them under the cache entry; the ``coupled`` CLI passes
+        its flags through) — everything else is the spec.
         """
         from repro.core.coupling import CoupledConfig
 
-        return CoupledConfig(self, trajectory, checkpoint_dir, sunway_model)
+        return CoupledConfig(self, trajectory, checkpoint_dir)

@@ -1,28 +1,28 @@
-"""One job's execution: spec in, staged content-addressed artifacts out.
+"""Running specs: a batch in, content-addressed cache entries out.
 
-:func:`execute_spec` is the pure core — run the spec through the
-coupled driver (:class:`~repro.core.coupling.CoupledSimulation`; fault
-plans and recovery ride its supervisor) with the trajectory and
-checkpoint paths staged in a work directory, and lay the artifacts out
-there.
-:func:`run_job` is the process entry point the scheduler forks: it adds
-live observability (a streamed observe-registry snapshot rewritten
-atomically on every pipeline stage boundary and every few hundred
-milliseconds) and publishes the staged artifacts to the cache.
+:func:`run_service` is the one way to run a batch of specs.  It keys
+each spec, answers repeated and already-published keys from the
+:class:`~repro.service.cache.ResultCache`, and forks at most
+``workers`` :func:`run_job` processes for the misses.  :func:`run_job`
+runs :func:`execute_spec` — the spec through the coupled driver
+(:class:`~repro.core.coupling.CoupledSimulation`; fault plans and
+recovery ride its supervisor) with the trajectory and checkpoint paths
+staged in a work directory — and publishes the staged artifacts.
 
 A worker that dies at any instant leaves nothing but its staging
-directory: publication is a single atomic rename, so the scheduler can
-retry the job from scratch and the retried execution publishes
-artifacts bit-identical to a fault-free run (seeds make the run a pure
-function of the spec).
+directory: publication is a single atomic rename, so its jobs fail, the
+staging is discarded, and calling :func:`run_service` again
+re-executes the key from scratch, publishing artifacts bit-identical to
+a fault-free run (seeds make the run a pure function of the spec).
 """
 
 from __future__ import annotations
 
 import json
-import os
-import threading
-from dataclasses import asdict
+import multiprocessing
+from contextlib import suppress
+from dataclasses import asdict, dataclass
+from multiprocessing.connection import wait
 from pathlib import Path
 
 from repro import observe as obs
@@ -32,8 +32,12 @@ from repro.service.spec import ScenarioSpec
 
 RESULT_FORMAT = "repro-service-result-v1"
 
-#: Streaming cadence of the observe snapshot (seconds).
-SNAPSHOT_INTERVAL = 0.25
+#: Job states of a finished :func:`run_service` record.
+DONE = "done"
+FAILED = "failed"
+
+#: Where a failing worker reports its error, inside its staging dir.
+_ERROR_NAME = "ERROR"
 
 
 def _dumps(payload: dict) -> str:
@@ -42,59 +46,21 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-class SnapshotStreamer:
-    """Rewrite a registry snapshot file on stage changes and on a timer.
+@dataclass
+class JobRecord:
+    """How one spec of a :func:`run_service` batch ended."""
 
-    Purely observational: snapshots are written with ``sync=False`` (a
-    torn-free atomic replace, but no fsync) so streaming never competes
-    with the simulation for I/O durability.
-    """
-
-    def __init__(self, registry, path, interval: float = SNAPSHOT_INTERVAL):
-        self.registry = registry
-        self.path = Path(path)
-        self.interval = interval
-        self.stage = "starting"
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._loop, name="service-snapshot", daemon=True
-        )
-
-    def __enter__(self):
-        self.write()
-        self._thread.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self.stage = "failed" if exc_type is not None else "done"
-        self.write()
-
-    def on_stage(self, stage: str) -> None:
-        """The :class:`~repro.core.coupling.CoupledSimulation` hook."""
-        self.stage = stage
-        self.write()
-
-    def write(self) -> None:
-        payload = self.registry.summary()
-        payload["stage"] = self.stage
-        payload["pid"] = os.getpid()
-        try:
-            atomic_write_bytes(
-                self.path, (_dumps(payload) + "\n").encode(), sync=False
-            )
-        except OSError:
-            # Snapshots are best-effort; losing one must never kill the
-            # simulation — but it stays observable.
-            obs.add("service.snapshot_write_errors")
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.write()
+    key: str
+    #: ``executed`` ran the simulation, ``attached`` shared the
+    #: execution of an earlier spec of the batch with the same key,
+    #: ``cached`` found a published entry.
+    mode: str
+    state: str = DONE
+    #: Failure description once ``state == FAILED``.
+    error: str | None = None
 
 
-def execute_spec(spec: ScenarioSpec, workdir, *, progress=None) -> dict:
+def execute_spec(spec: ScenarioSpec, workdir) -> dict:
     """Run one scenario, staging the artifact layout under ``workdir``.
 
     Deterministic artifacts (``result.json``, the ``.npy`` damage
@@ -118,7 +84,7 @@ def execute_spec(spec: ScenarioSpec, workdir, *, progress=None) -> dict:
     config = spec.to_coupled_config(
         trajectory=trajectory, checkpoint_dir=checkpoint_dir
     )
-    sim = CoupledSimulation(config, progress=progress)
+    sim = CoupledSimulation(config)
     with obs.phase("service.execute"):
         result = sim.run()
     np.save(workdir / "vacancies_after_md.npy", result.vacancies_after_md)
@@ -148,37 +114,104 @@ def execute_spec(spec: ScenarioSpec, workdir, *, progress=None) -> dict:
     return summary
 
 
-def error_path_for(staging) -> Path:
-    """Where :func:`run_job` reports a failure for this staging dir."""
-    staging = Path(staging)
-    return staging.parent / (staging.name + ".error")
+def run_job(spec_dict, staging, root) -> None:
+    """Process entry point: execute one spec and publish its entry.
 
-
-def run_job(spec_dict, staging, root, obs_path=None, attempt: int = 1) -> None:
-    """Process entry point: execute, stream observability, publish.
-
-    On failure the error text lands (atomically) next to the staging
-    directory for the scheduler to surface, and the nonzero exit code
-    triggers the bounded-retry path.
+    On failure the error text lands (atomically) in the staging
+    directory for :func:`run_service` to report, and the exception
+    propagates, so the process exits nonzero.
     """
-    staging = Path(staging)
     spec = ScenarioSpec.from_dict(spec_dict)
     try:
-        registry = obs.enable(trace=False)
-        if obs_path is not None:
-            with SnapshotStreamer(registry, obs_path) as streamer:
-                execute_spec(spec, staging, progress=streamer.on_stage)
-                streamer.on_stage("publishing")
-                ResultCache(root).publish(spec.key(), staging)
-        else:
-            execute_spec(spec, staging)
-            ResultCache(root).publish(spec.key(), staging)
+        execute_spec(spec, staging)
+        ResultCache(root).publish(spec.key(), staging)
     except BaseException as exc:
-        try:
+        # Best effort: without the file the exit code is the report.
+        with suppress(OSError):
             atomic_write_bytes(
-                error_path_for(staging),
-                f"attempt {attempt}: {type(exc).__name__}: {exc}\n".encode(),
+                Path(staging) / _ERROR_NAME,
+                f"{type(exc).__name__}: {exc}\n".encode(),
             )
-        except OSError:
-            obs.add("service.error_report_failures")
         raise
+
+
+def _reported_error(staging: Path, exitcode) -> str:
+    try:
+        return (staging / _ERROR_NAME).read_text().strip()
+    except OSError:
+        return f"worker died with exit code {exitcode} before reporting"
+
+
+def _execute(cache: ResultCache, misses: dict, workers: int) -> dict:
+    """Fork one :func:`run_job` per ``key -> spec`` of ``misses``, at
+    most ``workers`` at a time; returns the errors of keys left
+    unpublished."""
+    # Forked workers inherit the execution stack instead of importing
+    # it per job; not at module level, because a warm call runs no job.
+    import repro.core.coupling  # noqa: F401
+
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
+    cache.clean_orphans()
+    todo = list(misses.items())
+    running, errors = {}, {}
+    while todo or running:
+        while todo and len(running) < workers:
+            key, spec = todo.pop(0)
+            staging = cache.open_staging(key)
+            proc = ctx.Process(
+                target=run_job,
+                args=(spec.to_dict(), str(staging), str(cache.root)),
+                name=f"repro-worker-{key[:12]}",
+            )
+            proc.start()
+            running[proc.sentinel] = (key, proc, staging)
+        for sentinel in wait(list(running)):
+            key, proc, staging = running.pop(sentinel)
+            proc.join()
+            # Published means complete (manifest last, atomic rename),
+            # even if the worker died between publishing and exiting.
+            if cache.lookup(key) is None:
+                errors[key] = _reported_error(staging, proc.exitcode)
+                cache.discard(staging)
+    return errors
+
+
+#: The counter each :attr:`JobRecord.mode` adds to.
+_COUNTERS = {"executed": "service.executions", "attached": "service.dedup",
+             "cached": "service.cache_hits"}
+
+
+def run_service(root, specs, *, workers: int = 2) -> list[JobRecord]:
+    """Run ``specs`` into the result cache of ``root``; one record each.
+
+    A key already executing for an earlier spec of the batch is
+    ``attached`` to that execution, a key with a published entry is
+    ``cached``, and every other key is ``executed`` by one forked
+    :func:`run_job` process, at most ``workers`` at a time.  A worker
+    that dies without publishing fails its key's records with its
+    reported error (or its exit code) and leaves no cache entry; a
+    later call re-executes the key.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    with obs.phase("service.schedule"):
+        cache = ResultCache(root)
+        seen, misses, records = set(), {}, []
+        for spec in specs:
+            key = spec.key()
+            if key in misses:
+                mode = "attached"
+            elif key in seen or cache.lookup(key) is not None:
+                mode = "cached"
+            else:
+                mode = "executed"
+                misses[key] = spec
+            seen.add(key)
+            obs.add(_COUNTERS[mode])
+            records.append(JobRecord(key, mode))
+        errors = _execute(cache, misses, workers) if misses else {}
+        for record in records:
+            if record.key in errors:
+                record.state, record.error = FAILED, errors[record.key]
+    return records

@@ -73,6 +73,7 @@ class TestCommands:
             "--cells", "5",
             "--events", "20",
             "--md-steps", "40",
+            "--kmc-ranks", "1",
             "--kmc-cycles", "5",
             "--profile",
             "--trace", str(trace),
@@ -83,28 +84,29 @@ class TestCommands:
         # All five pipeline stages appear in the printed tree.
         for stage in ("setup", "cascade", "map_damage", "kmc", "analysis"):
             assert f"coupled.{stage}" in out
-        assert "modeled SW26010 force step" in out
         data = json.loads(trace.read_text())
         events = data["traceEvents"]
         cats = {e.get("cat") for e in events if e.get("cat")}
-        # At least one event from every instrumented subsystem.
-        assert {"coupled", "md", "kmc", "runtime", "sunway"} <= cats
+        # At least one event from every layer the run executes.
+        assert {"coupled", "md", "kmc", "runtime"} <= cats
         ts = [e["ts"] for e in events]
         assert ts == sorted(ts)
 
-    def test_coupled_profile_serial_kmc_opt_out(self, capsys):
+    def test_coupled_profile_runs_the_serial_engine(self, capsys):
+        # Profiling observes the run it is given: without --kmc-ranks
+        # the KMC stage stays on the serial engine.
         argv = [
             "coupled",
             "--cells", "5",
             "--events", "20",
             "--md-steps", "40",
-            "--kmc-ranks", "0",
             "--profile",
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "kmc.event_selection" in out  # serial engine phases
-        assert "parallel engine" not in out
+        assert "runtime." not in out
+        assert "sunway" not in out
 
     def test_cascade_profile(self, capsys):
         argv = ["cascade", "--cells", "6", "--steps", "30", "--profile"]
@@ -217,28 +219,12 @@ class TestFaultFlags:
             assert named in err
             assert "usage:" in err
 
-    def test_bad_fault_plan_exits_2_on_submit(self, capsys, tmp_path):
-        # Same validation path (the ScenarioSpec) on the service surface.
-        with pytest.raises(SystemExit) as exc_info:
-            main(
-                [
-                    "submit",
-                    "--root", str(tmp_path),
-                    "--faults", "explode:rank=0,cycle=1",
-                ]
-            )
-        err = capsys.readouterr().err
-        assert exc_info.value.code == 2
-        assert "bad faults plan" in err
-        assert "explode" in err
-
     def test_watchdog_flag_accepted(self, capsys):
         rc = main(
             [
                 "coupled",
                 "--cells", "6",
                 "--events", "30",
-                "--kmc-ranks", "0",
                 "--watchdog", "30",
             ]
         )
@@ -250,40 +236,44 @@ class TestValidationExitCodes:
     """Every usage error exits 2 via argparse, on every subcommand."""
 
     def test_trajectory_every_requires_trajectory(self, capsys):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["coupled", "--cells", "6", "--trajectory-every", "2"])
-        err = capsys.readouterr().err
-        assert exc_info.value.code == 2
-        assert "--trajectory-every requires --trajectory" in err
-        assert "usage:" in err
-
-    def test_coupled_bad_spec_exits_2(self, capsys):
-        # Spec-level validation (cells floor) also routes to exit 2, the
-        # same rule `submit` applies.
-        for flags, named in [(["--cells", "6", "--temperature", "-10"],
-                              "temperature"),
-                             (["--cells", "4"], "cells must be >= 5")]:
+        # Every value, the default's 1 included, needs a store to record.
+        for every in ("1", "2"):
             with pytest.raises(SystemExit) as exc_info:
-                main(["coupled", *flags])
+                main(["coupled", "--cells", "6", "--trajectory-every", every])
             err = capsys.readouterr().err
             assert exc_info.value.code == 2
-            assert named in err
+            assert "--trajectory-every requires --trajectory" in err
+            assert "usage:" in err
 
-    @pytest.mark.parametrize("command", ["coupled", "submit"])
-    def test_infeasible_decomposition_exits_2(self, command, capsys, tmp_path):
-        # Rejected when the spec is built: before the MD stage runs (or
-        # the job is queued), not from inside rank 7 of the KMC world.
-        argv = [command, "--cells", "6", "--kmc-ranks", "8"]
-        if command == "submit":
-            argv += ["--root", str(tmp_path)]
+    def test_coupled_bad_spec_exits_2(self, capsys):
+        # Spec-level validation (cells floor, finite floats) also routes
+        # to exit 2, naming the field, before anything runs.
+        for flags, named in [(["--cells", "6", "--temperature", "-10"],
+                              "temperature"),
+                             (["--cells", "4"], "cells must be >= 5"),
+                             (["--cells", "2"], "cells"),
+                             # argparse's float() accepts "nan".
+                             (["--cells", "5", "--temperature", "nan"],
+                              "temperature must be finite")]:
+            with pytest.raises(SystemExit) as exc_info:
+                main(["coupled", *flags])
+            out, err = capsys.readouterr()
+            assert exc_info.value.code == 2
+            assert named in err
+            assert "usage:" in err
+            assert out == ""
+
+    @pytest.mark.parametrize("command", ["coupled"])
+    def test_infeasible_decomposition_exits_2(self, command, capsys):
+        # Rejected when the spec is built: before the MD stage runs, not
+        # from inside rank 7 of the KMC world.
         with pytest.raises(SystemExit) as exc_info:
-            main(argv)
+            main([command, "--cells", "6", "--kmc-ranks", "8"])
         out, err = capsys.readouterr()
         assert exc_info.value.code == 2
         assert "--cells" in err and "--kmc-ranks" in err
         assert "6x6x6" in err and "8 ranks" in err
         assert "coupled MD-KMC over" not in out
-        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv,named", [
         (["cascade", "--cells", "3"], "box"),
@@ -308,33 +298,10 @@ class TestValidationExitCodes:
         assert exc_info.value.code == 2
         assert "unrecognized arguments: --kernels" in capsys.readouterr().err
 
-    def test_submit_bad_spec_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["submit", "serve", "status", "result"])
+    def test_service_subcommands_are_gone(self, command, capsys):
+        # run_service is the service's one entry point.
         with pytest.raises(SystemExit) as exc_info:
-            main(
-                [
-                    "submit",
-                    "--root", str(tmp_path),
-                    "--cells", "2",
-                ]
-            )
-        err = capsys.readouterr().err
+            main([command, "--root", "runs"])
         assert exc_info.value.code == 2
-        assert "cells" in err
-        assert "usage:" in err
-
-    def test_submit_non_finite_float_exits_2(self, capsys, tmp_path):
-        # argparse's float() accepts "nan"; the spec names the field.
-        with pytest.raises(SystemExit) as exc_info:
-            main(
-                [
-                    "submit",
-                    "--root", str(tmp_path),
-                    "--cells", "5",
-                    "--temperature", "nan",
-                ]
-            )
-        err = capsys.readouterr().err
-        assert exc_info.value.code == 2
-        assert "temperature must be finite" in err
-        assert "usage:" in err
-        assert not list(tmp_path.iterdir())
+        assert "invalid choice" in capsys.readouterr().err

@@ -33,7 +33,7 @@ class TestConfig:
 
     def test_config_is_a_spec_plus_run_local_knobs(self):
         names = [f.name for f in dataclasses.fields(CoupledConfig)]
-        assert names == ["spec", "trajectory", "checkpoint_dir", "sunway_model"]
+        assert names == ["spec", "trajectory", "checkpoint_dir"]
         # One validator: run parameters are checked by ScenarioSpec only.
         assert "__post_init__" not in vars(CoupledConfig)
         assert CoupledConfig().spec == ScenarioSpec()

@@ -42,22 +42,23 @@ import repro.service
 from repro.service import ScenarioSpec, run_service, worker
 
 at_service_import = "repro.core.coupling" in sys.modules
+run_job = worker.run_job
 
-def target(spec_dict, staging, root, obs_path=None, attempt=1):
+def on_entry(spec_dict, staging, root):
     with open(root + "/on_entry.json", "w") as fh:
-        json.dump(["repro.core.coupling" in sys.modules,
-                   "repro.observe.registry" in sys.modules], fh)
-    worker.run_job(spec_dict, staging, root, obs_path, attempt)
+        json.dump("repro.core.coupling" in sys.modules, fh)
+    run_job(spec_dict, staging, root)
 
+# run_service forks the module attribute, so the forked child runs this.
+worker.run_job = on_entry
 spec = ScenarioSpec(cells=5, md_steps=5, kmc_max_events=5, table_points=300)
 with tempfile.TemporaryDirectory() as root:
-    (record,) = run_service(root, [spec], workers=1, target=target)
+    (record,) = run_service(root, [spec], workers=1)
     with open(root + "/on_entry.json") as fh:
-        on_worker_entry, registry_on_worker_entry = json.load(fh)
+        on_worker_entry = json.load(fh)
 print(json.dumps({
     "at_service_import": at_service_import,
     "on_worker_entry": on_worker_entry,
-    "registry_on_worker_entry": registry_on_worker_entry,
     "state": record.state,
     "mode": record.mode,
 }))
@@ -121,15 +122,6 @@ from repro.service.spec import ScenarioSpec
 ScenarioSpec(cells=5, md_steps=5, kmc_max_events=5).key()
 print(json.dumps({"ran": loaded(),
                   "multiprocessing": "multiprocessing" in sys.modules}))
-"""
-
-_STATUS_PROBE = _LOADED + """
-import json, sys, tempfile
-import repro.cli
-with tempfile.TemporaryDirectory() as root:
-    code = repro.cli.main(["status", "--root", root])
-print(json.dumps({"ran": loaded(), "exit": code,
-                  "numpy": "numpy" in sys.modules}))
 """
 
 _WORLD_PROBE = _LOADED + """
@@ -196,13 +188,10 @@ def test_entry_point_imports_only_numpy(module):
 def test_forked_worker_inherits_the_execution_stack():
     seen = _run(_FORK_PROBE)
     assert seen["state"] == "done" and seen["mode"] == "executed"
-    # status/submit/result never run a job, so importing the service
-    # stays cheap; the scheduler pays the import once, before forking.
+    # A warm call runs no job, so importing the service stays cheap;
+    # run_service pays the import once, before forking.
     assert seen["at_service_import"] is False
     assert seen["on_worker_entry"] is True
-    # Every job observes (worker.run_job enables a registry): the
-    # registry module is inherited too, not compiled once per job.
-    assert seen["registry_on_worker_entry"] is True
 
 
 def test_serial_kmc_with_store_and_checkpoints_loads_no_parallel_stack():
@@ -245,16 +234,6 @@ def test_scenario_spec_loads_no_scheduler():
         "repro.service", "repro.service.spec",
     ]
     assert not seen["multiprocessing"]
-
-
-def test_status_command_loads_no_numpy():
-    seen = _run(_STATUS_PROBE)
-    assert seen["exit"] == 0
-    assert not seen["numpy"]
-    assert not _under(
-        seen["ran"], "repro.core", "repro.kmc", "repro.md", "repro.runtime",
-        "repro.lattice", "repro.potential",
-    )
 
 
 def test_unsanitized_world_loads_no_sanitizer():

@@ -82,8 +82,6 @@ ALLOWLIST = {
     "runtime.stats.TrafficStats.total_messages": _LEDGER,
     "runtime.stats.TrafficStats.total_collectives": _LEDGER,
     "runtime.stats.TrafficStats.reset": "zeroes the ledger after a warm-up",
-    "service.client.JobResult.artifact":
-        "client accessor of a published artifact (README example)",
     "sunway.dma.DMAStats.merge": "DMA accounting API of the machine model",
     "sunway.dma.DMAEngine.reset": "DMA accounting API of the machine model",
     "sunway.localstore.LocalStore.resize":

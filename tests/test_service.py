@@ -1,12 +1,13 @@
-"""Service-layer acceptance tests: dedup, cache hits, crash retries.
+"""Service-layer acceptance tests: dedup, cache hits, worker death.
 
-The cache-hit contract of the issue, end to end:
+The cache-hit contract, end to end:
 
-* identical specs submitted concurrently execute **once** and publish
+* identical specs in one batch execute **once** and publish
   bit-identical deterministic artifacts;
 * a spec differing only in its seed misses the cache;
-* a worker crash mid-job is retried (bounded attempts) and the final
-  published store is bit-identical to a fault-free run's.
+* a warm call only looks its keys up;
+* a worker that dies fails its jobs and publishes nothing, and the next
+  call re-executes the key bit-identically to a fault-free run.
 """
 
 import json
@@ -22,18 +23,15 @@ from repro.service import (
     JobQueue,
     ResultCache,
     ScenarioSpec,
-    ServiceClient,
     ServiceError,
-    ServicePool,
     run_service,
 )
 from repro.service import worker as worker_mod
 from repro.service.cache import MANIFEST_NAME
-from repro.service.scheduler import summarize
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="crash-injection targets require the fork start method",
+    reason="a patched worker reaches the child through fork only",
 )
 
 
@@ -57,18 +55,8 @@ def _det_artifacts(entry):
     }
 
 
-# Module-level so the fork-context Process can target them.
-def _crash_first_attempt(spec_dict, staging, root, obs_path=None, attempt=1):
-    if attempt == 1:
-        # Leave a partial staging dir behind, then die without notice —
-        # the harshest crash the scheduler must absorb.
-        (Path(staging) / "partial.bin").write_bytes(b"\x00" * 64)
-        os._exit(17)
-    worker_mod.run_job(spec_dict, staging, root, obs_path, attempt)
-
-
-def _always_crash(spec_dict, staging, root, obs_path=None, attempt=1):
-    os._exit(23)
+def _listing(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
 
 
 class TestDedupAndCache:
@@ -77,17 +65,11 @@ class TestDedupAndCache:
         root_a = tmp_path / "a"
         records = run_service(root_a, [spec, spec], workers=2)
         assert [r.state for r in records] == [DONE, DONE]
-        assert records[0].mode == "executed"
-        assert records[1].mode in ("attached", "cached")
-        stats = summarize(records)
-        assert stats["executions"] == 1
-        assert stats["deduplicated"] == 1
+        assert [r.mode for r in records] == ["executed", "attached"]
+        assert records[0].key == records[1].key == spec.key()
+        assert all(r.error is None for r in records)
         entry_a = ResultCache(root_a).lookup(spec.key())
         assert entry_a is not None
-        # Both jobs resolve to the same artifacts.
-        client = ServiceClient(root_a)
-        results = [client.result(r.job_id) for r in records]
-        assert results[0].path == results[1].path
         # An independent root reproduces them bit-exactly.
         root_b = tmp_path / "b"
         run_service(root_b, [spec], workers=1)
@@ -104,9 +86,7 @@ class TestDedupAndCache:
         specs = [_spec(seed=7), _spec(seed=8)]
         assert specs[0].key() != specs[1].key()
         records = run_service(tmp_path, specs, workers=2)
-        stats = summarize(records)
-        assert stats["executions"] == 2
-        assert stats["deduplicated"] == 0
+        assert [r.mode for r in records] == ["executed", "executed"]
         cache = ResultCache(tmp_path)
         assert cache.lookup(specs[0].key()) is not None
         assert cache.lookup(specs[1].key()) is not None
@@ -117,60 +97,80 @@ class TestDedupAndCache:
         records = run_service(tmp_path, [spec], workers=1)
         assert records[0].state == DONE
         assert records[0].mode == "cached"
-        # Exactly one entry ever existed: nothing re-executed.
-        stats = summarize(records)
-        assert stats["executions"] == 0
 
-    def test_observe_snapshot_streams_to_done(self, tmp_path):
+    @needs_fork
+    def test_warm_call_is_only_a_lookup(self, tmp_path, monkeypatch):
         spec = _spec()
-        records = run_service(tmp_path, [spec], workers=1)
-        snapshot = ServiceClient(tmp_path).observe_snapshot(
-            records[0].job_id
+        run_service(tmp_path, [spec], workers=1)
+        before = _listing(tmp_path)
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a warm call started a process")
+
+        monkeypatch.setattr(
+            multiprocessing.get_context("fork"), "Process", no_fork
         )
-        assert snapshot is not None
-        assert snapshot["stage"] == "done"
-        assert "counters" in snapshot or "phases" in snapshot
+        records = run_service(tmp_path, [spec] * 3, workers=2)
+        assert [(r.state, r.mode) for r in records] == [(DONE, "cached")] * 3
+        # Nothing under the root was written.
+        assert _listing(tmp_path) == before
 
 
 class TestCrashRetry:
     @needs_fork
-    def test_crash_mid_job_retried_bit_identical(self, tmp_path):
+    def test_worker_death_fails_then_reruns_bit_identical(
+        self, tmp_path, monkeypatch
+    ):
         spec = _spec()
-        crashy_root = tmp_path / "crashy"
-        records = run_service(
-            crashy_root, [spec], workers=1, target=_crash_first_attempt
-        )
-        assert records[0].state == DONE
-        assert records[0].attempts == 2  # one crash, one success
-        assert summarize(records)["retries"] == 1
-        # The crashed attempt's staging dir was discarded, not published.
-        assert list((crashy_root / "tmp").iterdir()) == []
+        root = tmp_path / "crashy"
+        deaths = tmp_path / "deaths"
+
+        def die(spec, workdir):
+            # Leave a partial staging dir behind, then die without
+            # notice: the harshest crash run_service must absorb.
+            with open(deaths, "a") as fh:
+                fh.write("died\n")
+            (Path(workdir) / "partial.bin").write_bytes(b"\x00" * 64)
+            os._exit(17)
+
+        # The forked worker inherits the patched module attribute.
+        monkeypatch.setattr(worker_mod, "execute_spec", die)
+        records = run_service(root, [spec, spec], workers=1)
+        assert [(r.state, r.mode) for r in records] == [
+            (FAILED, "executed"), (FAILED, "attached"),
+        ]
+        assert all("exit code 17" in r.error for r in records)
+        # One execution for both jobs, and no retry of it.
+        assert deaths.read_text() == "died\n"
+        assert ResultCache(root).lookup(spec.key()) is None
+        assert list((root / "tmp").iterdir()) == []
+
+        monkeypatch.undo()
+        (record,) = run_service(root, [spec], workers=1)
+        assert (record.state, record.mode) == (DONE, "executed")
         clean_root = tmp_path / "clean"
         run_service(clean_root, [spec], workers=1)
         assert _det_artifacts(
-            ResultCache(crashy_root).lookup(spec.key())
+            ResultCache(root).lookup(spec.key())
         ) == _det_artifacts(ResultCache(clean_root).lookup(spec.key()))
 
     @needs_fork
-    def test_attempts_are_bounded(self, tmp_path):
-        spec = _spec()
-        records = run_service(
-            tmp_path, [spec, spec], workers=1,
-            max_attempts=2, target=_always_crash,
-        )
-        assert [r.state for r in records] == [FAILED, FAILED]
-        assert all(r.attempts == 2 for r in records)
-        assert "exit code 23" in records[0].error
-        assert ResultCache(tmp_path).lookup(spec.key()) is None
-        with pytest.raises(ServiceError, match="failed"):
-            ServiceClient(tmp_path).result(records[0].job_id)
+    def test_reported_error_names_the_exception(self, tmp_path, monkeypatch):
+        def fail(spec, workdir):
+            raise RuntimeError("no potential for unobtainium")
 
-    @needs_fork
+        monkeypatch.setattr(worker_mod, "execute_spec", fail)
+        (record,) = run_service(tmp_path, [_spec()], workers=1)
+        assert record.state == FAILED
+        assert record.error == "RuntimeError: no potential for unobtainium"
+        assert list((tmp_path / "tmp").iterdir()) == []
+
     def test_orphaned_staging_swept_on_next_scheduler(self, tmp_path):
         cache = ResultCache(tmp_path)
         leftover = cache.open_staging("deadbeef" * 8)
         (leftover / "junk.bin").write_bytes(b"\xff" * 32)
-        ServicePool(tmp_path, workers=1)  # init sweeps tmp/
+        # A call that executes sweeps tmp/ before it forks.
+        run_service(tmp_path, [_spec(md_steps=5, kmc_max_events=5)], workers=1)
         assert not leftover.exists()
 
 
@@ -200,34 +200,19 @@ class TestExecutionFieldNeutrality:
 
 
 class TestClient:
-    def test_wait_times_out_without_scheduler(self, tmp_path):
-        client = ServiceClient(tmp_path)
-        record = client.submit(_spec())
-        with pytest.raises(ServiceError, match=record.job_id):
-            client.wait(timeout=0.2, poll=0.05)
-
-    def test_result_of_pending_job_raises(self, tmp_path):
-        client = ServiceClient(tmp_path)
-        record = client.submit(_spec())
-        with pytest.raises(ServiceError, match="pending"):
-            client.result(record.job_id)
+    def test_pool_validation(self, tmp_path):
+        with pytest.raises(ValueError, match="workers"):
+            run_service(tmp_path, [_spec()], workers=0)
 
     def test_missing_artifact_raises(self, tmp_path):
         spec = _spec()
-        records = run_service(tmp_path, [spec], workers=1)
-        result = ServiceClient(tmp_path).result(records[0].job_id)
-        assert result.artifact("result.json").is_file()
+        run_service(tmp_path, [spec], workers=1)
+        cache = ResultCache(tmp_path)
+        assert "result.json" in cache.manifest(spec.key())["artifacts"]
         with pytest.raises(ServiceError, match="unobtainium"):
-            result.artifact("unobtainium.npy")
-
-    def test_pool_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="workers"):
-            ServicePool(tmp_path, workers=0)
-        with pytest.raises(ValueError, match="max_attempts"):
-            ServicePool(tmp_path, max_attempts=0)
+            cache.manifest("unobtainium")
 
     def test_queue_visible_across_handles(self, tmp_path):
-        # Submission from one handle, scheduling from another: the disk
-        # is the only shared state.
-        ServiceClient(tmp_path).submit(_spec())
-        assert JobQueue(tmp_path).counts()["pending"] == 1
+        # Submission from two handles: the disk is the only shared state.
+        JobQueue(tmp_path).submit(_spec())
+        assert JobQueue(tmp_path).submit(_spec()) == "job-000002"

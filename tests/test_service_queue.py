@@ -1,49 +1,38 @@
-"""Persistent job queue: durable submits, unique ids, atomic updates."""
+"""Durable job submission: unique ids, complete records, no leftovers."""
 
 import json
 import threading
 
-import pytest
-
-from repro.service.queue import (
-    DONE,
-    PENDING,
-    RUNNING,
-    JobQueue,
-    JobRecord,
-    ServiceError,
-)
+from repro.service.queue import JobQueue
 from repro.service.spec import ScenarioSpec
 
 
-@pytest.fixture()
-def queue(tmp_path):
-    return JobQueue(tmp_path)
+def _payload(root, job_id):
+    return json.loads((root / "queue" / f"{job_id}.json").read_text())
 
 
 class TestSubmit:
-    def test_submit_is_durable_and_reloadable(self, tmp_path, queue):
+    def test_submit_is_durable_and_reloadable(self, tmp_path):
         spec = ScenarioSpec(cells=6, seed=7)
-        record = queue.submit(spec)
-        assert record.job_id == "job-000001"
-        assert record.state == PENDING
-        assert record.key == spec.key()
-        # A fresh handle on the same directory sees the full record.
-        reloaded = JobQueue(tmp_path).get("job-000001")
-        assert reloaded.spec == spec
-        assert reloaded.state == PENDING
-        assert reloaded.key == spec.key()
+        job_id = JobQueue(tmp_path).submit(spec)
+        assert job_id == "job-000001"
+        # The record on disk holds the full spec and its key.
+        payload = _payload(tmp_path, job_id)
+        assert ScenarioSpec.from_dict(payload["spec"]) == spec
+        assert payload["key"] == spec.key()
 
-    def test_ids_are_sequential(self, queue):
-        ids = [queue.submit(ScenarioSpec(seed=s)).job_id for s in (1, 2, 3)]
+    def test_ids_are_sequential(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        ids = [queue.submit(ScenarioSpec(seed=s)) for s in (1, 2, 3)]
         assert ids == ["job-000001", "job-000002", "job-000003"]
 
-    def test_identical_specs_get_distinct_jobs(self, queue):
+    def test_identical_specs_get_distinct_jobs(self, tmp_path):
+        queue = JobQueue(tmp_path)
         spec = ScenarioSpec(seed=7)
         a = queue.submit(spec)
         b = queue.submit(spec)
-        assert a.job_id != b.job_id
-        assert a.key == b.key  # dedup happens at scheduling time
+        assert a != b
+        assert _payload(tmp_path, a) == _payload(tmp_path, b)
 
     def test_concurrent_submitters_never_collide(self, tmp_path):
         ids, errors = [], []
@@ -51,9 +40,9 @@ class TestSubmit:
 
         def submitter(seed):
             try:
-                record = JobQueue(tmp_path).submit(ScenarioSpec(seed=seed))
+                job_id = JobQueue(tmp_path).submit(ScenarioSpec(seed=seed))
                 with lock:
-                    ids.append(record.job_id)
+                    ids.append(job_id)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -66,71 +55,32 @@ class TestSubmit:
             t.join()
         assert not errors
         assert len(set(ids)) == 16
-        records = JobQueue(tmp_path).jobs()
-        assert len(records) == 16
-        assert sorted(r.job_id for r in records) == sorted(ids)
+        on_disk = sorted(p.stem for p in (tmp_path / "queue").iterdir())
+        assert on_disk == sorted(ids)
+        seeds = {_payload(tmp_path, job_id)["spec"]["seed"] for job_id in ids}
+        assert seeds == set(range(16))
 
-    def test_no_temp_files_left_behind(self, tmp_path, queue):
-        queue.submit(ScenarioSpec())
+    def test_no_temp_files_left_behind(self, tmp_path):
+        JobQueue(tmp_path).submit(ScenarioSpec())
         leftovers = [
             p.name for p in (tmp_path / "queue").iterdir()
             if not p.name.startswith("job-")
         ]
         assert leftovers == []
 
-    def test_payload_carries_no_id(self, tmp_path, queue):
+    def test_payload_carries_no_id(self, tmp_path):
         # The slot name IS the id; the payload must not duplicate it.
-        record = queue.submit(ScenarioSpec())
-        payload = json.loads(
-            (tmp_path / "queue" / f"{record.job_id}.json").read_text()
-        )
+        job_id = JobQueue(tmp_path).submit(ScenarioSpec())
+        payload = _payload(tmp_path, job_id)
         assert "job_id" not in payload
         assert "id" not in payload
 
 
 class TestReadUpdate:
-    def test_jobs_in_submission_order(self, queue):
+    def test_jobs_in_submission_order(self, tmp_path):
+        queue = JobQueue(tmp_path)
         for seed in (5, 3, 9):
             queue.submit(ScenarioSpec(seed=seed))
-        assert [r.spec.seed for r in queue.jobs()] == [5, 3, 9]
-
-    def test_update_persists(self, tmp_path, queue):
-        record = queue.submit(ScenarioSpec())
-        record.state = RUNNING
-        record.mode = "executed"
-        record.attempts = 2
-        queue.update(record)
-        reloaded = JobQueue(tmp_path).get(record.job_id)
-        assert reloaded.state == RUNNING
-        assert reloaded.mode == "executed"
-        assert reloaded.attempts == 2
-
-    def test_counts(self, queue):
-        a = queue.submit(ScenarioSpec(seed=1))
-        queue.submit(ScenarioSpec(seed=2))
-        a.state = DONE
-        queue.update(a)
-        counts = queue.counts()
-        assert counts[DONE] == 1
-        assert counts[PENDING] == 1
-
-    def test_get_missing_job(self, queue):
-        with pytest.raises(ServiceError, match="job-999999"):
-            queue.get("job-999999")
-
-    def test_update_missing_job(self, queue):
-        record = JobRecord(job_id="job-999999", spec=ScenarioSpec())
-        with pytest.raises(ServiceError, match="job-999999"):
-            queue.update(record)
-
-    def test_foreign_file_rejected_loudly(self, tmp_path, queue):
-        (tmp_path / "queue" / "job-000001.json").write_text(
-            json.dumps({"format": "something-else"})
-        )
-        with pytest.raises(ServiceError, match="format"):
-            queue.jobs()
-
-    def test_unreadable_record_named_in_error(self, tmp_path, queue):
-        (tmp_path / "queue" / "job-000001.json").write_text("{tor")
-        with pytest.raises(ServiceError, match="job-000001"):
-            queue.get("job-000001")
+        names = sorted(p.stem for p in (tmp_path / "queue").iterdir())
+        seeds = [_payload(tmp_path, name)["spec"]["seed"] for name in names]
+        assert seeds == [5, 3, 9]

@@ -187,7 +187,6 @@ class TestCoupledConfig:
         assert config.spec is spec
         assert config.trajectory is None
         assert config.checkpoint_dir is None
-        assert config.sunway_model is False
         # No MD overrides: the default cascade at the spec's temperature.
         cascade = CoupledSimulation(config, potential).cascade_config()
         assert (cascade.nsteps, cascade.pka_energy) == (200, 120.0)
@@ -208,9 +207,7 @@ class TestCoupledConfig:
         config = ScenarioSpec(trajectory_every=3).to_coupled_config(
             trajectory=str(tmp_path / "t"),
             checkpoint_dir=str(tmp_path / "c"),
-            sunway_model=True,
         )
         assert config.trajectory == str(tmp_path / "t")
         assert config.checkpoint_dir == str(tmp_path / "c")
-        assert config.sunway_model is True
         assert config.spec.trajectory_every == 3
