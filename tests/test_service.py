@@ -117,14 +117,8 @@ class TestDedupAndCache:
 
 
 class TestCrashRetry:
-    @needs_fork
-    def test_worker_death_fails_then_reruns_bit_identical(
-        self, tmp_path, monkeypatch
-    ):
-        spec = _spec()
-        root = tmp_path / "crashy"
-        deaths = tmp_path / "deaths"
-
+    @staticmethod
+    def _die_in_worker(monkeypatch, deaths):
         def die(spec, workdir):
             # Leave a partial staging dir behind, then die without
             # notice: the harshest crash run_service must absorb.
@@ -135,6 +129,15 @@ class TestCrashRetry:
 
         # The forked worker inherits the patched module attribute.
         monkeypatch.setattr(worker_mod, "execute_spec", die)
+
+    @needs_fork
+    def test_attempts_are_bounded(self, tmp_path, monkeypatch):
+        # A worker that dies fails every job on its key after one
+        # attempt: no retry, no cache entry, no staging left behind.
+        spec = _spec()
+        root = tmp_path / "crashy"
+        deaths = tmp_path / "deaths"
+        self._die_in_worker(monkeypatch, deaths)
         records = run_service(root, [spec, spec], workers=1)
         assert [(r.state, r.mode) for r in records] == [
             (FAILED, "executed"), (FAILED, "attached"),
@@ -144,6 +147,16 @@ class TestCrashRetry:
         assert deaths.read_text() == "died\n"
         assert ResultCache(root).lookup(spec.key()) is None
         assert list((root / "tmp").iterdir()) == []
+
+    @needs_fork
+    def test_crash_mid_job_retried_bit_identical(self, tmp_path, monkeypatch):
+        # The retry is the next call: it re-executes the miss and
+        # publishes what a fault-free root publishes, byte for byte.
+        spec = _spec()
+        root = tmp_path / "crashy"
+        self._die_in_worker(monkeypatch, tmp_path / "deaths")
+        (failed,) = run_service(root, [spec], workers=1)
+        assert failed.state == FAILED
 
         monkeypatch.undo()
         (record,) = run_service(root, [spec], workers=1)
