@@ -3,9 +3,13 @@
 The simulation's headline claims — bit-identical trajectories across
 communication schemes and execution backends — rest on invariants that
 runtime tests can only sample: all randomness flows through seeded
-Generators, simmpi send/recv protocols pair up, float bit-identity is
-asserted explicitly, and failures are never silently swallowed.  This
-package checks those invariants *statically*, before a single test runs.
+Generators (REP001) and simmpi send/recv protocols pair up (REP002),
+both checked over the whole-program call graph; float bit-identity is
+asserted explicitly (REP003), and a timing phase is entered, not
+discarded (REP006).  This package checks those invariants *statically*,
+before a single test runs.  Per-file hazards a stock linter knows —
+library asserts, broad excepts, ``np.add.at`` — are ruff's ``S101``,
+``BLE001`` and ``TID251`` (``pyproject.toml``).
 
 Usage::
 

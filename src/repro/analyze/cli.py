@@ -19,7 +19,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analyze",
         description=(
             "Domain-specific static analysis: determinism, simmpi protocol "
-            "discipline, numeric safety."
+            "discipline, float equality, phase use."
         ),
     )
     parser.add_argument(

@@ -15,7 +15,7 @@ import re
 import tokenize
 from dataclasses import dataclass
 from pathlib import PurePosixPath
-from typing import Iterable, Iterator
+from typing import Iterable
 
 #: The one way to silence a finding: the comment
 #: ``repro: noqa(REP001,REP003) <reason>`` names the rules it silences on
@@ -219,9 +219,3 @@ class ImportMap:
         if base is None:
             return None
         return ".".join([base, *reversed(attrs)])
-
-
-def iter_calls(tree: ast.Module) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node

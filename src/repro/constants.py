@@ -85,8 +85,3 @@ def thermal_velocity_sigma(temperature: float, mass: float) -> float:
     if mass <= 0:
         raise ValueError(f"mass must be positive, got {mass}")
     return math.sqrt(KB_EV * temperature / (mass * MVV2E))
-
-
-def kinetic_energy(mass: float, vx: float, vy: float, vz: float) -> float:
-    """Kinetic energy (eV) of one atom of ``mass`` amu with velocity in A/ps."""
-    return 0.5 * mass * MVV2E * (vx * vx + vy * vy + vz * vz)

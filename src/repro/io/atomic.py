@@ -48,7 +48,7 @@ def _fsync_dir(path: Path) -> None:
 
 
 @contextmanager
-def atomic_write(path, *, sync: bool = True):
+def atomic_write(path):
     """Context manager yielding a binary file object; commit on success.
 
     Usage::
@@ -59,13 +59,8 @@ def atomic_write(path, *, sync: bool = True):
     The bytes become visible at ``path`` only if the block exits
     cleanly; an exception (including a fault-injected crash mid-write)
     removes the temp file and leaves any previous ``path`` intact.
-
-    Parameters
-    ----------
-    sync:
-        Fsync the temp file before the rename (and the directory after).
-        ``True`` is the durability contract; tests may disable it to
-        exercise the tear window.
+    The temp file is always fsynced before the rename, and the
+    directory after it.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -77,8 +72,7 @@ def atomic_write(path, *, sync: bool = True):
         with os.fdopen(fd, "wb") as fh:
             yield fh
             fh.flush()
-            if sync:
-                os.fsync(fh.fileno())
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -88,11 +82,10 @@ def atomic_write(path, *, sync: bool = True):
             # the one that matters.
             pass
         raise
-    if sync:
-        _fsync_dir(path.parent)
+    _fsync_dir(path.parent)
 
 
-def atomic_write_bytes(path, payload: bytes, *, sync: bool = True) -> None:
+def atomic_write_bytes(path, payload: bytes) -> None:
     """Atomically replace ``path`` with ``payload`` (see :func:`atomic_write`)."""
-    with atomic_write(path, sync=sync) as fh:
+    with atomic_write(path) as fh:
         fh.write(payload)

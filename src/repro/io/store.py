@@ -233,9 +233,9 @@ class TrajectoryWriter:
         self._cut_to_index()
         # A torn tail a crash left beyond the last indexed chunk is
         # dropped — but never silently: recovered-from corruption must
-        # be observable (the REP005 discipline applied to data, not
-        # code).  A reopened writer starts a fresh chunk (keyframe), so
-        # it never needs to decode the previous frame to continue.
+        # be observable, as a caught exception must be.  A reopened
+        # writer starts a fresh chunk (keyframe), so it never needs to
+        # decode the previous frame to continue.
         if size > self._data_end:
             obs.add("io.trajectory.torn_tail")
             warnings.warn(

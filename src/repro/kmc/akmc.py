@@ -123,10 +123,6 @@ class KMCResult:
     vacancy_ranks: np.ndarray
     comm_stats: dict | None = None
 
-    @property
-    def nvacancies(self) -> int:
-        return len(self.vacancy_ranks)
-
 
 def place_random_vacancies(
     model: KMCModel, count: int, rng: np.random.Generator

@@ -29,6 +29,10 @@ import numpy as np
 from repro.lattice.bcc import BCCLattice, SiteSet
 from repro.lattice.domain import DIRECTIONS, DomainDecomposition, Subdomain
 
+#: Event reach in cells: one first-neighbor hop, 1 for BCC.  Sectors of
+#: adjacent processes must be separated by more than ``2 * EVENT_WIDTH``
+#: so their writes never collide.
+EVENT_WIDTH = 1
 
 @dataclass(frozen=True)
 class SectorComm:
@@ -36,7 +40,7 @@ class SectorComm:
 
     Get strips span the full *rate stencil* (``width`` cells) around a
     sector — everything event rates can read.  Put strips span only the
-    *event-reachable* shell (``event_width`` cells, one first-neighbor
+    *event-reachable* shell (``EVENT_WIDTH`` cells, one first-neighbor
     hop) — everything a sector's events can have written.  Keeping the
     put strips inside the event reach is what makes concurrent sectors
     conflict-free: a wider put would ship back stale copies of sites some
@@ -73,10 +77,6 @@ class SectorSchedule:
     width:
         Rate-stencil ghost width in cells; must cover the KMC interaction
         envelope (first shell + energy cutoff).
-    event_width:
-        Event-reach width in cells (one first-neighbor hop; 1 for BCC).
-        Sectors of adjacent processes must be separated by more than
-        ``2 * event_width`` so their writes never collide.
     """
 
     def __init__(
@@ -85,24 +85,22 @@ class SectorSchedule:
         rank: int,
         sites: np.ndarray,
         width: int,
-        event_width: int = 1,
     ) -> None:
         lattice: BCCLattice = decomp.lattice
         self.decomp = decomp
         self.rank = rank
         self.sites = sites
         self.width = width
-        self.event_width = event_width
         sub = decomp.subdomain(rank)
         if any(s < 2 * width for s in sub.shape):
             raise ValueError(
                 f"subdomain shape {sub.shape} must be >= 2*width={2 * width} "
                 "per axis for conflict-free sectoring"
             )
-        if any(s // 2 < 2 * event_width for s in sub.shape):
+        if any(s // 2 < 2 * EVENT_WIDTH for s in sub.shape):
             raise ValueError(
                 f"sector separation {min(sub.shape) // 2} cells does not "
-                f"exceed twice the event reach ({event_width}); concurrent "
+                f"exceed twice the event reach ({EVENT_WIDTH}); concurrent "
                 "sector writes could collide"
             )
         self.sectors = sub.sectors()
@@ -208,7 +206,7 @@ def _strip_sets(schedule: SectorSchedule) -> list[list[SectorComm]]:
     my_cells = [c[mine] for c in cells]
     theirs = {n: owner == n for n in schedule.neighbors}
     their_sectors = {n: decomp.subdomain(n).sectors() for n in schedule.neighbors}
-    widths = (schedule.width, schedule.event_width)
+    widths = (schedule.width, EVENT_WIDTH)
     strips = []
     for s, sector in enumerate(schedule.sectors):
         my_rate, my_event = (_in_shell(sector, w, dims, cells) for w in widths)

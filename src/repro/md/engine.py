@@ -32,7 +32,6 @@ class MDConfig:
     dt: float = 0.001
     temperature: float = 600.0
     seed: int = 2018
-    table_layout: str = "traditional"
     thermostat_tau: float = 0.05
 
     def __post_init__(self) -> None:
@@ -77,9 +76,7 @@ class MDEngine:
     ) -> None:
         self.lattice = lattice
         self.config = config or MDConfig()
-        self.potential = potential or make_fe_potential(
-            layout=self.config.table_layout
-        )
+        self.potential = potential or make_fe_potential()
         self.box = Box.for_lattice(lattice)
         self.state = AtomState.perfect(lattice)
         self.nblist = LatticeNeighborList(lattice, self.potential.cutoff)

@@ -62,19 +62,3 @@ class VelocityVerlet:
         if nblist is not None:
             runs = nblist.runaways
             runs.v += 0.5 * self.dt * (FM2A / state.mass) * runs.f
-
-    def step(
-        self,
-        state: AtomState,
-        compute_forces,
-        nblist: LatticeNeighborList | None = None,
-    ) -> float:
-        """One full step; ``compute_forces()`` must refresh ``state.f``.
-
-        Returns whatever ``compute_forces`` returns (the potential energy
-        in the engine's usage).
-        """
-        self.first_half(state, nblist)
-        energy = compute_forces()
-        self.second_half(state, nblist)
-        return energy

@@ -108,9 +108,7 @@ class ParallelDamageMD:
     ) -> None:
         self.lattice = lattice
         self.config = config or MDConfig()
-        self.potential = potential or make_fe_potential(
-            layout=self.config.table_layout
-        )
+        self.potential = potential or make_fe_potential()
         if grid is None:
             if nranks is None:
                 raise ValueError("provide either grid or nranks")

@@ -34,11 +34,6 @@ def maxwell_boltzmann_velocities(
             state.v[occ] *= np.sqrt(temperature / current)
 
 
-def instantaneous_temperature(state: AtomState) -> float:
-    """Equipartition temperature of the on-lattice atoms (K)."""
-    return state.temperature()
-
-
 def berendsen_rescale(
     state: AtomState,
     target: float,

@@ -223,18 +223,6 @@ class Registry:
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
-    def elapsed(self) -> float:
-        """Seconds since the registry was created."""
-        return time.perf_counter() - self._t0
-
-    def subsystems(self) -> set[str]:
-        """Dotted-name prefixes seen across phases and counters."""
-        with self._lock:
-            names = {path[-1] for path in self.phases}
-            names.update(self.counters)
-            names.update(self.gauges)
-        return {n.split(".", 1)[0] for n in names}
-
     def summary(self) -> dict:
         """Machine-readable snapshot (JSON-serializable)."""
         with self._lock:

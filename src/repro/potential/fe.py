@@ -117,9 +117,12 @@ class FeParameters:
 def make_fe_tables(
     params: FeParameters | None = None,
     n: int = 5000,
-    layout: str = "traditional",
 ) -> TableSet:
-    """Tabulate the analytic model into a :class:`TableSet`.
+    """Tabulate the analytic model into a traditional :class:`TableSet`.
+
+    Each table holds ``n`` x 7 spline coefficients;
+    ``EAMPotential.with_layout("compacted")`` converts them to ``n``
+    samples.
 
     Parameters
     ----------
@@ -127,23 +130,14 @@ def make_fe_tables(
         Model parameters (defaults to :class:`FeParameters`).
     n:
         Number of spline segments (the paper uses 5000).
-    layout:
-        ``"traditional"`` (5000 x 7 coefficients) or ``"compacted"``
-        (5000 samples).
     """
     params = params or FeParameters()
-    if layout == "traditional":
-        cls = SplineTable
-    elif layout == "compacted":
-        from repro.potential.compact import CompactTable
-
-        cls = CompactTable
-    else:
-        raise ValueError(f"unknown table layout {layout!r}")
     return TableSet(
-        pair=cls.from_function(params.pair, params.cutoff, n=n, name="pair"),
-        density=cls.from_function(params.density, params.cutoff, n=n, name="density"),
-        embedding=cls.from_function(
+        pair=SplineTable.from_function(params.pair, params.cutoff, n=n, name="pair"),
+        density=SplineTable.from_function(
+            params.density, params.cutoff, n=n, name="density"
+        ),
+        embedding=SplineTable.from_function(
             params.embedding, params.rho_max(), n=n, name="embedding"
         ),
     )
@@ -152,8 +146,7 @@ def make_fe_tables(
 def make_fe_potential(
     params: FeParameters | None = None,
     n: int = 5000,
-    layout: str = "traditional",
 ) -> EAMPotential:
     """The iron-like EAM potential used across the reproduction."""
     params = params or FeParameters()
-    return EAMPotential(make_fe_tables(params, n=n, layout=layout), params.cutoff)
+    return EAMPotential(make_fe_tables(params, n=n), params.cutoff)

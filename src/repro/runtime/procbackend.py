@@ -203,9 +203,7 @@ def _ensure_picklable(exc: BaseException) -> BaseException:
     try:
         pickle.loads(pickle.dumps(exc))
         return exc
-    except Exception:
-        # A custom __reduce__ can raise anything, so the catch must stay
-        # broad — but the downgrade is counted, never silent.
+    except Exception:  # noqa: BLE001 - a custom __reduce__ can raise anything; the downgrade is counted
         obs.add("runtime.procbackend.unpicklable_errors")
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 

@@ -185,7 +185,7 @@ class RankThreads:
             self.results[rank] = self._main(comm)
         except WorldAborted:
             pass
-        except BaseException as exc:  # repro: noqa(REP005) rank-thread boundary: _fail records any failure for the join to re-raise
+        except BaseException as exc:  # noqa: BLE001 - rank-thread boundary: _fail records any failure for the join to re-raise
             self._fail(rank, exc)
         finally:
             if scheduler is not None:

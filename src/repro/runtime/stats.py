@@ -164,27 +164,6 @@ class TrafficStats:
                 "sent_bytes": sent_bytes,
             }
 
-    def publish(self, registry=None, prefix: str = "runtime") -> None:
-        """Push the aggregate counters into an observe registry.
-
-        The live path already mirrors every ``record_*`` call into the
-        active registry; this method additionally lets a caller dump the
-        totals of a world that ran *before* observation was enabled
-        (gauges, so re-publishing does not double-count).
-        """
-        registry = registry if registry is not None else obs.active()
-        if registry is None:
-            return
-        snap = self.snapshot()
-        registry.set_gauge(f"{prefix}.world.sent_messages", snap["total_messages"])
-        registry.set_gauge(f"{prefix}.world.sent_bytes", snap["total_sent_bytes"])
-        registry.set_gauge(f"{prefix}.world.collectives", snap["total_collectives"])
-
-    def reset(self) -> None:
-        """Zero all counters (e.g. after a warm-up phase)."""
-        with self._lock:
-            self.ranks = [RankCounters() for _ in range(self.nranks)]
-
     # ------------------------------------------------------------------
     # Cross-process aggregation (the simmpi process backend)
     # ------------------------------------------------------------------

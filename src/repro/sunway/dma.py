@@ -33,13 +33,6 @@ class DMAStats:
     def total_bytes(self) -> int:
         return self.get_bytes + self.put_bytes
 
-    def merge(self, other: "DMAStats") -> None:
-        self.gets += other.gets
-        self.puts += other.puts
-        self.get_bytes += other.get_bytes
-        self.put_bytes += other.put_bytes
-        self.time += other.time
-
 
 @dataclass
 class DMAEngine:
@@ -77,6 +70,3 @@ class DMAEngine:
             obs.add("sunway.dma.put_bytes", count * nbytes)
             obs.add("sunway.dma.time_modeled_s", t)
         return t
-
-    def reset(self) -> None:
-        self.stats = DMAStats()

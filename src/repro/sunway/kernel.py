@@ -7,7 +7,7 @@ processes the blocks one by one." (§2.1.2)
 
 The kernel executes the real EAM computation — the MD engine's own two
 passes (:func:`repro.md.forces.density_pass` /
-:func:`~repro.md.forces.force_pass`), read off for the central range —
+:func:`~repro.md.forces.force_pass`) over the whole step —
 while the block loop, a :class:`DMAEngine` and cycle counters price every
 variant from the blocks' masks and counts:
 
@@ -135,9 +135,8 @@ class BlockedEAMKernel:
     ----------
     arch, potential, strategy:
         Machine model, potential (any layout; the strategy decides the
-        layout actually priced), and the optimization variant.
-    nthreads:
-        Slave cores per core group (64 on the SW26010).
+        layout actually priced), and the optimization variant.  The
+        slave-core team is ``arch.cpes_per_cg`` threads.
     table_points:
         Knots of the tables being priced (5000 in the paper).
     """
@@ -147,13 +146,12 @@ class BlockedEAMKernel:
         arch: SunwayArch,
         potential: EAMPotential,
         strategy: KernelStrategy,
-        nthreads: int = 64,
         table_points: int = 5000,
     ) -> None:
         self.arch = arch
         self.potential = potential
         self.strategy = strategy
-        self.pool = AthreadPool(nthreads)
+        self.pool = AthreadPool(arch.cpes_per_cg)
         self.table_points = table_points
         self.block_sites = self._plan_block_size()
 
@@ -200,19 +198,14 @@ class BlockedEAMKernel:
     # Execution
     # ------------------------------------------------------------------
     def run_step(
-        self,
-        state: AtomState,
-        nblist: LatticeNeighborList,
-        central_range: tuple[int, int] | None = None,
+        self, state: AtomState, nblist: LatticeNeighborList
     ) -> KernelReport:
-        """One full EAM force step over the given central-row range.
+        """One full EAM force step over every row of one core group.
 
-        Executes the real computation and prices it.  ``central_range``
-        restricts the step to a row slice (one core group's share when an
-        experiment models several CGs).
+        Executes the real computation and prices it.
         """
         with obs.phase("sunway.kernel"):
-            report = self._run_step(state, nblist, central_range)
+            report = self._run_step(state, nblist)
         if obs.enabled():
             obs.add("sunway.kernel.steps")
             obs.add("sunway.kernel.interactions", report.interactions)
@@ -220,10 +213,7 @@ class BlockedEAMKernel:
         return report
 
     def _run_step(
-        self,
-        state: AtomState,
-        nblist: LatticeNeighborList,
-        central_range: tuple[int, int] | None = None,
+        self, state: AtomState, nblist: LatticeNeighborList
     ) -> KernelReport:
         arch = self.arch
         strat = self.strategy
@@ -233,15 +223,12 @@ class BlockedEAMKernel:
             else self.potential.with_layout(strat.table_layout)
         )
         occ = state.occupied
-        lo, hi = central_range if central_range is not None else (0, state.n)
-        if not 0 <= lo <= hi <= state.n:
-            raise ValueError(f"invalid central range ({lo}, {hi})")
         dma = DMAEngine(arch)
         total_interactions = 0
         nblocks_total = 0
 
         matrix, valid = nblist.matrix, nblist.valid
-        slabs = self.pool.partition(hi - lo)
+        slabs = self.pool.partition(state.n)
         # Per-pass per-thread accounting.
         pass_names = ("density", "embedding", "force_pair", "force_density")
         pass_costs = {p: [PassCost() for _ in slabs] for p in pass_names}
@@ -274,7 +261,7 @@ class BlockedEAMKernel:
             cost.blocks.append((compute, transfer))
 
         for tidx, slab in enumerate(slabs):
-            rows_all = np.arange(lo + slab.start, lo + slab.stop)
+            rows_all = np.arange(slab.start, slab.stop)
             blocks = [
                 rows_all[i : i + self.block_sites]
                 for i in range(0, len(rows_all), self.block_sites)
@@ -340,24 +327,13 @@ class BlockedEAMKernel:
                         per_neighbor_gets=n_inter if trad else 0,
                     )
 
-        # The values: a core group's central range is a rank's owned rows.
-        # Densities must be converged for the neighbors outside the range
-        # too (other CGs own them in the modeled run), so both passes run
-        # over the whole half pair list and the range is read off; a bond
-        # with one endpoint outside it carries half its pair energy.
+        # The values: the one EAM kernel over the whole half pair list.
         table = PairTable.from_pairs(
             state.x, *nblist.lattice_pairs(state), nblist.box, pot.cutoff
         )
         dens = density_pass(pot, state.n, table)
-        all_forces, emb = force_pass(pot, table, dens, dens.rho)
-        forces = np.zeros((state.n, 3))
-        forces[lo:hi] = all_forces[lo:hi]
-        inside = ((table.i >= lo) & (table.i < hi)).astype(float) + (
-            (table.j >= lo) & (table.j < hi)
-        )
-        energy = float(np.sum(dens.phi * (0.5 * inside))) + float(
-            np.sum(emb[lo:hi][occ[lo:hi]])
-        )
+        forces, emb = force_pass(pot, table, dens, dens.rho)
+        energy = float(np.sum(dens.phi)) + float(np.sum(emb[occ]))
 
         # Per-pass team times (synchronized threads: slowest slab wins),
         # plus the once-per-pass resident table load of the compacted path.
@@ -385,7 +361,7 @@ class BlockedEAMKernel:
             dma_time=dma_time,
             dma=dma.stats,
             interactions=total_interactions,
-            natoms=int(np.count_nonzero(occ[lo:hi])),
+            natoms=int(np.count_nonzero(occ)),
             nblocks=nblocks_total,
             block_sites=self.block_sites,
         )

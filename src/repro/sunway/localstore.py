@@ -46,30 +46,5 @@ class LocalStore:
             )
         self.buffers[name] = int(nbytes)
 
-    def resize(self, name: str, nbytes: int) -> None:
-        """Grow or shrink an existing buffer, enforcing capacity."""
-        if name not in self.buffers:
-            raise KeyError(f"no buffer named {name!r}")
-        old = self.buffers.pop(name)
-        try:
-            self.alloc(name, nbytes)
-        except LocalStoreOverflow:
-            self.buffers[name] = old
-            raise
-
-    def release(self, name: str) -> None:
-        """Free a buffer."""
-        if name not in self.buffers:
-            raise KeyError(f"no buffer named {name!r}")
-        del self.buffers[name]
-
-    def reset(self) -> None:
-        """Free everything."""
-        self.buffers.clear()
-
-    def fits(self, nbytes: int) -> bool:
-        """Whether ``nbytes`` more would fit right now."""
-        return nbytes <= self.free
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LocalStore(used={self.used}/{self.capacity}, buffers={self.buffers})"

@@ -96,7 +96,7 @@ class TestReporters:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         codes = [line.split()[0] for line in out.splitlines()]
-        assert codes == [f"REP00{i}" for i in range(1, 8)]
+        assert codes == ["REP001", "REP002", "REP003", "REP006"]
 
 
 class TestSuppression:
@@ -164,12 +164,22 @@ class TestSuppression:
 
     def test_stale_pragma_reported(self, tree, capsys):
         (tree / "src/repro/kmc/fixed.py").write_text(
-            "x = 1  # repro: noqa(REP004) was fixed long ago\n"
+            "x = 1  # repro: noqa(REP006) was fixed long ago\n"
         )
         (tree / "src/repro/kmc/bad.py").write_text(CLEAN)
         assert main(["src"]) == 1
         out = capsys.readouterr().out
-        assert "fixed.py:1" in out and "suppresses no REP004 finding" in out
+        assert "fixed.py:1" in out and "suppresses no REP006 finding" in out
+
+    def test_pragma_of_a_retired_rule_names_an_unknown_rule(self, tree, capsys):
+        # REP005 is ruff's BLE001 now: its old pragma is stale as unknown.
+        (tree / "src/repro/kmc/fixed.py").write_text(
+            "x = 1  # repro: noqa(REP005) boundary handler\n"
+        )
+        (tree / "src/repro/kmc/bad.py").write_text(CLEAN)
+        assert main(["src"]) == 1
+        out = capsys.readouterr().out
+        assert "REP000 pragma names unknown rule REP005" in out
 
 
 class TestPragmaContract:
@@ -208,8 +218,8 @@ class TestPragmaContract:
         (tree / "src/repro/kmc/bad.py").write_text(
             "x = 1  # repro: noqa(REP001) checked by the full scan\n"
         )
-        only_rep004 = [all_rules()["REP004"]()]
-        assert analyze_paths(["src"], rules=only_rep004).findings == []
+        only_rep006 = [all_rules()["REP006"]()]
+        assert analyze_paths(["src"], rules=only_rep006).findings == []
         assert [f.rule for f in analyze_paths(["src"]).findings] == ["REP000"]
 
     def test_rep000_cannot_be_silenced(self, tree):
@@ -223,10 +233,10 @@ class TestPragmaContract:
 
 class TestRuleSubset:
     def test_rules_argument_restricts_the_scan(self, tree):
-        # The tree has a REP001 finding; scanning only REP004 is clean.
+        # The tree has a REP001 finding; scanning only REP006 is clean.
         rules = all_rules()
-        assert analyze_paths(["src"], rules=[rules["REP004"]()]).findings == []
-        found = analyze_paths(["src"], rules=[rules["REP001"](), rules["REP004"]()])
+        assert analyze_paths(["src"], rules=[rules["REP006"]()]).findings == []
+        found = analyze_paths(["src"], rules=[rules["REP001"](), rules["REP006"]()])
         assert [f.rule for f in found.findings] == ["REP001"]
 
 

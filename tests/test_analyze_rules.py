@@ -204,65 +204,6 @@ class TestREP003FloatEquality:
         assert len(scan(src, rel="src/repro/potential/x.py", codes={"REP003"})) == 1
 
 
-class TestREP004LibraryAssert:
-    def test_flags_assert_in_library_code(self):
-        assert codes_of(scan("assert 1 + 1 == 2\n", codes={"REP004"})) == ["REP004"]
-
-    def test_explicit_raise_is_fine(self):
-        good = """\
-        def f(x):
-            if x < 0:
-                raise ValueError(x)
-        """
-        assert scan(good, codes={"REP004"}) == []
-
-    def test_tests_and_benchmarks_are_exempt(self):
-        src = "assert True\n"
-        assert scan(src, rel="tests/test_x.py", codes={"REP004"}) == []
-        assert scan(src, rel="benchmarks/test_y.py", codes={"REP004"}) == []
-
-
-class TestREP005SilentExcept:
-    def test_flags_silent_broad_handlers(self):
-        bad = """\
-        def f():
-            try:
-                work()
-            except Exception:
-                pass
-            try:
-                work()
-            except:
-                result = None
-        """
-        assert codes_of(scan(bad, codes={"REP005"})) == ["REP005", "REP005"]
-
-    def test_reraise_or_logging_is_fine(self):
-        good = """\
-        from repro import observe as obs
-        def f():
-            try:
-                work()
-            except Exception:
-                obs.add("f.failures")
-            try:
-                work()
-            except Exception as exc:
-                raise RuntimeError("ctx") from exc
-        """
-        assert scan(good, codes={"REP005"}) == []
-
-    def test_narrow_handlers_are_fine(self):
-        good = """\
-        def f():
-            try:
-                work()
-            except (ValueError, KeyError):
-                pass
-        """
-        assert scan(good, codes={"REP005"}) == []
-
-
 class TestREP006BarePhase:
     def test_flags_bare_phase_statement(self):
         bad = """\
@@ -282,64 +223,12 @@ class TestREP006BarePhase:
         assert scan(good, codes={"REP006"}) == []
 
 
-class TestREP007SlowDataMovement:
-    def test_flags_add_at_in_hot_dirs(self):
-        bad = """\
-        import numpy as np
-
-        def scatter(forces, rows, contrib):
-            np.add.at(forces, rows, contrib)
-        """
-        assert codes_of(scan(bad, codes={"REP007"})) == ["REP007"]
-        assert codes_of(
-            scan(bad, rel="src/repro/md/mod.py", codes={"REP007"})
-        ) == ["REP007"]
-
-    def test_aliased_imports_resolve(self):
-        bad = """\
-        import numpy as xp
-        from numpy import add
-
-        def f(forces, rows, w):
-            xp.add.at(forces, rows, w)
-            add.at(forces, rows, w)
-        """
-        assert codes_of(scan(bad, codes={"REP007"})) == ["REP007", "REP007"]
-
-    def test_cold_paths_are_exempt(self):
-        src = """\
-        import numpy as np
-        import pickle
-
-        def f(forces, rows, w):
-            np.add.at(forces, rows, w)
-            return pickle.dumps(rows)
-        """
-        for rel in (
-            "src/repro/runtime/simmpi.py",
-            "src/repro/observe/registry.py",
-            "src/repro/core/coupling.py",
-        ):
-            assert scan(src, rel=rel, codes={"REP007"}) == []
-
-    def test_bincount_and_loads_are_fine(self):
-        good = """\
-        import pickle
-
-        import numpy as np
-
-        def f(rows, w, n, blob):
-            acc = np.bincount(rows, weights=w, minlength=n)
-            return acc, pickle.loads(blob)
-        """
-        assert scan(good, codes={"REP007"}) == []
-
-
 class TestRegistry:
     def test_domain_rules_registered(self):
         # One rule per hazard: the call-graph variants live inside
-        # REP001 and REP002, not beside them.
-        assert set(all_rules()) == {f"REP00{i}" for i in range(1, 8)}
+        # REP001 and REP002, not beside them.  Asserts, broad excepts and
+        # np.add.at are ruff's S101, BLE001 and TID251.
+        assert set(all_rules()) == {"REP001", "REP002", "REP003", "REP006"}
 
     def test_every_rule_is_documented(self):
         for cls in all_rules().values():

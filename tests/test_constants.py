@@ -59,20 +59,6 @@ class TestThermalVelocity:
 
 
 class TestKineticEnergy:
-    def test_zero_velocity(self):
-        assert c.kinetic_energy(c.FE_MASS, 0, 0, 0) == 0.0
-
-    def test_known_value(self):
-        # 1 amu at 1 A/ps along x.
-        assert c.kinetic_energy(1.0, 1.0, 0.0, 0.0) == pytest.approx(
-            0.5 * c.MVV2E
-        )
-
-    def test_isotropic(self):
-        a = c.kinetic_energy(c.FE_MASS, 3.0, 0.0, 0.0)
-        b = c.kinetic_energy(c.FE_MASS, 0.0, 0.0, 3.0)
-        assert a == pytest.approx(b, rel=1e-15)
-
     def test_vacancy_formation_energy_matches_19_2_days(self):
         # The back-solved E_v+ must regenerate the paper's headline.
         c_real = math.exp(

@@ -144,7 +144,7 @@ def _under(modules: list[str], *prefixes: str) -> list[str]:
 
 #: What a run does not configure it does not load: the registry, report
 #: and trace behind ``repro.observe`` (observation is off) and the
-#: compacted table layout (``layout="traditional"``).
+#: compacted table layout (``make_fe_potential`` builds traditional tables).
 _NOT_CONFIGURED = (
     ("repro.observe.registry", "repro.observe.report", "repro.observe.trace"),
     ("repro.potential.compact",),

@@ -45,7 +45,7 @@ class TestConservation:
     ):
         n0 = int(np.sum(kmc_initial_occ == VACANCY))
         for scheme, res in parallel_kmc_results.items():
-            assert res.nvacancies == n0, scheme
+            assert len(res.vacancy_ranks) == n0, scheme
 
     def test_occupancy_codes_valid(self, parallel_kmc_results):
         occ = parallel_kmc_results["ondemand"].occupancy

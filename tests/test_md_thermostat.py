@@ -6,7 +6,6 @@ import pytest
 from repro.md.state import AtomState
 from repro.md.thermostat import (
     berendsen_rescale,
-    instantaneous_temperature,
     maxwell_boltzmann_velocities,
 )
 
@@ -90,8 +89,3 @@ class TestBerendsen:
             berendsen_rescale(state, target=-1.0, dt=0.001)
         with pytest.raises(ValueError, match="positive"):
             berendsen_rescale(state, target=600.0, dt=0.0)
-
-    def test_instantaneous_temperature_alias(self, lattice5):
-        state = AtomState.perfect(lattice5)
-        maxwell_boltzmann_velocities(state, 450.0, np.random.default_rng(0))
-        assert instantaneous_temperature(state) == state.temperature()

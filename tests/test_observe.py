@@ -133,22 +133,6 @@ class TestThreadSafety:
         for r in range(nranks):
             assert any(n.endswith(f"simmpi-rank-{r}") for n in names)
 
-    def test_publish_snapshot_gauges(self):
-        from repro.runtime.simmpi import World
-
-        def main(comm):
-            comm.barrier()
-
-        world = World(2)
-        world.run(main)  # runs unobserved
-        assert world.stats.total_collectives > 0
-        with obs.observing() as reg:
-            world.stats.publish()
-        assert (
-            reg.gauges["runtime.world.collectives"]
-            == world.stats.total_collectives
-        )
-
 
 class TestChromeTrace:
     def test_export_valid_and_monotonic(self, tmp_path):
@@ -222,4 +206,3 @@ class TestReport:
                 pass
             obs.add("c", 1)
         json.dumps(reg.summary())
-        assert reg.subsystems() == {"a", "c"}

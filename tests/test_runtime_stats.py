@@ -124,15 +124,6 @@ class TestTrafficStats:
         assert stats.total_collectives == 4
         assert all(c.collectives == 1 for c in stats.ranks)
 
-    def test_reset(self):
-        stats = TrafficStats(2)
-        stats.record_send(0, 1, 10)
-        stats.record_collective()
-        stats.reset()
-        assert stats.total_sent_bytes == 0
-        assert stats.total_collectives == 0
-        assert stats.snapshot()["sent_bytes"] == [0, 0]
-
     def test_snapshot_keys(self):
         snap = TrafficStats(3).snapshot()
         assert set(snap) == {

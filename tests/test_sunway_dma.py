@@ -4,7 +4,7 @@ import pytest
 
 from repro.sunway.arch import SunwayArch
 from repro.sunway.athread import AthreadPool
-from repro.sunway.dma import DMAEngine, DMAStats
+from repro.sunway.dma import DMAEngine
 
 
 class TestArch:
@@ -56,20 +56,6 @@ class TestDMAEngine:
         t = dma.get(1000, count=2)
         assert t == pytest.approx(2 * (1e-6 + 1e-6))
         assert dma.stats.time == pytest.approx(t)
-
-    def test_reset(self):
-        dma = DMAEngine()
-        dma.get(10)
-        dma.reset()
-        assert dma.stats.operations == 0
-
-    def test_merge(self):
-        a = DMAStats(gets=1, get_bytes=10, time=0.5)
-        b = DMAStats(puts=2, put_bytes=20, time=0.25)
-        a.merge(b)
-        assert a.operations == 3
-        assert a.total_bytes == 30
-        assert a.time == 0.75
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -73,27 +73,6 @@ class TestCorrectness:
         for name, report in small_reports.items():
             assert report.energy == pytest.approx(ref_energy, rel=1e-12), name
 
-    def test_central_range_partition_sums_to_whole(
-        self, kernel_system, potential
-    ):
-        state, nbl, ref_forces, _e = kernel_system
-        kernel = BlockedEAMKernel(
-            SunwayArch(), potential, STRATEGY_LADDER[1], table_points=5000
-        )
-        half = state.n // 2
-        r1 = kernel.run_step(state, nbl, central_range=(0, half))
-        r2 = kernel.run_step(state, nbl, central_range=(half, state.n))
-        merged = r1.forces + r2.forces
-        assert np.allclose(merged, ref_forces, atol=1e-12)
-
-    def test_invalid_range_rejected(self, kernel_system, potential):
-        state, nbl, _f, _e = kernel_system
-        kernel = BlockedEAMKernel(
-            SunwayArch(), potential, STRATEGY_LADDER[1], table_points=5000
-        )
-        with pytest.raises(ValueError, match="range"):
-            kernel.run_step(state, nbl, central_range=(5, 2))
-
 
 class TestCostStructure:
     def test_traditional_pays_3_gets_per_interaction(self, ladder_reports):

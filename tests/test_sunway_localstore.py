@@ -15,8 +15,6 @@ class TestAllocator:
         ls.alloc("b", 200)
         assert ls.used == 500
         assert ls.free == 500
-        ls.release("a")
-        assert ls.used == 200
 
     def test_overflow_raises(self):
         ls = LocalStore(100)
@@ -29,31 +27,6 @@ class TestAllocator:
         ls.alloc("a", 10)
         with pytest.raises(ValueError, match="already"):
             ls.alloc("a", 10)
-
-    def test_resize_respects_capacity(self):
-        ls = LocalStore(100)
-        ls.alloc("a", 50)
-        ls.resize("a", 90)
-        assert ls.used == 90
-        with pytest.raises(LocalStoreOverflow):
-            ls.resize("a", 200)
-        assert ls.buffers["a"] == 90  # rollback on failure
-
-    def test_release_unknown_rejected(self):
-        with pytest.raises(KeyError):
-            LocalStore(100).release("ghost")
-
-    def test_reset(self):
-        ls = LocalStore(100)
-        ls.alloc("a", 60)
-        ls.reset()
-        assert ls.used == 0
-
-    def test_fits(self):
-        ls = LocalStore(100)
-        ls.alloc("a", 60)
-        assert ls.fits(40)
-        assert not ls.fits(41)
 
 
 class TestPaperConstraints:
