@@ -84,10 +84,7 @@ def ghost_width_cells(lattice: BCCLattice, params: RateParameters) -> int:
 
 
 def sector_decomposition(
-    lattice: BCCLattice,
-    params,
-    grid: tuple[int, int, int] | None = None,
-    nranks: int | None = None,
+    lattice: BCCLattice, params, nranks: int
 ) -> tuple[DomainDecomposition, int]:
     """``(decomposition, ghost width)`` of a parallel AKMC run, checked.
 
@@ -98,10 +95,7 @@ def sector_decomposition(
     """
     from repro.lattice.domain import DomainDecomposition, choose_grid
 
-    if grid is None:
-        if nranks is None:
-            raise ValueError("provide either grid or nranks")
-        grid = choose_grid(nranks, (lattice.nx, lattice.ny, lattice.nz))
+    grid = choose_grid(nranks, (lattice.nx, lattice.ny, lattice.nz))
     decomp = DomainDecomposition(lattice, grid)
     width = ghost_width_cells(lattice, params)
     # Sectors are half a subdomain: each must span the ghost width and
@@ -397,11 +391,11 @@ class ParallelAKMC:
     ----------
     lattice, potential, params:
         The physical system, as in :class:`SerialAKMC`.
-    grid / nranks:
-        Process grid, or a world size for :func:`choose_grid` to
-        factorize.  A decomposition whose subdomains cannot host the
-        ghost shell and eight conflict-free sectors is rejected here,
-        before any world exists.
+    nranks:
+        World size; :func:`choose_grid` factorizes it into the process
+        grid.  A decomposition whose subdomains cannot host the ghost
+        shell and eight conflict-free sectors is rejected here, before
+        any world exists.
     scheme:
         One of ``"traditional"``, ``"ondemand"``, ``"onesided"``.
     seed:
@@ -436,8 +430,8 @@ class ParallelAKMC:
         lattice: BCCLattice,
         potential: EAMPotential,
         params: RateParameters | None = None,
-        grid: tuple[int, int, int] | None = None,
-        nranks: int | None = None,
+        *,
+        nranks: int,
         scheme: str = "ondemand",
         seed: int = 2018,
         faults: FaultInjector | None = None,
@@ -459,7 +453,7 @@ class ParallelAKMC:
         self.dt_rate_bound = 8.0 * self.params.reference_rate
         self.rate_cap = self.dt_rate_bound / 8.0
         self.decomp, self.width = sector_decomposition(
-            lattice, self.params, grid, nranks
+            lattice, self.params, nranks
         )
         self.scheme_name = scheme
         self.seed = seed

@@ -88,10 +88,10 @@ class ParallelDamageMD:
     ----------
     lattice, potential, config:
         As for the serial :class:`~repro.md.engine.MDEngine`.
-    grid / nranks:
-        Process grid, or a world size for :func:`choose_grid` to
-        factorize.  A decomposition whose subdomains are thinner than
-        the ghost shell is rejected here, before any world exists.
+    nranks:
+        World size; :func:`choose_grid` factorizes it into the process
+        grid.  A decomposition whose subdomains are thinner than the
+        ghost shell is rejected here, before any world exists.
     backend, workers:
         Handed to the :class:`~repro.runtime.simmpi.World`.
     """
@@ -101,18 +101,15 @@ class ParallelDamageMD:
         lattice: BCCLattice,
         potential: EAMPotential | None = None,
         config: MDConfig | None = None,
-        grid: tuple[int, int, int] | None = None,
-        nranks: int | None = None,
+        *,
+        nranks: int,
         backend: str | None = None,
         workers: int | None = None,
     ) -> None:
         self.lattice = lattice
         self.config = config or MDConfig()
         self.potential = potential or make_fe_potential()
-        if grid is None:
-            if nranks is None:
-                raise ValueError("provide either grid or nranks")
-            grid = choose_grid(nranks, (lattice.nx, lattice.ny, lattice.nz))
+        grid = choose_grid(nranks, (lattice.nx, lattice.ny, lattice.nz))
         self.decomp = DomainDecomposition(lattice, grid)
         # One extra ghost cell beyond the MD cutoff: a run-away atom sits
         # up to half a first-shell from its host, so its interaction

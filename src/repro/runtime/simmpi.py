@@ -559,8 +559,6 @@ class World:
         main: Callable[[RankComm], Any],
         timeout: float = 300.0,
         grace: float = 5.0,
-        backend: str | None = None,
-        workers: int | None = None,
     ) -> list:
         """Execute ``main(comm)`` on every rank; return per-rank results.
 
@@ -570,24 +568,16 @@ class World:
         ``grace`` seconds to exit after the abort; any that are still
         alive are named in the :class:`TimeoutError` (threads are
         leaked, processes terminated).
-
-        ``backend`` and ``workers`` override the world's configuration
-        for this run.
         """
-        backend = resolve_backend(backend) if backend else self.backend
-        workers = self.workers if workers is None else resolve_workers(workers)
         sanitizing = sanitize_enabled(self.sanitize)
-        results = self._launch(main, timeout, grace, backend, workers, sanitizing)
+        results = self._launch(main, timeout, grace, sanitizing)
         if not sanitizing:
             return results
         from repro.runtime.sanitize import finish_world
 
         return finish_world(results)
 
-    def _launch(
-        self, main, timeout=300.0, grace=5.0, backend="thread", workers=None,
-        sanitizing=False,
-    ) -> list:
+    def _launch(self, main, timeout, grace, sanitizing) -> list:
         """Run the ranks and join them, by one sequence on every backend:
         rank threads and forked children are hosted alike.  Sanitized
         results stay sealed."""
@@ -598,15 +588,15 @@ class World:
         from repro.runtime.scheduler import RankScheduler, RankThreads, default_workers
 
         scheduler = None
-        if backend == "overdecomposed":
-            slots = workers if workers is not None else default_workers()
+        if self.backend == "overdecomposed":
+            slots = self.workers if self.workers is not None else default_workers()
             scheduler = RankScheduler(min(slots, self.nranks))
-        if backend == "process":
+        if self.backend == "process":
             from repro.runtime.procbackend import ProcessRanks
 
             ranks = ProcessRanks(
                 main, self.nranks, self.stats, self.faults, self.watchdog,
-                sanitizing, workers,
+                sanitizing, self.workers,
             )
             what, fate = "process(es)", "terminated"
         else:

@@ -1,7 +1,9 @@
-"""Communication-scheme tests: equivalence, conservation, traffic profile.
+"""Communication-scheme tests: conservation and traffic profile.
 
 All three schemes run the same workload via the session-scoped
-``parallel_kmc_results`` fixture (one 8-rank run each).
+``parallel_kmc_results`` fixture (one 8-rank run each).  That the
+schemes evolve one trajectory is a cell of the conformance matrix
+(``tests/test_runtime_conformance.py``).
 """
 
 import numpy as np
@@ -10,33 +12,6 @@ import pytest
 from repro.kmc.events import VACANCY
 from repro.kmc.ondemand import apply_updates, pack_updates
 from repro.perfmodel.machine import TAIHULIGHT
-
-
-class TestTrajectoryEquivalence:
-    def test_ondemand_matches_traditional_exactly(self, parallel_kmc_results):
-        r = parallel_kmc_results
-        assert np.array_equal(
-            r["traditional"].occupancy, r["ondemand"].occupancy
-        )
-
-    def test_onesided_matches_traditional_exactly(self, parallel_kmc_results):
-        r = parallel_kmc_results
-        assert np.array_equal(
-            r["traditional"].occupancy, r["onesided"].occupancy
-        )
-
-    def test_event_counts_identical(self, parallel_kmc_results):
-        r = parallel_kmc_results
-        events = {s: res.events for s, res in r.items()}
-        assert len(set(events.values())) == 1
-
-    def test_simulated_time_identical(self, parallel_kmc_results):
-        r = parallel_kmc_results
-        times = {res.time for res in r.values()}
-        assert len(times) == 1
-
-    def test_events_actually_happened(self, parallel_kmc_results):
-        assert parallel_kmc_results["ondemand"].events > 0
 
 
 class TestConservation:

@@ -126,10 +126,6 @@ class TestParallelMD:
             finals.append(result.positions)
         assert np.allclose(finals[0], finals[1], atol=1e-12)
 
-    def test_grid_or_ranks_required(self, lattice8, potential):
-        with pytest.raises(ValueError, match="grid or nranks"):
-            ParallelDamageMD(lattice8, potential)
-
     def test_nsteps_validated(self, lattice8, potential):
         pmd = ParallelDamageMD(lattice8, potential, nranks=2)
         with pytest.raises(ValueError, match="nsteps"):

@@ -1,24 +1,51 @@
-"""One communication stack, three backends: the conformance contract.
+"""One communication stack, three backends: the conformance matrix.
 
-A single synthetic SPMD program touches every primitive of the runtime;
-it must produce identical results and an identical traffic ledger on
-every backend, worker count, with the sanitizer on or off, and through
-delayed sends and puts — because all of them run the one ``RankComm``
-over one middleware chain and differ only in transport.  A planned crash
-aborts the world on every backend alike, and a rerun with the same
-injector completes.
+Every bit-identity check of the parallel engines is a cell of one matrix.
+``AXES`` lists the axes and their values; each of four programs declares
+the axes it has:
+
+* ``runtime`` — a synthetic SPMD program that touches every primitive;
+* ``akmc`` — :class:`ParallelAKMC`, resumed or not, on two problems;
+* ``md`` — :class:`ParallelDamageMD` with a PKA, on the same problems;
+* ``coupled`` — a parallel-KMC :class:`CoupledSimulation` through its
+  recovery supervisor.
+
+A cell must equal its program's reference for its (problem, seed): the
+run on the thread backend with the on-demand scheme, no faults, the
+sanitizer off and no resume — the first value of every axis — computed
+once per session.  "Equal" is exact: occupancy or position/velocity
+bytes, time, events and cycles, and, when the cell re-executes nothing
+(no resume, no crash), the full traffic ledger of its scheme's reference.
+A crash cell also asserts one recovery and one injected crash, a delay
+cell no recovery and the delays its plan fires.  Every cell pins ``REPRO_BACKEND``,
+``REPRO_WORKERS`` and ``REPRO_SANITIZE``, so the environment a suite runs
+under cannot change what a cell means.
+
+Tier-1 runs a diagonal: a greedy pairwise cover of each program's
+product, so every pair of axis values meets in some cell.  The other
+cells carry the ``conformance_full`` marker, which ``addopts``
+deselects; ``pytest -m conformance_full`` runs them.  The runtime
+program's whole product is cheap and stays in tier-1.
 """
+
+import functools
+import itertools
 
 import numpy as np
 import pytest
 
-from repro.kmc.akmc import ParallelAKMC
+from repro.core.coupling import CoupledSimulation
+from repro.io.checkpoint import load_kmc_checkpoint
+from repro.kmc.akmc import ParallelAKMC, place_random_vacancies
+from repro.kmc.events import KMCModel, RateParameters
+from repro.lattice.bcc import BCCLattice
+from repro.md.engine import MDConfig
+from repro.md.parallel_damage import ParallelDamageMD
 from repro.runtime.faults import FaultInjector, InjectedFault
 from repro.runtime.procbackend import fork_available
 from repro.runtime.simmpi import ANY_SOURCE, ANY_TAG, World
+from repro.service.spec import ScenarioSpec
 
-R = 4
-CYCLES = 3
 BACKENDS = ("thread", "process", "overdecomposed")
 
 needs_fork = pytest.mark.skipif(
@@ -42,9 +69,139 @@ def assert_same_ledger(stats, reference):
 
 
 # ----------------------------------------------------------------------
-# The conformance program
+# The axis table
 # ----------------------------------------------------------------------
-def program(comm):
+#: Every axis and its values; the first value of each is the reference's.
+#: A backend comes with its worker count; ``"R"`` is the cell's rank count.
+AXES = {
+    "problem": ("8x8x8-R4", "8x8x16-R16"),
+    "seed": (5, 11),
+    "backend": (
+        ("thread", None),
+        ("process", 1), ("process", 2), ("process", "R"),
+        ("overdecomposed", 1), ("overdecomposed", 2), ("overdecomposed", "R"),
+    ),
+    "scheme": ("ondemand", "traditional", "onesided"),
+    "sanitize": (False, True),
+    "resume": (False, True),
+    "faults": ("none", "delay", "crash"),
+}
+
+#: Lattice cells and rank count of each problem.  The runtime program and
+#: the coupled run, which have no problem axis, run the first.
+PROBLEMS = {"8x8x8-R4": ((8, 8, 8), 4), "8x8x16-R16": ((8, 8, 16), 16)}
+
+
+def axes(*names, **narrowed):
+    """A program's axes, in id order: ``names`` with all their values,
+    then each of ``narrowed`` with the values it keeps."""
+    return {name: narrowed.get(name, AXES[name]) for name in (*names, *narrowed)}
+
+
+NO_CRASH = ("none", "delay")  # a crash needs the coupled run's supervisor
+PROGRAMS = {
+    "runtime": axes("backend", "sanitize", faults=NO_CRASH),
+    "akmc": axes(
+        "problem", "seed", "backend", "scheme", "sanitize", "resume",
+        faults=NO_CRASH,
+    ),
+    "md": axes("problem", "backend", "sanitize"),
+    "coupled": axes("backend", "scheme", "sanitize", "faults"),
+}
+
+
+def product(program):
+    names = PROGRAMS[program]
+    return [dict(zip(names, vs)) for vs in itertools.product(*names.values())]
+
+
+def pairs(cell):
+    return set(itertools.combinations(cell.items(), 2))
+
+
+@functools.cache
+def diagonal(program):
+    """Greedy pairwise cover of the product: take the first cell that
+    meets the most pairs of axis values not met yet, until none is left."""
+    cells = product(program)
+    todo = set().union(*map(pairs, cells))
+    chosen = []
+    while todo:
+        best = max(cells, key=lambda cell: len(pairs(cell) & todo))
+        chosen.append(best)
+        todo -= pairs(best)
+    return tuple(chosen)
+
+
+def setting(cell):
+    """The cell with every axis it lacks at its first value, its lattice
+    cells and rank count, and its backend and worker count apart."""
+    s = {name: values[0] for name, values in AXES.items()} | cell
+    s["cells"], s["nranks"] = PROBLEMS[s["problem"]]
+    s["backend"], workers = s["backend"]
+    s["workers"] = s["nranks"] if workers == "R" else workers
+    return s
+
+
+def cell_id(cell):
+    s = setting(cell)
+    parts = {
+        "backend": f"{s['backend']}-w{s['workers']}",
+        "sanitize": f"san{s['sanitize']:d}",
+        "resume": "resume" if s["resume"] else "fresh",
+        "seed": f"seed{s['seed']}",
+    }
+    return "-".join(str(parts.get(name, value)) for name, value in cell.items())
+
+
+def cells(program):
+    """Pytest params of a program's product: the diagonal bare, the rest
+    marked ``conformance_full``.  The runtime program's product is cheap
+    enough to run whole."""
+    tier1 = product(program) if program == "runtime" else diagonal(program)
+    for cell in product(program):
+        marks = [] if cell in tier1 else [pytest.mark.conformance_full]
+        if cell["backend"][0] == "process":
+            marks.append(needs_fork)
+        yield pytest.param(cell, id=cell_id(cell), marks=marks)
+
+
+@pytest.mark.parametrize("program", PROGRAMS)
+def test_diagonal_covers_every_pair_and_ids_are_unique(program):
+    full = product(program)
+    met = set().union(*map(pairs, diagonal(program)))
+    assert met == set().union(*map(pairs, full))
+    ids = [cell_id(cell) for cell in full]
+    assert len(set(ids)) == len(ids)
+
+
+# ----------------------------------------------------------------------
+# The four programs: each runs one cell and returns (state, ledger, report)
+# ----------------------------------------------------------------------
+#: Sender-side pauses of rank 0's second send and rank 1's second put.
+#: The runtime program makes both; the two-sided KMC schemes only send and
+#: the one-sided one only puts, so in every problem and seed below one of
+#: them fires.
+DELAY = "delay:rank=0,nth=2,seconds=0.002; delay:rank=1,nth=2,seconds=0.002,op=put"
+DELAYS_FIRED = {"runtime": 2, "akmc": 1, "coupled": 1}
+PLANS = {"none": None, "delay": DELAY, "crash": "crash:rank=1,cycle=5"}
+
+
+def pin_environment(monkeypatch, s):
+    monkeypatch.setenv("REPRO_BACKEND", s["backend"])
+    monkeypatch.setenv("REPRO_SANITIZE", f"{s['sanitize']:d}")
+    if s["workers"] is None:
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_WORKERS", str(s["workers"]))
+
+
+def injector(s):
+    plan = PLANS[s["faults"]]
+    return FaultInjector(plan) if plan else None
+
+
+def runtime_program(comm):
     """Every primitive: pinned and wildcard recv, probe, iprobe hit and
     miss, all four collectives, win_create in a loop, put/fence,
     fault_point."""
@@ -52,7 +209,7 @@ def program(comm):
     right, left = (r + 1) % n, (r - 1) % n
     acc = np.zeros(3)
     log = []
-    for cycle in range(CYCLES):
+    for cycle in range(3):
         comm.fault_point("kmc.cycle", cycle)
         assert comm.iprobe(left, 99) is None  # miss: never sent
         comm.send(right, 10 + cycle, np.arange(3.0) + r + cycle)
@@ -92,55 +249,156 @@ def program(comm):
     return r, acc.tolist(), log
 
 
-FAULTS = {
-    "none": None,
-    "delay": "delay:rank=0,nth=2,seconds=0.005; "
-             "delay:rank=2,nth=3,seconds=0.005,op=put",
+def run_runtime(s, potential, tmp_path):
+    faults = injector(s)
+    world = World(
+        s["nranks"], faults=faults, backend=s["backend"],
+        workers=s["workers"], sanitize=s["sanitize"],
+    )
+    results = world.run(runtime_program, timeout=120.0)
+    assert world.pending_messages() == 0
+    report = faults.snapshot() if faults else {}
+    return {"results": repr(results)}, world.stats.snapshot(), report
+
+
+#: Cycles of an AKMC run, and the cycle a resumed one stops at first.
+AKMC_CYCLES = {"8x8x8-R4": (4, 2), "8x8x16-R16": (2, 1)}
+
+
+def run_akmc(s, potential, tmp_path):
+    lattice = BCCLattice(*s["cells"])
+    occupancy = place_random_vacancies(
+        KMCModel(lattice, potential, RateParameters()), 20,
+        np.random.default_rng(s["seed"]),
+    )
+    faults = injector(s)
+
+    def engine():
+        return ParallelAKMC(
+            lattice, potential, nranks=s["nranks"], scheme=s["scheme"],
+            seed=s["seed"], faults=faults, backend=s["backend"],
+            workers=s["workers"],
+        )
+
+    cycles, stop = AKMC_CYCLES[s["problem"]]
+    if s["resume"]:
+        path = tmp_path / "akmc.npz"
+        engine().run(
+            occupancy, max_cycles=stop, checkpoint_every=stop,
+            checkpoint_path=path,
+        )
+        snap = load_kmc_checkpoint(path)
+        result = engine().run(snap.occupancy, max_cycles=cycles, resume=snap)
+    else:
+        result = engine().run(occupancy, max_cycles=cycles)
+    state = {
+        "occupancy": result.occupancy.tobytes(), "time": result.time,
+        "events": result.events, "cycles": result.cycles,
+    }
+    return state, result.comm_stats, faults.snapshot() if faults else {}
+
+
+def run_md(s, potential, tmp_path):
+    engine = ParallelDamageMD(
+        BCCLattice(*s["cells"]), potential, MDConfig(temperature=300.0, seed=3),
+        nranks=s["nranks"], backend=s["backend"], workers=s["workers"],
+    )
+    # A low run-away threshold checked every step: the PKA turns
+    # run-away at once, so run-away rows ride the ghost exchange.
+    result = engine.run(
+        2, pka=(10, np.array([600.0, 350.0, 250.0])),
+        displacement_threshold=0.15, runaway_check_interval=1,
+    )
+    names = (
+        "positions", "velocities", "vacancy_ranks", "runaway_ids",
+        "runaway_positions",
+    )
+    state = {name: getattr(result, name).tobytes() for name in names}
+    return state, result.comm_stats, {}
+
+
+def run_coupled(s, potential, tmp_path):
+    # The session potential's tables; checkpoints only where a crash
+    # needs them, in a temporary directory.
+    spec = ScenarioSpec(
+        cells=s["cells"][0], seed=3, md_steps=6, pka_energy=600.0,
+        kmc_nranks=s["nranks"], kmc_max_cycles=6, table_points=1000,
+        kmc_scheme=s["scheme"], backend=s["backend"], workers=s["workers"],
+        faults=PLANS[s["faults"]],
+        checkpoint_every=2 if s["faults"] == "crash" else None,
+    )
+    result = CoupledSimulation(spec.to_coupled_config(), potential=potential).run()
+    state = {
+        "occupancy": result.vacancies_after_kmc.tobytes(),
+        "time": result.kmc_time, "events": result.kmc_events,
+    }
+    report = {"recoveries": result.recoveries} | (result.fault_report or {})
+    return state, result.comm_stats, report
+
+
+RUN = {
+    "runtime": run_runtime, "akmc": run_akmc, "md": run_md,
+    "coupled": run_coupled,
 }
 
 
-def run_program(backend, workers=None, sanitize=False, faults="none"):
-    plan = FAULTS[faults]
-    injector = FaultInjector(plan) if plan else None
-    world = World(
-        R, faults=injector, backend=backend, workers=workers, sanitize=sanitize
-    )
-    results = world.run(program, timeout=120.0)
-    return world, injector, results
+@pytest.fixture(scope="session")
+def reference(potential):
+    """``reference(program, problem, seed, scheme)``: (state, ledger) of
+    the run at the first value of every other axis, once per session."""
+
+    @functools.cache
+    def run(program, problem, seed, scheme):
+        s = setting({"problem": problem, "seed": seed, "scheme": scheme})
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            pin_environment(monkeypatch, s)
+            state, ledger, _report = RUN[program](s, potential, None)
+        if program in ("akmc", "coupled"):
+            assert state["events"] > 0  # the cells compare a real trajectory
+        if program == "md":
+            assert state["runaway_ids"]  # ... and a run-away table
+        return state, ledger
+
+    return run
 
 
-@pytest.fixture(scope="module")
-def reference():
-    """Thread-backend results and ledger of the fault-free program.
-
-    A pause moves no byte, so every fault plan's reference is the
-    fault-free run.
-    """
-    world, _inj, results = run_program("thread")
-    return repr(results), world.stats.snapshot()
-
-
-def cells():
-    for backend in BACKENDS:
-        for workers in (None,) if backend == "thread" else (1, 2, R):
-            for sanitize in (False, True):
-                for faults in FAULTS:
-                    yield pytest.param(
-                        backend, workers, sanitize, faults,
-                        id=f"{backend}-w{workers}-san{int(sanitize)}-{faults}",
-                        marks=[needs_fork] if backend == "process" else [],
-                    )
+def check(program, cell, reference, potential, tmp_path, monkeypatch):
+    s = setting(cell)
+    expected, _ = reference(program, s["problem"], s["seed"], "ondemand")
+    reexecutes = s["resume"] or s["faults"] == "crash"
+    if not reexecutes:
+        _, ledger = reference(program, s["problem"], s["seed"], s["scheme"])
+    pin_environment(monkeypatch, s)
+    state, stats, report = RUN[program](s, potential, tmp_path)
+    assert state == expected
+    if not reexecutes:
+        assert_same_ledger(stats, ledger)
+    crashes = int(s["faults"] == "crash")
+    delays = DELAYS_FIRED[program] if s["faults"] == "delay" else 0
+    assert report.get("recoveries", 0) == crashes
+    if s["faults"] != "none":
+        assert (report["crashes"], report["delays"]) == (crashes, delays)
+        assert report["injected"] == crashes + delays
 
 
-@pytest.mark.parametrize("backend, workers, sanitize, faults", cells())
-def test_conformance(reference, backend, workers, sanitize, faults):
-    world, injector, results = run_program(backend, workers, sanitize, faults)
-    expected_results, expected_ledger = reference
-    assert repr(results) == expected_results
-    assert_same_ledger(world.stats.snapshot(), expected_ledger)
-    assert world.pending_messages() == 0
-    if faults == "delay":
-        assert injector.snapshot()["delays"] == 2
+@pytest.mark.parametrize("cell", cells("runtime"))
+def test_conformance(cell, reference, potential, tmp_path, monkeypatch):
+    check("runtime", cell, reference, potential, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("cell", cells("akmc"))
+def test_akmc(cell, reference, potential, tmp_path, monkeypatch):
+    check("akmc", cell, reference, potential, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("cell", cells("md"))
+def test_damage_md(cell, reference, potential, tmp_path, monkeypatch):
+    check("md", cell, reference, potential, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("cell", cells("coupled"))
+def test_coupled(cell, reference, potential, tmp_path, monkeypatch):
+    check("coupled", cell, reference, potential, tmp_path, monkeypatch)
 
 
 def test_layers_compose_in_one_order_on_every_backend():
@@ -214,23 +472,6 @@ def test_fence_ledger_identical_across_backends(backend):
         world.run(fence_program, timeout=60.0)
         ledgers[name] = world.stats.snapshot()
     assert_same_ledger(ledgers[backend], ledgers["thread"])
-
-
-@pytest.mark.parametrize(
-    "backend", [backend_param(b) for b in ("process", "overdecomposed")]
-)
-def test_onesided_akmc_ledger_identical_across_backends(
-    backend, lattice8, potential, rate_params, kmc_initial_occ
-):
-    stats = {}
-    for name in ("thread", backend):
-        engine = ParallelAKMC(
-            lattice8, potential, rate_params, nranks=4, scheme="onesided",
-            seed=5, backend=name, workers=2,
-        )
-        result = engine.run(kmc_initial_occ.copy(), max_cycles=3)
-        stats[name] = result.comm_stats
-    assert_same_ledger(stats[backend], stats["thread"])
 
 
 # ----------------------------------------------------------------------

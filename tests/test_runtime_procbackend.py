@@ -3,8 +3,9 @@
 Everything the thread backend guarantees must hold unchanged: messaging
 semantics, collectives, one-sided windows, watchdog deadlines, abort and
 error propagation, fault injection, traffic accounting, observe
-aggregation — and, above all, bit-identical results for the parallel
-engines, since the backends are meant to be freely interchangeable.
+aggregation.  That the parallel engines give bit-identical results here
+is the conformance matrix's backend axis
+(``tests/test_runtime_conformance.py``).
 """
 
 import json
@@ -18,7 +19,6 @@ import pytest
 
 import repro
 from repro import observe as obs
-from repro.kmc.akmc import ParallelAKMC
 from repro.observe.registry import Registry
 from repro.runtime.faults import FaultInjector, InjectedFault
 from repro.runtime.procbackend import fork_available
@@ -31,8 +31,6 @@ from repro.runtime.simmpi import (
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="process backend needs the fork start method"
 )
-
-SCHEMES = ("traditional", "ondemand", "onesided")
 
 
 # ----------------------------------------------------------------------
@@ -57,14 +55,6 @@ class TestResolveBackend:
             resolve_backend("mpi")
         with pytest.raises(ValueError, match="unknown simmpi backend"):
             World(2, backend="greenlet")
-
-    def test_run_override(self):
-        def main(comm):
-            return os.getpid()
-
-        world = World(2, backend="thread")
-        pids = world.run(main, timeout=60.0, backend="process")
-        assert all(pid != os.getpid() for pid in pids)
 
 
 # ----------------------------------------------------------------------
@@ -232,8 +222,8 @@ class TestRankGroups:
     def test_grouped_matches_per_rank_results(self):
         reference = World(8, backend="thread").run(_ring_main, timeout=60.0)
         for workers in (1, 2, 3):
-            grouped = World(8, backend="process").run(
-                _ring_main, timeout=120.0, workers=workers
+            grouped = World(8, backend="process", workers=workers).run(
+                _ring_main, timeout=120.0
             )
             assert grouped == reference
 
@@ -365,88 +355,6 @@ class TestObserveAggregation:
         ticks = [e for e in registry.events if e.name == "kmc.tick"]
         assert len(ticks) == 2
         assert all(e.ts >= 0.0 for e in ticks)
-
-
-# ----------------------------------------------------------------------
-# Engine bit-identity across backends
-# ----------------------------------------------------------------------
-class TestEngineBitIdentity:
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_parallel_akmc_schemes(
-        self, scheme, lattice8, potential, rate_params, kmc_initial_occ
-    ):
-        results = {}
-        for backend in ("thread", "process"):
-            engine = ParallelAKMC(
-                lattice8,
-                potential,
-                rate_params,
-                nranks=4,
-                scheme=scheme,
-                seed=5,
-                backend=backend,
-            )
-            results[backend] = engine.run(kmc_initial_occ.copy(), max_cycles=5)
-        t, p = results["thread"], results["process"]
-        np.testing.assert_array_equal(t.occupancy, p.occupancy)
-        assert t.time == p.time
-        assert t.events == p.events
-        assert t.cycles == p.cycles
-
-    def test_parallel_damage_md(self):
-        from repro.lattice.bcc import BCCLattice
-        from repro.md.engine import MDConfig
-        from repro.md.parallel_damage import ParallelDamageMD
-
-        results = {}
-        for backend in ("thread", "process"):
-            engine = ParallelDamageMD(
-                BCCLattice(6, 6, 6),
-                config=MDConfig(temperature=300.0, seed=3),
-                nranks=4,
-                backend=backend,
-            )
-            results[backend] = engine.run(
-                12, pka=(10, np.array([50.0, 30.0, 20.0]))
-            )
-        t, p = results["thread"], results["process"]
-        np.testing.assert_array_equal(t.positions, p.positions)
-        np.testing.assert_array_equal(t.velocities, p.velocities)
-        np.testing.assert_array_equal(t.vacancy_ranks, p.vacancy_ranks)
-        np.testing.assert_array_equal(t.runaway_ids, p.runaway_ids)
-
-    def test_checkpoint_resume_crosses_backends(
-        self, lattice8, potential, rate_params, kmc_initial_occ, tmp_path
-    ):
-        """A thread-backend checkpoint resumes bit-identically in processes."""
-        from repro.io.checkpoint import load_kmc_checkpoint
-
-        def engine(backend):
-            return ParallelAKMC(
-                lattice8,
-                potential,
-                rate_params,
-                nranks=4,
-                scheme="ondemand",
-                seed=5,
-                backend=backend,
-            )
-
-        ref = engine("thread").run(kmc_initial_occ.copy(), max_cycles=8)
-        ckpt = tmp_path / "cross-backend.npz"
-        engine("thread").run(
-            kmc_initial_occ.copy(),
-            max_cycles=5,
-            checkpoint_every=5,
-            checkpoint_path=ckpt,
-        )
-        snap = load_kmc_checkpoint(ckpt)
-        resumed = engine("process").run(
-            snap.occupancy, max_cycles=8, resume=snap
-        )
-        assert resumed.events == ref.events
-        assert resumed.time == ref.time
-        np.testing.assert_array_equal(resumed.occupancy, ref.occupancy)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Runtime communication sanitizer: detection and zero-overhead-when-off.
 
-The fixture worlds are tiny hand-written SPMD mains; the KMC-scheme
-tests reuse the session fixtures so the sanitizer is exercised against
-the real halo-exchange protocols on both the thread and process
-backends.
+The fixture worlds are tiny hand-written SPMD mains.  The real
+halo-exchange protocols run sanitized in the conformance matrix's
+sanitize axis (``tests/test_runtime_conformance.py``), on every backend.
 """
 
 import threading
@@ -11,7 +10,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.kmc.akmc import ParallelAKMC
 from repro.runtime.sanitize import (
     SanitizerError,
     _concurrent,
@@ -234,40 +232,3 @@ class TestOtherBackends:
     def test_overdecomposed_backend_clean_world(self):
         world = World(4, sanitize=True, backend="overdecomposed", workers=2)
         assert world.run(ring_main) == [6, 6, 6, 6]
-
-
-@pytest.fixture(scope="module")
-def small_kmc(lattice8, potential, rate_params, kmc_initial_occ):
-    """Plain short parallel runs, one per scheme, for identity checks."""
-
-    def run(scheme, **kwargs):
-        engine = ParallelAKMC(
-            lattice8, potential, rate_params, nranks=8, scheme=scheme, seed=5,
-            **kwargs,
-        )
-        return engine.run(kmc_initial_occ, max_cycles=4)
-
-    return run
-
-
-class TestKMCSchemesSanitized:
-    @pytest.mark.parametrize("scheme", ["traditional", "ondemand", "onesided"])
-    def test_thread_backend_zero_violations_and_bit_identity(
-        self, small_kmc, scheme, monkeypatch
-    ):
-        plain = small_kmc(scheme)
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        sanitized = small_kmc(scheme)
-        assert np.array_equal(plain.occupancy, sanitized.occupancy)
-        assert plain.time == sanitized.time
-
-    def test_process_backend_zero_violations_and_bit_identity(
-        self, small_kmc, monkeypatch
-    ):
-        plain = small_kmc("traditional")
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        monkeypatch.setenv("REPRO_WORKERS", "4")
-        sanitized = small_kmc("traditional")
-        assert np.array_equal(plain.occupancy, sanitized.occupancy)
-        assert plain.time == sanitized.time

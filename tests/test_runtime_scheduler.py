@@ -1,9 +1,10 @@
 """The overdecomposed backend: R logical ranks on P worker slots.
 
-Contract under test (ISSUE 6): scheduling only reorders *timing* — R
-ranks on P workers must produce physics byte-identical to R ranks on R
-threads for every engine; and paper-scale logical decompositions (64
-ranks) run to completion on a handful of workers.
+Contract under test: scheduling only reorders *timing*, and paper-scale
+logical decompositions (64 ranks) run to completion on a handful of
+workers.  That R ranks on P workers produce physics byte-identical to R
+ranks on R threads, for every engine, is the conformance matrix's
+backend axis (``tests/test_runtime_conformance.py``).
 """
 
 import threading
@@ -30,8 +31,6 @@ from repro.runtime.simmpi import (
 )
 from repro.runtime.stats import TrafficStats
 from repro.runtime.transport import TAG_GATHER, TAG_RESULT, LocalTransport
-
-SCHEMES = ("traditional", "ondemand", "onesided")
 
 
 # ----------------------------------------------------------------------
@@ -112,8 +111,8 @@ class TestRankScheduler:
                 comm.barrier()
             return comm.rank
 
-        world = World(8, backend="overdecomposed")
-        assert world.run(main, workers=2, timeout=60) == list(range(8))
+        world = World(8, backend="overdecomposed", workers=2)
+        assert world.run(main, timeout=60) == list(range(8))
         assert 1 <= state["peak"] <= 2
 
     def test_single_worker_cannot_deadlock(self):
@@ -124,8 +123,8 @@ class TestRankScheduler:
                 comm.barrier()
             return comm.allreduce(got)
 
-        world = World(16, backend="overdecomposed")
-        results = world.run(main, workers=1, timeout=60)
+        world = World(16, backend="overdecomposed", workers=1)
+        results = world.run(main, timeout=60)
         assert len(set(results)) == 1
 
     def test_counters_and_handoff(self):
@@ -161,9 +160,9 @@ class TestRankScheduler:
                 raise ValueError("boom")
             comm.barrier()
 
-        world = World(4, backend="overdecomposed")
+        world = World(4, backend="overdecomposed", workers=2)
         with pytest.raises(RuntimeError, match="rank 2 failed"):
-            world.run(main, workers=2, timeout=60)
+            world.run(main, timeout=60)
 
     def test_keyboard_interrupt_precedence(self):
         def main(comm):
@@ -171,18 +170,18 @@ class TestRankScheduler:
                 raise KeyboardInterrupt
             comm.barrier()
 
-        world = World(3, backend="overdecomposed")
+        world = World(3, backend="overdecomposed", workers=2)
         with pytest.raises(KeyboardInterrupt):
-            world.run(main, workers=2, timeout=60)
+            world.run(main, timeout=60)
 
     def test_watchdog_fires_through_the_scheduler(self):
         def main(comm):
             if comm.rank == 0:
                 comm.recv(1, tag=9)  # never sent
 
-        world = World(2, watchdog=0.2, backend="overdecomposed")
+        world = World(2, watchdog=0.2, backend="overdecomposed", workers=1)
         with pytest.raises(WatchdogTimeout):
-            world.run(main, workers=1, timeout=30)
+            world.run(main, timeout=30)
 
 
 # ----------------------------------------------------------------------
@@ -288,90 +287,11 @@ class TestOneWaitPoint:
             if comm.rank == 0:
                 comm.barrier()  # repro: noqa(REP002) deliberate: rank 1 never joins
 
-        world = World(2, watchdog=0.2, backend="overdecomposed", sanitize=False)
+        world = World(
+            2, watchdog=0.2, backend="overdecomposed", workers=1, sanitize=False
+        )
         with pytest.raises(WatchdogTimeout):
-            world.run(main, workers=1, timeout=30)
-
-
-# ----------------------------------------------------------------------
-# Bit-identity: R ranks on P workers == R ranks on R threads
-# ----------------------------------------------------------------------
-def _kmc_problem(nranks=16):
-    # 16 ranks need a (2, 2, 4) grid; sectoring wants >= 4 cells per
-    # subdomain axis, hence the elongated box.
-    lattice = BCCLattice(8, 8, 16)
-    potential = make_fe_potential(n=1000)
-    params = RateParameters()
-    occ0 = place_random_vacancies(
-        KMCModel(lattice, potential, params),
-        16,
-        np.random.default_rng(7),
-    )
-    return lattice, potential, params, occ0
-
-
-class TestBitIdentity:
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_kmc_schemes_16_ranks(self, scheme):
-        lattice, potential, params, occ0 = _kmc_problem()
-
-        def run(backend, workers):
-            engine = ParallelAKMC(
-                lattice,
-                potential,
-                params,
-                grid=(2, 2, 4),
-                scheme=scheme,
-                seed=11,
-                backend=backend,
-                workers=workers,
-            )
-            return engine.run(occ0.copy(), max_cycles=2)
-
-        reference = run("thread", None)
-        for workers in (1, 2, 4):
-            result = run("overdecomposed", workers)
-            assert result.occupancy.tobytes() == reference.occupancy.tobytes()
-            assert result.events == reference.events
-            assert result.time == reference.time
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_kmc_schemes_8_ranks(
-        self, scheme, lattice8, potential, rate_params, kmc_initial_occ
-    ):
-        def run(backend, workers):
-            engine = ParallelAKMC(
-                lattice8, potential, rate_params, nranks=8, scheme=scheme,
-                seed=5, backend=backend, workers=workers,
-            )
-            return engine.run(kmc_initial_occ.copy(), max_cycles=4)
-
-        reference = run("thread", None)
-        for workers in (1, 2):
-            result = run("overdecomposed", workers)
-            assert np.array_equal(result.occupancy, reference.occupancy)
-            assert (result.events, result.time) == (
-                reference.events, reference.time,
-            )
-
-    def test_damage_md_16_ranks(self):
-        def run(backend, workers):
-            engine = ParallelDamageMD(
-                BCCLattice(8, 8, 16),
-                config=MDConfig(temperature=300.0, seed=3),
-                grid=(2, 2, 4),
-                backend=backend,
-                workers=workers,
-            )
-            return engine.run(6, pka=(10, np.array([60.0, 35.0, 25.0])))
-
-        reference = run("thread", None)
-        for workers in (1, 2, 4):
-            result = run("overdecomposed", workers)
-            assert result.positions.tobytes() == reference.positions.tobytes()
-            assert (
-                result.velocities.tobytes() == reference.velocities.tobytes()
-            )
+            world.run(main, timeout=30)
 
 
 # ----------------------------------------------------------------------
