@@ -73,16 +73,6 @@ def _parallel_stack():
     return World, SectorSchedule, schemes
 
 
-def ghost_width_cells(lattice: BCCLattice, params: RateParameters) -> int:
-    """Cells needed so a boundary vacancy's full rate stencil is local.
-
-    An event reaches one first shell out (the hop target) and the energy
-    cutoff around the target.
-    """
-    first_shell = math.sqrt(3.0) / 2.0 * lattice.a
-    return max(1, math.ceil((first_shell + params.energy_cutoff) / lattice.a))
-
-
 def sector_decomposition(
     lattice: BCCLattice, params, nranks: int
 ) -> tuple[DomainDecomposition, int]:
@@ -97,7 +87,10 @@ def sector_decomposition(
 
     grid = choose_grid(nranks, (lattice.nx, lattice.ny, lattice.nz))
     decomp = DomainDecomposition(lattice, grid)
-    width = ghost_width_cells(lattice, params)
+    # The ghost shell covers a boundary vacancy's full rate stencil: one
+    # first shell out (the hop target) and the energy cutoff around it.
+    first_shell = math.sqrt(3.0) / 2.0 * lattice.a
+    width = decomp.ghost_width_cells(first_shell + params.energy_cutoff)
     # Sectors are half a subdomain: each must span the ghost width and
     # more than twice the one-cell event reach.
     decomp.require_cells(

@@ -174,7 +174,7 @@ class KMCModel:
                 f"{lattice.nsites}"
             )
         codes = (VACANCY, ATOM)
-        bad = np.flatnonzero(~np.isin(occ, codes))
+        bad = np.flatnonzero((occ != VACANCY) & (occ != ATOM))
         if len(bad):
             raise ValueError(
                 f"occupancy code {int(occ[bad[0]])} at site rank "

@@ -7,9 +7,12 @@ remainder of a subdomain and never conflict within a cycle.
 
 :class:`SectorSchedule` precomputes what every communication scheme
 reads — the sector rows and masks, the neighbor ranks, and per neighbor
-the ``interest`` set: the global ranks that neighbor can see (its owned
-sites plus its ghost shell), against which the on-demand schemes
-intersect the event-affected sites (Figure 8d).
+the interest mask: the local rows that neighbor can see (its owned
+sites plus its ghost shell, i.e. the rows its box dilated by the ghost
+width covers), against which the on-demand schemes filter the
+event-affected sites (Figure 8d).  Like the strip sets below it is a
+label on each local row's cell coordinates (``lattice/domain.py``), not
+a set of global ranks.
 
 The per-(sector, neighbor) strip sets of the traditional two-phase
 exchange — ``get_send`` / ``get_recv`` (Figure 8b: "Get the latest ghost
@@ -26,8 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.lattice.bcc import BCCLattice, SiteSet
-from repro.lattice.domain import DIRECTIONS, DomainDecomposition, Subdomain
+from repro.lattice.bcc import BCCLattice
+from repro.lattice.domain import DomainDecomposition
 
 #: Event reach in cells: one first-neighbor hop, 1 for BCC.  Sectors of
 #: adjacent processes must be separated by more than ``2 * EVENT_WIDTH``
@@ -110,37 +113,23 @@ class SectorSchedule:
                 f"expected 8 sectors, got {self.nsectors}; subdomains must "
                 "be at least 2 cells wide per axis"
             )
-        # Rows of each sector's owned sites (event sites).
-        site_set = SiteSet(lattice, sites)
-        self.sector_rows: list[np.ndarray] = [
-            site_set.rows_of(sec.owned_site_ranks(lattice)) for sec in self.sectors
-        ]
+        #: Cell coordinates ``(ci, cj, ck)`` of the local rows.
+        self.cells = lattice.coords_of(sites)[1:]
         # Boolean membership masks over the local rows — the O(1) lookup
         # the incremental event catalogs use to intersect an influence
-        # set with a sector's event sites.
-        self.sector_member: list[np.ndarray] = []
-        for rows in self.sector_rows:
-            mask = np.zeros(len(sites), dtype=bool)
-            mask[rows] = True
-            self.sector_member.append(mask)
-        # Distinct neighbor ranks (small grids alias directions).
-        neighbor_ranks = sorted(
-            {
-                decomp.neighbor_rank(rank, d)
-                for d in DIRECTIONS
-                if decomp.neighbor_rank(rank, d) != rank
-            }
-        )
-        self.neighbors = neighbor_ranks
-        # Interest sets: what each neighbor can see (owned + ghost shell).
-        self.interest: dict[int, np.ndarray] = {}
-        for n in neighbor_ranks:
-            visible, _owned_rows = decomp.subdomain(n).site_set(lattice, width)
-            self.interest[n] = visible.ranks
-        # The same sets as row masks: ``interest_rows`` runs per sector
-        # and neighbor every cycle and only ever asks about local rows.
+        # set with a sector's event sites — and the rows of each
+        # sector's owned sites (event sites).
+        self.sector_member: list[np.ndarray] = [
+            sec.covers(lattice, self.cells, 0) for sec in self.sectors
+        ]
+        self.sector_rows = [np.flatnonzero(m) for m in self.sector_member]
+        self.neighbors = decomp.neighbors(rank)
+        # Per neighbor, the rows it can see (owned + ghost shell): a row
+        # mask, because ``interest_rows`` runs per sector and neighbor
+        # every cycle and only ever asks about local rows.
         self.interest_member: dict[int, np.ndarray] = {
-            n: np.isin(sites, ranks) for n, ranks in self.interest.items()
+            n: decomp.subdomain(n).covers(lattice, self.cells, width)
+            for n in self.neighbors
         }
 
     @cached_property
@@ -164,27 +153,6 @@ class SectorSchedule:
         return total
 
 
-def _in_shell(box: Subdomain, width: int, dims, cells) -> np.ndarray:
-    """Which of the ``cells`` lie in the ``width``-cell ghost shell of ``box``.
-
-    The membership test of ``box.all_ghost_site_ranks(lattice, width)``
-    without building the rank set: a (periodically wrapped) cell is in
-    the shell when every axis puts it inside the dilated box and some
-    axis puts it outside the box itself.
-    """
-    inside = np.ones(len(cells[0]), dtype=bool)
-    outside = np.zeros(len(cells[0]), dtype=bool)
-    for c, lo, hi, n in zip(cells, box.cell_lo, box.cell_hi, dims, strict=True):
-        dilated = np.zeros(n, dtype=bool)
-        dilated[np.arange(lo - width, hi + width) % n] = True
-        rim = np.zeros(n, dtype=bool)
-        rim[np.arange(lo - width, lo) % n] = True
-        rim[np.arange(hi, hi + width) % n] = True
-        inside &= dilated[c]
-        outside |= rim[c]
-    return inside & outside
-
-
 def _strip_sets(schedule: SectorSchedule) -> list[list[SectorComm]]:
     """The traditional exchange's strip sets of one rank.
 
@@ -199,8 +167,7 @@ def _strip_sets(schedule: SectorSchedule) -> list[list[SectorComm]]:
     """
     decomp = schedule.decomp
     lattice = decomp.lattice
-    dims = (lattice.nx, lattice.ny, lattice.nz)
-    _basis, *cells = lattice.coords_of(schedule.sites)
+    cells = schedule.cells
     owner = decomp.owner_of_cells(*cells)
     mine = np.flatnonzero(owner == schedule.rank)
     my_cells = [c[mine] for c in cells]
@@ -209,11 +176,11 @@ def _strip_sets(schedule: SectorSchedule) -> list[list[SectorComm]]:
     widths = (schedule.width, EVENT_WIDTH)
     strips = []
     for s, sector in enumerate(schedule.sectors):
-        my_rate, my_event = (_in_shell(sector, w, dims, cells) for w in widths)
+        my_rate, my_event = (sector.in_shell(lattice, cells, w) for w in widths)
         per_neighbor = []
         for n in schedule.neighbors:
             n_rate, n_event = (
-                _in_shell(their_sectors[n][s], w, dims, my_cells) for w in widths
+                their_sectors[n][s].in_shell(lattice, my_cells, w) for w in widths
             )
             per_neighbor.append(
                 SectorComm(

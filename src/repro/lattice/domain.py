@@ -8,6 +8,14 @@ plus a shell of *ghost* cells mirrored from its neighbors.
 The unit of decomposition is the conventional cell (2 sites), so sites are
 never split between processes and the paper's static site indexing works
 unchanged inside each subdomain.
+
+Every halo question — which of my rows does neighbor *n* hold, which
+must I send it, which does it fill in — is answered from the local rows'
+own cell coordinates by two labels: the rank that owns each cell
+(:meth:`DomainDecomposition.owner_of_cells`) and whether a box dilated
+by a width covers it (:meth:`Subdomain.covers`).  The MD ghost plans,
+the KMC interest masks and the KMC strip sets all read these two; no
+rank builds a neighbor's site set.
 """
 
 from __future__ import annotations
@@ -117,45 +125,6 @@ class Subdomain:
     def nsites(self) -> int:
         return 2 * self.ncells
 
-    def _axis_range(self, axis: int, d: int, width: int, kind: str) -> range:
-        lo, hi = self.cell_lo[axis], self.cell_hi[axis]
-        if kind == "send":
-            if d == 0:
-                return range(lo, hi)
-            if d > 0:
-                return range(hi - width, hi)
-            return range(lo, lo + width)
-        # kind == "recv": ghost cells just outside the boundary.
-        if d == 0:
-            return range(lo, hi)
-        if d > 0:
-            return range(hi, hi + width)
-        return range(lo - width, lo)
-
-    def _block(self, direction, width: int, kind: str):
-        rx = self._axis_range(0, direction[0], width, kind)
-        ry = self._axis_range(1, direction[1], width, kind)
-        rz = self._axis_range(2, direction[2], width, kind)
-        return np.meshgrid(list(rx), list(ry), list(rz), indexing="ij")
-
-    def send_cells(self, direction, width: int):
-        """Owned cells within ``width`` of the face(s) toward ``direction``.
-
-        These are the cells whose sites must be shipped to the neighbor at
-        ``direction`` so that neighbor's ghost shell is current.
-        """
-        self._check_width(width)
-        return self._block(direction, width, "send")
-
-    def ghost_cells(self, direction, width: int):
-        """Ghost cells of this subdomain lying toward ``direction``.
-
-        Returned in *global unwrapped* coordinates (may be < 0 or >= grid
-        size); callers wrap via the lattice's periodic indexing.
-        """
-        self._check_width(width)
-        return self._block(direction, width, "recv")
-
     def _check_width(self, width: int) -> None:
         if width < 1:
             raise ValueError(f"ghost width must be >= 1, got {width}")
@@ -163,6 +132,32 @@ class Subdomain:
             raise ValueError(
                 f"ghost width {width} exceeds subdomain shape {self.shape}"
             )
+
+    def covers(self, lattice: BCCLattice, cells, width: int) -> np.ndarray:
+        """Which of the ``cells`` lie in this box dilated by ``width``.
+
+        ``cells`` is ``(ci, cj, ck)``, wrapped cell coordinates (as
+        ``lattice.coords_of`` returns them), and the dilated box wraps
+        too, so this is the membership mask of :meth:`site_set` at that
+        width — the owned sites and ghost shell of this box.
+        """
+        mask = np.ones(np.shape(cells[0]), dtype=bool)
+        dims = (lattice.nx, lattice.ny, lattice.nz)
+        for c, lo, hi, n in zip(cells, self.cell_lo, self.cell_hi, dims, strict=True):
+            axis = np.zeros(n, dtype=bool)
+            axis[np.arange(lo - width, hi + width) % n] = True
+            mask &= axis[c]
+        return mask
+
+    def in_shell(self, lattice: BCCLattice, cells, width: int) -> np.ndarray:
+        """Which of the ``cells`` lie in the ``width``-cell ghost shell.
+
+        Covered at ``width`` but not by the box itself: the membership
+        test of :meth:`all_ghost_site_ranks` whenever the box plus one
+        rim fits each axis without wrapping onto itself (true of every
+        KMC sector box).
+        """
+        return self.covers(lattice, cells, width) & ~self.covers(lattice, cells, 0)
 
     def owned_cell_arrays(self):
         """Meshgrid arrays of all owned cells."""
@@ -176,16 +171,6 @@ class Subdomain:
     def owned_site_ranks(self, lattice: BCCLattice) -> np.ndarray:
         """Global site ranks of all sites owned by this subdomain."""
         ci, cj, ck = self.owned_cell_arrays()
-        return np.sort(_cells_to_ranks(lattice, ci, cj, ck))
-
-    def send_site_ranks(self, lattice: BCCLattice, direction, width: int) -> np.ndarray:
-        """Site ranks to pack for the neighbor at ``direction``."""
-        ci, cj, ck = self.send_cells(direction, width)
-        return np.sort(_cells_to_ranks(lattice, ci, cj, ck))
-
-    def ghost_site_ranks(self, lattice: BCCLattice, direction, width: int) -> np.ndarray:
-        """Site ranks of this subdomain's ghost shell toward ``direction``."""
-        ci, cj, ck = self.ghost_cells(direction, width)
         return np.sort(_cells_to_ranks(lattice, ci, cj, ck))
 
     def all_ghost_site_ranks(self, lattice: BCCLattice, width: int) -> np.ndarray:
@@ -311,18 +296,8 @@ class DomainDecomposition:
             proc=(cx, cy, cz), cell_lo=(xlo, ylo, zlo), cell_hi=(xhi, yhi, zhi)
         )
 
-    def owner_of_cell(self, i: int, j: int, k: int) -> int:
-        """Linear rank of the process owning global cell ``(i, j, k)``."""
-        i %= self.lattice.nx
-        j %= self.lattice.ny
-        k %= self.lattice.nz
-        cx = _owner_index(self._bounds_x, i)
-        cy = _owner_index(self._bounds_y, j)
-        cz = _owner_index(self._bounds_z, k)
-        return self.proc_rank((cx, cy, cz))
-
     def owner_of_cells(self, ci, cj, ck) -> np.ndarray:
-        """:meth:`owner_of_cell` over arrays of global cell coordinates."""
+        """Linear ranks owning the given (periodically wrapped) cells."""
         lat = self.lattice
         px, py, pz = (
             np.repeat(np.arange(len(bounds)), [hi - lo for lo, hi in bounds])
@@ -334,12 +309,21 @@ class DomainDecomposition:
     def owner_of_site(self, site_rank: int) -> int:
         """Linear rank of the process owning a global site."""
         _b, i, j, k = self.lattice.coords_of(site_rank)
-        return self.owner_of_cell(int(i), int(j), int(k))
+        return int(self.owner_of_cells(i, j, k))
 
     def neighbor_rank(self, rank: int, direction) -> int:
         """Linear rank of the neighbor of ``rank`` toward ``direction``."""
         cx, cy, cz = self.proc_coords(rank)
         return self.proc_rank((cx + direction[0], cy + direction[1], cz + direction[2]))
+
+    def neighbors(self, rank: int) -> list[int]:
+        """The distinct ranks other than ``rank`` adjacent to it, ascending.
+
+        Small grids alias directions (on a 2-rank axis -1 and +1 lead to
+        one rank, on a 1-rank axis back to ``rank``), so a rank can have
+        fewer than 26.
+        """
+        return sorted({self.neighbor_rank(rank, d) for d in DIRECTIONS} - {rank})
 
     def ghost_width_cells(self, cutoff: float) -> int:
         """Ghost shell width in cells needed to cover ``cutoff`` angstrom."""
@@ -368,9 +352,3 @@ class DomainDecomposition:
                 "cells per axis: use more cells or fewer ranks"
             )
 
-
-def _owner_index(bounds: list[tuple[int, int]], c: int) -> int:
-    for idx, (lo, hi) in enumerate(bounds):
-        if lo <= c < hi:
-            return idx
-    raise ValueError(f"cell coordinate {c} outside decomposition bounds")

@@ -7,27 +7,33 @@ points, the communication pattern is static, which can be reused at each
 time step." (§2.1.1)
 
 :class:`GhostExchanger` precomputes, once, the send/receive row index
-lists of a subdomain — one pair per *neighbor rank*: the 26 directions
-are grouped by the rank they lead to and the rows they name are sent
-once (on a 2-rank grid 18 directions alias onto the one other rank) —
-then moves any set of state arrays through them, one message per
-neighbor.  MD uses two exchange phases per step: positions+occupancy
-before the density pass, and electron densities before the force pass
-(the embedding derivative of a ghost atom must come from its owner,
-which sees the atom's full neighborhood).  Whatever else a rank has for
-a neighbor in a phase — the run-away atoms that neighbor can see — rides
-on the same message as a tail ("we pack their information and send it to
-the corresponding neighbor processes").
+lists of a subdomain — one pair per distinct *neighbor rank* (on a
+2-rank grid the 26 directions alias onto the one other rank, and its
+rows are sent once) — from two labels on each local row's cell: the rank
+that owns it, and whether the neighbor's box dilated by the ghost width
+covers it (``lattice/domain.py``).  A rank sends a neighbor the owned
+rows that neighbor covers and receives the rows that neighbor owns; the
+covered mask is kept on the plan, because it also says where the
+neighbor can see a run-away.  Then it moves any set of state arrays
+through the plans, one message per neighbor.  MD uses two exchange
+phases per step: positions+occupancy before the density pass, and
+electron densities before the force pass (the embedding derivative of a
+ghost atom must come from its owner, which sees the atom's full
+neighborhood).  Whatever else a rank has for a neighbor in a phase — the
+run-away atoms that neighbor can see — rides on the same message as a
+tail ("we pack their information and send it to the corresponding
+neighbor processes").
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.lattice.bcc import BCCLattice, SiteSet, sorted_unique
-from repro.lattice.domain import DIRECTIONS, DomainDecomposition
+from repro.lattice.bcc import BCCLattice
+from repro.lattice.domain import DomainDecomposition
 
 
 @dataclass(frozen=True)
@@ -36,11 +42,13 @@ class ExchangePlan:
 
     Both lists ascend in global site rank on both sides, so the payload
     of ``send_rows`` lands on the neighbor's ``recv_rows`` positionally.
+    ``covers`` marks the local rows the neighbor holds, owned or ghost.
     """
 
     neighbor: int
     send_rows: np.ndarray
     recv_rows: np.ndarray
+    covers: np.ndarray
 
 
 class GhostExchanger:
@@ -53,7 +61,8 @@ class GhostExchanger:
     rank:
         This process's linear rank.
     sites:
-        Sorted global site ranks of the local arrays (owned + ghosts);
+        Sorted global site ranks of the local arrays: exactly the rank's
+        ``Subdomain.site_set`` at ``width`` (owned + ghost shell);
         exchanged rows are indices into this array.
     width:
         Ghost shell width in cells (>= ceil(cutoff / a)).
@@ -68,32 +77,34 @@ class GhostExchanger:
     ) -> None:
         lattice: BCCLattice = decomp.lattice
         sub = decomp.subdomain(rank)
-        site_set = SiteSet(lattice, sites)
+        _basis, *cells = lattice.coords_of(sites)
+        held = sub.covers(lattice, cells, width)
+        dims = (lattice.nx, lattice.ny, lattice.nz)
+        want = 2 * math.prod(
+            min(s + 2 * width, n) for s, n in zip(sub.shape, dims, strict=True)
+        )
+        if len(sites) != want or not held.all():
+            raise ValueError(
+                f"sites are not rank {rank}'s width-{width} site set: "
+                f"{want - held.sum()} of its {want} sites are not present, "
+                f"{(~held).sum()} local sites lie outside it"
+            )
+        owner = decomp.owner_of_cells(*cells)
+        mine = owner == rank
         self.rank = rank
         self.width = width
-        send: dict[int, list[np.ndarray]] = {}
-        recv: dict[int, list[np.ndarray]] = {}
-        for d in DIRECTIONS:
-            neighbor = decomp.neighbor_rank(rank, d)
-            if neighbor == rank:
-                # Periodic wrap onto our own subdomain: the ghost rows and
-                # the source rows are the same array entries; no exchange.
-                continue
-            send.setdefault(neighbor, []).append(
-                sub.send_site_ranks(lattice, d, width)
-            )
-            recv.setdefault(neighbor, []).append(
-                sub.ghost_site_ranks(lattice, d, width)
-            )
         #: One plan per distinct neighbor rank, in rank order.
-        self.plans = [
-            ExchangePlan(
-                neighbor=n,
-                send_rows=site_set.rows_of(sorted_unique(np.concatenate(send[n]))),
-                recv_rows=site_set.rows_of(sorted_unique(np.concatenate(recv[n]))),
+        self.plans = []
+        for n in decomp.neighbors(rank):
+            covers = decomp.subdomain(n).covers(lattice, cells, width)
+            self.plans.append(
+                ExchangePlan(
+                    neighbor=n,
+                    send_rows=np.flatnonzero(mine & covers),
+                    recv_rows=np.flatnonzero(owner == n),
+                    covers=covers,
+                )
             )
-            for n in sorted(send)
-        ]
 
     def exchange(self, comm, tag: int, arrays: list[np.ndarray], tails=None) -> list:
         """Ship boundary rows of each array; fill ghost rows in place.

@@ -173,16 +173,6 @@ class ParallelDamageMD:
                     lattice, pot.cutoff, sites=sites, centrals=central_rows
                 )
                 ex = GhostExchanger(decomp, comm.rank, sites, width)
-                # Per neighbor (plan order): which of my rows it holds,
-                # owned or ghost — where it can see a run-away of mine.
-                interest = []
-                for plan in ex.plans:
-                    visible, _rows = decomp.subdomain(plan.neighbor).site_set(
-                        lattice, width
-                    )
-                    rows, mine = site_set.rows_of(visible.ranks, missing="mask")
-                    interest.append(np.zeros(len(sites), dtype=bool))
-                    interest[-1][rows[mine]] = True
                 integ = VelocityVerlet(dt)
                 ids_f = np.empty(len(sites), dtype=float)
 
@@ -209,7 +199,8 @@ class ParallelDamageMD:
             def exchange_positions() -> tuple[RunawayTable, list]:
                 """Phase 1: positions, occupancy and the run-aways each
                 neighbor can see; ``(ghost copies, who sees which row)``."""
-                seen = [np.flatnonzero(mask[nbl.runaways.host]) for mask in interest]
+                hosts = nbl.runaways.host
+                seen = [np.flatnonzero(plan.covers[hosts]) for plan in ex.plans]
                 ids_f[:] = state.ids
                 ghosts = exchange_runaways(TAG_X, [state.x, ids_f], seen)
                 state.ids[:] = ids_f.astype(np.int64)

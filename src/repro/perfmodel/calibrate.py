@@ -27,7 +27,6 @@ import numpy as np
 from repro.kmc.akmc import ParallelAKMC, place_random_vacancies
 from repro.kmc.events import KMCModel, RateParameters
 from repro.lattice.bcc import BCCLattice
-from repro.lattice.domain import DIRECTIONS
 from repro.md.ghost import GhostExchanger
 from repro.md.neighbors.lattice_list import LatticeNeighborList
 from repro.md.parallel_damage import ParallelDamageMD
@@ -97,11 +96,6 @@ class Traffic(NamedTuple):
     kmc_exchanges_per_cycle: float
 
 
-def _neighbours(decomp) -> int:
-    """Distinct neighbour ranks of rank 0."""
-    return len({decomp.neighbor_rank(0, d) for d in DIRECTIONS} - {0})
-
-
 @lru_cache(maxsize=1)
 def executed_traffic() -> Traffic:
     """Count the models' traffic inputs from two small 8-rank runs.
@@ -135,7 +129,8 @@ def executed_traffic() -> Traffic:
         md_ghost_width=md.width,
         kmc_bytes_per_event=stats["total_sent_bytes"] / result.events,
         kmc_exchanges_per_cycle=(
-            stats["sent_messages"][0] / (result.cycles * _neighbours(kmc.decomp))
+            stats["sent_messages"][0]
+            / (result.cycles * len(kmc.decomp.neighbors(0)))
         ),
     )
 

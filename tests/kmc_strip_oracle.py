@@ -8,6 +8,12 @@ global rank set of every sector ghost shell with
 set an owner holds, look the result up in the sorted local ``sites`` —
 as the oracle the strip tests compare against.  It shares no geometry
 code with the builder under test beyond the ``Subdomain`` boxes.
+
+:func:`interest_masks` is the same kind of reference for the rows a
+neighbor can see (``SectorSchedule.interest_member`` and the MD
+``ExchangePlan.covers``): the neighbor's whole site set, then
+``np.isin`` — the construction ``SectorSchedule`` used before both
+became cover labels.
 """
 
 from __future__ import annotations
@@ -36,18 +42,32 @@ def _rows_in(sites: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return rows
 
 
-def strip_sets(decomp, rank, sites, width, event_width=1) -> list[list[SectorComm]]:
-    """``[sector][neighbor]`` strip sets of ``rank``, the parent's way."""
-    lattice = decomp.lattice
-    sub = decomp.subdomain(rank)
-    sectors = sub.sectors()
-    neighbor_ranks = sorted(
+def _neighbor_ranks(decomp, rank) -> list[int]:
+    return sorted(
         {
             decomp.neighbor_rank(rank, d)
             for d in DIRECTIONS
             if decomp.neighbor_rank(rank, d) != rank
         }
     )
+
+
+def interest_masks(decomp, rank, sites, width) -> dict[int, np.ndarray]:
+    """Per neighbor of ``rank``, which of ``sites`` it holds at ``width``."""
+    lattice = decomp.lattice
+    interest = {}
+    for n in _neighbor_ranks(decomp, rank):
+        visible, _owned_rows = decomp.subdomain(n).site_set(lattice, width)
+        interest[n] = visible.ranks
+    return {n: np.isin(sites, ranks) for n, ranks in interest.items()}
+
+
+def strip_sets(decomp, rank, sites, width, event_width=1) -> list[list[SectorComm]]:
+    """``[sector][neighbor]`` strip sets of ``rank``, the parent's way."""
+    lattice = decomp.lattice
+    sub = decomp.subdomain(rank)
+    sectors = sub.sectors()
+    neighbor_ranks = _neighbor_ranks(decomp, rank)
     # Traditional per-sector strip sets.
     my_owned = sub.owned_site_ranks(lattice)
     owned_by = {

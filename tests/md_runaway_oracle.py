@@ -16,7 +16,10 @@ verbatim, is the independent reference both are compared against:
   the static geometry of a real ``LatticeNeighborList``);
 * :func:`pair_indices`, the ``(i, j)`` half of the old
   ``build_pair_table``;
-* :class:`DirectionGhostExchanger`, the old ``GhostExchanger``.
+* :class:`DirectionGhostExchanger`, the old ``GhostExchanger``, with the
+  per-direction cell blocks it read (:func:`send_site_ranks`,
+  :func:`ghost_site_ranks`), moved here from ``Subdomain`` when the
+  plans became owner and cover labels (``repro.lattice.domain``).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.lattice.bcc import BCCLattice, SiteSet, sorted_unique
-from repro.lattice.domain import DIRECTIONS, DomainDecomposition
+from repro.lattice.domain import DIRECTIONS, DomainDecomposition, Subdomain
 from repro.md.state import AtomState
 
 
@@ -263,6 +266,71 @@ def pair_indices(state: AtomState, oracle: LinkedListOracle, li, lj):
 # ----------------------------------------------------------------------
 # The per-direction ghost exchange
 # ----------------------------------------------------------------------
+def _axis_range(sub: Subdomain, axis: int, d: int, width: int, kind: str) -> range:
+    lo, hi = sub.cell_lo[axis], sub.cell_hi[axis]
+    if kind == "send":
+        if d == 0:
+            return range(lo, hi)
+        if d > 0:
+            return range(hi - width, hi)
+        return range(lo, lo + width)
+    # kind == "recv": ghost cells just outside the boundary.
+    if d == 0:
+        return range(lo, hi)
+    if d > 0:
+        return range(hi, hi + width)
+    return range(lo - width, lo)
+
+
+def _block(sub: Subdomain, direction, width: int, kind: str):
+    rx = _axis_range(sub, 0, direction[0], width, kind)
+    ry = _axis_range(sub, 1, direction[1], width, kind)
+    rz = _axis_range(sub, 2, direction[2], width, kind)
+    return np.meshgrid(list(rx), list(ry), list(rz), indexing="ij")
+
+
+def send_cells(sub: Subdomain, direction, width: int):
+    """Owned cells within ``width`` of the face(s) toward ``direction``.
+
+    These are the cells whose sites must be shipped to the neighbor at
+    ``direction`` so that neighbor's ghost shell is current.
+    """
+    sub._check_width(width)
+    return _block(sub, direction, width, "send")
+
+
+def ghost_cells(sub: Subdomain, direction, width: int):
+    """Ghost cells of this subdomain lying toward ``direction``.
+
+    Returned in *global unwrapped* coordinates (may be < 0 or >= grid
+    size); callers wrap via the lattice's periodic indexing.
+    """
+    sub._check_width(width)
+    return _block(sub, direction, width, "recv")
+
+
+def _cells_to_ranks(lattice: BCCLattice, ci, cj, ck) -> np.ndarray:
+    """Site ranks (both basis sites) of the given cells, flattened."""
+    ci = np.asarray(ci).ravel()
+    cj = np.asarray(cj).ravel()
+    ck = np.asarray(ck).ravel()
+    r0 = lattice.rank_of(np.zeros_like(ci), ci, cj, ck)
+    r1 = lattice.rank_of(np.ones_like(ci), ci, cj, ck)
+    return np.concatenate([r0, r1])
+
+
+def send_site_ranks(sub: Subdomain, lattice: BCCLattice, direction, width: int):
+    """Site ranks to pack for the neighbor at ``direction``."""
+    ci, cj, ck = send_cells(sub, direction, width)
+    return np.sort(_cells_to_ranks(lattice, ci, cj, ck))
+
+
+def ghost_site_ranks(sub: Subdomain, lattice: BCCLattice, direction, width: int):
+    """Site ranks of this subdomain's ghost shell toward ``direction``."""
+    ci, cj, ck = ghost_cells(sub, direction, width)
+    return np.sort(_cells_to_ranks(lattice, ci, cj, ck))
+
+
 #: Index of the opposite direction for each entry of DIRECTIONS.
 _OPPOSITE = [
     DIRECTIONS.index(tuple(-c for c in d)) for d in DIRECTIONS
@@ -315,8 +383,8 @@ class DirectionGhostExchanger:
                 # Periodic wrap onto our own subdomain: the ghost rows and
                 # the source rows are the same array entries; no exchange.
                 continue
-            send_ranks = sub.send_site_ranks(lattice, d, width)
-            recv_ranks = sub.ghost_site_ranks(lattice, d, width)
+            send_ranks = send_site_ranks(sub, lattice, d, width)
+            recv_ranks = ghost_site_ranks(sub, lattice, d, width)
             self.plans.append(
                 DirectionPlan(
                     direction=d,

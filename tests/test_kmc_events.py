@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.constants import KB_EV
-from repro.kmc.akmc import ParallelAKMC, ghost_width_cells
+from repro.kmc.akmc import ParallelAKMC
 from repro.kmc.events import ATOM, VACANCY, KMCModel, RateParameters
 from repro.lattice.bcc import BCCLattice
 from repro.lattice.domain import DomainDecomposition
@@ -230,9 +230,9 @@ class TestStaticTables:
     def lattice10(self):
         return BCCLattice(10, 10, 10)
 
-    def _site_sets(self, lattice, params):
+    def _site_sets(self, lattice, potential, params):
         sub = DomainDecomposition(lattice, (2, 1, 1)).subdomain(1)
-        width = ghost_width_cells(lattice, params)
+        width = ParallelAKMC(lattice, potential, params, nranks=1).width
         rank_local = np.union1d(
             sub.owned_site_ranks(lattice),
             sub.all_ghost_site_ranks(lattice, width),
@@ -251,7 +251,7 @@ class TestStaticTables:
     def test_tables_equal_per_slot_oracle(
         self, lattice10, potential, rate_params, which
     ):
-        sites = self._site_sets(lattice10, rate_params)[which]
+        sites = self._site_sets(lattice10, potential, rate_params)[which]
         model = KMCModel(
             lattice10, potential, rate_params,
             sites=None if which == "full" else sites,

@@ -4,19 +4,24 @@ import numpy as np
 import pytest
 
 from repro.kmc import sublattice
-from repro.kmc.akmc import ParallelAKMC, ghost_width_cells
+from repro.kmc.akmc import ParallelAKMC
 from repro.kmc.events import RateParameters
 from repro.kmc.sublattice import SectorSchedule
 from repro.lattice.bcc import BCCLattice
 from repro.lattice.domain import DomainDecomposition
-from tests.kmc_strip_oracle import strip_sets
+from tests.kmc_strip_oracle import interest_masks, strip_sets
+
+
+def kmc_width(lattice, potential, params=None) -> int:
+    """The parallel engine's rate-stencil ghost width on ``lattice``."""
+    return ParallelAKMC(lattice, potential, params, nranks=1).width
 
 
 @pytest.fixture(scope="module")
-def schedules8():
+def schedules8(potential):
     lattice = BCCLattice(8, 8, 8)
     decomp = DomainDecomposition(lattice, (2, 2, 2))
-    width = ghost_width_cells(lattice, RateParameters())
+    width = kmc_width(lattice, potential)
     out = []
     for rank in range(decomp.nprocs):
         sub = decomp.subdomain(rank)
@@ -28,9 +33,9 @@ def schedules8():
 
 
 class TestGeometry:
-    def test_ghost_width_for_default_params(self):
+    def test_ghost_width_for_default_params(self, potential):
         lattice = BCCLattice(8, 8, 8)
-        assert ghost_width_cells(lattice, RateParameters()) == 2
+        assert kmc_width(lattice, potential) == 2
 
     def test_eight_sectors(self, schedules8):
         _lat, _dec, _w, scheds = schedules8
@@ -44,7 +49,7 @@ class TestGeometry:
             owned_rows = np.searchsorted(sched.sites, owned)
             assert np.array_equal(merged, np.sort(owned_rows))
 
-    def test_rate_stencil_widens_traditional_strips(self):
+    def test_rate_stencil_widens_traditional_strips(self, potential):
         # A wider energy stencil inflates the strips the traditional
         # scheme ships every cycle; the on-demand scheme is immune.
         lattice = BCCLattice(12, 12, 12)
@@ -52,8 +57,8 @@ class TestGeometry:
         sub = decomp.subdomain(0)
         strips = []
         for cutoff in (2.5, 2.9, 4.1):
-            width = ghost_width_cells(
-                lattice, RateParameters(energy_cutoff=cutoff)
+            width = kmc_width(
+                lattice, potential, RateParameters(energy_cutoff=cutoff)
             )
             sites = np.union1d(
                 sub.owned_site_ranks(lattice),
@@ -142,8 +147,8 @@ class TestStrips:
         sched = scheds[0]
         dirty = np.arange(len(sched.sites), dtype=np.int64)
         filtered = sched.interest_rows(1, dirty)
-        interest = set(sched.interest[1].tolist())
-        assert set(sched.sites[filtered].tolist()) <= interest
+        visible = interest_masks(decomp, 0, sched.sites, w)[1]
+        assert np.array_equal(filtered, np.flatnonzero(visible))
 
     def test_traditional_strip_volume_positive(self, schedules8):
         _lat, _dec, _w, scheds = schedules8
@@ -168,10 +173,10 @@ class TestStripOracle:
             ((8, 9, 11), (1, 2, 2)),  # x wraps onto the rank itself; odd halves
         ],
     )
-    def test_every_strip_equals_the_oracle(self, cells, grid):
+    def test_every_strip_equals_the_oracle(self, cells, grid, potential):
         lattice = BCCLattice(*cells)
         decomp = DomainDecomposition(lattice, grid)
-        width = ghost_width_cells(lattice, RateParameters())
+        width = kmc_width(lattice, potential)
         for rank in range(decomp.nprocs):
             sub = decomp.subdomain(rank)
             sites = np.union1d(

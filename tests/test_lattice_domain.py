@@ -5,12 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lattice.bcc import BCCLattice
+from repro.kmc.sublattice import SectorSchedule
+from repro.lattice.bcc import BCCLattice, sorted_unique
 from repro.lattice.domain import (
     DIRECTIONS,
     DomainDecomposition,
     choose_grid,
     split_range,
+)
+from repro.md.ghost import GhostExchanger
+
+from .kmc_strip_oracle import interest_masks
+from .md_runaway_oracle import (
+    DirectionGhostExchanger,
+    ghost_site_ranks,
+    send_site_ranks,
 )
 
 
@@ -129,10 +138,8 @@ class TestGhostRegions:
         for d in DIRECTIONS:
             me = decomp.subdomain(0)
             nbr = decomp.subdomain(decomp.neighbor_rank(0, d))
-            sent = me.send_site_ranks(lat, d, width)
-            expected = nbr.ghost_site_ranks(
-                lat, tuple(-c for c in d), width
-            )
+            sent = send_site_ranks(me, lat, d, width)
+            expected = ghost_site_ranks(nbr, lat, tuple(-c for c in d), width)
             assert np.array_equal(sent, expected)
 
     def test_directional_ghosts_partition_shell(self):
@@ -140,7 +147,7 @@ class TestGhostRegions:
         decomp = DomainDecomposition(lat, (2, 2, 2))
         sub = decomp.subdomain(3)
         width = 1
-        parts = [sub.ghost_site_ranks(lat, d, width) for d in DIRECTIONS]
+        parts = [ghost_site_ranks(sub, lat, d, width) for d in DIRECTIONS]
         merged = np.concatenate(parts)
         # Directional blocks never overlap...
         assert len(merged) == len(np.unique(merged))
@@ -153,9 +160,9 @@ class TestGhostRegions:
         lat = BCCLattice(8, 8, 8)
         sub = DomainDecomposition(lat, (2, 2, 2)).subdomain(0)
         with pytest.raises(ValueError, match="width"):
-            sub.ghost_cells((1, 0, 0), 0)
+            sub.all_ghost_site_ranks(lat, 0)
         with pytest.raises(ValueError, match="exceeds"):
-            sub.ghost_cells((1, 0, 0), 5)
+            sub.all_ghost_site_ranks(lat, 5)
 
     def test_ghost_shell_count_matches_geometry(self):
         lat = BCCLattice(8, 8, 8)
@@ -164,6 +171,54 @@ class TestGhostRegions:
         s = 4  # subdomain side in cells
         expected_cells = (s + 2 * w) ** 3 - s**3
         assert len(sub.all_ghost_site_ranks(lat, w)) == 2 * expected_cells
+
+
+#: ``(cells, ranks)``: 27 ranks, a 1-rank axis that wraps onto itself,
+#: +/- aliasing at 2 ranks per axis and uneven splits.
+HALO_CASES = [
+    ((16, 16, 16), 8),
+    ((12, 12, 12), 2),
+    ((8, 8, 16), 4),
+    ((12, 12, 12), 8),
+    ((8, 8, 8), 1),
+    ((16, 8, 8), 2),
+    ((9, 12, 15), 6),
+    ((12, 12, 12), 27),
+]
+
+
+class TestHaloGeometry:
+    """Owner and cover labels against the constructions they replaced:
+    the per-direction blocks of the MD ghost plans and the neighbor's
+    whole site set plus ``np.isin`` of the interest masks."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("cells, nranks", HALO_CASES)
+    def test_plans_and_interest_equal_the_oracles(self, cells, nranks, width):
+        lattice = BCCLattice(*cells)
+        decomp = DomainDecomposition(lattice, choose_grid(nranks, cells))
+        for rank in range(decomp.nprocs):
+            sub = decomp.subdomain(rank)
+            sites = sub.site_set(lattice, width)[0].ranks
+            ex = GhostExchanger(decomp, rank, sites, width)
+            old = DirectionGhostExchanger(decomp, rank, sites, width)
+            interest = interest_masks(decomp, rank, sites, width)
+            assert [p.neighbor for p in ex.plans] == list(interest)
+            assert list(interest) == sorted({p.neighbor for p in old.plans})
+            for plan in ex.plans:
+                by_dir = [p for p in old.plans if p.neighbor == plan.neighbor]
+                for name in ("send_rows", "recv_rows"):
+                    want = sorted_unique(
+                        np.concatenate([getattr(p, name) for p in by_dir])
+                    )
+                    assert np.array_equal(getattr(plan, name), want), (rank, name)
+                assert np.array_equal(plan.covers, interest[plan.neighbor])
+            if min(sub.shape) < max(2 * width, 4):
+                continue  # too thin for eight KMC sectors
+            sched = SectorSchedule(decomp, rank, sites, width)
+            assert sched.neighbors == list(interest)
+            for n, mask in interest.items():
+                assert np.array_equal(sched.interest_member[n], mask), (rank, n)
 
 
 class TestSectors:
