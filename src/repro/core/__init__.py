@@ -11,8 +11,7 @@ pipeline and its MD, KMC and runtime imports.
 
 from importlib import import_module
 
-#: Public name -> defining module; ``repro.analyze.graph`` reads this
-#: literal to follow calls through the package.
+#: Public name -> defining module, resolved on first access (PEP 562).
 _EXPORTS = {
     "CoupledConfig": "repro.core.coupling",
     "CoupledResult": "repro.core.coupling",

@@ -158,10 +158,7 @@ class EventCatalog:
         self.rates[row] = None
         self._cums[row] = None
         self.n_active -= 1
-        if self.tree[self.size + row] != 0.0:  # repro: noqa(REP003) exact 0
-            # A leaf is 0.0 only by assignment (cleared row), never by
-            # rounding, so exact comparison is the correct idle check.
-            self._set_leaf(row, 0.0)
+        self._set_leaf(row, 0.0)
 
     def set_rows(
         self,

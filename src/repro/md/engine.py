@@ -160,8 +160,3 @@ class MDEngine:
         return float(
             0.5 * self.state.mass * MVV2E * np.sum(self.nblist.runaways.v ** 2)
         )
-
-    @property
-    def potential_energy(self) -> float:
-        """Recompute the current potential energy (also refreshes forces)."""
-        return compute_energy_forces(self.potential, self.state, self.nblist)

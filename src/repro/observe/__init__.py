@@ -48,8 +48,7 @@ from repro.observe.api import (
 
 #: The names only an *observed* run touches -> defining module, resolved
 #: on first access (PEP 562): with observation off a run loads
-#: ``observe.api`` and nothing else of this package.  ``repro.analyze.graph``
-#: reads this literal to follow calls through the package.
+#: ``observe.api`` and nothing else of this package.
 _EXPORTS = {
     "PhaseStat": "repro.observe.registry",
     "Registry": "repro.observe.registry",

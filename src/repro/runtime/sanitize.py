@@ -1,7 +1,6 @@
 """Runtime communication sanitizer: a vector-clock happens-before ledger.
 
-The static rule REP002 rejects the statically decidable protocol bugs;
-this module catches the rest *at runtime*, TSan-style.
+This module catches protocol bugs *at runtime*, TSan-style.
 With ``REPRO_SANITIZE=1`` (or ``World(sanitize=True)``, or ``--sanitize``
 on the CLI) every rank's communicator gets a :class:`SanitizeLayer` as
 the outermost layer of its middleware chain

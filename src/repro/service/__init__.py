@@ -27,8 +27,7 @@ worker nor ``multiprocessing``.
 
 from importlib import import_module
 
-#: Public name -> defining module; ``repro.analyze.graph`` reads this
-#: literal to follow calls through the package.
+#: Public name -> defining module, resolved on first access (PEP 562).
 _EXPORTS = {
     "DONE": "repro.service.worker",
     "FAILED": "repro.service.worker",

@@ -5,11 +5,8 @@ property defined under ``src/repro`` is *reached* when its name appears
 as an identifier (a name, an attribute or an imported name) anywhere in
 the production tree: ``src/repro`` itself, ``examples/`` and
 ``benchmarks/ledger/``.  Imports in package ``__init__`` files are
-re-exports and do not count; analyzer rules decorated with ``@register``
-are reached through the registry; dunders and ``_private`` names are not
-scanned.  ``analyze/graph.py::ProjectGraph`` is not used because it does
-not resolve method calls on objects, so it would report most methods
-unreached.  The price is a blind spot: a method that shares its name
+re-exports and do not count; dunders and ``_private`` names are not
+scanned.  The price is a blind spot: a method that shares its name
 with any used identifier (``publish``, ``step``, ``release``) counts as
 reached even when nothing calls it, so such names need a manual grep.
 
@@ -91,11 +88,6 @@ def _definitions():
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ) or node.name.startswith("_"):
-                continue
-            if any(
-                isinstance(d, ast.Name) and d.id == "register"
-                for d in node.decorator_list
-            ):
                 continue
             out[f"{prefix}{node.name}"] = node.name
             if isinstance(node, ast.ClassDef):

@@ -447,7 +447,7 @@ def fence_program(comm):
     for epoch in range(3):
         win.put((comm.rank + 1) % comm.size, np.full(4, float(epoch)))
         if comm.rank == 0:
-            win.put(2, b"extra")  # repro: noqa(REP002) one-sided; every rank reaches the fence
+            win.put(2, b"extra")
         win.fence()
 
 

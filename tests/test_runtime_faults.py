@@ -165,7 +165,7 @@ class TestWindowFaults:
             win = comm.win_create()
             if comm.rank == 0:
                 for i in range(3):
-                    win.put(1, ("item", i))  # repro: noqa(REP002) one-sided; every rank reaches the fence
+                    win.put(1, ("item", i))
             received = win.fence()
             return [payload for _origin, payload in received]
 

@@ -111,7 +111,7 @@ class TestTransportParity:
                 data = np.arange(4)
                 comm.send(1, 1, data)
                 data[:] = -1
-                comm.barrier()  # repro: noqa(REP002) meets the barrier after the branch
+                comm.barrier()  # meets rank 1's barrier after the branch
                 return None
             comm.barrier()  # only receive after the sender mutated
             _s, _t, payload = comm.recv(0, 1)

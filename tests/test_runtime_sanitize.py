@@ -167,9 +167,9 @@ class TestThreadBackend:
     def test_collective_order_divergence_is_reported_not_deadlocked(self):
         def diverge(comm):
             if comm.rank == 0:
-                comm.barrier()  # repro: noqa(REP002) deliberate divergence under test
+                comm.barrier()  # deliberate divergence under test
             else:
-                comm.allgather(comm.rank)  # repro: noqa(REP002) deliberate divergence under test
+                comm.allgather(comm.rank)
 
         with pytest.raises(SanitizerError) as err:
             World(3, sanitize=True).run(diverge)

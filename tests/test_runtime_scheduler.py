@@ -285,7 +285,7 @@ class TestOneWaitPoint:
     def test_watchdog_fires_on_a_collective_miss(self):
         def main(comm):
             if comm.rank == 0:
-                comm.barrier()  # repro: noqa(REP002) deliberate: rank 1 never joins
+                comm.barrier()  # deliberate: rank 1 never joins
 
         world = World(
             2, watchdog=0.2, backend="overdecomposed", workers=1, sanitize=False

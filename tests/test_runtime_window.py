@@ -43,8 +43,8 @@ class TestWindow:
         def main(comm):
             win = comm.win_create()
             if comm.rank != 0:
-                win.put(0, comm.rank)  # repro: noqa(REP002) one-sided; every rank reaches the fence
-                win.put(0, comm.rank * 100)  # repro: noqa(REP002) one-sided, as above
+                win.put(0, comm.rank)
+                win.put(0, comm.rank * 100)
             got = win.fence()
             if comm.rank == 0:
                 return sorted(p for _o, p in got)
