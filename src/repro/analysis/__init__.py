@@ -1,8 +1,6 @@
 """Post-processing: defect identification and damage statistics."""
 
 from repro.analysis.vacancies import (
-    identify_vacancies,
-    identify_interstitials,
     frenkel_pairs,
     vacancy_concentration,
 )
@@ -30,8 +28,6 @@ __all__ = [
     "displacement_histogram",
     "divacancy_binding_energy",
     "frenkel_pairs",
-    "identify_interstitials",
-    "identify_vacancies",
     "radial_distribution",
     "track_single_vacancy",
     "vacancy_concentration",

@@ -2,26 +2,15 @@
 
 The lattice neighbor list makes defect identification trivial compared to
 a general MD code: vacancy rows are marked in the site array (negative
-IDs), and the rows of the run-away table are the interstitials.
-These helpers extract and cross-check that inventory.
+IDs, ``AtomState.vacancy_rows()``), and the rows of the run-away table
+(``LatticeNeighborList.runaways``) are the interstitials.  These
+helpers count and cross-check that inventory.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.md.neighbors.lattice_list import LatticeNeighborList, RunawayTable
+from repro.md.neighbors.lattice_list import LatticeNeighborList
 from repro.md.state import AtomState
-
-
-def identify_vacancies(state: AtomState) -> np.ndarray:
-    """Row indices of vacancy sites (negative-ID entries)."""
-    return state.vacancy_rows()
-
-
-def identify_interstitials(nblist: LatticeNeighborList) -> RunawayTable:
-    """The run-away atoms — off-lattice interstitials."""
-    return nblist.runaways
 
 
 def frenkel_pairs(state: AtomState, nblist: LatticeNeighborList) -> int:

@@ -30,12 +30,7 @@ from repro import observe as obs
 from repro.core.clusters import ClusteringReport, clustering_report
 from repro.core.timescale import kmc_real_time
 from repro.io.checkpoint import load_kmc_checkpoint, save_checkpoint
-from repro.io.store import (
-    TrajectoryReader,
-    finalize_store,
-    rewind_store,
-    seed_store,
-)
+from repro.io.store import TrajectoryReader, finalize_store, seed_store
 from repro.kmc.akmc import ParallelAKMC, SerialAKMC
 from repro.kmc.events import ATOM, VACANCY, RateParameters
 from repro.lattice.bcc import BCCLattice
@@ -285,7 +280,10 @@ class CoupledSimulation:
         exists yet.  Both paths converge on a final state bit-identical
         to a fault-free run: the event streams are pure functions of
         (seed, rank, cycle, sector) for the parallel engine and the
-        checkpoint carries the exact RNG state for the serial one.
+        checkpoint carries the exact RNG state for the serial one.  The
+        trajectory store is never rewritten: the resumed attempt's
+        writer skips every frame the store already holds
+        (:mod:`repro.io.store`).
 
         Returns ``(result, recoveries, fault_report)``.
         """
@@ -327,17 +325,6 @@ class CoupledSimulation:
                         resume = load_kmc_checkpoint(ckpt_path)
                     else:
                         resume = None
-                    if self.config.trajectory is not None:
-                        # Rewind the store to the restored clock: frames
-                        # the crashed attempt wrote beyond the checkpoint
-                        # are dropped and re-recorded bit-identically by
-                        # the resumed attempt.  With no checkpoint yet,
-                        # rewind to 0.0 keeps only the post-MD initial
-                        # frame.
-                        rewind_store(
-                            self.config.trajectory,
-                            resume.time if resume is not None else 0.0,
-                        )
                     obs.add(
                         "coupling.recover.from_checkpoint"
                         if resume is not None
@@ -377,8 +364,7 @@ class CoupledSimulation:
                 # damage state at clock 0 — the "before" frame of the
                 # paper's Figure 17.  The KMC stage then appends to it
                 # incrementally (rank 0 via the gather path when
-                # parallel), and recovery rewinds it with the
-                # checkpoints.
+                # parallel); a recovered attempt only appends to it.
                 self._notify("trajectory_init")
                 with obs.phase("io.trajectory.init"):
                     seed_store(cfg.trajectory, self.lattice, occ0)

@@ -28,10 +28,17 @@ substrate ROADMAP's "streaming trajectory store" item calls for:
 * **Out-of-core reading.**  :class:`TrajectoryReader` iterates frames
   or random-accesses them by index or time while holding at most one
   decoded chunk.
-* **One frame fence.**  :meth:`TrajectoryWriter.record` is the only
-  place that decides whether a frame is written: only when the clock
-  advanced past the newest one, which makes recording idempotent under
-  resume and replay.  :func:`seed_store` writes a run's t=0 frame.
+* **One frame fence: recovery only appends.**
+  :meth:`TrajectoryWriter.record` is the only place that decides whether
+  a frame is written: only when the clock advanced past the newest one.
+  The engines flush before every checkpoint publishes and commit
+  buffered frames only when a run ends normally, so a crashed attempt
+  leaves exactly the chunks a fault-free run has also committed.  A
+  resumed or replayed attempt re-executes deterministically, ``record``
+  skips every frame the store already holds, and the reopened writer
+  starts its next chunk where a fault-free run's does: the store ends
+  byte-identical, and no recovery path rewrites an indexed chunk.
+  :func:`seed_store` writes a run's t=0 frame.
 
 The sidecar keeps the v1 keys ``rank``, ``sites_length`` and
 ``compression`` at their single values (0, 0, ``"zlib"``), so a store
@@ -205,8 +212,8 @@ class TrajectoryWriter:
         self.nsites = lattice.nsites
         self._chunks: list[dict] = []
         # Unbuffered: chunk writes are single large write() calls, and an
-        # abandoned handle (a crashed rank's writer, reclaimed by GC
-        # after the store was rewound by the supervisor) must never
+        # abandoned handle (a crashed attempt's writer, reclaimed by GC
+        # after the resumed attempt reopened the store) must never
         # flush stale buffered bytes over the resumed writer's data.
         self._fh = open(self._bin_path, "wb", buffering=0)
         self._cut_to_index()
@@ -287,7 +294,14 @@ class TrajectoryWriter:
         last = self.last_time
         if last is not None and time < last:
             raise ValueError(f"time must be non-decreasing: {time} < {last}")
-        self._buffer(time, occ)
+        # Each chunk opens with a keyframe; the rest are deltas.
+        if not self._pending:
+            rec = _encode_keyframe(occ)
+        else:
+            rec = _encode_delta(self._prev, occ)
+        self._prev = occ.copy()
+        self._pending.append(rec)
+        self._pending_times.append(time)
         obs.add("io.trajectory.frames")
         if len(self._pending) >= self.chunk_frames:
             self._commit_chunk()
@@ -304,16 +318,6 @@ class TrajectoryWriter:
         if last is None or time > last:
             with obs.phase("io.trajectory.append"):
                 self.append(time, occupancy)
-
-    def _buffer(self, time: float, occ: np.ndarray) -> None:
-        """Encode one frame into the pending chunk (keyframe first)."""
-        if not self._pending:
-            rec = _encode_keyframe(occ)
-        else:
-            rec = _encode_delta(self._prev, occ)
-        self._prev = occ.copy()
-        self._pending.append(rec)
-        self._pending_times.append(time)
 
     def _commit_chunk(self) -> None:
         """Compress the buffered frames, append them, publish the index."""
@@ -367,50 +371,6 @@ class TrajectoryWriter:
         """Force the partial chunk (if any) out to durable storage."""
         self._commit_chunk()
 
-    def rewind(self, time: float) -> None:
-        """Drop every frame newer than ``time`` (strictly greater).
-
-        The recovery path: after restoring a checkpoint at clock ``t``,
-        frames the crashed attempt wrote beyond ``t`` are discarded so
-        the resumed attempt re-records them bit-identically.  The cut
-        may fall mid-chunk; the kept prefix of that chunk is re-buffered
-        and re-committed on the next flush.
-        """
-        if self._closed:
-            raise StoreError("writer is closed")
-        # Decode the buffered tail first: records are a keyframe + delta
-        # chain, so trimming it requires the actual frames to rebuild
-        # the chain (and ``_prev``) from the kept prefix.
-        times: list[float] = []
-        frames: list[np.ndarray] = []
-        if self._pending:
-            times = self._pending_times
-            frames = _decode_frames(
-                b"".join(self._pending), self.nsites, len(self._pending)
-            )
-        keep = len(self._chunks)
-        while keep and self._chunks[keep - 1]["times"][0] > time:
-            keep -= 1
-        if keep < len(self._chunks):
-            # Committed chunks are being dropped, so every pending frame
-            # (recorded after them) is also beyond the cut.
-            times, frames = [], []
-        if keep and self._chunks[keep - 1]["times"][-1] > time:
-            # The cut lands inside chunk ``keep - 1``: decode it and
-            # re-buffer the frame prefix at or before the cut.
-            keep -= 1
-            times = self._chunks[keep]["times"]
-            frames = _read_chunk(self._bin_path, self._chunks[keep], self.nsites)
-        self._chunks = self._chunks[:keep]
-        self._cut_to_index()
-        self._pending = []
-        self._pending_times = []
-        for t, f in zip(times, frames, strict=True):
-            if t > time:
-                break
-            self._buffer(float(t), f)
-        self._write_index()
-
     def close(self, final: bool = False) -> None:
         """Flush and close; ``final=True`` marks the store finalized."""
         if self._closed:
@@ -423,17 +383,6 @@ class TrajectoryWriter:
     def finalize(self) -> None:
         """Flush, mark final, close — the atomic end-of-run commit."""
         self.close(final=True)
-
-    def __enter__(self) -> "TrajectoryWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # A clean exit finalizes; an exception leaves the store
-        # resumable (indexed chunks only) without marking it final.
-        if exc_type is None:
-            self.finalize()
-        else:
-            self.close(final=False)
 
 
 # ----------------------------------------------------------------------
@@ -562,28 +511,13 @@ class TrajectoryReader:
 
 
 # ----------------------------------------------------------------------
-# Store-level helpers (the supervisor's and driver's entry points)
+# Store-level helpers (the coupled pipeline's entry points)
 # ----------------------------------------------------------------------
-def is_store(path) -> bool:
-    """True when ``path`` is a trajectory store directory."""
-    return (Path(path) / (_SHARD + ".json")).is_file()
-
-
 def seed_store(path, lattice: BCCLattice, occupancy: np.ndarray) -> None:
     """Start a store over with the t=0 frame; engines append after it."""
     writer = TrajectoryWriter(path, lattice, mode="w")
     try:
         writer.append(0.0, occupancy)
-    finally:
-        writer.close(final=False)
-
-
-def rewind_store(path, time: float) -> None:
-    """Drop frames newer than ``time`` from a store (recovery path)."""
-    writer = TrajectoryWriter(path)
-    try:
-        writer.rewind(time)
-        writer.flush()
     finally:
         writer.close(final=False)
 

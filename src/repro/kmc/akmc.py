@@ -230,7 +230,9 @@ class SerialAKMC:
         ``trajectory_every`` events (default 1) plus once at run end,
         so frames land on disk incrementally instead of accumulating in
         memory.  The store is opened in append mode and closed (without
-        finalizing) when the run ends.
+        finalizing) when the run ends normally; a run that raises leaves
+        its buffered frames uncommitted, so the store keeps only what a
+        fault-free run has also committed by then.
         """
         if max_events is None and t_threshold is None:
             raise ValueError("provide max_events and/or t_threshold")
@@ -244,35 +246,28 @@ class SerialAKMC:
 
             writer = TrajectoryWriter(trajectory, self.model.lattice)
         every_t = trajectory_every if trajectory_every is not None else 1
-        try:
-            while True:
-                if max_events is not None and self.events >= max_events:
-                    break
-                if t_threshold is not None and self.time >= t_threshold:
-                    break
-                if self.step() is None:
-                    break
-                if writer is not None and self.events % every_t == 0:
-                    writer.record(self.time, self.occ)
-                if (
-                    checkpoint_every is not None
-                    and self.events % checkpoint_every == 0
-                ):
-                    if writer is not None:
-                        # Durability fence: frames at or before this
-                        # checkpoint must be on disk before it publishes
-                        # (recovery rewinds the store to the checkpoint
-                        # clock and resumes from there).
-                        writer.flush()
-                    with obs.phase("kmc.checkpoint"):
-                        self.checkpoint(checkpoint_path)
-            if writer is not None:
-                # The closing frame (a no-op when the bound landed on a
-                # fence) — the store always ends at the final state.
+        while True:
+            if max_events is not None and self.events >= max_events:
+                break
+            if t_threshold is not None and self.time >= t_threshold:
+                break
+            if self.step() is None:
+                break
+            if writer is not None and self.events % every_t == 0:
                 writer.record(self.time, self.occ)
-        finally:
-            if writer is not None:
-                writer.close(final=False)
+            if checkpoint_every is not None and self.events % checkpoint_every == 0:
+                if writer is not None:
+                    # Durability fence: frames at or before this
+                    # checkpoint must be on disk before it publishes (a
+                    # resumed attempt appends after them).
+                    writer.flush()
+                with obs.phase("kmc.checkpoint"):
+                    self.checkpoint(checkpoint_path)
+        if writer is not None:
+            # The closing frame (a no-op when the bound landed on a
+            # fence) — the store always ends at the final state.
+            writer.record(self.time, self.occ)
+            writer.close(final=False)
         vac = self.vacancy_rows
         return KMCResult(
             occupancy=self.occ.copy(),
@@ -625,8 +620,8 @@ class ParallelAKMC:
                                 # Durability fence: every trajectory
                                 # frame at or before this checkpoint
                                 # must be on disk before the checkpoint
-                                # publishes — recovery rewinds the store
-                                # to the checkpoint clock and resumes.
+                                # publishes — a resumed attempt appends
+                                # after them.
                                 traj_writer.flush()
                             g_occ = np.empty(lattice.nsites, dtype=np.int8)
                             total = events_base

@@ -476,7 +476,8 @@ def conclude(
             raise exc
     rank, exc = errors[0]
     if isinstance(exc, (InjectedFault, WatchdogTimeout)):
-        # Their messages already carry the rank and location.
+        # Their messages already name the rank and the site: the crash
+        # point, or the wait's operation, source and tag.
         raise exc
     raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
 

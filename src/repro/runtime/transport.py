@@ -70,8 +70,19 @@ class WatchdogTimeout(TimeoutError):
 
     Only raised when the world was created with a ``watchdog`` deadline;
     the default (``None``) leaves the blocking primitives deadline-free,
-    so hot paths pay nothing for the feature.
+    so hot paths pay nothing for the feature.  The message names the
+    waiting rank, the operation, and the source and tag it waited on.
     """
+
+
+def _wait_site(rank: int, op: str, source: int, tag: int) -> str:
+    """``rank R <op> (source S, tag T)``, reserved values by name."""
+    src = "any" if source == ANY_SOURCE else source
+    if tag <= TAG_WINDOW_BASE:
+        tag = f"window {TAG_WINDOW_BASE - tag}"
+    else:
+        tag = {ANY_TAG: "any", TAG_GATHER: "gather", TAG_RESULT: "result"}.get(tag, tag)
+    return f"rank {rank} {op} (source {src}, tag {tag})"
 
 
 class Mailbox:
@@ -81,10 +92,11 @@ class Mailbox:
     fit wins, which gives FIFO order per (source, tag) pair.
     """
 
-    def __init__(self, aborted: threading.Event) -> None:
+    def __init__(self, aborted: threading.Event, rank: int) -> None:
         self._cond = threading.Condition()
         self._queue: list[tuple[int, int, Any, int]] = []
         self._aborted = aborted
+        self._rank = rank
 
     def deposit(self, src: int, tag: int, payload, nbytes: int) -> None:
         """Enqueue an envelope and wake the waiters."""
@@ -140,8 +152,9 @@ class Mailbox:
                 if remaining <= 0 or not self._cond.wait(timeout=remaining):
                     if deadline - time.monotonic() <= 0:
                         obs.add("runtime.watchdog.expired")
+                        site = _wait_site(self._rank, op, source, tag)
                         raise WatchdogTimeout(
-                            f"watchdog: {op} did not complete before the deadline"
+                            f"watchdog: {site} did not complete before the deadline"
                         )
 
     def wake(self) -> None:
@@ -170,7 +183,7 @@ class LocalTransport:
     def __init__(self, ranks: Iterable[int]) -> None:
         #: Set once the world is aborting; blocked waiters re-check it.
         self.aborted = threading.Event()
-        self._mailboxes = {rank: Mailbox(self.aborted) for rank in ranks}
+        self._mailboxes = {rank: Mailbox(self.aborted, rank) for rank in ranks}
 
     def post(
         self, dests: Iterable[int], src: int, tag: int, payload, nbytes: int

@@ -11,8 +11,6 @@ from repro.analysis.stats import (
 from repro.analysis.vacancies import (
     conservation_check,
     frenkel_pairs,
-    identify_interstitials,
-    identify_vacancies,
     vacancy_concentration,
 )
 from repro.lattice.box import Box
@@ -33,11 +31,11 @@ def damaged(lattice5, potential):
 class TestVacancies:
     def test_identify_vacancies(self, damaged):
         state, _nbl = damaged
-        assert set(identify_vacancies(state).tolist()) == {20, 40}
+        assert set(state.vacancy_rows().tolist()) == {20, 40}
 
     def test_identify_interstitials(self, damaged):
         _state, nbl = damaged
-        assert set(identify_interstitials(nbl).ids.tolist()) == {20, 40}
+        assert set(nbl.runaways.ids.tolist()) == {20, 40}
 
     def test_frenkel_pairs(self, damaged):
         state, nbl = damaged

@@ -1,7 +1,7 @@
 """Streaming chunked trajectory store (:mod:`repro.io.store`).
 
 Covers the on-disk format round trip and its pinned bytes, out-of-core
-random access, crash safety (torn tails, CRC corruption, rewind), the
+random access, crash safety (torn tails, CRC corruption), the
 rejection of sidecars this format does not hold, the engine/coupling
 wiring, and the acceptance criteria of the trajectory
 store issue: the reader reproduces the recorded frame list bit-exactly
@@ -22,8 +22,6 @@ from repro.io.store import (
     TrajectoryReader,
     TrajectoryWriter,
     finalize_store,
-    is_store,
-    rewind_store,
 )
 from repro.lattice.bcc import BCCLattice
 
@@ -200,23 +198,6 @@ class TestWriterContract:
         writer.finalize()
         assert len(TrajectoryReader(tmp_path / "s")) == 40
 
-    def test_context_manager_finalizes_on_clean_exit(self, tmp_path, lattice4):
-        times, frames = _hop_frames(lattice4, 3)
-        with TrajectoryWriter(tmp_path / "s", lattice4) as writer:
-            for t, f in zip(times, frames, strict=True):
-                writer.append(t, f)
-        assert TrajectoryReader(tmp_path / "s").final
-
-    def test_context_manager_keeps_resumable_on_error(self, tmp_path, lattice4):
-        times, frames = _hop_frames(lattice4, 3)
-        with pytest.raises(RuntimeError, match="boom"):
-            with TrajectoryWriter(tmp_path / "s", lattice4) as writer:
-                writer.append(times[0], frames[0])
-                raise RuntimeError("boom")
-        reader = TrajectoryReader(tmp_path / "s")
-        assert not reader.final
-        assert len(reader) == 1
-
 
 class TestCrashSafety:
     def test_reopen_appends_after_clean_close(self, tmp_path, lattice4):
@@ -318,50 +299,6 @@ class TestCrashSafety:
         np.testing.assert_array_equal(reader.frame(0), frames[0])  # chunk 0 OK
         with pytest.raises(StoreError, match="CRC"):
             reader.frame(2)
-
-    def test_rewind_drops_newer_frames(self, tmp_path, lattice4):
-        times, frames = _hop_frames(lattice4, 10)
-        writer = TrajectoryWriter(
-            tmp_path / "s", lattice4, mode="w", chunk_frames=4
-        )
-        for t, f in zip(times, frames, strict=True):
-            writer.append(t, f)
-        # Cut mid-chunk: keep frames 0..6, drop 7..9.
-        writer.rewind(times[6])
-        writer.flush()
-        writer.close(final=False)
-        reader = TrajectoryReader(tmp_path / "s")
-        assert len(reader) == 7
-        for i in range(7):
-            np.testing.assert_array_equal(reader.frame(i), frames[i])
-
-    def test_append_after_rewind_continues_the_chain(self, tmp_path, lattice4):
-        times, frames = _hop_frames(lattice4, 10)
-        writer = TrajectoryWriter(
-            tmp_path / "s", lattice4, mode="w", chunk_frames=4
-        )
-        for t, f in zip(times, frames, strict=True):
-            writer.append(t, f)
-        writer.rewind(times[5])
-        # Re-record a different tail (what a resumed attempt does).
-        alt = frames[0]
-        writer.append(times[5] + 0.5, alt)
-        writer.finalize()
-        reader = TrajectoryReader(tmp_path / "s")
-        assert len(reader) == 7
-        np.testing.assert_array_equal(reader.frame(5), frames[5])
-        np.testing.assert_array_equal(reader.frame(6), alt)
-
-    def test_rewind_store_helper(self, tmp_path, lattice4):
-        times, frames = _hop_frames(lattice4, 8)
-        store = _write(
-            tmp_path / "s", lattice4, times, frames, chunk_frames=3
-        )
-        assert is_store(store)
-        rewind_store(store, times[4])
-        assert len(TrajectoryReader(store)) == 5
-        rewind_store(store, 0.0)
-        assert len(TrajectoryReader(store)) == 1  # the t=0 frame survives
 
     def test_finalize_store_helper(self, tmp_path, lattice4):
         times, frames = _hop_frames(lattice4, 3)
@@ -642,6 +579,89 @@ class TestCoupledStore:
         for bad in (-(n + 1), n):
             with pytest.raises(IndexError):
                 clustering_report_from_store(reader, bad)
+
+
+#: A parallel and a serial KMC stage long enough to commit several
+#: 16-frame chunks (``DEFAULT_CHUNK_FRAMES``) on each side of a fence.
+_PARALLEL = dict(kmc_max_cycles=50)
+_SERIAL = dict(kmc_nranks=None, kmc_max_events=100)
+
+#: Crashes whose recovered store must equal the fault-free run's byte for
+#: byte: (stage, fault plan, checkpoint cadence).  A crash at cycle (or
+#: event) N fires before cycle N runs, after the checkpoint taken with N
+#: cycles complete, so at cycle 40 it would resume from 40.  At cycle 39
+#: the attempt resumes from cycle 20, and the chunk of frames 21..36
+#: it committed meanwhile is already in the store; cadence 45 means no
+#: checkpoint precedes the crash, so the attempt replays from the start
+#: over two committed chunks; the serial crash at event 70 has a partial
+#: chunk (61..70) buffered.
+RECOVERED_STORES = {
+    "parallel-rank1": (_PARALLEL, "crash:rank=1,cycle=39", 20),
+    "parallel-rank0": (_PARALLEL, "crash:rank=0,cycle=39", 20),
+    "parallel-replay": (_PARALLEL, "crash:rank=1,cycle=40", 45),
+    "serial-replay": (_SERIAL, "crash:rank=0,event=40", 45),
+    "serial-partial": (_SERIAL, "crash:rank=0,event=70", 20),
+    "parallel-every3": (
+        _PARALLEL | dict(trajectory_every=3), "crash:rank=1,cycle=39", 20,
+    ),
+    "serial-every3": (
+        _SERIAL | dict(trajectory_every=3), "crash:rank=0,event=70", 20,
+    ),
+}
+
+
+class TestRecoveredStoreBytes:
+    """Recovery only appends: the writer's frame fence skips what the
+    store holds, and the resumed attempt's next chunk starts where the
+    fault-free run's does, so both shard files match byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def fault_free(self, tmp_path_factory):
+        """The fault-free store's (bin, json) bytes, once per stage."""
+        from repro.core.coupling import CoupledSimulation
+
+        cache = {}
+
+        def run(stage, checkpoint_every):
+            key = (tuple(sorted(stage.items())), checkpoint_every)
+            if key not in cache:
+                store = tmp_path_factory.mktemp("fault-free") / "traj"
+                CoupledSimulation(
+                    _coupled_config(
+                        trajectory=str(store),
+                        checkpoint_every=checkpoint_every,
+                        **stage,
+                    )
+                ).run()
+                cache[key] = _shard_bytes(store)
+            return cache[key]
+
+        return run
+
+    @pytest.mark.parametrize("case", RECOVERED_STORES)
+    def test_recovered_store_is_byte_identical(
+        self, case, fault_free, tmp_path
+    ):
+        from repro.core.coupling import CoupledSimulation
+
+        stage, faults, every = RECOVERED_STORES[case]
+        store = tmp_path / "traj"
+        result = CoupledSimulation(
+            _coupled_config(
+                trajectory=str(store),
+                faults=faults,
+                checkpoint_every=every,
+                **stage,
+            )
+        ).run()
+        assert result.recoveries == 1
+        assert _shard_bytes(store) == fault_free(stage, every)
+
+
+def _shard_bytes(store):
+    return tuple(
+        (store / f"shard-00000.{ext}").read_bytes() for ext in ("bin", "json")
+    )
 
 
 class TestFig17FromStore:

@@ -34,14 +34,11 @@ ALLOWLIST = {
     "analysis.energies.divacancy_binding_energy": _VALIDATOR + ": binding",
     "analysis.energies.cluster_binding_per_vacancy": _VALIDATOR + ": binding",
     "analysis.stats.radial_distribution": _VALIDATOR + ": RDF",
-    "analysis.vacancies.identify_vacancies": _VALIDATOR + ": defect census",
-    "analysis.vacancies.identify_interstitials": _VALIDATOR + ": defect census",
     "analysis.vacancies.frenkel_pairs": _VALIDATOR + ": defect census",
     "core.timescale.paper_timescale_days":
         "the paper's 19.2-day headline from its own constants",
     "io.store.TrajectoryReader.frame_index_at":
         "random access by clock, the store's documented time lookup",
-    "io.store.is_store": "public store predicate; tests check what a run left",
     "io.xyz.read_xyz": "reference reader the XYZ writer tests round-trip through",
     "kmc.catalog.EventCatalog.row_events":
         "per-row read-out compared with tests/kmc_oracle.py",

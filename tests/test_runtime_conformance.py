@@ -14,12 +14,14 @@ A cell must equal its program's reference for its (problem, seed): the
 run on the thread backend with the on-demand scheme, no faults, the
 sanitizer off and no resume — the first value of every axis — computed
 once per session.  "Equal" is exact: occupancy or position/velocity
-bytes, time, events and cycles, and, when the cell re-executes nothing
+bytes, time, events and cycles (a coupled run's cascade energies and
+run-away positions too), and, when the cell re-executes nothing
 (no resume, no crash), the full traffic ledger of its scheme's reference.
 A crash cell also asserts one recovery and one injected crash, a delay
 cell no recovery and the delays its plan fires.  Every cell pins ``REPRO_BACKEND``,
 ``REPRO_WORKERS`` and ``REPRO_SANITIZE``, so the environment a suite runs
-under cannot change what a cell means.
+under cannot change what a cell means.  Every cell but the md ones runs
+under a watchdog, so a hang fails in a minute and names its wait.
 
 Tier-1 runs a diagonal: a greedy pairwise cover of each program's
 product, so every pair of axis values meets in some cell.  The other
@@ -186,6 +188,12 @@ DELAY = "delay:rank=0,nth=2,seconds=0.002; delay:rank=1,nth=2,seconds=0.002,op=p
 DELAYS_FIRED = {"runtime": 2, "akmc": 1, "coupled": 1}
 PLANS = {"none": None, "delay": DELAY, "crash": "crash:rank=1,cycle=5"}
 
+#: Seconds any one wait may block in the runtime, akmc and coupled cells:
+#: far above their longest wait, so a protocol hang fails in a minute
+#: naming the rank, operation, source and tag, not at the world timeout.
+#: ``ParallelDamageMD`` takes no watchdog, so the md cells have none.
+WATCHDOG = 60.0
+
 
 def pin_environment(monkeypatch, s):
     monkeypatch.setenv("REPRO_BACKEND", s["backend"])
@@ -253,7 +261,7 @@ def run_runtime(s, potential, tmp_path):
     faults = injector(s)
     world = World(
         s["nranks"], faults=faults, backend=s["backend"],
-        workers=s["workers"], sanitize=s["sanitize"],
+        workers=s["workers"], sanitize=s["sanitize"], watchdog=WATCHDOG,
     )
     results = world.run(runtime_program, timeout=120.0)
     assert world.pending_messages() == 0
@@ -277,7 +285,7 @@ def run_akmc(s, potential, tmp_path):
         return ParallelAKMC(
             lattice, potential, nranks=s["nranks"], scheme=s["scheme"],
             seed=s["seed"], faults=faults, backend=s["backend"],
-            workers=s["workers"],
+            workers=s["workers"], watchdog=WATCHDOG,
         )
 
     cycles, stop = AKMC_CYCLES[s["problem"]]
@@ -326,11 +334,19 @@ def run_coupled(s, potential, tmp_path):
         kmc_scheme=s["scheme"], backend=s["backend"], workers=s["workers"],
         faults=PLANS[s["faults"]],
         checkpoint_every=2 if s["faults"] == "crash" else None,
+        watchdog=WATCHDOG,
     )
     result = CoupledSimulation(spec.to_coupled_config(), potential=potential).run()
+    # The MD stage too: the cascade's per-step energies and where its
+    # run-away atoms ended.
+    cascade = result.cascade
     state = {
         "occupancy": result.vacancies_after_kmc.tobytes(),
         "time": result.kmc_time, "events": result.kmc_events,
+        "energy_trace": [
+            (r.potential_energy, r.kinetic_energy) for r in cascade.energy_trace
+        ],
+        "runaway_positions": cascade.runaway_positions.tobytes(),
     }
     report = {"recoveries": result.recoveries} | (result.fault_report or {})
     return state, result.comm_stats, report
@@ -357,6 +373,8 @@ def reference(potential):
             assert state["events"] > 0  # the cells compare a real trajectory
         if program == "md":
             assert state["runaway_ids"]  # ... and a run-away table
+        if program == "coupled":
+            assert state["runaway_positions"]  # ... and a cascade's damage
         return state, ledger
 
     return run

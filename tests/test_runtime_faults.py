@@ -190,7 +190,7 @@ class TestWatchdog:
                 comm.recv(source=0)  # rank 0 never sends
             return comm.rank
 
-        with pytest.raises(WatchdogTimeout):
+        with pytest.raises(WatchdogTimeout, match=r"rank 1 recv \(source 0, tag any\)"):
             World(2, watchdog=0.1).run(main)
 
     def test_straggler_collective_raises_watchdog_timeout(self):
@@ -207,7 +207,10 @@ class TestWatchdog:
             comm.barrier()
             return comm.rank
 
-        with pytest.raises(WatchdogTimeout):
+        # Rank 1 waits for the barrier's result from rank 0.
+        with pytest.raises(
+            WatchdogTimeout, match=r"rank 1 collective \(source 0, tag result\)"
+        ):
             World(2, watchdog=0.1).run(main)
 
     def test_watchdog_off_by_default(self):
