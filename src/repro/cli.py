@@ -343,7 +343,13 @@ def _run_coupled(args) -> int:
         )
     )
     print(f"coupled MD-KMC over {sim.lattice.nsites} sites ...")
-    result = sim.run()
+    try:
+        result = sim.run()
+    except TimeoutError as exc:
+        # A watchdog or world timeout names where the run stopped; a
+        # retry would stop at the same place.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"after MD : {result.report_after_md}")
     print(f"after KMC: {result.report_after_kmc}")
     print(

@@ -20,7 +20,7 @@ simulates the defect evolution and vacancies clustering."
 from __future__ import annotations
 
 import tempfile
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,12 +39,7 @@ from repro.md.engine import MDConfig, MDEngine
 from repro.potential.eam import EAMPotential
 from repro.potential.fe import make_fe_potential
 from repro.runtime.faults import FaultInjector, InjectedFault
-from repro.runtime.simmpi import WorldAborted
 from repro.service.spec import ScenarioSpec
-
-
-#: Recovery attempts before the supervisor gives up and re-raises.
-MAX_RECOVERIES = 3
 
 
 @dataclass(frozen=True)
@@ -68,14 +63,15 @@ class CoupledConfig:
         frames incrementally — the post-MD damage state first, then the
         KMC evolution every ``spec.trajectory_every`` (default 1) serial
         events / parallel cycles — so the scientific output lands on
-        disk as the run progresses.  The store participates in
-        recovery: after a fault it is rewound to the restored
-        checkpoint's clock and the resumed attempt re-records
-        bit-identically.
+        disk as the run progresses.  Recovery only appends to it: the
+        resumed attempt's writer skips every frame the store already
+        holds, so a recovered store equals a fault-free one byte for
+        byte.
     checkpoint_dir:
-        Where the post-cascade MD checkpoint and the KMC checkpoints
-        live.  ``None`` keeps KMC checkpoints (when ``spec.faults`` or
-        ``spec.checkpoint_every`` asks for them) in a temporary
+        Where the post-cascade MD checkpoint and the KMC checkpoint
+        live.  A KMC checkpoint left there by an earlier run is removed
+        when the KMC stage starts.  ``None`` keeps the KMC checkpoint
+        (when ``spec.checkpoint_every`` asks for one) in a temporary
         directory removed when the KMC stage ends.
     """
 
@@ -221,12 +217,28 @@ class CoupledSimulation:
         path.mkdir(parents=True, exist_ok=True)
         return path
 
+    @contextmanager
+    def _kmc_checkpoint_slot(self):
+        """The KMC checkpoint path of this stage, empty on entry:
+        ``None`` without ``spec.checkpoint_every``, else a file in
+        ``checkpoint_dir`` or in a temporary directory that does not
+        outlive the stage (run artifacts never land in the working tree
+        by default)."""
+        if self.spec.checkpoint_every is None:
+            yield None
+        elif self.config.checkpoint_dir is not None:
+            path = self._checkpoint_dir() / "kmc_checkpoint.npz"
+            # Only this run's own checkpoints may be resumed.
+            path.unlink(missing_ok=True)
+            yield path
+        else:
+            with tempfile.TemporaryDirectory(prefix="repro-checkpoint-") as tmp:
+                yield Path(tmp) / "kmc_checkpoint.npz"
+
     def _run_kmc_attempt(self, occupancy, injector, resume, ckpt_path):
         """One KMC attempt: fresh engine, optional resume point."""
         spec = self.spec
         params = RateParameters(temperature=spec.temperature)
-        every = spec.checkpoint_every if ckpt_path is not None else None
-        path = ckpt_path if every is not None else None
         traj = self.config.trajectory
         traj_every = (spec.trajectory_every or 1) if traj is not None else None
         if spec.kmc_nranks is None:
@@ -242,8 +254,8 @@ class CoupledSimulation:
                 engine.restore(resume)
             return engine.run(
                 max_events=spec.kmc_max_events,
-                checkpoint_every=every,
-                checkpoint_path=path,
+                checkpoint_every=spec.checkpoint_every,
+                checkpoint_path=ckpt_path,
                 trajectory=traj,
                 trajectory_every=traj_every,
             )
@@ -263,47 +275,35 @@ class CoupledSimulation:
         return engine.run(
             occ0,
             max_cycles=spec.kmc_max_cycles,
-            checkpoint_every=every,
-            checkpoint_path=path,
+            checkpoint_every=spec.checkpoint_every,
+            checkpoint_path=ckpt_path,
             resume=resume,
             trajectory=traj,
             trajectory_every=traj_every,
         )
 
     def _run_kmc_supervised(self, occupancy: np.ndarray):
-        """Stage 4 under the fault supervisor.
+        """Stage 4: KMC attempts until one completes.
 
-        Runs KMC attempts until one completes.  On a rank failure
-        (injected or organic), a world abort, or a watchdog/world
-        timeout, the supervisor restores the last good checkpoint and
-        resumes — or replays the stage from the start when no checkpoint
-        exists yet.  Both paths converge on a final state bit-identical
-        to a fault-free run: the event streams are pure functions of
-        (seed, rank, cycle, sector) for the parallel engine and the
-        checkpoint carries the exact RNG state for the serial one.  The
-        trajectory store is never rewritten: the resumed attempt's
-        writer skips every frame the store already holds
-        (:mod:`repro.io.store`).
+        Only a planned crash (:class:`~repro.runtime.faults.InjectedFault`)
+        starts another attempt, from the last checkpoint this stage wrote
+        or, when none landed yet, from the start.  Each crash clause of
+        ``spec.faults`` fires once, ever, so the recoveries equal the
+        crash clauses that fired.  Every other failure — a watchdog or
+        world timeout, a store or checkpoint error, an organic rank
+        failure — surfaces from the attempt it struck: an attempt is a
+        pure function of (spec, checkpoint), so a retry would fail the
+        same way.  The recovered result is bit-identical to a fault-free
+        run: the parallel event streams are pure functions of (seed,
+        rank, cycle, sector), the serial checkpoint carries the exact RNG
+        state, and the resumed writer skips every frame the trajectory
+        store already holds (:mod:`repro.io.store`).
 
         Returns ``(result, recoveries, fault_report)``.
         """
         faults = self.spec.faults
-        if faults is None and self.spec.checkpoint_every is None:
-            # The historical direct path: no injector, no checkpoints.
-            return (
-                self._run_kmc_attempt(occupancy, None, None, None),
-                0,
-                None,
-            )
         injector = FaultInjector(faults) if faults is not None else None
-        # Run artifacts never land in the working tree by default, and a
-        # temporary checkpoint directory does not outlive the stage.
-        if self.config.checkpoint_dir is not None:
-            scope = nullcontext(self._checkpoint_dir())
-        else:
-            scope = tempfile.TemporaryDirectory(prefix="repro-checkpoint-")
-        with scope as ckpt_dir:
-            ckpt_path = Path(ckpt_dir) / "kmc_checkpoint.npz"
+        with self._kmc_checkpoint_slot() as ckpt_path:
             recoveries = 0
             resume = None
             while True:
@@ -313,15 +313,11 @@ class CoupledSimulation:
                     )
                     report = injector.snapshot() if injector is not None else None
                     return result, recoveries, report
-                except (WorldAborted, InjectedFault, TimeoutError, RuntimeError):
+                except InjectedFault:
                     recoveries += 1
                     obs.add("runtime.recoveries")
-                    if recoveries > MAX_RECOVERIES:
-                        raise
                 with obs.phase("coupling.recover"):
-                    # Restore the last good checkpoint; if the fault struck
-                    # before the first one landed, replay from the start.
-                    if ckpt_path.exists():
+                    if ckpt_path is not None and ckpt_path.exists():
                         resume = load_kmc_checkpoint(ckpt_path)
                     else:
                         resume = None

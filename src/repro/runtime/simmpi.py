@@ -455,8 +455,9 @@ def conclude(
     finished re-raises its first error with the documented precedence: a
     :class:`KeyboardInterrupt` from any rank propagates as itself — an
     interrupt is the user's request to stop, not a rank failure — then
-    the typed failures the recovery supervisor dispatches on, then
-    ``RuntimeError('rank N failed')``.
+    the typed failures callers dispatch on (the recovery supervisor
+    retries an ``InjectedFault``; a ``WatchdogTimeout`` names its wait
+    site), then ``RuntimeError('rank N failed')``.
     """
     if stragglers is not None:
         detail = "; all ranks exited after the abort"

@@ -219,6 +219,25 @@ class TestFaultFlags:
             assert named in err
             assert "usage:" in err
 
+    def test_timeout_is_one_error_line(self, capsys, monkeypatch):
+        # A watchdog (or world) timeout would recur on a retry: the run
+        # stops with the site it names, exit 1, no traceback.
+        from repro.core.coupling import CoupledSimulation
+        from repro.runtime.transport import WatchdogTimeout
+
+        site = ("watchdog: rank 1 recv (source 0, tag 3) did not complete "
+                "before the deadline")
+
+        def hang(self):
+            raise WatchdogTimeout(site)
+
+        monkeypatch.setattr(CoupledSimulation, "run", hang)
+        rc = main(["coupled", "--cells", "8", "--kmc-ranks", "2",
+                   "--watchdog", "2", "--checkpoint-every", "2"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines() == [f"error: {site}"]
+
     def test_watchdog_flag_accepted(self, capsys):
         rc = main(
             [

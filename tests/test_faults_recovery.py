@@ -6,17 +6,19 @@ run that was never interrupted.  The serial engine is checked here (exact
 RNG state in the checkpoint); the parallel engine's resume and the
 supervisor's parallel crash recovery are the conformance matrix's resume
 and faults axes (``tests/test_runtime_conformance.py``).  What stays here
-is how the supervisor behaves: its recovery budget, a replay from
-scratch, and its temporary checkpoints.
+is how the supervisor behaves: it recovers exactly the planned crashes,
+replays from scratch when no checkpoint landed yet, never resumes another
+run's checkpoint, and removes its temporary checkpoints.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import coupling
 from repro.core.coupling import CoupledSimulation
+from repro.io.store import StoreError
 from repro.kmc.akmc import ParallelAKMC, SerialAKMC
 from repro.lattice.bcc import BCCLattice
+from repro.runtime.transport import WatchdogTimeout
 from repro.service.spec import ScenarioSpec, SpecError
 
 
@@ -118,25 +120,62 @@ class TestCoupledRecovery:
         )
         assert result.kmc_time == fault_free.kmc_time
 
-    def test_supervisor_gives_up_past_max_recoveries(
-        self, tmp_path, monkeypatch
-    ):
-        # Two planned crashes but zero allowed recoveries: the first
-        # fault must surface instead of looping.
-        from repro.runtime.faults import InjectedFault
+    def test_each_planned_crash_is_recovered_once(self, tmp_path):
+        # Four crash clauses, four recoveries: no budget caps the loop,
+        # and each clause fires once, ever.
+        cfg = dict(kmc_max_cycles=20)
+        fault_free = CoupledSimulation(_coupled_config(**cfg)).run()
+        result = CoupledSimulation(
+            _coupled_config(
+                faults="crash:rank=0,cycle=3; crash:rank=1,cycle=7; "
+                "crash:rank=0,cycle=11; crash:rank=1,cycle=15",
+                checkpoint_every=2,
+                checkpoint_dir=str(tmp_path),
+                **cfg,
+            )
+        ).run()
+        assert result.recoveries == 4
+        assert result.fault_report["crashes"] == 4
+        np.testing.assert_array_equal(
+            result.vacancies_after_kmc, fault_free.vacancies_after_kmc
+        )
+        assert result.kmc_events == fault_free.kmc_events
+        assert result.kmc_time == fault_free.kmc_time
 
-        monkeypatch.setattr(coupling, "MAX_RECOVERIES", 0)
-        with pytest.raises(InjectedFault):
-            CoupledSimulation(
-                _coupled_config(
-                    faults="crash:rank=1,cycle=2",
-                    checkpoint_every=2,
-                    checkpoint_dir=str(tmp_path),
-                )
-            ).run()
+    def test_stale_checkpoint_in_a_reused_dir_is_not_resumed(self, tmp_path):
+        # Seed 3 leaves its KMC checkpoint in the directory; seed 4
+        # crashes before its own first checkpoint, so it must replay
+        # from the start rather than resume seed 3's state.
+        cfg = dict(kmc_max_cycles=50, checkpoint_every=20)
+        CoupledSimulation(
+            _coupled_config(checkpoint_dir=str(tmp_path), **cfg)
+        ).run()
+        assert (tmp_path / "kmc_checkpoint.npz").exists()
+        fresh = CoupledSimulation(_coupled_config(seed=4, **cfg)).run()
+        reused = CoupledSimulation(
+            _coupled_config(
+                seed=4,
+                faults="crash:rank=1,cycle=10",
+                checkpoint_dir=str(tmp_path),
+                **cfg,
+            )
+        ).run()
+        assert reused.recoveries == 1
+        assert len(reused.vacancies_after_kmc) == len(
+            reused.vacancies_after_md
+        )
+        np.testing.assert_array_equal(
+            reused.vacancies_after_kmc, fresh.vacancies_after_kmc
+        )
+        assert reused.kmc_events == fresh.kmc_events
+        assert reused.kmc_time == fresh.kmc_time
 
+    @pytest.mark.parametrize(
+        "error",
+        [WatchdogTimeout, TimeoutError, RuntimeError, StoreError, ValueError],
+    )
     def test_infeasible_decomposition_is_not_recovered(
-        self, potential, tmp_path, monkeypatch, forbid_world
+        self, error, potential, tmp_path, monkeypatch, forbid_world
     ):
         # A configuration error, not a fault: 5 cells cannot be sectored
         # over 8 ranks.  It fails at the spec, before any World exists.
@@ -147,11 +186,13 @@ class TestCoupledRecovery:
             ParallelAKMC(BCCLattice(4, 4, 4), potential, nranks=8)
         with pytest.raises(SpecError, match=r"cells=5.*kmc_nranks=8"):
             _coupled_config(cells=5, kmc_nranks=8)
-        # And a ValueError out of an attempt is never "recovered" by the
-        # supervisor's retry loop.
+        # Only a planned crash starts another attempt: any other failure
+        # out of an attempt would recur, so it surfaces from the first.
         sim = CoupledSimulation(
             _coupled_config(
-                checkpoint_every=2, checkpoint_dir=str(tmp_path)
+                faults="crash:rank=1,cycle=2",
+                checkpoint_every=2,
+                checkpoint_dir=str(tmp_path),
             ),
             potential=potential,
         )
@@ -159,12 +200,12 @@ class TestCoupledRecovery:
 
         def bad_attempt(*args):
             attempts.append(args)
-            raise ValueError("bad configuration")
+            raise error("attempt failed")
 
         monkeypatch.setattr(sim, "_run_kmc_attempt", bad_attempt)
         occ = np.ones(sim.lattice.nsites, dtype=np.int8)
         occ[3] = 0
-        with pytest.raises(ValueError, match="bad configuration"):
+        with pytest.raises(error, match="attempt failed"):
             sim._run_kmc_supervised(occ)
         assert len(attempts) == 1
 

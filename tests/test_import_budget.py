@@ -116,6 +116,16 @@ result = run_cascade(engine, CascadeConfig(pka_energy=200.0, nsteps=5))
 print(json.dumps({"ran": loaded(), "steps": len(result.energy_trace)}))
 """
 
+_COUPLED_PROBE = _LOADED + """
+import json, sys
+from repro.core.coupling import CoupledSimulation
+from repro.service.spec import ScenarioSpec
+
+spec = ScenarioSpec(cells=5, md_steps=20, kmc_max_events=5, table_points=300)
+result = CoupledSimulation(spec.to_coupled_config()).run()
+print(json.dumps({"ran": loaded(), "events": result.kmc_events}))
+"""
+
 _SPEC_PROBE = _LOADED + """
 import json, sys
 from repro.service.spec import ScenarioSpec
@@ -226,6 +236,14 @@ def test_serial_cascade_loads_no_comparator_or_parallel_md():
     assert "repro.observe.api" in seen["ran"]
     for unconfigured in _NOT_CONFIGURED:
         assert not _under(seen["ran"], *unconfigured)
+
+
+def test_serial_coupled_run_loads_no_message_runtime():
+    seen = _run(_COUPLED_PROBE)
+    assert seen["events"] == 5
+    assert _under(seen["ran"], "repro.runtime") == [
+        "repro.runtime", "repro.runtime.faults",
+    ]
 
 
 def test_scenario_spec_loads_no_scheduler():
