@@ -9,7 +9,8 @@ Commands
     build the :class:`~repro.service.ScenarioSpec` a batch of
     :func:`~repro.service.run_service` runs).
 ``cascade``
-    Run one MD cascade and report the damage inventory.
+    Run one MD cascade and report the damage inventory (the MD stage of
+    the :class:`~repro.service.ScenarioSpec` its flags build).
 ``kmc-schemes``
     Compare the three parallel-KMC communication schemes.
 ``figure <id>``
@@ -381,30 +382,28 @@ def _run_coupled(args) -> int:
 
 
 def cmd_cascade(args) -> int:
-    from repro.lattice.bcc import BCCLattice
-    from repro.md.cascade import CascadeConfig, run_cascade
-    from repro.md.engine import MDConfig, MDEngine
-    from repro.potential.fe import make_fe_potential
+    from repro.core.coupling import CoupledSimulation
+    from repro.md.cascade import run_cascade
+    from repro.service import ScenarioSpec, SpecError
 
     # What the flags cannot build is a usage error; what fails while
     # running is not.
     try:
-        engine = MDEngine(
-            BCCLattice(args.cells, args.cells, args.cells),
-            make_fe_potential(n=2000),
-            MDConfig(temperature=args.temperature, seed=args.seed),
-        )
-        config = CascadeConfig(
-            pka_energy=args.pka,
-            nsteps=args.steps,
+        spec = ScenarioSpec(
+            cells=args.cells,
             temperature=args.temperature,
+            md_steps=args.steps,
+            pka_energy=args.pka,
+            seed=args.seed,
         )
-    except ValueError as exc:
+    except SpecError as exc:
         args._parser.error(str(exc))
+    sim = CoupledSimulation(spec.to_coupled_config())
+    engine = sim.md_engine()
     registry = _start_observation(args)
-    result = run_cascade(engine, config)
+    result = run_cascade(engine, sim.cascade_config())
     print(
-        f"PKA {args.pka} eV -> {len(result.vacancy_rows)} vacancies, "
+        f"PKA {spec.pka_energy} eV -> {len(result.vacancy_rows)} vacancies, "
         f"{result.n_runaways} interstitials "
         f"({result.n_frenkel_pairs} Frenkel pairs); "
         f"final T {result.final_temperature:.0f} K"

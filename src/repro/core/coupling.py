@@ -168,7 +168,7 @@ class CoupledSimulation:
         if self.progress is not None:
             self.progress(stage)
 
-    def _build_md_engine(self) -> MDEngine:
+    def md_engine(self) -> MDEngine:
         """Stage 1: construct the MD engine over the lattice."""
         spec = self.spec
         return MDEngine(
@@ -338,7 +338,7 @@ class CoupledSimulation:
         with obs.phase("coupled.pipeline"):
             self._notify("setup")
             with obs.phase("coupled.setup"):
-                engine = self._build_md_engine()
+                engine = self.md_engine()
                 cascade_cfg = self.cascade_config()
             self._notify("cascade")
             with obs.phase("coupled.cascade"):

@@ -406,6 +406,9 @@ class ParallelAKMC:
         Physical worker count for the overdecomposed / rank-group
         backends; ``None`` defers to ``REPRO_WORKERS`` / cpu count.
 
+    A backend, worker count or watchdog the :class:`World` rejects is
+    rejected here, before any world exists.
+
     Each sector keeps a persistent
     :class:`~repro.kmc.catalog.EventCatalog` across cycles; between
     visits only rows inside the influence radius of occupancy changes
@@ -430,6 +433,15 @@ class ParallelAKMC:
         *_, schemes = _parallel_stack()
         if scheme not in schemes:
             raise ValueError(f"unknown scheme {scheme!r}; choose from {list(schemes)}")
+        from repro.runtime.simmpi import resolve_backend, resolve_workers
+
+        # Reject what the world would reject here, not inside run(); the
+        # raw values are kept, so run() still reads REPRO_BACKEND /
+        # REPRO_WORKERS when it builds its world.
+        resolve_backend(backend)
+        resolve_workers(workers)
+        if watchdog is not None and watchdog <= 0:
+            raise ValueError(f"watchdog must be positive, got {watchdog}")
         self.lattice = lattice
         self.potential = potential
         self.params = params or RateParameters()

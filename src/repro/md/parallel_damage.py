@@ -61,7 +61,7 @@ from repro.md.state import AtomState
 from repro.md.thermostat import maxwell_boltzmann_velocities
 from repro.potential.eam import EAMPotential
 from repro.potential.fe import make_fe_potential
-from repro.runtime.simmpi import World
+from repro.runtime.simmpi import World, resolve_backend, resolve_workers
 
 TAG_X = 0
 TAG_RHO = 100
@@ -93,7 +93,8 @@ class ParallelDamageMD:
         grid.  A decomposition whose subdomains are thinner than the
         ghost shell is rejected here, before any world exists.
     backend, workers:
-        Handed to the :class:`~repro.runtime.simmpi.World`.
+        Handed to the :class:`~repro.runtime.simmpi.World`; a value it
+        rejects is rejected here.
     """
 
     def __init__(
@@ -120,6 +121,11 @@ class ParallelDamageMD:
             self.width, f"the MD ghost shell of width {self.width}"
         )
         self.box = Box.for_lattice(lattice)
+        # Reject what the world would reject here, not inside run(); the
+        # raw values are kept, so run() still reads REPRO_BACKEND /
+        # REPRO_WORKERS when it builds its world.
+        resolve_backend(backend)
+        resolve_workers(workers)
         self.backend = backend
         self.workers = workers
 

@@ -6,7 +6,7 @@ the Sunway machine model — emits through this package:
 
 * ``with obs.phase("md.force"):`` times a (nested, per-thread) phase;
 * ``obs.add("runtime.sent_bytes", n)`` bumps a named counter;
-* ``obs.set_gauge("sunway.athread.imbalance", r)`` records a level.
+* ``obs.set_gauge(name, value)`` records a level (the last value wins).
 
 Observation is **disabled by default**: without an active
 :class:`Registry` each call is one global load and a ``None`` check, so

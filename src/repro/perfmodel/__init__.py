@@ -18,21 +18,7 @@ the paper measures: strong-scaling decay to ~40% at 64x for MD, the KMC
 L2 super-linear window, flat compute/growing communication in weak
 scaling, and a coupled efficiency that declines to ~68% at 6.24M cores
 (the paper's 75.7%).
+
+Importing the package loads nothing: it exports no names; import from
+the defining submodule.
 """
-
-from repro.perfmodel.machine import ScalingNetwork, TAIHULIGHT, MachineSpec
-from repro.perfmodel.calibrate import CalibratedCosts, calibrate_from_kernels
-from repro.perfmodel.md_model import MDScalingModel
-from repro.perfmodel.kmc_model import KMCScalingModel
-from repro.perfmodel.coupled_model import CoupledScalingModel
-
-__all__ = [
-    "CalibratedCosts",
-    "CoupledScalingModel",
-    "KMCScalingModel",
-    "MDScalingModel",
-    "MachineSpec",
-    "ScalingNetwork",
-    "TAIHULIGHT",
-    "calibrate_from_kernels",
-]

@@ -9,8 +9,8 @@ are the whole interface, and it has exactly two implementations:
   a post is a deposit into the destination's mailbox;
 * :class:`~repro.runtime.procbackend.ForkedTransport` — ranks live in
   forked children; a post to a co-hosted rank is still a direct deposit,
-  anything else crosses a ``multiprocessing.Queue`` (bulk arrays through
-  the shared-memory pool) and a pump thread deposits it on arrival.
+  anything else crosses a ``multiprocessing.Queue``, which pickles the
+  whole payload, and a pump thread deposits it on arrival.
 
 Everything above — matching semantics, collectives, window fences,
 fault injection, accounting — is written once against this surface

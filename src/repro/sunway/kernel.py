@@ -1,15 +1,20 @@
 """Block-wise EAM force kernel under the paper's four optimization variants.
 
-"Since our simulation has large spatial scale, the atoms information of
-one slab cannot be loaded into the local store at one time either. Thus,
-each slab is further partitioned into blocks, and each slave core
-processes the blocks one by one." (§2.1.2)
+"we use one process on each master core, and each process launches 64
+threads (running on 64 slave cores) using the Athread multithreading
+library ... The subdomain of each process is further equally partitioned
+into slabs, and each thread is responsible for one slab." and "each slab
+is further partitioned into blocks, and each slave core processes the
+blocks one by one." (§2.1.2)
 
 The kernel executes the real EAM computation — the MD engine's own two
 passes (:func:`repro.md.forces.density_pass` /
 :func:`~repro.md.forces.force_pass`) over the whole step —
-while the block loop, a :class:`DMAEngine` and cycle counters price every
-variant from the blocks' masks and counts:
+while the block loop prices every variant from the blocks' masks and
+counts with :class:`~repro.sunway.arch.SunwayArch` arithmetic: the 64 KB
+local store sizes the blocks, every DMA get/put is counted and priced by
+``arch.dma_time``, and a synchronized slab team takes as long as its
+slowest slab:
 
 ========================  ====================================================
 variant                   cost structure
@@ -39,7 +44,7 @@ local store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +54,6 @@ from repro.md.neighbors.lattice_list import LatticeNeighborList
 from repro.md.state import AtomState
 from repro.potential.eam import EAMPotential
 from repro.sunway.arch import SunwayArch
-from repro.sunway.athread import AthreadPool
-from repro.sunway.dma import DMAEngine, DMAStats
-from repro.sunway.localstore import LocalStore, LocalStoreOverflow
 
 #: Bytes of one traditional-table coefficient row (7 doubles).
 TABLE_ROW_BYTES = 7 * 8
@@ -59,6 +61,16 @@ TABLE_ROW_BYTES = 7 * 8
 POS_BYTES = 24
 FORCE_BYTES = 24
 SCALAR_BYTES = 8
+#: Local-store bytes per block site across the widest pass: positions and
+#: the per-neighbor demb gather for the block and its ghost ring (about
+#: three times the block at the planned sizes), plus the force output.
+SITE_BUFFER_BYTES = (1 + 3) * (POS_BYTES + SCALAR_BYTES) + FORCE_BYTES
+#: The four table-passes of one EAM step, in execution order.
+PASSES = ("density", "embedding", "force_pair", "force_density")
+
+
+class LocalStoreOverflow(MemoryError):
+    """A kernel plan does not fit the CPE local store."""
 
 
 @dataclass(frozen=True)
@@ -89,26 +101,37 @@ STRATEGY_LADDER: tuple[KernelStrategy, ...] = (
 )
 
 
+def _pass_time(blocks: list[tuple[float, float]], double_buffer: bool) -> float:
+    """One thread's wall time of a table-pass over its (compute, transfer)
+    blocks: serial, or a prefetch pipeline in which the transfer of block
+    b+1 overlaps the compute of block b."""
+    if not blocks:
+        return 0.0
+    if not double_buffer:
+        return sum(c + x for c, x in blocks)
+    t = blocks[0][1]
+    prefetches = [x for _c, x in blocks[1:]] + [0.0]
+    for (c, _x), nxt in zip(blocks, prefetches):
+        t += max(c, nxt)
+    return t
+
+
 @dataclass
-class PassCost:
-    """Accounting of one table-pass on one thread."""
+class DMAStats:
+    """DMA counters of one kernel execution."""
 
-    compute: float = 0.0
-    transfer: float = 0.0
-    blocks: list = field(default_factory=list)  # (compute_b, transfer_b)
+    gets: int = 0
+    puts: int = 0
+    get_bytes: int = 0
+    put_bytes: int = 0
 
-    def wall_time(self, double_buffer: bool) -> float:
-        """Thread wall time of the pass under the chosen buffering."""
-        if not self.blocks:
-            return 0.0
-        if not double_buffer:
-            return sum(c + x for c, x in self.blocks)
-        # Prefetch pipeline: transfer of block b+1 overlaps compute of b.
-        t = self.blocks[0][1]
-        for b, (c, _x) in enumerate(self.blocks):
-            nxt = self.blocks[b + 1][1] if b + 1 < len(self.blocks) else 0.0
-            t += max(c, nxt)
-        return t
+    @property
+    def operations(self) -> int:
+        return self.gets + self.puts
+
+    @property
+    def total_bytes(self) -> int:
+        return self.get_bytes + self.put_bytes
 
 
 @dataclass
@@ -119,12 +142,8 @@ class KernelReport:
     forces: np.ndarray
     energy: float
     total_time: float
-    compute_time: float
-    dma_time: float
     dma: DMAStats
     interactions: int
-    natoms: int
-    nblocks: int
     block_sites: int
 
 
@@ -151,26 +170,13 @@ class BlockedEAMKernel:
         self.arch = arch
         self.potential = potential
         self.strategy = strategy
-        self.pool = AthreadPool(arch.cpes_per_cg)
         self.table_points = table_points
         self.block_sites = self._plan_block_size()
 
-    # ------------------------------------------------------------------
-    # Local-store planning
-    # ------------------------------------------------------------------
     @property
     def compacted_table_bytes(self) -> int:
         """Payload of one compacted table (39 KB at 5000 knots)."""
         return (self.table_points + 1) * 8
-
-    def _per_site_buffer_bytes(self, ghost_factor: float = 3.0) -> float:
-        """Local-store bytes per block site across the widest pass.
-
-        Input positions for the block and its ghost ring (``ghost_factor``
-        approximates ring/block at the planned sizes), per-neighbor demb
-        gather, and the force output.
-        """
-        return (1 + ghost_factor) * (POS_BYTES + SCALAR_BYTES) + FORCE_BYTES
 
     def _plan_block_size(self) -> int:
         """Largest block size whose buffers fit the local store.
@@ -179,24 +185,20 @@ class BlockedEAMKernel:
         pass) and, with double buffering, a second set of streaming
         buffers.  A traditional-table plan reserves no table space — the
         whole 273 KB table *cannot* fit, which is the premise of the
-        optimization (asserted in tests via :class:`LocalStoreOverflow`).
+        optimization.
         """
-        store = LocalStore(self.arch.local_store_bytes)
+        free = self.arch.local_store_bytes
         if self.strategy.table_layout == "compacted":
-            store.alloc("table", self.compacted_table_bytes)
-        buffers = 2 if self.strategy.double_buffer else 1
-        per_site = self._per_site_buffer_bytes() * buffers
-        block = int(store.free // per_site)
+            free -= self.compacted_table_bytes
+        per_site = SITE_BUFFER_BYTES * (2 if self.strategy.double_buffer else 1)
+        block = free // per_site
         if block < 8:
             raise LocalStoreOverflow(
-                f"cannot fit even an 8-site block: {store.free} B free, "
-                f"{per_site:.0f} B/site"
+                f"cannot fit even an 8-site block: {free} B free, "
+                f"{per_site} B/site"
             )
         return block
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def run_step(
         self, state: AtomState, nblist: LatticeNeighborList
     ) -> KernelReport:
@@ -210,6 +212,8 @@ class BlockedEAMKernel:
             obs.add("sunway.kernel.steps")
             obs.add("sunway.kernel.interactions", report.interactions)
             obs.add("sunway.kernel.time_modeled_s", report.total_time)
+            for name in ("gets", "puts", "get_bytes", "put_bytes"):
+                obs.add(f"sunway.dma.{name}", getattr(report.dma, name))
         return report
 
     def _run_step(
@@ -217,62 +221,45 @@ class BlockedEAMKernel:
     ) -> KernelReport:
         arch = self.arch
         strat = self.strategy
+        trad = strat.table_layout == "traditional"
         pot = (
             self.potential
             if self.potential.tables.layout == strat.table_layout
             else self.potential.with_layout(strat.table_layout)
         )
         occ = state.occupied
-        dma = DMAEngine(arch)
-        total_interactions = 0
-        nblocks_total = 0
-
         matrix, valid = nblist.matrix, nblist.valid
-        slabs = self.pool.partition(state.n)
-        # Per-pass per-thread accounting.
-        pass_names = ("density", "embedding", "force_pair", "force_density")
-        pass_costs = {p: [PassCost() for _ in slabs] for p in pass_names}
+        dma = DMAStats()
+        total_interactions = 0
+        # Per pass, each slab's thread wall time.
+        slab_times: dict[str, list[float]] = {p: [] for p in PASSES}
 
         per_eval_cycles = (
-            arch.eval_cycles
-            + (arch.reconstruct_cycles if strat.table_layout == "compacted" else 0.0)
+            arch.eval_cycles + (0.0 if trad else arch.reconstruct_cycles)
         ) / arch.simd_factor
 
-        def account_block(
-            pass_name: str,
-            tidx: int,
-            n_atoms: int,
-            n_inter: int,
-            gather_bytes: int,
-            put_bytes: int,
-            per_neighbor_gets: int,
-        ) -> None:
-            cost = pass_costs[pass_name][tidx]
+        def price(n_atoms, n_inter, gather_bytes, put_bytes, row_gets):
+            """Count one block's DMA and return its (compute, transfer)."""
+            dma.gets += row_gets + 1
+            dma.get_bytes += row_gets * TABLE_ROW_BYTES + gather_bytes
+            dma.puts += 1
+            dma.put_bytes += put_bytes
+            # Blocking gets of individual coefficient rows serialize
+            # with compute and cannot be double-buffered.
             compute = arch.compute_time(
                 n_inter * per_eval_cycles + n_atoms * arch.atom_cycles
-            )
-            if per_neighbor_gets:
-                # Blocking gets of individual coefficient rows; they
-                # serialize with compute and cannot be double-buffered.
-                compute += dma.get(TABLE_ROW_BYTES, count=per_neighbor_gets)
-            transfer = dma.get(gather_bytes) + dma.put(put_bytes)
-            cost.compute += compute
-            cost.transfer += transfer
-            cost.blocks.append((compute, transfer))
+            ) + row_gets * arch.dma_time(TABLE_ROW_BYTES)
+            return compute, arch.dma_time(gather_bytes) + arch.dma_time(put_bytes)
 
-        for tidx, slab in enumerate(slabs):
-            rows_all = np.arange(slab.start, slab.stop)
-            blocks = [
-                rows_all[i : i + self.block_sites]
-                for i in range(0, len(rows_all), self.block_sites)
-            ]
-            nblocks_total += len(blocks)
+        for slab in np.array_split(np.arange(state.n), arch.cpes_per_cg):
+            blocks: dict[str, list[tuple[float, float]]] = {p: [] for p in PASSES}
             # Reuse window: the loads of the two most recent blocks (the
             # halo stencil spans two cells, so a block's ghost overlaps
             # both predecessors; keeping them matches what the streaming
             # buffers hold anyway).
             recent_loads: list[set[int]] = []
-            for rows in blocks:
+            for i in range(0, len(slab), self.block_sites):
+                rows = slab[i : i + self.block_sites]
                 nbrs = matrix[rows]
                 vmask = valid[rows]
                 ghost = np.setdiff1d(np.unique(nbrs[vmask]), rows)
@@ -293,39 +280,31 @@ class BlockedEAMKernel:
                     modeled = int(len(ghost) * (1.0 - arch.reuse_efficiency))
                     new_ghost = min(measured, modeled)
                 recent_loads = [*recent_loads, loaded][-2:]
-                trad = strat.table_layout == "traditional"
-                # --- pass 1: density (rho per central) -------------------
-                account_block(
-                    "density",
-                    tidx,
-                    n_atoms,
-                    n_inter,
+                # Pass 1: density (rho per central).
+                blocks["density"].append(price(
+                    n_atoms, n_inter,
                     gather_bytes=(len(rows) + new_ghost) * POS_BYTES,
                     put_bytes=len(rows) * SCALAR_BYTES,
-                    per_neighbor_gets=n_inter if trad else 0,
-                )
-                # --- pass 2: embedding (demb per atom) --------------------
-                account_block(
-                    "embedding",
-                    tidx,
-                    n_atoms,
-                    0,
+                    row_gets=n_inter if trad else 0,
+                ))
+                # Pass 2: embedding (demb per atom).
+                blocks["embedding"].append(price(
+                    n_atoms, 0,
                     gather_bytes=len(rows) * SCALAR_BYTES,
                     put_bytes=len(rows) * SCALAR_BYTES,
-                    per_neighbor_gets=n_atoms if trad else 0,
-                )
-                # --- passes 3+4: the two force terms ----------------------
+                    row_gets=n_atoms if trad else 0,
+                ))
+                # Passes 3+4: the two force terms.
                 for pass_name in ("force_pair", "force_density"):
-                    account_block(
-                        pass_name,
-                        tidx,
-                        n_atoms,
-                        n_inter,
+                    blocks[pass_name].append(price(
+                        n_atoms, n_inter,
                         gather_bytes=(len(rows) + new_ghost)
                         * (POS_BYTES + SCALAR_BYTES),
                         put_bytes=len(rows) * FORCE_BYTES,
-                        per_neighbor_gets=n_inter if trad else 0,
-                    )
+                        row_gets=n_inter if trad else 0,
+                    ))
+            for p in PASSES:
+                slab_times[p].append(_pass_time(blocks[p], strat.double_buffer))
 
         # The values: the one EAM kernel over the whole half pair list.
         table = PairTable.from_pairs(
@@ -337,31 +316,16 @@ class BlockedEAMKernel:
 
         # Per-pass team times (synchronized threads: slowest slab wins),
         # plus the once-per-pass resident table load of the compacted path.
-        compute_time = 0.0
-        dma_time = dma.stats.time
+        table_load = 0.0 if trad else arch.dma_time(self.compacted_table_bytes)
         total_time = 0.0
-        for p in pass_names:
-            costs = pass_costs[p]
-            table_load = (
-                self.arch.dma_time(self.compacted_table_bytes)
-                if strat.table_layout == "compacted"
-                else 0.0
-            )
-            team = self.pool.team_time(
-                [c.wall_time(strat.double_buffer) for c in costs]
-            )
-            total_time += team + table_load
-            compute_time += self.pool.team_time([c.compute for c in costs])
+        for p in PASSES:
+            total_time += max(slab_times[p]) + table_load
         return KernelReport(
             strategy=strat,
             forces=forces,
             energy=energy,
             total_time=total_time,
-            compute_time=compute_time,
-            dma_time=dma_time,
-            dma=dma.stats,
+            dma=dma,
             interactions=total_interactions,
-            natoms=int(np.count_nonzero(occ)),
-            nblocks=nblocks_total,
             block_sites=self.block_sites,
         )

@@ -296,9 +296,10 @@ class TestValidationExitCodes:
 
     @pytest.mark.parametrize("argv,named", [
         (["cascade", "--cells", "3"], "box"),
-        (["cascade", "--steps", "0"], "nsteps"),
+        (["cascade", "--steps", "0"], "md_steps"),
         (["kmc-schemes", "--cells", "4", "--ranks", "8"], "4x4x4"),
         (["kmc-schemes", "--vacancies", "99999"], "99999 vacancies"),
+        (["kmc-schemes", "--workers", "0"], "workers"),
     ])
     def test_unbuildable_run_exits_2(self, argv, named, capsys):
         # A lattice/engine/occupancy the flags cannot build is a usage

@@ -134,6 +134,12 @@ print(json.dumps({"ran": loaded(),
                   "multiprocessing": "multiprocessing" in sys.modules}))
 """
 
+_MACHINE_PROBE = _LOADED + """
+import json, sys
+from repro.perfmodel.machine import TAIHULIGHT
+print(json.dumps({"ran": loaded(), "cores": TAIHULIGHT.total_cores}))
+"""
+
 _WORLD_PROBE = _LOADED + """
 import json, sys
 from repro.runtime.simmpi import World
@@ -252,6 +258,17 @@ def test_scenario_spec_loads_no_scheduler():
         "repro.service", "repro.service.spec",
     ]
     assert not seen["multiprocessing"]
+
+
+def test_machine_model_loads_no_engine():
+    """What ``repro info`` imports: the machine description only — the
+    package facades re-export nothing, so no engine or runtime loads."""
+    seen = _run(_MACHINE_PROBE)
+    assert seen["cores"] > 0
+    assert set(seen["ran"]) <= {
+        "repro", "repro.constants", "repro.perfmodel",
+        "repro.perfmodel.machine", "repro.sunway", "repro.sunway.arch",
+    }
 
 
 def test_unsanitized_world_loads_no_sanitizer():

@@ -143,7 +143,7 @@ class TestChromeTrace:
             with obs.phase("kmc.cycle"):
                 pass
             obs.add("runtime.sent_bytes", 128)
-            obs.set_gauge("sunway.athread.imbalance", 1.25)
+            obs.set_gauge("sunway.level", 1.25)
         path = tmp_path / "trace.json"
         obs.write_chrome_trace(reg, str(path))
         data = json.loads(path.read_text())

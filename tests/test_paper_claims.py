@@ -10,6 +10,7 @@ import pytest
 from repro.core.timescale import paper_timescale_days
 from repro.lattice.bcc import BCCLattice
 from repro.perfmodel.machine import TAIHULIGHT
+from repro.sunway.arch import SunwayArch
 
 
 class TestSection2Claims:
@@ -31,12 +32,11 @@ class TestSection2Claims:
         # "The size of each traditional interpolation table is about 273 KB,
         # which exceeds the size of local store (64 KB)".
         from repro.potential.spline import SplineTable
-        from repro.sunway.localstore import LocalStore, LocalStoreOverflow
 
         t = SplineTable.from_function(np.sin, 5.6, n=5000)
         assert t.nbytes == pytest.approx(273 * 1024, rel=0.03)
-        with pytest.raises(LocalStoreOverflow):
-            LocalStore(64 * 1024).alloc("table", t.nbytes)
+        assert SunwayArch().local_store_bytes == 64 * 1024
+        assert t.nbytes > SunwayArch().local_store_bytes
 
     def test_compacted_table_39kb_one_seventh(self):
         # "a compacted interpolation table, of which size is only 39 KB
@@ -46,6 +46,22 @@ class TestSection2Claims:
         t = CompactTable.from_function(np.sin, 5.6, n=5000)
         assert t.nbytes == pytest.approx(39 * 1024, rel=0.03)
         assert 7 * t.nbytes == pytest.approx(273 * 1024, rel=0.03)
+
+    def test_one_compacted_table_leaves_room_for_blocks(self):
+        # One resident 39 KB table per pass leaves the local store room
+        # for atom blocks ...
+        from repro.potential.compact import CompactTable
+
+        t = CompactTable.from_function(np.sin, 5.6, n=5000)
+        assert SunwayArch().local_store_bytes - t.nbytes > 20 * 1024
+
+    def test_two_compacted_tables_do_not_fit(self):
+        # ... but two do not fit, which is why the EAM step runs one
+        # table-pass at a time.
+        from repro.potential.compact import CompactTable
+
+        t = CompactTable.from_function(np.sin, 5.6, n=5000)
+        assert 2 * t.nbytes > SunwayArch().local_store_bytes
 
     def test_interpolation_formula_of_figure5(self):
         # "L[5,2] = ( S[0] - S[4] + 8*(S[3] - S[1]) )/12" — the five-point

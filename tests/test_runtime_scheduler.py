@@ -92,6 +92,37 @@ class TestResolveWorkers:
         assert default_workers() >= 1
 
 
+class TestEnginesValidateWhenBuilt:
+    """Both parallel engines reject what their world would reject when
+    they are built, before any world exists, not inside ``run()``."""
+
+    @pytest.mark.parametrize("kwargs,named", [
+        ({"backend": "sunway"}, "unknown simmpi backend"),
+        ({"workers": 0}, "workers"),
+        ({"watchdog": 0.0}, "watchdog"),
+    ])
+    def test_parallel_akmc(self, kwargs, named, lattice8, potential,
+                           forbid_world):
+        from repro.runtime import simmpi
+
+        forbid_world(simmpi)
+        with pytest.raises(ValueError, match=named):
+            ParallelAKMC(lattice8, potential, nranks=2, **kwargs)
+
+    @pytest.mark.parametrize("kwargs,named", [
+        ({"backend": "sunway"}, "unknown simmpi backend"),
+        ({"workers": 0}, "workers"),
+    ])
+    def test_parallel_damage_md(self, kwargs, named, lattice8, potential,
+                                forbid_world):
+        from repro.md import parallel_damage
+
+        forbid_world(parallel_damage)
+        with pytest.raises(ValueError, match=named):
+            parallel_damage.ParallelDamageMD(
+                lattice8, potential, nranks=2, **kwargs
+            )
+
 # ----------------------------------------------------------------------
 # Scheduler mechanics
 # ----------------------------------------------------------------------
