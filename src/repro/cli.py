@@ -189,11 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--sanitize",
         action="store_true",
         help=(
-            "run with the communication sanitizer (vector-clock "
-            "happens-before checking of every simmpi world; equivalent "
-            "to REPRO_SANITIZE=1): unmatched sends, wildcard recv "
-            "races and collective-order divergence fail the run with a "
-            "per-violation report"
+            "run with the communication sanitizer (a protocol ledger "
+            "of every simmpi world; equivalent to REPRO_SANITIZE=1): "
+            "unmatched sends and collective-order divergence fail the "
+            "run with a per-violation report"
         ),
     )
     _add_observe_flags(coupled)

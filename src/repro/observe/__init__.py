@@ -5,8 +5,7 @@ drivers and their communication schemes, the simulated-MPI runtime, and
 the Sunway machine model — emits through this package:
 
 * ``with obs.phase("md.force"):`` times a (nested, per-thread) phase;
-* ``obs.add("runtime.sent_bytes", n)`` bumps a named counter;
-* ``obs.set_gauge(name, value)`` records a level (the last value wins).
+* ``obs.add("runtime.sent_bytes", n)`` bumps a named counter.
 
 Observation is **disabled by default**: without an active
 :class:`Registry` each call is one global load and a ``None`` check, so
@@ -43,7 +42,6 @@ from repro.observe.api import (
     enabled,
     observing,
     phase,
-    set_gauge,
 )
 
 #: The names only an *observed* run touches -> defining module, resolved
@@ -67,7 +65,6 @@ __all__ = [
     "enabled",
     "observing",
     "phase",
-    "set_gauge",
     *_EXPORTS,
 ]
 

@@ -1,10 +1,10 @@
 """Module-level observation API with a near-zero-cost disabled path.
 
-Instrumented code calls :func:`phase`, :func:`add`, and :func:`set_gauge`
-unconditionally.  When no registry is active (the default), every one of
-these is a single global load plus a ``None`` check: :func:`phase`
-returns a shared no-op context manager and the counter functions return
-immediately, so hot paths pay effectively nothing for being observable.
+Instrumented code calls :func:`phase` and :func:`add` unconditionally.
+When no registry is active (the default), each is a single global load
+plus a ``None`` check: :func:`phase` returns a shared no-op context
+manager and :func:`add` returns immediately, so hot paths pay
+effectively nothing for being observable.
 
 Enable observation around a region of interest::
 
@@ -98,10 +98,3 @@ def add(name: str, value: float = 1) -> None:
     registry = _active
     if registry is not None:
         registry.add(name, value)
-
-
-def set_gauge(name: str, value: float) -> None:
-    """Set a named gauge; no-op when disabled."""
-    registry = _active
-    if registry is not None:
-        registry.set_gauge(name, value)

@@ -1,4 +1,4 @@
-"""The observation registry: hierarchical phase timing, counters, gauges.
+"""The observation registry: hierarchical phase timing and counters.
 
 One :class:`Registry` collects everything a run wants to know about
 itself.  Phases form a per-thread stack (the nesting *is* the hierarchy
@@ -25,16 +25,10 @@ class PhaseStat:
 
     count: int = 0
     total: float = 0.0
-    min: float = float("inf")
-    max: float = 0.0
 
     def add(self, duration: float) -> None:
         self.count += 1
         self.total += duration
-        if duration < self.min:
-            self.min = duration
-        if duration > self.max:
-            self.max = duration
 
 
 @dataclass(frozen=True)
@@ -81,7 +75,7 @@ class _PhaseHandle:
 
 
 class Registry:
-    """Thread-safe store of phase statistics, counters, and gauges.
+    """Thread-safe store of phase statistics and counters.
 
     Parameters
     ----------
@@ -101,7 +95,6 @@ class Registry:
         self._max_events = max_events
         self.phases: dict[tuple[str, ...], PhaseStat] = {}
         self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
         self.events: list[TraceEvent] = []
         self.dropped_events: int = 0
         self.thread_names: dict[int, str] = {}
@@ -117,11 +110,6 @@ class Registry:
         """Increment counter ``name`` by ``value``."""
         with self._lock:
             self.counters[name] = self.counters.get(name, 0) + value
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to its latest ``value``."""
-        with self._lock:
-            self.gauges[name] = value
 
     def _stack(self) -> list:
         stack = getattr(self._local, "stack", None)
@@ -167,11 +155,10 @@ class Registry:
             return {
                 "t0": self._t0,
                 "phases": {
-                    path: (stat.count, stat.total, stat.min, stat.max)
+                    path: (stat.count, stat.total)
                     for path, stat in self.phases.items()
                 },
                 "counters": dict(self.counters),
-                "gauges": dict(self.gauges),
                 "events": [(e.name, e.ts, e.dur, e.tid) for e in self.events],
                 "thread_names": dict(self.thread_names),
                 "dropped_events": self.dropped_events,
@@ -180,25 +167,21 @@ class Registry:
     def absorb_state(self, state: dict, label: str = "") -> None:
         """Merge an :meth:`export_state` dict from another process.
 
-        Phase aggregates and counters sum, gauges take the child's
-        latest value, and trace events are rebased onto this registry's
+        Phase aggregates and counters sum, and trace events are rebased onto this registry's
         time origin.  Child thread ids are remapped to fresh synthetic
         ids (raw ids can collide across processes); ``label`` prefixes
         the remapped thread names (e.g. ``"rank2/"``).
         """
         offset = state["t0"] - self._t0
         with self._lock:
-            for path, (count, total, mn, mx) in state["phases"].items():
+            for path, (count, total) in state["phases"].items():
                 stat = self.phases.get(path)
                 if stat is None:
                     stat = self.phases[path] = PhaseStat()
                 stat.count += count
                 stat.total += total
-                stat.min = min(stat.min, mn)
-                stat.max = max(stat.max, mx)
             for name, value in state["counters"].items():
                 self.counters[name] = self.counters.get(name, 0) + value
-            self.gauges.update(state["gauges"])
             tid_map: dict[int, int] = {}
             next_tid = max(self.thread_names, default=0) + 1_000_000
             for tid, name in state["thread_names"].items():
@@ -219,27 +202,3 @@ class Registry:
                     else:
                         self.dropped_events += 1
             self.dropped_events += state["dropped_events"]
-
-    # ------------------------------------------------------------------
-    # Snapshots
-    # ------------------------------------------------------------------
-    def summary(self) -> dict:
-        """Machine-readable snapshot (JSON-serializable)."""
-        with self._lock:
-            return {
-                "phases": [
-                    {
-                        "path": "/".join(path),
-                        "name": path[-1],
-                        "depth": len(path) - 1,
-                        "count": stat.count,
-                        "total_s": stat.total,
-                        "min_s": stat.min,
-                        "max_s": stat.max,
-                    }
-                    for path, stat in sorted(self.phases.items())
-                ],
-                "counters": dict(self.counters),
-                "gauges": dict(self.gauges),
-                "dropped_events": self.dropped_events,
-            }

@@ -1,4 +1,4 @@
-"""Plain-text performance report: the phase tree, counters, gauges.
+"""Plain-text performance report: the phase tree and counters.
 
 The tree mirrors the runtime nesting recorded by the phase stack; a
 phase's share is reported against its parent's total (threads aggregate,
@@ -24,7 +24,6 @@ def format_report(registry: Registry, counters: bool = True) -> str:
     with registry._lock:
         phases = {path: stat for path, stat in registry.phases.items()}
         counter_items = sorted(registry.counters.items())
-        gauge_items = sorted(registry.gauges.items())
         dropped = registry.dropped_events
     lines: list[str] = ["phase tree (aggregated over threads):"]
     if not phases:
@@ -60,11 +59,6 @@ def format_report(registry: Registry, counters: bool = True) -> str:
                 lines.append(f"  {name:<44} {int(value):>16,}")
             else:
                 lines.append(f"  {name:<44} {value:>16.6g}")
-    if counters and gauge_items:
-        lines.append("")
-        lines.append("gauges:")
-        for name, value in gauge_items:
-            lines.append(f"  {name:<44} {value:>16.6g}")
     if dropped:
         lines.append("")
         lines.append(f"({dropped} trace events dropped beyond the retention cap)")

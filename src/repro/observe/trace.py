@@ -20,7 +20,6 @@ def chrome_trace(registry: Registry) -> dict:
     with registry._lock:
         events = list(registry.events)
         counters = dict(registry.counters)
-        gauges = dict(registry.gauges)
         thread_names = dict(registry.thread_names)
     trace_events: list[dict] = []
     for tid, name in sorted(thread_names.items()):
@@ -50,8 +49,7 @@ def chrome_trace(registry: Registry) -> dict:
                 "tid": ev.tid,
             }
         )
-    for name in sorted(set(counters) | set(gauges)):
-        value = counters.get(name, gauges.get(name))
+    for name, value in sorted(counters.items()):
         trace_events.append(
             {
                 "name": name,

@@ -22,7 +22,7 @@ real.  It is one communication stack in three layers:
    every rank — as threads, as forked processes, or as R logical ranks
    on P worker slots (:mod:`~repro.runtime.scheduler`).
 3. **Middleware** (:mod:`~repro.runtime.layers`) — fault injection
-   (:mod:`~repro.runtime.faults`), the vector-clock sanitizer
+   (:mod:`~repro.runtime.faults`), the protocol sanitizer
    (:mod:`~repro.runtime.sanitize`) and traffic accounting as an ordered
    chain over seven primitives, composed identically on every backend.
    Waiting is not a layer: a rank gives up its worker slot and opens a

@@ -128,7 +128,7 @@ class FaultLayer(Layer):
         self.inner.put(win_tag, target, payload, nbytes)
 
 
-def compose(endpoint, *, rank, size, stats, mailbox, faults=None, sanitize=False):
+def compose(endpoint, *, rank, stats, faults=None, sanitize=False):
     """Stack the active layers over ``endpoint``; return the outermost.
 
     The order, innermost first, and why it is that order:
@@ -137,8 +137,8 @@ def compose(endpoint, *, rank, size, stats, mailbox, faults=None, sanitize=False
        endpoint.
     2. **faults** (world has a plan) — pauses an operation before it is
        metered or sent.
-    3. **sanitize** — outermost: it stamps payloads with vector clocks
-       before anything else sees them.
+    3. **sanitize** — outermost: it records each call as the program
+       made it, with the program's call site.
     """
     chain = TrafficLayer(endpoint, stats, rank)
     if faults is not None:
@@ -146,5 +146,5 @@ def compose(endpoint, *, rank, size, stats, mailbox, faults=None, sanitize=False
     if sanitize:
         from repro.runtime.sanitize import SanitizeLayer
 
-        chain = SanitizeLayer(chain, rank, size, mailbox)
+        chain = SanitizeLayer(chain, rank)
     return chain

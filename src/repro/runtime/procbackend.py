@@ -55,8 +55,8 @@ world continues exactly where a thread-backend rerun would.
 
 Determinism
 -----------
-Engines address receives by explicit (source, tag) and collectives
-return rank-ordered lists, so a deterministic program produces results
+Every receive names its (source, tag) — the communicator offers no
+wildcard — and collectives return rank-ordered lists, so a deterministic program produces results
 bit-identical to the thread backend — asserted by the backend-parity
 tests for all three parallel-KMC schemes and the distributed damage MD.
 """

@@ -1,39 +1,33 @@
-"""Runtime communication sanitizer: a vector-clock happens-before ledger.
+"""Runtime communication sanitizer: a ledger of the run's protocol.
 
-This module catches protocol bugs *at runtime*, TSan-style.
-With ``REPRO_SANITIZE=1`` (or ``World(sanitize=True)``, or ``--sanitize``
-on the CLI) every rank's communicator gets a :class:`SanitizeLayer` as
-the outermost layer of its middleware chain
+This module catches protocol bugs *at runtime*.  With
+``REPRO_SANITIZE=1`` (or ``World(sanitize=True)``, or ``--sanitize`` on
+the CLI) every rank's communicator gets a :class:`SanitizeLayer` as the
+outermost layer of its middleware chain
 (:func:`repro.runtime.layers.compose`), which
 
-* stamps each point-to-point payload with the sender's vector clock and
-  merges clocks on receive — the happens-before order of the run;
-* flags **recv races**: a wildcard receive (``ANY_SOURCE``/``ANY_TAG``)
-  that matched one message when a *concurrent* rival (neither send
-  happens-before the other, and the rival's send not after the receive)
-  could have matched instead — the delivered value depends on
-  scheduling, which is exactly the nondeterminism the paper's
-  bit-identity claims forbid.  Each wildcard match is recorded and
-  every later delivery is tested against it, and what is still queued
-  at teardown, so the verdict does not depend on arrival timing;
-* records every send/recv per ``(source, dest, tag)`` with the first
-  call site, so **unmatched sends** are reported at teardown with rank,
-  tag and ``file:line``;
+* records every send per ``(dest, tag)`` with the first call site and
+  every receive per ``(source, tag)``, so **unmatched sends** are
+  reported at teardown with rank, tag and ``file:line``;
 * records the per-rank **collective order** (barrier/allgather/
   allreduce/bcast/win_create/fence) and reports the first divergence
   between ranks — the halo-exchange/fence protocol of §2.2.1 requires
   all ranks to execute the same collective sequence.
+
+No receive can race: :class:`~repro.runtime.simmpi.RankComm` takes only
+addressed receives, and delivery is FIFO per ``(source, tag)``, so
+which message a receive gets never depends on arrival order.  The layer
+therefore leaves every payload as the communicator froze it.
 
 At teardown every rank exchanges its ledger and all ranks compute the
 same verdict; :class:`repro.runtime.simmpi.World.run` unwraps it,
 publishes ``runtime.sanitize.*`` observe counters, and raises
 :class:`SanitizerError` when violations exist.
 
-The instrumentation rides *on top of* the normal stack: every user
-collective is one ``exchange`` primitive, so it carries the clock as
-part of its value and divergent collective *kinds* still pair up and are
-reported instead of deadlocking; all state crosses process boundaries as
-plain tuples/dicts — it works identically on the thread, process, and
+Every user collective is one ``exchange`` primitive, so divergent
+collective *kinds* still pair up and are reported instead of
+deadlocking; the ledgers cross process boundaries as plain
+tuples/dicts — it works identically on the thread, process, and
 overdecomposed backends.
 """
 
@@ -41,19 +35,16 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Any, Callable
+from typing import Callable
 
 from repro import observe as obs
 from repro.runtime.layers import Layer
-from repro.runtime.transport import ANY_SOURCE, ANY_TAG, Mailbox
 
-#: Marker prefix of a clock-stamped payload envelope.
-_ENVELOPE = "__repro_sanitize__"
 #: Marker prefix for a wrapped per-rank (result, report) pair.
 _RESULT = "__repro_sanitize_result__"
 
 #: Rolling process-wide summary for CLI reporting (parent process only).
-SUMMARY = {"worlds": 0, "violations": 0}
+SUMMARY = {"worlds": 0}
 
 
 class SanitizerError(RuntimeError):
@@ -70,29 +61,18 @@ class SanitizerError(RuntimeError):
 
 
 def _violation_text(v: dict) -> str:
-    kind = v.get("kind")
-    if kind == "unmatched_send":
+    if v["kind"] == "unmatched_send":
         return (
             f"unmatched send: rank {v['source']} -> rank {v['dest']} "
             f"tag {v['tag']} x{v['count']} never received "
             f"(first send at {v['site']})"
         )
-    if kind == "recv_race":
-        return (
-            f"recv race on rank {v['rank']}: wildcard recv at {v['site']} "
-            f"matched (source={v['matched_source']}, tag={v['matched_tag']}) "
-            f"while a concurrent rival (source={v['rival_source']}, "
-            f"tag={v['rival_tag']}) also matched — delivery order is "
-            "schedule-dependent"
+    return (
+        f"collective order diverges at step {v['step']}: "
+        + ", ".join(
+            f"rank {r} did {e}" for r, e in sorted(v["events"].items())
         )
-    if kind == "collective_divergence":
-        return (
-            f"collective order diverges at step {v['step']}: "
-            + ", ".join(
-                f"rank {r} did {e}" for r, e in sorted(v["events"].items())
-            )
-        )
-    return str(v)
+    )
 
 
 _RUNTIME_DIR = os.path.dirname(__file__)
@@ -110,20 +90,10 @@ def _call_site() -> str:
     return f"{os.path.basename(frame.f_code.co_filename)}:{frame.f_lineno}"
 
 
-def _before(a: tuple, b: tuple) -> bool:
-    """Clock ``a`` happens-before (or equals) clock ``b``."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _concurrent(a: tuple, b: tuple) -> bool:
-    """Neither clock happens-before the other."""
-    return not _before(a, b) and not _before(b, a)
-
-
 def _marked(obj, marker: str) -> bool:
     """Whether ``obj`` is a ``(marker, x, y)`` triple.
 
-    Checks the head's type first: a user payload may itself be a 3-tuple
+    Checks the head's type first: a user result may itself be a 3-tuple
     starting with an array, which must not be compared against a string.
     """
     return (
@@ -134,141 +104,50 @@ def _marked(obj, marker: str) -> bool:
     )
 
 
-def _unwrap(payload) -> tuple[tuple | None, Any]:
-    """(sender clock, user payload) of a possibly-enveloped payload."""
-    if _marked(payload, _ENVELOPE):
-        return tuple(payload[1]), payload[2]
-    return None, payload
-
-
 class SanitizeLayer(Layer):
-    """Outermost middleware layer: builds the happens-before ledger.
+    """Outermost middleware layer: keeps this rank's protocol ledger.
 
-    Sends, puts and collective contributions leave stamped with this
-    rank's vector clock; receives, fence drains and collective results
-    are unstamped and their clocks merged.  ``probe``/``iprobe`` pass
-    through untouched.
+    Counts sends and receives per channel and records the collective
+    order; payloads pass through untouched, and ``probe``/``iprobe``/
+    ``put`` are not intercepted.
     """
 
     name = "sanitize"
 
-    def __init__(self, inner, rank: int, size: int, mailbox: Mailbox) -> None:
+    def __init__(self, inner, rank: int) -> None:
         super().__init__(inner)
         self.rank = rank
-        self._vc = [0] * size
-        self._mailbox = mailbox
         # This rank's ledger, exported as plain data by seal().
         self._sends: dict[tuple[int, int], list] = {}  # (dest, tag) -> [n, site]
         self._recvs: dict[tuple[int, int], int] = {}  # (source, tag) -> n
         self._events: list[tuple] = []
-        self._races: list[dict] = []
-        # Wildcard matches so far: (source, tag) pattern, the matched
-        # message's clock, this rank's clock after the receive, call
-        # site, and the matched (source, tag).
-        self._wildcards: list[tuple] = []
 
-    def _tick_and_stamp(self, payload) -> tuple:
-        self._vc[self.rank] += 1
-        return (_ENVELOPE, tuple(self._vc), payload)
-
-    def _merge(self, other: tuple) -> None:
-        vc = self._vc
-        for i, x in enumerate(other):
-            if x > vc[i]:
-                vc[i] = x
-
-    def _absorb(self, payload):
-        """User payload of a stamped one, its clock merged into ours."""
-        other, user = _unwrap(payload)
-        if other is not None:
-            self._merge(other)
-        return user
-
-    # -- two-sided -----------------------------------------------------
     def send(self, dest, tag, payload, nbytes):
-        self.inner.send(dest, tag, self._tick_and_stamp(payload), nbytes)
+        self.inner.send(dest, tag, payload, nbytes)
         slot = self._sends.get((dest, tag))
         if slot is None:
             slot = self._sends[(dest, tag)] = [0, _call_site()]
         slot[0] += 1
 
     def recv(self, source, tag):
-        src, t, payload, nbytes = self.inner.recv(source, tag)
-        vc, user = _unwrap(payload)
-        if vc is not None:
-            self._check_rivals(src, t, vc)
-            self._merge(vc)
-        self._vc[self.rank] += 1
-        if vc is not None and (source == ANY_SOURCE or tag == ANY_TAG):
-            self._wildcards.append(
-                (source, tag, vc, tuple(self._vc), _call_site(), src, t)
-            )
-        self._recvs[(src, t)] = self._recvs.get((src, t), 0) + 1
-        return src, t, user, nbytes
+        envelope = self.inner.recv(source, tag)
+        self._recvs[(source, tag)] = self._recvs.get((source, tag), 0) + 1
+        return envelope
 
-    def _check_rivals(self, src: int, t: int, vc: tuple) -> None:
-        """Test a delivery against every earlier wildcard match it fits.
-
-        It is a rival when its send is concurrent with the matched
-        message's and did not happen after the receive: the runtime
-        could have handed either message to that recv — a
-        schedule-dependent result, whenever the rival arrives.  FIFO
-        per (source, tag) means same-channel messages are never
-        concurrent, so pinned-source schemes stay clean by construction.
-        """
-        for source, tag, matched_vc, recv_vc, site, m_src, m_tag in self._wildcards:
-            if source not in (ANY_SOURCE, src) or tag not in (ANY_TAG, t):
-                continue
-            if not _concurrent(matched_vc, vc) or _before(recv_vc, vc):
-                continue
-            self._races.append(
-                {
-                    "kind": "recv_race",
-                    "rank": self.rank,
-                    "site": site,
-                    "matched_source": m_src,
-                    "matched_tag": m_tag,
-                    "rival_source": src,
-                    "rival_tag": t,
-                }
-            )
-
-    # -- collectives ---------------------------------------------------
     def exchange(self, kind, value, metered):
         self._events.append(kind)
-        outs = self.inner.exchange(
-            kind, (_ENVELOPE, tuple(self._vc), value), metered
-        )
-        users = [self._absorb(item) for item in outs]
-        self._vc[self.rank] += 1
-        return users
-
-    # -- one-sided -----------------------------------------------------
-    def put(self, win_tag, target, payload, nbytes):
-        self.inner.put(win_tag, target, self._tick_and_stamp(payload), nbytes)
+        return self.inner.exchange(kind, value, metered)
 
     def fence(self, win_tag, counts):
         self._events.append(("fence",))
-        drained = [
-            (origin, self._absorb(payload), nbytes)
-            for origin, payload, nbytes in self.inner.fence(win_tag, counts)
-        ]
-        self._vc[self.rank] += 1
-        return drained
+        return self.inner.fence(win_tag, counts)
 
-    # -- teardown ------------------------------------------------------
     def seal(self, result) -> tuple:
         """Exchange the ledgers; return ``(marker, result, report)``.
 
-        Messages still queued are settled against the wildcard matches
-        first.  The exchange goes inward from here — unstamped,
-        unmetered — so it perturbs neither the clocks nor the traffic
-        ledger.
+        The exchange goes inward from here — unrecorded, unmetered — so
+        it perturbs neither the collective order nor the traffic ledger.
         """
-        for src, t, payload, _nbytes in self._mailbox.queued():
-            vc, _user = _unwrap(payload)
-            if vc is not None:
-                self._check_rivals(src, t, vc)
         export = {
             "rank": self.rank,
             "sends": [
@@ -280,7 +159,6 @@ class SanitizeLayer(Layer):
                 for (source, tag), count in sorted(self._recvs.items())
             ],
             "events": [list(e) for e in self._events],
-            "races": self._races,
         }
         exports = self.inner.exchange(("sanitize",), export, False)
         return (_RESULT, result, _validate(exports))
@@ -317,9 +195,6 @@ def _validate(exports: list[dict]) -> dict:
                     "site": site,
                 }
             )
-
-    for export in exports:
-        violations.extend(export["races"])
 
     sequences = {e["rank"]: e["events"] for e in exports}
     longest = max((len(s) for s in sequences.values()), default=0)
@@ -387,6 +262,5 @@ def finish_world(results: list) -> list:
         for kind, count in sorted(kinds.items()):
             obs.add(f"runtime.sanitize.violation.{kind}", count)
         obs.add("runtime.sanitize.violations", len(report["violations"]))
-        SUMMARY["violations"] += len(report["violations"])
         raise SanitizerError(report)
     return unwrapped

@@ -29,8 +29,8 @@ at the communication waits that find nothing to match:
 A rank holds a slot only while it computes or takes an envelope that is
 already queued, so R > P cannot deadlock: a rank parked in a collective
 holds no slot, so the remaining parties always get to run.  And because
-scheduling only reorders *timing* — engines address receives by
-explicit (source, tag) and collectives return rank-ordered lists — R
+scheduling only reorders *timing* — every receive names its
+(source, tag) and collectives return rank-ordered lists — R
 ranks on P workers produce physics bit-identical to R ranks on R
 threads, the same argument (and the same tests) that
 make the thread and process backends interchangeable.

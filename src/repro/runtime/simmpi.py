@@ -9,12 +9,14 @@ semantics:
 * ``send`` is eager and buffered (payloads are defensively copied, so a
   sender may immediately reuse its buffers — MPI's eager protocol for
   small/medium messages).
-* ``recv`` blocks until a matching message arrives; ``ANY_SOURCE`` /
-  ``ANY_TAG`` wildcards are supported, with FIFO ordering per
-  (source, tag) pair as MPI guarantees.
-* ``probe`` blocks until a matching message is available and returns its
-  envelope *without* consuming it — the primitive §2.2.1 uses to learn
-  message sizes "determined at runtime" before posting the receive.
+* ``recv`` blocks until a message on the named ``(source, tag)``
+  channel arrives, with FIFO ordering per channel as MPI guarantees.
+  Every receive names its channel: there are no wildcards, so which
+  message a receive gets never depends on arrival order.
+* ``probe`` blocks until a message on the channel is available and
+  returns its envelope *without* consuming it — the primitive §2.2.1
+  uses to learn message sizes "determined at runtime" before posting
+  the receive.
 * ``iprobe`` is the non-blocking variant.
 * ``barrier`` / ``allgather`` / ``allreduce`` / ``bcast`` and window
   creation all lower to one :meth:`Endpoint.exchange`, written once over
@@ -51,7 +53,6 @@ from repro.runtime.layers import Layer, compose
 from repro.runtime.stats import TrafficStats, payload_nbytes
 from repro.runtime.transport import (
     ANY_SOURCE,
-    ANY_TAG,
     TAG_GATHER,
     TAG_RESULT,
     TAG_WINDOW_BASE,
@@ -62,8 +63,6 @@ from repro.runtime.transport import (
 )
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
     "BACKENDS",
     "RankComm",
     "Status",
@@ -279,9 +278,7 @@ class RankComm:
                 transport, rank, size, watchdog,
                 _blocked_around(rank, scheduler),
             ),
-            rank=rank, size=size, stats=stats,
-            mailbox=transport.mailbox(rank), faults=faults,
-            sanitize=sanitize,
+            rank=rank, stats=stats, faults=faults, sanitize=sanitize,
         )
         #: The sanitizer layer (always outermost), if this run has one.
         self.sanitizer = chain if sanitize else None
@@ -305,11 +302,16 @@ class RankComm:
         When the world carries a fault plan the injector may impose a
         sender-side delay (see :class:`~repro.runtime.layers.FaultLayer`).
         """
-        if not 0 <= dest < self.size:
-            raise ValueError(f"destination rank {dest} out of range")
+        self._check(dest, "destination", tag)
+        self._chain.send(dest, tag, freeze(payload), payload_nbytes(payload))
+
+    def _check(self, rank: int, role: str, tag: int) -> None:
+        """A user channel names a rank of this world and a tag >= 0
+        (negative tags are the runtime's)."""
+        if not 0 <= rank < self.size:
+            raise ValueError(f"{role} rank {rank} out of range")
         if tag < 0:
             raise ValueError(f"tag must be non-negative, got {tag}")
-        self._chain.send(dest, tag, freeze(payload), payload_nbytes(payload))
 
     def fault_point(self, site: str, index: int) -> None:
         """Consult the world's fault plan at a named execution point.
@@ -323,16 +325,19 @@ class RankComm:
         if self._faults is not None:
             self._faults.crash_point(self.rank, site, index)
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
+    def recv(self, source: int, tag: int):
         """Blocking receive; returns ``(source, tag, payload)``."""
+        self._check(source, "source", tag)
         return self._chain.recv(source, tag)[:3]
 
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
-        """Blocking probe: envelope of the next matching message."""
+    def probe(self, source: int, tag: int) -> Status:
+        """Blocking probe: envelope of the channel's next message."""
+        self._check(source, "source", tag)
         return self._chain.probe(source, tag)
 
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
-        """Non-blocking probe; ``None`` if no matching message is queued."""
+    def iprobe(self, source: int, tag: int) -> Status | None:
+        """Non-blocking probe; ``None`` if the channel has nothing queued."""
+        self._check(source, "source", tag)
         return self._chain.iprobe(source, tag)
 
     # ------------------------------------------------------------------

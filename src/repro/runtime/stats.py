@@ -43,8 +43,7 @@ def payload_nbytes(obj) -> int:
     ``pickle.dumps``.
 
     The communicator costs the *user* payload before any middleware
-    touches it, so the sanitizer's clock envelopes never reach this
-    function and sanitized runs account the same protocol traffic as
+    sees it, so sanitized runs account the same protocol traffic as
     plain runs.
     """
     return _payload_nbytes(obj, None)

@@ -18,12 +18,11 @@ fault injection, accounting — is written once against this surface
 
 Reserved tags
 -------------
-User tags are non-negative and ``ANY_TAG`` is ``-1``.  Tags below that
-belong to the runtime: collective contributions and results and
-one-sided window puts travel through the *same* mailboxes under them.
-A wildcard ``recv``/``probe``/``iprobe`` never matches a reserved tag
-and :meth:`Mailbox.pending` does not count them, so user code cannot
-observe the control plane.
+User tags are non-negative; negative tags belong to the runtime:
+collective contributions and results and one-sided window puts travel
+through the *same* mailboxes under them.  The communicator rejects a
+negative tag in every user call, and :meth:`Mailbox.pending` does not
+count them, so user code cannot observe the control plane.
 """
 
 from __future__ import annotations
@@ -36,10 +35,10 @@ import numpy as np
 
 from repro import observe as obs
 
-#: Wildcard source for ``recv`` / ``probe`` / ``iprobe``.
+#: Any source: only rank 0's gather in ``Endpoint.exchange`` matches
+#: with it, on ``TAG_GATHER``, and it stores each contribution by source,
+#: so arrival order cannot matter.  No user call can name it.
 ANY_SOURCE: int = -1
-#: Wildcard tag (matches user tags only, never the reserved space).
-ANY_TAG: int = -1
 #: Collective contribution, every rank -> rank 0.
 TAG_GATHER: int = -2
 #: Collective result, rank 0 -> every rank.
@@ -81,7 +80,7 @@ def _wait_site(rank: int, op: str, source: int, tag: int) -> str:
     if tag <= TAG_WINDOW_BASE:
         tag = f"window {TAG_WINDOW_BASE - tag}"
     else:
-        tag = {ANY_TAG: "any", TAG_GATHER: "gather", TAG_RESULT: "result"}.get(tag, tag)
+        tag = {TAG_GATHER: "gather", TAG_RESULT: "result"}.get(tag, tag)
     return f"rank {rank} {op} (source {src}, tag {tag})"
 
 
@@ -105,14 +104,9 @@ class Mailbox:
             self._cond.notify_all()
 
     def _find(self, source: int, tag: int) -> int | None:
-        if tag == ANY_TAG:
-            for idx, (src, t, _payload, _n) in enumerate(self._queue):
-                if t >= 0 and source in (ANY_SOURCE, src):
-                    return idx
-        else:
-            for idx, (src, t, _payload, _n) in enumerate(self._queue):
-                if t == tag and source in (ANY_SOURCE, src):
-                    return idx
+        for idx, (src, t, _payload, _n) in enumerate(self._queue):
+            if t == tag and source in (ANY_SOURCE, src):
+                return idx
         return None
 
     def match(
@@ -162,14 +156,10 @@ class Mailbox:
         with self._cond:
             self._cond.notify_all()
 
-    def queued(self) -> list[tuple[int, int, Any, int]]:
-        """Snapshot of the queued user envelopes (sanitizer race scan)."""
-        with self._cond:
-            return [env for env in self._queue if env[1] >= 0]
-
     def pending(self) -> int:
         """User messages deposited but not received."""
-        return len(self.queued())
+        with self._cond:
+            return sum(1 for env in self._queue if env[1] >= 0)
 
 
 class LocalTransport:

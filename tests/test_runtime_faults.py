@@ -187,10 +187,10 @@ class TestWatchdog:
     def test_starved_recv_raises_watchdog_timeout(self):
         def main(comm):
             if comm.rank == 1:
-                comm.recv(source=0)  # rank 0 never sends
+                comm.recv(source=0, tag=0)  # rank 0 never sends
             return comm.rank
 
-        with pytest.raises(WatchdogTimeout, match=r"rank 1 recv \(source 0, tag any\)"):
+        with pytest.raises(WatchdogTimeout, match=r"rank 1 recv \(source 0, tag 0\)"):
             World(2, watchdog=0.1).run(main)
 
     def test_straggler_collective_raises_watchdog_timeout(self):

@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.runtime.simmpi import ANY_SOURCE, World, WorldAborted
+from repro.runtime.simmpi import World, WorldAborted
 
 
 class TestMessaging:
     def test_ring_exchange(self):
         def main(comm):
             right = (comm.rank + 1) % comm.size
+            left = (comm.rank - 1) % comm.size
             comm.send(right, tag=1, payload=comm.rank)
-            src, tag, value = comm.recv(tag=1)
-            assert src == (comm.rank - 1) % comm.size
+            src, tag, value = comm.recv(left, tag=1)
+            assert (src, tag) == (left, 1)
             return value
 
         results = World(4).run(main)
@@ -42,26 +43,6 @@ class TestMessaging:
 
         assert World(2).run(main)[1] == ("a", "b")
 
-    def test_wildcard_source(self):
-        def main(comm):
-            if comm.rank == 0:
-                got = {comm.recv(source=ANY_SOURCE, tag=3)[0] for _ in range(3)}
-                return got
-            comm.send(0, tag=3, payload=None)
-            return None
-
-        from repro.runtime.sanitize import SanitizerError
-        from repro.runtime.simmpi import sanitize_enabled
-
-        if sanitize_enabled():
-            # Wildcard delivery from concurrent senders is exactly the
-            # schedule dependence the sanitizer exists to flag; the set
-            # of sources is stable but the match order is not.
-            with pytest.raises(SanitizerError, match="recv race"):
-                World(4).run(main)
-        else:
-            assert World(4).run(main)[0] == {1, 2, 3}
-
     def test_send_buffering_allows_reuse(self):
         # MPI eager semantics: mutating the buffer after send must not
         # corrupt the message.
@@ -71,7 +52,7 @@ class TestMessaging:
                 comm.send(1, tag=1, payload=buf)
                 buf[:] = -1
                 return None
-            _s, _t, data = comm.recv()
+            _s, _t, data = comm.recv(0, 1)
             return data.tolist()
 
         assert World(2).run(main)[1] == [0, 1, 2, 3, 4]
@@ -85,10 +66,32 @@ class TestMessaging:
 
         World(1).run(main)
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_every_receive_names_a_channel(self, backend):
+        # No wildcard is representable: a source outside the world or a
+        # negative tag is refused by recv, probe and iprobe alike.
+        def main(comm):
+            refused = []
+            for call in (comm.recv, comm.probe, comm.iprobe):
+                for source, tag in ((-1, 0), (comm.size, 0), (0, -1)):
+                    try:
+                        call(source, tag)
+                    except ValueError as exc:
+                        refused.append(str(exc))
+            return refused
+
+        refused = World(2, backend=backend).run(main)[1]
+        expected = [
+            "source rank -1 out of range",
+            "source rank 2 out of range",
+            "tag must be non-negative, got -1",
+        ]
+        assert refused == expected * 3
+
     def test_no_messages_left_behind(self):
         def main(comm):
             comm.send((comm.rank + 1) % comm.size, tag=0, payload=b"x")
-            comm.recv(tag=0)
+            comm.recv((comm.rank - 1) % comm.size, tag=0)
 
         w = World(3)
         w.run(main)
@@ -101,7 +104,7 @@ class TestProbe:
             if comm.rank == 0:
                 comm.send(1, tag=9, payload=b"12345")
                 return None
-            status = comm.probe(source=0)
+            status = comm.probe(source=0, tag=9)
             assert status.tag == 9
             assert status.nbytes == 5
             # Message still there.
@@ -113,7 +116,7 @@ class TestProbe:
     def test_iprobe_nonblocking(self):
         def main(comm):
             if comm.rank == 0:
-                assert comm.iprobe(source=1) is None  # nothing sent yet...
+                assert comm.iprobe(source=1, tag=2) is None  # not sent yet...
                 comm.send(1, tag=1, payload=None)
                 comm.recv(source=1, tag=2)
                 return None
@@ -197,7 +200,7 @@ class TestFailures:
         def main(comm):
             if comm.rank == 0:
                 raise RuntimeError("boom")
-            comm.recv()  # would deadlock without abort
+            comm.recv(0, 0)  # would deadlock without abort
 
         with pytest.raises(RuntimeError, match="boom"):
             World(3).run(main)
@@ -215,7 +218,7 @@ class TestFailures:
         def main(comm):
             if comm.rank == 0:
                 raise RuntimeError("boom")
-            comm.probe()  # blocked in peek, not take
+            comm.probe(0, 0)  # blocked in peek, not take
 
         with pytest.raises(RuntimeError, match="boom"):
             World(3).run(main)
@@ -229,7 +232,7 @@ class TestFailures:
             if comm.rank == 0:
                 time.sleep(0.01)
                 raise RuntimeError("late failure")
-            comm.recv()
+            comm.recv(0, 0)
 
         t0 = time.perf_counter()
         with pytest.raises(RuntimeError, match="late failure"):
@@ -302,7 +305,7 @@ class TestAbortRecoveryContract:
             if comm.rank == 0:
                 raise RuntimeError("boom")
             try:
-                comm.recv()
+                comm.recv(0, 0)
             except WorldAborted:
                 with seen_lock:
                     seen.append(comm.rank)
@@ -319,7 +322,7 @@ class TestAbortRecoveryContract:
         def main(comm):
             if comm.rank == 0:
                 raise KeyboardInterrupt
-            comm.recv()
+            comm.recv(0, 0)
 
         with pytest.raises(KeyboardInterrupt):
             World(2).run(main)
@@ -330,7 +333,7 @@ class TestAbortRecoveryContract:
         def main(comm):
             if comm.rank == 0:
                 raise KeyboardInterrupt
-            comm.recv()
+            comm.recv(0, 0)
 
         t0 = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
@@ -355,7 +358,7 @@ class TestAbortRecoveryContract:
         # says so instead of naming leaked threads.
         def main(comm):
             if comm.rank == 0:
-                comm.recv()  # blocks forever; woken by the abort
+                comm.recv(0, 0)  # blocks forever; woken by the abort
             return comm.rank
 
         with pytest.raises(TimeoutError, match="all ranks exited"):

@@ -151,7 +151,7 @@ class TestTrafficStats:
             if comm.rank == 0:
                 comm.send(1, tag=0, payload=np.zeros(100))
             else:
-                comm.recv()
+                comm.recv(0, 0)
 
         w = World(2)
         w.run(main)
