@@ -181,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "deadline for each blocking recv/probe/collective of the "
-            "parallel KMC runtime (default: no deadline)"
+            "deadline for each blocking recv/probe/collective/fence of "
+            "the parallel KMC runtime (default: 60)"
         ),
     )
     coupled.add_argument(

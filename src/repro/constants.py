@@ -38,9 +38,6 @@ FM2A: float = 1.0 / MVV2E
 #: Mass of an iron atom in amu.
 FE_MASS: float = 55.845
 
-#: Mass of a copper atom in amu.
-CU_MASS: float = 63.546
-
 #: Equilibrium BCC lattice constant of alpha-iron in angstrom,
 #: as used by the paper ("The lattice constant is set to 2.855").
 FE_LATTICE_CONSTANT: float = 2.855

@@ -395,8 +395,9 @@ class ParallelAKMC:
         ``fault_point("kmc.cycle", cycle)`` so a planned rank crash
         aborts the world exactly where the plan says.
     watchdog:
-        Optional per-wait deadline (seconds) for the world's blocking
-        recv/probe/collectives; ``None`` keeps them deadline-free.
+        Per-wait deadline (seconds) for the world's blocking
+        recv/probe/collectives/fences; ``None`` means the runtime's
+        default, :data:`~repro.runtime.simmpi.DEFAULT_WATCHDOG`.
     backend:
         Execution backend for the :class:`World`: ``"thread"``,
         ``"process"``, ``"overdecomposed"``, or ``None`` to defer to

@@ -217,8 +217,7 @@ class KMCModel:
     def _apply_rate_cap(self, rates: np.ndarray) -> np.ndarray:
         """Clamp rates to ``rate_cap`` and count every clamped event.
 
-        Applied after the exp, to whole rate arrays, so the scalar and
-        batched rate paths clamp the same values.
+        Applied after the exp, to the whole rate array of a batch.
         """
         cap = self.rate_cap
         if cap is None or len(rates) == 0:
@@ -249,60 +248,20 @@ class KMCModel:
         rho = np.sum(occ_n * self.f_slots[rows], axis=1)
         return pair + self.potential.embed(rho)
 
-    def _energy_sums(self, row: int, occ: np.ndarray) -> tuple[float, float]:
-        """(sum phi, sum f) over occupied neighbors of ``row``."""
-        occ_n = occ[self.e_matrix[row]] * self.e_valid[row]
-        return (
-            float(np.sum(occ_n * self.phi_slots[row])),
-            float(np.sum(occ_n * self.f_slots[row])),
-        )
-
     # ------------------------------------------------------------------
     # Events
     # ------------------------------------------------------------------
-    def vacancy_events(
-        self, vrow: int, occ: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(target rows, rates) of all possible hops of the vacancy at ``vrow``.
-
-        Requires ``occ[vrow] == VACANCY``.  Targets are the occupied
-        first-shell neighbors; rates follow Equation (4).
-        """
-        if occ[vrow] != VACANCY:
-            raise ValueError(f"row {vrow} does not hold a vacancy")
-        cand = self.first_matrix[vrow][self.first_valid[vrow]]
-        targets = cand[occ[cand] == ATOM]
-        if len(targets) == 0:
-            return targets, np.empty(0)
-        e_before = self.site_energy(targets, occ)
-        # E_after: the atom sits at vrow with its origin t vacated.  Start
-        # from the sums at vrow under current occupancy and subtract each
-        # target's own contribution (vectorized over the targets).
-        s_phi, s_f = self._energy_sums(vrow, occ)
-        slots = self.e_matrix[vrow]
-        vvalid = self.e_valid[vrow]
-        match = vvalid[None, :] & (slots[None, :] == targets[:, None])
-        dphi = np.sum(self.phi_slots[vrow][None, :] * match, axis=1)
-        df = np.sum(self.f_slots[vrow][None, :] * match, axis=1)
-        e_after = 0.5 * (s_phi - dphi) + self.potential.embed(s_f - df)
-        de = np.maximum(
-            self.params.e_m0 + 0.5 * (e_after - e_before), self.params.de_min
-        )
-        rates = self.params.nu * np.exp(-de / self.params.kt)
-        return targets, self._apply_rate_cap(rates)
-
     def vacancy_events_batch(
         self, vrows, occ: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`vacancy_events` over many vacancy rows at once.
+        """(counts, targets, rates) of every hop of the vacancies at ``vrows``.
 
-        Returns ``(counts, targets, rates)``: ``counts[k]`` events of
-        ``vrows[k]`` stored consecutively in the flat ``targets`` /
-        ``rates`` arrays, in the same per-vacancy order the scalar method
-        produces.  One batched evaluation replaces ``len(vrows)`` Python
-        calls on the catalog-refresh hot path; every array reduction runs
-        row-wise exactly as in the scalar method, so the rates are
-        bit-identical to one-row-at-a-time evaluation.
+        Requires ``occ[v] == VACANCY`` for each ``v``.  Targets are the
+        occupied first-shell neighbors, rates follow Equation (4).
+        ``counts[k]`` events of ``vrows[k]`` are stored consecutively in
+        the flat ``targets`` / ``rates`` arrays, in first-shell slot
+        order.  Every array reduction runs row-wise, so a vacancy's rates
+        do not depend on which other rows share its batch.
         """
         vrows = np.atleast_1d(np.asarray(vrows, dtype=np.int64))
         nv = len(vrows)
@@ -323,9 +282,9 @@ class KMCModel:
         if len(targets) == 0:
             return counts, targets, np.empty(0)
         e_before = self.site_energy(targets, occ)
-        # Per-vacancy (sum phi, sum f), then per-event removal of the
-        # hopping atom's own contribution — the vectorized twin of the
-        # scalar _energy_sums + match-subtraction path.
+        # E_after: the atom sits at the vacancy with its origin vacated.
+        # Per-vacancy (sum phi, sum f) under current occupancy, then
+        # per-event removal of the hopping atom's own contribution.
         occ_n = occ[self.e_matrix[vrows]] * self.e_valid[vrows]
         s_phi = np.sum(occ_n * self.phi_slots[vrows], axis=1)
         s_f = np.sum(occ_n * self.f_slots[vrows], axis=1)

@@ -146,5 +146,5 @@ def compose(endpoint, *, rank, stats, faults=None, sanitize=False):
     if sanitize:
         from repro.runtime.sanitize import SanitizeLayer
 
-        chain = SanitizeLayer(chain, rank)
+        chain = SanitizeLayer(chain, endpoint)
     return chain

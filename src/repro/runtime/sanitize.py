@@ -109,14 +109,15 @@ class SanitizeLayer(Layer):
 
     Counts sends and receives per channel and records the collective
     order; payloads pass through untouched, and ``probe``/``iprobe``/
-    ``put`` are not intercepted.
+    ``put`` are not intercepted.  ``endpoint`` is the innermost link of
+    the chain, which :meth:`seal` exchanges the ledgers over.
     """
 
     name = "sanitize"
 
-    def __init__(self, inner, rank: int) -> None:
+    def __init__(self, inner, endpoint) -> None:
         super().__init__(inner)
-        self.rank = rank
+        self._endpoint = endpoint
         # This rank's ledger, exported as plain data by seal().
         self._sends: dict[tuple[int, int], list] = {}  # (dest, tag) -> [n, site]
         self._recvs: dict[tuple[int, int], int] = {}  # (source, tag) -> n
@@ -145,11 +146,15 @@ class SanitizeLayer(Layer):
     def seal(self, result) -> tuple:
         """Exchange the ledgers; return ``(marker, result, report)``.
 
-        The exchange goes inward from here — unrecorded, unmetered — so
-        it perturbs neither the collective order nor the traffic ledger.
+        The exchange goes straight to the endpoint — unrecorded,
+        unmetered — so it perturbs neither the collective order nor the
+        traffic ledger.  It waits with no deadline: a rank still stuck
+        in ``main`` trips its own watchdog, naming its wait, and that
+        abort ends this wait; a deadline here would fire first and hide
+        that rank's site behind this gather.
         """
         export = {
-            "rank": self.rank,
+            "rank": self._endpoint.rank,
             "sends": [
                 [dest, tag, count, site]
                 for (dest, tag), (count, site) in sorted(self._sends.items())
@@ -160,7 +165,8 @@ class SanitizeLayer(Layer):
             ],
             "events": [list(e) for e in self._events],
         }
-        exports = self.inner.exchange(("sanitize",), export, False)
+        self._endpoint.watchdog = None
+        exports = self._endpoint.exchange(("sanitize",), export, False)
         return (_RESULT, result, _validate(exports))
 
 

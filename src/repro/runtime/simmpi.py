@@ -31,7 +31,10 @@ Window` in the middle, and the ordered middleware of
 
 Every blocking wait of a rank is one :meth:`Endpoint._wait`: a rank
 gives up its worker slot and opens a blocked phase only when its
-mailbox has nothing to match.
+mailbox has nothing to match.  Every such wait is bounded: a
+:class:`World` gives each recv, probe, collective and fence
+:data:`DEFAULT_WATCHDOG` seconds unless it was built with another
+deadline, so a hang fails in about a minute and names its wait site.
 
 All traffic is counted, per rank, in
 :class:`~repro.runtime.stats.TrafficStats`; the runtime prices none of it.
@@ -72,6 +75,11 @@ __all__ = [
     "resolve_backend",
     "resolve_workers",
 ]
+
+
+#: Seconds any blocking recv/probe/collective/fence of a :class:`World`
+#: may wait unless the world was given another ``watchdog``.
+DEFAULT_WATCHDOG: float = 60.0
 
 
 @dataclass(frozen=True)
@@ -143,6 +151,11 @@ class Endpoint:
     ``exchange`` or a ``fence`` moves internally use reserved tags and
     bypass the middleware, so they are never frozen per receiver,
     metered, fault-injected or visible to user receives.
+
+    ``watchdog`` bounds each blocking wait, in seconds; ``None`` leaves
+    the waits unbounded.  A :class:`World` always passes a deadline, and
+    only the sanitizer's teardown exchange drops it
+    (:meth:`~repro.runtime.sanitize.SanitizeLayer.seal`).
     """
 
     def __init__(
@@ -153,14 +166,14 @@ class Endpoint:
         self.size = size
         self._post = transport.post
         self._match = transport.mailbox(rank).match
-        self._watchdog = watchdog
+        self.watchdog = watchdog
         self._around = around
         if around is None:
             # Nothing wraps a wait: block directly, with no extra look.
             self._wait = self._match
 
     def _deadline(self) -> float | None:
-        wd = self._watchdog
+        wd = self.watchdog
         return None if wd is None else time.monotonic() + wd
 
     def _wait(self, source, tag, consume=True, deadline=None, op="recv"):
@@ -509,11 +522,13 @@ class World:
         and raises :class:`~repro.runtime.faults.InjectedFault` out of
         :meth:`run` on every backend.
     watchdog:
-        Optional deadline in seconds for each blocking recv/probe/
-        collective/fence; when exceeded the waiting rank raises
-        :class:`WatchdogTimeout` and the world aborts.  ``None`` (the
-        default) disables the deadline entirely — blocked waits stay
-        timer-free.
+        Deadline in seconds for each blocking recv/probe/collective/
+        fence; when exceeded the waiting rank raises
+        :class:`WatchdogTimeout`, naming its wait site, and the world
+        aborts.  ``None`` (the default) means :data:`DEFAULT_WATCHDOG`,
+        read when the world is built; no wait of a world is unbounded.
+        ``run``'s ``timeout`` is the net for a rank that never reaches a
+        wait.
     backend:
         Execution backend: ``"thread"`` (ranks as threads),
         ``"process"`` (one forked OS process per rank — or per rank
@@ -557,7 +572,7 @@ class World:
         self.workers = resolve_workers(workers)
         self.stats = TrafficStats(nranks)
         self.faults = faults
-        self.watchdog = watchdog
+        self.watchdog = DEFAULT_WATCHDOG if watchdog is None else watchdog
         self.sanitize = sanitize
         self._pending = 0
 
@@ -571,10 +586,12 @@ class World:
 
         If any rank raises, the world is aborted (blocked ranks unblock
         with :class:`WorldAborted`) and the first error is re-raised
-        with the precedence of :func:`conclude`.  On timeout, ranks get
-        ``grace`` seconds to exit after the abort; any that are still
-        alive are named in the :class:`TimeoutError` (threads are
-        leaked, processes terminated).
+        with the precedence of :func:`conclude`; a wait that outlives the
+        world's ``watchdog`` is such an error.  ``timeout`` bounds the
+        whole run, for a rank that never reaches a wait: once it passes,
+        ranks get ``grace`` seconds to exit after the abort; any that
+        are still alive are named in the :class:`TimeoutError` (threads
+        are leaked, processes terminated).
         """
         sanitizing = sanitize_enabled(self.sanitize)
         results = self._launch(main, timeout, grace, sanitizing)

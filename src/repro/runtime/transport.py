@@ -67,10 +67,10 @@ class WorldAborted(RuntimeError):
 class WatchdogTimeout(TimeoutError):
     """A blocking recv/probe/collective/fence exceeded the world's watchdog.
 
-    Only raised when the world was created with a ``watchdog`` deadline;
-    the default (``None``) leaves the blocking primitives deadline-free,
-    so hot paths pay nothing for the feature.  The message names the
-    waiting rank, the operation, and the source and tag it waited on.
+    Every wait of a world has a deadline — its ``watchdog``, by default
+    :data:`~repro.runtime.simmpi.DEFAULT_WATCHDOG` — so a hang raises
+    this instead of blocking until the run's timeout.  The message names
+    the waiting rank, the operation, and the source and tag it waited on.
     """
 
 
@@ -126,9 +126,10 @@ class Mailbox:
         delivers the wakeup directly, so a blocked receive adds no
         scheduling-interval floor to the latency.  A queued match is
         returned even after an abort; only an empty-handed waiter raises
-        :class:`WorldAborted`.  With a ``deadline`` (``time.monotonic()``
-        instant, from the world's watchdog) the wait raises
-        :class:`WatchdogTimeout` once it passes.
+        :class:`WorldAborted`.  ``deadline`` is a ``time.monotonic()``
+        instant — every wait of a world has one, from its watchdog — and
+        the wait raises :class:`WatchdogTimeout` once it passes; ``None``
+        waits without one (the sanitizer's teardown exchange).
         """
         with self._cond:
             while True:
@@ -141,15 +142,12 @@ class Mailbox:
                     raise WorldAborted(f"world aborted while waiting in {op}")
                 if deadline is None:
                     self._cond.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._cond.wait(timeout=remaining):
-                    if deadline - time.monotonic() <= 0:
-                        obs.add("runtime.watchdog.expired")
-                        site = _wait_site(self._rank, op, source, tag)
-                        raise WatchdogTimeout(
-                            f"watchdog: {site} did not complete before the deadline"
-                        )
+                elif not self._cond.wait(deadline - time.monotonic()):
+                    obs.add("runtime.watchdog.expired")
+                    site = _wait_site(self._rank, op, source, tag)
+                    raise WatchdogTimeout(
+                        f"watchdog: {site} did not complete before the deadline"
+                    )
 
     def wake(self) -> None:
         """Wake every blocked waiter (abort path; they re-check the flag)."""

@@ -128,9 +128,10 @@ class ScenarioSpec:
         clause must be able to fire on the chosen KMC engine, and a
         plan with no clauses becomes ``None``), KMC checkpoint cadence
         (serial events / parallel cycles), and the per-wait deadline in
-        seconds of the parallel runtime's blocking calls (``None``:
-        none); recovery converges bit-identically, so none of them
-        affects the published result.
+        seconds of the parallel KMC runtime's blocking calls (``None``:
+        the runtime's default, ``simmpi.DEFAULT_WATCHDOG`` = 60 s);
+        recovery converges bit-identically, so none of them affects the
+        published result.
     """
 
     cells: int = 8

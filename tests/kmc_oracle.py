@@ -6,7 +6,10 @@ algorithm the catalog replaced — enumerate every event of every vacancy
 into one flat list, ``cumsum`` it, pick by ``searchsorted`` — as the
 oracle the equivalence tests compare against.  It caches nothing: every
 step re-derives every rate from the model, so it shares no invalidation
-logic with the code under test.
+logic with the code under test.  The rates come from
+:func:`vacancy_events`, one vacancy at a time: the scalar form of
+Equation (4) that ``KMCModel.vacancy_events_batch`` must reproduce bit
+for bit.
 
 The catalog and the flat list sum the same rates in different orders
 (tree vs pairwise), so time increments agree to rounding (``rel=1e-12``)
@@ -20,7 +23,7 @@ import math
 
 import numpy as np
 
-from repro.kmc.events import VACANCY
+from repro.kmc.events import ATOM, VACANCY
 
 
 def select_event(rates: np.ndarray, u: float) -> int:
@@ -62,6 +65,39 @@ def select_event(rates: np.ndarray, u: float) -> int:
     return idx
 
 
+def vacancy_events(model, vrow: int, occ) -> tuple[np.ndarray, np.ndarray]:
+    """(target rows, rates) of all possible hops of the vacancy at ``vrow``.
+
+    Requires ``occ[vrow] == VACANCY``.  Targets are the occupied
+    first-shell neighbors; rates follow Equation (4), clamped by the
+    model's ``rate_cap`` like the batch path's.
+    """
+    if occ[vrow] != VACANCY:
+        raise ValueError(f"row {vrow} does not hold a vacancy")
+    cand = model.first_matrix[vrow][model.first_valid[vrow]]
+    targets = cand[occ[cand] == ATOM]
+    if len(targets) == 0:
+        return targets, np.empty(0)
+    e_before = model.site_energy(targets, occ)
+    # E_after: the atom sits at vrow with its origin t vacated.  Start
+    # from the sums at vrow under current occupancy and subtract each
+    # target's own contribution (vectorized over the targets).
+    occ_n = occ[model.e_matrix[vrow]] * model.e_valid[vrow]
+    s_phi = float(np.sum(occ_n * model.phi_slots[vrow]))
+    s_f = float(np.sum(occ_n * model.f_slots[vrow]))
+    slots = model.e_matrix[vrow]
+    vvalid = model.e_valid[vrow]
+    match = vvalid[None, :] & (slots[None, :] == targets[:, None])
+    dphi = np.sum(model.phi_slots[vrow][None, :] * match, axis=1)
+    df = np.sum(model.f_slots[vrow][None, :] * match, axis=1)
+    e_after = 0.5 * (s_phi - dphi) + model.potential.embed(s_f - df)
+    de = np.maximum(
+        model.params.e_m0 + 0.5 * (e_after - e_before), model.params.de_min
+    )
+    rates = model.params.nu * np.exp(-de / model.params.kt)
+    return targets, model._apply_rate_cap(rates)
+
+
 def flat_events(model, occ, vrows) -> tuple[list[int], list[int], np.ndarray]:
     """Every event of the vacancies at ``vrows``: (vacancies, targets, rates),
     in ascending row order — the order the catalog's leaves are keyed in."""
@@ -69,7 +105,7 @@ def flat_events(model, occ, vrows) -> tuple[list[int], list[int], np.ndarray]:
     ev_t: list[int] = []
     ev_r: list[float] = []
     for v in vrows:
-        targets, rates = model.vacancy_events(int(v), occ)
+        targets, rates = vacancy_events(model, int(v), occ)
         ev_v.extend([int(v)] * len(targets))
         ev_t.extend(int(t) for t in targets)
         ev_r.extend(float(r) for r in rates)

@@ -10,7 +10,7 @@ from repro.kmc import akmc
 from repro.kmc.akmc import ParallelAKMC, SerialAKMC, place_random_vacancies
 from repro.kmc.catalog import EventCatalog
 from repro.kmc.events import ATOM, VACANCY
-from tests.kmc_oracle import oracle_sector_events, oracle_step
+from tests.kmc_oracle import oracle_sector_events, oracle_step, vacancy_events
 
 
 def _fill(catalog, table):
@@ -167,8 +167,9 @@ class TestIncrementalExactness:
 
 class TestBatchedRates:
     def test_batch_matches_scalar_bitwise(self, kmc_model8):
-        """vacancy_events_batch must reproduce vacancy_events exactly —
-        same targets, bit-identical rates — across random occupancies."""
+        """vacancy_events_batch must reproduce the oracle's scalar
+        vacancy_events exactly — same targets, bit-identical rates —
+        across random occupancies."""
         rng = np.random.default_rng(11)
         for _trial in range(5):
             occ = place_random_vacancies(kmc_model8, 40, rng)
@@ -176,7 +177,7 @@ class TestBatchedRates:
             counts, targets, rates = kmc_model8.vacancy_events_batch(vrows, occ)
             start = 0
             for v, c in zip(vrows, counts, strict=True):
-                t_ref, r_ref = kmc_model8.vacancy_events(int(v), occ)
+                t_ref, r_ref = vacancy_events(kmc_model8, int(v), occ)
                 assert np.array_equal(targets[start : start + c], t_ref)
                 assert np.array_equal(rates[start : start + c], r_ref)
                 start += c

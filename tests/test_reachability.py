@@ -44,8 +44,6 @@ ALLOWLIST = {
         "per-row read-out compared with tests/kmc_oracle.py",
     "kmc.catalog.EventCatalog.row_rate":
         "per-row read-out compared with tests/kmc_oracle.py",
-    "kmc.events.KMCModel.vacancy_events":
-        "scalar reference the batch kernel and tests/kmc_oracle.py are checked against",
     "kmc.sublattice.SectorSchedule.traditional_strip_sites":
         "planned traditional-scheme volume the strip tests check against",
     "lattice.bcc.BCCLattice.neighbor_ranks_within":

@@ -20,8 +20,9 @@ run-away positions too), and, when the cell re-executes nothing
 A crash cell also asserts one recovery and one injected crash, a delay
 cell no recovery and the delays its plan fires.  Every cell pins ``REPRO_BACKEND``,
 ``REPRO_WORKERS`` and ``REPRO_SANITIZE``, so the environment a suite runs
-under cannot change what a cell means.  Every cell but the md ones runs
-under a watchdog, so a hang fails in a minute and names its wait.
+under cannot change what a cell means.  Every wait of every cell has the
+runtime's default deadline (``simmpi.DEFAULT_WATCHDOG``), so a hang
+fails in a minute and names its wait.
 
 Tier-1 runs a diagonal: a greedy pairwise cover of each program's
 product, so every pair of axis values meets in some cell.  The other
@@ -188,12 +189,6 @@ DELAY = "delay:rank=0,nth=2,seconds=0.002; delay:rank=1,nth=2,seconds=0.002,op=p
 DELAYS_FIRED = {"runtime": 2, "akmc": 1, "coupled": 1}
 PLANS = {"none": None, "delay": DELAY, "crash": "crash:rank=1,cycle=5"}
 
-#: Seconds any one wait may block in the runtime, akmc and coupled cells:
-#: far above their longest wait, so a protocol hang fails in a minute
-#: naming the rank, operation, source and tag, not at the world timeout.
-#: ``ParallelDamageMD`` takes no watchdog, so the md cells have none.
-WATCHDOG = 60.0
-
 
 def pin_environment(monkeypatch, s):
     monkeypatch.setenv("REPRO_BACKEND", s["backend"])
@@ -259,7 +254,7 @@ def run_runtime(s, potential, tmp_path):
     faults = injector(s)
     world = World(
         s["nranks"], faults=faults, backend=s["backend"],
-        workers=s["workers"], sanitize=s["sanitize"], watchdog=WATCHDOG,
+        workers=s["workers"], sanitize=s["sanitize"],
     )
     results = world.run(runtime_program, timeout=120.0)
     assert world.pending_messages() == 0
@@ -283,7 +278,7 @@ def run_akmc(s, potential, tmp_path):
         return ParallelAKMC(
             lattice, potential, nranks=s["nranks"], scheme=s["scheme"],
             seed=s["seed"], faults=faults, backend=s["backend"],
-            workers=s["workers"], watchdog=WATCHDOG,
+            workers=s["workers"],
         )
 
     cycles, stop = AKMC_CYCLES[s["problem"]]
@@ -332,7 +327,6 @@ def run_coupled(s, potential, tmp_path):
         kmc_scheme=s["scheme"], backend=s["backend"], workers=s["workers"],
         faults=PLANS[s["faults"]],
         checkpoint_every=2 if s["faults"] == "crash" else None,
-        watchdog=WATCHDOG,
     )
     result = CoupledSimulation(spec.to_coupled_config(), potential=potential).run()
     # The MD stage too: the cascade's per-step energies and where its

@@ -4,13 +4,18 @@ Covers the plan DSL (one parser, validating every clause), the
 injector's derived report and idempotent merge, crash points raising
 through ``World.run``, delays that must stay within MPI semantics (a
 sender-side pause preserves per-source FIFO, on sends and window puts
-alike), and the optional watchdog deadlines on recv/probe/collectives.
+alike), and the watchdog deadline every recv/probe/collective/fence of
+a world carries.
 """
 
 import time
 
 import pytest
 
+from repro.lattice.bcc import BCCLattice
+from repro.md.ghost import GhostExchanger
+from repro.md.parallel_damage import ParallelDamageMD
+from repro.runtime import simmpi
 from repro.runtime.faults import (
     FaultInjector,
     FaultPlanError,
@@ -213,8 +218,43 @@ class TestWatchdog:
         ):
             World(2, watchdog=0.1).run(main)
 
-    def test_watchdog_off_by_default(self):
-        assert World(2).watchdog is None
+    def test_every_world_has_the_default_deadline(self, monkeypatch):
+        """No argument is no opt-out: ``World`` reads the default when
+        it is built, and a starved wait fails at it."""
+        assert World(2).watchdog == simmpi.DEFAULT_WATCHDOG == 60.0
+        monkeypatch.setattr(simmpi, "DEFAULT_WATCHDOG", 0.1)
+
+        def main(comm):
+            if comm.rank == 1:
+                comm.recv(source=0, tag=0)  # rank 0 never sends
+
+        world = World(2)
+        assert world.watchdog == 0.1
+        with pytest.raises(WatchdogTimeout, match=r"rank 1 recv \(source 0, tag 0\)"):
+            world.run(main)
+
+    def test_md_hang_names_its_collective(self, monkeypatch, potential):
+        """``ParallelDamageMD`` takes no watchdog: a rank-0-only barrier
+        planted in its ghost exchange fails at the default deadline,
+        naming the collective, instead of waiting out the world timeout."""
+        monkeypatch.setattr(simmpi, "DEFAULT_WATCHDOG", 0.2)
+        exchange = GhostExchanger.exchange
+
+        def planted(self, comm, *args, **kwargs):
+            if comm.rank == 0:
+                comm.barrier()  # deliberate: no other rank joins
+            else:
+                # Rank 0's wait starts first on every backend, so its
+                # deadline is the first to pass.
+                time.sleep(0.3)
+            return exchange(self, comm, *args, **kwargs)
+
+        monkeypatch.setattr(GhostExchanger, "exchange", planted)
+        md = ParallelDamageMD(BCCLattice(8, 8, 8), potential, nranks=2)
+        started = time.monotonic()
+        with pytest.raises(WatchdogTimeout, match=r"rank 0 collective"):
+            md.run(nsteps=1)
+        assert time.monotonic() - started < 30.0
 
     def test_watchdog_must_be_positive(self):
         with pytest.raises(ValueError):
