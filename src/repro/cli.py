@@ -381,8 +381,9 @@ def _run_coupled(args) -> int:
 
 
 def cmd_cascade(args) -> int:
-    from repro.core.coupling import CoupledSimulation
-    from repro.md.cascade import run_cascade
+    from repro.lattice.bcc import BCCLattice
+    from repro.md.cascade import cascade_stage, run_cascade
+    from repro.potential.fe import make_fe_potential
     from repro.service import ScenarioSpec, SpecError
 
     # What the flags cannot build is a usage error; what fails while
@@ -397,10 +398,11 @@ def cmd_cascade(args) -> int:
         )
     except SpecError as exc:
         args._parser.error(str(exc))
-    sim = CoupledSimulation(spec.to_coupled_config())
-    engine = sim.md_engine()
+    lattice = BCCLattice(spec.cells, spec.cells, spec.cells)
+    potential = make_fe_potential(n=spec.table_points)
+    engine, cascade = cascade_stage(spec, lattice, potential)
     registry = _start_observation(args)
-    result = run_cascade(engine, sim.cascade_config())
+    result = run_cascade(engine, cascade)
     print(
         f"PKA {spec.pka_energy} eV -> {len(result.vacancy_rows)} vacancies, "
         f"{result.n_runaways} interstitials "

@@ -34,8 +34,7 @@ from repro.io.store import TrajectoryReader, finalize_store, seed_store
 from repro.kmc.akmc import ParallelAKMC, SerialAKMC
 from repro.kmc.events import ATOM, VACANCY, RateParameters
 from repro.lattice.bcc import BCCLattice
-from repro.md.cascade import CascadeConfig, CascadeResult, run_cascade
-from repro.md.engine import MDConfig, MDEngine
+from repro.md.cascade import CascadeResult, cascade_stage, run_cascade
 from repro.potential.eam import EAMPotential
 from repro.potential.fe import make_fe_potential
 from repro.runtime.faults import FaultInjector, InjectedFault
@@ -168,25 +167,6 @@ class CoupledSimulation:
         if self.progress is not None:
             self.progress(stage)
 
-    def md_engine(self) -> MDEngine:
-        """Stage 1: construct the MD engine over the lattice."""
-        spec = self.spec
-        return MDEngine(
-            self.lattice,
-            self.potential,
-            MDConfig(temperature=spec.temperature, seed=spec.seed),
-        )
-
-    def cascade_config(self) -> CascadeConfig:
-        """Stage 2's cascade: the spec's PKA and step count (each
-        defaulting to :class:`CascadeConfig`'s) at the spec's temperature."""
-        spec = self.spec
-        return CascadeConfig(
-            pka_energy=spec.pka_energy or CascadeConfig.pka_energy,
-            nsteps=spec.md_steps or CascadeConfig.nsteps,
-            temperature=spec.temperature,
-        )
-
     def occupancy_from_cascade(self, cascade: CascadeResult) -> np.ndarray:
         """Stage 3: map MD damage onto the KMC site array.
 
@@ -240,7 +220,11 @@ class CoupledSimulation:
         spec = self.spec
         params = RateParameters(temperature=spec.temperature)
         traj = self.config.trajectory
-        traj_every = (spec.trajectory_every or 1) if traj is not None else None
+        outputs = dict(
+            checkpoint_every=spec.checkpoint_every, checkpoint_path=ckpt_path,
+            trajectory=traj,
+            trajectory_every=spec.trajectory_every if traj is not None else None,
+        )
         if spec.kmc_nranks is None:
             engine = SerialAKMC(
                 self.lattice,
@@ -252,13 +236,7 @@ class CoupledSimulation:
             )
             if resume is not None:
                 engine.restore(resume)
-            return engine.run(
-                max_events=spec.kmc_max_events,
-                checkpoint_every=spec.checkpoint_every,
-                checkpoint_path=ckpt_path,
-                trajectory=traj,
-                trajectory_every=traj_every,
-            )
+            return engine.run(max_events=spec.kmc_max_events, **outputs)
         engine = ParallelAKMC(
             self.lattice,
             self.potential,
@@ -273,13 +251,7 @@ class CoupledSimulation:
         )
         occ0 = resume.occupancy if resume is not None else occupancy
         return engine.run(
-            occ0,
-            max_cycles=spec.kmc_max_cycles,
-            checkpoint_every=spec.checkpoint_every,
-            checkpoint_path=ckpt_path,
-            resume=resume,
-            trajectory=traj,
-            trajectory_every=traj_every,
+            occ0, max_cycles=spec.kmc_max_cycles, resume=resume, **outputs
         )
 
     def _run_kmc_supervised(self, occupancy: np.ndarray):
@@ -338,8 +310,9 @@ class CoupledSimulation:
         with obs.phase("coupled.pipeline"):
             self._notify("setup")
             with obs.phase("coupled.setup"):
-                engine = self.md_engine()
-                cascade_cfg = self.cascade_config()
+                engine, cascade_cfg = cascade_stage(
+                    self.spec, self.lattice, self.potential
+                )
             self._notify("cascade")
             with obs.phase("coupled.cascade"):
                 cascade = run_cascade(engine, cascade_cfg)

@@ -309,7 +309,8 @@ class TrajectoryWriter:
     def record(self, time: float, occupancy: np.ndarray) -> None:
         """Append a frame only when the clock advanced past the newest one.
 
-        The frame fence both AKMC engines record through.  BKL time
+        The frame fence both AKMC engines record through (via
+        :class:`~repro.kmc.akmc.RunOutputs`).  BKL time
         increments are strictly positive, so a frame at a non-advancing
         clock is a resume or replay re-record of one already in the
         store — skipping it keeps recording idempotent.

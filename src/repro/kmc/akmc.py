@@ -14,7 +14,10 @@ after every sector through a pluggable
 Both engines build the one pure-iron rate model,
 :class:`~repro.kmc.events.KMCModel`, from ``params or RateParameters()``,
 and events flow through one path, the incremental
-:class:`~repro.kmc.catalog.EventCatalog`.
+:class:`~repro.kmc.catalog.EventCatalog`.  A run's outputs — trajectory
+frames, resumable checkpoints, the rule that frames reach disk before a
+checkpoint publishes, and the closing frame — follow one policy,
+:class:`RunOutputs`, which both engines drive.
 
 The module level imports what both engines execute.  The domain
 decomposition, the sector geometry, the exchange schemes and the message
@@ -109,6 +112,101 @@ class KMCResult:
     events: int
     vacancy_ranks: np.ndarray
     comm_stats: dict | None = None
+
+
+class RunOutputs:
+    """The output policy of one AKMC run, driven by both engines.
+
+    A run's outputs are trajectory frames streamed into a chunked store
+    (:mod:`repro.io.store`, recorded through
+    :meth:`~repro.io.store.TrajectoryWriter.record`'s frame fence) and
+    resumable checkpoints (:func:`~repro.io.checkpoint.save_kmc_checkpoint`).
+    Both fall on *fences*: absolute counts — events for
+    :class:`SerialAKMC`, cycles for :class:`ParallelAKMC` — that are
+    multiples of ``trajectory_every`` (default 1) or ``checkpoint_every``,
+    so a resumed run meets the same fences as one that never stopped.
+    At a fence the frame is recorded first and the store flushed before
+    the checkpoint publishes (the durability fence: a resumed attempt
+    appends after every frame its checkpoint covers).  The run ends on a
+    closing frame unless a fence at its last count already recorded one,
+    so the store always ends at the final state.
+
+    :meth:`next_fence` and :meth:`closing_frame` are pure, so every rank
+    of a parallel run decides alike; only the caller holding the global
+    state calls :meth:`fence` and :meth:`close`, and the store's writer
+    opens at its first frame — inside that caller's worker on every
+    backend.
+
+    ``lattice`` is the lattice the outputs cover, ``start`` the count
+    the run starts at (non-zero when it resumes), and the four output
+    arguments are the engines' ``run`` arguments; ``None`` turns an
+    output off.
+    """
+
+    def __init__(self, lattice: BCCLattice, start: int, trajectory,
+                 trajectory_every, checkpoint_path, checkpoint_every) -> None:
+        if checkpoint_every is not None and checkpoint_path is None:
+            raise ValueError("checkpoint_every requires checkpoint_path")
+        if trajectory_every is not None and trajectory is None:
+            raise ValueError("trajectory_every requires trajectory")
+        for name, every in (("trajectory_every", trajectory_every),
+                            ("checkpoint_every", checkpoint_every)):
+            if every is not None and every < 1:
+                raise ValueError(f"{name} must be >= 1, got {every}")
+        self.lattice = lattice
+        self.start = start
+        self.trajectory = None if trajectory is None else os.fspath(trajectory)
+        self.frame_every = None if trajectory is None else trajectory_every or 1
+        self.checkpoint_path = checkpoint_path
+        self.checkpoint_every = checkpoint_every
+        periods = (self.frame_every, checkpoint_every)
+        self._periods = [p for p in periods if p is not None]
+        self._writer = None
+
+    def next_fence(self, count: int) -> float:
+        """The first fence after ``count`` (``inf`` when nothing is output)."""
+        return min(((count // p + 1) * p for p in self._periods), default=math.inf)
+
+    def closing_frame(self, count: int) -> bool:
+        """Whether a run ending at ``count`` still owes the store its
+        final state: no fence recorded a frame at ``count``."""
+        every = self.frame_every
+        return every is not None and (count == self.start or count % every != 0)
+
+    def fence(self, count, time, occupancy, events, rng=None) -> None:
+        """Write what is due at fence ``count``: the frame, then the
+        checkpoint (``rng``, the serial engine's generator, is saved
+        with its exact state)."""
+        if self.frame_every is not None and count % self.frame_every == 0:
+            self._record(time, occupancy)
+        if self.checkpoint_every is None or count % self.checkpoint_every:
+            return
+        if self._writer is not None:
+            # Durability fence: frames at or before this checkpoint must
+            # be on disk before it publishes (a resumed attempt appends
+            # after them).
+            self._writer.flush()
+        with obs.phase("kmc.checkpoint"):
+            rng_state = None if rng is None else rng_state_json(rng)
+            save_kmc_checkpoint(self.checkpoint_path, occupancy, time=time,
+                                cycle=count, events=events, rng_state=rng_state)
+        obs.add("kmc.checkpoints_written")
+
+    def close(self, count, time, occupancy) -> None:
+        """End the run at ``count``: the closing frame when one is owed
+        (``occupancy`` is read only then), then close the store without
+        finalizing it."""
+        if self.closing_frame(count):
+            self._record(time, occupancy)
+        if self._writer is not None:
+            self._writer.close(final=False)
+
+    def _record(self, time, occupancy) -> None:
+        if self._writer is None:
+            from repro.io.store import TrajectoryWriter
+
+            self._writer = TrajectoryWriter(self.trajectory, self.lattice)
+        self._writer.record(time, occupancy)
 
 
 def place_random_vacancies(
@@ -219,7 +317,8 @@ class SerialAKMC:
     ) -> KMCResult:
         """Run until either bound is hit (at least one must be given).
 
-        With ``checkpoint_every``/``checkpoint_path`` set, a resumable
+        The outputs follow :class:`RunOutputs`, by event count.  With
+        ``checkpoint_every``/``checkpoint_path`` set, a resumable
         snapshot (occupancy, clock, event count, exact RNG state) is
         written atomically every N events; :meth:`restore` continues a
         run from such a snapshot bit-identically to one that was never
@@ -236,16 +335,9 @@ class SerialAKMC:
         """
         if max_events is None and t_threshold is None:
             raise ValueError("provide max_events and/or t_threshold")
-        if checkpoint_every is not None and checkpoint_path is None:
-            raise ValueError("checkpoint_every requires checkpoint_path")
-        if trajectory_every is not None and trajectory is None:
-            raise ValueError("trajectory_every requires trajectory")
-        writer = None
-        if trajectory is not None:
-            from repro.io.store import TrajectoryWriter
-
-            writer = TrajectoryWriter(trajectory, self.model.lattice)
-        every_t = trajectory_every if trajectory_every is not None else 1
+        outputs = RunOutputs(self.model.lattice, self.events, trajectory,
+                             trajectory_every, checkpoint_path, checkpoint_every)
+        next_fence = outputs.next_fence(self.events)
         while True:
             if max_events is not None and self.events >= max_events:
                 break
@@ -253,21 +345,10 @@ class SerialAKMC:
                 break
             if self.step() is None:
                 break
-            if writer is not None and self.events % every_t == 0:
-                writer.record(self.time, self.occ)
-            if checkpoint_every is not None and self.events % checkpoint_every == 0:
-                if writer is not None:
-                    # Durability fence: frames at or before this
-                    # checkpoint must be on disk before it publishes (a
-                    # resumed attempt appends after them).
-                    writer.flush()
-                with obs.phase("kmc.checkpoint"):
-                    self.checkpoint(checkpoint_path)
-        if writer is not None:
-            # The closing frame (a no-op when the bound landed on a
-            # fence) — the store always ends at the final state.
-            writer.record(self.time, self.occ)
-            writer.close(final=False)
+            if self.events >= next_fence:
+                outputs.fence(self.events, self.time, self.occ, self.events, self.rng)
+                next_fence = outputs.next_fence(self.events)
+        outputs.close(self.events, self.time, self.occ)
         vac = self.vacancy_rows
         return KMCResult(
             occupancy=self.occ.copy(),
@@ -277,22 +358,10 @@ class SerialAKMC:
             vacancy_ranks=self.model.sites[vac],
         )
 
-    # ------------------------------------------------------------------
-    # Checkpoint / restore (the recovery supervisor's primitives)
-    # ------------------------------------------------------------------
-    def checkpoint(self, path) -> None:
-        """Atomically write this engine's resumable state to ``path``."""
-        save_kmc_checkpoint(
-            path,
-            self.occ,
-            time=self.time,
-            cycle=self.events,
-            events=self.events,
-            rng_state=rng_state_json(self.rng),
-        )
-
     def restore(self, checkpoint) -> None:
-        """Resume from a checkpoint (path or loaded object), in place.
+        """Resume from a checkpoint (path or loaded object), in place:
+        the recovery supervisor's primitive, beside ``run``'s periodic
+        checkpoints.
 
         Restores the occupancy, clock, event counter, and the exact RNG
         state, and discards the event catalog so it rebuilds from the
@@ -434,15 +503,14 @@ class ParallelAKMC:
         *_, schemes = _parallel_stack()
         if scheme not in schemes:
             raise ValueError(f"unknown scheme {scheme!r}; choose from {list(schemes)}")
-        from repro.runtime.simmpi import resolve_backend, resolve_workers
+        from repro.runtime import simmpi
 
         # Reject what the world would reject here, not inside run(); the
         # raw values are kept, so run() still reads REPRO_BACKEND /
         # REPRO_WORKERS when it builds its world.
-        resolve_backend(backend)
-        resolve_workers(workers)
-        if watchdog is not None and watchdog <= 0:
-            raise ValueError(f"watchdog must be positive, got {watchdog}")
+        simmpi.resolve_backend(backend)
+        simmpi.resolve_workers(workers)
+        simmpi.resolve_watchdog(watchdog)
         self.lattice = lattice
         self.potential = potential
         self.params = params or RateParameters()
@@ -480,14 +548,19 @@ class ParallelAKMC:
     ) -> KMCResult:
         """Run from a *global* occupancy array; returns the global outcome.
 
+        The outputs follow :class:`RunOutputs`, by cycle count.  A cycle
+        that is a frame or checkpoint fence (or the run's closing frame)
+        makes one ``allgather`` of every rank's owned occupancy and
+        event count, and rank 0 hands the merged global state to the
+        policy.
+
         Parameters
         ----------
         checkpoint_every / checkpoint_path:
-            Every N completed cycles, gather the global occupancy and
-            let rank 0 write an atomic
-            :class:`~repro.io.checkpoint.KMCCheckpoint`.  Because event
-            streams are pure functions of (seed, rank, cycle, sector),
-            the snapshot needs no RNG state.
+            Every N completed cycles, rank 0 writes an atomic
+            :class:`~repro.io.checkpoint.KMCCheckpoint` of the gathered
+            state.  Because event streams are pure functions of (seed,
+            rank, cycle, sector), the snapshot needs no RNG state.
         resume:
             A :class:`~repro.io.checkpoint.KMCCheckpoint` to continue
             from: pass its ``occupancy`` as this call's ``occupancy``
@@ -497,9 +570,8 @@ class ParallelAKMC:
         trajectory / trajectory_every:
             Path of a streaming chunked trajectory store
             (:mod:`repro.io.store`); every N completed cycles (default
-            1, plus once at run end) the global occupancy is gathered
-            through the same path the checkpoints use and rank 0
-            appends it incrementally.  Must be a path — the writer is
+            1, plus once at run end) rank 0 appends the gathered
+            global occupancy incrementally.  Must be a path — the writer is
             opened inside rank 0's worker, so the wiring works
             identically on the thread, process, and overdecomposed
             backends.  Fence positions derive from the absolute cycle
@@ -507,13 +579,6 @@ class ParallelAKMC:
             uninterrupted one.
         """
         occupancy = KMCModel.checked_occupancy(self.lattice, occupancy)
-        if checkpoint_every is not None and checkpoint_path is None:
-            raise ValueError("checkpoint_every requires checkpoint_path")
-        if trajectory_every is not None and trajectory is None:
-            raise ValueError("trajectory_every requires trajectory")
-        # A path, not a writer: rank 0 opens the writer in its worker.
-        traj_path = None if trajectory is None else os.fspath(trajectory)
-        traj_every = trajectory_every if trajectory_every is not None else 1
         lattice = self.lattice
         width = self.width
         seed = self.seed
@@ -523,6 +588,8 @@ class ParallelAKMC:
         start_cycle = 0 if resume is None else int(resume.cycle)
         start_time = 0.0 if resume is None else float(resume.time)
         events_base = 0 if resume is None else int(resume.events)
+        outputs = RunOutputs(lattice, start_cycle, trajectory, trajectory_every,
+                             checkpoint_path, checkpoint_every)
 
         def rank_main(comm):
             # Everything a rank builds before cycle 0, under one phase.
@@ -552,31 +619,27 @@ class ParallelAKMC:
             t = start_time
             cycle = start_cycle
             events = 0
-            traj_writer = None
-            traj_cycle = None
+            next_fence = outputs.next_fence(cycle)
 
-            def record_frame():
-                """Gather the global occupancy; rank 0 records a frame.
+            def global_state():
+                """One allgather of every rank's owned occupancy and
+                event count; rank 0 gets ``(global occupancy, event
+                total)``, every other rank ``(None, None)``.
 
-                Uses the same gather path as the checkpoints, so the
-                store holds merged global frames regardless of the rank
-                count.  The writer's frame fence keeps recording
-                idempotent under resumed attempts, which re-execute
-                cycles past the checkpoint they resume from.
+                Outputs are pure extra collectives: the event streams
+                (seed, rank, cycle, sector) are untouched, so recording
+                never perturbs the trajectory.
                 """
-                nonlocal traj_writer
-                with obs.phase("io.trajectory.gather"):
-                    gathered = comm.allgather((owned, occ[central_rows].copy()))
+                with obs.phase("io.gather"):
+                    gathered = comm.allgather((owned, occ[central_rows].copy(), events))
                 if comm.rank != 0:
-                    return
+                    return None, None
                 g_occ = np.empty(lattice.nsites, dtype=np.int8)
-                for g_owned, g_vals in gathered:
+                total = events_base
+                for g_owned, g_vals, g_events in gathered:
                     g_occ[g_owned] = g_vals
-                if traj_writer is None:
-                    from repro.io.store import TrajectoryWriter
-
-                    traj_writer = TrajectoryWriter(traj_path, lattice)
-                traj_writer.record(t, g_occ)
+                    total += g_events
+                return g_occ, total
 
             while cycle < max_cycles and (t_threshold is None or t < t_threshold):
                 comm.fault_point("kmc.cycle", cycle)
@@ -612,51 +675,16 @@ class ParallelAKMC:
                         scheme.after_sector(s, np.asarray(dirty, dtype=np.int64))
                     t += dt
                     cycle += 1
-                if traj_path is not None and cycle % traj_every == 0:
-                    record_frame()
-                    traj_cycle = cycle
-                if (
-                    checkpoint_every is not None
-                    and cycle % checkpoint_every == 0
-                ):
-                    # Gather the global occupancy; rank 0 writes the
-                    # snapshot atomically.  Pure extra collectives — the
-                    # event streams (seed, rank, cycle, sector) are
-                    # untouched, so checkpointing never perturbs the
-                    # trajectory.
-                    with obs.phase("kmc.checkpoint"):
-                        gathered = comm.allgather(
-                            (owned, occ[central_rows].copy(), events)
-                        )
-                        if comm.rank == 0:
-                            if traj_writer is not None:
-                                # Durability fence: every trajectory
-                                # frame at or before this checkpoint
-                                # must be on disk before the checkpoint
-                                # publishes — a resumed attempt appends
-                                # after them.
-                                traj_writer.flush()
-                            g_occ = np.empty(lattice.nsites, dtype=np.int8)
-                            total = events_base
-                            for g_owned, g_vals, g_events in gathered:
-                                g_occ[g_owned] = g_vals
-                                total += g_events
-                            save_kmc_checkpoint(
-                                checkpoint_path,
-                                g_occ,
-                                time=t,
-                                cycle=cycle,
-                                events=total,
-                            )
-                            obs.add("kmc.checkpoints_written")
-            if traj_path is not None and traj_cycle != cycle:
-                # The closing frame: the store always ends at the final
-                # state even when the cycle budget missed a fence (the
-                # gather is a collective, so every rank skips it alike
-                # when this cycle was already recorded).
-                record_frame()
-            if traj_writer is not None:
-                traj_writer.close(final=False)
+                if cycle >= next_fence:
+                    g_occ, total = global_state()
+                    if comm.rank == 0:
+                        outputs.fence(cycle, t, g_occ, total)
+                    next_fence = outputs.next_fence(cycle)
+            # The closing frame's gather is a collective: the decision is
+            # pure, so every rank makes or skips it alike.
+            g_occ = global_state()[0] if outputs.closing_frame(cycle) else None
+            if comm.rank == 0:
+                outputs.close(cycle, t, g_occ)
             scheme.finalize()
             total_events = events_base + comm.allreduce(events)
             return {

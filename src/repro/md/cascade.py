@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.constants import MVV2E
+from repro.md.engine import MDConfig, MDEngine
 from repro.md.state import AtomState
 
 
@@ -81,6 +82,25 @@ class CascadeResult:
     runaway_positions: np.ndarray = field(
         default_factory=lambda: np.empty((0, 3))
     )
+
+
+def cascade_stage(spec, lattice, potential) -> tuple[MDEngine, CascadeConfig]:
+    """The MD stage a scenario describes: an engine over ``lattice`` and
+    the cascade to run on it.
+
+    ``spec`` is a :class:`~repro.service.spec.ScenarioSpec`.  Its
+    temperature and seed build the engine; its PKA energy and step
+    count (each defaulting to :class:`CascadeConfig`'s) build the
+    cascade, at the same temperature.  The coupled pipeline and the
+    ``cascade`` command both build their MD stage here.
+    """
+    config = MDConfig(temperature=spec.temperature, seed=spec.seed)
+    cascade = CascadeConfig(
+        pka_energy=spec.pka_energy or CascadeConfig.pka_energy,
+        nsteps=spec.md_steps or CascadeConfig.nsteps,
+        temperature=spec.temperature,
+    )
+    return MDEngine(lattice, potential, config), cascade
 
 
 def insert_pka(state: AtomState, config: CascadeConfig, lattice) -> int:

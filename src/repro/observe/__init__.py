@@ -26,7 +26,7 @@ and the recovery supervisor in :mod:`repro.core.coupling`):
   ``runtime.faults.crashes`` / ``.delays``),
   ``runtime.watchdog.expired``, ``runtime.recoveries``,
   ``coupling.recover.from_checkpoint`` / ``.from_scratch``, and
-  ``kmc.checkpoints_written``;
+  ``kmc.checkpoints_written`` (both AKMC engines);
 * phases ``coupling.recover`` (checkpoint restore during recovery) and
   ``kmc.checkpoint`` (periodic snapshot writes).
 """

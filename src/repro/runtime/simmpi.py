@@ -43,6 +43,7 @@ All traffic is counted, per rank, in
 from __future__ import annotations
 
 import os
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -73,6 +74,7 @@ __all__ = [
     "World",
     "WorldAborted",
     "resolve_backend",
+    "resolve_watchdog",
     "resolve_workers",
 ]
 
@@ -424,6 +426,24 @@ def resolve_backend(backend: str | None) -> str:
     return backend
 
 
+def resolve_watchdog(watchdog: float | None) -> float:
+    """Normalize a per-wait deadline: explicit seconds > :data:`DEFAULT_WATCHDOG`.
+
+    An explicit deadline must lie in ``(0, threading.TIMEOUT_MAX]``: a
+    longer one would overflow the first timed wait it bounds, deep
+    inside a running rank, instead of failing here.
+    """
+    if watchdog is None:
+        return DEFAULT_WATCHDOG
+    # NaN fails the comparison too.
+    if not 0 < watchdog <= threading.TIMEOUT_MAX:
+        raise ValueError(
+            f"watchdog must be in (0, {threading.TIMEOUT_MAX:g}] seconds, "
+            f"got {watchdog}"
+        )
+    return watchdog
+
+
 def resolve_workers(workers: int | str | None) -> int | None:
     """Normalize a worker count: explicit > ``REPRO_WORKERS`` > ``None``.
 
@@ -527,6 +547,8 @@ class World:
         :class:`WatchdogTimeout`, naming its wait site, and the world
         aborts.  ``None`` (the default) means :data:`DEFAULT_WATCHDOG`,
         read when the world is built; no wait of a world is unbounded.
+        :func:`resolve_watchdog` rejects a value outside
+        ``(0, threading.TIMEOUT_MAX]``.
         ``run``'s ``timeout`` is the net for a rank that never reaches a
         wait.
     backend:
@@ -565,14 +587,12 @@ class World:
     ) -> None:
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
-        if watchdog is not None and watchdog <= 0:
-            raise ValueError(f"watchdog must be positive, got {watchdog}")
         self.nranks = nranks
         self.backend = resolve_backend(backend)
         self.workers = resolve_workers(workers)
         self.stats = TrafficStats(nranks)
         self.faults = faults
-        self.watchdog = DEFAULT_WATCHDOG if watchdog is None else watchdog
+        self.watchdog = resolve_watchdog(watchdog)
         self.sanitize = sanitize
         self._pending = 0
 

@@ -219,8 +219,13 @@ class ScenarioSpec:
             raise SpecError("workers must be >= 1")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise SpecError("checkpoint_every must be >= 1")
-        if self.watchdog is not None and self.watchdog <= 0:
-            raise SpecError("watchdog must be positive")
+        if self.watchdog is not None:
+            from repro.runtime.simmpi import resolve_watchdog
+
+            try:
+                resolve_watchdog(self.watchdog)
+            except ValueError as exc:
+                raise SpecError(str(exc)) from None
         if self.kmc_nranks is not None:
             from repro.kmc.akmc import sector_decomposition
             from repro.kmc.events import RateParameters

@@ -282,6 +282,18 @@ class TestValidationExitCodes:
             assert "usage:" in err
             assert out == ""
 
+    def test_oversized_watchdog_exits_2(self, capsys):
+        # Beyond threading.TIMEOUT_MAX: a usage error, not an
+        # OverflowError from the first starved wait of the KMC world.
+        with pytest.raises(SystemExit) as exc_info:
+            main(["coupled", "--cells", "8", "--kmc-ranks", "2",
+                  "--watchdog", "1e10"])
+        out, err = capsys.readouterr()
+        assert exc_info.value.code == 2
+        assert "watchdog must be in (0, " in err
+        assert "usage:" in err
+        assert out == ""
+
     @pytest.mark.parametrize("command", ["coupled"])
     def test_infeasible_decomposition_exits_2(self, command, capsys):
         # Rejected when the spec is built: before the MD stage runs, not

@@ -34,9 +34,8 @@ class TestSerialResume:
         interrupted = SerialAKMC(
             lattice8, potential, rate_params, kmc_initial_occ, seed=9
         )
-        interrupted.run(max_events=60)
         ckpt = tmp_path / "serial.npz"
-        interrupted.checkpoint(ckpt)
+        interrupted.run(max_events=60, checkpoint_every=60, checkpoint_path=ckpt)
 
         resumed = SerialAKMC(
             lattice8, potential, rate_params, kmc_initial_occ, seed=9

@@ -116,6 +116,16 @@ result = run_cascade(engine, CascadeConfig(pka_energy=200.0, nsteps=5))
 print(json.dumps({"ran": loaded(), "steps": len(result.energy_trace)}))
 """
 
+_CASCADE_COMMAND_PROBE = _LOADED + """
+import contextlib, io, json, sys
+from repro.cli import main
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["cascade", "--cells", "5", "--steps", "5"])
+print(json.dumps({"ran": loaded(), "code": code, "out": out.getvalue()}))
+"""
+
 _COUPLED_PROBE = _LOADED + """
 import json, sys
 from repro.core.coupling import CoupledSimulation
@@ -242,6 +252,18 @@ def test_serial_cascade_loads_no_comparator_or_parallel_md():
     assert "repro.observe.api" in seen["ran"]
     for unconfigured in _NOT_CONFIGURED:
         assert not _under(seen["ran"], *unconfigured)
+
+
+def test_cascade_command_loads_the_md_stack_only():
+    """``repro cascade`` runs the MD stage of its spec and nothing else:
+    no coupled pipeline, KMC engine, store or message runtime."""
+    seen = _run(_CASCADE_COMMAND_PROBE)
+    assert seen["code"] == 0 and "vacancies" in seen["out"]
+    assert "repro.md.cascade" in seen["ran"]
+    assert not _under(
+        seen["ran"],
+        "repro.core.coupling", "repro.kmc", "repro.io", "repro.runtime",
+    )
 
 
 def test_serial_coupled_run_loads_no_message_runtime():

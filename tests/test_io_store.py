@@ -441,6 +441,23 @@ class TestEngineWiring:
         with pytest.raises(ValueError, match="requires trajectory"):
             engine.run(max_events=5, trajectory_every=2)
 
+    @pytest.mark.parametrize(
+        "outputs", [{"trajectory_every": 0}, {"checkpoint_every": 0}]
+    )
+    def test_cadence_must_be_positive(
+        self, tmp_path, lattice8, potential, rate_params, kmc_initial_occ,
+        outputs,
+    ):
+        from repro.kmc.akmc import SerialAKMC
+
+        engine = SerialAKMC(
+            lattice8, potential, rate_params, kmc_initial_occ, seed=5
+        )
+        with pytest.raises(ValueError, match="_every must be >= 1, got 0"):
+            engine.run(max_events=5, trajectory=tmp_path / "traj",
+                       checkpoint_path=tmp_path / "ckpt.npz", **outputs)
+        assert engine.events == 0
+
     def test_parallel_rejects_writer_objects(
         self, tmp_path, lattice8, potential, rate_params, kmc_initial_occ
     ):
@@ -471,6 +488,53 @@ class TestEngineWiring:
         nvac = int((kmc_initial_occ == 0).sum())
         for i in range(len(reader)):
             assert len(reader.vacancy_ranks(i)) == nvac
+
+
+    def test_parallel_fence_cycle_gathers_once(
+        self, tmp_path, lattice8, potential, rate_params, kmc_model8
+    ):
+        """A cycle that is both a frame and a checkpoint fence gathers
+        the global state once: frames plus checkpoints cost what frames
+        alone cost, the store holds the frames it holds when they are
+        the only output, and the checkpoint the bytes it holds when it
+        is."""
+        from repro.kmc.akmc import ParallelAKMC, place_random_vacancies
+
+        occ = place_random_vacancies(kmc_model8, 10, np.random.default_rng(2))
+
+        def collectives(**outputs):
+            result = ParallelAKMC(
+                lattice8, potential, rate_params, nranks=2, seed=5
+            ).run(occ, max_cycles=8, **outputs)
+            return result.comm_stats["total_collectives"]
+
+        both = collectives(
+            trajectory=tmp_path / "both", trajectory_every=1,
+            checkpoint_every=4, checkpoint_path=tmp_path / "both.npz",
+        )
+        frames = collectives(trajectory=tmp_path / "frames", trajectory_every=1)
+        collectives(checkpoint_every=4, checkpoint_path=tmp_path / "ckpt.npz")
+        assert both == frames
+        stores = {}
+        for name in ("both", "frames"):
+            finalize_store(tmp_path / name)
+            frames = list(TrajectoryReader(tmp_path / name).iter_frames())
+            sidecar = json.loads((tmp_path / name / "shard-00000.json").read_text())
+            ends = [c["frame0"] + c["nframes"] for c in sidecar["chunks"]]
+            stores[name] = frames, ends
+        assert len(stores["both"][0]) == len(stores["frames"][0]) == 8
+        for (t_a, f_a), (t_b, f_b) in zip(stores["both"][0], stores["frames"][0]):
+            assert t_a == t_b
+            np.testing.assert_array_equal(f_a, f_b)
+        # The durability fence flushes the store before each checkpoint
+        # publishes, so only there do the two stores' chunks differ.
+        assert (stores["both"][1], stores["frames"][1]) == ([4, 8], [8])
+        with np.load(tmp_path / "both.npz") as a, np.load(
+            tmp_path / "ckpt.npz"
+        ) as b:
+            assert a.files == b.files
+            for key in b.files:
+                np.testing.assert_array_equal(a[key], b[key])
 
 
 def _coupled_config(trajectory=None, checkpoint_dir=None, **overrides):

@@ -8,6 +8,7 @@ alike), and the watchdog deadline every recv/probe/collective/fence of
 a world carries.
 """
 
+import threading
 import time
 
 import pytest
@@ -259,6 +260,17 @@ class TestWatchdog:
     def test_watchdog_must_be_positive(self):
         with pytest.raises(ValueError):
             World(2, watchdog=0.0)
+
+    @pytest.mark.parametrize("seconds", [1e10, float("nan")])
+    def test_watchdog_beyond_timeout_max_rejected(self, seconds):
+        # A longer deadline would overflow the first timed wait inside a
+        # rank (OverflowError from Condition.wait), not fail here.
+        assert threading.TIMEOUT_MAX < 1e10
+        with pytest.raises(ValueError, match=r"watchdog must be in \(0, "):
+            World(2, watchdog=seconds)
+        assert World(2, watchdog=threading.TIMEOUT_MAX).watchdog == (
+            threading.TIMEOUT_MAX
+        )
 
     def test_healthy_run_unaffected_by_watchdog(self):
         def main(comm):

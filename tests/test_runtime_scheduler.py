@@ -100,6 +100,7 @@ class TestEnginesValidateWhenBuilt:
         ({"backend": "sunway"}, "unknown simmpi backend"),
         ({"workers": 0}, "workers"),
         ({"watchdog": 0.0}, "watchdog"),
+        ({"watchdog": 1e10}, "watchdog"),
     ])
     def test_parallel_akmc(self, kwargs, named, lattice8, potential,
                            forbid_world):

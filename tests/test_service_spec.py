@@ -149,6 +149,9 @@ class TestValidation:
          "bad faults plan: .*'delay:rank=2.*2-rank parallel engine"),
         ({"kmc_nranks": 2, "faults": "crash:rank=0,event=3"},
          "bad faults plan: 'crash:rank=0,event=3' .*2-rank parallel engine"),
+        # Finite but beyond threading.TIMEOUT_MAX: it would overflow the
+        # first timed wait of the run.
+        ({"watchdog": 1e10}, r"watchdog must be in \(0, "),
     ])
     def test_bad_values_rejected(self, kwargs, match):
         with pytest.raises(SpecError, match=match):
@@ -180,7 +183,8 @@ class TestValidation:
 
 class TestCoupledConfig:
     def test_defaults_map_through(self, potential):
-        from repro.core.coupling import CoupledSimulation
+        from repro.lattice.bcc import BCCLattice
+        from repro.md.cascade import cascade_stage
 
         spec = ScenarioSpec(cells=6, seed=7, temperature=450.0)
         config = spec.to_coupled_config()
@@ -188,17 +192,19 @@ class TestCoupledConfig:
         assert config.trajectory is None
         assert config.checkpoint_dir is None
         # No MD overrides: the default cascade at the spec's temperature.
-        cascade = CoupledSimulation(config, potential).cascade_config()
+        engine, cascade = cascade_stage(spec, BCCLattice(6, 6, 6), potential)
         assert (cascade.nsteps, cascade.pka_energy) == (200, 120.0)
         assert cascade.temperature == 450.0
+        assert (engine.config.temperature, engine.config.seed) == (450.0, 7)
 
     def test_md_overrides_build_cascade_config(self, potential):
-        from repro.core.coupling import CoupledSimulation
+        from repro.lattice.bcc import BCCLattice
+        from repro.md.cascade import cascade_stage
 
-        config = ScenarioSpec(
+        spec = ScenarioSpec(
             cells=6, md_steps=40, pka_energy=150.0, temperature=450.0
-        ).to_coupled_config()
-        cascade = CoupledSimulation(config, potential).cascade_config()
+        )
+        _, cascade = cascade_stage(spec, BCCLattice(6, 6, 6), potential)
         assert cascade.nsteps == 40
         assert cascade.pka_energy == 150.0
         assert cascade.temperature == 450.0
