@@ -24,7 +24,6 @@ status 2 and a ``usage:`` message on stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 #: Figure id -> experiment module name.
@@ -185,16 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
             "the parallel KMC runtime (default: 60)"
         ),
     )
-    coupled.add_argument(
-        "--sanitize",
-        action="store_true",
-        help=(
-            "run with the communication sanitizer (a protocol ledger "
-            "of every simmpi world; equivalent to REPRO_SANITIZE=1): "
-            "unmatched sends and collective-order divergence fail the "
-            "run with a per-violation report"
-        ),
-    )
     _add_observe_flags(coupled)
     # Cross-flag validation in cmd_coupled routes through this parser's
     # own error() so it exits 2 exactly like argparse's built-in checks.
@@ -290,24 +279,6 @@ def cmd_info(args) -> int:
 def cmd_coupled(args) -> int:
     if args.trajectory is None and args.trajectory_every is not None:
         args._parser.error("--trajectory-every requires --trajectory")
-    if not args.sanitize:
-        return _run_coupled(args)
-    # The env knob is the cross-process carrier: forked backend children
-    # inherit it, and World.run reads it at dispatch time.  It is
-    # restored afterwards, so later worlds in this process run as they
-    # would have.
-    previous = os.environ.get("REPRO_SANITIZE")
-    os.environ["REPRO_SANITIZE"] = "1"
-    try:
-        return _run_coupled(args)
-    finally:
-        if previous is None:
-            del os.environ["REPRO_SANITIZE"]
-        else:
-            os.environ["REPRO_SANITIZE"] = previous
-
-
-def _run_coupled(args) -> int:
     from repro.core.coupling import CoupledSimulation
     from repro.service import ScenarioSpec, SpecError
 
@@ -370,12 +341,6 @@ def _run_coupled(args) -> int:
             f"trajectory: {result.trajectory_frames} frames "
             f"-> {result.trajectory_path}"
         )
-    if args.sanitize:
-        from repro.runtime.sanitize import SUMMARY
-
-        # A violation raises SanitizerError long before this line, so
-        # reaching it means every checked world validated clean.
-        print(f"sanitizer: clean ({SUMMARY['worlds']} world(s) checked)")
     _finish_observation(args, registry)
     return 0
 

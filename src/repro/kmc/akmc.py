@@ -685,7 +685,6 @@ class ParallelAKMC:
             g_occ = global_state()[0] if outputs.closing_frame(cycle) else None
             if comm.rank == 0:
                 outputs.close(cycle, t, g_occ)
-            scheme.finalize()
             total_events = events_base + comm.allreduce(events)
             return {
                 "owned": owned,

@@ -50,9 +50,6 @@ class ExchangeScheme(ABC):
     def after_sector(self, sector: int, dirty_rows: np.ndarray) -> None:
         """Publish this sector's modifications to the neighbors."""
 
-    def finalize(self) -> None:
-        """Hook for schemes with collective teardown (default: nothing)."""
-
 
 class TraditionalExchange(ExchangeScheme):
     """SPPARKS/KMCLib-style full-strip get + put around every sector."""

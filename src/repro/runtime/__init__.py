@@ -21,13 +21,16 @@ real.  It is one communication stack in three layers:
    :class:`~repro.runtime.simmpi.World` runs an SPMD ``main(comm)`` on
    every rank — as threads, as forked processes, or as R logical ranks
    on P worker slots (:mod:`~repro.runtime.scheduler`).
-3. **Middleware** (:mod:`~repro.runtime.layers`) — fault injection
-   (:mod:`~repro.runtime.faults`), the protocol sanitizer
-   (:mod:`~repro.runtime.sanitize`) and traffic accounting as an ordered
+3. **Middleware** (:mod:`~repro.runtime.layers`) — traffic accounting
+   and fault injection (:mod:`~repro.runtime.faults`) as an ordered
    chain over seven primitives, composed identically on every backend.
    Waiting is not a layer: a rank gives up its worker slot and opens a
    ``runtime.*`` blocked phase at the endpoint's one wait point, and
    only when its mailbox has nothing to match.
+
+Every run checks its own protocol: a collective whose kind differs
+between ranks, or a world that returns with a user message unreceived,
+raises :class:`~repro.runtime.simmpi.ProtocolError`.
 
 :class:`~repro.runtime.stats.TrafficStats` counts every message, byte
 and collective per rank (the measurements behind Figures 12-13).  The
@@ -38,7 +41,6 @@ the one network model of the repository.
 Importing the package loads nothing: it exports no names, and each
 submodule imports only what every use of it executes.
 :mod:`~repro.runtime.simmpi` is the entry point of a run;
-``multiprocessing`` is imported by the first process-backend run, the
-scheduler by the first thread or overdecomposed run, and the sanitizer
-only by a run that is sanitized.
+``multiprocessing`` is imported by the first process-backend run, and
+the scheduler by the first thread or overdecomposed run.
 """

@@ -19,8 +19,9 @@ Primitive signatures (what a layer sees)::
 
 ``payload`` is already frozen and ``nbytes`` already costed by
 :class:`~repro.runtime.simmpi.RankComm`; ``kind`` names the collective
-(``("barrier",)``, ``("allreduce", "sum")``, ...) and ``metered`` is
-false for control-plane exchanges, which count as no collective.  The
+(``("barrier",)``, ``("allreduce", "sum")``, ...), which the endpoint
+checks is the same on every rank, and ``metered`` is false for
+control-plane exchanges, which count as no collective.  The
 point-to-point traffic an ``exchange`` or ``fence`` generates *inside*
 the endpoint travels under reserved tags straight through the transport:
 no layer ever sees it.
@@ -128,23 +129,17 @@ class FaultLayer(Layer):
         self.inner.put(win_tag, target, payload, nbytes)
 
 
-def compose(endpoint, *, rank, stats, faults=None, sanitize=False):
+def compose(endpoint, *, rank, stats, faults=None):
     """Stack the active layers over ``endpoint``; return the outermost.
 
     The order, innermost first, and why it is that order:
 
     1. **traffic** — innermost, so it meters exactly what reaches the
        endpoint.
-    2. **faults** (world has a plan) — pauses an operation before it is
-       metered or sent.
-    3. **sanitize** — outermost: it records each call as the program
-       made it, with the program's call site.
+    2. **faults** (world has a plan) — outermost: it pauses an operation
+       before it is metered or sent.
     """
     chain = TrafficLayer(endpoint, stats, rank)
     if faults is not None:
         chain = FaultLayer(chain, faults, rank)
-    if sanitize:
-        from repro.runtime.sanitize import SanitizeLayer
-
-        chain = SanitizeLayer(chain, endpoint)
     return chain

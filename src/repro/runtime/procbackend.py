@@ -37,9 +37,10 @@ the same ``start`` / ``wait`` / ``abort`` / ``alive`` protocol, so
 every backend.  Teardown never blocks on a queue: a child that has
 reported is joined, not terminated; while children exit, the parent
 drains the inboxes that no child reads any more, so no child stalls
-flushing an envelope nobody will receive; and the parent reads an inbox
-only while every child is alive or exited cleanly, so it never waits on
-an envelope a dying child left truncated.
+flushing an envelope nobody will receive (each user envelope it drops
+is counted by channel, for the world's unreceived-message check); and
+the parent reads an inbox only while every child is alive or exited
+cleanly, so it never waits on an envelope a dying child left truncated.
 
 Aggregation at join
 -------------------
@@ -48,7 +49,9 @@ Each child records into its own :class:`TrafficStats`, observe
 :class:`~repro.runtime.faults.FaultInjector`; at exit it ships those
 through a result pipe and the parent merges them, so ``world.stats``,
 the active observe registry, and the shared injector end up equivalent
-to a thread-backend run.  The injector merge (fired crash specs union,
+to a thread-backend run.  Each report also lists the user envelopes its
+mailboxes hold unreceived, so the world's leftover channels are those of
+a thread-backend run too.  The injector merge (fired crash specs union,
 operation ordinals take the maximum) is idempotent, so history a child
 inherited at fork counts once and a recovery supervisor re-forking the
 world continues exactly where a thread-backend rerun would.
@@ -68,6 +71,7 @@ import pickle
 import queue as _stdlib_queue
 import threading
 import time
+from collections import Counter
 from multiprocessing import connection as _mpconn
 from typing import Any, Callable, Iterable, Sequence
 
@@ -182,7 +186,7 @@ class ForkedTransport(LocalTransport):
         """Stop the pump and fold already-arrived envelopes into the mailboxes.
 
         Called once the hosted ranks have returned, before the exit
-        report is built, so the reported pending count is exact: every
+        report is built, so the reported leftover envelopes are exact: every
         inbound envelope is either deposited here (and counted by a
         mailbox) or still in the queue for the parent's residual sweep —
         never lost in the pump's hand-off window.
@@ -209,7 +213,7 @@ def _ensure_picklable(exc: BaseException) -> BaseException:
 
 
 def _child_entry(
-    gi, endpoints, conn, obs_trace, main, nranks, faults, watchdog, sanitize,
+    gi, endpoints, conn, obs_trace, main, nranks, faults, watchdog,
 ) -> None:
     """Entry point of one forked child hosting a contiguous rank group.
 
@@ -230,9 +234,7 @@ def _child_entry(
 
     # A rank error aborts the whole world from inside the child, exactly
     # as the parent would: every child's pump sees the sentinel.
-    threads = RankThreads(
-        main, transport, nranks, stats, faults, watchdog, sanitize
-    )
+    threads = RankThreads(main, transport, nranks, stats, faults, watchdog)
     threads.start(ranks)
     threads.wait(None)
     transport.quiesce()
@@ -246,7 +248,7 @@ def _child_entry(
             child_registry.export_state() if child_registry is not None else None
         ),
         "faults": faults.export_state() if faults is not None else None,
-        "pending": transport.pending(),
+        "leftover": transport.leftover(),
     }
     try:
         conn.send(report)
@@ -275,7 +277,7 @@ class ProcessRanks:
     The process counterpart of
     :class:`~repro.runtime.scheduler.RankThreads`, with the same
     protocol: ``start``, ``wait``, ``abort``, ``alive``, then
-    ``results``, ``errors`` and :meth:`pending`.  ``workers=None`` forks
+    ``results``, ``errors`` and :meth:`leftover`.  ``workers=None`` forks
     one child per rank; ``workers=P`` forks ``min(P, R)`` children, each
     hosting a contiguous group of ~R/P ranks as threads with in-process
     routing inside the group — the overdecomposed process topology.
@@ -285,8 +287,7 @@ class ProcessRanks:
 
     def __init__(
         self, main: Callable, size: int, stats: TrafficStats, faults=None,
-        watchdog: float | None = None, sanitize: bool = False,
-        workers: int | None = None,
+        watchdog: float | None = None, workers: int | None = None,
     ) -> None:
         if not fork_available():
             raise RuntimeError(
@@ -294,7 +295,7 @@ class ProcessRanks:
                 "(unavailable on this platform); use backend='thread'"
             )
         #: What every child runs its rank group with, as RankThreads does.
-        self._child_args = (main, size, faults, watchdog, sanitize)
+        self._child_args = (main, size, faults, watchdog)
         self._stats = stats
         self._faults = faults
         self._workers = size if workers is None else workers
@@ -305,7 +306,7 @@ class ProcessRanks:
         #: Reports not merged yet, by child.
         self._arrived: dict[int, dict] = {}
         self._aborted = False
-        self._pending = 0
+        self._leftover: Counter = Counter()
         self.results: dict[int, Any] = {}
         self.errors: list[tuple[int, BaseException]] = []
 
@@ -389,7 +390,8 @@ class ProcessRanks:
                 self._fail(rank, exc)
 
     def _drain(self) -> None:
-        """Count and drop what sits in the inboxes of finished children.
+        """Count by channel and drop what sits in the inboxes of finished
+        children.
 
         Nobody else reads those inboxes any more, and a child still
         flushing into one cannot exit until somebody does.  Once a child
@@ -407,7 +409,8 @@ class ProcessRanks:
                     break
                 # (_MSG, dests, src, tag, ...); user tags are >= 0.
                 if item[0] == _MSG and item[3] >= 0:
-                    self._pending += len(item[1])
+                    for dest in item[1]:
+                        self._leftover[(item[2], dest, item[3])] += 1
 
     def _merge(self) -> None:
         """Fold the reports that arrived into the world, in child order."""
@@ -420,7 +423,7 @@ class ProcessRanks:
             if report["obs"] is not None and self._registry is not None:
                 label = _names(g, self._groups[g])["observe"]
                 self._registry.absorb_state(report["obs"], label=label)
-            self._pending += report["pending"]
+            self._leftover.update(report["leftover"])
 
     def _fail(self, rank: int, exc: BaseException) -> None:
         self.errors.append((rank, exc))
@@ -445,6 +448,6 @@ class ProcessRanks:
             proc.join(timeout=1.0)
         return [proc.name for proc in stragglers]
 
-    def pending(self) -> int:
-        """Messages sent in this run but never received."""
-        return self._pending
+    def leftover(self) -> Counter:
+        """User envelopes of this run never received, by channel."""
+        return self._leftover

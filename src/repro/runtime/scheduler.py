@@ -146,12 +146,13 @@ class RankThreads:
     holding a scheduler slot while it computes when there is a
     scheduler.  A rank that raises aborts the world and its error is
     kept for the join epilogue; ranks unblocked by that abort exit
-    quietly.
+    quietly.  What the mailboxes still hold once every rank has returned
+    (:meth:`leftover`) is the epilogue's unreceived-message check.
     """
 
     def __init__(
         self, main: Callable, transport: LocalTransport, size: int, stats,
-        faults=None, watchdog: float | None = None, sanitize: bool = False,
+        faults=None, watchdog: float | None = None,
         scheduler: RankScheduler | None = None,
     ) -> None:
         self._main = main
@@ -160,7 +161,7 @@ class RankThreads:
         #: What every rank's communicator is built from, besides its rank.
         self._comm_options = dict(
             size=size, transport=transport, stats=stats, faults=faults,
-            watchdog=watchdog, scheduler=scheduler, sanitize=sanitize,
+            watchdog=watchdog, scheduler=scheduler,
         )
         self._lock = threading.Lock()
         self._threads: list[threading.Thread] = []
@@ -220,6 +221,6 @@ class RankThreads:
         """Names of the rank threads still running."""
         return [t.name for t in self._threads if t.is_alive()]
 
-    def pending(self) -> int:
-        """Messages sent in this run but never received."""
-        return self._transport.pending()
+    def leftover(self):
+        """User envelopes of this run never received, by channel."""
+        return self._transport.leftover()

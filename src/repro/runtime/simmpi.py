@@ -36,6 +36,12 @@ mailbox has nothing to match.  Every such wait is bounded: a
 :data:`DEFAULT_WATCHDOG` seconds unless it was built with another
 deadline, so a hang fails in about a minute and names its wait site.
 
+Every run also checks the protocol, with no switch: rank 0 compares the
+collective each rank contributes to every exchange and fails the world
+at once when they differ, and a world whose ranks all return but leave a
+user envelope unreceived fails too.  Both raise :class:`ProtocolError`,
+naming every rank's collective or each leaking channel.
+
 All traffic is counted, per rank, in
 :class:`~repro.runtime.stats.TrafficStats`; the runtime prices none of it.
 """
@@ -45,6 +51,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -68,6 +75,7 @@ from repro.runtime.transport import (
 
 __all__ = [
     "BACKENDS",
+    "ProtocolError",
     "RankComm",
     "Status",
     "WatchdogTimeout",
@@ -82,6 +90,11 @@ __all__ = [
 #: Seconds any blocking recv/probe/collective/fence of a :class:`World`
 #: may wait unless the world was given another ``watchdog``.
 DEFAULT_WATCHDOG: float = 60.0
+
+
+class ProtocolError(RuntimeError):
+    """The ranks broke the SPMD protocol: they ran different collectives
+    at one exchange, or returned leaving user envelopes unreceived."""
 
 
 @dataclass(frozen=True)
@@ -155,9 +168,7 @@ class Endpoint:
     metered, fault-injected or visible to user receives.
 
     ``watchdog`` bounds each blocking wait, in seconds; ``None`` leaves
-    the waits unbounded.  A :class:`World` always passes a deadline, and
-    only the sanitizer's teardown exchange drops it
-    (:meth:`~repro.runtime.sanitize.SanitizeLayer.seal`).
+    the waits unbounded.  A :class:`World` always passes a deadline.
     """
 
     def __init__(
@@ -220,18 +231,31 @@ class Endpoint:
         0 posts after it has gathered everything — so rank 0 never holds
         two contributions from one source, and results reach each rank
         in FIFO order.
+
+        Each contribution carries its rank's collective ``kind``; rank 0
+        raises :class:`ProtocolError` naming every rank's when they
+        differ, which aborts the world instead of pairing, say, one
+        rank's ``barrier`` with another's ``allgather``.
         """
         deadline = self._deadline()
         if self.rank:
-            self._post((0,), self.rank, TAG_GATHER, value, 0)
+            self._post((0,), self.rank, TAG_GATHER, (kind, value), 0)
             result = self._wait(0, TAG_RESULT, deadline=deadline, op="collective")
             return list(result[2])
+        kinds = [kind] * self.size
         values = [value] * self.size
         for _ in range(self.size - 1):
             src, _tag, contribution, _n = self._wait(
                 ANY_SOURCE, TAG_GATHER, deadline=deadline, op="collective"
             )
-            values[src] = contribution
+            kinds[src], values[src] = contribution
+        if kinds.count(kind) != self.size:
+            raise ProtocolError(
+                "collectives diverge: " + ", ".join(
+                    f"rank {r} {' '.join(map(str, k))}"
+                    for r, k in enumerate(kinds)
+                )
+            )
         self._post(range(1, self.size), 0, TAG_RESULT, values, 0)
         return list(values)
 
@@ -249,7 +273,7 @@ class Endpoint:
         while a slow one still drains this one (the paper's "global
         synchronization ... to guarantee the completion").
         """
-        table = self.exchange(None, counts, False)
+        table = self.exchange(("fence",), counts, False)
         deadline = self._deadline()
         drained = []
         for origin, row in enumerate(table):
@@ -258,7 +282,7 @@ class Endpoint:
                     origin, win_tag, deadline=deadline, op="fence"
                 )
                 drained.append((origin, payload, nbytes))
-        self.exchange(None, None, False)
+        self.exchange(("fence",), None, False)
         return drained
 
 
@@ -281,22 +305,19 @@ class RankComm:
         faults: FaultInjector | None = None,
         watchdog: float | None = None,
         scheduler=None,
-        sanitize: bool = False,
     ) -> None:
         self.rank = rank
         self.size = size
         #: The world-wide traffic accounting object.
         self.stats = stats
         self._faults = faults
-        self._chain = chain = compose(
+        self._chain = compose(
             Endpoint(
                 transport, rank, size, watchdog,
                 _blocked_around(rank, scheduler),
             ),
-            rank=rank, stats=stats, faults=faults, sanitize=sanitize,
+            rank=rank, stats=stats, faults=faults,
         )
-        #: The sanitizer layer (always outermost), if this run has one.
-        self.sanitizer = chain if sanitize else None
         self._windows = 0
 
     @property
@@ -468,22 +489,10 @@ def resolve_workers(workers: int | str | None) -> int | None:
     return count
 
 
-def sanitize_enabled(override: bool | None = None) -> bool:
-    """Whether sanitized execution is requested: explicit > ``REPRO_SANITIZE``.
-
-    Lives here, not in :mod:`repro.runtime.sanitize`, so that an
-    unsanitized run never loads the sanitizer to learn that it is off.
-    """
-    if override is not None:
-        return bool(override)
-    env = os.environ.get("REPRO_SANITIZE", "").strip().lower()
-    return env in ("1", "true", "yes", "on")
-
-
 def conclude(
     nranks: int, timeout: float, grace: float,
     stragglers: list[str] | None, what: str, fate: str,
-    errors: list[tuple[int, BaseException]],
+    errors: list[tuple[int, BaseException]], leftover: Counter,
 ) -> None:
     """The one join epilogue of every backend.
 
@@ -495,7 +504,10 @@ def conclude(
     interrupt is the user's request to stop, not a rank failure — then
     the typed failures callers dispatch on (the recovery supervisor
     retries an ``InjectedFault``; a ``WatchdogTimeout`` names its wait
-    site), then ``RuntimeError('rank N failed')``.
+    site; a ``ProtocolError`` names every rank's collective), then
+    ``RuntimeError('rank N failed')``.  A world whose ranks all returned
+    raises :class:`ProtocolError` if ``leftover`` — the user envelopes
+    never received, counted by ``(source, dest, tag)`` — is not empty.
     """
     if stragglers is not None:
         detail = "; all ranks exited after the abort"
@@ -509,14 +521,22 @@ def conclude(
             f"world of {nranks} ranks timed out after {timeout:g}s" + detail
         )
     if not errors:
+        if leftover:
+            raise ProtocolError(
+                "unreceived messages: " + ", ".join(
+                    f"rank {src} -> rank {dest} tag {tag} x{n}"
+                    for (src, dest, tag), n in sorted(leftover.items())
+                )
+            )
         return
     for _rank, exc in errors:
         if isinstance(exc, KeyboardInterrupt):
             raise exc
     rank, exc = errors[0]
-    if isinstance(exc, (InjectedFault, WatchdogTimeout)):
+    if isinstance(exc, (InjectedFault, WatchdogTimeout, ProtocolError)):
         # Their messages already name the rank and the site: the crash
-        # point, or the wait's operation, source and tag.
+        # point, the wait's operation, source and tag, or each rank's
+        # collective.
         raise exc
     raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
 
@@ -570,10 +590,6 @@ class World:
         (default: one child per rank).  ``None`` defers to the
         ``REPRO_WORKERS`` environment variable, falling back to the
         backend default.  Results are bit-identical for every P.
-    sanitize:
-        ``True``/``False`` force the communication sanitizer
-        (:mod:`repro.runtime.sanitize`) on/off for this world; ``None``
-        defers to ``REPRO_SANITIZE``.
     """
 
     def __init__(
@@ -583,7 +599,6 @@ class World:
         watchdog: float | None = None,
         backend: str | None = None,
         workers: int | None = None,
-        sanitize: bool | None = None,
     ) -> None:
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
@@ -593,8 +608,6 @@ class World:
         self.stats = TrafficStats(nranks)
         self.faults = faults
         self.watchdog = resolve_watchdog(watchdog)
-        self.sanitize = sanitize
-        self._pending = 0
 
     def run(
         self,
@@ -607,28 +620,20 @@ class World:
         If any rank raises, the world is aborted (blocked ranks unblock
         with :class:`WorldAborted`) and the first error is re-raised
         with the precedence of :func:`conclude`; a wait that outlives the
-        world's ``watchdog`` is such an error.  ``timeout`` bounds the
+        world's ``watchdog`` is such an error, and so is a collective
+        whose kind differs between ranks.  A run whose ranks all return
+        but leave a user message unreceived raises :class:`ProtocolError`
+        naming each such channel.  ``timeout`` bounds the
         whole run, for a rank that never reaches a wait: once it passes,
         ranks get ``grace`` seconds to exit after the abort; any that
         are still alive are named in the :class:`TimeoutError` (threads
         are leaked, processes terminated).
         """
-        sanitizing = sanitize_enabled(self.sanitize)
-        results = self._launch(main, timeout, grace, sanitizing)
-        if not sanitizing:
-            return results
-        from repro.runtime.sanitize import finish_world
+        return self._launch(main, timeout, grace)
 
-        return finish_world(results)
-
-    def _launch(self, main, timeout, grace, sanitizing) -> list:
+    def _launch(self, main, timeout, grace) -> list:
         """Run the ranks and join them, by one sequence on every backend:
-        rank threads and forked children are hosted alike.  Sanitized
-        results stay sealed."""
-        if sanitizing:
-            from repro.runtime.sanitize import wrap_main
-
-            main = wrap_main(main)
+        rank threads and forked children are hosted alike."""
         from repro.runtime.scheduler import RankScheduler, RankThreads, default_workers
 
         scheduler = None
@@ -640,13 +645,13 @@ class World:
 
             ranks = ProcessRanks(
                 main, self.nranks, self.stats, self.faults, self.watchdog,
-                sanitizing, self.workers,
+                self.workers,
             )
             what, fate = "process(es)", "terminated"
         else:
             ranks = RankThreads(
                 main, LocalTransport(range(self.nranks)), self.nranks,
-                self.stats, self.faults, self.watchdog, sanitizing, scheduler,
+                self.stats, self.faults, self.watchdog, scheduler,
             )
             what, fate = "thread(s)", "leaked"
         ranks.start(range(self.nranks))
@@ -654,14 +659,10 @@ class World:
         if not ranks.wait(timeout):
             ranks.abort()
             stragglers = [] if ranks.wait(grace) else ranks.alive()
-        self._pending = ranks.pending()
         if scheduler is not None:
             scheduler.publish()
         conclude(
-            self.nranks, timeout, grace, stragglers, what, fate, ranks.errors
+            self.nranks, timeout, grace, stragglers, what, fate, ranks.errors,
+            ranks.leftover(),
         )
         return [ranks.results.get(rank) for rank in range(self.nranks)]
-
-    def pending_messages(self) -> int:
-        """Messages sent but never received in the last run (should be 0)."""
-        return self._pending

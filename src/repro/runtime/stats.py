@@ -41,10 +41,6 @@ def payload_nbytes(obj) -> int:
     its pickled size.  Pickled sizes are memoized on ``id()`` within one
     message, so a payload repeating the same object pays for one
     ``pickle.dumps``.
-
-    The communicator costs the *user* payload before any middleware
-    sees it, so sanitized runs account the same protocol traffic as
-    plain runs.
     """
     return _payload_nbytes(obj, None)
 

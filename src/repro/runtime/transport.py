@@ -2,7 +2,7 @@
 
 A transport moves *envelopes* — ``(source, tag, payload, nbytes)`` —
 into per-rank :class:`Mailbox` objects and knows how to abort the world:
-``post``, ``mailbox``, ``abort``, ``pending`` and the ``aborted`` flag
+``post``, ``mailbox``, ``abort``, ``leftover`` and the ``aborted`` flag
 are the whole interface, and it has exactly two implementations:
 
 * :class:`LocalTransport` (here) — every rank lives in this process, so
@@ -21,14 +21,15 @@ Reserved tags
 User tags are non-negative; negative tags belong to the runtime:
 collective contributions and results and one-sided window puts travel
 through the *same* mailboxes under them.  The communicator rejects a
-negative tag in every user call, and :meth:`Mailbox.pending` does not
-count them, so user code cannot observe the control plane.
+negative tag in every user call, and :meth:`Mailbox.leftover` does not
+list them, so user code cannot observe the control plane.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from typing import Any, Iterable
 
 import numpy as np
@@ -129,7 +130,7 @@ class Mailbox:
         :class:`WorldAborted`.  ``deadline`` is a ``time.monotonic()``
         instant — every wait of a world has one, from its watchdog — and
         the wait raises :class:`WatchdogTimeout` once it passes; ``None``
-        waits without one (the sanitizer's teardown exchange).
+        waits without one.
         """
         with self._cond:
             while True:
@@ -154,10 +155,10 @@ class Mailbox:
         with self._cond:
             self._cond.notify_all()
 
-    def pending(self) -> int:
-        """User messages deposited but not received."""
+    def leftover(self) -> list[tuple[int, int]]:
+        """``(source, tag)`` of each user envelope deposited but not received."""
         with self._cond:
-            return sum(1 for env in self._queue if env[1] >= 0)
+            return [(env[0], env[1]) for env in self._queue if env[1] >= 0]
 
 
 class LocalTransport:
@@ -199,6 +200,11 @@ class LocalTransport:
         for mailbox in self._mailboxes.values():
             mailbox.wake()
 
-    def pending(self) -> int:
-        """User messages delivered to this process but never received."""
-        return sum(mb.pending() for mb in self._mailboxes.values())
+    def leftover(self) -> Counter:
+        """User envelopes delivered to this process but never received,
+        counted by ``(source, dest, tag)`` channel."""
+        return Counter(
+            (src, dest, tag)
+            for dest, mailbox in self._mailboxes.items()
+            for src, tag in mailbox.leftover()
+        )

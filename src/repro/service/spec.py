@@ -129,7 +129,8 @@ class ScenarioSpec:
         plan with no clauses becomes ``None``), KMC checkpoint cadence
         (serial events / parallel cycles), and the per-wait deadline in
         seconds of the parallel KMC runtime's blocking calls (``None``:
-        the runtime's default, ``simmpi.DEFAULT_WATCHDOG`` = 60 s);
+        the runtime's default, ``simmpi.DEFAULT_WATCHDOG`` = 60 s; a
+        serial spec may not set it);
         recovery converges bit-identically, so none of them affects the
         published result.
     """
@@ -226,6 +227,13 @@ class ScenarioSpec:
                 resolve_watchdog(self.watchdog)
             except ValueError as exc:
                 raise SpecError(str(exc)) from None
+            if self.kmc_nranks is None:
+                # Like a fault clause that cannot fire: the serial engine
+                # runs no World, so nothing would read the value.
+                raise SpecError(
+                    "watchdog bounds the parallel KMC runtime's waits; the "
+                    "serial engine (no kmc_nranks) has none"
+                )
         if self.kmc_nranks is not None:
             from repro.kmc.akmc import sector_decomposition
             from repro.kmc.events import RateParameters

@@ -147,18 +147,6 @@ class TestCommands:
                      "--profile"]) == 0
         assert not obs.enabled()
 
-    def test_sanitize_is_scoped_to_the_run(self, capsys, monkeypatch):
-        # --sanitize sets REPRO_SANITIZE for the run's worlds (and forked
-        # children) only: later worlds in this process run unsanitized.
-        import os
-
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        argv = ["coupled", "--cells", "5", "--md-steps", "5", "--events",
-                "5", "--kmc-ranks", "1", "--sanitize"]
-        assert main(argv) == 0
-        assert "sanitizer: clean" in capsys.readouterr().out
-        assert "REPRO_SANITIZE" not in os.environ
-
     def test_kmc_schemes(self, capsys):
         assert (
             main(
@@ -244,6 +232,7 @@ class TestFaultFlags:
                 "coupled",
                 "--cells", "6",
                 "--events", "30",
+                "--kmc-ranks", "1",
                 "--watchdog", "30",
             ]
         )
@@ -273,7 +262,12 @@ class TestValidationExitCodes:
                              (["--cells", "2"], "cells"),
                              # argparse's float() accepts "nan".
                              (["--cells", "5", "--temperature", "nan"],
-                              "temperature must be finite")]:
+                              "temperature must be finite"),
+                             # No --kmc-ranks: the serial engine runs no
+                             # World for a watchdog to bound.
+                             (["--cells", "6", "--events", "30",
+                               "--watchdog", "30"],
+                              "watchdog bounds the parallel KMC")]:
             with pytest.raises(SystemExit) as exc_info:
                 main(["coupled", *flags])
             out, err = capsys.readouterr()

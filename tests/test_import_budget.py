@@ -153,7 +153,7 @@ print(json.dumps({"ran": loaded(), "cores": TAIHULIGHT.total_cores}))
 _WORLD_PROBE = _LOADED + """
 import json, sys
 from repro.runtime.simmpi import World
-total = World(2, backend="{backend}", sanitize={sanitize}).run(
+total = World(2, backend="{backend}").run(
     lambda comm: comm.allreduce(comm.rank + 1))
 mp = sorted(m for m in sys.modules if m.startswith("multiprocessing."))
 print(json.dumps({{"ran": loaded(), "total": total, "multiprocessing": mp}}))
@@ -293,17 +293,12 @@ def test_machine_model_loads_no_engine():
     }
 
 
-def test_unsanitized_world_loads_no_sanitizer():
-    seen = _run(_WORLD_PROBE.format(sanitize=False, backend="thread"))
+def test_thread_world_loads_no_process_backend():
+    seen = _run(_WORLD_PROBE.format(backend="thread"))
     assert seen["total"] == [3, 3]
-    assert "repro.runtime.sanitize" not in seen["ran"]
     assert not _under(seen["ran"], "repro.runtime.procbackend", "repro.kernels")
-    # The control: the same world, sanitized, is what loads it.
-    assert "repro.runtime.sanitize" in _run(
-        _WORLD_PROBE.format(sanitize=True, backend="thread")
-    )["ran"]
     # Forked ranks exchange bytes through their queues only: no
     # shared-memory segment, so no resource-tracker interpreter.
-    forked = _run(_WORLD_PROBE.format(sanitize=False, backend="process"))
+    forked = _run(_WORLD_PROBE.format(backend="process"))
     assert forked["total"] == [3, 3]
     assert "multiprocessing.resource_tracker" not in forked["multiprocessing"]

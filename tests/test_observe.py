@@ -105,8 +105,6 @@ class TestThreadSafety:
             if comm.rank != 0:
                 comm.send(0, tag=1, payload=np.arange(8))
             else:
-                # Pinned sources: a wildcard receive over concurrent
-                # senders is a recv race under the sanitizer.
                 for source in range(1, comm.size):
                     comm.recv(source=source, tag=1)
             comm.barrier()

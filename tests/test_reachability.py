@@ -66,8 +66,6 @@ ALLOWLIST = {
     "runtime.simmpi.RankComm.layers": "middleware order the runtime tests pin",
     "runtime.simmpi.RankComm.bcast":
         "collective of the runtime contract, run by the conformance program",
-    "runtime.simmpi.World.pending_messages":
-        "leak check: sent but never received, asserted 0",
     "runtime.stats.TrafficStats.total_sent_bytes": _LEDGER,
     "runtime.stats.TrafficStats.total_messages": _LEDGER,
     "runtime.stats.TrafficStats.total_collectives": _LEDGER,

@@ -11,18 +11,20 @@ the axes it has:
   recovery supervisor.
 
 A cell must equal its program's reference for its (problem, seed): the
-run on the thread backend with the on-demand scheme, no faults, the
-sanitizer off and no resume — the first value of every axis — computed
-once per session.  "Equal" is exact: occupancy or position/velocity
-bytes, time, events and cycles (a coupled run's cascade energies and
+run on the thread backend with the on-demand scheme, no faults and no
+resume — the first value of every axis — computed once per session.
+"Equal" is exact: occupancy or position/velocity bytes, time, events
+and cycles (a coupled run's cascade energies and
 run-away positions too), and, when the cell re-executes nothing
 (no resume, no crash), the full traffic ledger of its scheme's reference.
 A crash cell also asserts one recovery and one injected crash, a delay
-cell no recovery and the delays its plan fires.  Every cell pins ``REPRO_BACKEND``,
-``REPRO_WORKERS`` and ``REPRO_SANITIZE``, so the environment a suite runs
+cell no recovery and the delays its plan fires.  Every cell pins
+``REPRO_BACKEND`` and ``REPRO_WORKERS``, so the environment a suite runs
 under cannot change what a cell means.  Every wait of every cell has the
 runtime's default deadline (``simmpi.DEFAULT_WATCHDOG``), so a hang
-fails in a minute and names its wait.
+fails in a minute and names its wait, and every world of every cell
+checks its protocol as any run does: a collective whose kind differs
+between ranks, or a message left unreceived, fails the cell.
 
 Tier-1 runs a diagonal: a greedy pairwise cover of each program's
 product, so every pair of axis values meets in some cell.  The other
@@ -85,7 +87,6 @@ AXES = {
         ("overdecomposed", 1), ("overdecomposed", 2), ("overdecomposed", "R"),
     ),
     "scheme": ("ondemand", "traditional", "onesided"),
-    "sanitize": (False, True),
     "resume": (False, True),
     "faults": ("none", "delay", "crash"),
 }
@@ -103,13 +104,12 @@ def axes(*names, **narrowed):
 
 NO_CRASH = ("none", "delay")  # a crash needs the coupled run's supervisor
 PROGRAMS = {
-    "runtime": axes("backend", "sanitize", faults=NO_CRASH),
+    "runtime": axes("backend", faults=NO_CRASH),
     "akmc": axes(
-        "problem", "seed", "backend", "scheme", "sanitize", "resume",
-        faults=NO_CRASH,
+        "problem", "seed", "backend", "scheme", "resume", faults=NO_CRASH,
     ),
-    "md": axes("problem", "backend", "sanitize"),
-    "coupled": axes("backend", "scheme", "sanitize", "faults"),
+    "md": axes("problem", "backend"),
+    "coupled": axes("backend", "scheme", "faults"),
 }
 
 
@@ -150,7 +150,6 @@ def cell_id(cell):
     s = setting(cell)
     parts = {
         "backend": f"{s['backend']}-w{s['workers']}",
-        "sanitize": f"san{s['sanitize']:d}",
         "resume": "resume" if s["resume"] else "fresh",
         "seed": f"seed{s['seed']}",
     }
@@ -192,7 +191,6 @@ PLANS = {"none": None, "delay": DELAY, "crash": "crash:rank=1,cycle=5"}
 
 def pin_environment(monkeypatch, s):
     monkeypatch.setenv("REPRO_BACKEND", s["backend"])
-    monkeypatch.setenv("REPRO_SANITIZE", f"{s['sanitize']:d}")
     if s["workers"] is None:
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
     else:
@@ -253,11 +251,9 @@ def runtime_program(comm):
 def run_runtime(s, potential, tmp_path):
     faults = injector(s)
     world = World(
-        s["nranks"], faults=faults, backend=s["backend"],
-        workers=s["workers"], sanitize=s["sanitize"],
+        s["nranks"], faults=faults, backend=s["backend"], workers=s["workers"],
     )
     results = world.run(runtime_program, timeout=120.0)
-    assert world.pending_messages() == 0
     report = faults.snapshot() if faults else {}
     return {"results": repr(results)}, world.stats.snapshot(), report
 
@@ -419,11 +415,9 @@ def test_layers_compose_in_one_order_on_every_backend():
     for backend in BACKENDS:
         if backend == "process" and not fork_available():
             continue
-        world = World(
-            2, faults=injector, backend=backend, workers=2, sanitize=True
-        )
+        world = World(2, faults=injector, backend=backend, workers=2)
         (layers, _same) = world.run(main, timeout=60.0)
-        assert layers == ("sanitize", "faults", "traffic")
+        assert layers == ("faults", "traffic")
 
 
 # ----------------------------------------------------------------------
@@ -444,9 +438,9 @@ def test_world_runs_again_after_a_failed_run(backend):
     world = World(3, backend=backend, workers=2)
     with pytest.raises(RuntimeError, match="rank 1 failed.*first run dies"):
         world.run(failing, timeout=60.0)
-    # No stale error, no abort flag left set, nothing left in a mailbox.
+    # No stale error, no abort flag left set, nothing left in a mailbox
+    # (a leftover would raise ProtocolError).
     assert world.run(healthy, timeout=60.0) == [3, 3, 3]
-    assert world.pending_messages() == 0
 
 
 # ----------------------------------------------------------------------

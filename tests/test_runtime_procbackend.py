@@ -23,6 +23,7 @@ from repro.observe.registry import Registry
 from repro.runtime.faults import FaultInjector, InjectedFault
 from repro.runtime.procbackend import fork_available
 from repro.runtime.simmpi import (
+    ProtocolError,
     WatchdogTimeout,
     World,
     resolve_backend,
@@ -92,7 +93,6 @@ class TestTransportParity:
         p = worlds["process"].stats.snapshot()
         for key in ("total_sent_bytes", "total_messages", "total_collectives"):
             assert t[key] == p[key]
-        assert worlds["process"].pending_messages() == 0
 
     def test_ranks_run_in_distinct_processes(self, monkeypatch):
         # One child per rank: with REPRO_WORKERS set, ranks share children.
@@ -120,24 +120,16 @@ class TestTransportParity:
         results = World(2, backend="process").run(main, timeout=60.0)
         assert results[1] == [0, 1, 2, 3]
 
-    def test_pending_messages_counts_unconsumed(self):
+    def test_unconsumed_message_fails_naming_its_channel(self):
         def main(comm):
             if comm.rank == 0:
                 comm.send(1, 3, b"orphan")
             comm.barrier()
             return None
 
-        from repro.runtime.sanitize import SanitizerError
-        from repro.runtime.simmpi import sanitize_enabled
-
-        world = World(2, backend="process")
-        if sanitize_enabled():
-            # The deliberately unconsumed message IS an unmatched send.
-            with pytest.raises(SanitizerError, match="tag 3"):
-                world.run(main, timeout=60.0)
-        else:
-            world.run(main, timeout=60.0)
-            assert world.pending_messages() == 1
+        with pytest.raises(ProtocolError) as err:
+            World(2, backend="process").run(main, timeout=60.0)
+        assert str(err.value) == "unreceived messages: rank 0 -> rank 1 tag 3 x1"
 
 
 # ----------------------------------------------------------------------
@@ -159,11 +151,10 @@ def main(comm):
         raise ValueError("left without receiving")
     return comm.rank
 
-world = World(2, backend="process", workers={workers}, sanitize=False)
+world = World(2, backend="process", workers={workers})
 t0 = time.monotonic()
 try:
-    world.run(main, timeout=5.0, grace=2.0)
-    outcome = {{"pending": world.pending_messages()}}
+    outcome = {{"results": world.run(main, timeout=5.0, grace=2.0)}}
 except RuntimeError as exc:
     outcome = {{"error": str(exc)}}
 outcome["elapsed"] = time.monotonic() - t0
@@ -197,7 +188,9 @@ class TestTeardown:
     @pytest.mark.parametrize("payload", sorted(_UNRECEIVED))
     def test_receiver_returns_without_receiving(self, payload, workers):
         out = _run_world(_UNRECEIVED[payload], False, workers)
-        assert out["pending"] == 1  # as on the thread backend
+        # As on the thread backend: the leak fails the world, by channel.
+        assert out["error"] == "unreceived messages: rank 0 -> rank 1 tag 3 x1"
+        assert out["elapsed"] < 5.0 + 2.0
 
     @pytest.mark.parametrize("workers", [None, 1])
     @pytest.mark.parametrize("payload", sorted(_UNRECEIVED))

@@ -310,7 +310,7 @@ class TestOneWaitPoint:
         mailbox.deposit(1, 6, "y", 0)
         comm.probe(1, 6)
         assert calls == [True, True]
-        mailbox.deposit(1, TAG_GATHER, None, 0)
+        mailbox.deposit(1, TAG_GATHER, (("barrier",), None), 0)
         comm.barrier()
         assert calls == [True, True, True]
 
@@ -319,9 +319,7 @@ class TestOneWaitPoint:
             if comm.rank == 0:
                 comm.barrier()  # deliberate: rank 1 never joins
 
-        world = World(
-            2, watchdog=0.2, backend="overdecomposed", workers=1, sanitize=False
-        )
+        world = World(2, watchdog=0.2, backend="overdecomposed", workers=1)
         with pytest.raises(WatchdogTimeout):
             world.run(main, timeout=30)
 

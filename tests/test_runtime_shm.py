@@ -154,7 +154,6 @@ class TestWorldIntegration:
         for backend in BACKENDS:
             world = World(3, backend=backend)
             world.run(_bulk_main, timeout=60.0)
-            assert world.pending_messages() == 0
             ledgers[backend] = world.stats.snapshot()
         for key in ("total_sent_bytes", "total_messages", "total_collectives"):
             assert ledgers["process"][key] == ledgers["thread"][key]

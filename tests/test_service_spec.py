@@ -152,6 +152,8 @@ class TestValidation:
         # Finite but beyond threading.TIMEOUT_MAX: it would overflow the
         # first timed wait of the run.
         ({"watchdog": 1e10}, r"watchdog must be in \(0, "),
+        # A valid deadline on the serial engine, which runs no World.
+        ({"watchdog": 30.0}, r"watchdog .*serial engine \(no kmc_nranks\)"),
     ])
     def test_bad_values_rejected(self, kwargs, match):
         with pytest.raises(SpecError, match=match):

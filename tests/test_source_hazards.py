@@ -7,8 +7,9 @@ tolerance check or a bit-identity claim in disguise: spell it
 manager, so the phase it names measures nothing: write ``with
 obs.phase(...):``.  The other hazards a static rule could look for (a
 global or unseeded RNG, a wall-clock input, an unreceived send, a
-rank-conditional collective) fail a conformance cell or the sanitizer;
-DESIGN §10 names the test that catches each.
+rank-conditional collective) fail a conformance cell, and the last two
+the runtime's own protocol checks on every run; DESIGN §10 names the
+test that catches each.
 """
 
 import ast
