@@ -250,6 +250,20 @@ def _finish_observation(args, registry) -> None:
         print(f"\ntrace written to {args.trace} (open in chrome://tracing)")
 
 
+def _run_failures() -> tuple[type[BaseException], ...]:
+    """The failures a run command reports as one ``error:`` line.
+
+    A watchdog or world timeout names where the run stopped, and a
+    protocol error each rank's collective or each leaking channel; a
+    retry would fail the same way.  Used as an ``except`` clause, it is
+    evaluated only while an exception propagates, so a run that succeeds
+    never imports the message runtime for it.
+    """
+    from repro.runtime.simmpi import ProtocolError
+
+    return (TimeoutError, ProtocolError)
+
+
 def cmd_info(args) -> int:
     import repro
     from repro.perfmodel.machine import TAIHULIGHT
@@ -316,9 +330,7 @@ def cmd_coupled(args) -> int:
     print(f"coupled MD-KMC over {sim.lattice.nsites} sites ...")
     try:
         result = sim.run()
-    except TimeoutError as exc:
-        # A watchdog or world timeout names where the run stopped; a
-        # retry would stop at the same place.
+    except _run_failures() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"after MD : {result.report_after_md}")
@@ -393,7 +405,11 @@ def cmd_kmc_schemes(args) -> int:
     except ValueError as exc:
         args._parser.error(str(exc))
     registry = _start_observation(args)
-    results = comparison.run(args.cycles)
+    try:
+        results = comparison.run(args.cycles)
+    except _run_failures() as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"{'scheme':>12} {'events':>7} {'bytes':>12} {'messages':>9}")
     for scheme, result in results.items():
         stats = result.comm_stats

@@ -7,8 +7,8 @@ measures scheduling, not speedup.  This module provides
 ``backend="process"``: each rank (or contiguous rank *group*) becomes a
 forked OS process, so MD force work and KMC rate kernels genuinely run
 in parallel on multi-core hosts.  Ranks get the very same
-:class:`~repro.runtime.simmpi.RankComm` over the very same middleware;
-only the transport underneath differs.
+:class:`~repro.runtime.simmpi.RankComm`, pausing and counting at the
+send as on every backend; only the transport underneath differs.
 
 Transport
 ---------

@@ -17,8 +17,9 @@ at the communication waits that find nothing to match:
 * a rank whose ``recv``/``probe``/collective/fence finds its envelope
   already queued takes it and keeps computing on its slot;
 * a rank whose mailbox has nothing to match *yields* its worker slot
-  back to the scheduler before parking on the mailbox (the endpoint's
-  one wait point, :meth:`~repro.runtime.simmpi.Endpoint._wait`);
+  back to the scheduler before parking on the mailbox (the
+  communicator's one wait point,
+  :meth:`~repro.runtime.simmpi.RankComm._wait`);
 * an idle worker slot is *stolen* by the longest-waiting runnable rank
   (FIFO run queue — a released slot is handed directly to the queue
   head, never bounced through a free pool, so admission is O(1) and

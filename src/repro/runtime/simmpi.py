@@ -19,17 +19,18 @@ semantics:
   the receive.
 * ``iprobe`` is the non-blocking variant.
 * ``barrier`` / ``allgather`` / ``allreduce`` / ``bcast`` and window
-  creation all lower to one :meth:`Endpoint.exchange`, written once over
-  point-to-point envelopes; a window ``fence`` is written once on top of
-  it.
+  creation all lower to one :meth:`RankComm._exchange`, written once
+  over point-to-point envelopes; a window ``fence`` is written once on
+  top of it.
 
-The stack has three layers: the transport below
-(:mod:`repro.runtime.transport`, two implementations), this module's
-:class:`Endpoint` / :class:`RankComm` / :class:`~repro.runtime.window.
-Window` in the middle, and the ordered middleware of
-:mod:`repro.runtime.layers` between the two halves of this one.
+The stack has two layers: the transport below
+(:mod:`repro.runtime.transport`, two implementations) and the
+communicator above it, this module's :class:`RankComm` with its
+:class:`~repro.runtime.window.Window`.  The communicator applies the
+fault plan's sender-side pause and counts each user send and put once,
+where it is sent.
 
-Every blocking wait of a rank is one :meth:`Endpoint._wait`: a rank
+Every blocking wait of a rank is one :meth:`RankComm._wait`: a rank
 gives up its worker slot and opens a blocked phase only when its
 mailbox has nothing to match.  Every such wait is bounded: a
 :class:`World` gives each recv, probe, collective and fence
@@ -42,7 +43,7 @@ at once when they differ, and a world whose ranks all return but leave a
 user envelope unreceived fails too.  Both raise :class:`ProtocolError`,
 naming every rank's collective or each leaking channel.
 
-All traffic is counted, per rank, in
+All traffic is counted, per sending rank, in
 :class:`~repro.runtime.stats.TrafficStats`; the runtime prices none of it.
 """
 
@@ -60,7 +61,6 @@ import numpy as np
 
 from repro import observe as obs
 from repro.runtime.faults import FaultInjector, InjectedFault
-from repro.runtime.layers import Layer, compose
 from repro.runtime.stats import TrafficStats, payload_nbytes
 from repro.runtime.transport import (
     ANY_SOURCE,
@@ -158,35 +158,49 @@ def _blocked_around(rank: int, scheduler):
     return around
 
 
-class Endpoint:
-    """One rank's unlayered attachment to the transport.
+class RankComm:
+    """The communicator handle passed to each rank's ``main`` function.
 
-    Implements the seven primitives of :mod:`repro.runtime.layers`
-    directly over ``post`` and the rank's mailbox.  The envelopes an
-    ``exchange`` or a ``fence`` moves internally use reserved tags and
-    bypass the middleware, so they are never frozen per receiver,
-    metered, fault-injected or visible to user receives.
+    The one communicator class of the runtime, speaking straight to the
+    transport: the public MPI-style API validates, freezes and costs its
+    arguments, and :meth:`_exchange` and :meth:`_fence` write every
+    collective and window epoch once over point-to-point envelopes.  A
+    user send or put is counted once, where it is sent, after the fault
+    plan's sender-side pause.  The envelopes an exchange or a fence
+    moves internally use reserved tags, so they are never frozen per
+    receiver, metered, paused or visible to user receives.
 
     ``watchdog`` bounds each blocking wait, in seconds; ``None`` leaves
     the waits unbounded.  A :class:`World` always passes a deadline.
+    What the waits run inside is decided here, once per rank.
     """
 
     def __init__(
-        self, transport: LocalTransport, rank: int, size: int,
-        watchdog: float | None, around,
+        self,
+        rank: int,
+        size: int,
+        transport: LocalTransport,
+        stats: TrafficStats,
+        faults: FaultInjector | None = None,
+        watchdog: float | None = None,
+        scheduler=None,
     ) -> None:
         self.rank = rank
         self.size = size
+        #: The world-wide traffic accounting object.
+        self.stats = stats
+        self._faults = faults
         self._post = transport.post
         self._match = transport.mailbox(rank).match
-        self.watchdog = watchdog
-        self._around = around
-        if around is None:
+        self._watchdog = watchdog
+        self._around = _blocked_around(rank, scheduler)
+        if self._around is None:
             # Nothing wraps a wait: block directly, with no extra look.
             self._wait = self._match
+        self._windows = 0
 
     def _deadline(self) -> float | None:
-        wd = self.watchdog
+        wd = self._watchdog
         return None if wd is None else time.monotonic() + wd
 
     def _wait(self, source, tag, consume=True, deadline=None, op="recv"):
@@ -206,128 +220,20 @@ class Endpoint:
         with self._around(op):
             return match(source, tag, consume, deadline=deadline, op=op)
 
-    def send(self, dest, tag, payload, nbytes) -> None:
-        self._post((dest,), self.rank, tag, payload, nbytes)
+    def _deliver(self, op: str, dest: int, tag: int, payload) -> None:
+        """Post a user send or put: copy and cost, pause, count once, post.
 
-    def recv(self, source, tag):
-        return self._wait(source, tag, deadline=self._deadline())
-
-    def probe(self, source, tag) -> Status:
-        src, t, _payload, nbytes = self._wait(
-            source, tag, consume=False, deadline=self._deadline(), op="probe"
-        )
-        return Status(src, t, nbytes)
-
-    def iprobe(self, source, tag) -> Status | None:
-        hit = self._match(source, tag, consume=False, block=False)
-        return None if hit is None else Status(hit[0], hit[1], hit[3])
-
-    def exchange(self, kind, value, metered) -> list:
-        """Every rank contributes ``value``; all get the list by rank.
-
-        Gather to rank 0, then fan one shared list out to everybody.
-        No sequence numbers are needed: a rank can only contribute to
-        the next exchange after receiving this one's result, which rank
-        0 posts after it has gathered everything — so rank 0 never holds
-        two contributions from one source, and results reach each rank
-        in FIFO order.
-
-        Each contribution carries its rank's collective ``kind``; rank 0
-        raises :class:`ProtocolError` naming every rank's when they
-        differ, which aborts the world instead of pairing, say, one
-        rank's ``barrier`` with another's ``allgather``.
+        A planned delay pauses the sender before the envelope is counted
+        or posted, so FIFO order per (source, tag) survives it (an MPI
+        send is allowed to block) and no byte moves differently.
         """
-        deadline = self._deadline()
-        if self.rank:
-            self._post((0,), self.rank, TAG_GATHER, (kind, value), 0)
-            result = self._wait(0, TAG_RESULT, deadline=deadline, op="collective")
-            return list(result[2])
-        kinds = [kind] * self.size
-        values = [value] * self.size
-        for _ in range(self.size - 1):
-            src, _tag, contribution, _n = self._wait(
-                ANY_SOURCE, TAG_GATHER, deadline=deadline, op="collective"
-            )
-            kinds[src], values[src] = contribution
-        if kinds.count(kind) != self.size:
-            raise ProtocolError(
-                "collectives diverge: " + ", ".join(
-                    f"rank {r} {' '.join(map(str, k))}"
-                    for r, k in enumerate(kinds)
-                )
-            )
-        self._post(range(1, self.size), 0, TAG_RESULT, values, 0)
-        return list(values)
-
-    def put(self, win_tag, target, payload, nbytes) -> None:
-        self._post((target,), self.rank, win_tag, payload, nbytes)
-
-    def fence(self, win_tag, counts) -> list:
-        """Complete a window epoch; ``counts[t]`` puts went to rank ``t``.
-
-        The opening exchange doubles as the completion contract: every
-        rank learns how many puts each origin addressed to it and takes
-        exactly that many from its mailbox — proof against transport
-        latency, FIFO per origin, returned in origin-rank order.  The
-        closing exchange keeps a fast rank from starting the next epoch
-        while a slow one still drains this one (the paper's "global
-        synchronization ... to guarantee the completion").
-        """
-        table = self.exchange(("fence",), counts, False)
-        deadline = self._deadline()
-        drained = []
-        for origin, row in enumerate(table):
-            for _ in range(row[self.rank]):
-                _src, _tag, payload, nbytes = self._wait(
-                    origin, win_tag, deadline=deadline, op="fence"
-                )
-                drained.append((origin, payload, nbytes))
-        self.exchange(("fence",), None, False)
-        return drained
-
-
-class RankComm:
-    """The communicator handle passed to each rank's ``main`` function.
-
-    The one communicator class of the runtime: the public MPI-style API
-    validates, freezes and costs its arguments, then speaks the seven
-    primitives to the middleware chain composed over this rank's
-    :class:`Endpoint`.  What the endpoint's waits run inside is decided
-    here, once per rank.
-    """
-
-    def __init__(
-        self,
-        rank: int,
-        size: int,
-        transport: LocalTransport,
-        stats: TrafficStats,
-        faults: FaultInjector | None = None,
-        watchdog: float | None = None,
-        scheduler=None,
-    ) -> None:
-        self.rank = rank
-        self.size = size
-        #: The world-wide traffic accounting object.
-        self.stats = stats
-        self._faults = faults
-        self._chain = compose(
-            Endpoint(
-                transport, rank, size, watchdog,
-                _blocked_around(rank, scheduler),
-            ),
-            rank=rank, stats=stats, faults=faults,
-        )
-        self._windows = 0
-
-    @property
-    def layers(self) -> tuple[str, ...]:
-        """Names of the active middleware layers, outermost first."""
-        names, layer = [], self._chain
-        while isinstance(layer, Layer):
-            names.append(layer.name)
-            layer = layer.inner
-        return tuple(names)
+        frozen, nbytes = freeze(payload), payload_nbytes(payload)
+        if self._faults is not None:
+            seconds = self._faults.pause(self.rank, op)
+            if seconds:
+                time.sleep(seconds)
+        self.stats.record_send(self.rank, nbytes)
+        self._post((dest,), self.rank, tag, frozen, nbytes)
 
     # ------------------------------------------------------------------
     # Two-sided messaging
@@ -336,10 +242,10 @@ class RankComm:
         """Eager buffered send; returns immediately.
 
         When the world carries a fault plan the injector may impose a
-        sender-side delay (see :class:`~repro.runtime.layers.FaultLayer`).
+        sender-side delay first.
         """
         self._check(dest, "destination", tag)
-        self._chain.send(dest, tag, freeze(payload), payload_nbytes(payload))
+        self._deliver("send", dest, tag, payload)
 
     def _check(self, rank: int, role: str, tag: int) -> None:
         """A user channel names a rank of this world and a tag >= 0
@@ -364,28 +270,74 @@ class RankComm:
     def recv(self, source: int, tag: int):
         """Blocking receive; returns ``(source, tag, payload)``."""
         self._check(source, "source", tag)
-        return self._chain.recv(source, tag)[:3]
+        return self._wait(source, tag, deadline=self._deadline())[:3]
 
     def probe(self, source: int, tag: int) -> Status:
         """Blocking probe: envelope of the channel's next message."""
         self._check(source, "source", tag)
-        return self._chain.probe(source, tag)
+        src, t, _payload, nbytes = self._wait(
+            source, tag, consume=False, deadline=self._deadline(), op="probe"
+        )
+        return Status(src, t, nbytes)
 
     def iprobe(self, source: int, tag: int) -> Status | None:
         """Non-blocking probe; ``None`` if the channel has nothing queued."""
         self._check(source, "source", tag)
-        return self._chain.iprobe(source, tag)
+        hit = self._match(source, tag, consume=False, block=False)
+        return None if hit is None else Status(hit[0], hit[1], hit[3])
 
     # ------------------------------------------------------------------
     # Collectives
     # ------------------------------------------------------------------
+    def _exchange(self, kind, value, metered) -> list:
+        """Every rank contributes ``value``; all get the list by rank.
+
+        Gather to rank 0, then fan one shared list out to everybody.
+        No sequence numbers are needed: a rank can only contribute to
+        the next exchange after receiving this one's result, which rank
+        0 posts after it has gathered everything — so rank 0 never holds
+        two contributions from one source, and results reach each rank
+        in FIFO order.
+
+        Each contribution carries its rank's collective ``kind``
+        (``("barrier",)``, ``("allreduce", "sum")``, ...); rank 0
+        raises :class:`ProtocolError` naming every rank's when they
+        differ, which aborts the world instead of pairing, say, one
+        rank's ``barrier`` with another's ``allgather``.  Rank 0 counts
+        a ``metered`` exchange as one collective of every rank; control
+        plane exchanges count as none.
+        """
+        if metered and self.rank == 0:
+            self.stats.record_collective()
+        deadline = self._deadline()
+        if self.rank:
+            self._post((0,), self.rank, TAG_GATHER, (kind, value), 0)
+            result = self._wait(0, TAG_RESULT, deadline=deadline, op="collective")
+            return list(result[2])
+        kinds = [kind] * self.size
+        values = [value] * self.size
+        for _ in range(self.size - 1):
+            src, _tag, contribution, _n = self._wait(
+                ANY_SOURCE, TAG_GATHER, deadline=deadline, op="collective"
+            )
+            kinds[src], values[src] = contribution
+        if kinds.count(kind) != self.size:
+            raise ProtocolError(
+                "collectives diverge: " + ", ".join(
+                    f"rank {r} {' '.join(map(str, k))}"
+                    for r, k in enumerate(kinds)
+                )
+            )
+        self._post(range(1, self.size), 0, TAG_RESULT, values, 0)
+        return list(values)
+
     def barrier(self) -> None:
         """Synchronize all ranks."""
-        self._chain.exchange(("barrier",), None, True)
+        self._exchange(("barrier",), None, True)
 
     def allgather(self, value) -> list:
         """Every rank contributes ``value``; all get the list by rank."""
-        return self._chain.exchange(("allgather",), freeze(value), True)
+        return self._exchange(("allgather",), freeze(value), True)
 
     def allreduce(self, value, op: str = "sum"):
         """Reduce ``value`` across ranks with ``op`` in {sum, min, max}.
@@ -393,7 +345,7 @@ class RankComm:
         Works on scalars and NumPy arrays (elementwise); the reduction
         runs in rank order on every rank, so all backends agree bitwise.
         """
-        values = self._chain.exchange(("allreduce", op), freeze(value), True)
+        values = self._exchange(("allreduce", op), freeze(value), True)
         return reduce_values(values, op)
 
     def bcast(self, value=None, root: int = 0):
@@ -401,7 +353,7 @@ class RankComm:
         if not 0 <= root < self.size:
             raise ValueError(f"root rank {root} out of range")
         value = value if self.rank == root else None
-        values = self._chain.exchange(("bcast", root), freeze(value), True)
+        values = self._exchange(("bcast", root), freeze(value), True)
         return values[root]
 
     # ------------------------------------------------------------------
@@ -418,10 +370,39 @@ class RankComm:
 
         win_id = self._windows
         self._windows += 1
-        ids = self._chain.exchange(("win_create",), win_id, False)
+        ids = self._exchange(("win_create",), win_id, False)
         if any(i != win_id for i in ids):
             raise RuntimeError("window creation out of sync across ranks")
-        return Window(self, self._chain, TAG_WINDOW_BASE - win_id)
+        return Window(self, TAG_WINDOW_BASE - win_id)
+
+    def _fence(self, win_tag, counts) -> list:
+        """Complete a window epoch; ``counts[t]`` puts went to rank ``t``.
+
+        Rank 0 counts the fence as the two zero-byte synchronizations of
+        §2.2.1 — one making the epoch's puts visible, one closing it.
+        The opening exchange, unmetered control plane, doubles as the
+        completion contract: every rank learns how many puts each origin
+        addressed to it and takes exactly that many from its mailbox —
+        proof against transport latency, FIFO per origin, returned in
+        origin-rank order.  The closing exchange keeps a fast rank from
+        starting the next epoch while a slow one still drains this one
+        (the paper's "global synchronization ... to guarantee the
+        completion").
+        """
+        if self.rank == 0:
+            self.stats.record_collective()
+            self.stats.record_collective()
+        table = self._exchange(("fence",), counts, False)
+        deadline = self._deadline()
+        drained = []
+        for origin, row in enumerate(table):
+            for _ in range(row[self.rank]):
+                _src, _tag, payload, _nbytes = self._wait(
+                    origin, win_tag, deadline=deadline, op="fence"
+                )
+                drained.append((origin, payload))
+        self._exchange(("fence",), None, False)
+        return drained
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RankComm(rank={self.rank}, size={self.size})"
@@ -557,8 +538,7 @@ class World:
         Optional :class:`~repro.runtime.faults.FaultInjector` that
         sends, one-sided puts, and engine fault points consult; pass the
         same injector to every world of a recovered run.  ``None`` (the
-        default) composes no fault layer and keeps every hot path
-        exactly as before.  A planned crash aborts the world
+        default) pauses nothing.  A planned crash aborts the world
         and raises :class:`~repro.runtime.faults.InjectedFault` out of
         :meth:`run` on every backend.
     watchdog:

@@ -1,15 +1,16 @@
 """Per-rank communication accounting.
 
-Every message the runtime carries is counted here, exactly, per rank:
-messages, payload bytes and collectives — and nothing else.  These
-counts are the data behind the Figure 12 (communication volume) and
-Figure 13 (communication time) reproductions; the runtime prices
-nothing, :class:`~repro.perfmodel.machine.ScalingNetwork` turns the
-counts into modeled Sunway seconds.
+Every message the runtime carries is counted here once, exactly, by
+the rank that sends it: messages, payload bytes and collectives — and
+nothing else.  These counts are the data behind the Figure 12
+(communication volume) and Figure 13 (communication time)
+reproductions; the runtime prices nothing,
+:class:`~repro.perfmodel.machine.ScalingNetwork` turns the counts into
+modeled Sunway seconds.
 
 :class:`TrafficStats` doubles as a backend of the unified
 :mod:`repro.observe` spine: with observation enabled, every recorded
-send/recv/collective is mirrored into the active registry's
+send and collective is mirrored into the active registry's
 ``runtime.*`` counters, so traffic and phase timings land in one place.
 """
 
@@ -88,8 +89,6 @@ class RankCounters:
 
     sent_messages: int = 0
     sent_bytes: int = 0
-    recv_messages: int = 0
-    recv_bytes: int = 0
     collectives: int = 0
 
 
@@ -104,7 +103,7 @@ class TrafficStats:
     # ------------------------------------------------------------------
     # Recording (called by the runtime)
     # ------------------------------------------------------------------
-    def record_send(self, src: int, dst: int, nbytes: int) -> None:
+    def record_send(self, src: int, nbytes: int) -> None:
         with self._lock:
             c = self.ranks[src]
             c.sent_messages += 1
@@ -112,15 +111,6 @@ class TrafficStats:
         if obs.enabled():
             obs.add("runtime.sent_messages")
             obs.add("runtime.sent_bytes", nbytes)
-
-    def record_recv(self, dst: int, nbytes: int) -> None:
-        with self._lock:
-            c = self.ranks[dst]
-            c.recv_messages += 1
-            c.recv_bytes += nbytes
-        if obs.enabled():
-            obs.add("runtime.recv_messages")
-            obs.add("runtime.recv_bytes", nbytes)
 
     def record_collective(self) -> None:
         """Record one collective; charged to every rank."""
@@ -170,10 +160,10 @@ class TrafficStats:
     def absorb_state(self, state: list[tuple]) -> None:
         """Sum another process's :meth:`export_state` into this one.
 
-        Each traffic event is recorded in exactly one process (sends and
-        receives by the rank performing them, collectives by rank 0's
-        process for every rank), so summing the per-rank tuples across
-        all children reconstructs the world-wide accounting exactly.
+        Each traffic event is recorded in exactly one process (a send by
+        the sender's, a collective by rank 0's for every rank), so
+        summing the per-rank tuples across all children reconstructs the
+        world-wide accounting exactly.
         """
         if len(state) != self.nranks:
             raise ValueError(

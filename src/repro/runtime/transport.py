@@ -13,8 +13,8 @@ are the whole interface, and it has exactly two implementations:
   whole payload, and a pump thread deposits it on arrival.
 
 Everything above — matching semantics, collectives, window fences,
-fault injection, accounting — is written once against this surface
-(:mod:`repro.runtime.simmpi`, :mod:`repro.runtime.layers`).
+fault injection, accounting — is written once against this surface, by
+the communicator (:mod:`repro.runtime.simmpi`).
 
 Reserved tags
 -------------
@@ -36,7 +36,7 @@ import numpy as np
 
 from repro import observe as obs
 
-#: Any source: only rank 0's gather in ``Endpoint.exchange`` matches
+#: Any source: only rank 0's gather in ``RankComm._exchange`` matches
 #: with it, on ``TAG_GATHER``, and it stores each contribution by source,
 #: so arrival order cannot matter.  No user call can name it.
 ANY_SOURCE: int = -1

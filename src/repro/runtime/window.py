@@ -12,24 +12,21 @@ payload at a target rank with no action required from the target, and
 ``fence`` (the global synchronization) completes all outstanding puts and
 hands each rank whatever was put into its window during the epoch.  It
 is the one window class of every backend: a put is an envelope under the
-window's reserved tag in the target's ordinary mailbox, and the fence is
-:meth:`repro.runtime.simmpi.Endpoint.fence`.
+window's reserved tag in the target's ordinary mailbox, sent and counted
+like a user send by the communicator, and the fence is
+:meth:`repro.runtime.simmpi.RankComm._fence`.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.runtime.stats import payload_nbytes
-from repro.runtime.transport import freeze
-
 
 class Window:
     """One rank's handle on a collectively-created RMA window."""
 
-    def __init__(self, comm, chain, tag: int) -> None:
+    def __init__(self, comm, tag: int) -> None:
         self.comm = comm
-        self._chain = chain
         self._tag = tag
         #: Logical puts issued this epoch, by target rank; the fence
         #: tells each target how many to drain.
@@ -46,9 +43,7 @@ class Window:
         if not 0 <= target < self.comm.size:
             raise ValueError(f"target rank {target} out of range")
         self._epoch_counts[target] += 1
-        self._chain.put(
-            self._tag, target, freeze(payload), payload_nbytes(payload)
-        )
+        self.comm._deliver("put", target, self._tag, payload)
 
     def fence(self) -> list[tuple[int, Any]]:
         """Synchronize the epoch; return ``(origin, payload)`` puts received.
@@ -60,7 +55,4 @@ class Window:
         """
         counts = self._epoch_counts
         self._epoch_counts = [0] * self.comm.size
-        return [
-            (origin, payload)
-            for origin, payload, _nbytes in self._chain.fence(self._tag, counts)
-        ]
+        return self.comm._fence(self._tag, counts)

@@ -226,6 +226,39 @@ class TestFaultFlags:
         assert rc == 1
         assert err.splitlines() == [f"error: {site}"]
 
+    def test_protocol_error_is_one_error_line(self, capsys, monkeypatch):
+        # Ranks that break the protocol would break it again on a retry.
+        from repro.core.coupling import CoupledSimulation
+        from repro.runtime.simmpi import ProtocolError
+
+        verdict = "unreceived messages: rank 0 -> rank 1 tag 31337 x1"
+
+        def leak(self):
+            raise ProtocolError(verdict)
+
+        monkeypatch.setattr(CoupledSimulation, "run", leak)
+        rc = main(["coupled", "--cells", "8", "--kmc-ranks", "2"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines() == [f"error: {verdict}"]
+
+    def test_kmc_schemes_protocol_error_is_one_error_line(
+        self, capsys, monkeypatch
+    ):
+        from repro.experiments._kmc_comm import SchemeComparison
+        from repro.runtime.simmpi import ProtocolError
+
+        verdict = "collectives diverge: rank 0 barrier, rank 1 allgather"
+
+        def diverge(self, cycles):
+            raise ProtocolError(verdict)
+
+        monkeypatch.setattr(SchemeComparison, "run", diverge)
+        rc = main(["kmc-schemes", "--cycles", "1", "--vacancies", "4"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines() == [f"error: {verdict}"]
+
     def test_watchdog_flag_accepted(self, capsys):
         rc = main(
             [

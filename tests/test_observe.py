@@ -117,10 +117,6 @@ class TestThreadSafety:
         # reachable through the unified counters.
         assert reg.counters["runtime.sent_messages"] == world.stats.total_messages
         assert reg.counters["runtime.sent_bytes"] == world.stats.total_sent_bytes
-        assert reg.counters["runtime.recv_messages"] >= nranks - 1
-        assert reg.counters["runtime.recv_messages"] == sum(
-            c.recv_messages for c in world.stats.ranks
-        )
         # Every rank got a name in the registry.  The process backend
         # prefixes absorbed child names with "rankN/", so match suffixes.
         names = set(reg.thread_names.values())

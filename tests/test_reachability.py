@@ -63,7 +63,6 @@ ALLOWLIST = {
         "MD-model memory headroom for the 3.9e7-atom weak load",
     "potential.eam.EAMPotential.pairwise_forces":
         "O(N^2) reference forces the EAM kernel is checked against",
-    "runtime.simmpi.RankComm.layers": "middleware order the runtime tests pin",
     "runtime.simmpi.RankComm.bcast":
         "collective of the runtime contract, run by the conformance program",
     "runtime.stats.TrafficStats.total_sent_bytes": _LEDGER,

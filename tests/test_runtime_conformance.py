@@ -407,19 +407,6 @@ def test_coupled(cell, reference, potential, tmp_path, monkeypatch):
     check("coupled", cell, reference, potential, tmp_path, monkeypatch)
 
 
-def test_layers_compose_in_one_order_on_every_backend():
-    def main(comm):
-        return comm.layers
-
-    injector = FaultInjector("crash:rank=0,cycle=99")
-    for backend in BACKENDS:
-        if backend == "process" and not fork_available():
-            continue
-        world = World(2, faults=injector, backend=backend, workers=2)
-        (layers, _same) = world.run(main, timeout=60.0)
-        assert layers == ("faults", "traffic")
-
-
 # ----------------------------------------------------------------------
 # World reuse: per-run state is created inside run()
 # ----------------------------------------------------------------------

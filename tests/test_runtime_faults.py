@@ -144,10 +144,23 @@ class TestCrashInjection:
         parent.crash_point(1, "kmc.cycle", 0)  # fired once, ever
 
 
+def _delayed_and_clean(main, plan, backend):
+    """Run ``main`` in a world delayed by ``plan`` and in a fault-free
+    one; return both worlds and the delayed run's results and seconds."""
+    delayed = World(2, faults=FaultInjector(plan), backend=backend, workers=2)
+    t0 = time.perf_counter()
+    results = delayed.run(main)
+    seconds = time.perf_counter() - t0
+    clean = World(2, backend=backend, workers=2)
+    assert clean.run(main) == results
+    return delayed, clean, results, seconds
+
+
 class TestMessagingFaults:
     def test_delay_preserves_fifo_per_source(self):
         # The delayed message is held back at the sender, so the
-        # receiver still sees source-order delivery.
+        # receiver still sees source-order delivery, and the message is
+        # counted once, as in a fault-free world.
         def main(comm):
             if comm.rank == 0:
                 for i in range(4):
@@ -155,18 +168,19 @@ class TestMessagingFaults:
                 return None
             return [comm.recv(source=0, tag=7)[2] for _ in range(4)]
 
-        world = World(
-            2, faults=FaultInjector("delay:rank=0,nth=2,seconds=0.05")
-        )
-        t0 = time.perf_counter()
-        results = world.run(main)
-        assert results[1] == [0, 1, 2, 3]
-        assert time.perf_counter() - t0 >= 0.05
-        assert world.faults.snapshot()["delays"] == 1
+        for backend in ("thread", "process", "overdecomposed"):
+            delayed, clean, results, seconds = _delayed_and_clean(
+                main, "delay:rank=0,nth=2,seconds=0.05", backend
+            )
+            assert results[1] == [0, 1, 2, 3]
+            assert seconds >= 0.05
+            assert delayed.faults.snapshot()["delays"] == 1
+            assert delayed.stats.snapshot() == clean.stats.snapshot()
+            assert delayed.stats.total_messages == 4
 
 
 class TestWindowFaults:
-    def _run(self, faults=None):
+    def test_put_stall_is_pure_timing(self):
         def main(comm):
             win = comm.win_create()
             if comm.rank == 0:
@@ -175,17 +189,15 @@ class TestWindowFaults:
             received = win.fence()
             return [payload for _origin, payload in received]
 
-        world = World(2, faults=faults)
-        return world, world.run(main)
-
-    def test_put_stall_is_pure_timing(self):
-        t0 = time.perf_counter()
-        world, results = self._run(
-            FaultInjector("delay:rank=0,nth=2,seconds=0.05,op=put")
-        )
-        assert time.perf_counter() - t0 >= 0.05
-        assert results[1] == [("item", 0), ("item", 1), ("item", 2)]
-        assert world.faults.snapshot()["delays"] == 1
+        for backend in ("thread", "process", "overdecomposed"):
+            delayed, clean, results, seconds = _delayed_and_clean(
+                main, "delay:rank=0,nth=2,seconds=0.05,op=put", backend
+            )
+            assert seconds >= 0.05
+            assert results[1] == [("item", 0), ("item", 1), ("item", 2)]
+            assert delayed.faults.snapshot()["delays"] == 1
+            assert delayed.stats.snapshot() == clean.stats.snapshot()
+            assert delayed.stats.total_messages == 3
 
 
 class TestWatchdog:

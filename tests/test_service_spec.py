@@ -5,7 +5,6 @@ import json
 import pytest
 
 import repro
-from repro.runtime.simmpi import World
 from repro.service.spec import (
     EXECUTION_FIELDS,
     IDENTITY_FIELDS,
@@ -165,14 +164,22 @@ class TestValidation:
         plan = "crash:rank=1,cycle=3; delay:rank=0,nth=2,seconds=0.01,op=put"
         assert ScenarioSpec(kmc_nranks=2, faults=plan).faults == plan
 
-    def test_an_empty_plan_composes_no_fault_layer(self):
-        # An empty plan is no plan: the spec holds None, so the run
-        # builds no injector and its worlds compose no fault layer.
-        for plan in ("", " ; "):
-            assert ScenarioSpec(kmc_nranks=2, faults=plan).faults is None
-        for backend in ("thread", "overdecomposed"):
-            world = World(2, faults=None, backend=backend, workers=2)
-            assert world.run(lambda comm: comm.layers) == [("traffic",)] * 2
+    def test_an_empty_plan_builds_no_injector(self, monkeypatch):
+        # An empty plan is no plan: the spec holds None, so the coupled
+        # run builds no FaultInjector and its worlds pause nothing.
+        from repro.core import coupling
+
+        built = []
+        monkeypatch.setattr(coupling, "FaultInjector", built.append)
+        monkeypatch.setattr(
+            coupling.CoupledSimulation, "_run_kmc_attempt",
+            lambda sim, occupancy, injector, resume, ckpt_path: "result",
+        )
+        for plan in ("", " ; ", "crash:rank=1,cycle=3"):
+            spec = ScenarioSpec(cells=8, kmc_nranks=2, faults=plan)
+            sim = coupling.CoupledSimulation(spec.to_coupled_config())
+            assert sim._run_kmc_supervised(None)[:2] == ("result", 0)
+        assert built == ["crash:rank=1,cycle=3"]
 
     def test_feasible_decomposition_accepted(self):
         assert ScenarioSpec(cells=8, kmc_nranks=8).kmc_nranks == 8
