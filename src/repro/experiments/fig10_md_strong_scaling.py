@@ -4,7 +4,7 @@ Paper finding: "Scaling from 97,500 cores to 6,240,000 cores, we achieve
 26.4-fold speedup (41.3% parallel efficiency)."
 
 Reproduction: the calibrated MD scaling model (per-atom cost measured
-from the blocked CPE kernel; surface/volume, pack, network and sync terms
+from the blocked CPE kernel; surface/volume halo exchange and sync terms
 per DESIGN.md).
 """
 

@@ -10,7 +10,7 @@ TaihuLight network model (:data:`repro.perfmodel.machine.TAIHULIGHT`, the
 price list of Figures 10-16; a threaded in-process runtime has no
 meaningful communication wall-clock).  At reduced scale the per-message
 latency term weighs more than at the paper's 1.6e7 sites, so the speedup
-is smaller (~1.6-1.7x) but still decisively in the on-demand direction;
+is smaller (~1.8x) but still decisively in the on-demand direction;
 the volume term (Figure 12) carries the mechanism.
 """
 

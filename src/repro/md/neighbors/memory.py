@@ -61,12 +61,6 @@ class MemoryFootprint:
     bytes_per_atom: float
     fixed_bytes: int
 
-    def total_bytes(self, natoms: int) -> float:
-        """Total structure memory for ``natoms`` atoms."""
-        if natoms < 0:
-            raise ValueError(f"natoms must be non-negative, got {natoms}")
-        return self.fixed_bytes + self.bytes_per_atom * natoms
-
     def max_atoms(self, capacity_bytes: float) -> int:
         """Largest atom count fitting in ``capacity_bytes``."""
         usable = capacity_bytes - self.fixed_bytes

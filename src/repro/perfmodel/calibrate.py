@@ -45,15 +45,6 @@ class CalibratedCosts:
     md_atom_step_time:
         Seconds per atom per MD step on one CG (64 CPEs working), under
         the fully optimized kernel.  Measured: :func:`calibrate_from_kernels`.
-    mpe_pack_time_per_site:
-        Seconds the master core spends packing/unpacking one boundary
-        site ("the master cores are responsible for inter-node
-        communication").  Fitted so Figs 10 and 16 land in the paper's
-        band.
-    md_fixed_step_overhead:
-        Per-step fixed cost (kernel launches, Athread dispatch, MPI
-        progression) in seconds.  Fitted so Fig 10 lands in the paper's
-        band.
     kmc_event_time:
         Seconds to compute the rates of one vacancy and service one event
         on an MPE, *outside* the L2-resident regime.  Fitted so Fig 14
@@ -73,8 +64,6 @@ class CalibratedCosts:
     """
 
     md_atom_step_time: float
-    mpe_pack_time_per_site: float = 1.5e-7
-    md_fixed_step_overhead: float = 5.0e-3
     kmc_event_time: float = 5.0e-5
     kmc_l2_speedup: float = 1.6
     kmc_vacancy_record_bytes: float = 2048.0

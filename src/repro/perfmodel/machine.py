@@ -5,7 +5,7 @@ repository: it prices the counted traffic of Figures 9-16 and the
 executed traffic counts of Figure 13 alike.  It extends the postal model
 with a *power-law* contention term: at full-machine scale the effective
 per-byte cost of the TaihuLight interconnect degrades roughly as
-``(P / P0)^gamma`` (shared links, adaptive routing pressure) — the effect
+``P^gamma`` (shared links, adaptive routing pressure) — the effect
 behind the paper's "the communication time for larger number of cores is
 a little higher, which is caused by the communication contention".
 
@@ -36,42 +36,33 @@ class ScalingNetwork:
     Attributes
     ----------
     alpha:
-        Per-message latency (s).  Fitted so Fig 14 lands in the paper's
-        band.
+        Per-message latency (s), and the per-hop cost of a
+        synchronization collective.  Fitted so Figs 14-15 land in the
+        paper's band.
     beta0:
-        Per-byte cost (s) at the normalization scale ``p0``: 0.5 GB/s
-        per rank.  Fitted so Figs 10-11 land in the paper's band.
+        Per-byte cost (s) extrapolated to one rank; under the default
+        ``gamma`` it is 2e-9 s (0.5 GB/s per rank) at 1,000 ranks.
+        Fitted so Figs 10-11 land in the paper's band.
     gamma:
-        Contention exponent: ``beta_eff = beta0 * (P / p0)^gamma`` for
-        ``P > p0``.  Fitted so Fig 11 lands in the paper's 85% ("caused
-        by the communication contention").
-    p0:
-        Rank count at which ``beta0`` is quoted.  Fitted with ``gamma``
-        so Fig 11 lands in the paper's band.
-    sync_alpha:
-        Per-hop cost of the synchronization collectives (s); scaled by
-        tree depth and a contention factor of its own.  Fitted so Figs
-        14-15 land in the paper's band.
+        Contention exponent: ``beta(P) = beta0 * P^gamma``.  Fitted so
+        Fig 11 lands in the paper's 85% ("caused by the communication
+        contention").
     sync_contention:
         Linear-in-depth inflation of collective hops at scale.  Fitted
         so Figs 14-15 land in the paper's band (Fig 15: "the collective
         operations used for time synchronization").
     """
 
-    alpha: float = 5.0e-6
-    beta0: float = 2.0e-9
+    alpha: float = 1.0e-5
+    beta0: float = 2.0e-9 * 1000**-0.3
     gamma: float = 0.3
-    p0: int = 1000
-    sync_alpha: float = 1.0e-5
     sync_contention: float = 1.5
 
     def beta(self, nranks: int) -> float:
         """Effective per-byte cost at ``nranks`` ranks."""
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
-        if nranks <= self.p0:
-            return self.beta0
-        return self.beta0 * (nranks / self.p0) ** self.gamma
+        return self.beta0 * nranks**self.gamma
 
     def exchange(self, messages: int, nbytes: float, nranks: int) -> float:
         """Time of one halo-exchange phase on the critical rank."""
@@ -82,7 +73,7 @@ class ScalingNetwork:
         if nranks <= 1:
             return 0.0
         depth = math.log2(nranks)
-        return self.sync_alpha * depth * (1.0 + self.sync_contention * depth)
+        return self.alpha * depth * (1.0 + self.sync_contention * depth)
 
     def traffic_time(self, snapshot: dict) -> float:
         """Communication time of the critical rank of executed traffic.

@@ -3,16 +3,15 @@
 Per step and per core group:
 
     T = N_cg * t_atom                          (CPE compute)
-      + S(N_cg) * t_pack                       (MPE pack/unpack)
       + 26 * X * alpha + S(N_cg) * B * beta(P) (halo exchange)
-      + collective(P) + F                      (sync + fixed overhead)
+      + collective(P)                          (synchronization)
 
 where ``N_cg`` is atoms per core group and ``S`` the boundary-site count
 of a cubic subdomain with the MD engine's ghost shell.  The ghost width,
 the exchanges per step ``X`` and the bytes per sent ghost row per step
 ``B`` are counted from an executed ``ParallelDamageMD`` run
 (:func:`~repro.perfmodel.calibrate.executed_traffic`).  Strong scaling
-shrinks ``N_cg`` (surface-to-volume and fixed costs erode efficiency —
+shrinks ``N_cg`` (surface-to-volume and latency costs erode efficiency —
 the paper's 41.3% at 6.24M cores); weak scaling keeps ``N_cg`` fixed and
 the contention term grows (the paper's 85% at 6.656M cores).
 """
@@ -61,19 +60,16 @@ class MDScalingModel:
         cgs = self.machine.cgs_from_cores(cores)
         atoms_per = total_atoms / cgs
         compute = atoms_per * self.costs.md_atom_step_time
-        pack = boundary_sites(atoms_per) * self.costs.mpe_pack_time_per_site
         comm = halo_time(atoms_per, cgs, self.machine.network)
-        sync = self.machine.network.collective(cgs) + self.costs.md_fixed_step_overhead
+        sync = self.machine.network.collective(cgs)
         return {
             "cores": cores,
             "cgs": cgs,
             "atoms_per_cg": atoms_per,
             "compute": compute,
-            "pack": pack,
-            "comm": pack + comm,  # the paper lumps pack into comm time
-            "network": comm,
+            "comm": comm,
             "sync": sync,
-            "total": compute + pack + comm + sync,
+            "total": compute + comm + sync,
         }
 
     def strong_scaling(self, total_atoms: float, cores_list: list[int]) -> list[dict]:

@@ -29,13 +29,12 @@ from dataclasses import asdict, dataclass, fields
 
 #: Bumped whenever the artifact layout or the meaning of a spec field
 #: changes; part of every cache key.
-SPEC_SCHEMA_VERSION = 1
+SPEC_SCHEMA_VERSION = 2
 
 #: Fields hashed into the cache key (with schema + code version).
 IDENTITY_FIELDS = (
     "cells",
     "temperature",
-    "potential",
     "table_points",
     "md_steps",
     "pka_energy",
@@ -66,7 +65,6 @@ _REQUIRED_FLOAT = ("temperature",)
 
 _SCHEMES = ("traditional", "ondemand", "onesided")
 _BACKENDS = ("thread", "process", "overdecomposed")
-_POTENTIALS = ("fe",)
 
 
 class SpecError(ValueError):
@@ -95,9 +93,6 @@ class ScenarioSpec:
         Conventional cells per axis (cubic box; >= 5).
     temperature:
         System temperature in K.
-    potential:
-        Potential family; only ``"fe"`` today (the key leaves room for
-        more without a schema bump).
     table_points:
         Interpolation table resolution.
     md_steps / pka_energy:
@@ -137,7 +132,6 @@ class ScenarioSpec:
 
     cells: int = 8
     temperature: float = 600.0
-    potential: str = "fe"
     table_points: int = 2000
     md_steps: int | None = None
     pka_energy: float | None = None
@@ -188,10 +182,6 @@ class ScenarioSpec:
             )
         if self.temperature <= 0:
             raise SpecError("temperature must be positive")
-        if self.potential not in _POTENTIALS:
-            raise SpecError(
-                f"unknown potential {self.potential!r}; choose from {_POTENTIALS}"
-            )
         if self.table_points < 2:
             raise SpecError("table_points must be >= 2")
         if self.md_steps is not None and self.md_steps < 1:

@@ -28,8 +28,8 @@ compacted table           39 KB sample tables loaded into the local store
                           once per pass; segment coefficients reconstructed
                           on the fly (extra cycles per evaluation)
 + data reuse              the ghost ring shared by consecutive blocks of a
-                          slab is kept in the local store, shrinking the
-                          per-block gather
+                          slab is kept in the local store: every block
+                          after a slab's first gathers none of its ghosts
 + double buffer           block transfers stream through two buffers and
                           overlap with compute: a pass costs
                           sum(max(compute_b, transfer_b)) instead of
@@ -234,9 +234,7 @@ class BlockedEAMKernel:
         # Per pass, each slab's thread wall time.
         slab_times: dict[str, list[float]] = {p: [] for p in PASSES}
 
-        per_eval_cycles = (
-            arch.eval_cycles + (0.0 if trad else arch.reconstruct_cycles)
-        ) / arch.simd_factor
+        per_eval_cycles = arch.eval_cycles + (0.0 if trad else arch.reconstruct_cycles)
 
         def price(n_atoms, n_inter, gather_bytes, put_bytes, row_gets):
             """Count one block's DMA and return its (compute, transfer)."""
@@ -253,11 +251,6 @@ class BlockedEAMKernel:
 
         for slab in np.array_split(np.arange(state.n), arch.cpes_per_cg):
             blocks: dict[str, list[tuple[float, float]]] = {p: [] for p in PASSES}
-            # Reuse window: the loads of the two most recent blocks (the
-            # halo stencil spans two cells, so a block's ghost overlaps
-            # both predecessors; keeping them matches what the streaming
-            # buffers hold anyway).
-            recent_loads: list[set[int]] = []
             for i in range(0, len(slab), self.block_sites):
                 rows = slab[i : i + self.block_sites]
                 nbrs = matrix[rows]
@@ -268,18 +261,10 @@ class BlockedEAMKernel:
                 )
                 total_interactions += n_inter
                 n_atoms = int(np.count_nonzero(occ[rows]))
-                # Gather footprint, possibly shrunk by ghost-ring reuse.
-                # The measured set overlap is combined with the arch's
-                # reuse-efficiency calibration (production blocks sweep
-                # faces and overlap far more than toy rank-order pencils).
-                loaded = set(rows.tolist()) | set(ghost.tolist())
-                new_ghost = len(ghost)
-                if strat.data_reuse and recent_loads:
-                    window = set().union(*recent_loads)
-                    measured = len(set(ghost.tolist()) - window)
-                    modeled = int(len(ghost) * (1.0 - arch.reuse_efficiency))
-                    new_ghost = min(measured, modeled)
-                recent_loads = [*recent_loads, loaded][-2:]
+                # Gather footprint.  Reuse is priced at its limit: a
+                # block's ghost ring counts as left in the local store by
+                # its predecessors, so only a slab's first block fetches one.
+                new_ghost = 0 if strat.data_reuse and i else len(ghost)
                 # Pass 1: density (rho per central).
                 blocks["density"].append(price(
                     n_atoms, n_inter,

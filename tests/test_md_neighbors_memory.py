@@ -44,24 +44,14 @@ class TestFootprints:
         verlet = verlet_list_footprint(CUTOFF).bytes_per_atom
         assert lat < cell < verlet
 
-    def test_total_bytes_linear(self):
-        fp = verlet_list_footprint(CUTOFF)
-        assert fp.total_bytes(2000) == pytest.approx(
-            2 * fp.total_bytes(1000) - fp.fixed_bytes
-        )
-
     def test_max_atoms_inverse_of_total(self):
         fp = lattice_list_footprint(CUTOFF)
         n = fp.max_atoms(1 << 30)
-        assert fp.total_bytes(n) <= (1 << 30)
-        assert fp.total_bytes(n + 2) > (1 << 30)
+        assert fp.fixed_bytes + fp.bytes_per_atom * n <= (1 << 30)
+        assert fp.fixed_bytes + fp.bytes_per_atom * (n + 2) > (1 << 30)
 
     def test_zero_capacity(self):
         assert verlet_list_footprint(CUTOFF).max_atoms(0) == 0
-
-    def test_negative_atoms_rejected(self):
-        with pytest.raises(ValueError):
-            lattice_list_footprint(CUTOFF).total_bytes(-1)
 
 
 class TestPaperClaim:

@@ -71,16 +71,12 @@ class TestKey:
     def test_every_identity_field_changes_key(self, name):
         base = ScenarioSpec()
         changed = {
-            "cells": 9, "temperature": 700.0, "potential": "fe",
-            "table_points": 1500, "md_steps": 40, "pka_energy": 150.0,
-            "kmc_max_events": 100, "kmc_nranks": 4, "kmc_max_cycles": 10,
-            "recombination_radius": 3.0, "trajectory_every": 2, "seed": 1,
+            "cells": 9, "temperature": 700.0, "table_points": 1500,
+            "md_steps": 40, "pka_energy": 150.0, "kmc_max_events": 100,
+            "kmc_nranks": 4, "kmc_max_cycles": 10, "recombination_radius": 3.0,
+            "trajectory_every": 2, "seed": 1,
         }[name]
-        spec = ScenarioSpec(**{name: changed})
-        if getattr(base, name) == changed:  # potential has one value today
-            assert spec.key() == base.key()
-        else:
-            assert spec.key() != base.key()
+        assert ScenarioSpec(**{name: changed}).key() != base.key()
 
     @pytest.mark.parametrize("name,value", [
         ("kmc_scheme", "onesided"),
@@ -104,7 +100,7 @@ class TestValidation:
     @pytest.mark.parametrize("kwargs,match", [
         ({"cells": 2}, "cells"),
         ({"temperature": -5.0}, "temperature"),
-        ({"potential": "w"}, "potential"),
+        ({"temperature": "hot"}, "temperature must be a number"),
         ({"table_points": 1}, "table_points"),
         ({"md_steps": 0}, "md_steps"),
         ({"pka_energy": -1.0}, "pka_energy"),
