@@ -24,6 +24,7 @@ status 2 and a ``usage:`` message on stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 #: Figure id -> experiment module name.
@@ -60,25 +61,22 @@ def _add_backend_flags(parser) -> None:
     """How a parallel KMC world runs (``coupled``, ``kmc-schemes``)."""
     parser.add_argument(
         "--backend",
-        choices=("thread", "process", "overdecomposed"),
-        default=None,
         help=(
             "execution backend for the parallel KMC ranks: 'thread' "
             "(default), 'process' (one OS process per rank, real "
             "multi-core parallelism), or 'overdecomposed' (R logical "
-            "ranks cooperatively scheduled on --workers OS workers; "
-            "results are bit-identical across all three); "
-            "the REPRO_BACKEND environment variable sets the default"
+            "ranks cooperatively scheduled on --workers OS workers); "
+            "results are bit-identical across all three"
         ),
     )
     parser.add_argument(
         "--workers",
         type=int,
-        default=None,
         metavar="P",
         help=(
             "physical workers for the overdecomposed/rank-group "
-            "backends (default: REPRO_WORKERS or the cpu count)"
+            "backends (default: one per rank for 'process', the cpu "
+            "count for 'overdecomposed')"
         ),
     )
 
@@ -95,36 +93,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("info", help="library and machine-model inventory")
 
+    # Every flag naming a ScenarioSpec field stores under that field's
+    # name and has no default: cmd_coupled builds the spec from the flags
+    # given, so the spec alone holds the defaults and the allowed values.
     coupled = sub.add_parser("coupled", help="run the coupled MD-KMC pipeline")
-    coupled.add_argument("--cells", type=int, default=8)
-    coupled.add_argument("--events", type=int, default=500,
-                         help="KMC event budget (serial engine)")
-    coupled.add_argument("--temperature", type=float, default=600.0)
-    coupled.add_argument("--seed", type=int, default=2018)
-    coupled.add_argument("--md-steps", type=int, default=None,
+    coupled.add_argument("--cells", type=int)
+    coupled.add_argument("--events", type=int, dest="kmc_max_events",
+                         metavar="N", help="KMC event budget (serial engine)")
+    coupled.add_argument("--temperature", type=float)
+    coupled.add_argument("--seed", type=int)
+    coupled.add_argument("--md-steps", type=int,
                          help="MD cascade steps (default: cascade default)")
-    coupled.add_argument("--pka", type=float, default=None, metavar="EV",
+    coupled.add_argument("--pka", type=float, dest="pka_energy", metavar="EV",
                          help="PKA energy (default: cascade default)")
-    coupled.add_argument("--table-points", type=int, default=2000)
-    coupled.add_argument("--recombination-radius", type=float, default=None,
-                         metavar="A")
+    coupled.add_argument("--table-points", type=int)
+    coupled.add_argument("--recombination-radius", type=float, metavar="A")
     coupled.add_argument(
         "--kmc-ranks",
         type=int,
-        default=None,
+        dest="kmc_nranks",
+        metavar="N",
         help=(
             "run the KMC stage on the parallel engine with N ranks "
             "(default: the serial engine)"
         ),
     )
-    coupled.add_argument("--kmc-cycles", type=int, default=50,
+    coupled.add_argument("--kmc-cycles", type=int, dest="kmc_max_cycles",
+                         metavar="N",
                          help="parallel-KMC cycle budget (with --kmc-ranks)")
-    coupled.add_argument("--kmc-scheme", default="ondemand",
-                         choices=("traditional", "ondemand", "onesided"))
+    coupled.add_argument("--kmc-scheme",
+                         help="parallel-KMC communication scheme: "
+                         "traditional, ondemand or onesided")
     coupled.add_argument(
         "--faults",
         metavar="PLAN",
-        default=None,
         help=(
             "fault-injection plan for the KMC stage, e.g. "
             '"crash:rank=1,cycle=3; delay:rank=0,nth=2,seconds=0.01"; '
@@ -136,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     coupled.add_argument(
         "--checkpoint-every",
         type=int,
-        default=None,
         metavar="N",
         help=(
             "write a resumable KMC checkpoint every N cycles (parallel) "
@@ -167,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     coupled.add_argument(
         "--trajectory-every",
         type=int,
-        default=None,
         metavar="N",
         help=(
             "record a trajectory frame every N events (serial) or "
@@ -177,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     coupled.add_argument(
         "--watchdog",
         type=float,
-        default=None,
         metavar="SECONDS",
         help=(
             "deadline for each blocking recv/probe/collective/fence of "
@@ -293,29 +292,23 @@ def cmd_info(args) -> int:
 def cmd_coupled(args) -> int:
     if args.trajectory is None and args.trajectory_every is not None:
         args._parser.error("--trajectory-every requires --trajectory")
+    # An output path that is a file would fail only after the MD stage.
+    for flag, path in (("--trajectory", args.trajectory),
+                       ("--checkpoint-dir", args.checkpoint_dir)):
+        if path is not None and os.path.exists(path) and not os.path.isdir(path):
+            args._parser.error(f"{flag} {path}: exists and is not a directory")
+    from dataclasses import fields
+
     from repro.core.coupling import CoupledSimulation
     from repro.service import ScenarioSpec, SpecError
 
+    given = {
+        f.name: getattr(args, f.name)
+        for f in fields(ScenarioSpec)
+        if getattr(args, f.name) is not None
+    }
     try:
-        spec = ScenarioSpec(
-            cells=args.cells,
-            temperature=args.temperature,
-            table_points=args.table_points,
-            md_steps=args.md_steps,
-            pka_energy=args.pka,
-            kmc_max_events=args.events,
-            kmc_nranks=args.kmc_ranks,
-            kmc_max_cycles=args.kmc_cycles,
-            recombination_radius=args.recombination_radius,
-            trajectory_every=args.trajectory_every,
-            seed=args.seed,
-            kmc_scheme=args.kmc_scheme,
-            backend=args.backend,
-            workers=args.workers,
-            faults=args.faults,
-            checkpoint_every=args.checkpoint_every,
-            watchdog=args.watchdog,
-        )
+        spec = ScenarioSpec(**given)
     except SpecError as exc:
         args._parser.error(str(exc))
     if spec.faults is not None:

@@ -13,17 +13,14 @@ manages ~8e11.
 
 from __future__ import annotations
 
-from repro.md.neighbors.memory import (
-    lattice_list_footprint,
-    verlet_list_footprint,
-)
+from repro.experiments.memory_table import MD_CUTOFF
+from repro.md.neighbors.memory import max_atoms_in_memory
 from repro.perfmodel.calibrate import calibrate_from_kernels
 from repro.perfmodel.machine import TAIHULIGHT
 from repro.perfmodel.md_model import MDScalingModel, paper_core_counts_weak
 
 PAPER_ATOMS_PER_CG = 3.9e7
 PAPER_EFFICIENCY = 0.85
-MD_CUTOFF = 5.6
 
 
 def run(atoms_per_cg: float = PAPER_ATOMS_PER_CG, cores_list=None) -> dict:
@@ -35,8 +32,8 @@ def run(atoms_per_cg: float = PAPER_ATOMS_PER_CG, cores_list=None) -> dict:
     # Memory headroom at the top scale (102,400 CGs x 8 GB).
     total_cgs = TAIHULIGHT.cgs_from_cores(cores_list[-1])
     capacity = total_cgs * TAIHULIGHT.arch.memory_per_cg
-    lattice_atoms = lattice_list_footprint(MD_CUTOFF).max_atoms(capacity)
-    verlet_atoms = verlet_list_footprint(MD_CUTOFF).max_atoms(capacity)
+    atoms = max_atoms_in_memory(capacity, MD_CUTOFF)
+    lattice_atoms, verlet_atoms = atoms["lattice_list"], atoms["verlet_list"]
     summary = {
         "final_efficiency": rows[-1]["efficiency"],
         "compute_flat_ratio": rows[-1]["compute"] / rows[0]["compute"],

@@ -469,12 +469,11 @@ class ParallelAKMC:
         default, :data:`~repro.runtime.simmpi.DEFAULT_WATCHDOG`.
     backend:
         Execution backend for the :class:`World`: ``"thread"``,
-        ``"process"``, ``"overdecomposed"``, or ``None`` to defer to
-        ``REPRO_BACKEND`` / thread.  Trajectories are bit-identical
-        across backends.
+        ``"process"``, ``"overdecomposed"``, or ``None`` for thread.
+        Trajectories are bit-identical across backends.
     workers:
         Physical worker count for the overdecomposed / rank-group
-        backends; ``None`` defers to ``REPRO_WORKERS`` / cpu count.
+        backends; ``None`` is the backend's default.
 
     A backend, worker count or watchdog the :class:`World` rejects is
     rejected here, before any world exists.
@@ -505,11 +504,9 @@ class ParallelAKMC:
             raise ValueError(f"unknown scheme {scheme!r}; choose from {list(schemes)}")
         from repro.runtime import simmpi
 
-        # Reject what the world would reject here, not inside run(); the
-        # raw values are kept, so run() still reads REPRO_BACKEND /
-        # REPRO_WORKERS when it builds its world.
-        simmpi.resolve_backend(backend)
-        simmpi.resolve_workers(workers)
+        # Reject what the world would reject here, not inside run().
+        self.backend = simmpi.resolve_backend(backend)
+        self.workers = simmpi.resolve_workers(workers)
         simmpi.resolve_watchdog(watchdog)
         self.lattice = lattice
         self.potential = potential
@@ -528,8 +525,6 @@ class ParallelAKMC:
         self.seed = seed
         self.faults = faults
         self.watchdog = watchdog
-        self.backend = backend
-        self.workers = workers
 
     @property
     def nranks(self) -> int:

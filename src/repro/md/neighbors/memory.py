@@ -21,9 +21,9 @@ storage scheme (not our NumPy vectorization choices):
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
 
 from repro.constants import BCC_ATOMS_PER_CELL, FE_LATTICE_CONSTANT
+from repro.lattice.bcc import BCCLattice
 
 #: Bytes of the base per-atom record: id(8) + x(24) + v(24) + f(24) + rho(8).
 BASE_ATOM_RECORD = 88
@@ -36,21 +36,9 @@ POINTER_BYTES = 8
 
 
 def neighbors_within(cutoff: float, a: float = FE_LATTICE_CONSTANT) -> int:
-    """Number of BCC sites within ``cutoff`` of a site (exact, by census)."""
-    reach = int(math.ceil(cutoff / a)) + 1
-    count = 0
-    for db in (0, 1):
-        for di in range(-reach, reach + 1):
-            for dj in range(-reach, reach + 1):
-                for dk in range(-reach, reach + 1):
-                    d = a * math.sqrt(
-                        (di + 0.5 * db) ** 2
-                        + (dj + 0.5 * db) ** 2
-                        + (dk + 0.5 * db) ** 2
-                    )
-                    if 0 < d <= cutoff:
-                        count += 1
-    return count
+    """Number of BCC sites within ``cutoff`` of a site: the length of the
+    lattice's static offset table."""
+    return len(BCCLattice(1, 1, 1, a=a).offsets_within(cutoff).corner)
 
 
 @dataclass(frozen=True)

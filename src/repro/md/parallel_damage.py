@@ -93,7 +93,8 @@ class ParallelDamageMD:
         grid.  A decomposition whose subdomains are thinner than the
         ghost shell is rejected here, before any world exists.
     backend, workers:
-        Handed to the :class:`~repro.runtime.simmpi.World`; a value it
+        Handed to the :class:`~repro.runtime.simmpi.World` (``None``:
+        thread, and the backend's default worker count); a value it
         rejects is rejected here.
     """
 
@@ -121,13 +122,9 @@ class ParallelDamageMD:
             self.width, f"the MD ghost shell of width {self.width}"
         )
         self.box = Box.for_lattice(lattice)
-        # Reject what the world would reject here, not inside run(); the
-        # raw values are kept, so run() still reads REPRO_BACKEND /
-        # REPRO_WORKERS when it builds its world.
-        resolve_backend(backend)
-        resolve_workers(workers)
-        self.backend = backend
-        self.workers = workers
+        # Reject what the world would reject here, not inside run().
+        self.backend = resolve_backend(backend)
+        self.workers = resolve_workers(workers)
 
     @property
     def nranks(self) -> int:

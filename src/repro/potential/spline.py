@@ -24,6 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 
+#: Fewest samples a table takes: the five-point stencil of Figure 5.
+MIN_SAMPLES = 5
+
+
 def knot_derivatives(samples: np.ndarray) -> np.ndarray:
     """Per-knot derivative estimates (in units of the knot spacing).
 
@@ -33,8 +37,10 @@ def knot_derivatives(samples: np.ndarray) -> np.ndarray:
     """
     s = np.asarray(samples, dtype=float)
     n = len(s)
-    if n < 5:
-        raise ValueError(f"need at least 5 samples for spline tables, got {n}")
+    if n < MIN_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_SAMPLES} samples for spline tables, got {n}"
+        )
     d = np.empty(n)
     d[0] = s[1] - s[0]
     d[1] = 0.5 * (s[2] - s[0])

@@ -49,7 +49,6 @@ All traffic is counted, per sending rank, in
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import Counter
@@ -412,15 +411,10 @@ BACKENDS = ("thread", "process", "overdecomposed")
 
 
 def resolve_backend(backend: str | None) -> str:
-    """Normalize a backend choice: explicit > ``REPRO_BACKEND`` > thread.
-
-    A ``REPRO_BACKEND`` that is unset, empty, or whitespace-only falls
-    back to ``"thread"``; anything else must name a known backend.
-    """
+    """Normalize a backend choice: ``None`` is the thread backend; anything
+    else must be exactly a name in :data:`BACKENDS`."""
     if backend is None:
-        env = os.environ.get("REPRO_BACKEND")
-        backend = (env.strip() if env is not None else "") or "thread"
-    backend = str(backend).strip().lower()
+        return "thread"
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown simmpi backend {backend!r}; expected one of {BACKENDS}"
@@ -446,28 +440,18 @@ def resolve_watchdog(watchdog: float | None) -> float:
     return watchdog
 
 
-def resolve_workers(workers: int | str | None) -> int | None:
-    """Normalize a worker count: explicit > ``REPRO_WORKERS`` > ``None``.
-
-    ``None`` (with no usable env value) means "backend default": the
-    rank count for the process backend, the host's core count for the
-    overdecomposed backend.  Mirrors :func:`resolve_backend` — an unset,
-    empty, or whitespace-only ``REPRO_WORKERS`` counts as absent.
-    """
+def resolve_workers(workers: int | None) -> int | None:
+    """Normalize a worker count: an ``int`` >= 1, or ``None`` for the
+    backend default (the rank count for the process backend, the host's
+    core count for the overdecomposed one).  A ``bool`` or a float is
+    not a count."""
     if workers is None:
-        env = os.environ.get("REPRO_WORKERS", "").strip()
-        if not env:
-            return None
-        workers = env
-    try:
-        count = int(workers)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"workers must be a positive integer, got {workers!r}"
-        ) from None
-    if count < 1:
-        raise ValueError(f"workers must be >= 1, got {count}")
-    return count
+        return None
+    if isinstance(workers, bool) or not isinstance(workers, int):
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 def conclude(
@@ -558,18 +542,19 @@ class World:
         for real multi-core parallelism), or ``"overdecomposed"`` (R
         logical ranks cooperatively scheduled on P worker slots via
         :mod:`repro.runtime.scheduler`, for decompositions far beyond
-        the host's core count).  ``None`` (the default) defers to the
-        ``REPRO_BACKEND`` environment variable, falling back to
-        ``"thread"``.
+        the host's core count).  ``None`` (the default) is ``"thread"``;
+        :func:`resolve_backend` rejects anything not exactly in
+        :data:`BACKENDS`.
     workers:
         Physical parallelism P under the logical decomposition.  For
         ``"overdecomposed"`` this is the number of concurrently running
         rank slots (default: the host's core count); for ``"process"``
         it is the number of forked children, each hosting a contiguous
         group of R/P ranks with in-process routing inside the group
-        (default: one child per rank).  ``None`` defers to the
-        ``REPRO_WORKERS`` environment variable, falling back to the
-        backend default.  Results are bit-identical for every P.
+        (default: one child per rank).  ``None`` is that backend
+        default; :func:`resolve_workers` rejects anything but an ``int``
+        >= 1.  Results are bit-identical for every P.  A world runs
+        where these two arguments say: the runtime reads no environment.
     """
 
     def __init__(

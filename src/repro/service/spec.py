@@ -64,7 +64,11 @@ _OPTIONAL_FLOAT = ("pka_energy", "recombination_radius", "watchdog")
 _REQUIRED_FLOAT = ("temperature",)
 
 _SCHEMES = ("traditional", "ondemand", "onesided")
+# simmpi.BACKENDS; the spec does not import the runtime to check a name.
 _BACKENDS = ("thread", "process", "overdecomposed")
+# Fewest segments a spline table takes: potential.spline.MIN_SAMPLES - 1
+# (the five-point stencil), kept here so the spec imports no numpy.
+_MIN_TABLE_POINTS = 4
 
 
 class SpecError(ValueError):
@@ -94,7 +98,8 @@ class ScenarioSpec:
     temperature:
         System temperature in K.
     table_points:
-        Interpolation table resolution.
+        Interpolation table resolution (segments per table; >= 4, the
+        spline stencil's five knots).
     md_steps / pka_energy:
         MD cascade knobs; both ``None`` selects the default cascade at
         ``temperature`` (exactly the ``coupled`` CLI behaviour).
@@ -116,8 +121,8 @@ class ScenarioSpec:
     kmc_scheme / backend / workers:
         How the parallel KMC world runs; bit-identical across all
         choices (asserted by the scheme/backend parity tests).
-        ``backend=None`` defers to ``REPRO_BACKEND`` and
-        ``workers=None`` to ``REPRO_WORKERS`` / the cpu count.
+        ``backend=None`` is the thread backend and ``workers=None`` the
+        backend's default worker count.
     faults / checkpoint_every / watchdog:
         Fault plan (the :mod:`repro.runtime.faults` DSL string; every
         clause must be able to fire on the chosen KMC engine, and a
@@ -160,7 +165,8 @@ class ScenarioSpec:
                 coerced = int(value)
             except (TypeError, ValueError) as exc:
                 raise SpecError(f"{name} must be an integer, got {value!r}") from exc
-            if coerced != value:
+            # True == 1, but a bool is no count.
+            if coerced != value or isinstance(value, bool):
                 raise SpecError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, coerced)
         for name in _REQUIRED_FLOAT + _OPTIONAL_FLOAT:
@@ -182,8 +188,11 @@ class ScenarioSpec:
             )
         if self.temperature <= 0:
             raise SpecError("temperature must be positive")
-        if self.table_points < 2:
-            raise SpecError("table_points must be >= 2")
+        if self.table_points < _MIN_TABLE_POINTS:
+            raise SpecError(
+                f"table_points must be >= {_MIN_TABLE_POINTS} (a spline "
+                f"table's five-knot stencil), got {self.table_points}"
+            )
         if self.md_steps is not None and self.md_steps < 1:
             raise SpecError("md_steps must be >= 1")
         if self.pka_energy is not None and self.pka_energy <= 0:

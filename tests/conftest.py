@@ -6,6 +6,8 @@ so many tests can assert against one computation.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,33 @@ from repro.lattice.bcc import BCCLattice
 from repro.lattice.box import Box
 from repro.md.state import AtomState
 from repro.potential.fe import FeParameters, make_fe_potential
+from repro.runtime.procbackend import fork_available
+
+needs_fork = pytest.mark.skipif(
+    not fork_available(), reason="process backend needs the fork start method"
+)
+
+
+@pytest.fixture(
+    params=[
+        # The thread cell keeps the test's own name.
+        pytest.param(("thread", None), id=pytest.HIDDEN_PARAM),
+        pytest.param(
+            ("process", None), id="process",
+            marks=[pytest.mark.conformance_full, needs_fork],
+        ),
+        pytest.param(
+            ("overdecomposed", 2), id="overdecomposed-2",
+            marks=pytest.mark.conformance_full,
+        ),
+    ]
+)
+def world_backend(request):
+    """The ``backend=``/``workers=`` keywords of the worlds a test starts:
+    thread in tier-1, the process and 2-worker overdecomposed cells under
+    ``-m conformance_full``.  A world runs only where its arguments say."""
+    backend, workers = request.param
+    return {"backend": backend, "workers": workers}
 
 
 @pytest.fixture()
@@ -94,21 +123,33 @@ def kmc_initial_occ(kmc_model8):
 
 
 @pytest.fixture(scope="session")
-def parallel_kmc_results(lattice8, potential, rate_params, kmc_initial_occ):
+def _parallel_kmc_runs(lattice8, potential, rate_params, kmc_initial_occ):
+    @functools.cache
+    def run(backend, workers):
+        results = {}
+        for scheme in ("traditional", "ondemand", "onesided"):
+            engine = ParallelAKMC(
+                lattice8,
+                potential,
+                rate_params,
+                nranks=8,
+                scheme=scheme,
+                seed=5,
+                backend=backend,
+                workers=workers,
+            )
+            results[scheme] = engine.run(kmc_initial_occ, max_cycles=10)
+        return results
+
+    return run
+
+
+@pytest.fixture()
+def parallel_kmc_results(_parallel_kmc_runs, world_backend):
     """One parallel AKMC run per communication scheme, same workload.
 
-    The expensive fixture of the suite: three 8-rank runs whose results
-    back all the scheme-equivalence, conservation and traffic tests.
+    The expensive fixture of the suite: three 8-rank runs per backend,
+    run once per session, whose results back all the scheme-equivalence,
+    conservation and traffic tests.
     """
-    results = {}
-    for scheme in ("traditional", "ondemand", "onesided"):
-        engine = ParallelAKMC(
-            lattice8,
-            potential,
-            rate_params,
-            nranks=8,
-            scheme=scheme,
-            seed=5,
-        )
-        results[scheme] = engine.run(kmc_initial_occ, max_cycles=10)
-    return results
+    return _parallel_kmc_runs(**world_backend)

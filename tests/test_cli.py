@@ -300,7 +300,17 @@ class TestValidationExitCodes:
                              # World for a watchdog to bound.
                              (["--cells", "6", "--events", "30",
                                "--watchdog", "30"],
-                              "watchdog bounds the parallel KMC")]:
+                              "watchdog bounds the parallel KMC"),
+                             # A spline table needs five knots: 3
+                             # segments ended in a ValueError traceback.
+                             (["--cells", "5", "--table-points", "3"],
+                              "table_points must be >= 4"),
+                             # The spec, not a choices= list, holds the
+                             # allowed names.
+                             (["--cells", "5", "--backend", "gpu"],
+                              "unknown backend 'gpu'"),
+                             (["--cells", "5", "--kmc-scheme", "telepathy"],
+                              "unknown kmc_scheme 'telepathy'")]:
             with pytest.raises(SystemExit) as exc_info:
                 main(["coupled", *flags])
             out, err = capsys.readouterr()
@@ -308,6 +318,22 @@ class TestValidationExitCodes:
             assert named in err
             assert "usage:" in err
             assert out == ""
+
+    @pytest.mark.parametrize("flags", [
+        ["--trajectory"], ["--checkpoint-every", "2", "--checkpoint-dir"],
+    ])
+    def test_output_path_that_is_a_file_exits_2(self, flags, capsys,
+                                                tmp_path):
+        # It used to fail only after the MD stage, with a StoreError or
+        # FileExistsError traceback.
+        path = tmp_path / "F"
+        path.write_text("not a directory")
+        with pytest.raises(SystemExit) as exc_info:
+            main(["coupled", "--cells", "5", *flags, str(path)])
+        out, err = capsys.readouterr()
+        assert exc_info.value.code == 2
+        assert f"{flags[-1]} {path}: exists and is not a directory" in err
+        assert out == ""
 
     def test_oversized_watchdog_exits_2(self, capsys):
         # Beyond threading.TIMEOUT_MAX: a usage error, not an
@@ -339,6 +365,9 @@ class TestValidationExitCodes:
         (["kmc-schemes", "--cells", "4", "--ranks", "8"], "4x4x4"),
         (["kmc-schemes", "--vacancies", "99999"], "99999 vacancies"),
         (["kmc-schemes", "--workers", "0"], "workers"),
+        # The engine, not a choices= list, holds the allowed names.
+        (["kmc-schemes", "--backend", "OVERDECOMPOSED "],
+         "unknown simmpi backend 'OVERDECOMPOSED '"),
     ])
     def test_unbuildable_run_exits_2(self, argv, named, capsys):
         # A lattice/engine/occupancy the flags cannot build is a usage

@@ -149,7 +149,9 @@ class TestExecutedExperiments:
             rank_cycles * 2 * 8 * EXCHANGE_MESSAGES
         )
 
-    def test_model_traffic_inputs_match_executed_traffic(self, kmc_comm_rows):
+    def test_model_traffic_inputs_match_executed_traffic(
+        self, kmc_comm_rows, world_backend
+    ):
         # The scaling models price traffic counted from two 8-rank runs;
         # runs those counts were not taken from send exactly as much.
         from repro.perfmodel.calibrate import executed_traffic
@@ -161,7 +163,10 @@ class TestExecutedExperiments:
             27 * KMC_COMM_CYCLES * EXCHANGE_MESSAGES
         ) == traffic.kmc_exchanges_per_cycle
         # MD on three ranks in a row: one neighbour below, one above.
-        md = ParallelDamageMD(BCCLattice(9, 9, 9), make_fe_potential(n=1000), nranks=3)
+        md = ParallelDamageMD(
+            BCCLattice(9, 9, 9), make_fe_potential(n=1000), nranks=3,
+            **world_backend,
+        )
         assert md.width == traffic.md_ghost_width
         sites, _rows = md.decomp.subdomain(0).site_set(md.lattice, md.width)
         plans = GhostExchanger(md.decomp, 0, sites.ranks, md.width).plans

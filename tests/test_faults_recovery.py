@@ -11,6 +11,8 @@ replays from scratch when no checkpoint landed yet, never resumes another
 run's checkpoint, and removes its temporary checkpoints.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -84,17 +86,27 @@ class TestCoupledRecovery:
     leaves behind."""
 
     @pytest.fixture(scope="class")
-    def fault_free(self):
-        return CoupledSimulation(_coupled_config()).run()
+    def fault_free_runs(self):
+        @functools.cache
+        def run(backend, workers):
+            config = _coupled_config(backend=backend, workers=workers)
+            return CoupledSimulation(config).run()
+
+        return run
+
+    @pytest.fixture()
+    def fault_free(self, fault_free_runs, world_backend):
+        return fault_free_runs(**world_backend)
 
     def test_crash_before_first_checkpoint_replays_from_scratch(
-        self, fault_free, tmp_path
+        self, fault_free, tmp_path, world_backend
     ):
         result = CoupledSimulation(
             _coupled_config(
                 faults="crash:rank=0,cycle=1",
                 checkpoint_every=50,  # never reached before the crash
                 checkpoint_dir=str(tmp_path),
+                **world_backend,
             )
         ).run()
         assert result.recoveries == 1
@@ -119,10 +131,10 @@ class TestCoupledRecovery:
         )
         assert result.kmc_time == fault_free.kmc_time
 
-    def test_each_planned_crash_is_recovered_once(self, tmp_path):
+    def test_each_planned_crash_is_recovered_once(self, tmp_path, world_backend):
         # Four crash clauses, four recoveries: no budget caps the loop,
         # and each clause fires once, ever.
-        cfg = dict(kmc_max_cycles=20)
+        cfg = dict(kmc_max_cycles=20, **world_backend)
         fault_free = CoupledSimulation(_coupled_config(**cfg)).run()
         result = CoupledSimulation(
             _coupled_config(
@@ -141,11 +153,13 @@ class TestCoupledRecovery:
         assert result.kmc_events == fault_free.kmc_events
         assert result.kmc_time == fault_free.kmc_time
 
-    def test_stale_checkpoint_in_a_reused_dir_is_not_resumed(self, tmp_path):
+    def test_stale_checkpoint_in_a_reused_dir_is_not_resumed(
+        self, tmp_path, world_backend
+    ):
         # Seed 3 leaves its KMC checkpoint in the directory; seed 4
         # crashes before its own first checkpoint, so it must replay
         # from the start rather than resume seed 3's state.
-        cfg = dict(kmc_max_cycles=50, checkpoint_every=20)
+        cfg = dict(kmc_max_cycles=50, checkpoint_every=20, **world_backend)
         CoupledSimulation(
             _coupled_config(checkpoint_dir=str(tmp_path), **cfg)
         ).run()

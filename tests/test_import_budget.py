@@ -178,8 +178,7 @@ _NOT_CONFIGURED = (
 
 
 def _run(code: str) -> dict:
-    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env["PYTHONPATH"] = _SRC
+    env = dict(os.environ, PYTHONPATH=_SRC)
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=120,

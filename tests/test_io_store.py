@@ -9,6 +9,7 @@ and a fault-injected coupled run leaves the same store as a fault-free
 one.
 """
 
+import functools
 import hashlib
 import json
 
@@ -471,13 +472,14 @@ class TestEngineWiring:
             engine.run(kmc_initial_occ, max_cycles=2, trajectory=writer)
 
     def test_parallel_run_records_global_frames(
-        self, tmp_path, lattice8, potential, rate_params, kmc_initial_occ
+        self, tmp_path, lattice8, potential, rate_params, kmc_initial_occ,
+        world_backend,
     ):
         from repro.kmc.akmc import ParallelAKMC
 
         store = tmp_path / "traj"
         result = ParallelAKMC(
-            lattice8, potential, rate_params, nranks=4, seed=5
+            lattice8, potential, rate_params, nranks=4, seed=5, **world_backend
         ).run(kmc_initial_occ, max_cycles=6, trajectory=store)
         finalize_store(store)
         reader = TrajectoryReader(store)
@@ -491,7 +493,8 @@ class TestEngineWiring:
 
 
     def test_parallel_fence_cycle_gathers_once(
-        self, tmp_path, lattice8, potential, rate_params, kmc_model8
+        self, tmp_path, lattice8, potential, rate_params, kmc_model8,
+        world_backend,
     ):
         """A cycle that is both a frame and a checkpoint fence gathers
         the global state once: frames plus checkpoints cost what frames
@@ -504,7 +507,8 @@ class TestEngineWiring:
 
         def collectives(**outputs):
             result = ParallelAKMC(
-                lattice8, potential, rate_params, nranks=2, seed=5
+                lattice8, potential, rate_params, nranks=2, seed=5,
+                **world_backend,
             ).run(occ, max_cycles=8, **outputs)
             return result.comm_stats["total_collectives"]
 
@@ -558,14 +562,24 @@ class TestCoupledStore:
     """The coupled pipeline streams its trajectory and survives faults."""
 
     @pytest.fixture(scope="class")
-    def fault_free(self, tmp_path_factory):
+    def fault_free_runs(self, tmp_path_factory):
         from repro.core.coupling import CoupledSimulation
 
-        store = tmp_path_factory.mktemp("coupled") / "traj"
-        result = CoupledSimulation(
-            _coupled_config(trajectory=str(store))
-        ).run()
-        return result, store
+        @functools.cache
+        def run(backend, workers):
+            store = tmp_path_factory.mktemp("coupled") / "traj"
+            result = CoupledSimulation(
+                _coupled_config(
+                    trajectory=str(store), backend=backend, workers=workers
+                )
+            ).run()
+            return result, store
+
+        return run
+
+    @pytest.fixture()
+    def fault_free(self, fault_free_runs, world_backend):
+        return fault_free_runs(**world_backend)
 
     def test_store_brackets_the_run(self, fault_free):
         result, store = fault_free
@@ -587,7 +601,7 @@ class TestCoupledStore:
         assert times == sorted(times)
 
     def test_faulted_run_leaves_identical_store(
-        self, fault_free, tmp_path
+        self, fault_free, tmp_path, world_backend
     ):
         # Acceptance: crash -> checkpoint recovery -> the store ends
         # bit-identical to a fault-free run's store.
@@ -601,6 +615,7 @@ class TestCoupledStore:
                 faults="crash:rank=1,cycle=5",
                 checkpoint_every=2,
                 checkpoint_dir=str(tmp_path),
+                **world_backend,
             )
         ).run()
         assert result.recoveries == 1
@@ -681,13 +696,14 @@ class TestRecoveredStoreBytes:
 
     @pytest.fixture(scope="class")
     def fault_free(self, tmp_path_factory):
-        """The fault-free store's (bin, json) bytes, once per stage."""
+        """The fault-free store's (bin, json) bytes, once per stage and
+        backend."""
         from repro.core.coupling import CoupledSimulation
 
         cache = {}
 
-        def run(stage, checkpoint_every):
-            key = (tuple(sorted(stage.items())), checkpoint_every)
+        def run(stage, checkpoint_every, world):
+            key = (tuple(sorted((stage | world).items())), checkpoint_every)
             if key not in cache:
                 store = tmp_path_factory.mktemp("fault-free") / "traj"
                 CoupledSimulation(
@@ -695,6 +711,7 @@ class TestRecoveredStoreBytes:
                         trajectory=str(store),
                         checkpoint_every=checkpoint_every,
                         **stage,
+                        **world,
                     )
                 ).run()
                 cache[key] = _shard_bytes(store)
@@ -704,11 +721,13 @@ class TestRecoveredStoreBytes:
 
     @pytest.mark.parametrize("case", RECOVERED_STORES)
     def test_recovered_store_is_byte_identical(
-        self, case, fault_free, tmp_path
+        self, case, fault_free, tmp_path, world_backend
     ):
         from repro.core.coupling import CoupledSimulation
 
         stage, faults, every = RECOVERED_STORES[case]
+        if case.startswith("serial") and world_backend["backend"] != "thread":
+            pytest.skip("the serial KMC engine starts no world")
         store = tmp_path / "traj"
         result = CoupledSimulation(
             _coupled_config(
@@ -716,10 +735,11 @@ class TestRecoveredStoreBytes:
                 faults=faults,
                 checkpoint_every=every,
                 **stage,
+                **world_backend,
             )
         ).run()
         assert result.recoveries == 1
-        assert _shard_bytes(store) == fault_free(stage, every)
+        assert _shard_bytes(store) == fault_free(stage, every, world_backend)
 
 
 def _shard_bytes(store):

@@ -121,10 +121,11 @@ class TestEngineModes:
         assert engine.rate_cap == pytest.approx(rate_params.reference_rate)
 
     def test_clamp_run_counts_clamped_events(
-        self, lattice8, potential, rate_params, kmc_model8
+        self, lattice8, potential, rate_params, kmc_model8, world_backend
     ):
         engine = ParallelAKMC(
             lattice8, potential, rate_params, nranks=8, seed=5,
+            **world_backend,
         )
         occ = place_random_vacancies(kmc_model8, 20, np.random.default_rng(5))
         registry = obs.enable(trace=False)

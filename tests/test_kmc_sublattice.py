@@ -220,18 +220,21 @@ class TestWhoBuildsStrips:
 
         monkeypatch.setattr(sublattice, "_strip_sets", no_strips)
 
-    def _engine(self, lattice8, potential, rate_params, scheme):
-        # The workload of the ``parallel_kmc_results`` session fixture.
+    def _engine(self, lattice8, potential, rate_params, scheme, world_backend):
+        # The workload of the ``parallel_kmc_results`` fixture.
         return ParallelAKMC(
-            lattice8, potential, rate_params, nranks=8, scheme=scheme, seed=5
+            lattice8, potential, rate_params, nranks=8, scheme=scheme, seed=5,
+            **world_backend,
         )
 
     @pytest.mark.parametrize("scheme", ["ondemand", "onesided"])
     def test_on_demand_schemes_never_ask(
         self, scheme, broken_builder, lattice8, potential, rate_params,
-        kmc_initial_occ, parallel_kmc_results,
+        kmc_initial_occ, parallel_kmc_results, world_backend,
     ):
-        engine = self._engine(lattice8, potential, rate_params, scheme)
+        engine = self._engine(
+            lattice8, potential, rate_params, scheme, world_backend
+        )
         got = engine.run(kmc_initial_occ, max_cycles=10)
         want = parallel_kmc_results[scheme]
         assert np.array_equal(got.occupancy, want.occupancy)
@@ -246,8 +249,11 @@ class TestWhoBuildsStrips:
         )
 
     def test_traditional_scheme_does(
-        self, broken_builder, lattice8, potential, rate_params, kmc_initial_occ
+        self, broken_builder, lattice8, potential, rate_params, kmc_initial_occ,
+        world_backend,
     ):
-        engine = self._engine(lattice8, potential, rate_params, "traditional")
+        engine = self._engine(
+            lattice8, potential, rate_params, "traditional", world_backend
+        )
         with pytest.raises(RuntimeError, match="a strip set was built"):
             engine.run(kmc_initial_occ, max_cycles=1)

@@ -366,8 +366,7 @@ def test_per_event_and_per_runaway_dedup_never_imports_numpy_ma():
 
     import repro
 
-    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", _NUMPY_MA_PROBE],
         env=env,

@@ -1,5 +1,7 @@
 """MD engine tests: serial behaviour and serial/parallel equivalence."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -91,15 +93,28 @@ class TestParallelMD:
     parallel structure alone, against the serial engine."""
 
     @pytest.fixture(scope="class")
-    def equivalence_pair(self, potential):
-        lattice = BCCLattice(8, 8, 8)
-        cfg = MDConfig(temperature=600.0, seed=7)
-        serial = MDEngine(lattice, potential, cfg)
-        serial.initialize()
-        serial.run(nsteps=4)
-        parallel = ParallelDamageMD(lattice, potential, cfg, nranks=8)
-        result = parallel.run(nsteps=4)
-        return serial, result
+    def equivalence_pairs(self, potential):
+        """``pairs(backend, workers)``: the serial run and the 8-rank one,
+        once per class and backend."""
+
+        @functools.cache
+        def run(backend, workers):
+            lattice = BCCLattice(8, 8, 8)
+            cfg = MDConfig(temperature=600.0, seed=7)
+            serial = MDEngine(lattice, potential, cfg)
+            serial.initialize()
+            serial.run(nsteps=4)
+            parallel = ParallelDamageMD(
+                lattice, potential, cfg, nranks=8, backend=backend,
+                workers=workers,
+            )
+            return serial, parallel.run(nsteps=4)
+
+        return run
+
+    @pytest.fixture()
+    def equivalence_pair(self, equivalence_pairs, world_backend):
+        return equivalence_pairs(**world_backend)
 
     def test_positions_match_serial(self, equivalence_pair):
         serial, result = equivalence_pair
@@ -115,13 +130,13 @@ class TestParallelMD:
         assert result.comm_stats["total_sent_bytes"] > 0
         assert result.comm_stats["total_messages"] > 0
 
-    def test_rank_count_variations_agree(self, potential):
+    def test_rank_count_variations_agree(self, potential, world_backend):
         lattice = BCCLattice(8, 8, 8)
         cfg = MDConfig(temperature=600.0, seed=8)
         finals = []
         for nranks in (2, 8):
             result = ParallelDamageMD(
-                lattice, potential, cfg, nranks=nranks
+                lattice, potential, cfg, nranks=nranks, **world_backend
             ).run(nsteps=2)
             finals.append(result.positions)
         assert np.allclose(finals[0], finals[1], atol=1e-12)

@@ -84,7 +84,7 @@ class TestPlans:
 
 
 class TestExchange:
-    def test_ghosts_receive_owner_values(self, setup8):
+    def test_ghosts_receive_owner_values(self, setup8, world_backend):
         lattice, decomp, width, per_rank = setup8
 
         def main(comm):
@@ -101,9 +101,9 @@ class TestExchange:
                 assert rank_value == owner, (row, rank_value, owner)
             return True
 
-        assert all(World(decomp.nprocs).run(main))
+        assert all(World(decomp.nprocs, **world_backend).run(main))
 
-    def test_vector_field_roundtrip(self, setup8):
+    def test_vector_field_roundtrip(self, setup8, world_backend):
         lattice, decomp, width, per_rank = setup8
         positions = lattice.all_positions()
 
@@ -118,9 +118,9 @@ class TestExchange:
             assert np.allclose(x, positions[sites])
             return True
 
-        assert all(World(decomp.nprocs).run(main))
+        assert all(World(decomp.nprocs, **world_backend).run(main))
 
-    def test_two_simultaneous_phases_do_not_collide(self, setup8):
+    def test_two_simultaneous_phases_do_not_collide(self, setup8, world_backend):
         lattice, decomp, width, per_rank = setup8
 
         def main(comm):
@@ -137,9 +137,9 @@ class TestExchange:
             assert np.all(b[b != 0] < 0)
             return True
 
-        assert all(World(decomp.nprocs).run(main))
+        assert all(World(decomp.nprocs, **world_backend).run(main))
 
-    def test_traffic_volume_matches_plan(self, setup8):
+    def test_traffic_volume_matches_plan(self, setup8, world_backend):
         lattice, decomp, width, per_rank = setup8
 
         def main(comm):
@@ -149,7 +149,7 @@ class TestExchange:
             ex.exchange(comm, 0, [x])
             return ex.bytes_per_exchange_estimate
 
-        w = World(decomp.nprocs)
+        w = World(decomp.nprocs, **world_backend)
         estimates = w.run(main)
         assert w.stats.total_sent_bytes == sum(estimates)
 
@@ -167,7 +167,9 @@ class TestAgainstDirectionOracle:
             ((12, 8, 8), (4, 2, 2), 11),
         ],
     )
-    def test_same_ghost_values_fewer_messages(self, cells, grid, neighbors):
+    def test_same_ghost_values_fewer_messages(
+        self, cells, grid, neighbors, world_backend
+    ):
         lattice = BCCLattice(*cells)
         decomp = DomainDecomposition(lattice, grid)
         width = 3
@@ -197,7 +199,8 @@ class TestAgainstDirectionOracle:
             ex.exchange(comm, 0, [x, ids])
             return x, ids, len(ex.plans), ex.bytes_per_exchange_estimate
 
-        new_world, old_world = World(decomp.nprocs), World(decomp.nprocs)
+        new_world = World(decomp.nprocs, **world_backend)
+        old_world = World(decomp.nprocs, **world_backend)
         got, want = new_world.run(main), old_world.run(oracle)
         for rank, ((x, ids, plans, est), (ox, oids, oplans, oest)) in enumerate(
             zip(got, want, strict=True)
@@ -215,7 +218,7 @@ class TestAgainstDirectionOracle:
         sent = sum(g[3] for g in got)
         assert new_world.stats.total_sent_bytes == sent + sent // 3
 
-    def test_tails_ride_on_the_same_message(self):
+    def test_tails_ride_on_the_same_message(self, world_backend):
         lattice = BCCLattice(12, 12, 12)
         decomp = DomainDecomposition(lattice, (2, 1, 1))
 
@@ -230,6 +233,6 @@ class TestAgainstDirectionOracle:
             assert np.array_equal(x, np.full((2, 3), other))
             return True
 
-        world = World(2)
+        world = World(2, **world_backend)
         assert all(world.run(main))
         assert world.stats.total_messages == 2

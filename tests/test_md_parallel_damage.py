@@ -7,6 +7,8 @@ inventory bit for bit: a rank runs the serial kernel over the serial
 pair order (``md/forces.py``) and the serial integrator.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -35,12 +37,14 @@ def run_serial(lattice, potential, pka_site, nsteps=35, seed=3, pka=True):
     return serial, cfg, kick
 
 
-def run_pair(lattice, potential, pka_site, nranks, nsteps=35, seed=3):
+def run_pair(lattice, potential, pka_site, nranks, backend, workers):
     """(serial engine, parallel result) for the same cascade."""
-    serial, cfg, kick = run_serial(lattice, potential, pka_site, nsteps, seed)
-    parallel = ParallelDamageMD(lattice, potential, cfg, nranks=nranks)
+    serial, cfg, kick = run_serial(lattice, potential, pka_site)
+    parallel = ParallelDamageMD(
+        lattice, potential, cfg, nranks=nranks, backend=backend, workers=workers
+    )
     result = parallel.run(
-        nsteps=nsteps,
+        nsteps=35,
         displacement_threshold=1.2,
         runaway_check_interval=5,
         pka=kick,
@@ -49,18 +53,29 @@ def run_pair(lattice, potential, pka_site, nranks, nsteps=35, seed=3):
 
 
 @pytest.fixture(scope="module")
-def centered(potential):
-    # PKA near the box center: the cascade lives inside one octant.
-    lattice = BCCLattice(8, 8, 8)
-    return run_pair(lattice, potential, pka_site=None, nranks=8)
+def cascades(potential):
+    """``cascades(where, backend, workers)``: one 8-rank cascade and its
+    serial run, once per module and backend."""
+
+    @functools.cache
+    def run(where, backend, workers):
+        lattice = BCCLattice(8, 8, 8)
+        # Near the box center the cascade lives inside one octant; at the
+        # 2x2x2 seam damage and run-aways cross ranks.
+        site = {"centered": None, "boundary": int(lattice.rank_of(1, 3, 3, 3))}
+        return run_pair(lattice, potential, site[where], 8, backend, workers)
+
+    return run
 
 
-@pytest.fixture(scope="module")
-def boundary(potential):
-    # PKA at a subdomain corner: damage and run-aways cross ranks.
-    lattice = BCCLattice(8, 8, 8)
-    corner_site = int(lattice.rank_of(1, 3, 3, 3))  # at the 2x2x2 seam
-    return run_pair(lattice, potential, pka_site=corner_site, nranks=8)
+@pytest.fixture()
+def centered(cascades, world_backend):
+    return cascades("centered", **world_backend)
+
+
+@pytest.fixture()
+def boundary(cascades, world_backend):
+    return cascades("boundary", **world_backend)
 
 
 def _assert_matches_serial(serial, result):
@@ -113,7 +128,7 @@ class TestBoundaryCascade:
 
 class TestMechanics:
     @staticmethod
-    def _every_rank_count_is_the_serial_run(potential, pka):
+    def _every_rank_count_is_the_serial_run(potential, pka, world_backend):
         lattice = BCCLattice(8, 8, 8)
         serial, cfg, kick = run_serial(
             lattice, potential, pka_site=None, nsteps=20, pka=pka
@@ -121,19 +136,19 @@ class TestMechanics:
         assert (serial.state.nvacancies >= 1) == pka
         for nranks in (1, 2, 8):
             result = ParallelDamageMD(
-                lattice, potential, cfg, nranks=nranks
+                lattice, potential, cfg, nranks=nranks, **world_backend
             ).run(nsteps=20, displacement_threshold=1.2, pka=kick)
             _assert_matches_serial(serial, result)
 
-    def test_rank_count_invariance(self, potential):
+    def test_rank_count_invariance(self, potential, world_backend):
         """1, 2 and 8 ranks are each the serial engine's cascade, hence
         each other's."""
-        self._every_rank_count_is_the_serial_run(potential, pka=True)
+        self._every_rank_count_is_the_serial_run(potential, True, world_backend)
 
     def test_perfect_lattice_is_the_serial_run_at_every_rank_count(
-        self, potential
+        self, potential, world_backend
     ):
-        self._every_rank_count_is_the_serial_run(potential, pka=False)
+        self._every_rank_count_is_the_serial_run(potential, False, world_backend)
 
     def test_nsteps_validated(self, potential):
         pmd = ParallelDamageMD(BCCLattice(8, 8, 8), potential, nranks=2)
@@ -152,7 +167,9 @@ class TestMechanics:
         with pytest.raises(ValueError, match=r"5x5x5.*4 ranks.*ghost shell"):
             ParallelDamageMD(BCCLattice(5, 5, 5), potential, nranks=4)
 
-    def test_runaway_that_outruns_the_ghost_shell_is_named(self, potential):
+    def test_runaway_that_outruns_the_ghost_shell_is_named(
+        self, potential, world_backend
+    ):
         """A 2 keV PKA (0.83 A/fs, dt = 0.2 fs) flies 12 A — past rank 0's
         3-cell ghost shell — between two checks 80 steps apart: the rank
         that loses it says which atom, how far it got and what to change
@@ -165,7 +182,8 @@ class TestMechanics:
         speed = np.sqrt(2.0 * 2000.0 / (55.845 * MVV2E))
         kick = (site, speed * np.array([1.0, 0.5, 0.0]) / np.sqrt(1.25))
         pmd = ParallelDamageMD(
-            lattice, potential, MDConfig(temperature=0.0, seed=1, dt=0.0002), nranks=2
+            lattice, potential, MDConfig(temperature=0.0, seed=1, dt=0.0002),
+            nranks=2, **world_backend,
         )
         with pytest.raises(
             RuntimeError,
@@ -176,10 +194,11 @@ class TestMechanics:
         result = pmd.run(81, runaway_check_interval=20, pka=kick)
         assert site in result.runaway_ids
 
-    def test_no_damage_without_pka(self, potential):
+    def test_no_damage_without_pka(self, potential, world_backend):
         lattice = BCCLattice(8, 8, 8)
         pmd = ParallelDamageMD(
-            lattice, potential, MDConfig(temperature=300.0, seed=1), nranks=8
+            lattice, potential, MDConfig(temperature=300.0, seed=1), nranks=8,
+            **world_backend,
         )
         result = pmd.run(nsteps=10, displacement_threshold=1.2)
         assert len(result.vacancy_ranks) == 0

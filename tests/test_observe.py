@@ -93,7 +93,7 @@ class TestDisabledPath:
 
 
 class TestThreadSafety:
-    def test_world_ranks_aggregate_into_one_registry(self):
+    def test_world_ranks_aggregate_into_one_registry(self, world_backend):
         from repro.runtime.simmpi import World
 
         nranks, reps = 4, 25
@@ -110,7 +110,7 @@ class TestThreadSafety:
             comm.barrier()
 
         with obs.observing() as reg:
-            world = World(nranks)
+            world = World(nranks, **world_backend)
             world.run(main)
         assert reg.phases[("rank.work",)].count == nranks * reps
         # TrafficStats feeds the same registry: message counts/bytes are

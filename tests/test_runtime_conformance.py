@@ -18,9 +18,9 @@ and cycles (a coupled run's cascade energies and
 run-away positions too), and, when the cell re-executes nothing
 (no resume, no crash), the full traffic ledger of its scheme's reference.
 A crash cell also asserts one recovery and one injected crash, a delay
-cell no recovery and the delays its plan fires.  Every cell pins
-``REPRO_BACKEND`` and ``REPRO_WORKERS``, so the environment a suite runs
-under cannot change what a cell means.  Every wait of every cell has the
+cell no recovery and the delays its plan fires.  Every cell names its
+backend and worker count to the engine it builds, the one input that
+decides where a world runs.  Every wait of every cell has the
 runtime's default deadline (``simmpi.DEFAULT_WATCHDOG``), so a hang
 fails in a minute and names its wait, and every world of every cell
 checks its protocol as any run does: a collective whose kind differs
@@ -29,8 +29,10 @@ between ranks, or a message left unreceived, fails the cell.
 Tier-1 runs a diagonal: a greedy pairwise cover of each program's
 product, so every pair of axis values meets in some cell.  The other
 cells carry the ``conformance_full`` marker, which ``addopts``
-deselects; ``pytest -m conformance_full`` runs them.  The runtime
-program's whole product is cheap and stays in tier-1.
+deselects; ``pytest -m conformance_full`` runs them, beside the process
+and overdecomposed cells of every other test that starts a world (the
+``world_backend`` fixture in ``conftest.py``).  The runtime program's
+whole product is cheap and stays in tier-1.
 """
 
 import functools
@@ -187,14 +189,6 @@ def test_diagonal_covers_every_pair_and_ids_are_unique(program):
 DELAY = "delay:rank=0,nth=2,seconds=0.002; delay:rank=1,nth=2,seconds=0.002,op=put"
 DELAYS_FIRED = {"runtime": 2, "akmc": 1, "coupled": 1}
 PLANS = {"none": None, "delay": DELAY, "crash": "crash:rank=1,cycle=5"}
-
-
-def pin_environment(monkeypatch, s):
-    monkeypatch.setenv("REPRO_BACKEND", s["backend"])
-    if s["workers"] is None:
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_WORKERS", str(s["workers"]))
 
 
 def injector(s):
@@ -354,9 +348,7 @@ def reference(potential):
     @functools.cache
     def run(program, problem, seed, scheme):
         s = setting({"problem": problem, "seed": seed, "scheme": scheme})
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            pin_environment(monkeypatch, s)
-            state, ledger, _report = RUN[program](s, potential, None)
+        state, ledger, _report = RUN[program](s, potential, None)
         if program in ("akmc", "coupled"):
             assert state["events"] > 0  # the cells compare a real trajectory
         if program == "md":
@@ -368,13 +360,12 @@ def reference(potential):
     return run
 
 
-def check(program, cell, reference, potential, tmp_path, monkeypatch):
+def check(program, cell, reference, potential, tmp_path):
     s = setting(cell)
     expected, _ = reference(program, s["problem"], s["seed"], "ondemand")
     reexecutes = s["resume"] or s["faults"] == "crash"
     if not reexecutes:
         _, ledger = reference(program, s["problem"], s["seed"], s["scheme"])
-    pin_environment(monkeypatch, s)
     state, stats, report = RUN[program](s, potential, tmp_path)
     assert state == expected
     if not reexecutes:
@@ -388,23 +379,23 @@ def check(program, cell, reference, potential, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("cell", cells("runtime"))
-def test_conformance(cell, reference, potential, tmp_path, monkeypatch):
-    check("runtime", cell, reference, potential, tmp_path, monkeypatch)
+def test_conformance(cell, reference, potential, tmp_path):
+    check("runtime", cell, reference, potential, tmp_path)
 
 
 @pytest.mark.parametrize("cell", cells("akmc"))
-def test_akmc(cell, reference, potential, tmp_path, monkeypatch):
-    check("akmc", cell, reference, potential, tmp_path, monkeypatch)
+def test_akmc(cell, reference, potential, tmp_path):
+    check("akmc", cell, reference, potential, tmp_path)
 
 
 @pytest.mark.parametrize("cell", cells("md"))
-def test_damage_md(cell, reference, potential, tmp_path, monkeypatch):
-    check("md", cell, reference, potential, tmp_path, monkeypatch)
+def test_damage_md(cell, reference, potential, tmp_path):
+    check("md", cell, reference, potential, tmp_path)
 
 
 @pytest.mark.parametrize("cell", cells("coupled"))
-def test_coupled(cell, reference, potential, tmp_path, monkeypatch):
-    check("coupled", cell, reference, potential, tmp_path, monkeypatch)
+def test_coupled(cell, reference, potential, tmp_path):
+    check("coupled", cell, reference, potential, tmp_path)
 
 
 # ----------------------------------------------------------------------

@@ -111,7 +111,7 @@ class TestCrashInjection:
                 world.run(main)
             assert world.faults.snapshot()["crashes"] == 1
 
-    def test_rerun_after_crash_completes(self):
+    def test_rerun_after_crash_completes(self, world_backend):
         # The injector persists across World instances; the second
         # attempt (same injector) must run clean.
         def main(comm):
@@ -122,8 +122,8 @@ class TestCrashInjection:
 
         inj = FaultInjector("crash:rank=0,cycle=2")
         with pytest.raises(InjectedFault):
-            World(2, faults=inj).run(main)
-        assert World(2, faults=inj).run(main) == [0, 1]
+            World(2, faults=inj, **world_backend).run(main)
+        assert World(2, faults=inj, **world_backend).run(main) == [0, 1]
         assert inj.snapshot()["crashes"] == 1
 
     def test_absorbing_a_child_state_is_idempotent(self):
@@ -201,16 +201,16 @@ class TestWindowFaults:
 
 
 class TestWatchdog:
-    def test_starved_recv_raises_watchdog_timeout(self):
+    def test_starved_recv_raises_watchdog_timeout(self, world_backend):
         def main(comm):
             if comm.rank == 1:
                 comm.recv(source=0, tag=0)  # rank 0 never sends
             return comm.rank
 
         with pytest.raises(WatchdogTimeout, match=r"rank 1 recv \(source 0, tag 0\)"):
-            World(2, watchdog=0.1).run(main)
+            World(2, watchdog=0.1, **world_backend).run(main)
 
-    def test_straggler_collective_raises_watchdog_timeout(self):
+    def test_straggler_collective_raises_watchdog_timeout(self, world_backend):
         def main(comm):
             if comm.rank == 0:
                 # Stall only after rank 1 has sent, so rank 1 waits in
@@ -228,24 +228,29 @@ class TestWatchdog:
         with pytest.raises(
             WatchdogTimeout, match=r"rank 1 collective \(source 0, tag result\)"
         ):
-            World(2, watchdog=0.1).run(main)
+            World(2, watchdog=0.1, **world_backend).run(main)
 
-    def test_every_world_has_the_default_deadline(self, monkeypatch):
+    def test_every_world_has_the_default_deadline(
+        self, monkeypatch, world_backend
+    ):
         """No argument is no opt-out: ``World`` reads the default when
         it is built, and a starved wait fails at it."""
-        assert World(2).watchdog == simmpi.DEFAULT_WATCHDOG == 60.0
+        world = World(2, **world_backend)
+        assert world.watchdog == simmpi.DEFAULT_WATCHDOG == 60.0
         monkeypatch.setattr(simmpi, "DEFAULT_WATCHDOG", 0.1)
 
         def main(comm):
             if comm.rank == 1:
                 comm.recv(source=0, tag=0)  # rank 0 never sends
 
-        world = World(2)
+        world = World(2, **world_backend)
         assert world.watchdog == 0.1
         with pytest.raises(WatchdogTimeout, match=r"rank 1 recv \(source 0, tag 0\)"):
             world.run(main)
 
-    def test_md_hang_names_its_collective(self, monkeypatch, potential):
+    def test_md_hang_names_its_collective(
+        self, monkeypatch, potential, world_backend
+    ):
         """``ParallelDamageMD`` takes no watchdog: a rank-0-only barrier
         planted in its ghost exchange fails at the default deadline,
         naming the collective, instead of waiting out the world timeout."""
@@ -262,7 +267,9 @@ class TestWatchdog:
             return exchange(self, comm, *args, **kwargs)
 
         monkeypatch.setattr(GhostExchanger, "exchange", planted)
-        md = ParallelDamageMD(BCCLattice(8, 8, 8), potential, nranks=2)
+        md = ParallelDamageMD(
+            BCCLattice(8, 8, 8), potential, nranks=2, **world_backend
+        )
         started = time.monotonic()
         with pytest.raises(WatchdogTimeout, match=r"rank 0 collective"):
             md.run(nsteps=1)
@@ -283,7 +290,7 @@ class TestWatchdog:
             threading.TIMEOUT_MAX
         )
 
-    def test_healthy_run_unaffected_by_watchdog(self):
+    def test_healthy_run_unaffected_by_watchdog(self, world_backend):
         def main(comm):
             comm.send((comm.rank + 1) % comm.size, tag=0, payload=comm.rank)
             src = (comm.rank - 1) % comm.size
@@ -291,4 +298,4 @@ class TestWatchdog:
             comm.barrier()
             return got
 
-        assert World(3, watchdog=5.0).run(main) == [2, 0, 1]
+        assert World(3, watchdog=5.0, **world_backend).run(main) == [2, 0, 1]

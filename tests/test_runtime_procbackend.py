@@ -38,18 +38,9 @@ pytestmark = pytest.mark.skipif(
 # Backend resolution
 # ----------------------------------------------------------------------
 class TestResolveBackend:
-    def test_defaults_to_thread(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_defaults_to_thread(self):
         assert resolve_backend(None) == "thread"
-
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        assert resolve_backend(None) == "process"
-        assert World(2).backend == "process"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        assert resolve_backend("thread") == "thread"
+        assert World(2).backend == "thread"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown simmpi backend"):
@@ -94,9 +85,8 @@ class TestTransportParity:
         for key in ("total_sent_bytes", "total_messages", "total_collectives"):
             assert t[key] == p[key]
 
-    def test_ranks_run_in_distinct_processes(self, monkeypatch):
-        # One child per rank: with REPRO_WORKERS set, ranks share children.
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    def test_ranks_run_in_distinct_processes(self):
+        # One child per rank: with workers=P, ranks share P children.
         pids = World(3, backend="process").run(
             lambda comm: os.getpid(), timeout=60.0
         )
@@ -173,8 +163,7 @@ def _run_world(payload: str, raises: bool, workers: int | None) -> dict:
     """Run the world in a fresh interpreter, so a join that hangs fails
     this test after 60 s instead of stalling the suite."""
     code = _TEARDOWN.format(payload=payload, raises=raises, workers=workers)
-    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env["PYTHONPATH"] = _SRC
+    env = dict(os.environ, PYTHONPATH=_SRC)
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=60,
@@ -250,13 +239,6 @@ class TestRankGroups:
         with pytest.raises(RuntimeError, match="rank 5 failed"):
             world.run(main, timeout=120.0)
 
-    def test_workers_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        pids = World(6, backend="process").run(
-            lambda comm: os.getpid(), timeout=120.0
-        )
-        assert len(set(pids)) == 2
-
 
 # ----------------------------------------------------------------------
 # Failure semantics
@@ -313,9 +295,8 @@ class TestFailureParity:
 # Observe aggregation
 # ----------------------------------------------------------------------
 class TestObserveAggregation:
-    def test_child_phases_and_counters_merge(self, monkeypatch):
+    def test_child_phases_and_counters_merge(self):
         # One child per rank (the thread names below encode rank == child).
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
 
         def main(comm):
             with obs.phase("kmc.work"):

@@ -7,8 +7,12 @@ ranks on R threads, for every engine, is the conformance matrix's
 backend axis (``tests/test_runtime_conformance.py``).
 """
 
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,70 +30,63 @@ from repro.runtime.simmpi import (
     RankComm,
     WatchdogTimeout,
     World,
-    resolve_backend,
     resolve_workers,
 )
 from repro.runtime.stats import TrafficStats
 from repro.runtime.transport import TAG_GATHER, TAG_RESULT, LocalTransport
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 # ----------------------------------------------------------------------
-# resolve_backend / resolve_workers precedence
+# resolve_backend / resolve_workers
 # ----------------------------------------------------------------------
-class TestResolveBackendEnv:
-    def test_whitespace_env_falls_back_to_thread(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "   ")
-        assert resolve_backend(None) == "thread"
-        assert World(2).backend == "thread"
-
-    def test_empty_env_falls_back_to_thread(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "")
-        assert resolve_backend(None) == "thread"
-
-    def test_unknown_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "sunway")
-        with pytest.raises(ValueError, match="unknown simmpi backend"):
-            resolve_backend(None)
-
-    def test_explicit_beats_unknown_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "sunway")
-        assert resolve_backend("overdecomposed") == "overdecomposed"
-
-    def test_overdecomposed_is_known(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "overdecomposed")
-        assert resolve_backend(None) == "overdecomposed"
+#: Values the world, both engines and the spec reject: a padded or
+#: upper-case backend name, a fractional or boolean worker count.
+NOT_A_BACKEND_OR_COUNT = [
+    ({"backend": "OVERDECOMPOSED "}, "unknown simmpi backend"),
+    ({"workers": 1.9}, "workers must be a positive integer"),
+    ({"workers": 1.5}, "workers must be a positive integer"),
+    ({"workers": True}, "workers must be a positive integer"),
+]
 
 
 class TestResolveWorkers:
-    def test_default_is_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    def test_default_is_none(self):
         assert resolve_workers(None) is None
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        assert World(4).workers == 3
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert resolve_workers(2) == 2
-        assert World(4, workers=2).workers == 2
-
-    def test_whitespace_env_counts_as_absent(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "   ")
-        assert resolve_workers(None) is None
-
-    def test_bad_values_rejected(self, monkeypatch):
+    def test_bad_values_rejected(self):
         with pytest.raises(ValueError, match="positive integer"):
             resolve_workers("many")
         with pytest.raises(ValueError, match=">= 1"):
             resolve_workers(0)
-        monkeypatch.setenv("REPRO_WORKERS", "zero")
-        with pytest.raises(ValueError, match="positive integer"):
-            resolve_workers(None)
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
+
+
+@pytest.mark.parametrize("kwargs,named", NOT_A_BACKEND_OR_COUNT)
+def test_world_rejects_what_is_not_a_backend_or_count(kwargs, named):
+    with pytest.raises(ValueError, match=named):
+        World(2, **kwargs)
+
+
+def test_environment_does_not_choose_the_backend():
+    """``REPRO_BACKEND``/``REPRO_WORKERS`` once set every default world's
+    backend; exported now, a default world still runs on threads."""
+    code = (
+        "import sys\n"
+        "from repro.runtime.simmpi import World\n"
+        "world = World(2)\n"
+        "assert world.run(lambda comm: comm.allreduce(1)) == [2, 2]\n"
+        "print(world.backend, world.workers, 'multiprocessing' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC, REPRO_BACKEND="process",
+               REPRO_WORKERS="3")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["thread", "None", "False"]
 
 
 class TestEnginesValidateWhenBuilt:
@@ -101,6 +98,7 @@ class TestEnginesValidateWhenBuilt:
         ({"workers": 0}, "workers"),
         ({"watchdog": 0.0}, "watchdog"),
         ({"watchdog": 1e10}, "watchdog"),
+        *NOT_A_BACKEND_OR_COUNT,
     ])
     def test_parallel_akmc(self, kwargs, named, lattice8, potential,
                            forbid_world):
@@ -113,6 +111,7 @@ class TestEnginesValidateWhenBuilt:
     @pytest.mark.parametrize("kwargs,named", [
         ({"backend": "sunway"}, "unknown simmpi backend"),
         ({"workers": 0}, "workers"),
+        *NOT_A_BACKEND_OR_COUNT,
     ])
     def test_parallel_damage_md(self, kwargs, named, lattice8, potential,
                                 forbid_world):

@@ -143,9 +143,8 @@ def _bulk_main(comm):
 
 
 class TestWorldIntegration:
-    def test_bulk_traffic_travels_via_shm(self, monkeypatch):
+    def test_bulk_traffic_travels_via_shm(self):
         # One child per rank, so every message crosses a process boundary.
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         results = World(3, backend="process").run(_bulk_main, timeout=60.0)
         assert results == World(3, backend="thread").run(_bulk_main, 60.0)
 

@@ -7,7 +7,7 @@ from repro.runtime.simmpi import World, WorldAborted
 
 
 class TestMessaging:
-    def test_ring_exchange(self):
+    def test_ring_exchange(self, world_backend):
         def main(comm):
             right = (comm.rank + 1) % comm.size
             left = (comm.rank - 1) % comm.size
@@ -16,10 +16,10 @@ class TestMessaging:
             assert (src, tag) == (left, 1)
             return value
 
-        results = World(4).run(main)
+        results = World(4, **world_backend).run(main)
         assert results == [3, 0, 1, 2]
 
-    def test_fifo_per_source_and_tag(self):
+    def test_fifo_per_source_and_tag(self, world_backend):
         def main(comm):
             if comm.rank == 0:
                 for i in range(5):
@@ -28,9 +28,9 @@ class TestMessaging:
             received = [comm.recv(source=0, tag=7)[2] for _ in range(5)]
             return received
 
-        assert World(2).run(main)[1] == [0, 1, 2, 3, 4]
+        assert World(2, **world_backend).run(main)[1] == [0, 1, 2, 3, 4]
 
-    def test_tag_selectivity(self):
+    def test_tag_selectivity(self, world_backend):
         def main(comm):
             if comm.rank == 0:
                 comm.send(1, tag=1, payload="a")
@@ -41,9 +41,9 @@ class TestMessaging:
             _s, _t, a = comm.recv(source=0, tag=1)
             return (a, b)
 
-        assert World(2).run(main)[1] == ("a", "b")
+        assert World(2, **world_backend).run(main)[1] == ("a", "b")
 
-    def test_send_buffering_allows_reuse(self):
+    def test_send_buffering_allows_reuse(self, world_backend):
         # MPI eager semantics: mutating the buffer after send must not
         # corrupt the message.
         def main(comm):
@@ -55,16 +55,16 @@ class TestMessaging:
             _s, _t, data = comm.recv(0, 1)
             return data.tolist()
 
-        assert World(2).run(main)[1] == [0, 1, 2, 3, 4]
+        assert World(2, **world_backend).run(main)[1] == [0, 1, 2, 3, 4]
 
-    def test_send_validation(self):
+    def test_send_validation(self, world_backend):
         def main(comm):
             with pytest.raises(ValueError, match="destination"):
                 comm.send(99, tag=0)
             with pytest.raises(ValueError, match="tag"):
                 comm.send(0, tag=-1)
 
-        World(1).run(main)
+        World(1, **world_backend).run(main)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_every_receive_names_a_channel(self, backend):
@@ -88,17 +88,17 @@ class TestMessaging:
         ]
         assert refused == expected * 3
 
-    def test_no_messages_left_behind(self):
+    def test_no_messages_left_behind(self, world_backend):
         def main(comm):
             comm.send((comm.rank + 1) % comm.size, tag=0, payload=b"x")
             comm.recv((comm.rank - 1) % comm.size, tag=0)
 
         # A message left unreceived would raise ProtocolError here.
-        assert World(3).run(main) == [None] * 3
+        assert World(3, **world_backend).run(main) == [None] * 3
 
 
 class TestProbe:
-    def test_probe_reports_envelope_without_consuming(self):
+    def test_probe_reports_envelope_without_consuming(self, world_backend):
         def main(comm):
             if comm.rank == 0:
                 comm.send(1, tag=9, payload=b"12345")
@@ -110,9 +110,9 @@ class TestProbe:
             _s, _t, data = comm.recv(source=status.source, tag=status.tag)
             return data
 
-        assert World(2).run(main)[1] == b"12345"
+        assert World(2, **world_backend).run(main)[1] == b"12345"
 
-    def test_iprobe_nonblocking(self):
+    def test_iprobe_nonblocking(self, world_backend):
         def main(comm):
             if comm.rank == 0:
                 assert comm.iprobe(source=1, tag=2) is None  # not sent yet...
@@ -123,9 +123,9 @@ class TestProbe:
             comm.send(0, tag=2, payload=None)
             return None
 
-        World(2).run(main)
+        World(2, **world_backend).run(main)
 
-    def test_probe_zero_size_message(self):
+    def test_probe_zero_size_message(self, world_backend):
         # The §2.2.1 pattern: zero-size messages still match probes.
         def main(comm):
             if comm.rank == 0:
@@ -135,94 +135,95 @@ class TestProbe:
             assert status.nbytes == 0
             comm.recv(source=0, tag=5)
 
-        World(2).run(main)
+        World(2, **world_backend).run(main)
 
 
 class TestCollectives:
-    def test_allreduce_sum(self):
-        results = World(5).run(lambda comm: comm.allreduce(comm.rank))
+    def test_allreduce_sum(self, world_backend):
+        results = World(5, **world_backend).run(lambda comm: comm.allreduce(comm.rank))
         assert results == [10] * 5
 
-    def test_allreduce_min_max(self):
+    def test_allreduce_min_max(self, world_backend):
         def main(comm):
             return (
                 comm.allreduce(comm.rank + 3, op="min"),
                 comm.allreduce(comm.rank + 3, op="max"),
             )
 
-        assert World(4).run(main) == [(3, 6)] * 4
+        assert World(4, **world_backend).run(main) == [(3, 6)] * 4
 
-    def test_allreduce_arrays_elementwise(self):
+    def test_allreduce_arrays_elementwise(self, world_backend):
         def main(comm):
             v = np.array([comm.rank, 1.0])
             return comm.allreduce(v)
 
-        for out in World(3).run(main):
+        for out in World(3, **world_backend).run(main):
             assert np.allclose(out, [3.0, 3.0])
 
-    def test_allreduce_unknown_op(self):
+    def test_allreduce_unknown_op(self, world_backend):
         def main(comm):
             with pytest.raises(ValueError, match="op"):
                 comm.allreduce(1, op="median")
 
-        World(2).run(main)
+        World(2, **world_backend).run(main)
 
-    def test_allgather_ordered_by_rank(self):
-        results = World(4).run(lambda comm: comm.allgather(comm.rank * 10))
+    def test_allgather_ordered_by_rank(self, world_backend):
+        world = World(4, **world_backend)
+        results = world.run(lambda comm: comm.allgather(comm.rank * 10))
         assert results == [[0, 10, 20, 30]] * 4
 
-    def test_bcast(self):
+    def test_bcast(self, world_backend):
         def main(comm):
             return comm.bcast("hello" if comm.rank == 2 else None, root=2)
 
-        assert World(4).run(main) == ["hello"] * 4
+        assert World(4, **world_backend).run(main) == ["hello"] * 4
 
-    def test_bcast_bad_root(self):
+    def test_bcast_bad_root(self, world_backend):
         def main(comm):
             with pytest.raises(ValueError, match="root"):
                 comm.bcast(1, root=9)
 
-        World(2).run(main)
+        World(2, **world_backend).run(main)
 
-    def test_barrier_many_rounds(self):
+    def test_barrier_many_rounds(self, world_backend):
         # Reusability of the barrier across many generations.
         def main(comm):
             for _ in range(20):
                 comm.barrier()
             return True
 
-        assert all(World(6).run(main))
+        assert all(World(6, **world_backend).run(main))
 
 
 class TestFailures:
-    def test_error_propagates_and_unblocks(self):
+    def test_error_propagates_and_unblocks(self, world_backend):
         def main(comm):
             if comm.rank == 0:
                 raise RuntimeError("boom")
             comm.recv(0, 0)  # would deadlock without abort
 
         with pytest.raises(RuntimeError, match="boom"):
-            World(3).run(main)
+            World(3, **world_backend).run(main)
 
-    def test_error_during_collective_unblocks(self):
+    def test_error_during_collective_unblocks(self, world_backend):
         def main(comm):
             if comm.rank == 1:
                 raise ValueError("bad rank")
             comm.barrier()
 
         with pytest.raises(RuntimeError, match="bad rank"):
-            World(3).run(main)
+            World(3, **world_backend).run(main)
 
-    def test_abort_unblocks_blocking_probe(self):
+    def test_abort_unblocks_blocking_probe(self, world_backend):
         def main(comm):
             if comm.rank == 0:
                 raise RuntimeError("boom")
             comm.probe(0, 0)  # blocked in peek, not take
 
         with pytest.raises(RuntimeError, match="boom"):
-            World(3).run(main)
+            World(3, **world_backend).run(main)
 
-    def test_abort_wakes_blocked_ranks_promptly(self):
+    def test_abort_wakes_blocked_ranks_promptly(self, world_backend):
         # Blocked waiters sleep on a condition and are notified on abort
         # (no polling): a failing world must not hang its siblings.
         import time
@@ -235,11 +236,11 @@ class TestFailures:
 
         t0 = time.perf_counter()
         with pytest.raises(RuntimeError, match="late failure"):
-            World(8).run(main)
+            World(8, **world_backend).run(main)
         # Generous: a lost wakeup would hit World.run's join timeout.
         assert time.perf_counter() - t0 < 2.0
 
-    def test_send_wakes_blocked_receiver(self):
+    def test_send_wakes_blocked_receiver(self, world_backend):
         import time
 
         def main(comm):
@@ -251,7 +252,7 @@ class TestFailures:
             comm.recv(source=0, tag=1)
             return time.perf_counter() - t0
 
-        waited = World(2).run(main)[1]
+        waited = World(2, **world_backend).run(main)[1]
         # Receiver was asleep for the sender's 50 ms, then woke on the
         # deposit notification rather than a poll tick.
         assert 0.0 < waited < 1.0
@@ -260,8 +261,8 @@ class TestFailures:
         with pytest.raises(ValueError, match="nranks"):
             World(0)
 
-    def test_results_indexed_by_rank(self):
-        results = World(7).run(lambda comm: comm.rank**2)
+    def test_results_indexed_by_rank(self, world_backend):
+        results = World(7, **world_backend).run(lambda comm: comm.rank**2)
         assert results == [r**2 for r in range(7)]
 
 
@@ -315,7 +316,7 @@ class TestAbortRecoveryContract:
             World(3, backend="thread").run(main)
         assert sorted(seen) == [1, 2]
 
-    def test_keyboard_interrupt_propagates_unwrapped(self):
+    def test_keyboard_interrupt_propagates_unwrapped(self, world_backend):
         # An interrupt is the user's request to stop — it must reach the
         # caller as KeyboardInterrupt, not be reported as a rank failure.
         def main(comm):
@@ -324,9 +325,9 @@ class TestAbortRecoveryContract:
             comm.recv(0, 0)
 
         with pytest.raises(KeyboardInterrupt):
-            World(2).run(main)
+            World(2, **world_backend).run(main)
 
-    def test_keyboard_interrupt_still_unblocks_peers(self):
+    def test_keyboard_interrupt_still_unblocks_peers(self, world_backend):
         import time
 
         def main(comm):
@@ -336,10 +337,10 @@ class TestAbortRecoveryContract:
 
         t0 = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
-            World(4).run(main)
+            World(4, **world_backend).run(main)
         assert time.perf_counter() - t0 < 2.0
 
-    def test_timeout_reports_still_alive_ranks(self):
+    def test_timeout_reports_still_alive_ranks(self, world_backend):
         # A rank that ignores the abort (stuck in non-runtime code) must
         # be named in the TimeoutError instead of silently leaking.
         import time
@@ -350,9 +351,9 @@ class TestAbortRecoveryContract:
             return comm.rank
 
         with pytest.raises(TimeoutError, match="simmpi-rank-1"):
-            World(2).run(main, timeout=0.2, grace=0.2)
+            World(2, **world_backend).run(main, timeout=0.2, grace=0.2)
 
-    def test_timeout_message_when_ranks_exit_after_abort(self):
+    def test_timeout_message_when_ranks_exit_after_abort(self, world_backend):
         # Ranks blocked in the runtime DO exit on abort: the message
         # says so instead of naming leaked threads.
         def main(comm):
@@ -361,4 +362,4 @@ class TestAbortRecoveryContract:
             return comm.rank
 
         with pytest.raises(TimeoutError, match="all ranks exited"):
-            World(2).run(main, timeout=0.2, grace=1.0)
+            World(2, **world_backend).run(main, timeout=0.2, grace=1.0)

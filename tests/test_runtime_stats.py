@@ -146,14 +146,14 @@ class TestTrafficStats:
         assert snap["total_messages"] == 3
         assert snap["total_sent_bytes"] == 107
 
-    def test_world_counts_real_traffic(self):
+    def test_world_counts_real_traffic(self, world_backend):
         def main(comm):
             if comm.rank == 0:
                 comm.send(1, tag=0, payload=np.zeros(100))
             else:
                 comm.recv(0, 0)
 
-        w = World(2)
+        w = World(2, **world_backend)
         w.run(main)
         assert w.stats.total_sent_bytes == 800
 

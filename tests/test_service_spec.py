@@ -149,10 +149,40 @@ class TestValidation:
         ({"watchdog": 1e10}, r"watchdog must be in \(0, "),
         # A valid deadline on the serial engine, which runs no World.
         ({"watchdog": 30.0}, r"watchdog .*serial engine \(no kmc_nranks\)"),
+        # Below a spline table's five knots (3 segments = 4 knots).
+        ({"table_points": 3}, "table_points must be >= 4"),
+        ({"table_points": 2}, "table_points must be >= 4"),
+        # What the runtime rejects: no case folding or stripping of a
+        # backend name, no fractional or boolean worker count.
+        ({"backend": "OVERDECOMPOSED "}, "unknown backend"),
+        ({"workers": 1.9}, "workers must be an integer"),
+        ({"workers": 1.5}, "workers must be an integer"),
+        # True == 1 passed the int() round-trip and became a count.
+        *[({name: True}, f"{name} must be an integer, got True") for name in (
+            "cells", "table_points", "kmc_max_events", "kmc_max_cycles",
+            "seed", "md_steps", "kmc_nranks", "trajectory_every",
+            "checkpoint_every", "workers",
+        )],
     ])
     def test_bad_values_rejected(self, kwargs, match):
         with pytest.raises(SpecError, match=match):
             ScenarioSpec(**kwargs)
+
+    def test_backend_names_are_the_runtimes(self):
+        # The spec checks names without importing the runtime.
+        from repro.runtime.simmpi import BACKENDS
+        from repro.service.spec import _BACKENDS
+
+        assert _BACKENDS == BACKENDS
+
+    def test_table_points_floor_is_the_spline_minimum(self):
+        from repro.potential.fe import make_fe_potential
+        from repro.potential.spline import MIN_SAMPLES
+
+        spec = ScenarioSpec(table_points=MIN_SAMPLES - 1)  # n + 1 knots
+        assert make_fe_potential(n=spec.table_points).cutoff > 0
+        with pytest.raises(SpecError, match="table_points"):
+            ScenarioSpec(table_points=MIN_SAMPLES - 2)
 
     def test_plans_that_fit_their_engine_accepted(self):
         serial = ScenarioSpec(faults="crash:rank=0,event=3")
