@@ -4,12 +4,12 @@ Simulation on Sunway TaihuLight Supercomputer" (Li et al., ICPP 2018).
 A coupled Molecular Dynamics / Kinetic Monte Carlo simulator for
 irradiation damage in BCC iron, together with every substrate the paper's
 scaling study depends on: the lattice neighbor list data structure, EAM
-interpolation tables in traditional and compacted layouts, an in-process
-MPI-semantics runtime, a Sunway SW26010 machine model with 64 KB
-local-store enforcement and DMA accounting, the synchronous-sublattice
-parallel AKMC with traditional / on-demand / one-sided communication
-schemes, and calibrated analytical models regenerating the paper's
-million-core scaling figures.
+spline interpolation tables (the compacted layout is their sample
+column), an in-process MPI-semantics runtime, a Sunway SW26010 machine
+model with 64 KB local-store enforcement and DMA accounting, the
+synchronous-sublattice parallel AKMC with traditional / on-demand /
+one-sided communication schemes, and calibrated analytical models
+regenerating the paper's million-core scaling figures.
 
 Quick start::
 

@@ -110,11 +110,15 @@ class ClusteringReport:
     mean_nn_distance: float
 
     def __str__(self) -> str:
+        # Below two vacancies there is no pair; the field stays NaN.
+        nn = (
+            f"{self.mean_nn_distance:.2f} A" if self.n_vacancies >= 2 else "n/a"
+        )
         return (
             f"{self.n_vacancies} vacancies in {self.n_clusters} clusters "
             f"(max {self.max_cluster}, mean {self.mean_cluster:.2f}, "
             f"{100 * self.clustered_fraction:.0f}% in clusters >= 2, "
-            f"mean NN distance {self.mean_nn_distance:.2f} A)"
+            f"mean NN distance {nn})"
         )
 
 

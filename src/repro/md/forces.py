@@ -144,7 +144,7 @@ def eam_evaluate(
     Parameters
     ----------
     pot:
-        The potential (either table layout).
+        The potential.
     n:
         Flat particle count; forces/rho arrays get this length.
     pairs:

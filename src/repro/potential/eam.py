@@ -8,8 +8,8 @@ Implements Equations (1)-(3) of the paper:
 
 where ``phi`` is the pair potential, ``f`` the electron-cloud density
 contribution, and ``F`` the embedding energy.  All three are tabulated
-functions queried through either the traditional or the compacted table
-layout; the physics is identical either way.
+functions queried through one cubic-spline table each
+(:class:`~repro.potential.spline.SplineTable`).
 
 Force on atom i (the MD kernel's core):
 
@@ -19,16 +19,10 @@ Force on atom i (the MD kernel's core):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
 from repro.potential.spline import SplineTable
-
-if TYPE_CHECKING:
-    from repro.potential.compact import CompactTable
-
-Layout = Literal["traditional", "compacted"]
 
 
 @dataclass
@@ -40,47 +34,14 @@ class TableSet:
     ``rho`` in ``[0, rho_max]``.
     """
 
-    pair: SplineTable | CompactTable
-    density: SplineTable | CompactTable
-    embedding: SplineTable | CompactTable
+    pair: SplineTable
+    density: SplineTable
+    embedding: SplineTable
 
     @property
     def nbytes(self) -> int:
         """Total payload bytes of the three tables."""
         return self.pair.nbytes + self.density.nbytes + self.embedding.nbytes
-
-    @property
-    def layout(self) -> str:
-        return self.pair.layout
-
-    def compacted(self) -> "TableSet":
-        """The same tables in the compacted layout."""
-        return TableSet(
-            pair=_to_compact(self.pair),
-            density=_to_compact(self.density),
-            embedding=_to_compact(self.embedding),
-        )
-
-    def traditional(self) -> "TableSet":
-        """The same tables in the traditional layout."""
-        return TableSet(
-            pair=_to_spline(self.pair),
-            density=_to_spline(self.density),
-            embedding=_to_spline(self.embedding),
-        )
-
-
-def _to_compact(t):
-    if not isinstance(t, SplineTable):
-        return t
-    # Loaded where the compacted layout is asked for, not with the module.
-    from repro.potential.compact import CompactTable
-
-    return CompactTable.from_spline(t)
-
-
-def _to_spline(t):
-    return t if isinstance(t, SplineTable) else t.to_spline()
 
 
 class EAMPotential:
@@ -184,16 +145,7 @@ class EAMPotential:
         # F_i = -sum_j coeff_ij * (r_i - r_j) = +sum_j coeff_ij * delta_ij
         return np.einsum("ij,ijk->ik", coeff, delta)
 
-    def with_layout(self, layout: Layout) -> "EAMPotential":
-        """This potential with tables converted to the requested layout."""
-        if layout == "traditional":
-            return EAMPotential(self.tables.traditional(), self.cutoff)
-        if layout == "compacted":
-            return EAMPotential(self.tables.compacted(), self.cutoff)
-        raise ValueError(f"unknown table layout {layout!r}")
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"EAMPotential(cutoff={self.cutoff}, layout={self.tables.layout!r}, "
-            f"nbytes={self.tables.nbytes})"
+            f"EAMPotential(cutoff={self.cutoff}, nbytes={self.tables.nbytes})"
         )

@@ -118,11 +118,10 @@ def make_fe_tables(
     params: FeParameters | None = None,
     n: int = 5000,
 ) -> TableSet:
-    """Tabulate the analytic model into a traditional :class:`TableSet`.
+    """Tabulate the analytic model into a :class:`TableSet`.
 
-    Each table holds ``n`` x 7 spline coefficients;
-    ``EAMPotential.with_layout("compacted")`` converts them to ``n``
-    samples.
+    Each table holds ``(n + 1) x 7`` spline coefficients, column 6 being
+    the ``n + 1`` samples the compacted layout keeps.
 
     Parameters
     ----------

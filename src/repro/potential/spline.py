@@ -1,4 +1,4 @@
-"""Traditional cubic-spline interpolation tables (LAMMPS/CoMD layout).
+"""Cubic-spline interpolation tables (the LAMMPS/CoMD coefficient matrix).
 
 A tabulated function on ``n`` uniform segments over ``[0, xmax]`` is stored
 as an ``(n + 1) x 7`` coefficient matrix.  For a query ``x`` falling in
@@ -17,6 +17,12 @@ The knot-derivative estimate used during construction is the five-point
 formula the paper compacts against:
 
     C[m,5] = ( (S[m-2] - S[m+2]) + 8*(S[m+1] - S[m-1]) ) / 12
+
+The paper's *compacted* table is a storage layout of this one table, not
+a second one: column 6 holds the ``n + 1`` samples (~39 KB at n = 5000,
+1/7 of the ~273 KB matrix), and row ``m`` depends on samples ``m-2 ..
+m+3`` only, so a core holding the sample column rebuilds any segment from
+six resident samples.  :mod:`repro.sunway.kernel` prices that layout.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ def segment_coefficients(samples: np.ndarray, dx: float) -> np.ndarray:
 
 
 class SplineTable:
-    """A traditionally-laid-out interpolation table.
+    """A cubic-spline interpolation table.
 
     Parameters
     ----------
@@ -83,8 +89,6 @@ class SplineTable:
     name:
         Optional label (e.g. ``"pair"``, ``"density"``, ``"embedding"``).
     """
-
-    layout = "traditional"
 
     def __init__(self, samples: np.ndarray, xmax: float, name: str = "") -> None:
         samples = np.asarray(samples, dtype=float)
@@ -105,11 +109,6 @@ class SplineTable:
         """Tabulate ``func`` at ``n + 1`` uniform knots over ``[0, xmax]``."""
         x = np.linspace(0.0, xmax, n + 1)
         return cls(func(x), xmax, name=name)
-
-    @property
-    def samples(self) -> np.ndarray:
-        """The knot values (column 6 of the coefficient matrix)."""
-        return self.coeff[:, 6]
 
     @property
     def nbytes(self) -> int:

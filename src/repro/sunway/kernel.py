@@ -24,9 +24,10 @@ traditional table         tables stay in main memory; each neighbor
                           7-double coefficient row — "3 times for each
                           neighbor atom at each time step" across the
                           density pass (1) and the two force sub-passes (2)
-compacted table           39 KB sample tables loaded into the local store
-                          once per pass; segment coefficients reconstructed
-                          on the fly (extra cycles per evaluation)
+compacted table           each table's 39 KB sample column loaded into the
+                          local store once per pass; segment coefficients
+                          rebuilt on the fly from six resident samples
+                          (extra cycles per evaluation)
 + data reuse              the ghost ring shared by consecutive blocks of a
                           slab is kept in the local store: every block
                           after a slab's first gathers none of its ghosts
@@ -153,9 +154,10 @@ class BlockedEAMKernel:
     Parameters
     ----------
     arch, potential, strategy:
-        Machine model, potential (any layout; the strategy decides the
-        layout actually priced), and the optimization variant.  The
-        slave-core team is ``arch.cpes_per_cg`` threads.
+        Machine model, potential (its spline tables give the values under
+        every strategy; the strategy decides the table layout priced), and
+        the optimization variant.  The slave-core team is
+        ``arch.cpes_per_cg`` threads.
     table_points:
         Knots of the tables being priced (5000 in the paper).
     """
@@ -175,7 +177,8 @@ class BlockedEAMKernel:
 
     @property
     def compacted_table_bytes(self) -> int:
-        """Payload of one compacted table (39 KB at 5000 knots)."""
+        """Payload of one compacted table: a spline's sample column
+        (column 6 of its coefficient matrix; 39 KB at 5000 knots)."""
         return (self.table_points + 1) * 8
 
     def _plan_block_size(self) -> int:
@@ -222,11 +225,6 @@ class BlockedEAMKernel:
         arch = self.arch
         strat = self.strategy
         trad = strat.table_layout == "traditional"
-        pot = (
-            self.potential
-            if self.potential.tables.layout == strat.table_layout
-            else self.potential.with_layout(strat.table_layout)
-        )
         occ = state.occupied
         matrix, valid = nblist.matrix, nblist.valid
         dma = DMAStats()
@@ -292,6 +290,8 @@ class BlockedEAMKernel:
                 slab_times[p].append(_pass_time(blocks[p], strat.double_buffer))
 
         # The values: the one EAM kernel over the whole half pair list.
+        # Both layouts store the same spline, so they share these values.
+        pot = self.potential
         table = PairTable.from_pairs(
             state.x, *nblist.lattice_pairs(state), nblist.box, pot.cutoff
         )

@@ -17,11 +17,7 @@ from repro.lattice.bcc import BCCLattice
 from repro.lattice.box import Box
 from repro.md.state import AtomState
 from repro.potential.fe import FeParameters, make_fe_potential
-from repro.runtime.procbackend import fork_available
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="process backend needs the fork start method"
-)
+from tests.markers import needs_fork
 
 
 @pytest.fixture(
@@ -68,11 +64,6 @@ def forbid_world(monkeypatch):
 def potential():
     """The iron-like EAM potential at test-friendly table resolution."""
     return make_fe_potential(n=1000)
-
-
-@pytest.fixture(scope="session")
-def potential_compacted(potential):
-    return potential.with_layout("compacted")
 
 
 @pytest.fixture(scope="session")

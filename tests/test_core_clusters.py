@@ -113,6 +113,17 @@ class TestStatistics:
         rep = clustering_report(lat, np.array([10]))
         assert "1 vacancies" in str(rep)
 
+    @pytest.mark.parametrize(
+        "ranks, clause",
+        [([], "n/a"), ([10], "n/a"), ([10, 11], "2.47 A")],
+        ids=["none", "one", "pair"],
+    )
+    def test_report_str_nn_clause(self, lat, ranks, clause):
+        # Without a pair the field stays NaN (result.json keeps it) but
+        # the line prints no number.
+        rep = clustering_report(lat, np.array(ranks, dtype=np.int64))
+        assert str(rep).endswith(f"mean NN distance {clause})")
+
     def test_custom_bond_distance(self, lat):
         # With a sub-first-shell bond distance nothing clusters.
         nbr = int(lat.first_shell_ranks(10)[0])

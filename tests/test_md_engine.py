@@ -62,20 +62,6 @@ class TestSerialEngine:
         engine.run(nsteps=10)
         assert engine.nblist.n_runaways == 0
 
-    def test_table_layout_equivalence(self, lattice5, potential):
-        # Same trajectory with traditional and compacted tables.
-        finals = []
-        for layout in ("traditional", "compacted"):
-            engine = MDEngine(
-                lattice5,
-                potential.with_layout(layout),
-                MDConfig(temperature=300.0, seed=5),
-            )
-            engine.initialize()
-            engine.run(nsteps=10)
-            finals.append(engine.state.x.copy())
-        assert np.allclose(finals[0], finals[1], atol=1e-12)
-
     def test_deterministic_given_seed(self, lattice5, potential):
         runs = []
         for _ in range(2):

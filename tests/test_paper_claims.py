@@ -13,6 +13,14 @@ from repro.perfmodel.machine import TAIHULIGHT
 from repro.sunway.arch import SunwayArch
 
 
+def _sample_column_bytes() -> int:
+    """Bytes of a 5000-segment spline's sample column, which is all the
+    compacted layout keeps resident."""
+    from repro.potential.spline import SplineTable
+
+    return SplineTable.from_function(np.sin, 5.6, n=5000).coeff[:, 6].nbytes
+
+
 class TestSection2Claims:
     def test_bcc_has_8_first_shell_events(self):
         # "there are eight possible events for a vacancy (since it may
@@ -40,28 +48,20 @@ class TestSection2Claims:
 
     def test_compacted_table_39kb_one_seventh(self):
         # "a compacted interpolation table, of which size is only 39 KB
-        # (1/7 of the traditional table)".
-        from repro.potential.compact import CompactTable
-
-        t = CompactTable.from_function(np.sin, 5.6, n=5000)
-        assert t.nbytes == pytest.approx(39 * 1024, rel=0.03)
-        assert 7 * t.nbytes == pytest.approx(273 * 1024, rel=0.03)
+        # (1/7 of the traditional table)": the table's sample column.
+        compacted = _sample_column_bytes()
+        assert compacted == pytest.approx(39 * 1024, rel=0.03)
+        assert 7 * compacted == pytest.approx(273 * 1024, rel=0.03)
 
     def test_one_compacted_table_leaves_room_for_blocks(self):
         # One resident 39 KB table per pass leaves the local store room
         # for atom blocks ...
-        from repro.potential.compact import CompactTable
-
-        t = CompactTable.from_function(np.sin, 5.6, n=5000)
-        assert SunwayArch().local_store_bytes - t.nbytes > 20 * 1024
+        assert SunwayArch().local_store_bytes - _sample_column_bytes() > 20 * 1024
 
     def test_two_compacted_tables_do_not_fit(self):
         # ... but two do not fit, which is why the EAM step runs one
         # table-pass at a time.
-        from repro.potential.compact import CompactTable
-
-        t = CompactTable.from_function(np.sin, 5.6, n=5000)
-        assert 2 * t.nbytes > SunwayArch().local_store_bytes
+        assert 2 * _sample_column_bytes() > SunwayArch().local_store_bytes
 
     def test_interpolation_formula_of_figure5(self):
         # "L[5,2] = ( S[0] - S[4] + 8*(S[3] - S[1]) )/12" — the five-point

@@ -1,42 +1,54 @@
-"""Compacted-table tests: layout size and exact equivalence (Figure 5)."""
+"""The compacted layout of Figure 5 as a property of the one spline table.
+
+A core that keeps only a table's sample column (column 6 of the
+coefficient matrix, ~39 KB) can rebuild every segment on the fly: row
+``m`` depends on samples ``m-2 .. m+3`` only, through the five-point
+formula.  These tests pin that locality and the sizes it buys; the Sunway
+kernel model prices the layout, and no second evaluator exists.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.potential.compact import CompactTable
-from repro.potential.spline import SplineTable
+from repro.potential.spline import SplineTable, segment_coefficients
+
+
+def resident_row(samples, m, dx):
+    """Row ``m`` rebuilt from six resident samples: ``m-2 .. m+3``,
+    shifted inward at the table's ends."""
+    lo = max(min(m - 2, len(samples) - 6), 0)
+    return segment_coefficients(samples[lo : lo + 6], dx)[m - lo]
+
+
+def resident_rows(t):
+    samples = t.coeff[:, 6]
+    return np.array([resident_row(samples, m, t.dx) for m in range(t.n + 1)])
 
 
 class TestLayout:
     def test_nbytes_about_39kb_at_5000(self):
         # "a compacted interpolation table, of which size is only 39 KB".
-        t = CompactTable.from_function(np.sin, 5.0, n=5000)
-        assert t.nbytes == pytest.approx(39 * 1024, rel=0.03)
+        t = SplineTable.from_function(np.sin, 5.0, n=5000)
+        assert t.coeff[:, 6].nbytes == pytest.approx(39 * 1024, rel=0.03)
 
     def test_compaction_ratio_is_one_seventh(self):
         # "(1/7 of the traditional table)".
-        compact = CompactTable.from_function(np.sin, 5.0, n=5000)
-        traditional = SplineTable.from_function(np.sin, 5.0, n=5000)
-        assert compact.nbytes / traditional.nbytes == pytest.approx(1 / 7)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            CompactTable(np.zeros(3), 1.0)
-        with pytest.raises(ValueError):
-            CompactTable(np.zeros(10), -1.0)
+        t = SplineTable.from_function(np.sin, 5.0, n=5000)
+        assert t.coeff[:, 6].nbytes / t.nbytes == pytest.approx(1 / 7)
 
     def test_roundtrip_through_spline(self):
+        # The sample column alone rebuilds the whole matrix.
         t = SplineTable.from_function(np.cos, 2.0, n=50)
-        back = CompactTable.from_spline(t).to_spline()
-        assert np.allclose(back.coeff, t.coeff)
+        back = SplineTable(t.coeff[:, 6].copy(), t.xmax)
+        assert np.array_equal(back.coeff, t.coeff)
 
 
 class TestEquivalence:
-    """The compacted table must reproduce the traditional one exactly —
-    the paper's correctness premise ("all the values in the traditional
-    table can be calculated on the fly")."""
+    """Every row rebuilt from six resident samples equals the table's row
+    bit for bit — the paper's correctness premise ("all the values in the
+    traditional table can be calculated on the fly")."""
 
     @pytest.mark.parametrize(
         "func",
@@ -44,28 +56,12 @@ class TestEquivalence:
         ids=["sin", "cos", "exp", "cubic"],
     )
     def test_values_identical(self, func):
-        xmax, n = 4.0, 200
-        trad = SplineTable.from_function(func, xmax, n=n)
-        comp = CompactTable.from_function(func, xmax, n=n)
-        x = np.linspace(0, xmax, 4096)
-        assert np.allclose(trad(x), comp(x), atol=1e-13, rtol=0)
+        t = SplineTable.from_function(func, 4.0, n=200)
+        assert np.array_equal(resident_rows(t)[:, 3:], t.coeff[:, 3:])
 
     def test_derivatives_identical(self):
-        trad = SplineTable.from_function(np.sin, 4.0, n=200)
-        comp = CompactTable.from_function(np.sin, 4.0, n=200)
-        x = np.linspace(0, 4.0, 4096)
-        assert np.allclose(
-            trad.derivative(x), comp.derivative(x), atol=1e-11, rtol=0
-        )
-
-    def test_value_and_derivative_identical(self):
-        trad = SplineTable.from_function(np.cos, 3.0, n=100)
-        comp = CompactTable.from_spline(trad)
-        x = np.linspace(0, 3.0, 512)
-        tv, td = trad.value_and_derivative(x)
-        cv, cd = comp.value_and_derivative(x)
-        assert np.allclose(tv, cv, atol=1e-13)
-        assert np.allclose(td, cd, atol=1e-11)
+        t = SplineTable.from_function(np.sin, 4.0, n=200)
+        assert np.array_equal(resident_rows(t)[:, :3], t.coeff[:, :3])
 
     @given(
         seed=st.integers(0, 2**31),
@@ -73,27 +69,52 @@ class TestEquivalence:
     )
     @settings(max_examples=60, deadline=None)
     def test_equivalence_property_random_tables(self, seed, x):
-        rng = np.random.default_rng(seed)
-        samples = rng.normal(size=16)
-        trad = SplineTable(samples.copy(), 1.0)
-        comp = CompactTable(samples.copy(), 1.0)
-        assert float(trad(x)) == pytest.approx(float(comp(x)), abs=1e-12)
+        t = SplineTable(np.random.default_rng(seed).normal(size=16), 1.0)
+        m = min(int(x / t.dx), t.n - 1)
+        p = min(x / t.dx - m, 1.0)
+        c = resident_row(t.coeff[:, 6], m, t.dx)
+        value = ((c[3] * p + c[4]) * p + c[5]) * p + c[6]
+        assert value == pytest.approx(float(t(x)), abs=1e-12)
 
     def test_boundary_knots_identical(self):
-        # The fallback derivative formulas at m in {0, 1, n-1, n} must
-        # also agree between layouts.
-        rng = np.random.default_rng(7)
-        samples = rng.normal(size=12)
-        trad = SplineTable(samples, 1.0)
-        comp = CompactTable(samples, 1.0)
-        edges = np.array([0.0, 0.04, 0.09, 0.91, 0.96, 0.999])
-        assert np.allclose(trad(edges), comp(edges), atol=1e-13)
-        assert np.allclose(
-            trad.derivative(edges), comp.derivative(edges), atol=1e-12
-        )
+        # The fallback derivative formulas at m in {0, 1, n-1, n} only
+        # read samples inside the table's first or last six; in these
+        # short tables most rows are such boundary rows.
+        for size in (6, 7, 8, 12):
+            t = SplineTable(np.random.default_rng(size).normal(size=size), 1.0)
+            assert np.array_equal(resident_rows(t), t.coeff)
 
     def test_hits_knots_exactly(self):
+        # Column 6 is the sample set, and the table passes through it.
         samples = np.random.default_rng(3).normal(size=40)
-        comp = CompactTable(samples, 2.0)
+        t = SplineTable(samples, 2.0)
+        assert np.array_equal(t.coeff[:, 6], samples)
         x = np.linspace(0, 2.0, 40)
-        assert np.allclose(comp(x[:-1]), samples[:-1], atol=1e-12)
+        assert np.allclose(t(x[:-1]), samples[:-1], atol=1e-12)
+
+
+class TestLocality:
+    """Sample ``k`` enters rows ``k-3 .. k+2`` and no others, so a
+    segment needs six resident samples and no more."""
+
+    @staticmethod
+    def moved_rows(samples, k):
+        moved = samples.copy()
+        moved[k] += 1.0
+        diff = segment_coefficients(moved, 0.1) != segment_coefficients(samples, 0.1)
+        return np.flatnonzero(np.any(diff, axis=1))
+
+    def test_sample_moves_only_nearby_rows(self):
+        # Every k, the boundary knots 0, 1, n-1 and n included: their
+        # fallback formulas read fewer samples, never farther ones.
+        samples = np.random.default_rng(5).normal(size=20)
+        for k in range(len(samples)):
+            rows = self.moved_rows(samples, k)
+            assert rows.size and rows.min() >= k - 3 and rows.max() <= k + 2
+
+    def test_interior_sample_moves_six_rows(self):
+        samples = np.random.default_rng(6).normal(size=20)
+        for k in range(5, len(samples) - 5):
+            assert np.array_equal(
+                self.moved_rows(samples, k), np.arange(k - 3, k + 3)
+            )

@@ -1,4 +1,4 @@
-"""EAM potential tests: Equations (1)-(3), forces, layout invariance."""
+"""EAM potential tests: Equations (1)-(3), forces, table sizes."""
 
 import numpy as np
 import pytest
@@ -9,16 +9,10 @@ from repro.potential.fe import make_fe_potential, make_fe_tables
 
 
 class TestTableSet:
-    def test_layout_conversion_roundtrip(self, potential):
-        comp = potential.tables.compacted()
-        trad = comp.traditional()
-        assert comp.layout == "compacted"
-        assert trad.layout == "traditional"
-        assert np.allclose(trad.pair.samples, potential.tables.pair.samples)
-
     def test_nbytes_ordering(self, potential):
-        comp = potential.tables.compacted()
-        assert comp.nbytes * 6 < potential.tables.nbytes
+        t = potential.tables
+        samples = sum(s.coeff[:, 6].nbytes for s in (t.pair, t.density, t.embedding))
+        assert samples * 6 < t.nbytes
 
     def test_cutoff_validation(self):
         tables = make_fe_tables(n=100)
@@ -27,23 +21,19 @@ class TestTableSet:
         with pytest.raises(ValueError, match="cutoff"):
             EAMPotential(tables, cutoff=-1.0)
 
-    def test_unknown_layout_rejected(self, potential):
-        with pytest.raises(ValueError, match="layout"):
-            potential.with_layout("mystery")
-
     def test_knot_count_vs_accuracy_and_size(self, fe_params):
         # The 5000-knot choice: cubic convergence buys orders of
-        # magnitude per 4x refinement, and the compacted layout is 1/7
-        # of the traditional one at every resolution.
+        # magnitude per 4x refinement, and the sample column (the
+        # compacted layout) is 1/7 of the table at every resolution.
         x = np.linspace(0.8, fe_params.cutoff - 1e-6, 20000)
         exact = fe_params.pair(x)
         errors = []
         for n in (250, 1000, 4000):
             pot = make_fe_potential(fe_params, n=n)
             errors.append(float(np.max(np.abs(pot.phi(x) - exact))))
-            pair = pot.tables.pair.nbytes
-            assert pot.tables.compacted().pair.nbytes == pytest.approx(
-                pair / 7, rel=1e-6
+            pair = pot.tables.pair
+            assert pair.coeff[:, 6].nbytes == pytest.approx(
+                pair.nbytes / 7, rel=1e-6
             )
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 1e-8
@@ -145,25 +135,3 @@ class TestForces:
         box = Box.for_lattice(lattice5)
         f = potential.pairwise_forces(pos, box)
         assert np.allclose(f.sum(axis=0), 0.0, atol=1e-9)
-
-
-class TestLayoutInvariance:
-    def test_energies_identical_across_layouts(
-        self, potential, potential_compacted, lattice5
-    ):
-        rng = np.random.default_rng(11)
-        pos = lattice5.all_positions() + rng.normal(0, 0.05, (lattice5.nsites, 3))
-        box = Box.for_lattice(lattice5)
-        e1 = potential.total_energy(pos, box)
-        e2 = potential_compacted.total_energy(pos, box)
-        assert e1 == pytest.approx(e2, abs=1e-10)
-
-    def test_forces_identical_across_layouts(
-        self, potential, potential_compacted, lattice5
-    ):
-        rng = np.random.default_rng(12)
-        pos = lattice5.all_positions() + rng.normal(0, 0.05, (lattice5.nsites, 3))
-        box = Box.for_lattice(lattice5)
-        f1 = potential.pairwise_forces(pos, box)
-        f2 = potential_compacted.pairwise_forces(pos, box)
-        assert np.allclose(f1, f2, atol=1e-10)

@@ -49,15 +49,11 @@ from repro.lattice.bcc import BCCLattice
 from repro.md.engine import MDConfig
 from repro.md.parallel_damage import ParallelDamageMD
 from repro.runtime.faults import FaultInjector, InjectedFault
-from repro.runtime.procbackend import fork_available
 from repro.runtime.simmpi import World
 from repro.service.spec import ScenarioSpec
+from tests.markers import needs_fork
 
 BACKENDS = ("thread", "process", "overdecomposed")
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="process backend needs the fork start method"
-)
 
 
 def backend_param(backend):

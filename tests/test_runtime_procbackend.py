@@ -21,17 +21,15 @@ import repro
 from repro import observe as obs
 from repro.observe.registry import Registry
 from repro.runtime.faults import FaultInjector, InjectedFault
-from repro.runtime.procbackend import fork_available
 from repro.runtime.simmpi import (
     ProtocolError,
     WatchdogTimeout,
     World,
     resolve_backend,
 )
+from tests.markers import needs_fork
 
-pytestmark = pytest.mark.skipif(
-    not fork_available(), reason="process backend needs the fork start method"
-)
+pytestmark = needs_fork
 
 
 # ----------------------------------------------------------------------

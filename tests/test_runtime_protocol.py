@@ -13,12 +13,8 @@ import time
 
 import pytest
 
-from repro.runtime.procbackend import fork_available
 from repro.runtime.simmpi import ProtocolError, World
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="process backend needs the fork start method"
-)
+from tests.markers import needs_fork
 
 #: (backend, workers): free threads, one child per rank, one child for
 #: all ranks, and logical ranks on two scheduled slots.

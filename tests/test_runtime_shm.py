@@ -10,14 +10,11 @@ an allgather and window puts, and compare results and traffic ledgers.
 """
 
 import numpy as np
-import pytest
 
-from repro.runtime.procbackend import fork_available
 from repro.runtime.simmpi import World
+from tests.markers import needs_fork
 
-pytestmark = pytest.mark.skipif(
-    not fork_available(), reason="process backend needs the fork start method"
-)
+pytestmark = needs_fork
 
 BACKENDS = ("thread", "process")
 

@@ -28,11 +28,7 @@ from repro.service import (
 )
 from repro.service import worker as worker_mod
 from repro.service.cache import MANIFEST_NAME
-
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="a patched worker reaches the child through fork only",
-)
+from tests.markers import needs_fork
 
 
 def _spec(**kw):
