@@ -129,10 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PLAN",
         help=(
             "fault-injection plan for the KMC stage, e.g. "
-            '"crash:rank=1,cycle=3; delay:rank=0,nth=2,seconds=0.01"; '
-            "the run recovers "
-            "from the last checkpoint and finishes bit-identically to a "
-            "fault-free run (see repro.runtime.faults for the syntax)"
+            '"crash:rank=1,cycle=3" (parallel) or "crash:rank=0,event=120" '
+            "(serial); each crash fires once, within the cycle or event "
+            "budget, and the run recovers from the last checkpoint and "
+            "finishes bit-identically to a fault-free run (see "
+            "repro.runtime.faults for the syntax)"
         ),
     )
     coupled.add_argument(
@@ -335,8 +336,7 @@ def cmd_coupled(args) -> int:
     if result.fault_report is not None:
         fr = result.fault_report
         print(
-            f"faults injected: {fr['injected']} "
-            f"({fr['crashes']} crashes, {fr['delays']} delays); "
+            f"crashes injected: {fr['crashes']}; "
             f"recoveries: {result.recoveries}"
         )
     elif result.recoveries:
@@ -400,6 +400,8 @@ def cmd_kmc_schemes(args) -> int:
     registry = _start_observation(args)
     try:
         results = comparison.run(args.cycles)
+    except ValueError as exc:  # a budget the engines reject before running
+        args._parser.error(str(exc))
     except _run_failures() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

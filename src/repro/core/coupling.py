@@ -125,8 +125,8 @@ class CoupledResult:
     comm_stats: dict | None = None
     #: How many times the KMC stage was restarted after a fault.
     recoveries: int = 0
-    #: The injector's snapshot (injected/crashes/delays/plan), when
-    #: faults were planned.
+    #: The injector's snapshot (crashes fired, plan), when crashes
+    #: were planned.
     fault_report: dict | None = None
     #: Trajectory store path (when ``config.trajectory`` was set) and
     #: the number of frames it holds after finalize.

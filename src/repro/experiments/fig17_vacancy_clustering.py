@@ -11,25 +11,20 @@ concentration (documented substitution; the KMC stage, which is what the
 figure demonstrates, is the real engine either way).  The clustering
 statistics before/after KMC quantify what the paper's renderings show:
 the maximum cluster grows, the cluster count falls, and the mean
-nearest-neighbor distance among vacancies shrinks.
-
-A second mode (``from_cascade=True``) runs the full MD cascade pipeline
-end-to-end instead.
+nearest-neighbor distance among vacancies shrinks.  The end-to-end
+pipeline from an MD cascade is ``python -m repro coupled``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.clusters import clustering_report, clustering_report_from_store
-from repro.core.coupling import CoupledSimulation
+from repro.core.clusters import clustering_report
 from repro.core.timescale import kmc_real_time
-from repro.io.store import TrajectoryReader, finalize_store, seed_store
 from repro.kmc.akmc import SerialAKMC, place_random_vacancies
 from repro.kmc.events import KMCModel, RateParameters
 from repro.lattice.bcc import BCCLattice
 from repro.potential.fe import make_fe_potential
-from repro.service.spec import ScenarioSpec
 
 DEFAULT_CELLS = 8
 DEFAULT_CONCENTRATION = 2.5e-2
@@ -41,58 +36,23 @@ def run(
     concentration: float = DEFAULT_CONCENTRATION,
     kmc_events: int = DEFAULT_EVENTS,
     seed: int = 42,
-    from_cascade: bool = False,
-    store_path=None,
 ) -> dict:
-    """Regenerate the Figure 17 before/after clustering comparison.
-
-    With ``store_path`` the run streams its trajectory into an on-disk
-    chunked store (:mod:`repro.io.store`) and the before/after clustering
-    reports are computed *from the store* — frame 0 (post-MD) and the
-    final frame — instead of from in-memory occupancies.  The numbers
-    are identical either way; the store-fed path just proves the
-    analysis can run out-of-core on arbitrarily long trajectories.
-    """
-    if from_cascade:
-        spec = ScenarioSpec(cells=cells, kmc_max_events=kmc_events, seed=seed)
-        sim = CoupledSimulation(
-            spec.to_coupled_config(
-                trajectory=None if store_path is None else str(store_path)
-            )
-        )
-        res = sim.run()
-        before = res.report_after_md
-        after = res.report_after_kmc
-        vac_before = res.vacancies_after_md
-        vac_after = res.vacancies_after_kmc
-        kmc_time = res.kmc_time
-        lattice = sim.lattice
-    else:
-        lattice = BCCLattice(cells, cells, cells)
-        potential = make_fe_potential(n=1000)
-        params = RateParameters()
-        model = KMCModel(lattice, potential, params)
-        nvac = max(4, int(lattice.nsites * concentration))
-        occ0 = place_random_vacancies(model, nvac, np.random.default_rng(seed))
-        vac_before = model.sites[np.flatnonzero(occ0 == 0)]
-        before = clustering_report(lattice, vac_before)
-        if store_path is not None:
-            # Seed the "before" frame, then let the engine append.
-            seed_store(store_path, lattice, occ0)
-        engine = SerialAKMC(lattice, potential, params, occ0, seed=seed)
-        result = engine.run(max_events=kmc_events, trajectory=store_path)
-        vac_after = result.vacancy_ranks
-        after = clustering_report(lattice, vac_after)
-        kmc_time = result.time
-    if store_path is not None:
-        finalize_store(store_path)
-        reader = TrajectoryReader(store_path)
-        before = clustering_report_from_store(reader, 0)
-        after = clustering_report_from_store(reader, -1)
-        vac_before = reader.vacancy_ranks(0)
-        vac_after = reader.vacancy_ranks(len(reader) - 1)
+    """Regenerate the Figure 17 before/after clustering comparison."""
+    lattice = BCCLattice(cells, cells, cells)
+    potential = make_fe_potential(n=1000)
+    params = RateParameters()
+    model = KMCModel(lattice, potential, params)
+    nvac = max(4, int(lattice.nsites * concentration))
+    occ0 = place_random_vacancies(model, nvac, np.random.default_rng(seed))
+    vac_before = model.sites[np.flatnonzero(occ0 == 0)]
+    before = clustering_report(lattice, vac_before)
+    result = SerialAKMC(lattice, potential, params, occ0, seed=seed).run(
+        max_events=kmc_events
+    )
+    vac_after = result.vacancy_ranks
+    after = clustering_report(lattice, vac_after)
     real_seconds = kmc_real_time(
-        t_threshold=kmc_time * 1e-12,
+        t_threshold=result.time * 1e-12,
         c_mc=len(vac_before) / lattice.nsites,
     )
     return {
@@ -100,7 +60,7 @@ def run(
         "after": after,
         "vacancies_before": vac_before,
         "vacancies_after": vac_after,
-        "kmc_time_ps": kmc_time,
+        "kmc_time_ps": result.time,
         "real_time_seconds": real_seconds,
         "summary": {
             "max_cluster_growth": after.max_cluster / max(before.max_cluster, 1),

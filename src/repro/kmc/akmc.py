@@ -335,6 +335,8 @@ class SerialAKMC:
         """
         if max_events is None and t_threshold is None:
             raise ValueError("provide max_events and/or t_threshold")
+        if max_events is not None and max_events < 0:
+            raise ValueError(f"max_events must be >= 0, got {max_events}")
         outputs = RunOutputs(self.model.lattice, self.events, trajectory,
                              trajectory_every, checkpoint_path, checkpoint_every)
         next_fence = outputs.next_fence(self.events)
@@ -573,6 +575,8 @@ class ParallelAKMC:
             number, so a resumed run appends at the same fences as an
             uninterrupted one.
         """
+        if max_cycles < 1:
+            raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
         occupancy = KMCModel.checked_occupancy(self.lattice, occupancy)
         lattice = self.lattice
         width = self.width

@@ -22,8 +22,7 @@ nesting of ``phase`` blocks — not the dots — defines the tree.
 Well-known fault-tolerance names (emitted by :mod:`repro.runtime.faults`
 and the recovery supervisor in :mod:`repro.core.coupling`):
 
-* counters ``runtime.faults.injected`` (plus per-kind
-  ``runtime.faults.crashes`` / ``.delays``),
+* counters ``runtime.faults.crashes`` (planned crashes that fired),
   ``runtime.watchdog.expired``, ``runtime.recoveries``,
   ``coupling.recover.from_checkpoint`` / ``.from_scratch``, and
   ``kmc.checkpoints_written`` (both AKMC engines);

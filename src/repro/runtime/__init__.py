@@ -17,9 +17,7 @@ real.  It is one communication stack in two layers:
    ``bcast``) and the one :class:`~repro.runtime.window.Window`
    (``put`` + ``fence``, the MPI-3 RMA pattern §2.2.1 proposes for
    eliminating zero-size probe messages); collectives and fences are
-   written once over point-to-point envelopes.  A user send or put
-   first takes the fault plan's sender-side pause
-   (:mod:`~repro.runtime.faults`), when the world has one, then is
+   written once over point-to-point envelopes.  A user send or put is
    counted once, where it is sent.  A rank gives up its worker slot and
    opens a ``runtime.*`` blocked phase at the communicator's one wait
    point, and only when its mailbox has nothing to match.

@@ -51,10 +51,10 @@ through a result pipe and the parent merges them, so ``world.stats``,
 the active observe registry, and the shared injector end up equivalent
 to a thread-backend run.  Each report also lists the user envelopes its
 mailboxes hold unreceived, so the world's leftover channels are those of
-a thread-backend run too.  The injector merge (fired crash specs union,
-operation ordinals take the maximum) is idempotent, so history a child
-inherited at fork counts once and a recovery supervisor re-forking the
-world continues exactly where a thread-backend rerun would.
+a thread-backend run too.  The injector merge (a union of fired crash
+specs) is idempotent, so history a child inherited at fork counts once
+and a recovery supervisor re-forking the world continues exactly where
+a thread-backend rerun would.
 
 Determinism
 -----------

@@ -27,8 +27,8 @@ The stack has two layers: the transport below
 (:mod:`repro.runtime.transport`, two implementations) and the
 communicator above it, this module's :class:`RankComm` with its
 :class:`~repro.runtime.window.Window`.  The communicator applies the
-fault plan's sender-side pause and counts each user send and put once,
-where it is sent.
+engines' crash points and counts each user send and put once, where it
+is sent.
 
 Every blocking wait of a rank is one :meth:`RankComm._wait`: a rank
 gives up its worker slot and opens a blocked phase only when its
@@ -164,10 +164,9 @@ class RankComm:
     transport: the public MPI-style API validates, freezes and costs its
     arguments, and :meth:`_exchange` and :meth:`_fence` write every
     collective and window epoch once over point-to-point envelopes.  A
-    user send or put is counted once, where it is sent, after the fault
-    plan's sender-side pause.  The envelopes an exchange or a fence
-    moves internally use reserved tags, so they are never frozen per
-    receiver, metered, paused or visible to user receives.
+    user send or put is counted once, where it is sent.  The envelopes
+    an exchange or a fence moves internally use reserved tags, so they
+    are never frozen per receiver, metered or visible to user receives.
 
     ``watchdog`` bounds each blocking wait, in seconds; ``None`` leaves
     the waits unbounded.  A :class:`World` always passes a deadline.
@@ -219,18 +218,9 @@ class RankComm:
         with self._around(op):
             return match(source, tag, consume, deadline=deadline, op=op)
 
-    def _deliver(self, op: str, dest: int, tag: int, payload) -> None:
-        """Post a user send or put: copy and cost, pause, count once, post.
-
-        A planned delay pauses the sender before the envelope is counted
-        or posted, so FIFO order per (source, tag) survives it (an MPI
-        send is allowed to block) and no byte moves differently.
-        """
+    def _deliver(self, dest: int, tag: int, payload) -> None:
+        """Post a user send or put: copy and cost, count once, post."""
         frozen, nbytes = freeze(payload), payload_nbytes(payload)
-        if self._faults is not None:
-            seconds = self._faults.pause(self.rank, op)
-            if seconds:
-                time.sleep(seconds)
         self.stats.record_send(self.rank, nbytes)
         self._post((dest,), self.rank, tag, frozen, nbytes)
 
@@ -238,13 +228,9 @@ class RankComm:
     # Two-sided messaging
     # ------------------------------------------------------------------
     def send(self, dest: int, tag: int, payload=None) -> None:
-        """Eager buffered send; returns immediately.
-
-        When the world carries a fault plan the injector may impose a
-        sender-side delay first.
-        """
+        """Eager buffered send; returns immediately."""
         self._check(dest, "destination", tag)
-        self._deliver("send", dest, tag, payload)
+        self._deliver(dest, tag, payload)
 
     def _check(self, rank: int, role: str, tag: int) -> None:
         """A user channel names a rank of this world and a tag >= 0
@@ -520,9 +506,9 @@ class World:
         Number of ranks.
     faults:
         Optional :class:`~repro.runtime.faults.FaultInjector` that
-        sends, one-sided puts, and engine fault points consult; pass the
-        same injector to every world of a recovered run.  ``None`` (the
-        default) pauses nothing.  A planned crash aborts the world
+        engine fault points consult; pass the same injector to every
+        world of a recovered run.  ``None`` (the default) plans no
+        crash.  A planned crash aborts the world
         and raises :class:`~repro.runtime.faults.InjectedFault` out of
         :meth:`run` on every backend.
     watchdog:

@@ -36,14 +36,11 @@ class Window:
         """Deposit ``payload`` in ``target``'s window; target not involved.
 
         Completion is only guaranteed after the next :meth:`fence`.
-        A fault plan on the world may delay the put at the origin (the
-        DMA analogue of a congested network engine); the target still
-        drains each put exactly once.
         """
         if not 0 <= target < self.comm.size:
             raise ValueError(f"target rank {target} out of range")
         self._epoch_counts[target] += 1
-        self.comm._deliver("put", target, self._tag, payload)
+        self.comm._deliver(target, self._tag, payload)
 
     def fence(self) -> list[tuple[int, Any]]:
         """Synchronize the epoch; return ``(origin, payload)`` puts received.

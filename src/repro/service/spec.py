@@ -124,9 +124,10 @@ class ScenarioSpec:
         ``backend=None`` is the thread backend and ``workers=None`` the
         backend's default worker count.
     faults / checkpoint_every / watchdog:
-        Fault plan (the :mod:`repro.runtime.faults` DSL string; every
-        clause must be able to fire on the chosen KMC engine, and a
-        plan with no clauses becomes ``None``), KMC checkpoint cadence
+        Fault plan (the :mod:`repro.runtime.faults` DSL string of
+        planned crashes; every clause must be able to fire on the
+        chosen KMC engine within its budget, and a plan with no clauses
+        becomes ``None``), KMC checkpoint cadence
         (serial events / parallel cycles), and the per-wait deadline in
         seconds of the parallel KMC runtime's blocking calls (``None``:
         the runtime's default, ``simmpi.DEFAULT_WATCHDOG`` = 60 s; a
@@ -261,18 +262,24 @@ class ScenarioSpec:
                 specs = parse_plan(self.faults)
             except FaultPlanError as exc:
                 raise SpecError(f"bad faults plan: {exc}") from exc
-            # Each engine's fault points: the serial one has rank 0's
-            # events and no World; the parallel one cycles and messages.
+            # Each engine's one fault point and its budget: the serial
+            # engine's rank 0 events, the parallel engine's cycles.
             if self.kmc_nranks is None:
-                engine, points = "serial engine (rank 0, event=)", ("kmc.event",)
+                engine, point = "serial engine (rank 0, event=)", "kmc.event"
+                budget, flag = "kmc_max_events", "--events"
             else:
-                engine = f"{self.kmc_nranks}-rank parallel engine (cycle=, delay)"
-                points = ("kmc.cycle", "send", "put")
+                engine = f"{self.kmc_nranks}-rank parallel engine (cycle=)"
+                point, budget, flag = "kmc.cycle", "kmc_max_cycles", "--kmc-cycles"
             for spec in specs:
-                if spec.rank >= (self.kmc_nranks or 1) or spec.point not in points:
+                if spec.rank >= (self.kmc_nranks or 1) or spec.point != point:
                     raise SpecError(
                         f"bad faults plan: {spec.clause!r} cannot fire on "
                         f"the {engine}"
+                    )
+                if spec.n >= getattr(self, budget):
+                    raise SpecError(
+                        f"bad faults plan: {spec.clause!r} cannot fire within "
+                        f"{budget}={getattr(self, budget)} ({flag})"
                     )
             if not specs:  # an empty plan is no plan
                 object.__setattr__(self, "faults", None)

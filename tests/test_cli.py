@@ -189,7 +189,7 @@ class TestFaultFlags:
         assert [
             line for line in out.splitlines()
             if "recoveries" in line or "migration" in line
-        ] == ["faults injected: 1 (1 crashes, 0 delays); recoveries: 1"]
+        ] == ["crashes injected: 1; recoveries: 1"]
         assert (tmp_path / "kmc_checkpoint.npz").exists()
 
     def test_bad_fault_plan_exits_2(self, capsys):
@@ -197,8 +197,13 @@ class TestFaultFlags:
         for plan, named in [("explode:rank=0,cycle=1", "explode"),
                             ("dup:rank=0,nth=1", "'dup'"),
                             ("crash:rank=abc,cycle=1", "rank=abc"),
-                            ("delay:rank=0,nth=1,seconds=inf", "seconds"),
-                            ("crash:rank=0,cycle=3", "serial engine")]:
+                            ("delay:rank=0,nth=1,seconds=inf",
+                             "unknown fault kind 'delay'"),
+                            ("crash:rank=0,cycle=3", "serial engine"),
+                            # Beyond the default 500-event budget: it ran
+                            # to the end with nothing injected, exit 0.
+                            ("crash:rank=0,event=500",
+                             "kmc_max_events=500 (--events)")]:
             with pytest.raises(SystemExit) as exc_info:
                 main(["coupled", "--faults", plan])
             err = capsys.readouterr().err
@@ -368,6 +373,9 @@ class TestValidationExitCodes:
         # The engine, not a choices= list, holds the allowed names.
         (["kmc-schemes", "--backend", "OVERDECOMPOSED "],
          "unknown simmpi backend 'OVERDECOMPOSED '"),
+        # A budget the engine rejects printed a table of zeros.
+        (["kmc-schemes", "--cycles", "-3"], "max_cycles must be >= 1"),
+        (["kmc-schemes", "--cycles", "0"], "max_cycles must be >= 1"),
     ])
     def test_unbuildable_run_exits_2(self, argv, named, capsys):
         # A lattice/engine/occupancy the flags cannot build is a usage

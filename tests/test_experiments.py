@@ -193,20 +193,6 @@ class TestExecutedExperiments:
         assert after.clustered_fraction > 0.6
         assert result["real_time_seconds"] > 0
 
-    def test_fig17_from_cascade(self, tmp_path):
-        # The end-to-end mode: the "before" panel is the MD cascade's
-        # damage, and the store-fed analysis reads the same numbers.
-        kwargs = dict(cells=5, kmc_events=50, seed=42, from_cascade=True)
-        result = fig17_vacancy_clustering.run(**kwargs)
-        assert result["before"].n_vacancies >= 1
-        assert result["after"].n_vacancies == result["before"].n_vacancies
-        assert result["kmc_time_ps"] > 0
-        stored = fig17_vacancy_clustering.run(
-            **kwargs, store_path=tmp_path / "traj"
-        )
-        assert stored["before"] == result["before"]
-        assert stored["after"] == result["after"]
-
     def test_fig17_vacancy_conservation(self):
         result = fig17_vacancy_clustering.run(
             cells=8, concentration=0.02, kmc_events=300, seed=2

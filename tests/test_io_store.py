@@ -431,6 +431,38 @@ class TestEngineWiring:
         assert recorded.time == plain.time
         np.testing.assert_array_equal(recorded.occupancy, plain.occupancy)
 
+    def test_store_fed_reports_match_in_memory(
+        self, tmp_path, lattice8, potential, rate_params, kmc_initial_occ
+    ):
+        # Clustering read out of core from a run's store equals the
+        # in-memory report, at the seeded first frame and at the last.
+        from repro.core.clusters import (
+            clustering_report,
+            clustering_report_from_store,
+        )
+        from repro.io.store import seed_store
+        from repro.kmc.akmc import SerialAKMC
+        from repro.kmc.events import VACANCY
+
+        store = tmp_path / "traj"
+        seed_store(store, lattice8, kmc_initial_occ)
+        result = SerialAKMC(
+            lattice8, potential, rate_params, kmc_initial_occ, seed=1
+        ).run(max_events=40, trajectory=store)
+        finalize_store(store)
+        reader = TrajectoryReader(store)
+        assert reader.final
+        before = np.flatnonzero(kmc_initial_occ == VACANCY)
+        assert clustering_report_from_store(reader, 0) == clustering_report(
+            lattice8, before
+        )
+        assert clustering_report_from_store(reader, -1) == clustering_report(
+            lattice8, result.vacancy_ranks
+        )
+        np.testing.assert_array_equal(
+            reader.vacancy_ranks(len(reader) - 1), result.vacancy_ranks
+        )
+
     def test_trajectory_every_requires_trajectory(
         self, lattice8, potential, rate_params, kmc_initial_occ
     ):
@@ -746,21 +778,3 @@ def _shard_bytes(store):
     return tuple(
         (store / f"shard-00000.{ext}").read_bytes() for ext in ("bin", "json")
     )
-
-
-class TestFig17FromStore:
-    def test_store_fed_reports_match_in_memory(self, tmp_path):
-        # Acceptance: fig17's clustering numbers are unchanged when the
-        # analysis reads the on-disk store instead of in-memory arrays.
-        from repro.experiments import fig17_vacancy_clustering as fig17
-
-        kw = dict(cells=5, concentration=0.025, kmc_events=40, seed=1)
-        plain = fig17.run(**kw)
-        stored = fig17.run(**kw, store_path=tmp_path / "traj")
-        assert stored["before"] == plain["before"]
-        assert stored["after"] == plain["after"]
-        np.testing.assert_array_equal(
-            stored["vacancies_after"], plain["vacancies_after"]
-        )
-        assert stored["summary"] == plain["summary"]
-        assert TrajectoryReader(tmp_path / "traj").final

@@ -164,3 +164,32 @@ class TestOccupancyBoundary:
         occ = np.full(lattice8.nsites, 2, dtype=np.int8)
         with pytest.raises(ValueError, match="code 2 at site rank 0"):
             SerialAKMC(lattice8, potential, occupancy=occ)
+
+
+class TestRunBudgets:
+    """A budget no run can spend is rejected by the engine, like the
+    spec's ``kmc_max_events >= 0`` and ``kmc_max_cycles >= 1``; both
+    engines returned an empty result for it."""
+
+    def test_negative_event_budget_rejected(
+        self, lattice8, potential, rate_params, kmc_initial_occ
+    ):
+        engine = SerialAKMC(
+            lattice8, potential, rate_params, kmc_initial_occ, seed=11
+        )
+        with pytest.raises(ValueError, match="max_events must be >= 0, got -1"):
+            engine.run(max_events=-1)
+        assert engine.events == 0
+        assert engine.run(max_events=0).events == 0
+
+    @pytest.mark.parametrize("cycles", [0, -3])
+    def test_empty_cycle_budget_rejected_before_any_world(
+        self, cycles, lattice8, potential, rate_params, kmc_initial_occ,
+        forbid_world,
+    ):
+        from repro.runtime import simmpi
+
+        forbid_world(simmpi)
+        engine = ParallelAKMC(lattice8, potential, rate_params, nranks=8)
+        with pytest.raises(ValueError, match=f"max_cycles must be >= 1, got {cycles}"):
+            engine.run(kmc_initial_occ, max_cycles=cycles)

@@ -17,10 +17,9 @@ resume — the first value of every axis — computed once per session.
 and cycles (a coupled run's cascade energies and
 run-away positions too), and, when the cell re-executes nothing
 (no resume, no crash), the full traffic ledger of its scheme's reference.
-A crash cell also asserts one recovery and one injected crash, a delay
-cell no recovery and the delays its plan fires.  Every cell names its
-backend and worker count to the engine it builds, the one input that
-decides where a world runs.  Every wait of every cell has the
+A crash cell also asserts one recovery and one injected crash.  Every
+cell names its backend and worker count to the engine it builds, the
+one input that decides where a world runs.  Every wait of every cell has the
 runtime's default deadline (``simmpi.DEFAULT_WATCHDOG``), so a hang
 fails in a minute and names its wait, and every world of every cell
 checks its protocol as any run does: a collective whose kind differs
@@ -86,7 +85,7 @@ AXES = {
     ),
     "scheme": ("ondemand", "traditional", "onesided"),
     "resume": (False, True),
-    "faults": ("none", "delay", "crash"),
+    "faults": ("none", "crash"),
 }
 
 #: Lattice cells and rank count of each problem.  The runtime program and
@@ -100,12 +99,9 @@ def axes(*names, **narrowed):
     return {name: narrowed.get(name, AXES[name]) for name in (*names, *narrowed)}
 
 
-NO_CRASH = ("none", "delay")  # a crash needs the coupled run's supervisor
 PROGRAMS = {
-    "runtime": axes("backend", faults=NO_CRASH),
-    "akmc": axes(
-        "problem", "seed", "backend", "scheme", "resume", faults=NO_CRASH,
-    ),
+    "runtime": axes("backend"),
+    "akmc": axes("problem", "seed", "backend", "scheme", "resume"),
     "md": axes("problem", "backend"),
     "coupled": axes("backend", "scheme", "faults"),
 }
@@ -178,24 +174,14 @@ def test_diagonal_covers_every_pair_and_ids_are_unique(program):
 # ----------------------------------------------------------------------
 # The four programs: each runs one cell and returns (state, ledger, report)
 # ----------------------------------------------------------------------
-#: Sender-side pauses of rank 0's second send and rank 1's second put.
-#: The runtime program makes both; the two-sided KMC schemes only send and
-#: the one-sided one only puts, so in every problem and seed below one of
-#: them fires.
-DELAY = "delay:rank=0,nth=2,seconds=0.002; delay:rank=1,nth=2,seconds=0.002,op=put"
-DELAYS_FIRED = {"runtime": 2, "akmc": 1, "coupled": 1}
-PLANS = {"none": None, "delay": DELAY, "crash": "crash:rank=1,cycle=5"}
-
-
-def injector(s):
-    plan = PLANS[s["faults"]]
-    return FaultInjector(plan) if plan else None
+#: The coupled run's fault plans: a crash needs its recovery supervisor.
+PLANS = {"none": None, "crash": "crash:rank=1,cycle=5"}
 
 
 def runtime_program(comm):
     """Every primitive: recv, probe, iprobe hit and miss, all four
-    collectives, win_create in a loop, put/fence,
-    fault_point."""
+    collectives, win_create in a loop, put/fence, and a fault_point
+    with no plan."""
     r, n = comm.rank, comm.size
     right, left = (r + 1) % n, (r - 1) % n
     acc = np.zeros(3)
@@ -239,13 +225,9 @@ def runtime_program(comm):
 
 
 def run_runtime(s, potential, tmp_path):
-    faults = injector(s)
-    world = World(
-        s["nranks"], faults=faults, backend=s["backend"], workers=s["workers"],
-    )
+    world = World(s["nranks"], backend=s["backend"], workers=s["workers"])
     results = world.run(runtime_program, timeout=120.0)
-    report = faults.snapshot() if faults else {}
-    return {"results": repr(results)}, world.stats.snapshot(), report
+    return {"results": repr(results)}, world.stats.snapshot(), {}
 
 
 #: Cycles of an AKMC run, and the cycle a resumed one stops at first.
@@ -258,13 +240,11 @@ def run_akmc(s, potential, tmp_path):
         KMCModel(lattice, potential, RateParameters()), 20,
         np.random.default_rng(s["seed"]),
     )
-    faults = injector(s)
 
     def engine():
         return ParallelAKMC(
             lattice, potential, nranks=s["nranks"], scheme=s["scheme"],
-            seed=s["seed"], faults=faults, backend=s["backend"],
-            workers=s["workers"],
+            seed=s["seed"], backend=s["backend"], workers=s["workers"],
         )
 
     cycles, stop = AKMC_CYCLES[s["problem"]]
@@ -282,7 +262,7 @@ def run_akmc(s, potential, tmp_path):
         "occupancy": result.occupancy.tobytes(), "time": result.time,
         "events": result.events, "cycles": result.cycles,
     }
-    return state, result.comm_stats, faults.snapshot() if faults else {}
+    return state, result.comm_stats, {}
 
 
 def run_md(s, potential, tmp_path):
@@ -367,11 +347,8 @@ def check(program, cell, reference, potential, tmp_path):
     if not reexecutes:
         assert_same_ledger(stats, ledger)
     crashes = int(s["faults"] == "crash")
-    delays = DELAYS_FIRED[program] if s["faults"] == "delay" else 0
     assert report.get("recoveries", 0) == crashes
-    if s["faults"] != "none":
-        assert (report["crashes"], report["delays"]) == (crashes, delays)
-        assert report["injected"] == crashes + delays
+    assert report.get("crashes", 0) == crashes
 
 
 @pytest.mark.parametrize("cell", cells("runtime"))
@@ -467,17 +444,16 @@ def test_fired_set_survives_a_recovery_refork(backend):
             comm.barrier()
         return seen
 
-    plan = "delay:rank=0,nth=1,seconds=0.001; crash:rank=1,cycle=2"
-    injector = FaultInjector(plan)
+    injector = FaultInjector("crash:rank=1,cycle=2")
     with pytest.raises(InjectedFault):
         World(3, faults=injector, backend=backend, workers=2).run(
             main, timeout=60.0
         )
-    # The supervisor's move: rerun with the same injector.  Neither the
-    # crash nor the delay fires again.
+    # The supervisor's move: rerun with the same injector.  The crash,
+    # which fired in a forked child on the process backend, does not
+    # fire again.
     rerun = World(3, faults=injector, backend=backend, workers=2).run(
         main, timeout=60.0
     )
-    report = injector.snapshot()
-    assert (report["crashes"], report["delays"]) == (1, 1)
+    assert injector.snapshot()["crashes"] == 1
     assert rerun == [[((r - 1) % 3, c) for c in range(4)] for r in range(3)]

@@ -1,11 +1,9 @@
 """Fault-injection plans and their enforcement inside the runtime.
 
-Covers the plan DSL (one parser, validating every clause), the
-injector's derived report and idempotent merge, crash points raising
-through ``World.run``, delays that must stay within MPI semantics (a
-sender-side pause preserves per-source FIFO, on sends and window puts
-alike), and the watchdog deadline every recv/probe/collective/fence of
-a world carries.
+Covers the plan DSL (one parser, validating every clause; a planned
+crash is the one fault kind), the injector's derived report and
+idempotent merge, crash points raising through ``World.run``, and the
+watchdog deadline every recv/probe/collective/fence of a world carries.
 """
 
 import threading
@@ -29,17 +27,14 @@ from repro.runtime.simmpi import WatchdogTimeout, World
 class TestFaultPlanParsing:
     def test_parse_crash_cycle(self):
         (spec,) = parse_plan("crash:rank=1,cycle=5")
-        assert (spec.kind, spec.rank, spec.point, spec.n) == (
-            "crash", 1, "kmc.cycle", 5,
-        )
+        assert (spec.rank, spec.point, spec.n) == (1, "kmc.cycle", 5)
         assert spec.clause == "crash:rank=1,cycle=5"
 
     def test_parse_multiple_clauses(self):
-        specs = parse_plan(
-            "crash:rank=0,event=10; delay:rank=1,nth=2,seconds=0.01"
-        )
-        assert [s.kind for s in specs] == ["crash", "delay"]
-        assert (specs[1].point, specs[1].n, specs[1].seconds) == ("send", 2, 0.01)
+        specs = parse_plan("crash:rank=0,event=10; crash:rank=1,cycle=2")
+        assert [(s.rank, s.point, s.n) for s in specs] == [
+            (0, "kmc.event", 10), (1, "kmc.cycle", 2),
+        ]
 
     def test_parse_empty_is_falsy(self):
         assert parse_plan("") == ()
@@ -53,21 +48,20 @@ class TestFaultPlanParsing:
             "crash:cycle=5",  # missing rank
             "crash:rank=-1,cycle=5",  # negative rank
             "explode:rank=0,cycle=1",  # unknown kind
-            "delay:rank=0,nth=1",  # delay without seconds
             "crash:rank=0,cycle=1,frobnicate=2",  # unknown key
-            # Removed kinds and an unknown delay stream.
+            # Removed kinds, the delay kind in each form it took.
             "shake:seed=1,dup=1.5",
             "shake:seed=abc,dup=0.1",
             "shake:seed=1",
             "dup:rank=0,nth=1",
             "stall:rank=0,nth=1,seconds=0.1",
+            "delay:rank=0,nth=1",
             "delay:rank=0,nth=1,seconds=0.1,op=bcast",
-            # A pause no sleep can take, one that pauses nothing, a
-            # crash point named twice, and a key given twice.
             "delay:rank=0,nth=1,seconds=inf",
             "delay:rank=0,nth=1,seconds=nan",
-            "crash:rank=0,cycle=1,event=2",
             "delay:rank=0,nth=1,seconds=0.1,nth=2",
+            # A crash point named twice.
+            "crash:rank=0,cycle=1,event=2",
         ],
     )
     def test_parse_rejects(self, bad):
@@ -75,13 +69,15 @@ class TestFaultPlanParsing:
             parse_plan(bad)
         message = str(exc_info.value)
         assert repr(bad) in message  # the error names the clause
-        if bad.partition(":")[0] not in ("crash", "delay"):
-            assert "expected one of ['crash', 'delay']" in message
+        kind = bad.partition(":")[0]
+        if kind != "crash":
+            assert f"unknown fault kind {kind!r}" in message
+            assert "expected 'crash'" in message
 
     def test_injector_reports_the_plan_as_written(self):
-        plan = "crash:rank=1,cycle=3;  delay:rank=0,nth=2,seconds=0.5,op=put"
+        plan = "crash:rank=1,cycle=3;  crash:rank=0,cycle=5"
         report = FaultInjector(plan).snapshot()
-        assert report == {"injected": 0, "crashes": 0, "delays": 0, "plan": plan}
+        assert report == {"crashes": 0, "plan": plan}
 
 
 class TestCrashInjection:
@@ -128,76 +124,19 @@ class TestCrashInjection:
 
     def test_absorbing_a_child_state_is_idempotent(self):
         # A forked child starts from the parent's state; merging its
-        # export (twice, even) counts each fired fault once.
-        parent = FaultInjector("crash:rank=1,cycle=0; delay:rank=0,nth=2,seconds=1")
-        parent.pause(0, "send")
+        # export (twice, even) counts each fired crash once.
+        parent = FaultInjector("crash:rank=1,cycle=0; crash:rank=0,cycle=2")
+        with pytest.raises(InjectedFault):
+            parent.crash_point(0, "kmc.cycle", 2)
         child = FaultInjector(parent.plan)
         child.absorb_state(parent.export_state())
-        assert child.pause(0, "send") == 1.0
+        child.crash_point(0, "kmc.cycle", 2)  # inherited: fired already
         with pytest.raises(InjectedFault):
             child.crash_point(1, "kmc.cycle", 0)
         for _ in range(2):
             parent.absorb_state(child.export_state())
-        report = parent.snapshot()
-        assert (report["crashes"], report["delays"]) == (1, 1)
-        assert parent.pause(0, "send") == 0.0
+        assert parent.snapshot()["crashes"] == 2
         parent.crash_point(1, "kmc.cycle", 0)  # fired once, ever
-
-
-def _delayed_and_clean(main, plan, backend):
-    """Run ``main`` in a world delayed by ``plan`` and in a fault-free
-    one; return both worlds and the delayed run's results and seconds."""
-    delayed = World(2, faults=FaultInjector(plan), backend=backend, workers=2)
-    t0 = time.perf_counter()
-    results = delayed.run(main)
-    seconds = time.perf_counter() - t0
-    clean = World(2, backend=backend, workers=2)
-    assert clean.run(main) == results
-    return delayed, clean, results, seconds
-
-
-class TestMessagingFaults:
-    def test_delay_preserves_fifo_per_source(self):
-        # The delayed message is held back at the sender, so the
-        # receiver still sees source-order delivery, and the message is
-        # counted once, as in a fault-free world.
-        def main(comm):
-            if comm.rank == 0:
-                for i in range(4):
-                    comm.send(1, tag=7, payload=i)
-                return None
-            return [comm.recv(source=0, tag=7)[2] for _ in range(4)]
-
-        for backend in ("thread", "process", "overdecomposed"):
-            delayed, clean, results, seconds = _delayed_and_clean(
-                main, "delay:rank=0,nth=2,seconds=0.05", backend
-            )
-            assert results[1] == [0, 1, 2, 3]
-            assert seconds >= 0.05
-            assert delayed.faults.snapshot()["delays"] == 1
-            assert delayed.stats.snapshot() == clean.stats.snapshot()
-            assert delayed.stats.total_messages == 4
-
-
-class TestWindowFaults:
-    def test_put_stall_is_pure_timing(self):
-        def main(comm):
-            win = comm.win_create()
-            if comm.rank == 0:
-                for i in range(3):
-                    win.put(1, ("item", i))
-            received = win.fence()
-            return [payload for _origin, payload in received]
-
-        for backend in ("thread", "process", "overdecomposed"):
-            delayed, clean, results, seconds = _delayed_and_clean(
-                main, "delay:rank=0,nth=2,seconds=0.05,op=put", backend
-            )
-            assert seconds >= 0.05
-            assert results[1] == [("item", 0), ("item", 1), ("item", 2)]
-            assert delayed.faults.snapshot()["delays"] == 1
-            assert delayed.stats.snapshot() == clean.stats.snapshot()
-            assert delayed.stats.total_messages == 3
 
 
 class TestWatchdog:

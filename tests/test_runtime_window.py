@@ -45,12 +45,12 @@ class TestWindow:
             if comm.rank != 0:
                 win.put(0, comm.rank)
                 win.put(0, comm.rank * 100)
-            got = win.fence()
-            if comm.rank == 0:
-                return sorted(p for _o, p in got)
-            return None
+            return win.fence()
 
-        assert World(3, **world_backend).run(main)[0] == [1, 2, 100, 200]
+        # Origin-rank order, FIFO per origin.
+        assert World(3, **world_backend).run(main)[0] == [
+            (1, 1), (1, 100), (2, 2), (2, 200),
+        ]
 
     def test_put_target_validation(self, world_backend):
         def main(comm):

@@ -130,18 +130,19 @@ class TestValidation:
         ({"watchdog": float("inf")}, "watchdog must be finite"),
         ({"watchdog": "nan"}, "watchdog must be finite"),
         # A plan that cannot fire on its engine names the clause: ranks
-        # beyond the world, cycles and delays on the serial engine
-        # (which has events and no World), events on the parallel one.
+        # beyond the world, cycles on the serial engine (which has
+        # events and no World), events on the parallel one.  The delay
+        # kind is gone: on either engine it is an unknown kind.
         ({"faults": "crash:rank=1,event=3"},
          r"bad faults plan: 'crash:rank=1,event=3' .*serial engine"),
         ({"faults": "crash:rank=0,cycle=3"},
          r"bad faults plan: 'crash:rank=0,cycle=3' .*serial engine"),
         ({"faults": "delay:rank=0,nth=1,seconds=0.1"},
-         "bad faults plan: 'delay:rank=0,nth=1,seconds=0.1' .*serial engine"),
+         "bad faults plan: unknown fault kind 'delay'"),
         ({"kmc_nranks": 2, "faults": "crash:rank=2,cycle=1"},
          "bad faults plan: 'crash:rank=2,cycle=1' .*2-rank parallel engine"),
         ({"kmc_nranks": 2, "faults": "delay:rank=2,nth=1,seconds=0.1,op=put"},
-         "bad faults plan: .*'delay:rank=2.*2-rank parallel engine"),
+         "bad faults plan: unknown fault kind 'delay'"),
         ({"kmc_nranks": 2, "faults": "crash:rank=0,event=3"},
          "bad faults plan: 'crash:rank=0,event=3' .*2-rank parallel engine"),
         # Finite but beyond threading.TIMEOUT_MAX: it would overflow the
@@ -163,6 +164,12 @@ class TestValidation:
             "seed", "md_steps", "kmc_nranks", "trajectory_every",
             "checkpoint_every", "workers",
         )],
+        # A crash at or beyond the run's budget never fires.
+        ({"kmc_nranks": 2, "kmc_max_cycles": 4,
+          "faults": "crash:rank=1,cycle=10"},
+         r"bad faults plan: 'crash:rank=1,cycle=10' .*kmc_max_cycles=4"),
+        ({"kmc_max_events": 30, "faults": "crash:rank=0,event=30"},
+         r"bad faults plan: 'crash:rank=0,event=30' .*kmc_max_events=30"),
     ])
     def test_bad_values_rejected(self, kwargs, match):
         with pytest.raises(SpecError, match=match):
@@ -187,12 +194,18 @@ class TestValidation:
     def test_plans_that_fit_their_engine_accepted(self):
         serial = ScenarioSpec(faults="crash:rank=0,event=3")
         assert serial.faults == "crash:rank=0,event=3"
-        plan = "crash:rank=1,cycle=3; delay:rank=0,nth=2,seconds=0.01,op=put"
+        plan = "crash:rank=1,cycle=3; crash:rank=0,cycle=0"
         assert ScenarioSpec(kmc_nranks=2, faults=plan).faults == plan
+        # The last cycle or event of the budget is a fault point.
+        for last, budget in [
+            ("crash:rank=1,cycle=3", {"kmc_nranks": 2, "kmc_max_cycles": 4}),
+            ("crash:rank=0,event=29", {"kmc_max_events": 30}),
+        ]:
+            assert ScenarioSpec(**budget, faults=last).faults == last
 
     def test_an_empty_plan_builds_no_injector(self, monkeypatch):
         # An empty plan is no plan: the spec holds None, so the coupled
-        # run builds no FaultInjector and its worlds pause nothing.
+        # run builds no FaultInjector for its worlds to consult.
         from repro.core import coupling
 
         built = []
